@@ -1,46 +1,17 @@
 package stm
 
-import (
-	"context"
-
-	"github.com/stm-go/stm/contention"
-	"github.com/stm-go/stm/internal/core"
-)
-
-// runIntoCtx is runInto with cancellation: it retries under the contention
-// policy until commit or until ctx is done. ctx is checked between the
-// failed attempt and the policy's (possibly long) deferral, so a cancelled
-// caller returns promptly instead of sleeping out one more wait; the
-// operation is then reported aborted — with its final failure counted — so
-// the policy releases any per-operation resources it granted.
-func (tx *Tx) runIntoCtx(ctx context.Context, u update, old []uint64) error {
-	var info core.ConflictInfo
-	var c *contention.Conflict
-	for {
-		if tx.attemptInto(u, old, &info, prioOf(c)) {
-			tx.m.commitConflict(c, tx.first(), len(tx.sorted))
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			if c == nil {
-				tx.m.tryAbort(tx.first(), len(tx.sorted), &info)
-			} else {
-				c.Attempts++ // the final, undeferred failure
-				tx.m.abortConflict(c)
-			}
-			return err
-		}
-		c = tx.m.noteConflict(c, tx.first(), len(tx.sorted), &info)
-	}
-}
+import "context"
 
 // RunContext is Run with cancellation: it retries (under the contention
 // policy) until the transaction commits or ctx is done, returning the old
 // values or ctx's error. A transaction that already committed is never
-// reported as cancelled.
+// reported as cancelled — the first attempt is made even under an
+// already-cancelled ctx. A nil ctx is never cancelled.
 func (tx *Tx) RunContext(ctx context.Context, f UpdateFunc) ([]uint64, error) {
+	u := update{fInto: wrapInto(f)}
+	st := tx.stage(&u)
 	out := make([]uint64, len(tx.sorted))
-	if err := tx.runIntoCtx(ctx, update{fInto: wrapInto(f)}, out); err != nil {
+	if err := tx.m.run(ctx, &st, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -48,27 +19,20 @@ func (tx *Tx) RunContext(ctx context.Context, f UpdateFunc) ([]uint64, error) {
 
 // RunWhenContext is RunWhen with cancellation: it retries until a committed
 // attempt's old values satisfy guard (then applies f and returns them) or
-// until ctx is done.
+// until ctx is done. A nil ctx is never cancelled.
 func (tx *Tx) RunWhenContext(ctx context.Context, guard func(old []uint64) bool, f UpdateFunc) ([]uint64, error) {
-	wrapped := update{fInto: guardedInto(guard, f)}
+	u := update{fInto: guardedInto(guard, f)}
+	st := tx.stage(&u)
 	out := make([]uint64, len(tx.sorted))
-	cond := tx.m.newCondWaiter()
-	for {
-		if err := tx.runIntoCtx(ctx, wrapped, out); err != nil {
-			return nil, err
-		}
-		if guard(out) {
-			return out, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cond.wait(out)
+	if err := tx.m.runWhen(ctx, &st, out, guard); err != nil {
+		return nil, err
 	}
+	return out, nil
 }
 
 // AtomicUpdateContext applies f to addrs as one static transaction with
-// cancellation; see AtomicUpdate and RunContext.
+// cancellation; see AtomicUpdate and RunContext. A nil ctx is never
+// cancelled.
 func (m *Memory) AtomicUpdateContext(ctx context.Context, addrs []int, f UpdateFunc) ([]uint64, error) {
 	tx, err := m.Prepare(addrs)
 	if err != nil {

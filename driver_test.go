@@ -1,0 +1,95 @@
+package stm_test
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	stm "github.com/stm-go/stm"
+)
+
+func TestNilContextNeverCancelled(t *testing.T) {
+	// Every ...Context entry point runs on the one driver, where a nil
+	// context means "never cancelled": a conflict, or a guard-unmet round,
+	// must defer and retry exactly as the context-free form does rather
+	// than dereference the nil.
+	var nilCtx context.Context
+	incF := func(o []uint64) []uint64 { return []uint64{o[0] + 1} }
+	positive := func(o []uint64) bool { return o[0] > 0 }
+	blindWrite := func(tx *stm.DTx) error { tx.Write(0, 7); return nil }
+	typedSet := func(t *testing.T, m *stm.Memory) (*stm.TxSet, stm.Slot[int64]) {
+		v, err := stm.VarAt(m, stm.Int64(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := stm.NewTxSet(m)
+		return ts, stm.AddVar(ts, v)
+	}
+	cases := []struct {
+		name string
+		// guarded cases start from a guard-unmet round on an idle word 0
+		// that a later Add satisfies; the others start against a held one.
+		guarded bool
+		run     func(t *testing.T, m *stm.Memory) error
+	}{
+		{"Tx.RunContext", false, func(t *testing.T, m *stm.Memory) error {
+			_, err := mustPrepare(t, m, []int{0}).RunContext(nilCtx, incF)
+			return err
+		}},
+		{"TxSet.RunContext", false, func(t *testing.T, m *stm.Memory) error {
+			ts, _ := typedSet(t, m)
+			return ts.RunContext(nilCtx, func(stm.TxView) {})
+		}},
+		{"AtomicUpdateContext", false, func(t *testing.T, m *stm.Memory) error {
+			_, err := m.AtomicUpdateContext(nilCtx, []int{0}, incF)
+			return err
+		}},
+		{"AtomicallyContext", false, func(t *testing.T, m *stm.Memory) error {
+			return m.AtomicallyContext(nilCtx, blindWrite)
+		}},
+		{"OrElseContext", false, func(t *testing.T, m *stm.Memory) error {
+			return m.OrElseContext(nilCtx, func(tx *stm.DTx) error { tx.Retry(); return nil }, blindWrite)
+		}},
+		{"Tx.RunWhenContext", true, func(t *testing.T, m *stm.Memory) error {
+			_, err := mustPrepare(t, m, []int{0}).RunWhenContext(nilCtx, positive, incF)
+			return err
+		}},
+		{"TxSet.RunWhenContext", true, func(t *testing.T, m *stm.Memory) error {
+			ts, slot := typedSet(t, m)
+			return ts.RunWhenContext(nilCtx,
+				func(v stm.TxView) bool { return slot.Get(v) > 0 }, func(stm.TxView) {})
+		}},
+	}
+	for _, eng := range stm.Engines() {
+		for _, tc := range cases {
+			t.Run(eng.String()+"/"+tc.name, func(t *testing.T) {
+				pol := &protocolPolicy{}
+				m, err := stm.New(4, stm.WithEngine(eng), stm.WithPolicy(pol))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.guarded {
+					time.AfterFunc(2*time.Millisecond, func() {
+						if _, err := m.Add(0, 1); err != nil {
+							t.Error(err)
+						}
+					})
+				} else {
+					s := stallWord0(t, m, 1)
+					pol.onConflict = func(int) { s.next() }
+					defer m.SetChaos(nil)
+				}
+				if err := tc.run(t, m); err != nil {
+					t.Fatalf("err = %v under a nil context", err)
+				}
+				if !tc.guarded {
+					pol.mu.Lock()
+					defer pol.mu.Unlock()
+					if len(pol.calls) != 2 || pol.calls[0].hook != "conflict" || pol.calls[1].hook != "commit" {
+						t.Errorf("hooks = %+v, want one conflict then one commit", pol.calls)
+					}
+				}
+			})
+		}
+	}
+}

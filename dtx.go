@@ -19,7 +19,7 @@ import (
 // state), validating the whole read set after every new read so the user
 // function only ever observes consistent states (opacity); at commit the
 // discovered footprint — already deduplicated,
-// sorted through a per-DTx cache — executes on the pooled static hot path
+// sorted through a per-DTx cache — executes through the one static driver
 // with calcDyn, which installs the write set only if every read still
 // holds its speculated value and otherwise commits a validated no-op,
 // sending the driver back to re-execute. See DESIGN.md §9.
@@ -135,8 +135,9 @@ func (m *Memory) Atomically(f func(tx *DTx) error) error {
 }
 
 // AtomicallyContext is Atomically with cancellation: retries and Retry
-// waits end when ctx is done. A transaction that committed is never
-// reported as cancelled.
+// waits end when ctx is done, and no execution of f starts under an
+// already-cancelled ctx. A transaction that committed is never reported as
+// cancelled. A nil ctx is never cancelled.
 func (m *Memory) AtomicallyContext(ctx context.Context, f func(tx *DTx) error) error {
 	return m.atomically(ctx, f, nil)
 }
@@ -154,7 +155,8 @@ func (m *Memory) OrElse(first, second func(tx *DTx) error) error {
 	return m.atomically(nil, first, second)
 }
 
-// OrElseContext is OrElse with cancellation.
+// OrElseContext is OrElse with cancellation; see AtomicallyContext. A nil
+// ctx is never cancelled.
 func (m *Memory) OrElseContext(ctx context.Context, first, second func(tx *DTx) error) error {
 	if second == nil {
 		return ErrNilUpdate
@@ -554,23 +556,11 @@ func (s *fpSorter) Swap(i, j int) {
 	s.fpPos[i], s.fpPos[j] = s.fpPos[j], s.fpPos[i]
 }
 
-// attemptCommit executes the compiled footprint once through the pooled
-// static hot path: acquire ownerships in ascending order, agree old
-// values, and let calcDyn either install the write set (every validated
-// read matched) or commit a no-op (something changed). The log is staged
-// into the record's scratch by copy — helpers may evaluate calcDyn after
-// this DTx has moved on. On failure info carries the engine's conflict
-// report.
-func (d *DTx) attemptCommit(info *core.ConflictInfo, prio uint64) bool {
-	k := len(d.fpSorted)
-	eng := d.m.eng
-	r := eng.Begin(k)
-	copy(r.Addrs(), d.fpSorted)
-	if prio != 0 {
-		r.SetPriority(prio)
-	}
-	s := scratchOf(r)
-	s.ensureDyn(k)
+// stageDyn copies d's log, laid out by its compiled footprint, into the
+// record's calcDyn parameters — by copy, because helpers may evaluate
+// calcDyn after d has moved on.
+func (s *scratch) stageDyn(d *DTx) {
+	s.ensureDyn(len(d.fpPos))
 	for i, e := range d.fpPos {
 		ent := &d.log[e]
 		s.dynRead[i] = ent.read
@@ -578,11 +568,6 @@ func (d *DTx) attemptCommit(info *core.ConflictInfo, prio uint64) bool {
 		s.dynWr[i] = ent.written
 		s.dynNew[i] = ent.val
 	}
-	if cap(d.engOld) < k {
-		d.engOld = make([]uint64, k)
-	}
-	d.engOld = d.engOld[:k]
-	return eng.RunAttemptConflict(r, calcDyn, d.engOld, info)
 }
 
 // committedClean reports whether the last committed attempt installed the
@@ -632,26 +617,45 @@ func (m *Memory) putDTx(d *DTx) {
 	m.dtxPool.Put(d)
 }
 
-// atomically is the dynamic retry driver shared by Atomically, OrElse, and
-// their Context forms (second is nil outside OrElse). Each round
-// speculates, then commits the discovered footprint through the static
-// engine, re-executing when validation fails and deferring between
-// conflicting attempts exactly as the static retry loops do: every failure
-// — an ownership conflict at commit, a stale speculative read, a
-// validation miss — reports to the contention policy through the same
-// pooled Conflict report, so dynamic transactions are first-class citizens
-// of the policy's telemetry.
+// fail ends the operation with err: the policy report (if any conflict
+// opened one) closes as aborted and the final execution's OnAbort actions
+// run.
+func (d *DTx) fail(c *contention.Conflict, err error) error {
+	d.m.abortConflict(c)
+	d.runAbortHooks()
+	return err
+}
+
+// noteStale reports a speculation that died before it had a footprint to
+// commit — a read found the snapshot stale — to the contention policy like
+// any other failed attempt, keyed by the approximate conflict domain.
+func (d *DTx) noteStale(c *contention.Conflict) *contention.Conflict {
+	info := core.ConflictInfo{Addr: d.staleAddr}
+	return d.m.noteConflict(c, d.domainKey(), len(d.log)+1, &info)
+}
+
+// atomically is the speculation loop shared by Atomically, OrElse, and
+// their Context forms (second is nil outside OrElse). Each round speculates
+// to discover a footprint, then commits it through the one static driver —
+// acquire ownerships in ascending order, agree old values, and let calcDyn
+// either install the write set (every validated read matched) or commit a
+// no-op (something changed), which sends the round back to re-execute. One
+// policy report spans the whole operation: every failure — an ownership
+// conflict at commit, a stale speculative read, a validation miss — lands
+// on it through the same helpers the static forms use, so dynamic
+// transactions are first-class citizens of the policy's telemetry.
 func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) error) error {
 	d := m.getDTx()
 	defer m.putDTx(d)
-	var info core.ConflictInfo
 	var c *contention.Conflict
+	st := staged{op: opDyn, d: d} // addrs: each round's compiled footprint
 	for {
+		// Unlike the static forms, which always make their first attempt, a
+		// dynamic transaction does not start (or restart) a speculation
+		// under a cancelled context.
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				m.abortConflict(c)
-				d.runAbortHooks()
-				return err
+				return d.fail(c, err)
 			}
 		}
 		d.altAddrs = d.altAddrs[:0]
@@ -665,32 +669,26 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 		case sigAbort:
 			err := d.err
 			d.err = nil
-			m.abortConflict(c)
-			d.runAbortHooks()
-			return err
+			return d.fail(c, err)
 		case sigStale:
-			info = core.ConflictInfo{Addr: d.staleAddr}
-			c = m.noteConflict(c, d.domainKey(), len(d.log)+1, &info)
+			c = d.noteStale(c)
 			continue
 		case sigRetry:
 			if d.readCount() == 0 {
-				m.abortConflict(c)
-				d.runAbortHooks()
-				return ErrRetryNoReads
+				return d.fail(c, ErrRetryNoReads)
 			}
 			// Close the round's policy resources before parking: a
 			// serializing policy's token (or an aged priority) must never
 			// be held across an unbounded condition wait — the same
-			// discipline as RunWhen, which commits guard-unmet rounds
+			// discipline as runWhen, which commits guard-unmet rounds
 			// before its condition waits. The next conflict after the
 			// wakeup opens a fresh report.
 			if c != nil {
-				m.commitConflict(c, d.domainKey(), len(d.log))
+				m.commitConflict(c, nil)
 				c = nil
 			}
 			if err := d.waitReadSet(ctx); err != nil {
-				d.runAbortHooks()
-				return err
+				return d.fail(nil, err)
 			}
 			continue
 		}
@@ -699,8 +697,7 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 		// branch's reads — left priority must hold at the linearization
 		// point, not just at speculation time.
 		if len(d.altAddrs) > 0 && !d.mergeAlt() {
-			info = core.ConflictInfo{Addr: d.staleAddr}
-			c = m.noteConflict(c, d.domainKey(), len(d.log)+1, &info)
+			c = d.noteStale(c)
 			continue
 		}
 		if len(d.log) == 0 {
@@ -710,38 +707,33 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 			// — an all-side-effect transaction (say, a server batch that
 			// only staged replies) committed, trivially.
 			if c != nil {
-				m.commitConflict(c, 0, 0)
+				m.commitConflict(c, nil)
 			}
 			d.runCommitHooks()
 			return nil
 		}
 		d.compileFootprint()
-		first0, k := d.fpSorted[0], len(d.fpSorted)
-		for !d.attemptCommit(&info, prioOf(c)) {
-			// Ownership conflict: the blocker has been helped; defer and
-			// re-attempt the same compiled footprint. If our snapshot went
-			// stale meanwhile, the next committed attempt detects it.
-			if ctx != nil && ctx.Err() != nil {
-				if c == nil {
-					m.tryAbort(first0, k, &info)
-				} else {
-					c.Attempts++ // the final, undeferred failure
-					m.abortConflict(c)
-				}
-				d.runAbortHooks()
-				return ctx.Err()
-			}
-			c = m.noteConflict(c, first0, k, &info)
+		st.addrs = d.fpSorted
+		if cap(d.engOld) < st.size() {
+			d.engOld = make([]uint64, st.size())
+		}
+		d.engOld = d.engOld[:st.size()]
+		// Ownership conflicts re-attempt the same compiled footprint: if the
+		// snapshot goes stale meanwhile, the attempt that finally commits
+		// detects it.
+		var err error
+		if c, err = m.contend(ctx, &st, d.engOld, c); err != nil {
+			return d.fail(nil, err)
 		}
 		if stale, ok := d.committedClean(); !ok {
 			// The engine committed calcDyn's no-op arm: a concurrent
 			// transaction moved one of our reads between speculation and
 			// commit. Contention — defer, then re-execute from scratch.
-			info = core.ConflictInfo{Addr: stale}
-			c = m.noteConflict(c, first0, k, &info)
+			info := core.ConflictInfo{Addr: stale}
+			c = m.noteConflict(c, st.first(), st.size(), &info)
 			continue
 		}
-		m.commitConflict(c, first0, k)
+		m.commitConflict(c, &st)
 		d.runCommitHooks()
 		return nil
 	}

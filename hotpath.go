@@ -7,11 +7,11 @@ import (
 	"github.com/stm-go/stm/internal/core"
 )
 
-// Hot-path plumbing: allocation-free attempt execution.
+// Hot-path plumbing: what an allocation-free attempt is made of.
 //
-// Every attempt on the fast path draws a pooled record from the engine
-// (core.Begin/RunAttempt) and parameterizes a package-level core.CalcFunc
-// through a *scratch attached to the record's Env. Because calc functions
+// Every attempt draws a pooled record from the engine and parameterizes a
+// package-level core.CalcFunc through a *scratch attached to the record's
+// Env (driver.go's attempt is where that happens). Because calc functions
 // are plain functions and the scratch rides the record through the engine's
 // pool, a steady-state attempt builds no closures and allocates nothing;
 // see DESIGN.md §6.
@@ -27,18 +27,19 @@ import (
 // evaluations must produce identical values.
 type UpdateInto func(old, new []uint64)
 
-// update is the staged form of one transaction's computation: exactly one
-// of fInto (raw word update) or typed (TxView update from the Var/TxSet
-// layer) is set. For the typed form, guard may additionally gate the
-// update: a round whose guard rejects the old values commits the data set
-// unchanged, the typed analogue of guardedInto. Passing the forms through
-// one struct lets every retry loop (runInto, runIntoCtx) stage either
-// without a per-call closure — the key to the typed layer's
+// update is calcTx's parameter block: one prepared transaction's
+// computation and its address remap. Exactly one of fInto (raw word update)
+// or typed (TxView update from the Var/TxSet layer) is set. For the typed
+// form, guard may additionally gate the update: a round whose guard rejects
+// the old values commits the data set unchanged, the typed analogue of
+// guardedInto. Passing the forms through one struct lets the driver stage
+// either without a per-call closure — the key to the typed layer's
 // zero-allocation contract.
 type update struct {
 	fInto UpdateInto
 	typed func(TxView)
 	guard func(TxView) bool
+	perm  []int // caller order -> engine order (Tx.perm); nil for identity
 }
 
 // The Memory's confPool recycles contention.Conflict reports so the policy
@@ -66,17 +67,6 @@ func (m *Memory) putConflict(c *contention.Conflict) {
 	m.confPool.Put(c)
 }
 
-// fillConflict copies a failed attempt's engine report into the
-// operation's policy report.
-func fillConflict(c *contention.Conflict, info *core.ConflictInfo) {
-	c.Addr = info.Addr
-	c.Owner = contention.Owner{
-		Present:  info.OwnerPresent,
-		Version:  info.OwnerVersion,
-		Priority: info.OwnerPriority,
-	}
-}
-
 // getWordBuf returns a pooled staging buffer of length k. Typed Var
 // operations stage encoded words here: a stack buffer would escape through
 // the codec's interface method calls, so pooling is what keeps Load/Store
@@ -94,6 +84,12 @@ func (m *Memory) getWordBuf(k int) *[]uint64 {
 
 func (m *Memory) putWordBuf(p *[]uint64) { m.bufPool.Put(p) }
 
+// The policy protocol of one logical operation, as the driver speaks it: at
+// most one report per operation, created on its first conflict (or at a
+// clean commit the policy asked to hear about), fed to OnConflict once per
+// deferred failure with Attempts counting them, and closed by exactly one
+// OnCommit or OnAbort, after which it returns to the pool.
+
 // prioOf reads the policy-assigned priority off an operation's report, or 0
 // before the operation has one.
 func prioOf(c *contention.Conflict) uint64 {
@@ -103,53 +99,63 @@ func prioOf(c *contention.Conflict) uint64 {
 	return c.Priority
 }
 
-// noteConflict reports a failed attempt to the contention policy — creating
-// the operation's report on its first conflict — and blocks for however
-// long the policy defers the retry. info must be the ConflictInfo the
-// failed attempt filled.
-func (m *Memory) noteConflict(c *contention.Conflict, first, size int, info *core.ConflictInfo) *contention.Conflict {
+// failedAttempt counts a failed attempt on the operation's report —
+// creating the report on the first one — and copies the engine's account of
+// it (info must be the ConflictInfo the failed attempt filled).
+func (m *Memory) failedAttempt(c *contention.Conflict, first, size int, info *core.ConflictInfo) *contention.Conflict {
 	if c == nil {
 		c = m.getConflict(first, size)
 	}
 	c.Attempts++
-	fillConflict(c, info)
+	c.Addr = info.Addr
+	c.Owner = contention.Owner{
+		Present:  info.OwnerPresent,
+		Version:  info.OwnerVersion,
+		Priority: info.OwnerPriority,
+	}
+	return c
+}
+
+// noteConflict reports a failed attempt that will be retried to the
+// contention policy and blocks for however long the policy defers the
+// retry.
+func (m *Memory) noteConflict(c *contention.Conflict, first, size int, info *core.ConflictInfo) *contention.Conflict {
+	c = m.failedAttempt(c, first, size, info)
 	m.pol.OnConflict(c)
 	return c
+}
+
+// abortFailed closes an operation whose last attempt failed and will not be
+// retried — the caller owns the retry decision (Try/TryInto) or gave up
+// (a cancelled context): the policy is told the operation ended, with that
+// final failure counted, without being asked to defer anything.
+func (m *Memory) abortFailed(c *contention.Conflict, first, size int, info *core.ConflictInfo) {
+	m.abortConflict(m.failedAttempt(c, first, size, info))
 }
 
 // commitConflict closes an operation as committed, releasing any policy
 // resources (tokens, priorities) its report carries. A nil report means the
 // operation never conflicted; the policy only hears about it if it opted
-// into clean commits.
-func (m *Memory) commitConflict(c *contention.Conflict, first, size int) {
+// into clean commits, in which case st (not consulted otherwise) names the
+// data set.
+func (m *Memory) commitConflict(c *contention.Conflict, st *staged) {
 	if c == nil {
 		if !m.allCommits {
 			return
 		}
-		c = m.getConflict(first, size)
+		c = m.getConflict(st.first(), st.size())
 	}
 	m.pol.OnCommit(c)
 	m.putConflict(c)
 }
 
-// abortConflict closes an operation that is being abandoned mid-retry-loop
-// (context cancellation) without committing.
+// abortConflict closes an operation that ends without committing and
+// without a further failed attempt to count (a dynamic transaction's user
+// error, say). An operation that never conflicted has nothing to close.
 func (m *Memory) abortConflict(c *contention.Conflict) {
 	if c == nil {
 		return
 	}
-	m.pol.OnAbort(c)
-	m.putConflict(c)
-}
-
-// tryAbort reports a failed single-attempt operation (Try/TryInto): the
-// caller owns the retry decision, so the policy is told the operation ended
-// — abort-rate observers count the failure — without being asked to defer
-// anything.
-func (m *Memory) tryAbort(first, size int, info *core.ConflictInfo) {
-	c := m.getConflict(first, size)
-	c.Attempts = 1
-	fillConflict(c, info)
 	m.pol.OnAbort(c)
 	m.putConflict(c)
 }
@@ -159,24 +165,22 @@ func (m *Memory) tryAbort(first, size int, info *core.ConflictInfo) {
 // its buffers amortize to zero allocations. The engine guarantees the
 // scratch is quiescent whenever its record is handed out by Begin.
 //
-// Fields are written only between Begin and RunAttempt (by the initiating
-// goroutine, which owns the record exclusively then) and read — never
-// written — by calc evaluations afterwards, except for the caller-order
-// buffers, which only the exclusive (initiator) evaluation of calcTx may
-// use; helpers bring their own.
+// Fields are written only between Begin and RunAttempt (by attempt, on the
+// initiating goroutine, which owns the record exclusively then — and only
+// the fields the staged op's calc reads) and read — never written — by calc
+// evaluations afterwards, except for the caller-order buffers, which only
+// the exclusive (initiator) evaluation of calcTx may use; helpers bring
+// their own.
 type scratch struct {
-	// calcTx parameters (prepared-transaction remap). fInto and
-	// typed/tguard are the two staged update forms; see update.
-	fInto     UpdateInto
-	typed     func(TxView)
-	tguard    func(TxView) bool
-	perm      []int // caller order -> engine order; nil for identity
+	// calcTx parameters: the staged update, and the exclusive caller-order
+	// buffers its remap evaluates through.
+	u         update
 	callerOld []uint64
 	callerNew []uint64
 
 	// Single-word op parameters (calcAdd, calcSwap, calcCAS1).
-	arg0 uint64
-	arg1 uint64
+	a0 uint64
+	a1 uint64
 
 	// k-word op parameters (calcCASN, calcStore).
 	exp  []uint64
@@ -198,11 +202,15 @@ type scratch struct {
 // caller's update closure and the prepared-transaction permutation) so an
 // idle pooled record retains nothing of its last caller. The value buffers
 // stay: they are the amortization.
-func (s *scratch) ResetForPool() {
-	s.fInto = nil
-	s.typed = nil
-	s.tguard = nil
-	s.perm = nil
+func (s *scratch) ResetForPool() { s.stageUpdate(&update{}) }
+
+// stageUpdate copies u into the record, field by field on purpose: a
+// whole-struct assignment of pointer fields into heap memory compiles to
+// the runtime's bulk write barrier whenever the collector is running — and
+// value boxing keeps it running — which costs several times what the four
+// plain pointer stores do.
+func (s *scratch) stageUpdate(u *update) {
+	s.u.fInto, s.u.typed, s.u.guard, s.u.perm = u.fInto, u.typed, u.guard, u.perm
 }
 
 // scratchOf returns the scratch riding r, attaching a fresh one on first
@@ -242,23 +250,23 @@ func (s *scratch) ensureCaller(k int) {
 	s.callerNew = s.callerNew[:k]
 }
 
-// calcAdd: new[0] = old[0] + arg0.
+// calcAdd: new[0] = old[0] + a0.
 func calcAdd(env any, old, new []uint64, _ bool) {
-	new[0] = old[0] + env.(*scratch).arg0
+	new[0] = old[0] + env.(*scratch).a0
 }
 
-// calcSwap: new[0] = arg0.
+// calcSwap: new[0] = a0.
 func calcSwap(env any, _, new []uint64, _ bool) {
-	new[0] = env.(*scratch).arg0
+	new[0] = env.(*scratch).a0
 }
 
-// calcCAS1: new[0] = arg1 if old[0] == arg0, else old[0]. Whether the swap
+// calcCAS1: new[0] = a1 if old[0] == a0, else old[0]. Whether the swap
 // happened is decided afterwards from the committed old value — calc
 // evaluations must not write to the shared scratch.
 func calcCAS1(env any, old, new []uint64, _ bool) {
 	s := env.(*scratch)
-	if old[0] == s.arg0 {
-		new[0] = s.arg1
+	if old[0] == s.a0 {
+		new[0] = s.a1
 	} else {
 		new[0] = old[0]
 	}
@@ -318,8 +326,8 @@ func calcDyn(env any, old, new []uint64, _ bool) {
 // allocate their own so concurrent evaluations never share mutable state.
 func calcTx(env any, old, new []uint64, exclusive bool) {
 	s := env.(*scratch)
-	if s.perm == nil {
-		s.apply(old, new)
+	if s.u.perm == nil {
+		s.u.apply(old, new)
 		return
 	}
 	co, cn := s.callerOld, s.callerNew
@@ -327,11 +335,11 @@ func calcTx(env any, old, new []uint64, exclusive bool) {
 		co = make([]uint64, len(old))
 		cn = make([]uint64, len(old))
 	}
-	for i, si := range s.perm {
+	for i, si := range s.u.perm {
 		co[i] = old[si]
 	}
-	s.apply(co, cn)
-	for i, si := range s.perm {
+	s.u.apply(co, cn)
+	for i, si := range s.u.perm {
 		new[si] = cn[i]
 	}
 }
@@ -341,19 +349,19 @@ func calcTx(env any, old, new []uint64, exclusive bool) {
 // update never Sets commit unchanged; a staged guard that rejects the old
 // values leaves it that way (a validated no-op commit, same as
 // guardedInto).
-func (s *scratch) apply(old, new []uint64) {
-	if s.typed == nil {
-		s.fInto(old, new)
+func (u *update) apply(old, new []uint64) {
+	if u.typed == nil {
+		u.fInto(old, new)
 		return
 	}
 	copy(new, old)
 	// The guard sees a read-only view — no new buffer — so a guard that
 	// Sets panics instead of silently committing writes, and a rejected
 	// round really does commit the data set unchanged.
-	if s.tguard != nil && !s.tguard(TxView{old: old}) {
+	if u.guard != nil && !u.guard(TxView{old: old}) {
 		return
 	}
-	s.typed(TxView{old: old, new: new})
+	u.typed(TxView{old: old, new: new})
 }
 
 // wrapInto adapts a slice-returning UpdateFunc to the into-style contract,

@@ -11,8 +11,8 @@ import (
 	"time"
 )
 
-// chaosAdd returns an UpdateFunc adding delta to every word.
-func chaosAdd(delta uint64) UpdateFunc {
+// chaosAdd returns an updateFunc adding delta to every word.
+func chaosAdd(delta uint64) updateFunc {
 	return func(old []uint64) []uint64 {
 		nv := make([]uint64, len(old))
 		for i, v := range old {
@@ -67,12 +67,12 @@ func TestChaosSTPostLockPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := m.TryOnce([]int{2, 5}, chaosAdd(7)); err != nil || !ok {
-		t.Fatalf("seeding transaction: ok=%v err=%v", ok, err)
+	if _, ok := tryOnce(m, []int{2, 5}, chaosAdd(7)); !ok {
+		t.Fatal("seeding transaction failed")
 	}
 	rec := &chaosRecorder{}
 	m.SetChaos(rec.hook(m))
-	if _, ok := m.TryOnceValidated([]int{2, 5}, chaosAdd(10)); !ok {
+	if _, ok := tryOnce(m, []int{2, 5}, chaosAdd(10)); !ok {
 		t.Fatal("uncontended attempt failed")
 	}
 	m.SetChaos(nil)
@@ -133,7 +133,7 @@ func TestChaosSTHelpingPhase(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, ok := m.TryOnceValidated([]int{3}, chaosAdd(1)); !ok {
+		if _, ok := tryOnce(m, []int{3}, chaosAdd(1)); !ok {
 			t.Error("parked initiator's attempt did not commit")
 		}
 	}()
@@ -141,7 +141,7 @@ func TestChaosSTHelpingPhase(t *testing.T) {
 
 	// T2 conflicts with the parked T1: its attempt must fail, and its
 	// failure path must help T1 to completion, firing st-helping.
-	if _, ok := m.TryOnceValidated([]int{3}, chaosAdd(100)); ok {
+	if _, ok := tryOnce(m, []int{3}, chaosAdd(100)); ok {
 		t.Error("conflicting attempt committed over a parked owner")
 	}
 	select {
@@ -168,7 +168,7 @@ func TestChaosTL2Phases(t *testing.T) {
 	m.SetChaos(rec.hook(m))
 	defer m.SetChaos(nil)
 
-	if _, ok := m.TryOnceValidated([]int{1, 4}, chaosAdd(3)); !ok {
+	if _, ok := tryOnce(m, []int{1, 4}, chaosAdd(3)); !ok {
 		t.Fatal("uncontended attempt failed")
 	}
 	lockFires := rec.byPoint(ChaosTL2PostLock)
@@ -202,7 +202,7 @@ func TestChaosTL2Phases(t *testing.T) {
 	// A read-only transaction commits without locks or clock step: no TL2
 	// point may fire.
 	before := len(rec.byPoint(ChaosTL2PostLock)) + len(rec.byPoint(ChaosTL2PostClock))
-	if _, ok := m.TryOnceValidated([]int{1, 4}, chaosAdd(0)); !ok {
+	if _, ok := tryOnce(m, []int{1, 4}, chaosAdd(0)); !ok {
 		t.Fatal("read-only attempt failed")
 	}
 	after := len(rec.byPoint(ChaosTL2PostLock)) + len(rec.byPoint(ChaosTL2PostClock))
@@ -223,7 +223,7 @@ func TestChaosSetNilRemoves(t *testing.T) {
 		}
 		rec := &chaosRecorder{}
 		m.SetChaos(rec.hook(m))
-		if _, ok := m.TryOnceValidated([]int{0}, chaosAdd(1)); !ok {
+		if _, ok := tryOnce(m, []int{0}, chaosAdd(1)); !ok {
 			t.Fatal("attempt failed")
 		}
 		rec.mu.Lock()
@@ -233,7 +233,7 @@ func TestChaosSetNilRemoves(t *testing.T) {
 			t.Fatalf("%v: no chaos event fired with hook registered", kind)
 		}
 		m.SetChaos(nil)
-		if _, ok := m.TryOnceValidated([]int{0}, chaosAdd(1)); !ok {
+		if _, ok := tryOnce(m, []int{0}, chaosAdd(1)); !ok {
 			t.Fatal("attempt failed")
 		}
 		rec.mu.Lock()

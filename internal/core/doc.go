@@ -29,17 +29,16 @@
 // every committed store publishes a box address that has never been
 // published before. A CompareAndSwap on the pointer succeeds only if the
 // word was not written since it was read, because a live box pointer is
-// never recycled. On the legacy TryOnce path transaction records are
-// allocated fresh per attempt, so a helper can never confuse two attempts —
-// the role played by version numbers in the paper's (non-GC) setting; the
-// pooled Begin/RunAttempt path recovers the same guarantee under record
-// reuse with the seal/pin generation guard (DESIGN.md §4). The simulator
-// build (internal/simstm) keeps the paper's exact reused, versioned records
-// instead, because simulated memory has no GC.
+// never recycled. Transaction records are reused — Begin arms one, RunAttempt
+// consumes it — and the seal/pin generation guard keeps a helper from ever
+// confusing two attempts of one record, the role played by version numbers
+// in the paper's (non-GC) setting (DESIGN.md §4). The simulator build
+// (internal/simstm) keeps the paper's exact versioned records instead,
+// because simulated memory has no GC.
 //
 // # Hot-path memory behavior
 //
-// The pooled path is allocation-free in steady state: records (with their
+// An attempt is allocation-free in steady state: records (with their
 // old-value slots, evaluation buffers, and attached Env scratch) recycle
 // through a per-Memory sync.Pool, and value boxes are carved from a
 // per-record backing chunk — one allocation amortized over boxChunk

@@ -33,7 +33,7 @@ func TestTL2EngineKind(t *testing.T) {
 
 func TestTL2ReadOnlyCommitSkipsClock(t *testing.T) {
 	m, e := newTL2(t, 8)
-	if _, ok := m.TryOnceValidated([]int{1, 3}, func(old []uint64) []uint64 {
+	if _, ok := tryOnce(m, []int{1, 3}, func(old []uint64) []uint64 {
 		return []uint64{old[0], old[1]} // identity: a pure read
 	}); !ok {
 		t.Fatal("uncontended read-only attempt failed")
@@ -49,7 +49,7 @@ func TestTL2ReadOnlyCommitSkipsClock(t *testing.T) {
 
 func TestTL2WriteStampsAndBumpsClock(t *testing.T) {
 	m, e := newTL2(t, 8)
-	old, ok := m.TryOnceValidated([]int{2, 5}, func(old []uint64) []uint64 {
+	old, ok := tryOnce(m, []int{2, 5}, func(old []uint64) []uint64 {
 		return []uint64{old[0] + 7, old[1]} // word 5 unchanged: excluded from the write set
 	})
 	if !ok || old[0] != 0 {
@@ -76,7 +76,8 @@ func TestTL2LockConflictTelemetry(t *testing.T) {
 	m, _ := newTL2(t, 8)
 	// Park a foreign lock on word 3 and watch an attempt die on it with a
 	// full conflict report and a per-word conflict bump.
-	blocker := newRec([]int{3}, func(old []uint64) []uint64 { return old }, 42)
+	blocker := armedRec(m, []int{3}, func(old []uint64) []uint64 { return old })
+	blocker.version.Store(42)
 	blocker.prio.Store(9)
 	m.words[3].owner.Store(blocker)
 
@@ -132,13 +133,13 @@ func TestTL2StaleStampFailsValidation(t *testing.T) {
 
 func TestTL2StableLoadBoxWaitsOutLock(t *testing.T) {
 	m, _ := newTL2(t, 4)
-	if _, ok := m.TryOnceValidated([]int{1}, func(old []uint64) []uint64 {
+	if _, ok := tryOnce(m, []int{1}, func(old []uint64) []uint64 {
 		return []uint64{11}
 	}); !ok {
 		t.Fatal("seed write failed")
 	}
 	// Hold the commit lock; StableLoadBox must not return until released.
-	holder := newRec([]int{1}, func(old []uint64) []uint64 { return old }, 1)
+	holder := armedRec(m, []int{1}, func(old []uint64) []uint64 { return old })
 	m.words[1].owner.Store(holder)
 	done := make(chan *uint64)
 	go func() { done <- m.StableLoadBox(1) }()

@@ -75,9 +75,8 @@ type Memory struct {
 	engine Engine     // commit protocol; see engine.go
 	kind   EngineKind // engine.Kind(), cached for the obs hot path
 
-	versions atomic.Uint64 // attempt identity source (legacy path)
-	stats    Stats
-	pool     sync.Pool // of *Rec; see pool.go
+	stats Stats
+	pool  sync.Pool // of *Rec; see pool.go
 
 	// Observability seam (see obs.go). obsLvl is the hot-path gate — one
 	// plain load per hook site; ObsOff means every hook is a predicted
@@ -241,57 +240,6 @@ func (m *Memory) ValidateDataSet(addrs []int) error {
 	return nil
 }
 
-// TryOnce executes a single transaction attempt over the given data set:
-// StartTransaction in the paper. addrs must satisfy ValidateDataSet (the
-// check is repeated here; use TryOnceValidated to skip it in hot loops).
-//
-// On success it returns the agreed old values of the data set — the
-// consistent snapshot against which f computed the installed new values —
-// and ok=true. On failure (the attempt was blocked by a conflicting
-// transaction, which this call then helped to completion) it returns
-// ok=false and the caller should retry, typically after backoff.
-func (m *Memory) TryOnce(addrs []int, f UpdateFunc) (old []uint64, ok bool, err error) {
-	if err := m.ValidateDataSet(addrs); err != nil {
-		return nil, false, err
-	}
-	if f == nil {
-		return nil, false, ErrNilUpdate
-	}
-	old, ok = m.TryOnceValidated(addrs, f)
-	return old, ok, nil
-}
-
-// TryOnceValidated is TryOnce without argument validation. addrs must be
-// strictly ascending, in bounds, and must not be mutated while the attempt
-// runs; f must be non-nil, deterministic, and side-effect free.
-//
-// This is the compatibility path: it allocates a fresh single-use record
-// per attempt. Hot paths should use Begin/RunAttempt (or the public
-// package's prepared transactions), which recycle records and buffers.
-func (m *Memory) TryOnceValidated(addrs []int, f UpdateFunc) (old []uint64, ok bool) {
-	rec := newRec(addrs, f, m.versions.Add(1))
-	m.stats.attempt(rec.shard)
-	lvl := m.obsLevel()
-	if lvl != ObsOff {
-		m.obsBegin(rec, lvl)
-	}
-
-	out := make([]uint64, len(addrs))
-	committed := m.attempt(rec, out, nil)
-	if committed {
-		m.stats.commit(rec.shard)
-	} else {
-		m.stats.failure(rec.shard)
-	}
-	if lvl != ObsOff {
-		m.obsEnd(rec, lvl, committed)
-	}
-	if committed {
-		return out, true
-	}
-	return nil, false
-}
-
 // transaction runs the protocol for rec to completion, from any phase. It
 // is executed by the initiating goroutine and, under contention, by helpers
 // (initiator=false), for whom the helping clause is disabled — the paper's
@@ -433,8 +381,8 @@ func (m *Memory) newValuesFor(rec *Rec, initiator bool) []uint64 {
 // allWritten cuts the phase short once some participant finished it.
 //
 // The initiating goroutine carves value boxes from the record's backing
-// chunk (one allocation amortized over boxChunk commits on the pooled
-// path); helpers box individually.
+// chunk (one allocation amortized over boxChunk commits); helpers box
+// individually.
 func (m *Memory) updateMemory(rec *Rec, newv []uint64, initiator bool) {
 	for i, loc := range rec.addrs {
 		w := &m.words[loc]

@@ -17,8 +17,8 @@ func mustMemory(t *testing.T, size int) *Memory {
 	return m
 }
 
-// addFunc returns an UpdateFunc adding delta to every word of the data set.
-func addFunc(delta uint64) UpdateFunc {
+// addFunc returns an updateFunc adding delta to every word of the data set.
+func addFunc(delta uint64) updateFunc {
 	return func(old []uint64) []uint64 {
 		nv := make([]uint64, len(old))
 		for i, v := range old {
@@ -29,10 +29,10 @@ func addFunc(delta uint64) UpdateFunc {
 }
 
 // retry runs attempts until one succeeds, returning the old values.
-func retry(t *testing.T, m *Memory, addrs []int, f UpdateFunc) []uint64 {
+func retry(t *testing.T, m *Memory, addrs []int, f updateFunc) []uint64 {
 	t.Helper()
 	for i := 0; i < 1_000_000; i++ {
-		old, ok := m.TryOnceValidated(addrs, f)
+		old, ok := tryOnce(m, addrs, f)
 		if ok {
 			return old
 		}
@@ -126,19 +126,6 @@ func TestDupAddrSentinels(t *testing.T) {
 	}
 }
 
-func TestTryOnceValidation(t *testing.T) {
-	m := mustMemory(t, 4)
-	if _, _, err := m.TryOnce([]int{2, 1}, addFunc(1)); !errors.Is(err, ErrAddrOrder) {
-		t.Errorf("unsorted data set: err = %v, want ErrAddrOrder", err)
-	}
-	if _, _, err := m.TryOnce([]int{1}, nil); !errors.Is(err, ErrNilUpdate) {
-		t.Errorf("nil update: err = %v, want ErrNilUpdate", err)
-	}
-	if _, ok, err := m.TryOnce([]int{1}, addFunc(1)); err != nil || !ok {
-		t.Errorf("valid TryOnce: ok=%v err=%v, want ok=true err=nil", ok, err)
-	}
-}
-
 func TestSingleWordUpdate(t *testing.T) {
 	m := mustMemory(t, 3)
 	old := retry(t, m, []int{1}, addFunc(7))
@@ -197,7 +184,7 @@ func TestConcurrentCounter(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < increments; i++ {
 				for {
-					if _, ok := m.TryOnceValidated([]int{0}, addFunc(1)); ok {
+					if _, ok := tryOnce(m, []int{0}, addFunc(1)); ok {
 						break
 					}
 				}
@@ -264,7 +251,7 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 					return
 				default:
 				}
-				old, ok := m.TryOnceValidated(allAddrs, identity)
+				old, ok := tryOnce(m, allAddrs, identity)
 				if !ok {
 					time.Sleep(sleep)
 					if sleep < 256*time.Microsecond {
@@ -319,7 +306,7 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 				}
 				sleep := time.Microsecond
 				for {
-					if _, ok := m.TryOnceValidated([]int{lo, hi}, f); ok {
+					if _, ok := tryOnce(m, []int{lo, hi}, f); ok {
 						break
 					}
 					time.Sleep(sleep)
@@ -358,14 +345,14 @@ func TestFailureAndHelpCompleteStalledTransaction(t *testing.T) {
 	retry(t, m, []int{2}, func([]uint64) []uint64 { return []uint64{10} })
 	retry(t, m, []int{5}, func([]uint64) []uint64 { return []uint64{20} })
 
-	stalled := newRec([]int{2, 5}, addFunc(100), m.versions.Add(1))
+	stalled := armedRec(m, []int{2, 5}, addFunc(100))
 	stalled.stable.Store(true)
 	if !m.words[2].owner.CompareAndSwap(nil, stalled) {
 		t.Fatal("could not install stalled owner")
 	}
 
 	// First attempt must fail (word 2 is owned) and help `stalled` finish.
-	_, ok := m.TryOnceValidated([]int{2}, addFunc(1))
+	_, ok := tryOnce(m, []int{2}, addFunc(1))
 	if ok {
 		t.Fatal("conflicting attempt unexpectedly succeeded")
 	}
@@ -399,7 +386,7 @@ func TestHelpingDecidedRecordHealsOwnership(t *testing.T) {
 	// A decided record left owning a word (the paper's benign stale-acquire
 	// window) must be healed by the next conflicting transaction.
 	m := mustMemory(t, 4)
-	done := newRec([]int{1}, addFunc(0), m.versions.Add(1))
+	done := armedRec(m, []int{1}, addFunc(0))
 	done.stable.Store(true)
 	done.status.Store(statusSuccess)
 	done.old[0].CompareAndSwap(nil, m.words[1].cell.Load())
@@ -422,13 +409,13 @@ func TestHelpingDecidedRecordHealsOwnership(t *testing.T) {
 
 func TestFailedIndexReporting(t *testing.T) {
 	m := mustMemory(t, 6)
-	blocker := newRec([]int{4}, addFunc(0), m.versions.Add(1))
+	blocker := armedRec(m, []int{4}, addFunc(0))
 	// Deliberately unstable so the conflicting transaction does not help it
 	// and the ownership stays in place for inspection.
 	if !m.words[4].owner.CompareAndSwap(nil, blocker) {
 		t.Fatal("could not install blocker")
 	}
-	rec := newRec([]int{0, 4}, addFunc(1), m.versions.Add(1))
+	rec := armedRec(m, []int{0, 4}, addFunc(1))
 	rec.stable.Store(true)
 	m.transaction(rec, true)
 	rec.stable.Store(false)
@@ -443,16 +430,6 @@ func TestFailedIndexReporting(t *testing.T) {
 		t.Error("word 0 not released after failure")
 	}
 	m.words[4].owner.CompareAndSwap(blocker, nil)
-}
-
-func TestUpdateFuncLengthContractPanics(t *testing.T) {
-	m := mustMemory(t, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("UpdateFunc returning wrong length should panic")
-		}
-	}()
-	m.TryOnceValidated([]int{0, 1}, func(old []uint64) []uint64 { return []uint64{1} })
 }
 
 func TestStatusEncoding(t *testing.T) {
@@ -481,7 +458,7 @@ func TestDisjointTransactionsDoNotConflict(t *testing.T) {
 			addrs := []int{2 * p, 2*p + 1}
 			for i := 0; i < 1000; i++ {
 				for {
-					if _, ok := m.TryOnceValidated(addrs, addFunc(1)); ok {
+					if _, ok := tryOnce(m, addrs, addFunc(1)); ok {
 						break
 					}
 				}

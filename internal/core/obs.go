@@ -168,8 +168,8 @@ type Event struct {
 	Kind EventKind
 	// Engine is the Memory's commit protocol.
 	Engine EngineKind
-	// Seq is the record's attempt identity (Rec.Version): unique per
-	// attempt for legacy records, monotone per reuse for pooled records.
+	// Seq is the record's attempt identity (Rec.Version), monotone per
+	// reuse of the record.
 	Seq uint64
 	// Addr is the word the event concerns (the failing word for
 	// EvValidationFail/EvAbort), or -1 when no single word is.

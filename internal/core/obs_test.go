@@ -71,14 +71,14 @@ func TestObsTaxonomyST(t *testing.T) {
 	_, release := blockWord(m, 5, 0)
 	const fails = 7
 	for i := 0; i < fails; i++ {
-		if _, ok := m.TryOnceValidated([]int{2, 5}, identity); ok {
+		if _, ok := tryOnce(m, []int{2, 5}, identity); ok {
 			t.Fatal("attempt against a blocked word committed")
 		}
 	}
 	release()
 	const commits = 3
 	for i := 0; i < commits; i++ {
-		if _, ok := m.TryOnceValidated([]int{2, 5}, identity); !ok {
+		if _, ok := tryOnce(m, []int{2, 5}, identity); !ok {
 			t.Fatal("uncontended attempt failed")
 		}
 	}
@@ -103,7 +103,7 @@ func TestObsTaxonomyTL2(t *testing.T) {
 	_, release := blockWord(m, 3, 0)
 	const fails = 5
 	for i := 0; i < fails; i++ {
-		if _, ok := m.TryOnceValidated([]int{1, 3}, identity); ok {
+		if _, ok := tryOnce(m, []int{1, 3}, identity); ok {
 			t.Fatal("attempt against a locked word committed")
 		}
 	}
@@ -112,11 +112,11 @@ func TestObsTaxonomyTL2(t *testing.T) {
 	// An identity update is a read-only commit: zero RMWs, counted.
 	const readOnly = 4
 	for i := 0; i < readOnly; i++ {
-		if _, ok := m.TryOnceValidated([]int{1, 3}, identity); !ok {
+		if _, ok := tryOnce(m, []int{1, 3}, identity); !ok {
 			t.Fatal("read-only attempt failed")
 		}
 	}
-	if _, ok := m.TryOnceValidated([]int{0}, func(old []uint64) []uint64 {
+	if _, ok := tryOnce(m, []int{0}, func(old []uint64) []uint64 {
 		return []uint64{old[0] + 1}
 	}); !ok {
 		t.Fatal("writing attempt failed")
@@ -153,7 +153,7 @@ func TestObsTaxonomyPartitionsFailures(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := 0; i < 3000; i++ {
-						m.TryOnceValidated([]int{0, 2}, func(old []uint64) []uint64 {
+						tryOnce(m, []int{0, 2}, func(old []uint64) []uint64 {
 							return []uint64{old[0] + 1, old[1] + 1}
 						})
 					}
@@ -180,12 +180,12 @@ func TestObsHistograms(t *testing.T) {
 	_, release := blockWord(m, 6, 0)
 	const fails = 4
 	for i := 0; i < fails; i++ {
-		m.TryOnceValidated([]int{1, 6}, identity)
+		tryOnce(m, []int{1, 6}, identity)
 	}
 	release()
 	const commits = 9
 	for i := 0; i < commits; i++ {
-		if _, ok := m.TryOnceValidated([]int{1, 6}, identity); !ok {
+		if _, ok := tryOnce(m, []int{1, 6}, identity); !ok {
 			t.Fatal("uncontended attempt failed")
 		}
 	}
@@ -222,12 +222,12 @@ func TestObsObserverEvents(t *testing.T) {
 	_, release := blockWord(m, 6, 0)
 	const fails = 3
 	for i := 0; i < fails; i++ {
-		m.TryOnceValidated([]int{6}, identity)
+		tryOnce(m, []int{6}, identity)
 	}
 	release()
 	const commits = 4
 	for i := 0; i < commits; i++ {
-		m.TryOnceValidated([]int{6}, identity)
+		tryOnce(m, []int{6}, identity)
 	}
 
 	log.mu.Lock()
@@ -263,12 +263,12 @@ func TestObsTraceSampling(t *testing.T) {
 	_, release := blockWord(m, 3, 0)
 	const fails = 2
 	for i := 0; i < fails; i++ {
-		m.TryOnceValidated([]int{1, 3}, identity)
+		tryOnce(m, []int{1, 3}, identity)
 	}
 	release()
 	const commits = 6
 	for i := 0; i < commits; i++ {
-		if _, ok := m.TryOnceValidated([]int{1, 3}, func(old []uint64) []uint64 {
+		if _, ok := tryOnce(m, []int{1, 3}, func(old []uint64) []uint64 {
 			return []uint64{old[0] + 1, old[1] + 1}
 		}); !ok {
 			t.Fatal("uncontended attempt failed")
@@ -312,11 +312,11 @@ func TestObsResetSweepsEverything(t *testing.T) {
 			m.Observe(ObsConfig{Level: ObsTrace, Observer: &traceLog{}, SampleEvery: 1})
 			_, release := blockWord(m, 2, 0)
 			for i := 0; i < 5; i++ {
-				m.TryOnceValidated([]int{2}, identity)
+				tryOnce(m, []int{2}, identity)
 			}
 			release()
 			for i := 0; i < 5; i++ {
-				m.TryOnceValidated([]int{2}, identity)
+				tryOnce(m, []int{2}, identity)
 			}
 			if s := m.Stats(); s.Failures == 0 || s.CommitTicks.Total() == 0 {
 				t.Fatalf("no observed state accumulated before reset: %+v", s)
@@ -377,7 +377,7 @@ func TestObsConcurrentSnapshotAndReconfigure(t *testing.T) {
 							return
 						default:
 						}
-						m.TryOnceValidated([]int{w % 4, 4 + (i % 4)}, func(old []uint64) []uint64 {
+						tryOnce(m, []int{w % 4, 4 + (i % 4)}, func(old []uint64) []uint64 {
 							return []uint64{old[0] + 1, old[1]}
 						})
 					}
@@ -397,7 +397,7 @@ func TestObsConcurrentSnapshotAndReconfigure(t *testing.T) {
 			// Quiesced: the final snapshot must still hold the invariants.
 			m.Observe(ObsConfig{Level: ObsCounters})
 			m.ResetStats()
-			if _, ok := m.TryOnceValidated([]int{0}, identity); !ok {
+			if _, ok := tryOnce(m, []int{0}, identity); !ok {
 				t.Fatal("memory broken after reconfiguration storm")
 			}
 			if s := m.Stats(); s.Attempts != 1 || s.Commits != 1 {

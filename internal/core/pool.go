@@ -16,8 +16,8 @@ import "sync/atomic"
 
 const (
 	// boxChunk is the number of value boxes carved per backing-array
-	// allocation on the pooled path: one heap allocation amortized over
-	// boxChunk committed words.
+	// allocation: one heap allocation amortized over boxChunk committed
+	// words.
 	boxChunk = 512
 
 	// maxPooledK caps the data-set capacity of records kept in the pool,
@@ -37,7 +37,6 @@ func (m *Memory) Begin(k int) *Rec {
 		rec = v.(*Rec)
 	} else {
 		rec = &Rec{
-			pooled: true,
 			newHdr: new([]uint64),
 			shard:  int(recSeq.Add(1) % statShards),
 		}
@@ -69,7 +68,7 @@ func (r *Rec) arm(k int) {
 }
 
 // RunAttempt executes one transaction attempt for a record obtained from
-// Begin: StartTransaction in the paper, on the pooled path. On commit it
+// Begin: StartTransaction in the paper. On commit it
 // writes the agreed old values (engine order) into oldOut — which may be
 // nil to skip them — and returns true. On failure (the attempt was blocked
 // by a conflicting transaction, which this call then helped to completion)

@@ -32,7 +32,7 @@ func TestTransactionsMatchSequentialModel(t *testing.T) {
 		}
 		sort.Ints(addrs)
 
-		var f UpdateFunc
+		var f updateFunc
 		switch kind % 4 {
 		case 0: // add operand to every word
 			f = func(old []uint64) []uint64 {
@@ -71,7 +71,7 @@ func TestTransactionsMatchSequentialModel(t *testing.T) {
 			}
 		}
 
-		old, ok := m.TryOnceValidated(addrs, f)
+		old, ok := tryOnce(m, addrs, f)
 		if !ok {
 			t.Fatal("uncontended attempt failed")
 		}
@@ -147,7 +147,7 @@ func TestOverlappingAddsCommute(t *testing.T) {
 					return nv
 				}
 				for {
-					if _, ok := m.TryOnceValidated(addrs, f); ok {
+					if _, ok := tryOnce(m, addrs, f); ok {
 						break
 					}
 				}

@@ -1,31 +1,19 @@
 package core
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// UpdateFunc computes the new values of a transaction's data set from the
-// old values. old[i] is the value of the i-th declared address (in the
-// sorted order of the data set); the returned slice must have the same
-// length and must not retain old.
-//
-// The function MUST be deterministic and side-effect free: under helping,
-// several goroutines may evaluate it concurrently for the same transaction,
-// and all of them must arrive at identical new values. The first computed
-// result is published and shared, but correctness of concurrent evaluation
-// still requires purity.
-type UpdateFunc func(old []uint64) []uint64
-
-// CalcFunc is the engine's allocation-free update contract, used by the
-// Begin/RunAttempt hot path. It computes the transaction's new values from
-// the agreed old values, writing them into new (len(new) == len(old), both
-// in the engine's sorted address order).
+// CalcFunc is the engine's update contract. It computes the transaction's
+// new values from the agreed old values, writing them into new (len(new) ==
+// len(old), both in the engine's sorted address order), and must not retain
+// either slice.
 //
 // env is the opaque per-attempt payload installed with Rec.SetEnv before
 // RunAttempt; under helping several goroutines may evaluate the same
 // CalcFunc concurrently with the same env, so implementations must treat
-// env as read-only and must be deterministic and side-effect free.
+// env as read-only and must be deterministic and side-effect free: every
+// evaluation must arrive at identical new values (the first computed result
+// is published and shared, but correctness of concurrent evaluation still
+// requires purity).
 //
 // exclusive is true only for the initiating goroutine's evaluation, which
 // has exclusive use of any scratch buffers attached to env; helpers receive
@@ -53,14 +41,11 @@ func failureIndex(st int64) int { return int(st >> 2) }
 // initiating goroutine and any helpers cooperate to execute one transaction
 // attempt.
 //
-// Records come in two flavors. Legacy records (newRec, used by the
-// TryOnce/TryOnceValidated compatibility path) are allocated fresh per
-// attempt and never reused, so GC alone guarantees a helper can never
-// confuse two attempts — the role played by version numbers in the paper's
-// non-GC setting. Pooled records (Memory.Begin / Memory.RunAttempt) are
+// Records are drawn by Memory.Begin, consumed by Memory.RunAttempt, and
 // recycled through a sync.Pool under the seal/pin generation guard below,
-// which restores the same guarantee without the per-attempt allocation; see
-// DESIGN.md §4.
+// which guarantees a helper can never confuse two attempts of one record —
+// the role played by version numbers in the paper's non-GC setting — without
+// a per-attempt allocation; see DESIGN.md §4.
 type Rec struct {
 	// Immutable for the duration of one attempt (published to helpers by
 	// the first ownership CAS, which establishes the necessary
@@ -101,19 +86,18 @@ type Rec struct {
 	// are idempotent).
 	stable atomic.Bool
 
-	// Seal/pin generation guard for pooled records. A helper pins the
+	// Seal/pin generation guard for record reuse. A helper pins the
 	// record before executing its protocol and aborts if the record is
 	// sealed; the owner seals the record after the attempt and recycles it
 	// only if no helper is pinned. sealed.Store(true) → pins.Load()==0 vs
 	// pins.Add(1) → sealed.Load() is a store-load (Dekker) pair: under Go's
 	// sequentially consistent atomics, either the recycler sees the pin and
 	// keeps the record out of the pool, or the helper sees the seal and
-	// backs off before touching any field. Legacy records are never sealed,
-	// so pins are taken and released but never block anything.
+	// backs off before touching any field.
 	sealed atomic.Bool
 	pins   atomic.Int32
 
-	// Pooled per-attempt scratch, reused across recycles. oldBuf/newBuf are
+	// Per-attempt scratch, reused across recycles. oldBuf/newBuf are
 	// the initiating goroutine's private evaluation buffers; helpers
 	// allocate their own. boxes is the backing chunk value boxes are carved
 	// from: each carved slot's address is published into a memory cell at
@@ -144,48 +128,18 @@ type Rec struct {
 	obsHelped bool        // ST: the failure path helped its blocker
 	evt       Event
 
-	pooled bool // carved from Memory.pool; sized for reuse
-	shard  int  // stats shard, fixed at record creation
+	shard int // stats shard, fixed at record creation
 }
 
 // recSeq spreads records across stats shards; assigned once per record
 // object, so pooled reuse keeps a record on its shard.
 var recSeq atomic.Uint64
 
-// newRec builds a legacy single-use record for one attempt. addrs must
-// already be validated: strictly ascending and within the memory bounds.
-func newRec(addrs []int, f UpdateFunc, version uint64) *Rec {
-	k := len(addrs)
-	r := &Rec{
-		addrs:  addrs,
-		calc:   legacyCalc(f),
-		old:    make([]atomic.Pointer[uint64], k),
-		oldBuf: make([]uint64, k),
-		newBuf: make([]uint64, k),
-		newHdr: new([]uint64),
-		shard:  int(recSeq.Add(1) % statShards),
-	}
-	r.version.Store(version)
-	return r
-}
-
-// legacyCalc adapts a slice-returning UpdateFunc to the engine's into-style
-// contract, preserving the length-contract panic of the original API.
-func legacyCalc(f UpdateFunc) CalcFunc {
-	return func(_ any, old, new []uint64, _ bool) {
-		nv := f(old)
-		if len(nv) != len(new) {
-			panic(fmt.Sprintf("core: UpdateFunc returned %d values for a data set of %d", len(nv), len(new)))
-		}
-		copy(new, nv)
-	}
-}
-
 // Size returns the number of words in the record's data set.
 func (r *Rec) Size() int { return len(r.addrs) }
 
-// Version returns the record's attempt identity: unique per attempt for
-// legacy records, monotonically increasing per reuse for pooled records.
+// Version returns the record's attempt identity, monotonically increasing
+// per reuse of the record.
 func (r *Rec) Version() uint64 { return r.version.Load() }
 
 // SetPriority installs the contention-policy priority for this attempt. It
@@ -249,11 +203,7 @@ func (r *Rec) unpin() { r.pins.Add(-1) }
 // alive exactly as long as some memory cell still points into them.
 func (r *Rec) carveBox() *uint64 {
 	if r.boxOff == len(r.boxes) {
-		n := len(r.addrs)
-		if r.pooled && n < boxChunk {
-			n = boxChunk
-		}
-		r.boxes = make([]uint64, n)
+		r.boxes = make([]uint64, max(len(r.addrs), boxChunk))
 		r.boxOff = 0
 	}
 	return &r.boxes[r.boxOff]
@@ -278,11 +228,4 @@ func (r *Rec) snapshotInto(out []uint64) {
 	for i := range r.old {
 		out[i] = *r.old[i].Load()
 	}
-}
-
-// snapshot returns the agreed old values as a fresh slice.
-func (r *Rec) snapshot() []uint64 {
-	out := make([]uint64, len(r.old))
-	r.snapshotInto(out)
-	return out
 }

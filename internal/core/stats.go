@@ -200,8 +200,7 @@ func (h HistogramSnapshot) String() string {
 // counters are populated only while the observability level is ObsCounters
 // or above (Memory.Observe); histograms only at ObsHistograms or above.
 type StatsSnapshot struct {
-	// Attempts counts protocol attempts (TryOnce, TryOnceValidated, and
-	// RunAttempt calls).
+	// Attempts counts protocol attempts (RunAttempt calls).
 	Attempts uint64
 	// Commits counts attempts whose status was decided Success.
 	Commits uint64

@@ -10,7 +10,7 @@ import (
 // The dummy is unstable (stable=false), so failing attempts do not try to
 // run its protocol.
 func blockWord(m *Memory, loc int, prio uint64) (owner *Rec, release func()) {
-	rec := newRec([]int{loc}, func(old []uint64) []uint64 { return old }, 12345)
+	rec := armedRec(m, []int{loc}, func(old []uint64) []uint64 { return old })
 	rec.prio.Store(prio)
 	m.words[loc].owner.Store(rec)
 	return rec, func() { m.words[loc].owner.CompareAndSwap(rec, nil) }
@@ -25,7 +25,7 @@ func TestConflictCountPerWord(t *testing.T) {
 
 	const fails = 17
 	for i := 0; i < fails; i++ {
-		if _, ok := m.TryOnceValidated([]int{2, 5}, func(old []uint64) []uint64 {
+		if _, ok := tryOnce(m, []int{2, 5}, func(old []uint64) []uint64 {
 			return []uint64{old[0], old[1]}
 		}); ok {
 			t.Fatal("attempt against a blocked word committed")
@@ -124,11 +124,11 @@ func TestResetStats(t *testing.T) {
 	}
 	_, release := blockWord(m, 1, 0)
 	for i := 0; i < 5; i++ {
-		m.TryOnceValidated([]int{1}, func(old []uint64) []uint64 { return old })
+		tryOnce(m, []int{1}, func(old []uint64) []uint64 { return old })
 	}
 	release()
 	for i := 0; i < 5; i++ {
-		if _, ok := m.TryOnceValidated([]int{1}, func(old []uint64) []uint64 { return old }); !ok {
+		if _, ok := tryOnce(m, []int{1}, func(old []uint64) []uint64 { return old }); !ok {
 			t.Fatal("uncontended attempt failed")
 		}
 	}
@@ -151,7 +151,7 @@ func TestResetStats(t *testing.T) {
 	}
 
 	// The window reopens: new activity counts from zero.
-	if _, ok := m.TryOnceValidated([]int{1}, func(old []uint64) []uint64 { return old }); !ok {
+	if _, ok := tryOnce(m, []int{1}, func(old []uint64) []uint64 { return old }); !ok {
 		t.Fatal("uncontended attempt failed")
 	}
 	if st := m.Stats(); st.Attempts != 1 || st.Commits != 1 {
@@ -179,7 +179,7 @@ func TestResetStatsConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				m.TryOnceValidated([]int{w % 4}, func(old []uint64) []uint64 {
+				tryOnce(m, []int{w % 4}, func(old []uint64) []uint64 {
 					return []uint64{old[0] + 1}
 				})
 			}

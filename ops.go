@@ -3,15 +3,12 @@ package stm
 import (
 	"fmt"
 	"strconv"
-
-	"github.com/stm-go/stm/contention"
-	"github.com/stm-go/stm/internal/core"
 )
 
 // Derived multi-word operations built on static transactions. Single-word
 // operations (Add, Swap, CompareAndSwap) and k-word operations over
-// already-ascending address sets run on cached allocation-free fast paths;
-// everything else falls back to Prepare + Run.
+// already-ascending address sets stage their data set straight into the
+// driver, allocation-free; everything else falls back to Prepare + Run.
 
 // checkLoc validates a single-word address.
 func (m *Memory) checkLoc(loc int) error {
@@ -29,58 +26,6 @@ func (m *Memory) checkLoc(loc int) error {
 // a proper one.
 func (m *Memory) ascendingInBounds(addrs []int) bool {
 	return m.eng.ValidateDataSet(addrs) == nil
-}
-
-// runSingle retries a single-word transaction on the pooled fast path until
-// it commits, returning the old value. calc is parameterized by the two
-// scratch arguments a0/a1. Failed attempts defer as the contention policy
-// directs.
-func (m *Memory) runSingle(loc int, calc core.CalcFunc, a0, a1 uint64) uint64 {
-	var out [1]uint64
-	var info core.ConflictInfo
-	var c *contention.Conflict
-	for {
-		r := m.eng.Begin(1)
-		r.Addrs()[0] = loc
-		if p := prioOf(c); p != 0 {
-			r.SetPriority(p)
-		}
-		s := scratchOf(r)
-		s.arg0, s.arg1 = a0, a1
-		if m.eng.RunAttemptConflict(r, calc, out[:], &info) {
-			m.commitConflict(c, loc, 1)
-			return out[0]
-		}
-		c = m.noteConflict(c, loc, 1, &info)
-	}
-}
-
-// runAscending retries a transaction over an ascending data set on the
-// pooled fast path until it commits, writing old values into out (which may
-// be nil). exp and repl are staged into the record's scratch so helpers can
-// evaluate calc without touching caller memory. Failed attempts defer as
-// the contention policy directs. Besides the k-word Memory operations
-// below, this is the engine of the typed layer's Var.Load (calcIdentity)
-// and Var.Store (calcStore), whose address sets are ascending by
-// construction.
-func (m *Memory) runAscending(addrs []int, calc core.CalcFunc, exp, repl, out []uint64) {
-	var info core.ConflictInfo
-	var c *contention.Conflict
-	for {
-		r := m.eng.Begin(len(addrs))
-		copy(r.Addrs(), addrs)
-		if p := prioOf(c); p != 0 {
-			r.SetPriority(p)
-		}
-		s := scratchOf(r)
-		s.exp = append(s.exp[:0], exp...)
-		s.repl = append(s.repl[:0], repl...)
-		if m.eng.RunAttemptConflict(r, calc, out, &info) {
-			m.commitConflict(c, addrs[0], len(addrs))
-			return
-		}
-		c = m.noteConflict(c, addrs[0], len(addrs), &info)
-	}
 }
 
 // ReadAll returns a consistent snapshot of the words at addrs (any order,
@@ -109,7 +54,7 @@ func (m *Memory) ReadAllInto(addrs []int, dst []uint64) error {
 		copy(dst, old)
 		return nil
 	}
-	m.runAscending(addrs, calcIdentity, nil, nil, dst)
+	m.run(nil, &staged{op: opIdentity, addrs: addrs}, dst)
 	return nil
 }
 
@@ -141,7 +86,7 @@ func (m *Memory) WriteAll(addrs []int, vals []uint64) error {
 		_, err := m.AtomicUpdate(addrs, func(old []uint64) []uint64 { return stored })
 		return err
 	}
-	m.runAscending(addrs, calcStore, nil, vals, nil)
+	m.run(nil, &staged{op: opStore, addrs: addrs, repl: vals}, nil)
 	return nil
 }
 
@@ -151,7 +96,9 @@ func (m *Memory) Add(loc int, delta uint64) (uint64, error) {
 	if err := m.checkLoc(loc); err != nil {
 		return 0, err
 	}
-	return m.runSingle(loc, calcAdd, delta, 0), nil
+	var old [1]uint64
+	m.run(nil, &staged{op: opAdd, loc: loc, a0: delta}, old[:])
+	return old[0], nil
 }
 
 // Swap atomically stores v at loc and returns the old value.
@@ -159,7 +106,9 @@ func (m *Memory) Swap(loc int, v uint64) (uint64, error) {
 	if err := m.checkLoc(loc); err != nil {
 		return 0, err
 	}
-	return m.runSingle(loc, calcSwap, v, 0), nil
+	var old [1]uint64
+	m.run(nil, &staged{op: opSwap, loc: loc, a0: v}, old[:])
+	return old[0], nil
 }
 
 // CompareAndSwap atomically replaces the word at loc with new if it equals
@@ -168,8 +117,9 @@ func (m *Memory) CompareAndSwap(loc int, old, new uint64) (bool, error) {
 	if err := m.checkLoc(loc); err != nil {
 		return false, err
 	}
-	got := m.runSingle(loc, calcCAS1, old, new)
-	return got == old, nil
+	var got [1]uint64
+	m.run(nil, &staged{op: opCAS1, loc: loc, a0: old, a1: new}, got[:])
+	return got[0] == old, nil
 }
 
 // CompareAndSwapN is a k-word compare-and-swap: if every word at addrs[i]
@@ -186,7 +136,7 @@ func (m *Memory) CompareAndSwapN(addrs []int, expected, new []uint64) (bool, []u
 	}
 	old := make([]uint64, len(addrs))
 	if m.ascendingInBounds(addrs) {
-		m.runAscending(addrs, calcCASN, expected, new, old)
+		m.run(nil, &staged{op: opCASN, addrs: addrs, exp: expected, repl: new}, old)
 	} else {
 		exp := make([]uint64, len(expected))
 		copy(exp, expected)

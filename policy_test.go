@@ -410,3 +410,236 @@ func TestKarmaPolicyEndToEnd(t *testing.T) {
 		t.Errorf("counter = %d, want %d", got, workers*ops)
 	}
 }
+
+// staller holds word 0 of a Memory — owned (ST) or commit-locked (TL2) —
+// through a chain of writing transactions, each parked by the chaos seam at
+// its engine's post-lock point until next releases it. Whatever else
+// attempts word 0 meanwhile fails, deterministically, on either engine.
+type staller struct {
+	armed   atomic.Bool
+	parked  chan struct{} // one token per parked transaction
+	release chan struct{} // one token per release
+	done    chan struct{} // closed when the chain has run out
+}
+
+// stallWord0 starts a chain of rounds stalled transactions on word 0 of m
+// and returns once the first is parked.
+func stallWord0(t *testing.T, m *stm.Memory, rounds int) *staller {
+	t.Helper()
+	s := &staller{
+		parked:  make(chan struct{}),
+		release: make(chan struct{}),
+		done:    make(chan struct{}),
+	}
+	m.SetChaos(func(e stm.ChaosEvent) {
+		if e.Point != stm.ChaosSTPostLock && e.Point != stm.ChaosTL2PostLock {
+			return
+		}
+		if s.armed.CompareAndSwap(true, false) {
+			s.parked <- struct{}{}
+			<-s.release
+		}
+	})
+	tx := mustPrepare(t, m, []int{0})
+	go func() {
+		defer close(s.done)
+		for i := 0; i < rounds; i++ {
+			s.armed.Store(true)
+			tx.RunInto(func(o, n []uint64) { n[0] = o[0] + 1 }, nil)
+		}
+	}()
+	<-s.parked
+	return s
+}
+
+// next releases the parked transaction and returns once its successor is
+// parked — or, after the last round, once the chain has finished.
+func (s *staller) next() {
+	s.release <- struct{}{}
+	select {
+	case <-s.parked:
+	case <-s.done:
+	}
+}
+
+// finish runs the chain out.
+func (s *staller) finish() {
+	for {
+		select {
+		case <-s.done:
+			return
+		default:
+			s.next()
+		}
+	}
+}
+
+// hookCall is one policy hook invocation: which hook, the report as it was
+// then, and the report's identity.
+type hookCall struct {
+	hook string
+	c    contention.Conflict
+	p    *contention.Conflict
+}
+
+// protocolPolicy records the hook sequence and runs onConflict, if set,
+// (outside its lock) with the number of conflicts seen so far. It does not opt into
+// clean commits, so the staller's own uncontended commits stay silent and
+// every recorded call belongs to the operation under test.
+type protocolPolicy struct {
+	mu         sync.Mutex
+	calls      []hookCall
+	onConflict func(n int)
+}
+
+func (p *protocolPolicy) record(hook string, c *contention.Conflict) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.calls = append(p.calls, hookCall{hook, *c, c})
+	return len(p.calls)
+}
+
+func (p *protocolPolicy) OnConflict(c *contention.Conflict) {
+	if n := p.record("conflict", c); p.onConflict != nil {
+		p.onConflict(n)
+	}
+}
+func (p *protocolPolicy) OnCommit(c *contention.Conflict) { p.record("commit", c) }
+func (p *protocolPolicy) OnAbort(c *contention.Conflict)  { p.record("abort", c) }
+
+func TestPolicyProtocolEveryEntryPoint(t *testing.T) {
+	// One driver, one protocol: whichever entry point an operation came in
+	// through, a policy sees OnConflict once per deferred failure with
+	// Attempts counting 1..n and First naming the data set's lowest word,
+	// then exactly one OnCommit or OnAbort, then nothing — and the report
+	// goes back to the pool.
+	type env struct {
+		m   *stm.Memory
+		tx  *stm.Tx // over words {1, 0}: remapped, First still 0
+		v   *stm.Var[int64]
+		ts  *stm.TxSet
+		ctx context.Context
+	}
+	inc := func(o, n []uint64) { n[0], n[1] = o[0]+1, o[1]+1 }
+	incF := func(o []uint64) []uint64 { return []uint64{o[0] + 1, o[1] + 1} }
+	blindWrite := func(tx *stm.DTx) error { tx.Write(0, 7); return nil }
+	cases := []struct {
+		name      string
+		size      int    // data-set size the policy must see
+		conflicts int    // deferred failures before the operation ends
+		end       string // the closing hook
+		cancel    bool   // cancel env.ctx at the last conflict
+		run       func(e *env) error
+	}{
+		{"Add", 1, 2, "commit", false, func(e *env) error { _, err := e.m.Add(0, 1); return err }},
+		{"CompareAndSwapN", 2, 2, "commit", false, func(e *env) error {
+			_, _, err := e.m.CompareAndSwapN([]int{0, 1}, []uint64{0, 0}, []uint64{5, 5})
+			return err
+		}},
+		{"ReadAllInto", 2, 2, "commit", false, func(e *env) error {
+			var dst [2]uint64
+			return e.m.ReadAllInto([]int{0, 1}, dst[:])
+		}},
+		{"Tx.RunInto", 2, 2, "commit", false, func(e *env) error { e.tx.RunInto(inc, nil); return nil }},
+		{"Tx.RunContext/cancelled", 2, 2, "abort", true, func(e *env) error {
+			if _, err := e.tx.RunContext(e.ctx, incF); err != context.Canceled {
+				t.Errorf("err = %v, want context.Canceled", err)
+			}
+			return nil
+		}},
+		{"Tx.TryInto", 2, 0, "abort", false, func(e *env) error {
+			if e.tx.TryInto(inc, nil) {
+				t.Error("TryInto committed against a held word")
+			}
+			return nil
+		}},
+		{"TxSet.Run", 1, 2, "commit", false, func(e *env) error {
+			return e.ts.Run(func(stm.TxView) {})
+		}},
+		{"Var.Store", 1, 2, "commit", false, func(e *env) error { e.v.Store(42); return nil }},
+		{"Var.CompareAndSwap", 1, 2, "commit", false, func(e *env) error { e.v.CompareAndSwap(1, 2); return nil }},
+		{"Atomically", 1, 2, "commit", false, func(e *env) error { return e.m.Atomically(blindWrite) }},
+		{"OrElse", 1, 2, "commit", false, func(e *env) error {
+			return e.m.OrElse(func(tx *stm.DTx) error { tx.Retry(); return nil }, blindWrite)
+		}},
+		{"AtomicallyContext/cancelled", 1, 2, "abort", true, func(e *env) error {
+			if err := e.m.AtomicallyContext(e.ctx, blindWrite); err != context.Canceled {
+				t.Errorf("err = %v, want context.Canceled", err)
+			}
+			return nil
+		}},
+	}
+	for _, eng := range stm.Engines() {
+		for _, tc := range cases {
+			t.Run(eng.String()+"/"+tc.name, func(t *testing.T) {
+				pol := &protocolPolicy{}
+				m, err := stm.New(8, stm.WithEngine(eng), stm.WithPolicy(pol))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				e := &env{m: m, tx: mustPrepare(t, m, []int{1, 0}), ctx: ctx}
+				if e.v, err = stm.VarAt(m, stm.Int64(), 0); err != nil {
+					t.Fatal(err)
+				}
+				e.ts = stm.NewTxSet(m)
+				stm.AddVar(e.ts, e.v)
+				if err := e.ts.Compile(); err != nil {
+					t.Fatal(err)
+				}
+
+				// Every attempt fails while a stalled transaction holds
+				// word 0; each OnConflict swaps in the next one, so the
+				// operation is deferred exactly tc.conflicts times. An
+				// operation that ends aborted makes one more failed attempt
+				// than it has deferrals, and needs one more holder.
+				rounds := tc.conflicts
+				if tc.end == "abort" {
+					rounds++
+				}
+				s := stallWord0(t, m, rounds)
+				pol.onConflict = func(n int) {
+					if tc.cancel && n == tc.conflicts {
+						cancel()
+					}
+					s.next()
+				}
+				if err := tc.run(e); err != nil {
+					t.Fatal(err)
+				}
+				s.finish()
+				m.SetChaos(nil)
+
+				pol.mu.Lock()
+				defer pol.mu.Unlock()
+				if len(pol.calls) != tc.conflicts+1 {
+					t.Fatalf("policy saw %d hook calls, want %d conflicts + 1 %s: %+v",
+						len(pol.calls), tc.conflicts, tc.end, pol.calls)
+				}
+				for i, call := range pol.calls {
+					wantHook, wantAttempts := "conflict", i+1
+					if i == tc.conflicts {
+						wantHook = tc.end
+						if tc.end == "commit" {
+							wantAttempts = tc.conflicts // the commit itself is no failure
+						}
+					}
+					if call.hook != wantHook || call.c.Attempts != wantAttempts {
+						t.Errorf("call %d = %s with Attempts=%d, want %s with Attempts=%d",
+							i, call.hook, call.c.Attempts, wantHook, wantAttempts)
+					}
+					if call.c.First != 0 || call.c.Size != tc.size || call.c.Addr != 0 {
+						t.Errorf("call %d report = %+v, want First=0 Size=%d Addr=0", i, call.c, tc.size)
+					}
+					if call.p != pol.calls[0].p {
+						t.Errorf("call %d arrived on a different report than call 0", i)
+					}
+				}
+				if *pol.calls[0].p != (contention.Conflict{}) {
+					t.Errorf("report not recycled after the operation: %+v", *pol.calls[0].p)
+				}
+			})
+		}
+	}
+}

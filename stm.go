@@ -19,7 +19,6 @@ type UpdateFunc func(old []uint64) []uint64
 // across the API boundary.
 var (
 	ErrAddrRange    = core.ErrAddrRange
-	ErrAddrOrder    = core.ErrAddrOrder
 	ErrEmptyDataSet = core.ErrEmptyDataSet
 	ErrNilUpdate    = core.ErrNilUpdate
 
@@ -172,14 +171,7 @@ func (m *Memory) Engine() Engine { return m.eng.EngineKind() }
 // Tx.RunInto for the allocation-free variant. For transactions whose data
 // set is not known up front, use Atomically, the dynamic form.
 func (m *Memory) AtomicUpdate(addrs []int, f UpdateFunc) ([]uint64, error) {
-	tx, err := m.Prepare(addrs)
-	if err != nil {
-		return nil, err
-	}
-	if f == nil {
-		return nil, ErrNilUpdate
-	}
-	return tx.Run(f), nil
+	return m.AtomicUpdateContext(nil, addrs, f)
 }
 
 // Try makes a single transaction attempt (no retry). ok=false means the

@@ -78,21 +78,36 @@ func TestPrepareValidation(t *testing.T) {
 }
 
 func TestDupAddrCompat(t *testing.T) {
-	// Duplicate addresses report the dedicated ErrDupAddr sentinel only.
-	// The deprecated one-release compatibility match against ErrAddrOrder
-	// (duplicates used to be reported as ordering errors) is gone, and a
-	// genuine ordering error must NOT match ErrDupAddr.
+	// Duplicate addresses report the dedicated ErrDupAddr sentinel, from
+	// every entry point that validates a data set.
 	m := mustNew(t, 8)
 	_, err := m.Prepare([]int{3, 3})
 	if !errors.Is(err, stm.ErrDupAddr) {
 		t.Errorf("duplicate: err = %v, want ErrDupAddr", err)
 	}
-	if errors.Is(err, stm.ErrAddrOrder) {
-		t.Errorf("duplicate: err = %v must no longer match ErrAddrOrder (compat window over)", err)
-	}
 	if _, _, err := m.Try([]int{5, 5}, func(o []uint64) []uint64 { return o }); !errors.Is(err, stm.ErrDupAddr) {
 		t.Errorf("Try duplicate: err = %v, want ErrDupAddr", err)
 	}
+}
+
+func TestUpdateFuncLengthContractPanics(t *testing.T) {
+	// The public length contract: an UpdateFunc must return exactly one
+	// value per declared address, and a prepared Run panics when it does
+	// not rather than installing a short write.
+	m := mustNew(t, 2)
+	tx, err := m.Prepare([]int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("UpdateFunc returning the wrong length should panic")
+		}
+		if m.Peek(0) != 0 || m.Peek(1) != 0 {
+			t.Errorf("memory = (%d,%d) after the panic, want untouched", m.Peek(0), m.Peek(1))
+		}
+	}()
+	tx.Run(func(old []uint64) []uint64 { return []uint64{1} })
 }
 
 func TestCallerOrderPreserved(t *testing.T) {

@@ -2,11 +2,8 @@ package stm
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
-	"github.com/stm-go/stm/contention"
-	"github.com/stm-go/stm/internal/backoff"
 	"github.com/stm-go/stm/internal/core"
 )
 
@@ -74,66 +71,13 @@ func (tx *Tx) AddrsInto(dst []int) []int {
 	return dst
 }
 
-// first returns the data set's lowest address: the conflict-domain key the
-// contention policy sees for this transaction.
-func (tx *Tx) first() int { return tx.sorted[0] }
-
-// attemptInto makes one engine attempt through the pooled hot path. On
-// commit it writes the old values (caller order) into old, unless old is
-// nil; on failure it fills info with the conflict report for the contention
-// policy. prio is the policy-assigned priority to install on the attempt's
-// record (0 for none).
-func (tx *Tx) attemptInto(u update, old []uint64, info *core.ConflictInfo, prio uint64) bool {
-	k := len(tx.sorted)
-	eng := tx.m.eng
-	r := eng.Begin(k)
-	copy(r.Addrs(), tx.sorted)
-	if prio != 0 {
-		r.SetPriority(prio)
+// stage returns the staged form of one execution of tx computing u: the
+// sorted data set, and in u the remap back to the caller's declared order.
+func (tx *Tx) stage(u *update) staged {
+	if !tx.identity {
+		u.perm = tx.perm
 	}
-	s := scratchOf(r)
-	s.fInto = u.fInto
-	s.typed = u.typed
-	s.tguard = u.guard
-	if tx.identity {
-		// Engine order is the caller's order: the engine can write the
-		// committed snapshot straight into the caller's buffer.
-		s.perm = nil
-		return eng.RunAttemptConflict(r, calcTx, old, info)
-	}
-	s.perm = tx.perm
-	s.ensureCaller(k)
-	if old == nil {
-		return eng.RunAttemptConflict(r, calcTx, nil, info)
-	}
-	// The engine reports old values in engine order; stage them in a
-	// caller-owned buffer (the record and its scratch must not be touched
-	// after RunAttempt) and permute into the caller's order.
-	var stack [16]uint64
-	engOld := stack[:]
-	if k > len(stack) {
-		engOld = make([]uint64, k)
-	}
-	engOld = engOld[:k]
-	if !eng.RunAttemptConflict(r, calcTx, engOld, info) {
-		return false
-	}
-	for i, si := range tx.perm {
-		old[i] = engOld[si]
-	}
-	return true
-}
-
-// runInto retries under the contention policy until the transaction
-// commits: the shared engine of RunInto, Run, the typed TxSet executions,
-// and the RunWhen rounds.
-func (tx *Tx) runInto(u update, old []uint64) {
-	var info core.ConflictInfo
-	var c *contention.Conflict
-	for !tx.attemptInto(u, old, &info, prioOf(c)) {
-		c = tx.m.noteConflict(c, tx.first(), len(tx.sorted), &info)
-	}
-	tx.m.commitConflict(c, tx.first(), len(tx.sorted))
+	return staged{op: opUpdate, addrs: tx.sorted, u: u}
 }
 
 // TryInto makes one attempt, writing new values computed by f directly into
@@ -147,13 +91,15 @@ func (tx *Tx) runInto(u update, old []uint64) {
 // see the package performance notes.
 func (tx *Tx) TryInto(f UpdateInto, old []uint64) bool {
 	tx.checkOld(old)
+	u := update{fInto: f}
+	st := tx.stage(&u)
 	var info core.ConflictInfo
-	if tx.attemptInto(update{fInto: f}, old, &info, 0) {
-		tx.m.commitConflict(nil, tx.first(), len(tx.sorted))
-		return true
+	if !tx.m.attempt(&st, old, &info, 0) {
+		tx.m.abortFailed(nil, st.first(), st.size(), &info)
+		return false
 	}
-	tx.m.tryAbort(tx.first(), len(tx.sorted), &info)
-	return false
+	tx.m.commitConflict(nil, &st)
+	return true
 }
 
 // RunInto retries (deferring between failed attempts as the Memory's
@@ -162,7 +108,9 @@ func (tx *Tx) TryInto(f UpdateInto, old []uint64) bool {
 // allocation-free counterpart of Run.
 func (tx *Tx) RunInto(f UpdateInto, old []uint64) {
 	tx.checkOld(old)
-	tx.runInto(update{fInto: f}, old)
+	u := update{fInto: f}
+	st := tx.stage(&u)
+	tx.m.run(nil, &st, old)
 }
 
 func (tx *Tx) checkOld(old []uint64) {
@@ -185,36 +133,8 @@ func (tx *Tx) Try(f UpdateFunc) ([]uint64, bool) {
 // Run retries (under the Memory's contention policy) until the transaction
 // commits, and returns the old values in caller order.
 func (tx *Tx) Run(f UpdateFunc) []uint64 {
-	out := make([]uint64, len(tx.sorted))
-	tx.RunInto(wrapInto(f), out)
+	out, _ := tx.RunContext(nil, f)
 	return out
-}
-
-// condWaiter paces the guard-unmet rounds of RunWhen-style loops: the
-// committed round was a condition miss, not contention, so the wait
-// escalates while the snapshot stays frozen — a parked waiter must not
-// busy-commit no-op transactions against the very words the eventual
-// writer needs — and resets as soon as the world visibly moved.
-type condWaiter struct {
-	bo   *backoff.Exp
-	prev []uint64 // last guard-rejected snapshot
-}
-
-func (m *Memory) newCondWaiter() *condWaiter {
-	return &condWaiter{bo: m.newCondBackoff()}
-}
-
-// wait blocks for the current condition interval, escalating it unless
-// snapshot differs from the previous rejected round's.
-func (w *condWaiter) wait(snapshot []uint64) {
-	if w.prev == nil {
-		w.prev = make([]uint64, len(snapshot))
-		copy(w.prev, snapshot)
-	} else if !slices.Equal(w.prev, snapshot) {
-		copy(w.prev, snapshot)
-		w.bo.Reset()
-	}
-	w.bo.Wait()
 }
 
 // guardedInto wraps guard and f into one update: attempts whose guard fails
@@ -245,14 +165,6 @@ func guardedInto(guard func(old []uint64) bool, f UpdateFunc) UpdateInto {
 // evaluated by helping goroutines. Whether the guard passed is decided from
 // the committed snapshot, never from shared state.
 func (tx *Tx) RunWhen(guard func(old []uint64) bool, f UpdateFunc) []uint64 {
-	wrapped := update{fInto: guardedInto(guard, f)}
-	out := make([]uint64, len(tx.sorted))
-	cond := tx.m.newCondWaiter()
-	for {
-		tx.runInto(wrapped, out)
-		if guard(out) {
-			return out
-		}
-		cond.wait(out)
-	}
+	out, _ := tx.RunWhenContext(nil, guard, f)
+	return out
 }

@@ -103,21 +103,19 @@ func (ts *TxSet) Size() int { return len(ts.addrs) }
 // must not write to captured state — read results back after Run through
 // Slot.Old instead.
 func (ts *TxSet) Run(f func(TxView)) error {
-	if err := ts.Compile(); err != nil {
-		return err
-	}
-	ts.tx.runInto(update{typed: f}, ts.oldW)
-	return nil
+	return ts.RunContext(nil, f)
 }
 
 // RunContext is Run with cancellation: it retries until the transaction
 // commits or ctx is done. A transaction that committed is never reported
-// as cancelled.
+// as cancelled. A nil ctx is never cancelled.
 func (ts *TxSet) RunContext(ctx context.Context, f func(TxView)) error {
 	if err := ts.Compile(); err != nil {
 		return err
 	}
-	return ts.tx.runIntoCtx(ctx, update{typed: f}, ts.oldW)
+	u := update{typed: f}
+	st := ts.tx.stage(&u)
+	return ts.m.run(ctx, &st, ts.oldW)
 }
 
 // RunWhen retries until a committed transaction's old values satisfy
@@ -126,39 +124,20 @@ func (ts *TxSet) RunContext(ctx context.Context, f func(TxView)) error {
 // typed form of Tx.RunWhen. guard receives a read-only view (Set panics)
 // and must be deterministic and side-effect free, like f.
 func (ts *TxSet) RunWhen(guard func(TxView) bool, f func(TxView)) error {
-	if err := ts.Compile(); err != nil {
-		return err
-	}
-	u := update{typed: f, guard: guard}
-	cond := ts.m.newCondWaiter()
-	for {
-		ts.tx.runInto(u, ts.oldW)
-		if guard(TxView{old: ts.oldW}) {
-			return nil
-		}
-		cond.wait(ts.oldW)
-	}
+	return ts.RunWhenContext(nil, guard, f)
 }
 
-// RunWhenContext is RunWhen with cancellation.
+// RunWhenContext is RunWhen with cancellation. A nil ctx is never
+// cancelled.
 func (ts *TxSet) RunWhenContext(ctx context.Context, guard func(TxView) bool, f func(TxView)) error {
 	if err := ts.Compile(); err != nil {
 		return err
 	}
 	u := update{typed: f, guard: guard}
-	cond := ts.m.newCondWaiter()
-	for {
-		if err := ts.tx.runIntoCtx(ctx, u, ts.oldW); err != nil {
-			return err
-		}
-		if guard(TxView{old: ts.oldW}) {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		cond.wait(ts.oldW)
-	}
+	st := ts.tx.stage(&u)
+	return ts.m.runWhen(ctx, &st, ts.oldW, func(old []uint64) bool {
+		return guard(TxView{old: old})
+	})
 }
 
 // Slot addresses one variable within a TxSet's data set. It is a value —

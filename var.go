@@ -74,7 +74,7 @@ func (v *Var[T]) Codec() Codec[T] { return v.c }
 // allocates.
 func (v *Var[T]) Load() T {
 	p := v.m.getWordBuf(len(v.addrs))
-	v.m.runAscending(v.addrs, calcIdentity, nil, nil, *p)
+	v.m.run(nil, &staged{op: opIdentity, addrs: v.addrs}, *p)
 	x := v.c.Decode(*p)
 	v.m.putWordBuf(p)
 	return x
@@ -85,7 +85,7 @@ func (v *Var[T]) Load() T {
 func (v *Var[T]) Store(x T) {
 	p := v.m.getWordBuf(len(v.addrs))
 	v.c.Encode(x, *p)
-	v.m.runAscending(v.addrs, calcStore, nil, *p, nil)
+	v.m.run(nil, &staged{op: opStore, addrs: v.addrs, repl: *p}, nil)
 	v.m.putWordBuf(p)
 }
 
@@ -142,11 +142,12 @@ func (v *Var[T]) CompareAndSwap(old, new T) bool {
 	v.c.Encode(new, *pn)
 	var ok bool
 	if k == 1 {
-		got := v.m.runSingle(v.addrs[0], calcCAS1, (*pe)[0], (*pn)[0])
-		ok = got == (*pe)[0]
+		var got [1]uint64
+		v.m.run(nil, &staged{op: opCAS1, loc: v.addrs[0], a0: (*pe)[0], a1: (*pn)[0]}, got[:])
+		ok = got[0] == (*pe)[0]
 	} else {
 		po := v.m.getWordBuf(k)
-		v.m.runAscending(v.addrs, calcCASN, *pe, *pn, *po)
+		v.m.run(nil, &staged{op: opCASN, addrs: v.addrs, exp: *pe, repl: *pn}, *po)
 		ok = true
 		for i, w := range *po {
 			if w != (*pe)[i] {
@@ -172,9 +173,11 @@ func (v *Var[T]) CompareAndSwap(old, new T) bool {
 // allocation-free on repeat executions.
 func (v *Var[T]) Update(f func(T) T) T {
 	p := v.m.getWordBuf(len(v.addrs))
-	v.tx.runInto(update{typed: func(tv TxView) {
+	u := update{typed: func(tv TxView) {
 		v.c.Encode(f(v.c.Decode(tv.old)), tv.new)
-	}}, *p)
+	}}
+	st := v.tx.stage(&u)
+	v.m.run(nil, &st, *p)
 	x := v.c.Decode(*p)
 	v.m.putWordBuf(p)
 	return x
