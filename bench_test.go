@@ -11,6 +11,7 @@ package stm_test
 // custom metric reproduces the paper's y-axis.
 
 import (
+	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -365,6 +366,54 @@ func BenchmarkDynAtomically(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := m.Atomically(rmw); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDynReadSet measures what one speculative read costs as the read
+// set grows, and whether a pooled handle's past shows in it: a read-only
+// Atomically over n words, on a handle that has only ever run that
+// transaction (fresh) and on one that first ran a 16384-word one (grown).
+// Both properties are flat lines — ns/read the same at 64 and at 1024
+// words (reads are admitted by one epoch compare, DESIGN.md §9; at 8192 the
+// commit's record is past the record pool's 4096-word cap and is allocated
+// per operation, which shows), grown the same as fresh (the handle's reset
+// and recycling cost what the operation wrote, not what the handle can
+// hold).
+func BenchmarkDynReadSet(b *testing.B) {
+	const grownTo = 16384
+	for _, eng := range stm.Engines() {
+		for _, n := range []int{64, 1024, 8192} {
+			for _, handle := range []string{"fresh", "grown"} {
+				b.Run(fmt.Sprintf("%v/%d/%s", eng, n, handle), func(b *testing.B) {
+					m, err := stm.New(grownTo, stm.WithEngine(eng))
+					if err != nil {
+						b.Fatal(err)
+					}
+					reads := n
+					readSet := func(tx *stm.DTx) error {
+						for a := 0; a < reads; a++ {
+							tx.Read(a)
+						}
+						return nil
+					}
+					if handle == "grown" {
+						reads = grownTo
+						if err := m.Atomically(readSet); err != nil {
+							b.Fatal(err)
+						}
+						reads = n
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := m.Atomically(readSet); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/read")
+				})
+			}
 		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/stm-go/stm/contention"
 	"github.com/stm-go/stm/internal/core"
@@ -16,13 +16,18 @@ import (
 // static protocol once the footprint is known. This file is that
 // construction. An attempt speculates with ownership-free versioned
 // snapshot reads (core.StableLoadBox: a committed box, never a mid-install
-// state), validating the whole read set after every new read so the user
-// function only ever observes consistent states (opacity); at commit the
-// discovered footprint — already deduplicated,
-// sorted through a per-DTx cache — executes through the one static driver
-// with calcDyn, which installs the write set only if every read still
-// holds its speculated value and otherwise commits a validated no-op,
-// sending the driver back to re-execute. See DESIGN.md §9.
+// state) and admits each new one by comparing a single word, the Memory's
+// commit epoch (core.CommitEpoch), against the sample it took before its
+// first read: unchanged means no commit stepped in between, so everything
+// logged so far is still current beside the new read and the user function
+// only ever observes consistent states (opacity) at O(1) per read. Only
+// when the epoch has moved does the attempt extend its snapshot — re-sample,
+// then re-check every logged read — or unwind. At commit the discovered
+// footprint — already deduplicated, sorted through a per-DTx cache —
+// executes through the one static driver with calcDyn, which installs the
+// write set only if every read still holds its speculated value and
+// otherwise commits a validated no-op, sending the driver back to
+// re-execute. See DESIGN.md §9.
 
 // ErrRetryNoReads reports a Retry in a transaction (or in both branches of
 // an OrElse) that read nothing: with an empty read set there is no word
@@ -50,10 +55,27 @@ type DTx struct {
 	// entry, so the set is deduplicated by construction).
 	log []dEntry
 
-	// idx maps addr -> log index once the log outgrows linear scanning.
-	// Once created it is kept (cleared, not dropped) across attempts and
-	// pool cycles.
-	idx map[int]int
+	// logHW is how far into log's backing array the operation has written
+	// since the handle left the pool — the prefix putDTx has to clear. The
+	// log is truncated, not cleared, between executions.
+	logHW int
+
+	// epoch is the commit-epoch sample the logged reads are validated
+	// against: taken before the execution's first read, replaced by each
+	// successful extend.
+	epoch uint64
+
+	// idx indexes the log by address once it outgrows linear scanning:
+	// open addressing over idx[:1<<idxBits], load at most one half, rebuilt
+	// from the log whenever the table in use has to grow. A slot is live
+	// while its ticket exceeds idxBase, and a rebuild begins by raising
+	// idxBase to idxTop, the highest ticket handed out — so retiring the
+	// whole table is one assignment, and an execution that stays small only
+	// ever touches a small prefix of a table some earlier one grew.
+	idx     []dtxSlot
+	idxBits uint   // 0: the log is still scanned linearly
+	idxBase uint64 // slots with ticket <= idxBase are empty
+	idxTop  uint64
 
 	// Compiled-footprint cache: when an attempt discovers the same
 	// addresses in the same order as the cached footprint — the steady
@@ -76,13 +98,27 @@ type DTx struct {
 	onAbort  []func()
 
 	// Read set of an OrElse first branch that retried, saved so the
-	// combined wait covers both branches.
+	// combined wait covers both branches. altHW is logHW for altBoxes.
 	altAddrs []int
 	altBoxes []*uint64
+	altHW    int
+
+	// Snapshot extensions this operation made, the logged reads they
+	// re-checked and how many ended in sigStale, counted here and folded
+	// into the Memory's stats (on shard) once, when the handle is recycled.
+	exts, rechecked, stales uint64
+	shard                   int
 
 	active    bool  // inside the transaction function
-	staleAddr int   // address whose revalidation failed (sigStale)
+	staleAddr int   // address an extension found stale (sigStale)
 	err       error // error carried by sigAbort
+}
+
+// dtxSlot is one slot of the log index: a logged address and a ticket,
+// idxBase+1 plus its log position when it was written.
+type dtxSlot struct {
+	addr   int
+	ticket uint64
 }
 
 // dEntry is one logged address: the box observed at first read (nil for a
@@ -111,8 +147,11 @@ const (
 )
 
 // dtxLinearScan is the log size up to which address lookup stays a linear
-// scan; beyond it the idx map takes over.
-const dtxLinearScan = 16
+// scan; beyond it the index takes over, starting at 1<<dtxIdxMinBits slots.
+const (
+	dtxLinearScan = 16
+	dtxIdxMinBits = 6
+)
 
 // Atomically executes f as one atomic transaction whose data set is
 // discovered on the fly — the dynamic counterpart of Prepare/TxSet, for
@@ -167,7 +206,9 @@ func (m *Memory) OrElseContext(ctx context.Context, first, second func(tx *DTx) 
 // Read returns the word at addr as of the transaction's snapshot,
 // recording addr in the read set. Reads are repeatable (a second Read of
 // the same address returns the same value) and observe the transaction's
-// own buffered writes.
+// own buffered writes. A read costs the same however many words the
+// transaction has read before it, unless another transaction's commit
+// landed since the previous one: then the reads so far are re-checked once.
 func (d *DTx) Read(addr int) uint64 {
 	d.check()
 	if e := d.lookup(addr); e >= 0 {
@@ -182,14 +223,47 @@ func (d *DTx) Read(addr int) uint64 {
 	// completion first).
 	box := d.m.eng.StableLoadBox(addr)
 	v := *box
-	// Revalidate every earlier read before admitting the new one: the new
-	// value was committed and current while all earlier reads still held,
-	// so the user function only ever sees states some linearization
-	// actually produced (opacity) — it can never chase a pointer torn
-	// between two commits.
-	d.revalidate()
 	d.append(dEntry{addr: addr, box: box, rval: v, val: v, read: true})
+	// Admit the new read only beside reads that still hold, so the user
+	// function only ever sees states some linearization actually produced
+	// (opacity) — it can never chase a pointer torn between two commits.
+	// The epoch is compared after the stable load, never before: equal to
+	// the sample, no commit stepped since the sample was taken, and every
+	// logged box — each stably loaded since then — is still current at this
+	// read's stable instant.
+	if d.m.eng.CommitEpoch() != d.epoch {
+		d.extend()
+	}
 	return v
+}
+
+// extend is the slow path of Read: a commit stepped since the epoch sample,
+// so the logged reads — the one just admitted among them — have to be shown
+// current again. The order is the soundness argument. The epoch is sampled
+// anew first, and then every read is re-checked with a stable load, which
+// gives each a fresh instant, after the new sample, at which its box was
+// current and the word unowned: exactly what the fast path assumes of a
+// logged read. A raw LoadBox compare would not do. A commit that stepped
+// before the new sample and still holds the word, its install yet to come,
+// leaves the old box in the cell; the raw compare passes, the install
+// lands, and no later fast-path read can notice, since the epoch that
+// commit moved is the one just adopted. On a stale read the execution
+// unwinds with sigStale.
+func (d *DTx) extend() {
+	d.epoch = d.m.eng.CommitEpoch()
+	d.exts++
+	for i := range d.log {
+		e := &d.log[i]
+		if !e.read {
+			continue
+		}
+		d.rechecked++
+		if d.m.eng.StableLoadBox(e.addr) != e.box {
+			d.staleAddr = e.addr
+			d.stales++
+			panic(sigStale)
+		}
+	}
 }
 
 // Write buffers v as the transaction's new value for addr. The write
@@ -286,45 +360,63 @@ func (d *DTx) abort(err error) {
 
 // lookup returns addr's log index, or -1.
 func (d *DTx) lookup(addr int) int {
-	if d.idx != nil {
-		if e, ok := d.idx[addr]; ok {
-			return e
+	if d.idxBits == 0 {
+		for i := range d.log {
+			if d.log[i].addr == addr {
+				return i
+			}
 		}
 		return -1
 	}
-	for i := range d.log {
-		if d.log[i].addr == addr {
-			return i
+	mask := 1<<d.idxBits - 1
+	for i := d.idxHome(addr); ; i = (i + 1) & mask {
+		s := &d.idx[i]
+		if s.ticket <= d.idxBase {
+			return -1
+		}
+		if s.addr == addr {
+			return int(s.ticket - d.idxBase - 1)
 		}
 	}
-	return -1
 }
 
-// append admits a new entry to the log, switching lookup to the idx map
-// when the log outgrows linear scanning.
+// idxHome is addr's first probe position in the table in use (Fibonacci
+// hashing: data-structure footprints are runs of consecutive addresses).
+func (d *DTx) idxHome(addr int) int {
+	return int(uint64(addr) * 0x9E3779B97F4A7C15 >> (64 - d.idxBits))
+}
+
+// idxInsert indexes log entry pos, an address lookup does not find.
+func (d *DTx) idxInsert(pos int) {
+	mask := 1<<d.idxBits - 1
+	i := d.idxHome(d.log[pos].addr)
+	for d.idx[i].ticket > d.idxBase {
+		i = (i + 1) & mask
+	}
+	d.idxTop = d.idxBase + uint64(pos) + 1
+	d.idx[i] = dtxSlot{addr: d.log[pos].addr, ticket: d.idxTop}
+}
+
+// append admits a new entry to the log and, once the log has outgrown
+// linear scanning, to the index — doubling the table in use (and building
+// it from the log) whenever the entry would take it past half full.
 func (d *DTx) append(e dEntry) {
 	d.log = append(d.log, e)
-	if d.idx != nil {
-		d.idx[e.addr] = len(d.log) - 1
+	n := len(d.log)
+	if n <= dtxLinearScan {
 		return
 	}
-	if len(d.log) > dtxLinearScan {
-		d.idx = make(map[int]int, 2*dtxLinearScan)
-		for i := range d.log {
-			d.idx[d.log[i].addr] = i
-		}
+	if 2*n <= 1<<d.idxBits {
+		d.idxInsert(n - 1)
+		return
 	}
-}
-
-// revalidate checks that every read so far is still current, unwinding
-// with sigStale (and the offending address) if not.
-func (d *DTx) revalidate() {
+	d.idxBits = max(d.idxBits+1, dtxIdxMinBits)
+	if len(d.idx) < 1<<d.idxBits {
+		d.idx = make([]dtxSlot, 1<<d.idxBits)
+	}
+	d.idxBase = d.idxTop
 	for i := range d.log {
-		e := &d.log[i]
-		if e.read && d.m.eng.LoadBox(e.addr) != e.box {
-			d.staleAddr = e.addr
-			panic(sigStale)
-		}
+		d.idxInsert(i)
 	}
 }
 
@@ -341,10 +433,9 @@ func (d *DTx) varBuf(k int) []uint64 {
 // execution are dropped — only the committing (or finally-failing)
 // execution's actions ever run.
 func (d *DTx) resetLog() {
+	d.logHW = max(d.logHW, len(d.log))
 	d.log = d.log[:0]
-	if d.idx != nil {
-		clear(d.idx)
-	}
+	d.idxBits = 0
 	d.clearHooks()
 }
 
@@ -388,6 +479,9 @@ func (d *DTx) runAbortHooks() {
 // propagate to the caller of Atomically.
 func (d *DTx) speculate(f func(tx *DTx) error) (sig dtxSignal) {
 	d.resetLog()
+	// Sampled before the first read, so every read the execution logs has
+	// its stable instant after the sample.
+	d.epoch = d.m.eng.CommitEpoch()
 	d.active = true
 	defer func() {
 		d.active = false
@@ -455,6 +549,7 @@ func (d *DTx) saveAlt() {
 			d.altBoxes = append(d.altBoxes, d.log[i].box)
 		}
 	}
+	d.altHW = max(d.altHW, len(d.altBoxes))
 }
 
 // readCount returns the size of the wait set: the current log's reads plus
@@ -505,21 +600,13 @@ func (d *DTx) waitReadSet(ctx context.Context) error {
 	return nil
 }
 
-// domainKey approximates the conflict-domain key for failures that happen
-// before a footprint is compiled (speculative staleness): the first
-// address the transaction touched, which is stable for a stable call site.
-func (d *DTx) domainKey() int {
-	if len(d.log) > 0 {
-		return d.log[0].addr
-	}
-	return d.staleAddr
-}
-
 // compileFootprint lays the discovered log out in engine order. The log is
-// deduplicated by construction, so compilation is a sort of the addresses
-// paired with their log positions — skipped entirely when the access-order
-// address list matches the cached one (the stable-call-site steady state,
-// which is what keeps repeat Atomically calls allocation-free).
+// deduplicated by construction, so compilation is a sort of the addresses —
+// a flat slice of ints, which slices.Sort orders with no interface and no
+// callback — after which each one's log position is what lookup says it is.
+// All of it is skipped when the access-order address list matches the
+// cached one (the stable-call-site steady state, which is what keeps repeat
+// Atomically calls allocation-free).
 func (d *DTx) compileFootprint() {
 	if len(d.log) == len(d.fpAddrs) {
 		hit := true
@@ -534,26 +621,15 @@ func (d *DTx) compileFootprint() {
 		}
 	}
 	d.fpAddrs = d.fpAddrs[:0]
-	d.fpSorted = d.fpSorted[:0]
-	d.fpPos = d.fpPos[:0]
 	for i := range d.log {
-		a := d.log[i].addr
-		d.fpAddrs = append(d.fpAddrs, a)
-		d.fpSorted = append(d.fpSorted, a)
-		d.fpPos = append(d.fpPos, i)
+		d.fpAddrs = append(d.fpAddrs, d.log[i].addr)
 	}
-	sort.Sort((*fpSorter)(d))
-}
-
-// fpSorter sorts a DTx's footprint (fpSorted with fpPos in tandem) without
-// the closure a sort.Slice call would allocate.
-type fpSorter DTx
-
-func (s *fpSorter) Len() int           { return len(s.fpSorted) }
-func (s *fpSorter) Less(i, j int) bool { return s.fpSorted[i] < s.fpSorted[j] }
-func (s *fpSorter) Swap(i, j int) {
-	s.fpSorted[i], s.fpSorted[j] = s.fpSorted[j], s.fpSorted[i]
-	s.fpPos[i], s.fpPos[j] = s.fpPos[j], s.fpPos[i]
+	d.fpSorted = append(d.fpSorted[:0], d.fpAddrs...)
+	slices.Sort(d.fpSorted)
+	d.fpPos = d.fpPos[:0]
+	for _, a := range d.fpSorted {
+		d.fpPos = append(d.fpPos, d.lookup(a))
+	}
 }
 
 // stageDyn copies d's log, laid out by its compiled footprint, into the
@@ -589,31 +665,34 @@ func (m *Memory) getDTx() *DTx {
 	if v := m.dtxPool.Get(); v != nil {
 		return v.(*DTx)
 	}
-	return &DTx{m: m}
+	return &DTx{m: m, shard: core.StatShard()}
 }
 
 // putDTx recycles a handle, dropping every box pointer and error the last
 // operation logged so an idle pooled DTx retains nothing of it; the value
-// buffers and the compiled-footprint cache stay — they are the
+// buffers, the index and the compiled-footprint cache stay — they are the
 // amortization (and the cache is exactly what a stable call site wants
-// back).
+// back). What it costs depends on the operation that ends here, not on the
+// largest one the handle ever ran: the log and the saved branch are cleared
+// up to this operation's high-water marks, beyond which they are clear
+// already, and the index (addresses and tickets, no pointers) needs nothing.
 func (m *Memory) putDTx(d *DTx) {
-	clear(d.log[:cap(d.log)])
-	d.log = d.log[:0]
-	clear(d.altBoxes[:cap(d.altBoxes)])
-	d.altBoxes = d.altBoxes[:0]
-	d.altAddrs = d.altAddrs[:0]
-	if d.idx != nil {
-		clear(d.idx)
-	}
-	// Deferred actions are normally consumed by the run/clear helpers; a
+	// resetLog folds the last execution into logHW and drops the deferred
+	// actions: normally the run/clear helpers have consumed those, but a
 	// user panic unwinding through atomically can leave them registered,
-	// and a pooled DTx must retain no caller state.
-	clear(d.onCommit[:cap(d.onCommit)])
-	d.onCommit = d.onCommit[:0]
-	clear(d.onAbort[:cap(d.onAbort)])
-	d.onAbort = d.onAbort[:0]
+	// and a pooled DTx must retain no caller state. (Nothing is ever left
+	// beyond the lists' lengths: every truncation clears what it cuts off.)
+	d.resetLog()
+	clear(d.log[:d.logHW])
+	d.logHW = 0
+	clear(d.altBoxes[:d.altHW])
+	d.altBoxes, d.altHW = d.altBoxes[:0], 0
+	d.altAddrs = d.altAddrs[:0]
 	d.err = nil
+	if d.exts != 0 {
+		m.eng.NoteSnapshotExtensions(d.shard, d.exts, d.rechecked, d.stales)
+		d.exts, d.rechecked, d.stales = 0, 0, 0
+	}
 	m.dtxPool.Put(d)
 }
 
@@ -628,10 +707,13 @@ func (d *DTx) fail(c *contention.Conflict, err error) error {
 
 // noteStale reports a speculation that died before it had a footprint to
 // commit — a read found the snapshot stale — to the contention policy like
-// any other failed attempt, keyed by the approximate conflict domain.
+// any other failed attempt. No footprint is compiled yet, so the conflict
+// domain is keyed by approximation: the first address the transaction
+// touched, which is stable for a stable call site (the log holds at least
+// the stale read, so there is one).
 func (d *DTx) noteStale(c *contention.Conflict) *contention.Conflict {
 	info := core.ConflictInfo{Addr: d.staleAddr}
-	return d.m.noteConflict(c, d.domainKey(), len(d.log)+1, &info)
+	return d.m.noteConflict(c, d.log[0].addr, len(d.log), &info)
 }
 
 // atomically is the speculation loop shared by Atomically, OrElse, and

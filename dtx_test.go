@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -739,4 +740,243 @@ func testDynamicLinkedListConservation(t *testing.T, eng stm.Engine) {
 	if sum != nodes*initial {
 		t.Errorf("value sum = %d, want %d", sum, nodes*initial)
 	}
+}
+
+// The four tests below pin the snapshot rule of DESIGN.md §9 — a read is
+// admitted by one commit-epoch compare, and only a moved epoch re-checks
+// the reads logged so far — deterministically, on both engines: foreign
+// commits land at chosen points between a transaction's reads, issued from
+// inside its own function.
+
+func TestSnapshotStaleReadReexecutesOnce(t *testing.T) {
+	// T reads A, a foreign commit of {A, B} lands completely, T reads B:
+	// the epoch moved, the extension finds A stale, and the function runs
+	// exactly once more. It never returns A's old value beside B's new one.
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		const a, b = 0, 1
+		m := mustNewEngine(t, 4, eng)
+		calls := 0
+		var va, vb uint64
+		if err := m.Atomically(func(tx *stm.DTx) error {
+			calls++
+			va = tx.Read(a)
+			if calls == 1 {
+				if _, err := m.AtomicUpdate([]int{a, b}, func(old []uint64) []uint64 {
+					return []uint64{old[0] + 1, old[1] + 1}
+				}); err != nil {
+					return err
+				}
+			}
+			vb = tx.Read(b)
+			if va != vb {
+				return fmt.Errorf("opacity violated: A=%d beside B=%d", va, vb)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 2 {
+			t.Errorf("function executed %d times, want 2", calls)
+		}
+		if va != 1 || vb != 1 {
+			t.Errorf("committed execution saw A=%d B=%d, want 1 1", va, vb)
+		}
+		if s := m.Stats(); s.SnapshotExtensions != 1 || s.SnapshotStale != 1 {
+			t.Errorf("extensions=%d stale=%d, want 1 and 1 (the one extension unwound)", s.SnapshotExtensions, s.SnapshotStale)
+		}
+	})
+}
+
+func TestSnapshotExtendsPastUnrelatedCommit(t *testing.T) {
+	// A foreign commit to a word T never touches lands between two of its
+	// reads: the epoch moved, so T extends its snapshot — once, over both
+	// logged reads — and carries on. No re-execution.
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		const a, b, other = 0, 1, 2
+		m := mustNewEngine(t, 4, eng)
+		calls := 0
+		if err := m.Atomically(func(tx *stm.DTx) error {
+			calls++
+			va := tx.Read(a)
+			if _, err := m.Add(other, 1); err != nil {
+				return err
+			}
+			if vb := tx.Read(b); va != 0 || vb != 0 {
+				return fmt.Errorf("A=%d B=%d, want 0 0", va, vb)
+			}
+			tx.Write(b, 7)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 {
+			t.Errorf("function executed %d times, want 1 (an unrelated commit is no conflict)", calls)
+		}
+		if got := m.Peek(b); got != 7 {
+			t.Errorf("word B = %d, want 7", got)
+		}
+		s := m.Stats()
+		if s.SnapshotExtensions != 1 || s.SnapshotRechecked != 2 || s.SnapshotStale != 0 {
+			t.Errorf("extensions=%d rechecked=%d stale=%d, want 1, 2 (A and B) and 0", s.SnapshotExtensions, s.SnapshotRechecked, s.SnapshotStale)
+		}
+	})
+}
+
+func TestSnapshotParkedCommitter(t *testing.T) {
+	// A committer is parked by the chaos seam while it holds {A, B}, at each
+	// point where a commit holds its words with nothing installed. A reader
+	// that logged A before the park reads an unrelated word during it, with
+	// the epoch moved, so it extends its snapshot while A's install is still
+	// to come — and must find out: it may never go on to see B's new value
+	// beside A's old one. This is what the extension's stable re-check is
+	// for. A raw box compare passes A (its old box is still in the cell),
+	// adopts the epoch the committer has already stepped (at
+	// ChaosTL2PostClock), and then admits B's new value on the fast path.
+	for _, tc := range []struct {
+		eng   stm.Engine
+		point stm.ChaosPoint
+	}{
+		{stm.ST, stm.ChaosSTPostLock},
+		{stm.TL2, stm.ChaosTL2PostLock},
+		{stm.TL2, stm.ChaosTL2PostClock},
+	} {
+		t.Run(fmt.Sprintf("%v/%v", tc.eng, tc.point), func(t *testing.T) {
+			const a, b, unrelated, elsewhere = 0, 1, 2, 3
+			m := mustNewEngine(t, 4, tc.eng)
+			var (
+				armed     atomic.Bool
+				parked    = make(chan struct{})
+				release   = make(chan struct{})
+				committed = make(chan error, 1)
+			)
+			m.SetChaos(func(e stm.ChaosEvent) {
+				if e.Point == tc.point && armed.CompareAndSwap(true, false) {
+					close(parked)
+					<-release
+				}
+			})
+			calls := 0
+			var va, vb uint64
+			if err := m.Atomically(func(tx *stm.DTx) error {
+				calls++
+				va = tx.Read(a)
+				if calls == 1 {
+					armed.Store(true)
+					go func() {
+						_, err := m.AtomicUpdate([]int{a, b}, func(old []uint64) []uint64 {
+							return []uint64{old[0] + 1, old[1] + 1}
+						})
+						committed <- err
+					}()
+					<-parked
+					// Move the epoch whatever the park point: before its
+					// clock step the parked committer has not.
+					if _, err := m.Add(elsewhere, 1); err != nil {
+						return err
+					}
+					// The TL2 reader waits the committer out, so let it go —
+					// but only well after the reader has got to its
+					// extension. (The ST reader helps it to completion.)
+					time.AfterFunc(50*time.Millisecond, func() { close(release) })
+				}
+				tx.Read(unrelated)
+				vb = tx.Read(b)
+				if va != vb {
+					return fmt.Errorf("opacity violated: A=%d beside B=%d", va, vb)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-committed; err != nil {
+				t.Fatal(err)
+			}
+			if calls != 2 || va != 1 || vb != 1 {
+				t.Errorf("executions=%d, last saw A=%d B=%d; want 2 executions ending on 1 1", calls, va, vb)
+			}
+		})
+	}
+}
+
+func TestSnapshotOrElseValidatesRetriedBranch(t *testing.T) {
+	// The retried first branch's reads are not in the second branch's log,
+	// so no extension the second branch makes re-checks them — the commit
+	// does. A foreign write makes the first branch viable while the second
+	// is running (and reading, past a moved epoch): the second's commit must
+	// be invalidated and the operation re-run from the first.
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		const flag, a, b, x = 0, 1, 2, 3
+		m := mustNewEngine(t, 4, eng)
+		secondRuns := 0
+		if err := m.OrElse(
+			func(tx *stm.DTx) error {
+				if tx.Read(flag) == 0 {
+					tx.Retry()
+				}
+				tx.Write(a, 1)
+				return nil
+			},
+			func(tx *stm.DTx) error {
+				secondRuns++
+				if _, err := m.Swap(flag, 1); err != nil {
+					return err
+				}
+				tx.Write(b, tx.Read(x)+1)
+				return nil
+			}); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Peek(a); got != 1 {
+			t.Errorf("word A = %d, want 1 (the first branch, viable at commit, wins)", got)
+		}
+		if got := m.Peek(b); got != 0 {
+			t.Errorf("word B = %d, want 0 (the second branch's commit was invalidated)", got)
+		}
+		if secondRuns != 1 {
+			t.Errorf("second branch ran %d times, want 1", secondRuns)
+		}
+	})
+}
+
+func TestSnapshotExtensionsCounted(t *testing.T) {
+	// The cost claim without a timer: a transaction no commit overlaps
+	// extends nothing however much it reads, and k foreign commits cost at
+	// most k extensions.
+	const reads, k = 8192, 5
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		m := mustNewEngine(t, reads+1, eng)
+		readAll := func(foreign int) {
+			t.Helper()
+			if err := m.Atomically(func(tx *stm.DTx) error {
+				for i := 0; i < reads; i++ {
+					if foreign > 0 && i%(reads/foreign) == reads/foreign/2 {
+						if _, err := m.Add(reads, 1); err != nil {
+							return err
+						}
+					}
+					tx.Read(i)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		readAll(0)
+		if s := m.Stats(); s.SnapshotExtensions != 0 || s.SnapshotRechecked != 0 {
+			t.Errorf("undisturbed %d-read transaction: extensions=%d rechecked=%d, want 0 0",
+				reads, s.SnapshotExtensions, s.SnapshotRechecked)
+		}
+		readAll(k)
+		s := m.Stats()
+		if s.SnapshotExtensions == 0 || s.SnapshotExtensions > k {
+			t.Errorf("%d foreign commits: %d extensions, want 1..%d", k, s.SnapshotExtensions, k)
+		}
+		if s.SnapshotRechecked == 0 || s.SnapshotRechecked > k*reads {
+			t.Errorf("%d foreign commits: %d reads re-checked, want 1..%d", k, s.SnapshotRechecked, k*reads)
+		}
+		m.ResetStats()
+		if s := m.Stats(); s.SnapshotExtensions != 0 || s.SnapshotRechecked != 0 {
+			t.Errorf("after ResetStats: extensions=%d rechecked=%d", s.SnapshotExtensions, s.SnapshotRechecked)
+		}
+	})
 }

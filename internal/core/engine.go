@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Engine is one commit protocol over a Memory's word array: the strategy
 // every transaction attempt — static, typed, or dynamic — executes through.
@@ -89,9 +92,13 @@ func (m *Memory) attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool {
 func newEngine(kind EngineKind, m *Memory) (Engine, error) {
 	switch kind {
 	case EngineST:
-		return &stEngine{m: m}, nil
+		e := &stEngine{m: m}
+		m.epoch = &e.epoch
+		return e, nil
 	case EngineTL2:
-		return &tl2Engine{m: m}, nil
+		e := &tl2Engine{m: m}
+		m.epoch = &e.clock
+		return e, nil
 	default:
 		return nil, fmt.Errorf("core: unknown engine kind %d", uint8(kind))
 	}
@@ -103,6 +110,16 @@ func newEngine(kind EngineKind, m *Memory) (Engine, error) {
 // their access — to the Engine interface.
 type stEngine struct {
 	m *Memory
+	_ [cacheLineSize - 8]byte
+
+	// epoch is the ST engine's commit-epoch word (Memory.CommitEpoch): the
+	// protocol itself needs no global clock, so this counter exists only for
+	// dynamic transactions' snapshot validation. Every participant of a
+	// value-changing commit bumps it between deciding Success and its first
+	// install (Memory.transaction). It sits alone on its cache line, like the
+	// TL2 clock it stands in for.
+	epoch atomic.Uint64
+	_     [cacheLineSize - 8]byte
 }
 
 func (e *stEngine) Kind() EngineKind { return EngineST }

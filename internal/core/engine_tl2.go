@@ -51,6 +51,16 @@ type tl2Engine struct {
 	// clock is the global version clock: the serialization order of every
 	// writing commit. It only moves by CAS from a just-loaded value, so it
 	// is monotonic; readers sample it with a plain load.
+	//
+	// It is also the Memory's commit epoch (Memory.CommitEpoch). What that
+	// needs of it — some step with all of a commit's write locks already
+	// held and none of its write-backs done — holds because every clock
+	// access that yields a wv happens between the lock phase and the
+	// write-back: a commit either lands a CAS there itself or, adopting,
+	// lost one there to somebody else's step. Only writing commits touch
+	// the clock, and equal-value writes are not in the write set, so it
+	// steps only when some word's committed value changes (or an attempt
+	// steps and then fails validation, which is harmless).
 	clock atomic.Uint64
 	_     [cacheLineSize - 8]byte
 }
@@ -138,7 +148,11 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 	// Clock step (GV4): one CAS; a loser adopts the winner's value rather
 	// than retrying, which is safe because every participant holds its
 	// locks before stepping the clock — any reader that samples the shared
-	// wv afterwards finds all of their words still locked.
+	// wv afterwards finds all of their words still locked. Nothing may move
+	// between the lock phase above and the write-back below that lets a
+	// commit write back without a clock step landing (its own or, adopting,
+	// the one its second CAS lost to) while it holds its locks: the
+	// commit-epoch contract on clock depends on it.
 	wv := rv + 1
 	skipValidate := e.clock.CompareAndSwap(rv, wv)
 	if !skipValidate {

@@ -75,8 +75,19 @@ type Memory struct {
 	engine Engine     // commit protocol; see engine.go
 	kind   EngineKind // engine.Kind(), cached for the obs hot path
 
+	// epoch is the engine's commit-epoch word (see CommitEpoch): the TL2
+	// engine's global clock, the ST engine's padded step counter. It lives
+	// in the engine, alone on a cache line; the pointer is fixed at
+	// construction so reading it costs no dispatch.
+	epoch *atomic.Uint64
+
 	stats Stats
 	pool  sync.Pool // of *Rec; see pool.go
+
+	// limbo parks records whose attempt ended while a helper was still
+	// pinned to them, for a later Begin to take back once the helper has
+	// left. See pool.go.
+	limbo recLimbo
 
 	// Observability seam (see obs.go). obsLvl is the hot-path gate — one
 	// plain load per hook site; ObsOff means every hook is a predicted
@@ -145,11 +156,33 @@ func (m *Memory) Peek(loc int) uint64 { return *m.words[loc].cell.Load() }
 //
 // A raw LoadBox may observe the physical mid-install state of a multi-word
 // commit (updateMemory CASes one word at a time while ownership is held),
-// so consumers needing a committed value must use StableLoadBox; the raw
-// form is for change detection — dynamic transactions' wakeup polling and
-// revalidation — where a mid-install pointer difference is exactly the
-// signal wanted. See the stm package's Atomically and DESIGN.md §9.
+// and says nothing about a commit that owns the word and has yet to install
+// over it, so consumers needing a committed value — or proof that a logged
+// box is still the committed one, which is what a dynamic transaction's
+// snapshot extension needs — must use StableLoadBox. The raw form is for
+// change detection alone: a parked Retry polls it, and there a mid-install
+// pointer difference is exactly the signal wanted. See the stm package's
+// Atomically and DESIGN.md §9.
 func (m *Memory) LoadBox(loc int) *uint64 { return m.words[loc].cell.Load() }
+
+// CommitEpoch reads the Memory's commit epoch: one monotone word that
+// changes value at least once per value-changing commit, at an instant —
+// the commit's step — when the commit already holds ownership (ST) or the
+// commit lock (TL2) of every word it will install, and has installed none
+// of them. A commit that changes no value need not step, and steps that
+// belong to no install (a helper's repeat of its record's step, a TL2
+// attempt that steps and then fails validation) are harmless: readers only
+// ever conclude something from the word NOT having moved.
+//
+// That conclusion is what makes a dynamic transaction's reads O(1): boxes
+// obtained through StableLoadBox at instants inside an interval over which
+// CommitEpoch did not change are all still current at the latest of those
+// instants. A commit that replaced one of them in between stepped either
+// inside the interval, which the unchanged epoch rules out, or before it —
+// and then it held the word from before the interval began until after its
+// install, so the word was never unowned at the stable instant in between.
+// See DESIGN.md §9.
+func (m *Memory) CommitEpoch() uint64 { return m.epoch.Load() }
 
 // StableLoadBox is LoadBox restricted to committed states: the returned
 // box was loc's current value at an instant when no transaction owned the
@@ -265,6 +298,15 @@ func (m *Memory) transaction(rec *Rec, initiator bool) {
 		}
 		m.agreeOldValues(rec)
 		newv := m.newValuesFor(rec, initiator)
+		// The commit's step (see CommitEpoch): Success is decided, so the
+		// whole data set is owned by rec, and this participant has installed
+		// nothing yet. Every participant steps before its own installs, so
+		// the first step precedes the first install whoever performs it; the
+		// repeats are harmless. A commit that changes no value installs
+		// nothing and does not step.
+		if rec.changes(newv) {
+			m.epoch.Add(1)
+		}
 		m.updateMemory(rec, newv, initiator)
 		m.releaseOwnerships(rec)
 		return

@@ -10,9 +10,12 @@ import "sync/atomic"
 // seal/pin scheme on Rec (see rec.go and DESIGN.md §4): a record returns to
 // the pool only when it is sealed and no helper is pinned, so no goroutine
 // can observe a record's fields while a later attempt re-arms them. A
-// record that still has pinned helpers when its attempt finishes is simply
-// abandoned to the garbage collector — correctness never depends on the
-// pool hit rate.
+// record that still has pinned helpers when its attempt finishes — a third
+// of the helped ones, where transactions contend — is parked in a small
+// per-Memory limbo (recLimbo), and a later Begin takes it out and, holding
+// it alone, finds its helpers gone: the same seal-then-no-pins observation,
+// made later. Past limbo's eight slots it is simply abandoned to the
+// garbage collector — correctness never depends on the pool hit rate.
 
 const (
 	// boxChunk is the number of value boxes carved per backing-array
@@ -33,12 +36,17 @@ const (
 // touched after RunAttempt returns.
 func (m *Memory) Begin(k int) *Rec {
 	var rec *Rec
-	if v := m.pool.Get(); v != nil {
-		rec = v.(*Rec)
-	} else {
-		rec = &Rec{
-			newHdr: new([]uint64),
-			shard:  int(recSeq.Add(1) % statShards),
+	if m.limbo.parked.Load() != 0 {
+		rec = m.reclaim()
+	}
+	if rec == nil {
+		if v := m.pool.Get(); v != nil {
+			rec = v.(*Rec)
+		} else {
+			rec = &Rec{
+				newHdr: new([]uint64),
+				shard:  int(recSeq.Add(1) % statShards),
+			}
 		}
 	}
 	rec.arm(k)
@@ -75,9 +83,9 @@ func (r *Rec) arm(k int) {
 // it returns false and the caller should retry with a fresh Begin,
 // typically after backoff.
 //
-// RunAttempt consumes the record: it is recycled (or abandoned to the GC if
-// helpers are still pinned) before returning, and the caller must not touch
-// it — including any Env scratch reached through it — afterwards.
+// RunAttempt consumes the record: it is recycled (or, if helpers are still
+// pinned, parked for a later Begin) before returning, and the caller must
+// not touch it — including any Env scratch reached through it — afterwards.
 func (m *Memory) RunAttempt(rec *Rec, calc CalcFunc, oldOut []uint64) bool {
 	return m.RunAttemptConflict(rec, calc, oldOut, nil)
 }
@@ -156,23 +164,91 @@ func (m *Memory) fillConflict(rec *Rec, info *ConflictInfo) {
 // closures, borrowed slices — before its record parks in the pool, so an
 // idle pooled record cannot retain arbitrary caller memory. ResetForPool is
 // called only at the quiescence point proven by the seal/pin guard; payload
-// buffers kept for amortization should be left intact.
+// buffers kept for amortization should be left intact. A record in limbo
+// has not reached that point — a helper may still be evaluating its calc —
+// so it keeps its payload until a later Begin reclaims it: at most
+// len(recLimbo.slots) payloads per Memory, for as long as the Memory runs
+// no transaction.
 type PoolResettable interface{ ResetForPool() }
+
+// recLimbo holds the records whose attempt ended with a helper still
+// pinned. A slot holds a record only between a park and a take, the record
+// is sealed for all of that time, and whoever takes it out holds it alone —
+// so a record is in at most one slot, and nothing re-arms it while it is
+// there. parked counts the occupied slots (a hint: it trails the slots by
+// an instant) so that Begin pays one load when there is nothing to find.
+// Every park and take writes here while every Begin reads parked, so the
+// block keeps to its own cache lines, like the commit epoch.
+type recLimbo struct {
+	_      [cacheLineSize - 8]byte
+	slots  [8]atomic.Pointer[Rec]
+	parked atomic.Int32
+	_      [cacheLineSize - 4]byte
+}
 
 // recycle seals the record and returns it to the pool if no helper is
 // pinned. The seal→pins check pairs with pin's add→seal check (see Rec) so
 // a record is pooled only when provably quiescent.
 func (m *Memory) recycle(rec *Rec) {
 	rec.sealed.Store(true)
-	if rec.pins.Load() != 0 {
-		return // a stale helper is (or may be) executing: leave to GC
-	}
 	if cap(rec.addrBuf) > maxPooledK {
 		return
 	}
-	rec.calc = nil
-	if pr, ok := rec.env.(PoolResettable); ok {
+	if rec.pins.Load() != 0 {
+		// A helper is (or may be) executing: park the record where a later
+		// Begin will look again.
+		m.park(rec)
+		return
+	}
+	rec.quiesce()
+	m.pool.Put(rec)
+}
+
+// park puts a sealed record the caller holds alone into a free limbo slot,
+// or leaves it to the GC if there is none.
+func (m *Memory) park(rec *Rec) {
+	for i := range m.limbo.slots {
+		slot := &m.limbo.slots[i]
+		if slot.Load() == nil && slot.CompareAndSwap(nil, rec) {
+			m.limbo.parked.Add(1)
+			return
+		}
+	}
+}
+
+// quiesce drops what a provably quiescent record still references of its
+// last attempt, before it is pooled or re-armed.
+func (r *Rec) quiesce() {
+	r.calc = nil
+	if pr, ok := r.env.(PoolResettable); ok {
 		pr.ResetForPool()
 	}
-	m.pool.Put(rec)
+}
+
+// reclaim takes a parked record whose helpers have all left, or returns
+// nil. The order is the argument: the record is taken out of its slot
+// first, and only then are its pins read. Once out it is this caller's
+// alone and still sealed — nobody else can re-arm and unseal it — so pins
+// at zero now proves what pins at zero in recycle proves: every helper that
+// pinned while the record was unsealed has left, and any that pins from
+// here on sees the seal and backs off before touching a field. The look at
+// pins before the take only skips records still in use; it decides nothing,
+// because between it and the take the record may have been reclaimed, run,
+// pinned and parked in the same slot again. A record taken out and found
+// pinned goes back into limbo.
+func (m *Memory) reclaim() *Rec {
+	for i := range m.limbo.slots {
+		slot := &m.limbo.slots[i]
+		rec := slot.Load()
+		if rec == nil || rec.pins.Load() != 0 || !slot.CompareAndSwap(rec, nil) {
+			continue
+		}
+		m.limbo.parked.Add(-1)
+		if rec.pins.Load() == 0 {
+			rec.quiesce()
+			return rec
+		}
+		m.park(rec)
+	}
+	return nil
 }

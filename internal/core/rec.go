@@ -229,3 +229,15 @@ func (r *Rec) snapshotInto(out []uint64) {
 		out[i] = *r.old[i].Load()
 	}
 }
+
+// changes reports whether installing newv would change any word's value:
+// some agreed old value differs from its new one. Same precondition as
+// snapshotInto.
+func (r *Rec) changes(newv []uint64) bool {
+	for i := range r.old {
+		if *r.old[i].Load() != newv[i] {
+			return true
+		}
+	}
+	return false
+}

@@ -35,11 +35,19 @@ type statLine struct {
 	tl2ClockRace  atomic.Uint64 // commits whose first clock CAS lost (GV4 slow path)
 	tl2ClockAdopt atomic.Uint64 // commits that adopted another commit's clock value
 
+	// Dynamic-transaction snapshot extensions (always on; see
+	// NoteSnapshotExtensions): how often a speculation found the commit
+	// epoch moved and re-checked its read set, how many logged reads those
+	// re-checks covered, and how many of them found a read stale.
+	snapExtensions atomic.Uint64
+	snapRechecked  atomic.Uint64
+	snapStale      atomic.Uint64
+
 	// traceSeq drives ObsTrace sampling (1-in-SampleEvery per shard); it is
 	// bookkeeping, not a published counter.
 	traceSeq atomic.Uint64
 
-	_ [(cacheLineSize - 14*8%cacheLineSize) % cacheLineSize]byte
+	_ [(cacheLineSize - 17*8%cacheLineSize) % cacheLineSize]byte
 }
 
 // reason charges one failed attempt to its taxonomy entry.
@@ -110,6 +118,9 @@ func (s *Stats) reset() {
 		l.tl2ReadOnly.Store(0)
 		l.tl2ClockRace.Store(0)
 		l.tl2ClockAdopt.Store(0)
+		l.snapExtensions.Store(0)
+		l.snapRechecked.Store(0)
+		l.snapStale.Store(0)
 		h := &s.hists[i]
 		for b := 0; b < HistBins; b++ {
 			h.commitTicks[b].Store(0)
@@ -119,9 +130,29 @@ func (s *Stats) reset() {
 		}
 	}
 }
+
 func (s *Stats) commit(shard int)  { s.shards[shard].commits.Add(1) }
 func (s *Stats) failure(shard int) { s.shards[shard].failures.Add(1) }
 func (s *Stats) help(shard int)    { s.shards[shard].helps.Add(1) }
+
+// StatShard draws a stats shard for a long-lived reporter outside the engine
+// — a pooled dynamic-transaction handle — the way Begin binds one to each
+// record.
+func StatShard() int { return int(recSeq.Add(1) % statShards) }
+
+// NoteSnapshotExtensions folds one dynamic operation's snapshot-extension
+// tally (StatsSnapshot.SnapshotExtensions/SnapshotRechecked/SnapshotStale)
+// into shard, a value StatShard returned. The caller counts locally while it
+// speculates and reports once per operation, and only if it extended at
+// all, so a speculation no commit overlaps performs no atomic for this.
+func (m *Memory) NoteSnapshotExtensions(shard int, n, rechecked, stale uint64) {
+	l := &m.stats.shards[shard]
+	l.snapExtensions.Add(n)
+	l.snapRechecked.Add(rechecked)
+	if stale != 0 {
+		l.snapStale.Add(stale)
+	}
+}
 
 // HistogramSnapshot is a point-in-time copy of one log-binned histogram,
 // merged across shards. Counts[0] holds the value 0 (for tick histograms:
@@ -235,6 +266,22 @@ type StatsSnapshot struct {
 	TL2ClockRaces      uint64
 	TL2ClockAdoptions  uint64
 
+	// Dynamic-transaction snapshot telemetry (always on, both engines). A
+	// speculative read is admitted in O(1) while the Memory's commit epoch
+	// has not moved since the speculation's sample; when it has, the
+	// speculation extends its snapshot by re-checking every read logged so
+	// far. SnapshotExtensions counts those extensions, whether they passed
+	// or sent the function back to re-execute; SnapshotRechecked counts the
+	// logged reads they re-checked; SnapshotStale counts the extensions
+	// that found a logged read replaced and unwound the execution — a
+	// re-execution no engine attempt ever sees, so the only place it shows.
+	// A dynamic transaction that no value-changing commit overlaps adds
+	// nothing to any of them, however many words it reads — which is the
+	// per-read cost claim of DESIGN.md §9, pinned without a timer.
+	SnapshotExtensions uint64
+	SnapshotRechecked  uint64
+	SnapshotStale      uint64
+
 	// Attempt histograms (ObsHistograms+), merged across shards.
 	// CommitTicks/AbortTicks are attempt durations in coarse ticks (see
 	// the ticks precision contract: one tick is nominally TickInterval,
@@ -263,6 +310,9 @@ func (s *Stats) snapshot() StatsSnapshot {
 		out.TL2ReadOnlyCommits += l.tl2ReadOnly.Load()
 		out.TL2ClockRaces += l.tl2ClockRace.Load()
 		out.TL2ClockAdoptions += l.tl2ClockAdopt.Load()
+		out.SnapshotExtensions += l.snapExtensions.Load()
+		out.SnapshotRechecked += l.snapRechecked.Load()
+		out.SnapshotStale += l.snapStale.Load()
 		h := &s.hists[i]
 		for b := 0; b < HistBins; b++ {
 			out.CommitTicks.Counts[b] += h.commitTicks[b].Load()

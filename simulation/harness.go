@@ -273,6 +273,9 @@ func (e *Env) sumStats() stm.StatsSnapshot {
 		out.TL2ReadOnlyCommits += s.TL2ReadOnlyCommits
 		out.TL2ClockRaces += s.TL2ClockRaces
 		out.TL2ClockAdoptions += s.TL2ClockAdoptions
+		out.SnapshotExtensions += s.SnapshotExtensions
+		out.SnapshotRechecked += s.SnapshotRechecked
+		out.SnapshotStale += s.SnapshotStale
 	}
 	return out
 }

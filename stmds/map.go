@@ -299,11 +299,16 @@ func (mp *Map[K, V]) LenTx(tx *stm.DTx) int {
 //
 // Atomicity here is bought with footprint: RangeTx reads the state word of
 // every slot (active and, mid-migration, old table), so it conflicts with
-// every concurrent mutation, and the dynamic layer revalidates its whole
-// snapshot on each footprint growth — an O(slots²) worst case per
-// execution. Keep ranged maps small (hundreds of entries), or take the
-// iteration out of hot paths; for a cheap conflict-free cardinality check
-// use LenTx. Entries are yielded in table order, which is not insertion
+// every concurrent mutation — any one of them landing before the commit
+// sends the whole iteration back to re-execute — and the commit owns (ST)
+// or validates (TL2) every word it read. An execution nothing overlaps
+// costs O(slots); each concurrent commit, to this map or any other word of
+// the Memory, adds one re-check of the slots read so far (counted in
+// Stats().SnapshotRechecked). So the limit on a ranged map is how often it
+// is written, not how large it is: range over maps that are quiet for the
+// time an iteration takes, or take the iteration out of hot paths; for a
+// cheap conflict-free cardinality check use LenTx. Entries are yielded in
+// table order, which is not insertion
 // or key order. yield must follow the same rules as any code inside
 // Atomically (no side effects — it may run on snapshots that never
 // commit); mutating the map inside yield is allowed through the Tx forms

@@ -18,6 +18,11 @@ import (
 //	                                 Memory's engine
 //	stm_tl2_read_only_commits_total / stm_tl2_clock_races_total /
 //	stm_tl2_clock_adoptions_total    {memory, engine} — TL2 memories only
+//	stm_snapshot_extensions_total / stm_snapshot_rechecked_words_total /
+//	stm_snapshot_stale_total         {memory, engine} — dynamic transactions'
+//	                                 slow path: read-set re-checks forced by
+//	                                 a moved commit epoch, their size, and
+//	                                 how many unwound the execution
 //	stm_obs_level                    {memory, engine} gauge (0=off..3=trace)
 //	stm_tick_seconds                 gauge: nominal seconds per coarse tick
 //	stm_commit_ticks / stm_abort_ticks / stm_read_set_words /
@@ -59,6 +64,9 @@ func WriteProm(w io.Writer, name string, m *stm.Memory) {
 		counter("stm_tl2_clock_races_total", s.TL2ClockRaces)
 		counter("stm_tl2_clock_adoptions_total", s.TL2ClockAdoptions)
 	}
+	counter("stm_snapshot_extensions_total", s.SnapshotExtensions)
+	counter("stm_snapshot_rechecked_words_total", s.SnapshotRechecked)
+	counter("stm_snapshot_stale_total", s.SnapshotStale)
 
 	fmt.Fprintf(w, "# TYPE stm_obs_level gauge\nstm_obs_level{%s} %d\n",
 		labels, uint32(m.ObsLevel()))

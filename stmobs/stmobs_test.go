@@ -3,7 +3,9 @@ package stmobs_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"testing"
 
@@ -146,5 +148,46 @@ func TestPprofDo(t *testing.T) {
 	})
 	if engine != "tl2" || site != "worker" {
 		t.Errorf("labels = %q/%q, want tl2/worker", engine, site)
+	}
+}
+
+// TestSnapshotExtensionsExported drives one real snapshot extension (a
+// foreign commit between a dynamic transaction's two reads) and finds it in
+// both exports, on both engines, until ResetStats.
+func TestSnapshotExtensionsExported(t *testing.T) {
+	for _, eng := range stm.Engines() {
+		m, err := stm.New(8, stm.WithEngine(eng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Atomically(func(tx *stm.DTx) error {
+			tx.Read(0)
+			if _, err := m.Add(5, 1); err != nil {
+				return err
+			}
+			tx.Read(1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sm := stmobs.StatsMap(m)
+		if sm["snapshot_extensions"] != uint64(1) || sm["snapshot_rechecked"] != uint64(2) || sm["snapshot_stale"] != uint64(0) {
+			t.Errorf("%v: StatsMap extensions=%v rechecked=%v stale=%v, want 1 2 0", eng, sm["snapshot_extensions"], sm["snapshot_rechecked"], sm["snapshot_stale"])
+		}
+		var prom strings.Builder
+		stmobs.WriteProm(&prom, "mem", m)
+		for _, want := range []string{
+			fmt.Sprintf("stm_snapshot_extensions_total{memory=\"mem\",engine=%q} 1\n", eng.String()),
+			fmt.Sprintf("stm_snapshot_rechecked_words_total{memory=\"mem\",engine=%q} 2\n", eng.String()),
+			fmt.Sprintf("stm_snapshot_stale_total{memory=\"mem\",engine=%q} 0\n", eng.String()),
+		} {
+			if !strings.Contains(prom.String(), want) {
+				t.Errorf("%v: WriteProm missing %q", eng, want)
+			}
+		}
+		m.ResetStats()
+		if sm := stmobs.StatsMap(m); sm["snapshot_extensions"] != uint64(0) || sm["snapshot_rechecked"] != uint64(0) {
+			t.Errorf("%v: after ResetStats extensions=%v rechecked=%v", eng, sm["snapshot_extensions"], sm["snapshot_rechecked"])
+		}
 	}
 }
