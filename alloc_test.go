@@ -209,6 +209,26 @@ func TestAllocsAtomicallyDynamic(t *testing.T) {
 		if m.Stats().Commits == 0 {
 			t.Errorf("%s: telemetry disabled? no commits counted", tc.name)
 		}
+		// A transaction that only reads commits where it stands: no record,
+		// no footprint, nothing to allocate — and no engine attempt.
+		var sum int64
+		lookup := func(tx *stm.DTx) error {
+			q := stm.ReadVar(tx, pt)
+			sum = stm.ReadVar(tx, counter) + q.X
+			return nil
+		}
+		before := m.Stats()
+		assertAllocs(t, tc.name+"/Atomically read-only", 0, func() {
+			if err := m.Atomically(lookup); err != nil {
+				t.Fatal(err)
+			}
+		})
+		after := m.Stats()
+		if after.Attempts != before.Attempts || after.ReadOnlyCommits == before.ReadOnlyCommits {
+			t.Errorf("%s: read-only Atomically made %d engine attempts and %d read-only commits, want 0 and > 0",
+				tc.name, after.Attempts-before.Attempts, after.ReadOnlyCommits-before.ReadOnlyCommits)
+		}
+		_ = sum
 	}
 }
 

@@ -25,7 +25,8 @@ const (
 	// owned and Success decided, before any value is agreed or installed —
 	// the window in which helpers complete a stalled owner's work.
 	ChaosSTPostLock = core.ChaosSTPostLock
-	// ChaosSTHelping (ST) fires on a failed initiator immediately before it
+	// ChaosSTHelping (ST) fires on a failed initiator — or on a dynamic
+	// transaction's read that found its word owned — immediately before it
 	// executes its blocker's protocol.
 	ChaosSTHelping = core.ChaosSTHelping
 	// ChaosTL2PostLock (TL2) fires with the write-set commit locks held,

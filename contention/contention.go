@@ -63,7 +63,10 @@ type Conflict struct {
 	// domains, so a policy that serializes per domain dampens their
 	// mutual conflicts without eliminating them. The approximation is
 	// what lets the key be computed for free on every operation; policies
-	// remain correct regardless, because they only shape timing.
+	// remain correct regardless, because they only shape timing. A dynamic
+	// transaction that never reaches the engine reports the first address
+	// it touched instead of the lowest, and -1 (with Size 0) if it touched
+	// none.
 	First int
 	// Size is the data-set size in words — a proxy for the work a failed
 	// attempt wasted.

@@ -84,7 +84,8 @@
 // changes, and Memory.OrElse composes alternatives (second runs when
 // first retries; first has priority). The transaction function may be
 // re-executed when validation fails, so it must have no side effects
-// other than through the DTx.
+// other than through the DTx. A transaction that writes nothing commits
+// when its function returns, with no engine attempt and no ownership.
 //
 // Choosing between the forms: use Var/TxSet (or a prepared raw Tx) when
 // the variables touched are known before the transaction starts — the
@@ -128,19 +129,24 @@
 // on either:
 //
 //   - stm.ST (the default) is the paper's cooperative-helping ownership
-//     protocol. Every attempt, including a pure read, acquires ownership
-//     of its whole data set; a blocked attempt helps its blocker to
-//     completion. No transaction ever waits on a preempted peer — the
-//     strongest liveness — at the cost of several atomic
-//     read-modify-writes per word even on reads.
+//     protocol. Every attempt, including a static pure read (Var.Load,
+//     ReadAll), acquires ownership of its whole data set; a blocked
+//     attempt helps its blocker to completion. No transaction ever waits
+//     on a preempted peer — the strongest liveness — at the cost of
+//     several atomic read-modify-writes per word even on such reads.
 //   - stm.TL2 is a TL2/LSA-style global-version-clock protocol: reads
 //     are invisible (no ownership, validated against a clock sample),
 //     writes commit under short per-word locks, and read-only
-//     transactions commit with zero atomic read-modify-writes. On
-//     read-dominated workloads it is a multiple faster (see
+//     attempts commit with zero atomic read-modify-writes. On
+//     read-dominated static workloads it is a multiple faster (see
 //     `stmbench -suite engines` / BENCH_engines.json); the trade is that
 //     a preempted committer briefly blocks conflicting writers, which
 //     retry under the contention policy instead of helping.
+//
+// A dynamic transaction (Atomically, OrElse) that wrote nothing is the
+// exception to both descriptions: it makes no attempt on either engine —
+// it is committed where its last read was admitted — so a stmds.Map.Get
+// owns nothing on ST and skips even the zero-RMW attempt on TL2.
 //
 // Rule of thumb: reach for TL2 when reads dominate or scalability of
 // read paths matters; keep ST when worst-case progress under preemption

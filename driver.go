@@ -181,7 +181,7 @@ func (m *Memory) contend(ctx context.Context, st *staged, old []uint64, c *conte
 	if st.op == opDyn {
 		return c, nil
 	}
-	m.commitConflict(c, st)
+	m.commitConflict(c, st.first(), st.size())
 	return nil, nil
 }
 

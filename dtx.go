@@ -22,12 +22,15 @@ import (
 // logged so far is still current beside the new read and the user function
 // only ever observes consistent states (opacity) at O(1) per read. Only
 // when the epoch has moved does the attempt extend its snapshot — re-sample,
-// then re-check every logged read — or unwind. At commit the discovered
-// footprint — already deduplicated, sorted through a per-DTx cache —
-// executes through the one static driver with calcDyn, which installs the
-// write set only if every read still holds its speculated value and
-// otherwise commits a validated no-op, sending the driver back to
-// re-execute. See DESIGN.md §9.
+// then re-check every logged read — or unwind. A speculation that ends
+// having written nothing is committed there and then: the same argument
+// shows its whole log current at one instant inside the call, so it returns
+// with no engine attempt, no ownership and no record. Only a log that holds
+// a write goes on: the discovered footprint — already deduplicated, sorted
+// through a per-DTx cache — executes through the one static driver with
+// calcDyn, which installs the write set only if every read still holds its
+// speculated value and otherwise commits a validated no-op, sending the
+// driver back to re-execute. See DESIGN.md §9.
 
 // ErrRetryNoReads reports a Retry in a transaction (or in both branches of
 // an OrElse) that read nothing: with an empty read set there is no word
@@ -104,12 +107,14 @@ type DTx struct {
 	altHW    int
 
 	// Snapshot extensions this operation made, the logged reads they
-	// re-checked and how many ended in sigStale, counted here and folded
-	// into the Memory's stats (on shard) once, when the handle is recycled.
-	exts, rechecked, stales uint64
-	shard                   int
+	// re-checked, how many found a read stale, and whether the operation
+	// committed read-only (no engine attempt), counted here and folded into
+	// the Memory's stats (on shard) once, when the handle is recycled.
+	exts, rechecked, stales, roCommits uint64
+	shard                              int
 
 	active    bool  // inside the transaction function
+	wrote     bool  // the execution buffered a write: the log needs the engine
 	staleAddr int   // address an extension found stale (sigStale)
 	err       error // error carried by sigAbort
 }
@@ -161,6 +166,11 @@ const (
 // policy) when f returns nil. If f returns an error the transaction aborts
 // — no write reaches memory — and Atomically returns that error.
 //
+// A transaction that wrote nothing commits where its last read was
+// admitted: it makes no engine attempt, owns no word, and on either engine
+// costs its reads and nothing more (Stats().ReadOnlyCommits counts these;
+// Attempts and Commits do not see them).
+//
 // f may be executed several times before the transaction commits and so
 // must be deterministic and free of side effects other than through the
 // DTx. A call site whose footprint is stable commits allocation-free in
@@ -209,6 +219,8 @@ func (m *Memory) OrElseContext(ctx context.Context, first, second func(tx *DTx) 
 // own buffered writes. A read costs the same however many words the
 // transaction has read before it, unless another transaction's commit
 // landed since the previous one: then the reads so far are re-checked once.
+// Reading never takes ownership: a transaction that only reads is never an
+// obstacle to a writer, and commits without visiting its words again.
 func (d *DTx) Read(addr int) uint64 {
 	d.check()
 	if e := d.lookup(addr); e >= 0 {
@@ -231,8 +243,8 @@ func (d *DTx) Read(addr int) uint64 {
 	// the sample, no commit stepped since the sample was taken, and every
 	// logged box — each stably loaded since then — is still current at this
 	// read's stable instant.
-	if d.m.eng.CommitEpoch() != d.epoch {
-		d.extend()
+	if d.m.eng.CommitEpoch() != d.epoch && !d.extend() {
+		panic(sigStale)
 	}
 	return v
 }
@@ -247,9 +259,14 @@ func (d *DTx) Read(addr int) uint64 {
 // before the new sample and still holds the word, its install yet to come,
 // leaves the old box in the cell; the raw compare passes, the install
 // lands, and no later fast-path read can notice, since the epoch that
-// commit moved is the one just adopted. On a stale read the execution
-// unwinds with sigStale.
-func (d *DTx) extend() {
+// commit moved is the one just adopted. A stale read reports false (with
+// staleAddr set) and Read unwinds the execution with sigStale.
+//
+// atomically makes the same pass over an OrElse's merged log before a
+// read-only commit: the retried first branch's reads were admitted under an
+// earlier sample than the second branch's, and a pass leaves every read of
+// both current at the instant of its re-sample.
+func (d *DTx) extend() bool {
 	d.epoch = d.m.eng.CommitEpoch()
 	d.exts++
 	for i := range d.log {
@@ -261,9 +278,10 @@ func (d *DTx) extend() {
 		if d.m.eng.StableLoadBox(e.addr) != e.box {
 			d.staleAddr = e.addr
 			d.stales++
-			panic(sigStale)
+			return false
 		}
 	}
+	return true
 }
 
 // Write buffers v as the transaction's new value for addr. The write
@@ -273,6 +291,7 @@ func (d *DTx) extend() {
 // unconditionally, with no validation on that word.
 func (d *DTx) Write(addr int, v uint64) {
 	d.check()
+	d.wrote = true
 	if e := d.lookup(addr); e >= 0 {
 		d.log[e].val = v
 		d.log[e].written = true
@@ -436,6 +455,7 @@ func (d *DTx) resetLog() {
 	d.logHW = max(d.logHW, len(d.log))
 	d.log = d.log[:0]
 	d.idxBits = 0
+	d.wrote = false
 	d.clearHooks()
 }
 
@@ -689,9 +709,9 @@ func (m *Memory) putDTx(d *DTx) {
 	d.altBoxes, d.altHW = d.altBoxes[:0], 0
 	d.altAddrs = d.altAddrs[:0]
 	d.err = nil
-	if d.exts != 0 {
-		m.eng.NoteSnapshotExtensions(d.shard, d.exts, d.rechecked, d.stales)
-		d.exts, d.rechecked, d.stales = 0, 0, 0
+	if d.exts|d.roCommits != 0 {
+		m.eng.NoteSnapshotExtensions(d.shard, d.exts, d.rechecked, d.stales, d.roCommits)
+		d.exts, d.rechecked, d.stales, d.roCommits = 0, 0, 0, 0
 	}
 	m.dtxPool.Put(d)
 }
@@ -705,27 +725,40 @@ func (d *DTx) fail(c *contention.Conflict, err error) error {
 	return err
 }
 
+// logKey names the log to the contention policy where no footprint has been
+// compiled: the conflict domain is keyed by approximation, by the first
+// address the transaction touched, which is stable for a stable call site.
+// An empty log — an all-side-effect transaction, say a server batch that
+// only staged replies — has no address to key by.
+func (d *DTx) logKey() (first, size int) {
+	if len(d.log) == 0 {
+		return -1, 0
+	}
+	return d.log[0].addr, len(d.log)
+}
+
 // noteStale reports a speculation that died before it had a footprint to
 // commit — a read found the snapshot stale — to the contention policy like
-// any other failed attempt. No footprint is compiled yet, so the conflict
-// domain is keyed by approximation: the first address the transaction
-// touched, which is stable for a stable call site (the log holds at least
-// the stale read, so there is one).
+// any other failed attempt.
 func (d *DTx) noteStale(c *contention.Conflict) *contention.Conflict {
 	info := core.ConflictInfo{Addr: d.staleAddr}
-	return d.m.noteConflict(c, d.log[0].addr, len(d.log), &info)
+	first, size := d.logKey()
+	return d.m.noteConflict(c, first, size, &info)
 }
 
 // atomically is the speculation loop shared by Atomically, OrElse, and
 // their Context forms (second is nil outside OrElse). Each round speculates
-// to discover a footprint, then commits it through the one static driver —
-// acquire ownerships in ascending order, agree old values, and let calcDyn
-// either install the write set (every validated read matched) or commit a
-// no-op (something changed), which sends the round back to re-execute. One
-// policy report spans the whole operation: every failure — an ownership
-// conflict at commit, a stale speculative read, a validation miss — lands
-// on it through the same helpers the static forms use, so dynamic
-// transactions are first-class citizens of the policy's telemetry.
+// to discover a footprint. A round that wrote nothing is the commit: its
+// reads were all current at one instant inside the call (DESIGN.md §9), so
+// the operation returns without the engine. Any other round commits its
+// footprint through the one static driver — acquire ownerships in
+// ascending order, agree old values, and let calcDyn either install the
+// write set (every validated read matched) or commit a no-op (something
+// changed), which sends the round back to re-execute. One policy report
+// spans the whole operation: every failure — an ownership conflict at
+// commit, a stale speculative read, a validation miss — lands on it
+// through the same helpers the static forms use, so dynamic transactions
+// are first-class citizens of the policy's telemetry.
 func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) error) error {
 	d := m.getDTx()
 	defer m.putDTx(d)
@@ -766,7 +799,7 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 			// before its condition waits. The next conflict after the
 			// wakeup opens a fresh report.
 			if c != nil {
-				m.commitConflict(c, nil)
+				m.commitConflict(c, 0, 0) // open report: the data set is on it
 				c = nil
 			}
 			if err := d.waitReadSet(ctx); err != nil {
@@ -782,15 +815,21 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 			c = d.noteStale(c)
 			continue
 		}
-		if len(d.log) == 0 {
-			// Nothing read, nothing written: a vacuous commit. No engine
-			// transaction runs; any policy resources from earlier rounds
-			// are released as a commit. Deferred commit actions still run
-			// — an all-side-effect transaction (say, a server batch that
-			// only staged replies) committed, trivially.
-			if c != nil {
-				m.commitConflict(c, nil)
+		if !d.wrote {
+			// Nothing written: the transaction is already committed, at the
+			// instant its last read was admitted, and no engine attempt
+			// runs. The one case that instant does not cover is a merged
+			// OrElse log — two branches, two epoch samples — which a final
+			// extension brings under one. The operation still closes like
+			// any commit: the policy hears it, keyed as noteStale keys a
+			// log, and the deferred commit actions run.
+			if len(d.altAddrs) > 0 && !d.extend() {
+				c = d.noteStale(c)
+				continue
 			}
+			first, size := d.logKey()
+			m.commitConflict(c, first, size)
+			d.roCommits++
 			d.runCommitHooks()
 			return nil
 		}
@@ -815,7 +854,7 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 			c = m.noteConflict(c, st.first(), st.size(), &info)
 			continue
 		}
-		m.commitConflict(c, &st)
+		m.commitConflict(c, st.first(), st.size())
 		d.runCommitHooks()
 		return nil
 	}

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -843,41 +842,16 @@ func TestSnapshotParkedCommitter(t *testing.T) {
 		t.Run(fmt.Sprintf("%v/%v", tc.eng, tc.point), func(t *testing.T) {
 			const a, b, unrelated, elsewhere = 0, 1, 2, 3
 			m := mustNewEngine(t, 4, tc.eng)
-			var (
-				armed     atomic.Bool
-				parked    = make(chan struct{})
-				release   = make(chan struct{})
-				committed = make(chan error, 1)
-			)
-			m.SetChaos(func(e stm.ChaosEvent) {
-				if e.Point == tc.point && armed.CompareAndSwap(true, false) {
-					close(parked)
-					<-release
-				}
-			})
+			park, committed := parkCommitter(m, tc.point, a, b, elsewhere)
 			calls := 0
 			var va, vb uint64
 			if err := m.Atomically(func(tx *stm.DTx) error {
 				calls++
 				va = tx.Read(a)
 				if calls == 1 {
-					armed.Store(true)
-					go func() {
-						_, err := m.AtomicUpdate([]int{a, b}, func(old []uint64) []uint64 {
-							return []uint64{old[0] + 1, old[1] + 1}
-						})
-						committed <- err
-					}()
-					<-parked
-					// Move the epoch whatever the park point: before its
-					// clock step the parked committer has not.
-					if _, err := m.Add(elsewhere, 1); err != nil {
+					if err := park(); err != nil {
 						return err
 					}
-					// The TL2 reader waits the committer out, so let it go —
-					// but only well after the reader has got to its
-					// extension. (The ST reader helps it to completion.)
-					time.AfterFunc(50*time.Millisecond, func() { close(release) })
 				}
 				tx.Read(unrelated)
 				vb = tx.Read(b)

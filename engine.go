@@ -20,10 +20,14 @@ import (
 //     of several atomic read-modify-writes per word even for pure reads.
 //   - TL2 is a TL2/LSA-style global-version-clock protocol. Reads are
 //     invisible (no ownership, validated against a clock sample), writes
-//     commit under short per-word locks, and read-only transactions commit
-//     with zero atomic read-modify-writes. Read-mostly workloads run far
-//     faster; the price is that a preempted committer briefly blocks
-//     conflicting writers instead of being helped.
+//     commit under short per-word locks, and read-only attempts commit
+//     with zero atomic read-modify-writes. Read-mostly static workloads
+//     run far faster; the price is that a preempted committer briefly
+//     blocks conflicting writers instead of being helped.
+//
+// An attempt is what a static operation, or a dynamic transaction with
+// something to write, makes. A dynamic transaction that wrote nothing makes
+// none on either engine (see Atomically).
 //
 // See DESIGN.md §11 and the package documentation's "choosing an engine"
 // section.

@@ -136,14 +136,14 @@ func (m *Memory) abortFailed(c *contention.Conflict, first, size int, info *core
 // commitConflict closes an operation as committed, releasing any policy
 // resources (tokens, priorities) its report carries. A nil report means the
 // operation never conflicted; the policy only hears about it if it opted
-// into clean commits, in which case st (not consulted otherwise) names the
-// data set.
-func (m *Memory) commitConflict(c *contention.Conflict, st *staged) {
+// into clean commits, in which case first and size (not consulted
+// otherwise) name the data set.
+func (m *Memory) commitConflict(c *contention.Conflict, first, size int) {
 	if c == nil {
 		if !m.allCommits {
 			return
 		}
-		c = m.getConflict(st.first(), st.size())
+		c = m.getConflict(first, size)
 	}
 	m.pol.OnCommit(c)
 	m.putConflict(c)

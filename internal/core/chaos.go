@@ -33,9 +33,10 @@ const (
 	// installed — the window in which a stalled initiator's work is
 	// completed by the helpers its conflicts recruit.
 	ChaosSTPostLock ChaosPoint = iota
-	// ChaosSTHelping (ST) fires on a failed initiator immediately before
-	// it executes its blocker's protocol — mid-helping, the cooperative
-	// cost the paper's failure path pays.
+	// ChaosSTHelping (ST) fires on a failed initiator, or on a stable load
+	// (StableLoadBox) that found its word owned, immediately before it
+	// executes its blocker's protocol — mid-helping, the cooperative cost
+	// the paper's failure path pays.
 	ChaosSTHelping
 	// ChaosTL2PostLock (TL2) fires with the write-set commit locks held,
 	// before the GV4 clock step.
@@ -74,7 +75,8 @@ type ChaosEvent struct {
 	// Engine is the Memory's commit protocol.
 	Engine EngineKind
 	// Addrs is the attempt's data set. At ChaosSTHelping it is the failed
-	// initiator's data set, not the blocker's.
+	// initiator's data set (or the one word a stable load wanted), not the
+	// blocker's.
 	Addrs []int
 	// Writes is the write-set size at the point: the TL2 write count at
 	// the TL2 points, the whole data-set size at ChaosSTPostLock (ST

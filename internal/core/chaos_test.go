@@ -157,6 +157,58 @@ func TestChaosSTHelpingPhase(t *testing.T) {
 	wg.Wait()
 }
 
+// TestChaosSTHelpingFromStableLoad: a stable load of a word a parked
+// initiator owns is a helper too — it fires st-helping with the word it
+// wanted, completes the parked transaction, and returns the value that
+// transaction installed.
+func TestChaosSTHelpingFromStableLoad(t *testing.T) {
+	m, err := NewMemoryEngine(8, EngineST)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		locked  = make(chan struct{})
+		release = make(chan struct{})
+		once    sync.Once
+		mu      sync.Mutex
+		helping []ChaosEvent
+	)
+	m.SetChaos(func(e ChaosEvent) {
+		switch e.Point {
+		case ChaosSTPostLock:
+			once.Do(func() {
+				close(locked)
+				<-release
+			})
+		case ChaosSTHelping:
+			mu.Lock()
+			helping = append(helping, ChaosEvent{Point: e.Point, Addrs: append([]int(nil), e.Addrs...), Writes: e.Writes})
+			mu.Unlock()
+		}
+	})
+	defer m.SetChaos(nil)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, ok := tryOnce(m, []int{3, 6}, chaosAdd(1)); !ok {
+			t.Error("parked initiator's attempt did not commit")
+		}
+	}()
+	<-locked
+	if got := *m.StableLoadBox(6); got != 1 {
+		t.Errorf("stable load under a parked owner = %d, want 1 (the owner's commit, completed by the load)", got)
+	}
+	mu.Lock()
+	if len(helping) != 1 || len(helping[0].Addrs) != 1 || helping[0].Addrs[0] != 6 || helping[0].Writes != -1 {
+		t.Errorf("st-helping events = %+v, want one, for word 6, Writes -1", helping)
+	}
+	mu.Unlock()
+	close(release)
+	wg.Wait()
+}
+
 // TestChaosTL2Phases: both TL2 points fire on a writing commit — locks
 // held, installs not begun — in lock-then-clock order, and never on reads.
 func TestChaosTL2Phases(t *testing.T) {

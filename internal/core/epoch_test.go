@@ -119,13 +119,16 @@ func TestNoteSnapshotExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.NoteSnapshotExtensions(StatShard(), 2, 30, 1)
-	m.NoteSnapshotExtensions(StatShard(), 1, 5, 0)
-	if s := m.Stats(); s.SnapshotExtensions != 3 || s.SnapshotRechecked != 35 || s.SnapshotStale != 1 {
-		t.Errorf("extensions=%d rechecked=%d stale=%d, want 3 35 1", s.SnapshotExtensions, s.SnapshotRechecked, s.SnapshotStale)
+	m.NoteSnapshotExtensions(StatShard(), 2, 30, 1, 0)
+	m.NoteSnapshotExtensions(StatShard(), 1, 5, 0, 1)
+	m.NoteSnapshotExtensions(StatShard(), 0, 0, 0, 1)
+	if s := m.Stats(); s.SnapshotExtensions != 3 || s.SnapshotRechecked != 35 || s.SnapshotStale != 1 || s.ReadOnlyCommits != 2 {
+		t.Errorf("extensions=%d rechecked=%d stale=%d read-only=%d, want 3 35 1 2",
+			s.SnapshotExtensions, s.SnapshotRechecked, s.SnapshotStale, s.ReadOnlyCommits)
 	}
 	m.ResetStats()
-	if s := m.Stats(); s.SnapshotExtensions != 0 || s.SnapshotRechecked != 0 || s.SnapshotStale != 0 {
-		t.Errorf("after reset: extensions=%d rechecked=%d stale=%d", s.SnapshotExtensions, s.SnapshotRechecked, s.SnapshotStale)
+	if s := m.Stats(); s.SnapshotExtensions != 0 || s.SnapshotRechecked != 0 || s.SnapshotStale != 0 || s.ReadOnlyCommits != 0 {
+		t.Errorf("after reset: extensions=%d rechecked=%d stale=%d read-only=%d",
+			s.SnapshotExtensions, s.SnapshotRechecked, s.SnapshotStale, s.ReadOnlyCommits)
 	}
 }

@@ -212,6 +212,13 @@ func (m *Memory) stStableLoadBox(loc int) *uint64 {
 		} else if owner.pin() {
 			helped := owner.stable.Load()
 			if helped {
+				// Chaos injection: a reader stalls mid-helping exactly as a
+				// failed initiator does, its blocker pinned. Readers own
+				// nothing, so where reads dominate this is where the helping
+				// happens — and the only place the stall can be injected.
+				if m.chaosOn.Load() != 0 {
+					m.chaosFire(ChaosSTHelping, []int{loc}, -1)
+				}
 				m.stats.help(owner.shard)
 				m.transaction(owner, false)
 			}

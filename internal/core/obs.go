@@ -407,7 +407,8 @@ func (m *Memory) DebugString() string {
 		fmt.Fprintf(&sb, "  tl2: read-only-commits=%d clock-races=%d clock-adoptions=%d\n",
 			s.TL2ReadOnlyCommits, s.TL2ClockRaces, s.TL2ClockAdoptions)
 	}
-	fmt.Fprintf(&sb, "  dynamic: snapshot-extensions=%d rechecked-words=%d stale=%d\n", s.SnapshotExtensions, s.SnapshotRechecked, s.SnapshotStale)
+	fmt.Fprintf(&sb, "  dynamic: read-only-commits=%d snapshot-extensions=%d rechecked-words=%d stale=%d\n",
+		s.ReadOnlyCommits, s.SnapshotExtensions, s.SnapshotRechecked, s.SnapshotStale)
 	hist := func(name string, h HistogramSnapshot, unit string) {
 		if h.Total() == 0 {
 			return

@@ -43,11 +43,15 @@ type statLine struct {
 	snapRechecked  atomic.Uint64
 	snapStale      atomic.Uint64
 
+	// Dynamic transactions that committed with no engine attempt because
+	// they wrote nothing (always on, folded in with the snapshot tally).
+	readOnlyCommits atomic.Uint64
+
 	// traceSeq drives ObsTrace sampling (1-in-SampleEvery per shard); it is
 	// bookkeeping, not a published counter.
 	traceSeq atomic.Uint64
 
-	_ [(cacheLineSize - 17*8%cacheLineSize) % cacheLineSize]byte
+	_ [(cacheLineSize - 18*8%cacheLineSize) % cacheLineSize]byte
 }
 
 // reason charges one failed attempt to its taxonomy entry.
@@ -121,6 +125,7 @@ func (s *Stats) reset() {
 		l.snapExtensions.Store(0)
 		l.snapRechecked.Store(0)
 		l.snapStale.Store(0)
+		l.readOnlyCommits.Store(0)
 		h := &s.hists[i]
 		for b := 0; b < HistBins; b++ {
 			h.commitTicks[b].Store(0)
@@ -140,17 +145,24 @@ func (s *Stats) help(shard int)    { s.shards[shard].helps.Add(1) }
 // record.
 func StatShard() int { return int(recSeq.Add(1) % statShards) }
 
-// NoteSnapshotExtensions folds one dynamic operation's snapshot-extension
-// tally (StatsSnapshot.SnapshotExtensions/SnapshotRechecked/SnapshotStale)
-// into shard, a value StatShard returned. The caller counts locally while it
-// speculates and reports once per operation, and only if it extended at
-// all, so a speculation no commit overlaps performs no atomic for this.
-func (m *Memory) NoteSnapshotExtensions(shard int, n, rechecked, stale uint64) {
+// NoteSnapshotExtensions folds one dynamic operation's tally — its snapshot
+// extensions (StatsSnapshot.SnapshotExtensions/SnapshotRechecked/
+// SnapshotStale) and whether it committed read-only (ReadOnlyCommits) — into
+// shard, a value StatShard returned. The caller counts locally while it
+// speculates and reports once per operation, and only what is non-zero: a
+// writing transaction no commit overlaps performs no atomic for this, a
+// read-only one exactly one.
+func (m *Memory) NoteSnapshotExtensions(shard int, n, rechecked, stale, readOnly uint64) {
 	l := &m.stats.shards[shard]
-	l.snapExtensions.Add(n)
-	l.snapRechecked.Add(rechecked)
+	if n != 0 {
+		l.snapExtensions.Add(n)
+		l.snapRechecked.Add(rechecked)
+	}
 	if stale != 0 {
 		l.snapStale.Add(stale)
+	}
+	if readOnly != 0 {
+		l.readOnlyCommits.Add(readOnly)
 	}
 }
 
@@ -233,7 +245,11 @@ func (h HistogramSnapshot) String() string {
 type StatsSnapshot struct {
 	// Attempts counts protocol attempts (RunAttempt calls).
 	Attempts uint64
-	// Commits counts attempts whose status was decided Success.
+	// Commits counts attempts whose status was decided Success. It counts
+	// engine attempts, not operations: a dynamic transaction that wrote
+	// nothing commits without one and shows in ReadOnlyCommits instead, and
+	// one whose commit-time validation failed adds a Commit (the no-op arm)
+	// for every re-execution.
 	Commits uint64
 	// Failures counts attempts whose status was decided Failure; each such
 	// attempt triggered at most one help.
@@ -257,7 +273,10 @@ type StatsSnapshot struct {
 	TL2ValidateAborts uint64
 
 	// TL2 protocol telemetry (ObsCounters+). TL2ReadOnlyCommits counts
-	// commits with an empty write set — the zero-RMW fast path.
+	// engine attempts that committed with an empty write set — the zero-RMW
+	// fast path. Those are the static read-only forms only (Var.Load,
+	// ReadAllInto, a stmds Map.Len): a read-only dynamic transaction makes
+	// no attempt at all and is counted by ReadOnlyCommits.
 	// TL2ClockRaces counts writing commits whose first global-clock CAS
 	// lost to a concurrent commit (the GV4 slow path); TL2ClockAdoptions
 	// counts the subset that then adopted another commit's clock value
@@ -281,6 +300,15 @@ type StatsSnapshot struct {
 	SnapshotExtensions uint64
 	SnapshotRechecked  uint64
 	SnapshotStale      uint64
+
+	// ReadOnlyCommits counts dynamic transactions (Atomically, OrElse and
+	// everything built on them) that committed having written nothing
+	// (always on, both engines). Such a transaction is committed when its
+	// speculation ends — every read it logged was current at one instant
+	// inside the call, DESIGN.md §9 — so it makes no engine attempt and
+	// none of the four protocol counters sees it: operations committed is
+	// this plus the engine commits that installed something.
+	ReadOnlyCommits uint64
 
 	// Attempt histograms (ObsHistograms+), merged across shards.
 	// CommitTicks/AbortTicks are attempt durations in coarse ticks (see
@@ -313,6 +341,7 @@ func (s *Stats) snapshot() StatsSnapshot {
 		out.SnapshotExtensions += l.snapExtensions.Load()
 		out.SnapshotRechecked += l.snapRechecked.Load()
 		out.SnapshotStale += l.snapStale.Load()
+		out.ReadOnlyCommits += l.readOnlyCommits.Load()
 		h := &s.hists[i]
 		for b := 0; b < HistBins; b++ {
 			out.CommitTicks.Counts[b] += h.commitTicks[b].Load()

@@ -96,8 +96,11 @@ func TestObsDebugString(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if err := m.Atomically(func(tx *stm.DTx) error { tx.Read(0); return nil }); err != nil {
+			t.Fatal(err)
+		}
 		s := m.DebugString()
-		for _, want := range []string{"engine=" + eng.String(), "commits=10", "commit-ticks"} {
+		for _, want := range []string{"engine=" + eng.String(), " commits=10", "read-only-commits=1 ", "commit-ticks"} {
 			if !strings.Contains(s, want) {
 				t.Errorf("%v DebugString missing %q:\n%s", eng, want, s)
 			}

@@ -73,6 +73,31 @@ func TestWithPolicyCleanCommitReports(t *testing.T) {
 	if c.Addr != -1 || c.Attempts != 0 || c.First != 3 || c.Size != 1 {
 		t.Errorf("clean-commit report = %+v, want Addr=-1 Attempts=0 First=3 Size=1", c)
 	}
+
+	// Dynamic transactions that never reach the engine are commits too: a
+	// read-only one reports its log (first address touched, words logged),
+	// a vacuous one an empty data set.
+	for i, tc := range []struct {
+		name        string
+		f           func(tx *stm.DTx) error
+		first, size int
+	}{
+		{"read-only", func(tx *stm.DTx) error { tx.Read(5); tx.Read(2); return nil }, 5, 2},
+		{"vacuous", func(*stm.DTx) error { return nil }, -1, 0},
+	} {
+		if err := m.Atomically(tc.f); err != nil {
+			t.Fatal(err)
+		}
+		if nc, ncm, na := rec.counts(); nc != 0 || ncm != i+2 || na != 0 {
+			t.Fatalf("hooks after the %s Atomically = %d/%d/%d, want 0/%d/0", tc.name, nc, ncm, na, i+2)
+		}
+		rec.mu.Lock()
+		c := rec.commits[i+1]
+		rec.mu.Unlock()
+		if c.Addr != -1 || c.Attempts != 0 || c.First != tc.first || c.Size != tc.size {
+			t.Errorf("%s clean-commit report = %+v, want Addr=-1 Attempts=0 First=%d Size=%d", tc.name, c, tc.first, tc.size)
+		}
+	}
 }
 
 func TestPolicySeesConflicts(t *testing.T) {
@@ -519,54 +544,80 @@ func TestPolicyProtocolEveryEntryPoint(t *testing.T) {
 		v   *stm.Var[int64]
 		ts  *stm.TxSet
 		ctx context.Context
+		// stales is how many more executions of readOnly go stale.
+		stales int
 	}
 	inc := func(o, n []uint64) { n[0], n[1] = o[0]+1, o[1]+1 }
 	incF := func(o []uint64) []uint64 { return []uint64{o[0] + 1, o[1] + 1} }
 	blindWrite := func(tx *stm.DTx) error { tx.Write(0, 7); return nil }
+	// A transaction that only reads never meets the held word as a conflict
+	// (it helps or waits the holder out) and never reaches the engine; what
+	// it reports is a stale snapshot. This one stales itself: a commit to
+	// word 0, which it has read, lands before its next read.
+	readOnly := func(e *env) func(tx *stm.DTx) error {
+		return func(tx *stm.DTx) error {
+			tx.Read(0)
+			if e.stales > 0 {
+				e.stales--
+				if _, err := e.m.Add(0, 1); err != nil {
+					return err
+				}
+			}
+			tx.Read(1)
+			return nil
+		}
+	}
 	cases := []struct {
 		name      string
 		size      int    // data-set size the policy must see
 		conflicts int    // deferred failures before the operation ends
 		end       string // the closing hook
 		cancel    bool   // cancel env.ctx at the last conflict
+		stale     bool   // the failures are stale reads, not a held word
 		run       func(e *env) error
 	}{
-		{"Add", 1, 2, "commit", false, func(e *env) error { _, err := e.m.Add(0, 1); return err }},
-		{"CompareAndSwapN", 2, 2, "commit", false, func(e *env) error {
+		{"Add", 1, 2, "commit", false, false, func(e *env) error { _, err := e.m.Add(0, 1); return err }},
+		{"CompareAndSwapN", 2, 2, "commit", false, false, func(e *env) error {
 			_, _, err := e.m.CompareAndSwapN([]int{0, 1}, []uint64{0, 0}, []uint64{5, 5})
 			return err
 		}},
-		{"ReadAllInto", 2, 2, "commit", false, func(e *env) error {
+		{"ReadAllInto", 2, 2, "commit", false, false, func(e *env) error {
 			var dst [2]uint64
 			return e.m.ReadAllInto([]int{0, 1}, dst[:])
 		}},
-		{"Tx.RunInto", 2, 2, "commit", false, func(e *env) error { e.tx.RunInto(inc, nil); return nil }},
-		{"Tx.RunContext/cancelled", 2, 2, "abort", true, func(e *env) error {
+		{"Tx.RunInto", 2, 2, "commit", false, false, func(e *env) error { e.tx.RunInto(inc, nil); return nil }},
+		{"Tx.RunContext/cancelled", 2, 2, "abort", true, false, func(e *env) error {
 			if _, err := e.tx.RunContext(e.ctx, incF); err != context.Canceled {
 				t.Errorf("err = %v, want context.Canceled", err)
 			}
 			return nil
 		}},
-		{"Tx.TryInto", 2, 0, "abort", false, func(e *env) error {
+		{"Tx.TryInto", 2, 0, "abort", false, false, func(e *env) error {
 			if e.tx.TryInto(inc, nil) {
 				t.Error("TryInto committed against a held word")
 			}
 			return nil
 		}},
-		{"TxSet.Run", 1, 2, "commit", false, func(e *env) error {
+		{"TxSet.Run", 1, 2, "commit", false, false, func(e *env) error {
 			return e.ts.Run(func(stm.TxView) {})
 		}},
-		{"Var.Store", 1, 2, "commit", false, func(e *env) error { e.v.Store(42); return nil }},
-		{"Var.CompareAndSwap", 1, 2, "commit", false, func(e *env) error { e.v.CompareAndSwap(1, 2); return nil }},
-		{"Atomically", 1, 2, "commit", false, func(e *env) error { return e.m.Atomically(blindWrite) }},
-		{"OrElse", 1, 2, "commit", false, func(e *env) error {
+		{"Var.Store", 1, 2, "commit", false, false, func(e *env) error { e.v.Store(42); return nil }},
+		{"Var.CompareAndSwap", 1, 2, "commit", false, false, func(e *env) error { e.v.CompareAndSwap(1, 2); return nil }},
+		{"Atomically", 1, 2, "commit", false, false, func(e *env) error { return e.m.Atomically(blindWrite) }},
+		{"OrElse", 1, 2, "commit", false, false, func(e *env) error {
 			return e.m.OrElse(func(tx *stm.DTx) error { tx.Retry(); return nil }, blindWrite)
 		}},
-		{"AtomicallyContext/cancelled", 1, 2, "abort", true, func(e *env) error {
+		{"AtomicallyContext/cancelled", 1, 2, "abort", true, false, func(e *env) error {
 			if err := e.m.AtomicallyContext(e.ctx, blindWrite); err != context.Canceled {
 				t.Errorf("err = %v, want context.Canceled", err)
 			}
 			return nil
+		}},
+		{"Atomically/read-only", 2, 2, "commit", false, true, func(e *env) error {
+			return e.m.Atomically(readOnly(e))
+		}},
+		{"OrElse/read-only", 2, 2, "commit", false, true, func(e *env) error {
+			return e.m.OrElse(func(tx *stm.DTx) error { tx.Retry(); return nil }, readOnly(e))
 		}},
 	}
 	for _, eng := range stm.Engines() {
@@ -593,22 +644,28 @@ func TestPolicyProtocolEveryEntryPoint(t *testing.T) {
 				// word 0; each OnConflict swaps in the next one, so the
 				// operation is deferred exactly tc.conflicts times. An
 				// operation that ends aborted makes one more failed attempt
-				// than it has deferrals, and needs one more holder.
+				// than it has deferrals, and needs one more holder. A
+				// read-only operation brings its own failures (e.stales).
 				rounds := tc.conflicts
 				if tc.end == "abort" {
 					rounds++
 				}
-				s := stallWord0(t, m, rounds)
+				e.stales = rounds
+				next, finish := func() {}, func() {}
+				if !tc.stale {
+					s := stallWord0(t, m, rounds)
+					next, finish = s.next, s.finish
+				}
 				pol.onConflict = func(n int) {
 					if tc.cancel && n == tc.conflicts {
 						cancel()
 					}
-					s.next()
+					next()
 				}
 				if err := tc.run(e); err != nil {
 					t.Fatal(err)
 				}
-				s.finish()
+				finish()
 				m.SetChaos(nil)
 
 				pol.mu.Lock()

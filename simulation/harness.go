@@ -34,6 +34,7 @@ type Config struct {
 	Policy   string        // contention policy selector; see Policies
 	Seed     uint64        // base seed; every random decision derives from it
 	Duration time.Duration // wall-clock run time (violations end runs early)
+	Ops      uint64        // if non-zero, the run also ends once this many operations completed
 	Workers  int           // worker-goroutine budget; scenarios split it
 	Faults   bool          // arm the Parker, storms, churn, and conn kills
 	Publish  bool          // stmobs.Publish attached Memories as "stmsim" (for -admin)
@@ -194,7 +195,11 @@ func (e *Env) Flight() *stmobs.FlightRecorder { return e.flight }
 
 // Op records one completed scenario operation (a transfer, a match, a
 // token moved, one network round trip).
-func (e *Env) Op() { e.ops.Add(1) }
+func (e *Env) Op() {
+	if e.ops.Add(1) == e.cfg.Ops {
+		e.cancel()
+	}
+}
 
 // Checked records one completed invariant check.
 func (e *Env) Checked() { e.checks.Add(1) }
@@ -276,6 +281,7 @@ func (e *Env) sumStats() stm.StatsSnapshot {
 		out.SnapshotExtensions += s.SnapshotExtensions
 		out.SnapshotRechecked += s.SnapshotRechecked
 		out.SnapshotStale += s.SnapshotStale
+		out.ReadOnlyCommits += s.ReadOnlyCommits
 	}
 	return out
 }

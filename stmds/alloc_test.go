@@ -136,9 +136,9 @@ func TestAllocsTxForms(t *testing.T) {
 
 // TestAllocsTL2Map pins the structure hot path on the TL2 engine: map
 // put/get on a settled table must be allocation-free there too, so engine
-// choice never costs a structure its zero-allocation contract. Get rides
-// TL2's read-only commit (no clock step, no lock), Put its short locking
-// commit; both must stay off the heap with telemetry on.
+// choice never costs a structure its zero-allocation contract. Get makes no
+// engine attempt on either engine (it wrote nothing), Put rides TL2's short
+// locking commit; both must stay off the heap with telemetry on.
 func TestAllocsTL2Map(t *testing.T) {
 	m, err := stm.New(1<<14, stm.WithEngine(stm.TL2))
 	if err != nil {

@@ -140,7 +140,11 @@ func NewMap[K comparable, V any](m *stm.Memory, kc stm.Codec[K], vc stm.Codec[V]
 // Memory returns the Memory the map lives in.
 func (mp *Map[K, V]) Memory() *stm.Memory { return mp.m }
 
-// Get returns the value stored under k.
+// Get returns the value stored under k. It is a read-only transaction: it
+// reads the table geometry and k's probe sequence and is committed there —
+// no engine attempt, no word owned — so on either engine concurrent Gets
+// never conflict with one another, and a Get waits for (ST: helps) a writer
+// only while that writer is installing into a word the Get reads.
 func (mp *Map[K, V]) Get(k K) (V, bool) {
 	op := mp.getOp()
 	defer mp.putOp(op)

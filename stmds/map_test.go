@@ -64,6 +64,40 @@ func TestMapBasic(t *testing.T) {
 	}
 }
 
+func TestMapGetMakesNoAttempt(t *testing.T) {
+	// The cost of a Get as a count: on a quiescent map — no migration to
+	// help along — it reads its probe sequence and is done. No engine
+	// attempt, no ownership, no help, on either engine; hit or miss.
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		const gets = 1000
+		m := mustMemEngine(t, 1<<14, eng)
+		mp := mustMap(t, m, 256)
+		for i := int64(0); i < 128; i++ {
+			if _, _, err := mp.Put(i, i*3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := m.Stats()
+		for i := int64(0); i < gets; i++ {
+			k := i % 256 // the upper half misses
+			if v, ok := mp.Get(k); ok != (k < 128) || (ok && v != k*3) {
+				t.Fatalf("Get(%d) = (%d, %v)", k, v, ok)
+			}
+		}
+		after := m.Stats()
+		if d := after.Attempts - before.Attempts; d != 0 {
+			t.Errorf("%d Gets made %d engine attempts, want 0", gets, d)
+		}
+		if d := after.ReadOnlyCommits - before.ReadOnlyCommits; d != gets {
+			t.Errorf("%d Gets counted %d read-only commits", gets, d)
+		}
+		if after.Helps != before.Helps || after.SnapshotExtensions != before.SnapshotExtensions {
+			t.Errorf("quiescent Gets helped %d times and extended %d snapshots, want 0 0",
+				after.Helps-before.Helps, after.SnapshotExtensions-before.SnapshotExtensions)
+		}
+	})
+}
+
 func TestMapGrowth(t *testing.T) {
 	// Start tiny and insert far past the initial table so multiple
 	// incremental resizes run; every key must survive them.

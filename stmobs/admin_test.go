@@ -161,7 +161,7 @@ func TestStatsMapTL2Keys(t *testing.T) {
 		"engine", "obs_level", "attempts", "commits", "failures", "helps",
 		"aborts_tl2_read", "aborts_tl2_lock", "aborts_tl2_validate",
 		"tl2_read_only_commits", "tl2_clock_races", "tl2_clock_adoptions",
-		"snapshot_extensions", "snapshot_rechecked", "snapshot_stale",
+		"snapshot_extensions", "snapshot_rechecked", "snapshot_stale", "read_only_commits",
 		"hist_commit_ticks", "hist_read_set", "tick_nanos",
 	} {
 		if _, ok := sm[key]; !ok {

@@ -11,9 +11,10 @@ import (
 
 // StatsMap flattens a Memory's stats snapshot into an expvar/JSON-friendly
 // map: scalar counters, the abort taxonomy for the Memory's engine, the
-// dynamic layer's snapshot-extension counters, and — when histogram-level
-// observability is enabled — the four histograms as bin-count arrays. Every
-// call takes a fresh snapshot (torn-window caveats per stm.StatsSnapshot).
+// dynamic layer's snapshot-extension and read-only-commit counters, and —
+// when histogram-level observability is enabled — the four histograms as
+// bin-count arrays. Every call takes a fresh snapshot (torn-window caveats
+// per stm.StatsSnapshot).
 func StatsMap(m *stm.Memory) map[string]any {
 	s := m.Stats()
 	out := map[string]any{
@@ -39,6 +40,7 @@ func StatsMap(m *stm.Memory) map[string]any {
 	out["snapshot_extensions"] = s.SnapshotExtensions
 	out["snapshot_rechecked"] = s.SnapshotRechecked
 	out["snapshot_stale"] = s.SnapshotStale
+	out["read_only_commits"] = s.ReadOnlyCommits
 	hist := func(key string, h stm.HistogramSnapshot) {
 		if h.Total() == 0 {
 			return

@@ -23,6 +23,9 @@ import (
 //	                                 slow path: read-set re-checks forced by
 //	                                 a moved commit epoch, their size, and
 //	                                 how many unwound the execution
+//	stm_read_only_commits_total      {memory, engine} — dynamic transactions
+//	                                 that wrote nothing and so committed with
+//	                                 no engine attempt (not in stm_commits_total)
 //	stm_obs_level                    {memory, engine} gauge (0=off..3=trace)
 //	stm_tick_seconds                 gauge: nominal seconds per coarse tick
 //	stm_commit_ticks / stm_abort_ticks / stm_read_set_words /
@@ -67,6 +70,7 @@ func WriteProm(w io.Writer, name string, m *stm.Memory) {
 	counter("stm_snapshot_extensions_total", s.SnapshotExtensions)
 	counter("stm_snapshot_rechecked_words_total", s.SnapshotRechecked)
 	counter("stm_snapshot_stale_total", s.SnapshotStale)
+	counter("stm_read_only_commits_total", s.ReadOnlyCommits)
 
 	fmt.Fprintf(w, "# TYPE stm_obs_level gauge\nstm_obs_level{%s} %d\n",
 		labels, uint32(m.ObsLevel()))

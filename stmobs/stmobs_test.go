@@ -174,20 +174,27 @@ func TestSnapshotExtensionsExported(t *testing.T) {
 		if sm["snapshot_extensions"] != uint64(1) || sm["snapshot_rechecked"] != uint64(2) || sm["snapshot_stale"] != uint64(0) {
 			t.Errorf("%v: StatsMap extensions=%v rechecked=%v stale=%v, want 1 2 0", eng, sm["snapshot_extensions"], sm["snapshot_rechecked"], sm["snapshot_stale"])
 		}
+		// The transaction wrote nothing: it is the one read-only commit, and
+		// the foreign Add the one engine commit.
+		if sm["read_only_commits"] != uint64(1) || sm["commits"] != uint64(1) {
+			t.Errorf("%v: StatsMap read_only_commits=%v commits=%v, want 1 1", eng, sm["read_only_commits"], sm["commits"])
+		}
 		var prom strings.Builder
 		stmobs.WriteProm(&prom, "mem", m)
 		for _, want := range []string{
 			fmt.Sprintf("stm_snapshot_extensions_total{memory=\"mem\",engine=%q} 1\n", eng.String()),
 			fmt.Sprintf("stm_snapshot_rechecked_words_total{memory=\"mem\",engine=%q} 2\n", eng.String()),
 			fmt.Sprintf("stm_snapshot_stale_total{memory=\"mem\",engine=%q} 0\n", eng.String()),
+			fmt.Sprintf("stm_read_only_commits_total{memory=\"mem\",engine=%q} 1\n", eng.String()),
 		} {
 			if !strings.Contains(prom.String(), want) {
 				t.Errorf("%v: WriteProm missing %q", eng, want)
 			}
 		}
 		m.ResetStats()
-		if sm := stmobs.StatsMap(m); sm["snapshot_extensions"] != uint64(0) || sm["snapshot_rechecked"] != uint64(0) {
-			t.Errorf("%v: after ResetStats extensions=%v rechecked=%v", eng, sm["snapshot_extensions"], sm["snapshot_rechecked"])
+		if sm := stmobs.StatsMap(m); sm["snapshot_extensions"] != uint64(0) || sm["snapshot_rechecked"] != uint64(0) || sm["read_only_commits"] != uint64(0) {
+			t.Errorf("%v: after ResetStats extensions=%v rechecked=%v read_only_commits=%v",
+				eng, sm["snapshot_extensions"], sm["snapshot_rechecked"], sm["read_only_commits"])
 		}
 	}
 }

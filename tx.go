@@ -98,7 +98,7 @@ func (tx *Tx) TryInto(f UpdateInto, old []uint64) bool {
 		tx.m.abortFailed(nil, st.first(), st.size(), &info)
 		return false
 	}
-	tx.m.commitConflict(nil, &st)
+	tx.m.commitConflict(nil, st.first(), st.size())
 	return true
 }
 
