@@ -7,6 +7,7 @@ package stm_test
 // fast path allocate again, these fail before any benchmark has to notice.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -52,37 +53,77 @@ func TestAllocsPreparedRunInto(t *testing.T) {
 	// Permuted declaration order exercises the caller-order remap path.
 	txp := mustPrepare(t, m, []int{6, 1, 4})
 	assertAllocs(t, "RunInto/3-permuted", 0, func() { txp.RunInto(rot, old3[:]) })
+
+	tx8 := mustPrepare(t, m, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	var old8 [8]uint64
+	inc8 := func(o, n []uint64) {
+		for i := range n {
+			n[i] = o[i] + 1
+		}
+	}
+	assertAllocs(t, "RunInto/8", 0, func() { tx8.RunInto(inc8, old8[:]) })
 }
 
 func TestAllocsSingleWordOps(t *testing.T) {
-	m := mustNew(t, 8)
-	assertAllocs(t, "Add", 0, func() {
-		if _, err := m.Add(2, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	assertAllocs(t, "Swap", 0, func() {
-		if _, err := m.Swap(2, 7); err != nil {
-			t.Fatal(err)
-		}
-	})
-	assertAllocs(t, "CompareAndSwap", 0, func() {
-		v := m.Peek(5)
-		if _, err := m.CompareAndSwap(5, v, v+1); err != nil {
-			t.Fatal(err)
-		}
-	})
+	for _, eng := range stm.Engines() {
+		m := mustNewEngine(t, 8, eng)
+		assertAllocs(t, eng.String()+"/Add", 0, func() {
+			if _, err := m.Add(2, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		assertAllocs(t, eng.String()+"/Swap", 0, func() {
+			if _, err := m.Swap(2, 7); err != nil {
+				t.Fatal(err)
+			}
+		})
+		assertAllocs(t, eng.String()+"/CompareAndSwap", 0, func() {
+			v := m.Peek(5)
+			if _, err := m.CompareAndSwap(5, v, v+1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 func TestAllocsReadAllInto(t *testing.T) {
-	m := mustNew(t, 16)
-	addrs := []int{1, 4, 9, 12}
-	dst := make([]uint64, len(addrs))
-	assertAllocs(t, "ReadAllInto", 0, func() {
-		if err := m.ReadAllInto(addrs, dst); err != nil {
-			t.Fatal(err)
+	for _, eng := range stm.Engines() {
+		m := mustNewEngine(t, 16, eng)
+		addrs := []int{1, 3, 4, 6, 9, 11, 12, 15}
+		dst := make([]uint64, len(addrs))
+		assertAllocs(t, eng.String()+"/ReadAllInto", 0, func() {
+			if err := m.ReadAllInto(addrs, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestAllocsSnapshotReturningOps pins the operations whose API returns a
+// fresh slice: that slice is their one allocation, and nothing else may
+// join it.
+func TestAllocsSnapshotReturningOps(t *testing.T) {
+	for _, eng := range stm.Engines() {
+		m := mustNewEngine(t, 8, eng)
+		addrs := []int{0, 1, 2, 3, 4, 5, 6, 7}
+		for _, k := range []int{1, 8} {
+			exp, next := make([]uint64, k), make([]uint64, k)
+			assertAllocs(t, fmt.Sprintf("%v/CompareAndSwapN/%d", eng, k), 1, func() {
+				for i, a := range addrs[:k] {
+					exp[i] = m.Peek(a)
+					next[i] = exp[i] + 1
+				}
+				if ok, _, err := m.CompareAndSwapN(addrs[:k], exp, next); err != nil || !ok {
+					t.Fatalf("uncontended CompareAndSwapN: ok=%v err=%v", ok, err)
+				}
+			})
 		}
-	})
+		assertAllocs(t, eng.String()+"/ReadAll", 1, func() {
+			if _, err := m.ReadAll(addrs...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 func TestAllocsDefaultPolicyWithTelemetry(t *testing.T) {
@@ -229,6 +270,194 @@ func TestAllocsAtomicallyDynamic(t *testing.T) {
 				tc.name, after.Attempts-before.Attempts, after.ReadOnlyCommits-before.ReadOnlyCommits)
 		}
 		_ = sum
+
+		// Pointer chasing, what only the dynamic API can express: the
+		// footprint depends on the data met, up to 129 words per operation.
+		const listKeys = 64
+		l := newWordList(t, tc.opts, listKeys+1, listKeys)
+		n := 0
+		assertAllocs(t, tc.name+"/list contains", 0, func() {
+			n++
+			if got, want := l.contains(t, uint64(2*(n%listKeys)+n%2)), n%2 == 1; got != want {
+				t.Fatalf("contains = %v, want %v", got, want)
+			}
+		})
+		assertAllocs(t, tc.name+"/list insert+remove", 0, func() {
+			n++
+			k := uint64(2 * (n%listKeys + 1))
+			if !l.insert(t, k) || !l.remove(t, k) {
+				t.Fatalf("churn of key %d failed", k)
+			}
+		})
+
+		// A different pair of words every operation: the footprint-cache
+		// miss path (discover, sort, commit). Each operation moves one entry
+		// of a 64-slot table to the other under p(i) = (7i+3) mod 64.
+		const slots = 64
+		hm, err := stm.New(2*slots, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < slots; i++ {
+			if _, err := hm.Swap(i, uint64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		op := 0
+		assertAllocs(t, tc.name+"/hash migrate", 0, func() {
+			i := op % slots
+			src, dst := i, slots+(7*i+3)%slots
+			if (op/slots)%2 == 1 {
+				src, dst = slots+i, (7*i+3)%slots
+			}
+			op++
+			if err := hm.Atomically(func(tx *stm.DTx) error {
+				v := tx.Read(src)
+				if v == 0 {
+					return fmt.Errorf("empty source slot %d", src)
+				}
+				tx.Write(dst, v)
+				tx.Write(src, 0)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// wordList is a sorted linked-list set of keys in raw words: word 0 is the
+// head, a node at base holds [key, next-base], 0 is nil. Node slots come
+// from a free list kept outside the transactions, so a re-execution never
+// takes a second slot.
+type wordList struct {
+	m    *stm.Memory
+	free []int
+}
+
+// newWordList returns a list of room for nodes keys, holding the odd keys
+// 1, 3, …, 2·keys−1.
+func newWordList(t *testing.T, opts []stm.Option, nodes, keys int) *wordList {
+	t.Helper()
+	m, err := stm.New(1+2*nodes, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &wordList{m: m}
+	for i := nodes - 1; i >= 0; i-- {
+		l.free = append(l.free, 1+2*i)
+	}
+	for i := 0; i < keys; i++ {
+		l.insert(t, uint64(2*i+1))
+	}
+	return l
+}
+
+// seek walks to the first node whose key is ≥ k: link is the word pointing
+// at it (0, the head, for the first node), pos its base (0 past the end),
+// and found whether its key is k.
+func seek(tx *stm.DTx, k uint64) (link, pos int, found bool) {
+	for pos = int(tx.Read(0)); pos != 0; pos = int(tx.Read(link)) {
+		if key := tx.Read(pos); key >= k {
+			return link, pos, key == k
+		}
+		link = pos + 1
+	}
+	return link, 0, false
+}
+
+func (l *wordList) contains(t *testing.T, k uint64) (found bool) {
+	if err := l.m.Atomically(func(tx *stm.DTx) error {
+		_, _, found = seek(tx, k)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return found
+}
+
+func (l *wordList) insert(t *testing.T, k uint64) (inserted bool) {
+	cand := l.free[len(l.free)-1]
+	if err := l.m.Atomically(func(tx *stm.DTx) error {
+		link, pos, found := seek(tx, k)
+		if inserted = !found; inserted {
+			tx.Write(cand, k)
+			tx.Write(cand+1, uint64(pos))
+			tx.Write(link, uint64(cand))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if inserted {
+		l.free = l.free[:len(l.free)-1]
+	}
+	return inserted
+}
+
+func (l *wordList) remove(t *testing.T, k uint64) bool {
+	removed := 0 // the node the committed execution unlinked
+	if err := l.m.Atomically(func(tx *stm.DTx) error {
+		link, pos, found := seek(tx, k)
+		if removed = 0; found {
+			tx.Write(link, tx.Read(pos+1))
+			removed = pos
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if removed != 0 {
+		l.free = append(l.free, removed)
+	}
+	return removed != 0
+}
+
+// TestDynListSemantics checks the set semantics of the pointer-chasing list
+// the dynamic alloc pins drive: duplicate inserts and repeated removes
+// report false, a freed node is reused, and the keys stay sorted.
+func TestDynListSemantics(t *testing.T) {
+	for _, eng := range stm.Engines() {
+		l := newWordList(t, []stm.Option{stm.WithEngine(eng)}, 8, 0)
+		for _, k := range []uint64{5, 1, 9, 3} {
+			if !l.insert(t, k) {
+				t.Fatalf("%v: insert(%d) = false", eng, k)
+			}
+		}
+		if l.insert(t, 5) {
+			t.Fatalf("%v: duplicate insert(5) = true, want false", eng)
+		}
+		for _, tc := range []struct {
+			k    uint64
+			want bool
+		}{{1, true}, {2, false}, {3, true}, {5, true}, {9, true}, {10, false}} {
+			if got := l.contains(t, tc.k); got != tc.want {
+				t.Errorf("%v: contains(%d) = %v, want %v", eng, tc.k, got, tc.want)
+			}
+		}
+		if !l.remove(t, 3) {
+			t.Fatalf("%v: remove(3) = false", eng)
+		}
+		if l.remove(t, 3) {
+			t.Fatalf("%v: second remove(3) = true, want false", eng)
+		}
+		if l.contains(t, 3) {
+			t.Errorf("%v: contains(3) after remove, want false", eng)
+		}
+		// The freed node is reusable: these five inserts fill all eight.
+		for _, k := range []uint64{7, 11, 13, 15, 17} {
+			if !l.insert(t, k) {
+				t.Fatalf("%v: insert(%d) into the last free nodes = false", eng, k)
+			}
+		}
+		// Keys stay sorted: walk the raw words.
+		var keys []uint64
+		for pos := l.m.Peek(0); pos != 0; pos = l.m.Peek(int(pos) + 1) {
+			keys = append(keys, l.m.Peek(int(pos)))
+		}
+		if got, want := fmt.Sprint(keys), fmt.Sprint([]uint64{1, 5, 7, 9, 11, 13, 15, 17}); got != want {
+			t.Fatalf("%v: list keys = %v, want %v", eng, got, want)
+		}
 	}
 }
 
@@ -246,6 +475,52 @@ func TestAllocsVarLoadStore(t *testing.T) {
 	assertAllocs(t, "Var.Store", 0, func() { v.Store(7) })
 	assertAllocs(t, "Var.Load/struct", 0, func() { _ = p.Load() })
 	assertAllocs(t, "Var.Store/struct", 0, func() { p.Store(benchPoint{1, 2}) })
+}
+
+// TestAllocsTypedConvenienceForms pins what the one-call typed forms cost
+// per call, so their closure and builder overhead stays visible instead of
+// creeping: Var.Update's closure, Atomic2's one-shot TxSet, and a TxSet
+// whose String codec decodes into a fresh string.
+func TestAllocsTypedConvenienceForms(t *testing.T) {
+	for _, eng := range stm.Engines() {
+		m := mustNewEngine(t, 16, eng)
+		v, err := stm.Alloc(m, stm.Int64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertAllocs(t, eng.String()+"/Var.Update", 1, func() {
+			v.Update(func(x int64) int64 { return x + 1 })
+		})
+		c, err := stm.Alloc(m, stm.Int64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertAllocs(t, eng.String()+"/Atomic2", 12, func() {
+			if err := stm.Atomic2(v, c, func(x, y int64) (int64, int64) { return x + 1, y - 1 }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		name, err := stm.Alloc(m, stm.String(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		name.Store("service-a")
+		ts := stm.NewTxSet(m)
+		sn := stm.AddVar(ts, name)
+		sg := stm.AddVar(ts, c)
+		if err := ts.Compile(); err != nil {
+			t.Fatal(err)
+		}
+		rmw := func(tv stm.TxView) {
+			sn.Set(tv, sn.Get(tv))
+			sg.Set(tv, sg.Get(tv)+1)
+		}
+		assertAllocs(t, eng.String()+"/TxSetRun/String(16)", 2, func() {
+			if err := ts.Run(rmw); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 func TestAllocsVarCompareAndSwap(t *testing.T) {

@@ -264,9 +264,8 @@ func BenchmarkHostCASN(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Uncontended hot-path benchmarks: single-goroutine latency of the pooled
-// fast paths, the numbers tracked in BENCH_hotpath.json (cmd/stmbench -json).
-// The loop bodies mirror cmd/stmbench/hotpath.go — keep the two in lockstep
-// so the JSON trajectory stays comparable to local `go test -bench` runs.
+// fast paths, for local profiling. Their allocation counts are asserted in
+// alloc_test.go; end-to-end speed is the benchmark of record's.
 
 // BenchmarkUncontendedRun measures the legacy prepared single-word Run.
 func BenchmarkUncontendedRun(b *testing.B) {
@@ -340,8 +339,7 @@ func BenchmarkUncontendedRunIntoK(b *testing.B) {
 }
 
 // BenchmarkDynAtomically measures the dynamic path on a stable two-var
-// footprint — the local mirror of the DYN suite's DynCounterRMW2 headline
-// (keep the loop bodies in lockstep with cmd/stmbench/dynamic.go).
+// footprint.
 func BenchmarkDynAtomically(b *testing.B) {
 	m, err := stm.New(16)
 	if err != nil {

@@ -1,47 +1,38 @@
 // Command stmbench reproduces the evaluation of Shavit & Touitou's
 // "Software Transactional Memory" (PODC 1995) on the repository's simulated
-// multiprocessor: every figure and table listed in DESIGN.md §5.
+// multiprocessor: every figure and table listed in DESIGN.md §5, and any
+// single scenario of the workloads behind them.
 //
 // Usage:
 //
 //	stmbench -exp all            # run everything (full sweep, slow)
 //	stmbench -exp F1 -quick      # one experiment, reduced sweep
 //	stmbench -exp F3 -csv out/   # also write out/F3.csv
-//	stmbench -json BENCH_hotpath.json   # host hot-path suite, JSON out
-//	stmbench -suite cont -json BENCH_contention.json  # policy sweep
-//	stmbench -suite vars -json BENCH_vars.json        # typed Var/TxSet suite
-//	stmbench -suite dyn -json BENCH_dynamic.json      # dynamic Atomically suite
-//	stmbench -suite ds -json BENCH_ds.json            # data-structures Synchrobench sweep
-//	stmbench -suite engines -json BENCH_engines.json  # ST vs TL2 head-to-head sweep
-//	stmbench -suite obs -json BENCH_obs.json          # observability-seam overhead suite
-//	stmbench -suite serve -json BENCH_serve.json      # stmserve network-server suite
-//	stmbench -engine tl2 -suite hot                   # any host suite on the TL2 engine
-//	stmbench -suite hot -baseline BENCH_hotpath.json  # regression gate vs committed numbers
+//	stmbench -exp run -kind counting -method stm -arch bus -procs 16
+//	stmbench -exp run -kind queue -method herlihy -arch net -procs 8 -stall 2
 //
 // Experiments: T0 protocol footprint (ideal machine), F1/F2 counting
 // benchmark (bus/net), F3/F4 queue benchmark (bus/net), T1 STM overhead
 // breakdown, F5 preemption (non-blocking advantage), F6 design-choice
-// ablation, F7 transaction-size sweep, HOT host hot-path latency and
-// allocation microbenchmarks (the numbers tracked in BENCH_hotpath.json;
-// see DESIGN.md §6), CONT host contention-policy sweep (the numbers
-// tracked in BENCH_contention.json; see DESIGN.md §7), VARS host typed
-// Var/TxSet suite (the numbers tracked in BENCH_vars.json; see
-// DESIGN.md §8), DS host data-structures suite with the Synchrobench
-// workload grid (the numbers tracked in BENCH_ds.json; see DESIGN.md
-// §10).
+// ablation, F7 transaction-size sweep. -exp run is one scenario reported in
+// detail, the exploration and debugging companion to the figures.
+//
+// -duration is always virtual cycles. The host library is measured by the
+// benchmark of record (go run ./benchmark), not here.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"slices"
+	"sort"
 	"strconv"
 	"strings"
 
-	stm "github.com/stm-go/stm"
 	"github.com/stm-go/stm/internal/bench"
+	"github.com/stm-go/stm/internal/sim"
 	"github.com/stm-go/stm/internal/workload"
 )
 
@@ -52,32 +43,30 @@ func main() {
 	}
 }
 
-func run(args []string, out *os.File) error {
+func run(args []string, out io.Writer) error {
+	def := bench.DefaultOptions(false)
 	fs := flag.NewFlagSet("stmbench", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment id (F1..F6, T1, all)")
+		exp      = fs.String("exp", "all", "experiment id (T0, F1..F7, T1, all), or run for one scenario")
 		quick    = fs.Bool("quick", false, "reduced sweep for a fast look")
 		duration = fs.Int64("duration", 0, "override virtual cycles per point")
-		procs    = fs.String("procs", "", "override processor sweep, e.g. 1,2,4,8")
+		procs    = fs.String("procs", "", "override processor sweep, e.g. 1,2,4,8 (-exp run: one count, default 8)")
 		seed     = fs.Uint64("seed", 0, "override random seed")
 		csvDir   = fs.String("csv", "", "directory to write per-experiment CSV files")
-		jsonOut  = fs.String("json", "", "write the host suite's JSON report (HOT by default; CONT/VARS/DYN with -suite) to this path")
-		suite    = fs.String("suite", "", `host suite to run ("hot", "cont", "vars", "dyn", "ds", "engines", "obs", or "serve"); overrides -exp`)
-		engine   = fs.String("engine", "st", `commit engine for the host suites ("st", "tl2"); the simulator experiments always model the paper's protocol`)
-		baseline = fs.String("baseline", "", "committed BENCH_*.json to gate the host suite against (allocs strict; see -maxslow)")
-		maxSlow  = fs.Float64("maxslow", 0, "with -baseline, also fail benchmarks slower than this ratio of the baseline ns/op (0 = report only)")
+		queueCap = fs.Int("queuecap", def.QueueCap, "queue capacity (queue workload)")
+		pools    = fs.Int("pools", def.Pools, "resource pools (resalloc workload)")
+		k        = fs.Int("k", def.K, "resources per acquisition (resalloc workload)")
+		kind     = fs.String("kind", "counting", "-exp run workload: counting, queue, resalloc")
+		method   = fs.String("method", "stm", "-exp run method: stm, stm-nohelp, stm-unsorted, herlihy, ttas, mcs")
+		arch     = fs.String("arch", "bus", "-exp run architecture: bus, bus-wb, net, ideal")
+		stall    = fs.Int("stall", 0, "-exp run: periodically stall this many processors (preemption model)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	eng, err := stm.ParseEngine(*engine)
-	if err != nil {
-		return err
-	}
-	benchEngine = eng
-
 	opt := bench.DefaultOptions(*quick)
+	opt.QueueCap, opt.Pools, opt.K = *queueCap, *pools, *k
 	if *duration > 0 {
 		opt.Duration = *duration
 	}
@@ -92,174 +81,36 @@ func run(args []string, out *os.File) error {
 		opt.Procs = list
 	}
 
+	if strings.ToLower(*exp) == "run" {
+		p := 8
+		if *procs != "" {
+			if len(opt.Procs) != 1 {
+				return fmt.Errorf("-exp run takes one processor count, got %q", *procs)
+			}
+			p = opt.Procs[0]
+		}
+		spec := workload.Spec{
+			Kind:     workload.Kind(*kind),
+			Method:   workload.Method(*method),
+			Arch:     workload.Arch(*arch),
+			Procs:    p,
+			Duration: opt.Duration,
+			Seed:     opt.Seed,
+			QueueCap: opt.QueueCap,
+			Pools:    opt.Pools,
+			K:        opt.K,
+		}
+		if *stall > 0 {
+			spec.Stall = &sim.StallPlan{Procs: *stall, Period: 10, Duration: spec.Duration / 20}
+		}
+		return runScenario(spec, out)
+	}
+
 	ids := []string{"T0", "F1", "F2", "F3", "F4", "T1", "F5", "F6", "F7"}
-	switch {
-	case *suite != "":
-		switch strings.ToLower(*suite) {
-		case "hot":
-			ids = []string{"HOT"}
-		case "cont":
-			ids = []string{"CONT"}
-		case "vars":
-			ids = []string{"VARS"}
-		case "dyn":
-			ids = []string{"DYN"}
-		case "ds":
-			ids = []string{"DS"}
-		case "engines", "eng":
-			ids = []string{"ENG"}
-		case "obs":
-			ids = []string{"OBS"}
-		case "serve":
-			ids = []string{"SERVE"}
-		default:
-			return fmt.Errorf("unknown suite %q (want hot, cont, vars, dyn, ds, engines, obs, or serve)", *suite)
-		}
-	case *exp != "all":
+	if *exp != "all" {
 		ids = []string{strings.ToUpper(*exp)}
-	case *jsonOut != "":
-		// -json alone means "measure the hot path": don't drag the full
-		// simulator sweep along unless an experiment was asked for.
-		ids = nil
 	}
-	if *jsonOut != "" && !slices.Contains(ids, "HOT") && !slices.Contains(ids, "CONT") && !slices.Contains(ids, "VARS") && !slices.Contains(ids, "DYN") && !slices.Contains(ids, "DS") && !slices.Contains(ids, "ENG") && !slices.Contains(ids, "OBS") && !slices.Contains(ids, "SERVE") {
-		// -json always delivers its file, whatever experiments run with it.
-		ids = append(ids, "HOT")
-	}
-	if *baseline != "" && !slices.Contains(ids, "HOT") && !slices.Contains(ids, "VARS") && !slices.Contains(ids, "DYN") && !slices.Contains(ids, "DS") && !slices.Contains(ids, "ENG") && !slices.Contains(ids, "OBS") && !slices.Contains(ids, "SERVE") {
-		// Never let a regression gate silently not run: the flag only
-		// means something for the host suites with per-benchmark results.
-		return fmt.Errorf("-baseline requires a host suite with per-benchmark results (-suite hot, vars, dyn, ds, engines, obs, or serve)")
-	}
-
-	// deliver writes a host suite's JSON report (when -json asked for it)
-	// and runs the -baseline regression gate over it.
-	deliver := func(data []byte) error {
-		if *jsonOut != "" {
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n\n", *jsonOut)
-		}
-		if *baseline != "" {
-			table, err := compareBaseline(data, *baseline, *maxSlow)
-			if table != "" {
-				fmt.Fprintln(out, table)
-			}
-			return err
-		}
-		return nil
-	}
-
 	for _, id := range ids {
-		if id == "CONT" {
-			report, table, err := runContention(*quick)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, table)
-			if *jsonOut != "" {
-				data, err := contentionJSON(report)
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "wrote %s\n\n", *jsonOut)
-			}
-			continue
-		}
-		if id == "VARS" {
-			report, table := runVars(*quick)
-			fmt.Fprintln(out, table)
-			data, err := varsJSON(report)
-			if err != nil {
-				return err
-			}
-			if err := deliver(data); err != nil {
-				return err
-			}
-			continue
-		}
-		if id == "DYN" {
-			report, table := runDyn(*quick)
-			fmt.Fprintln(out, table)
-			data, err := dynJSON(report)
-			if err != nil {
-				return err
-			}
-			if err := deliver(data); err != nil {
-				return err
-			}
-			continue
-		}
-		if id == "DS" {
-			report, table, err := runDs(*quick)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, table)
-			data, err := dsJSON(report)
-			if err != nil {
-				return err
-			}
-			if err := deliver(data); err != nil {
-				return err
-			}
-			continue
-		}
-		if id == "ENG" {
-			report, table := runEngines(*quick)
-			fmt.Fprintln(out, table)
-			data, err := enginesJSON(report)
-			if err != nil {
-				return err
-			}
-			if err := deliver(data); err != nil {
-				return err
-			}
-			continue
-		}
-		if id == "SERVE" {
-			report, table, err := runServe(*quick)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, table)
-			data, err := serveJSON(report)
-			if err != nil {
-				return err
-			}
-			if err := deliver(data); err != nil {
-				return err
-			}
-			continue
-		}
-		if id == "OBS" {
-			report, table := runObs(*quick)
-			fmt.Fprintln(out, table)
-			data, err := obsJSON(report)
-			if err != nil {
-				return err
-			}
-			if err := deliver(data); err != nil {
-				return err
-			}
-			continue
-		}
-		if id == "HOT" {
-			report, table := runHotpath()
-			fmt.Fprintln(out, table)
-			data, err := hotpathJSON(report)
-			if err != nil {
-				return err
-			}
-			if err := deliver(data); err != nil {
-				return err
-			}
-			continue
-		}
 		table, csv, err := runExperiment(id, opt)
 		if err != nil {
 			return err
@@ -310,8 +161,38 @@ func runExperiment(id string, opt bench.Options) (table, csv string, err error) 
 		d, err := bench.StepCounts(opt)
 		return d.Table(), d.CSV(), err
 	default:
-		return "", "", fmt.Errorf("unknown experiment %q (want T0, F1..F7, T1, HOT, CONT, all)", id)
+		return "", "", fmt.Errorf("unknown experiment %q (want T0, F1..F7, T1, all, or run)", id)
 	}
+}
+
+// runScenario runs one workload spec and reports it in detail: throughput,
+// latency, and the method's own counters.
+func runScenario(spec workload.Spec, out io.Writer) error {
+	res, err := workload.Run(spec)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "workload    %s / %s / %s, %d processors, %d cycles (seed %d)\n",
+		spec.Kind, spec.Method, spec.Arch, spec.Procs, spec.Duration, spec.Seed)
+	if spec.Stall != nil {
+		fmt.Fprintf(out, "stall plan  %d processors, every %d ops for %d cycles\n",
+			spec.Stall.Procs, spec.Stall.Period, spec.Stall.Duration)
+	}
+	fmt.Fprintf(out, "operations  %d\n", res.Ops)
+	fmt.Fprintf(out, "throughput  %.1f ops / 10^6 cycles\n", res.Throughput)
+	if res.Ops > 0 {
+		fmt.Fprintf(out, "latency     %.0f processor-cycles / op\n",
+			float64(spec.Procs)*float64(spec.Duration)/float64(res.Ops))
+	}
+	keys := make([]string, 0, len(res.Extra))
+	for k := range res.Extra {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(out, "%-11s %.0f\n", k, res.Extra[k])
+	}
+	return nil
 }
 
 func parseProcs(s string) ([]int, error) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -80,11 +81,6 @@ func TestRunExperimentAllIDs(t *testing.T) {
 
 func TestRunEndToEndWithCSV(t *testing.T) {
 	dir := t.TempDir()
-	out, err := os.CreateTemp(dir, "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
 	args := []string{
 		"-exp", "F1", "-quick",
 		"-duration", "40000",
@@ -92,7 +88,7 @@ func TestRunEndToEndWithCSV(t *testing.T) {
 		"-seed", "7",
 		"-csv", filepath.Join(dir, "csv"),
 	}
-	if err := run(args, out); err != nil {
+	if err := run(args, io.Discard); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "csv", "F1.csv"))
@@ -105,15 +101,44 @@ func TestRunEndToEndWithCSV(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	if err := run([]string{"-exp", "nope"}, devnull); err == nil {
+	if err := run([]string{"-exp", "nope"}, io.Discard); err == nil {
 		t.Error("unknown experiment flag: want error")
 	}
-	if err := run([]string{"-procs", "x"}, devnull); err == nil {
+	if err := run([]string{"-procs", "x"}, io.Discard); err == nil {
 		t.Error("bad procs flag: want error")
+	}
+}
+
+func TestRunScenarios(t *testing.T) {
+	tests := [][]string{
+		{"-kind", "counting", "-method", "stm", "-arch", "bus", "-procs", "2", "-duration", "30000"},
+		{"-kind", "queue", "-method", "herlihy", "-arch", "net", "-procs", "2", "-duration", "30000", "-queuecap", "8"},
+		{"-kind", "resalloc", "-method", "mcs", "-arch", "bus", "-procs", "2", "-duration", "30000", "-pools", "8", "-k", "2"},
+		{"-kind", "counting", "-method", "ttas", "-arch", "bus", "-procs", "4", "-duration", "30000", "-stall", "1"},
+		{"-kind", "counting", "-method", "stm", "-arch", "ideal", "-procs", "2", "-duration", "30000"},
+	}
+	for _, args := range tests {
+		var out strings.Builder
+		if err := run(append([]string{"-exp", "run"}, args...), &out); err != nil {
+			t.Errorf("run(%v): %v", args, err)
+			continue
+		}
+		if !strings.Contains(out.String(), "throughput") {
+			t.Errorf("run(%v): no throughput line in\n%s", args, out.String())
+		}
+	}
+}
+
+func TestRunRejectsBadSpec(t *testing.T) {
+	for _, args := range [][]string{
+		{"-kind", "bogus"},
+		{"-method", "bogus"},
+		{"-arch", "bogus"},
+		{"-procs", "0"},
+		{"-procs", "2,4"}, // one scenario, one processor count
+	} {
+		if err := run(append([]string{"-exp", "run", "-duration", "1000"}, args...), io.Discard); err == nil {
+			t.Errorf("-exp run %v: want error", args)
+		}
 	}
 }

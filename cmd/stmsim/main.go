@@ -1,39 +1,29 @@
-// Command stmsim runs simulations at two very different scales.
-//
-// Without -suite it is the paper's cycle-level simulator — one simulated
-// benchmark scenario, reported in detail, the exploration/debugging
-// companion to stmbench:
-//
-//	stmsim -kind counting -method stm -arch bus -procs 16 -duration 500000
-//	stmsim -kind queue -method herlihy -arch net -procs 8 -stall 2
-//
-// With -suite it drives the whole-system scenario and chaos harness in
-// the simulation package: real goroutines, real structures, a real TCP
-// server, seeded fault injection, continuous invariant checks:
+// Command stmsim drives the whole-system scenario and chaos harness in the
+// simulation package: real goroutines, real structures, a real TCP server,
+// seeded fault injection, continuous invariant checks.
 //
 //	stmsim -suite smoke                  # CI tier, ~30s
 //	stmsim -suite canary -duration 10m   # long matrix run
 //	stmsim -suite sanity                 # only the planted bug; must be caught
 //	stmsim -suite smoke -seed 12345      # replay a failing run
 //
-// Suite mode can also emit machine-readable results and serve the admin
-// endpoints while running:
+// It can also emit machine-readable results and serve the admin endpoints
+// while running:
 //
 //	stmsim -suite canary -json results.jsonl   # one JSON object per run
 //	stmsim -suite canary -admin 127.0.0.1:7172 # /metrics, /debug/pprof
+//
+// -duration is always wall time. The paper's cycle-level simulator is
+// cmd/stmbench (its figures, and -exp run for one scenario).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strconv"
 	"time"
 
 	stm "github.com/stm-go/stm"
-	"github.com/stm-go/stm/internal/sim"
-	"github.com/stm-go/stm/internal/workload"
 	"github.com/stm-go/stm/simulation"
 	"github.com/stm-go/stm/stmobs"
 )
@@ -48,161 +38,65 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("stmsim", flag.ContinueOnError)
 	var (
-		suite    = fs.String("suite", "", "whole-system harness tier: smoke, canary, sanity (empty: cycle-level simulator)")
-		engine   = fs.String("engine", "", "suite mode: restrict to one commit engine (st, tl2)")
-		workers  = fs.Int("workers", 4, "suite mode: worker goroutines per scenario")
-		nofaults = fs.Bool("nofaults", false, "suite mode: disarm fault injection")
-		jsonOut  = fs.String("json", "", "suite mode: write per-run JSONL records to this file")
-		admin    = fs.String("admin", "", "suite mode: admin HTTP listen address (/metrics, /debug/vars, /debug/pprof)")
-		kind     = fs.String("kind", "counting", "workload: counting, queue, resalloc")
-		method   = fs.String("method", "stm", "method: stm, stm-nohelp, stm-unsorted, herlihy, ttas, mcs")
-		arch     = fs.String("arch", "bus", "architecture: bus, net")
-		procs    = fs.Int("procs", 8, "simulated processors")
-		duration = fs.String("duration", "", "virtual cycles (simulator, default 500000) or wall time like 10m (suite)")
-		seed     = fs.Uint64("seed", 1995, "random seed (suite: 0 or unset picks fresh / honors STM_SIM_SEED)")
-		queueCap = fs.Int("queuecap", 32, "queue capacity (queue workload)")
-		pools    = fs.Int("pools", 16, "resource pools (resalloc workload)")
-		k        = fs.Int("k", 3, "resources per acquisition (resalloc workload)")
-		stall    = fs.Int("stall", 0, "periodically stall this many processors (preemption model)")
+		suite    = fs.String("suite", "smoke", "harness tier: smoke, canary, sanity")
+		engine   = fs.String("engine", "", "restrict to one commit engine (st, tl2)")
+		workers  = fs.Int("workers", 4, "worker goroutines per scenario")
+		nofaults = fs.Bool("nofaults", false, "disarm fault injection")
+		jsonOut  = fs.String("json", "", "write per-run JSONL records to this file")
+		admin    = fs.String("admin", "", "admin HTTP listen address (/metrics, /debug/vars, /debug/pprof)")
+		duration = fs.Duration("duration", 0, "wall time, like 10m (0: the tier's default)")
+		seed     = fs.Uint64("seed", 0, "base seed to replay (unset: fresh, or STM_SIM_SEED)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	seedSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
 
-	if *suite != "" {
-		return runSuite(suiteOpts{
-			tier: *suite, engine: *engine, duration: *duration,
-			workers: *workers, seed: *seed, seedSet: seedSet,
-			nofaults: *nofaults, jsonOut: *jsonOut, admin: *admin,
-		})
-	}
-
-	cycles := int64(500_000)
-	if *duration != "" {
-		n, err := strconv.ParseInt(*duration, 10, 64)
-		if err != nil {
-			return fmt.Errorf("-duration %q: simulator mode wants virtual cycles (use -suite for wall time)", *duration)
-		}
-		cycles = n
-	}
-	spec := workload.Spec{
-		Kind:     workload.Kind(*kind),
-		Method:   workload.Method(*method),
-		Arch:     workload.Arch(*arch),
-		Procs:    *procs,
-		Duration: cycles,
-		Seed:     *seed,
-		QueueCap: *queueCap,
-		Pools:    *pools,
-		K:        *k,
-	}
-	if *stall > 0 {
-		spec.Stall = &sim.StallPlan{Procs: *stall, Period: 10, Duration: cycles / 20}
-	}
-
-	out, err := workload.Run(spec)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("workload    %s / %s / %s, %d processors, %d cycles (seed %d)\n",
-		spec.Kind, spec.Method, spec.Arch, spec.Procs, spec.Duration, spec.Seed)
-	if spec.Stall != nil {
-		fmt.Printf("stall plan  %d processors, every %d ops for %d cycles\n",
-			spec.Stall.Procs, spec.Stall.Period, spec.Stall.Duration)
-	}
-	fmt.Printf("operations  %d\n", out.Ops)
-	fmt.Printf("throughput  %.1f ops / 10^6 cycles\n", out.Throughput)
-	if out.Ops > 0 {
-		fmt.Printf("latency     %.0f processor-cycles / op\n",
-			float64(spec.Procs)*float64(spec.Duration)/float64(out.Ops))
-	}
-
-	keys := make([]string, 0, len(out.Extra))
-	for k := range out.Extra {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("%-11s %.0f\n", k, out.Extra[k])
-	}
-	return nil
-}
-
-// suiteOpts carries the -suite mode flags.
-type suiteOpts struct {
-	tier, engine, duration string
-	workers                int
-	seed                   uint64
-	seedSet                bool
-	nofaults               bool
-	jsonOut, admin         string
-}
-
-// runSuite dispatches -suite mode to the simulation harness.
-func runSuite(o suiteOpts) error {
 	var cfg simulation.SuiteConfig
-	switch o.tier {
+	switch *suite {
 	case "smoke":
 		cfg = simulation.Smoke()
 	case "canary":
-		total := time.Duration(0)
-		if o.duration != "" {
-			d, err := time.ParseDuration(o.duration)
-			if err != nil {
-				return fmt.Errorf("-duration %q: suite mode wants wall time like 10m", o.duration)
-			}
-			total = d
-		}
-		cfg = simulation.Canary(total)
+		cfg = simulation.Canary(*duration)
 	case "sanity":
 		cfg = simulation.Smoke()
 		cfg.Scenarios = []simulation.Scenario{} // only the planted bug
 		cfg.Duration = 2 * time.Second
 	default:
-		return fmt.Errorf("-suite %q: want smoke, canary, or sanity", o.tier)
+		return fmt.Errorf("-suite %q: want smoke, canary, or sanity", *suite)
 	}
-	if o.tier != "canary" && o.duration != "" {
-		d, err := time.ParseDuration(o.duration)
-		if err != nil {
-			return fmt.Errorf("-duration %q: suite mode wants wall time like 10m", o.duration)
-		}
-		cfg.Duration = d
+	if *suite != "canary" && *duration > 0 {
+		cfg.Duration = *duration
 	}
-	if o.engine != "" {
-		e, err := stm.ParseEngine(o.engine)
+	if *engine != "" {
+		e, err := stm.ParseEngine(*engine)
 		if err != nil {
 			return err
 		}
 		cfg.Engines = []stm.Engine{e}
 	}
-	if o.workers > 0 {
-		cfg.Workers = o.workers
+	if *workers > 0 {
+		cfg.Workers = *workers
 	}
-	if o.seedSet {
-		cfg.Seed = o.seed
-	}
-	if o.nofaults {
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			cfg.Seed = *seed
+		}
+	})
+	if *nofaults {
 		cfg.Faults = false
 		cfg.MinInject = 0
 	}
-	if o.jsonOut != "" {
-		f, err := os.Create(o.jsonOut)
+	if *jsonOut != "" {
+		f, err := os.Create(*jsonOut)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
 		cfg.JSONL = f
 	}
-	if o.admin != "" {
+	if *admin != "" {
 		cfg.Publish = true // current run's Memory stays visible as "stmsim"
-		ln, err := stmobs.ServeAdmin(o.admin)
+		ln, err := stmobs.ServeAdmin(*admin)
 		if err != nil {
 			return err
 		}
@@ -210,9 +104,8 @@ func runSuite(o suiteOpts) error {
 		fmt.Fprintf(os.Stderr, "stmsim: admin on http://%s (/metrics, /debug/vars, /debug/pprof)\n", ln.Addr())
 	}
 	cfg.Out = os.Stdout
-	_, ok := simulation.RunSuite(cfg)
-	if !ok {
-		return fmt.Errorf("suite %s failed", o.tier)
+	if _, ok := simulation.RunSuite(cfg); !ok {
+		return fmt.Errorf("suite %s failed", *suite)
 	}
 	return nil
 }

@@ -2,36 +2,6 @@ package main
 
 import "testing"
 
-func TestRunScenarios(t *testing.T) {
-	tests := [][]string{
-		{"-kind", "counting", "-method", "stm", "-arch", "bus", "-procs", "2", "-duration", "30000"},
-		{"-kind", "queue", "-method", "herlihy", "-arch", "net", "-procs", "2", "-duration", "30000", "-queuecap", "8"},
-		{"-kind", "resalloc", "-method", "mcs", "-arch", "bus", "-procs", "2", "-duration", "30000", "-pools", "8", "-k", "2"},
-		{"-kind", "counting", "-method", "ttas", "-arch", "bus", "-procs", "4", "-duration", "30000", "-stall", "1"},
-		{"-kind", "counting", "-method", "stm", "-arch", "ideal", "-procs", "2", "-duration", "30000"},
-	}
-	for _, args := range tests {
-		if err := run(args); err != nil {
-			t.Errorf("run(%v): %v", args, err)
-		}
-	}
-}
-
-func TestRunRejectsBadSpec(t *testing.T) {
-	if err := run([]string{"-kind", "bogus"}); err == nil {
-		t.Error("bogus kind: want error")
-	}
-	if err := run([]string{"-method", "bogus"}); err == nil {
-		t.Error("bogus method: want error")
-	}
-	if err := run([]string{"-arch", "bogus"}); err == nil {
-		t.Error("bogus arch: want error")
-	}
-	if err := run([]string{"-procs", "0"}); err == nil {
-		t.Error("zero procs: want error")
-	}
-}
-
 // TestRunSuiteSanity drives the harness dispatch end to end through the
 // binary's flag surface: the sanity tier must pass (because the planted
 // bug is caught) on a filtered engine with a pinned seed.
@@ -55,7 +25,10 @@ func TestRunSuiteRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-suite", "smoke", "-duration", "potato"}); err == nil {
 		t.Error("unparsable suite duration: want error")
 	}
-	if err := run([]string{"-duration", "10m"}); err == nil {
-		t.Error("wall-time duration in simulator mode: want error")
+	if err := run([]string{"-suite", "smoke", "-duration", "30000"}); err == nil {
+		t.Error("virtual-cycle duration: want error (cycles belong to stmbench -exp run)")
+	}
+	if err := run([]string{"-kind", "counting"}); err == nil {
+		t.Error("simulator flag: want error (the cycle-level simulator is stmbench -exp run)")
 	}
 }

@@ -93,8 +93,7 @@
 // fastest paths. Use Atomically when the footprint is data-dependent, or
 // when you need Retry/OrElse composition. A stable Atomically call site
 // (same footprint every time) still commits allocation-free in steady
-// state, within ~2x of the equivalent compiled TxSet; see DESIGN.md §9
-// and `stmbench -suite dyn`.
+// state; see DESIGN.md §9.
 //
 // # Choosing a structure: the stmds package
 //
@@ -108,9 +107,9 @@
 // operation has a standalone form and an in-transaction form (GetTx,
 // PutTx, TakeTx, ...) that joins a caller's Atomically block, so moving
 // an element between structures is one atomic step. Stable-shape
-// operations run at zero heap allocations per op; `stmbench -suite ds`
-// benchmarks the library Synchrobench-style. See the stmds package docs
-// and DESIGN.md §10.
+// operations run at zero heap allocations per op; the benchmark of
+// record's lib-map workload measures the map on both engines. See the
+// stmds package docs and DESIGN.md §10.
 //
 // # Engine-level access: raw words
 //
@@ -137,11 +136,11 @@
 //   - stm.TL2 is a TL2/LSA-style global-version-clock protocol: reads
 //     are invisible (no ownership, validated against a clock sample),
 //     writes commit under short per-word locks, and read-only
-//     attempts commit with zero atomic read-modify-writes. On
-//     read-dominated static workloads it is a multiple faster (see
-//     `stmbench -suite engines` / BENCH_engines.json); the trade is that
-//     a preempted committer briefly blocks conflicting writers, which
-//     retry under the contention policy instead of helping.
+//     attempts commit with zero atomic read-modify-writes; the trade is
+//     that a preempted committer briefly blocks conflicting writers,
+//     which retry under the contention policy instead of helping. The
+//     benchmark of record (go run ./benchmark) measures both engines on
+//     every workload.
 //
 // A dynamic transaction (Atomically, OrElse) that wrote nothing is the
 // exception to both descriptions: it makes no attempt on either engine —
@@ -151,9 +150,9 @@
 // Rule of thumb: reach for TL2 when reads dominate or scalability of
 // read paths matters; keep ST when worst-case progress under preemption
 // is the priority or when reproducing the paper's protocol is the point.
-// ParseEngine maps the selector strings ("st", "tl2") used by
-// `stmbench -engine`; Memory.Engine reports the choice. See DESIGN.md §11
-// for both protocols and the opacity argument.
+// ParseEngine maps the selector strings ("st", "tl2") used by the
+// binaries' -engine flags; Memory.Engine reports the choice. See
+// DESIGN.md §11 for both protocols and the opacity argument.
 //
 // # Observing a Memory
 //
@@ -173,9 +172,7 @@
 //	stmobs.Publish("stm", m) // live snapshot at /debug/vars
 //
 // The stmobs subpackage holds the export surfaces — expvar publisher,
-// ring tracer, event counters, pprof label tagging — and `stmbench
-// -suite obs` tracks what each level costs (BENCH_obs.json). See
-// DESIGN.md §12.
+// ring tracer, event counters, pprof label tagging. See DESIGN.md §12.
 //
 // # Deferred actions and serving over the network
 //
@@ -187,8 +184,7 @@
 // server on it: a RESP-like TCP protocol whose every command (and every
 // MULTI/EXEC group) is one atomic transaction over stmds structures,
 // with blocking pops on Retry and zero-allocation steady-state command
-// handling. See cmd/stmserve for the binary, `stmbench -suite serve` /
-// BENCH_serve.json for the tracked numbers, and DESIGN.md §13.
+// handling. See cmd/stmserve for the binary and DESIGN.md §13.
 //
 // # Choosing a contention policy
 //
@@ -205,8 +201,9 @@
 // protocol's non-blocking helping, and the adaptive lease expires rather
 // than being held, so no policy can deadlock a transaction. Live conflict
 // telemetry — Stats, ConflictCount, windowed via ResetStats — shows what
-// the policy is reacting to; `stmbench -suite cont` sweeps the shipped
-// policies across contention levels (see DESIGN.md §7).
+// the policy is reacting to. The four policies are tested for behaviour,
+// not measured against each other: no policy is claimed faster on the
+// benchmark of record (see DESIGN.md §7).
 //
 // # Performance model
 //
@@ -235,6 +232,6 @@
 //
 // Prefer a compiled TxSet (typed) or RunInto on a prepared Tx (raw) on hot
 // paths; use the convenience forms where clarity matters more than
-// allocation. See DESIGN.md §6 and §8 for the full accounting, and
-// `stmbench -suite vars` / BENCH_vars.json for the tracked numbers.
+// allocation. See DESIGN.md §6 and §8 for the full accounting; every
+// bound above is a testing.AllocsPerRun assertion in the package tests.
 package stm

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"math/rand"
@@ -16,7 +17,6 @@ import (
 	"sync/atomic"
 
 	stm "github.com/stm-go/stm"
-	"github.com/stm-go/stm/internal/adt"
 )
 
 const (
@@ -26,16 +26,50 @@ const (
 	transfer = 5_000 // transfers per worker
 )
 
+var errNoFunds = errors.New("insufficient funds")
+
 func main() {
-	m, err := stm.New(adt.AccountsWords(accounts))
+	m, err := stm.New(accounts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bank, err := adt.NewAccounts(m, 0, accounts, initial)
-	if err != nil {
-		log.Fatal(err)
+	bank := make([]*stm.Var[int64], accounts)
+	for i := range bank {
+		if bank[i], err = stm.Alloc(m, stm.Int64()); err != nil {
+			log.Fatal(err)
+		}
+		bank[i].Store(initial)
 	}
-	want := uint64(accounts * initial)
+	const want = accounts * initial
+
+	// move transfers amt from src to dst in one transaction, or nothing at
+	// all if src is short at the transaction's linearization point.
+	move := func(src, dst int, amt int64) error {
+		return m.Atomically(func(tx *stm.DTx) error {
+			from := stm.ReadVar(tx, bank[src])
+			if from < amt {
+				return errNoFunds
+			}
+			stm.WriteVar(tx, bank[src], from-amt)
+			stm.WriteVar(tx, bank[dst], stm.ReadVar(tx, bank[dst])+amt)
+			return nil
+		})
+	}
+	// audit reads every balance in one transaction: all of them coexisted
+	// at a single instant.
+	audit := func(balances []int64) (total int64) {
+		if err := m.Atomically(func(tx *stm.DTx) error {
+			total = 0
+			for i, acct := range bank {
+				balances[i] = stm.ReadVar(tx, acct)
+				total += balances[i]
+			}
+			return nil
+		}); err != nil {
+			log.Fatal(err)
+		}
+		return total
+	}
 
 	var (
 		wg       sync.WaitGroup
@@ -47,6 +81,7 @@ func main() {
 	// Auditor: hammer consistent snapshots while transfers fly.
 	auditorDone := make(chan error, 1)
 	go func() {
+		balances := make([]int64, accounts)
 		for {
 			select {
 			case <-stop:
@@ -54,12 +89,7 @@ func main() {
 				return
 			default:
 			}
-			_, total, err := bank.Audit()
-			if err != nil {
-				auditorDone <- err
-				return
-			}
-			if total != want {
+			if total := audit(balances); total != want {
 				auditorDone <- fmt.Errorf("audit saw %d, want %d", total, want)
 				return
 			}
@@ -74,9 +104,11 @@ func main() {
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			for i := 0; i < transfer; i++ {
 				src, dst := rng.Intn(accounts), rng.Intn(accounts)
-				amt := uint64(rng.Intn(200))
-				if err := bank.Transfer(src, dst, amt); err != nil {
-					rejected.Add(1) // insufficient funds: rejected atomically
+				switch err := move(src, dst, int64(rng.Intn(200))); {
+				case errors.Is(err, errNoFunds):
+					rejected.Add(1) // rejected atomically: nothing moved
+				case err != nil:
+					log.Fatal(err)
 				}
 			}
 		}(w)
@@ -87,25 +119,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	balances, total, err := bank.Audit()
-	if err != nil {
-		log.Fatal(err)
-	}
-	min, max := balances[0], balances[0]
+	balances := make([]int64, accounts)
+	total := audit(balances)
+	lo, hi := balances[0], balances[0]
 	for _, b := range balances {
-		if b < min {
-			min = b
-		}
-		if b > max {
-			max = b
-		}
+		lo, hi = min(lo, b), max(hi, b)
 	}
 	fmt.Printf("%d workers × %d transfers done\n", workers, transfer)
 	fmt.Printf("rejected (insufficient funds): %d\n", rejected.Load())
 	fmt.Printf("audits that all conserved:     %d\n", audits.Load())
-	fmt.Printf("final total: %d (want %d) — balances range [%d, %d]\n", total, want, min, max)
+	fmt.Printf("final total: %d (want %d) — balances range [%d, %d]\n", total, want, lo, hi)
 	st := m.Stats()
-	fmt.Printf("protocol: %d commits, %d conflicts helped through\n", st.Commits, st.Helps)
+	fmt.Printf("protocol: %d commits, %d read-only commits, %d conflicts helped through\n",
+		st.Commits, st.ReadOnlyCommits, st.Helps)
 	if total != want {
 		log.Fatal("CONSERVATION VIOLATED")
 	}

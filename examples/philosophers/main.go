@@ -1,11 +1,11 @@
-// Philosophers: dining philosophers with k-word static transactions.
+// Philosophers: dining philosophers with composable blocking transactions.
 //
-// Each philosopher grabs BOTH forks in one atomic transaction — the k=2
-// case of k-way resource allocation. There is no lock ordering discipline
-// to get wrong and no hold-and-wait: the engine acquires ownership in
-// global address order and helps conflicting transactions through, so the
-// classic deadlock cannot occur even though every philosopher "reaches for
-// the left fork first".
+// Each philosopher takes BOTH forks in one atomic transaction, and calls
+// Retry while either is taken: the transaction blocks until a fork it read
+// changes, then runs again. There is no lock ordering discipline to get
+// wrong and no hold-and-wait — a philosopher holds no fork until it holds
+// both — so the classic deadlock cannot occur even though every
+// philosopher "reaches for the left fork first".
 //
 // Run with: go run ./examples/philosophers
 package main
@@ -13,10 +13,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	stm "github.com/stm-go/stm"
-	"github.com/stm-go/stm/internal/adt"
 )
 
 const (
@@ -25,14 +26,19 @@ const (
 )
 
 func main() {
-	m, err := stm.New(adt.ResourceAllocatorWords(philosophers))
+	m, err := stm.New(philosophers)
 	if err != nil {
 		log.Fatal(err)
 	}
-	forks, err := adt.NewResourceAllocator(m, 0, philosophers, 1)
-	if err != nil {
-		log.Fatal(err)
+	taken := make([]*stm.Var[bool], philosophers)
+	for i := range taken {
+		if taken[i], err = stm.Alloc(m, stm.Bool()); err != nil {
+			log.Fatal(err)
+		}
 	}
+	// holder tracks, outside the transactions, who is eating with each fork,
+	// so a fork granted twice is caught in the act.
+	var holder [philosophers]atomic.Int32
 
 	eaten := make([]int, philosophers)
 	var wg sync.WaitGroup
@@ -40,19 +46,37 @@ func main() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			left, right := i, (i+1)%philosophers
-			// Everyone declares left-then-right: the deadlock pattern for
-			// incremental locking, harmless for static transactions.
-			pair := []int{left, right}
-			for n := 0; n < meals; n++ {
-				if err := forks.Acquire(pair); err != nil {
-					log.Println("acquire:", err)
-					return
+			left, right := taken[i], taken[(i+1)%philosophers]
+			pickUp := func(tx *stm.DTx) error {
+				if stm.ReadVar(tx, left) || stm.ReadVar(tx, right) {
+					tx.Retry()
 				}
-				eaten[i]++ // eating (forks held exclusively)
-				if err := forks.Release(pair); err != nil {
-					log.Println("release:", err)
-					return
+				stm.WriteVar(tx, left, true)
+				stm.WriteVar(tx, right, true)
+				return nil
+			}
+			putDown := func(tx *stm.DTx) error {
+				stm.WriteVar(tx, left, false)
+				stm.WriteVar(tx, right, false)
+				return nil
+			}
+			forks := []int{i, (i + 1) % philosophers}
+			for n := 0; n < meals; n++ {
+				if err := m.Atomically(pickUp); err != nil {
+					log.Fatal("pick up: ", err)
+				}
+				for _, f := range forks {
+					if !holder[f].CompareAndSwap(0, int32(i)+1) {
+						log.Fatalf("fork %d granted to philosopher %d while philosopher %d eats", f, i, holder[f].Load()-1)
+					}
+				}
+				eaten[i]++        // eating (forks held exclusively) ...
+				runtime.Gosched() // ... long enough for a neighbour to try
+				for _, f := range forks {
+					holder[f].Store(0)
+				}
+				if err := m.Atomically(putDown); err != nil {
+					log.Fatal("put down: ", err)
 				}
 			}
 		}(i)
@@ -66,13 +90,9 @@ func main() {
 	}
 	fmt.Printf("total meals: %d (want %d) — no deadlock, no starvation\n",
 		totalMeals, philosophers*meals)
-	for i := 0; i < philosophers; i++ {
-		free, err := forks.Available(i)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if free != 1 {
-			log.Fatalf("fork %d not returned (available=%d)", i, free)
+	for i, fork := range taken {
+		if fork.Load() {
+			log.Fatalf("fork %d not returned", i)
 		}
 	}
 	fmt.Println("all forks back on the table")

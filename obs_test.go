@@ -1,11 +1,12 @@
 package stm_test
 
 // Tests for the public observability surface: the WithObs/Observe API, the
-// zero-allocation contract with hooks off and at counters level (with a
-// registered observer — the contract DESIGN.md §12 documents), and the
+// zero-allocation contract with hooks off and at every level with a
+// registered observer (the contract DESIGN.md §12 documents), and the
 // engine-tagged events crossing the API boundary.
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,11 +15,13 @@ import (
 	stm "github.com/stm-go/stm"
 )
 
-// countObserver tallies events without allocating — the shape a production
-// counters-level observer has.
+// countObserver tallies events and sampled traces without allocating — the
+// shape a production observer has.
 type countObserver struct {
-	begins, commits, aborts atomic.Uint64
+	begins, commits, aborts, traces atomic.Uint64
 }
+
+func (o *countObserver) ObsTrace(*stm.TraceEvent) { o.traces.Add(1) }
 
 func (o *countObserver) ObsEvent(e *stm.Event) {
 	switch e.Kind {
@@ -44,28 +47,40 @@ func TestObsAllocFreeHooks(t *testing.T) {
 		}
 	})
 
-	// Counters with a registered observer: event delivery rides the pooled
-	// record's scratch, so the contract holds at ObsCounters too — on both
-	// engines.
+	// Every level with a registered observer, on both engines: event
+	// delivery rides the pooled record's scratch, histograms are fixed
+	// arrays, and a trace sample's cost is amortized over SampleEvery
+	// transactions, so the contract holds all the way up to ObsTrace.
 	for _, eng := range stm.Engines() {
-		obs := &countObserver{}
-		m := mustNewEngine(t, 8, eng)
-		m.Observe(stm.ObsConfig{Level: stm.ObsCounters, Observer: obs})
-		assertAllocs(t, eng.String()+"/Add/obs-counters", 0, func() {
-			if _, err := m.Add(1, 1); err != nil {
+		for _, lvl := range []stm.ObsLevel{stm.ObsCounters, stm.ObsHistograms, stm.ObsTrace} {
+			name := fmt.Sprintf("%v/obs-%v", eng, lvl)
+			obs := &countObserver{}
+			m := mustNewEngine(t, 16, eng)
+			m.Observe(stm.ObsConfig{Level: lvl, Observer: obs, SampleEvery: stm.DefaultSampleEvery})
+			assertAllocs(t, name+"/Add", 0, func() {
+				if _, err := m.Add(1, 1); err != nil {
+					t.Fatal(err)
+				}
+			})
+			tx, err := m.Prepare([]int{2, 5})
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		tx, err := m.Prepare([]int{2, 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var old [2]uint64
-		bump := func(o, n []uint64) { n[0], n[1] = o[0]+1, o[1]+1 }
-		assertAllocs(t, eng.String()+"/RunInto/obs-counters", 0, func() { tx.RunInto(bump, old[:]) })
-		if obs.begins.Load() == 0 || obs.commits.Load() == 0 {
-			t.Errorf("%v: observer saw %d begins / %d commits, want > 0",
-				eng, obs.begins.Load(), obs.commits.Load())
+			var old [2]uint64
+			bump := func(o, n []uint64) { n[0], n[1] = o[0]+1, o[1]+1 }
+			assertAllocs(t, name+"/RunInto", 0, func() { tx.RunInto(bump, old[:]) })
+			addrs := []int{0, 3, 4, 7, 8, 11, 12, 15}
+			dst := make([]uint64, len(addrs))
+			assertAllocs(t, name+"/ReadAllInto", 0, func() {
+				if err := m.ReadAllInto(addrs, dst); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// The zero-allocation runs were measured, not metered off.
+			if obs.begins.Load() == 0 || obs.commits.Load() == 0 || (lvl == stm.ObsTrace) != (obs.traces.Load() > 0) {
+				t.Errorf("%s: observer saw %d begins / %d commits / %d traces",
+					name, obs.begins.Load(), obs.commits.Load(), obs.traces.Load())
+			}
 		}
 	}
 }

@@ -9,10 +9,12 @@ package stmds_test
 // codec's Decode allocates by contract).
 
 import (
+	"fmt"
 	"testing"
 
 	stm "github.com/stm-go/stm"
 	"github.com/stm-go/stm/stmds"
+	"github.com/stm-go/stm/stmobs"
 )
 
 func assertAllocs(t *testing.T, name string, want float64, fn func()) {
@@ -175,6 +177,34 @@ func TestAllocsTL2Map(t *testing.T) {
 	})
 	if m.Stats().Commits == 0 {
 		t.Error("telemetry disabled? no commits counted")
+	}
+}
+
+// TestAllocsMapGetObserved pins a map hit at every observability level on
+// both engines: the seam must not cost a structure its zero-allocation
+// contract, with an event counter installed and, at ObsTrace, a ring
+// tracer sampling one transaction in DefaultSampleEvery.
+func TestAllocsMapGetObserved(t *testing.T) {
+	for _, eng := range stm.Engines() {
+		for _, cfg := range []stm.ObsConfig{
+			{Level: stm.ObsCounters, Observer: &stmobs.EventCounter{}},
+			{Level: stm.ObsHistograms, Observer: &stmobs.EventCounter{}},
+			{Level: stm.ObsTrace, Observer: stmobs.NewRingTracer(64), SampleEvery: stm.DefaultSampleEvery},
+		} {
+			m := mustMemEngine(t, 1<<14, eng)
+			m.Observe(cfg)
+			mp := mustMap(t, m, 256)
+			for i := int64(0); i < 128; i++ {
+				if _, _, err := mp.Put(i, i*3); err != nil {
+					t.Fatal(err)
+				}
+			}
+			assertAllocs(t, fmt.Sprintf("%v/obs-%v/Map.Get hit", eng, cfg.Level), 0, func() {
+				if v, ok := mp.Get(64); !ok || v != 192 {
+					t.Fatal("wrong value")
+				}
+			})
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package stmds_test
 
-// The internal/adt linearizability harness, ported to the public
-// structures: many short randomized concurrent histories checked against
+// Linearizability harness for the public structures: many short
+// randomized concurrent histories checked against
 // sequential specifications with the Wing & Gong search in internal/lin.
 // Short windows keep the exponential checker fast while still exposing
 // ordering violations with high probability; the conservation tests in

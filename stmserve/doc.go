@@ -50,8 +50,9 @@
 // body is a pure function of the plan: it stages replies into
 // connection-owned scratch above a watermark it rewinds on re-execution,
 // and registers the flush with DTx.OnCommit. Steady-state single-key
-// commands run allocation-free end to end (see the alloc pins and the
-// SERVE suite in cmd/stmbench).
+// commands run allocation-free end to end (TestAllocsSteadyStateFeed),
+// and the benchmark of record's kv-* workloads drive the whole server over
+// loopback TCP.
 //
 // Cross-connection atomicity is the STM's: a MULTI transfer is invisible
 // in progress to every other client, on either commit engine

@@ -13,7 +13,7 @@ import (
 // A Session is one client's command stream: bytes in through Feed, replies
 // out through the writer it was built with. The TCP server runs one
 // Session per connection; NewSession also works without a socket (tests,
-// fuzzing, in-process serving, the stmbench alloc micro).
+// fuzzing, in-process serving, the allocation pins).
 //
 // Feed is the whole pipeline. Phase one parses every complete frame in the
 // accumulated input and plans it: protocol state (MULTI queuing, queue
