@@ -8,6 +8,7 @@ package stm_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -32,6 +33,16 @@ func assertAllocs(t *testing.T, name string, want float64, fn func()) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	// A collection during the measured runs empties the sync.Pools the hot
+	// paths recycle through, and refilling them costs hundreds of
+	// allocations. Collect twice and warm the pools back up first: the
+	// measured runs, which allocate next to nothing, then start with the
+	// whole heap goal ahead of them.
+	runtime.GC()
+	runtime.GC()
+	for i := 0; i < 50; i++ {
+		fn()
 	}
 	if got := testing.AllocsPerRun(200, fn); got > want {
 		t.Errorf("%s: %.1f allocs/op, want <= %.1f", name, got, want)
@@ -159,62 +170,13 @@ func TestAllocsDefaultPolicyWithTelemetry(t *testing.T) {
 	}
 }
 
-func TestAllocsTypedTxSet(t *testing.T) {
-	// The acceptance headline of the typed layer: a prepared typed
-	// read-modify-write — a reused TxSet over a Var[int64] and a
-	// multi-word struct var — is allocation-free, with contention
-	// telemetry on, matching the raw RunInto contract. Checked under the
-	// default policy and under Adaptive, which opts into clean-commit
-	// reports and so exercises the policy hooks on every commit.
-	for _, tc := range []struct {
-		name string
-		opts []stm.Option
-	}{
-		{"Default", nil},
-		{"Adaptive", []stm.Option{stm.WithPolicy(contention.NewAdaptive(contention.AdaptiveConfig{}))}},
-	} {
-		m, err := stm.New(16, tc.opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counter, err := stm.Alloc(m, stm.Int64())
-		if err != nil {
-			t.Fatal(err)
-		}
-		pt, err := stm.Alloc(m, benchPointCodec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := stm.NewTxSet(m)
-		sc := stm.AddVar(ts, counter)
-		sp := stm.AddVar(ts, pt)
-		if err := ts.Compile(); err != nil {
-			t.Fatal(err)
-		}
-		rmw := func(tv stm.TxView) {
-			x := sc.Get(tv)
-			q := sp.Get(tv)
-			sc.Set(tv, x+1)
-			sp.Set(tv, benchPoint{q.X + x, q.Y - x})
-		}
-		assertAllocs(t, tc.name+"/TxSetRun", 0, func() {
-			if err := ts.Run(rmw); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if m.Stats().Commits == 0 {
-			t.Errorf("%s: telemetry disabled? no commits counted", tc.name)
-		}
-	}
-}
-
 func TestAllocsAtomicallyDynamic(t *testing.T) {
 	// The dynamic layer's acceptance headline: an Atomically read-modify-
 	// write over two vars with a stable footprint — the steady state of a
 	// stable call site — is allocation-free with contention telemetry on.
 	// The pooled DTx's logs, staging buffers, and compiled-footprint cache
 	// carry the whole operation; the commit rides the same pooled static
-	// path as a compiled TxSet. Checked under the default policy and under
+	// path as a prepared Tx. Checked under the default policy and under
 	// Adaptive (clean-commit reports exercise the policy hooks every op).
 	for _, tc := range []struct {
 		name string
@@ -477,10 +439,10 @@ func TestAllocsVarLoadStore(t *testing.T) {
 	assertAllocs(t, "Var.Store/struct", 0, func() { p.Store(benchPoint{1, 2}) })
 }
 
-// TestAllocsTypedConvenienceForms pins what the one-call typed forms cost
-// per call, so their closure and builder overhead stays visible instead of
-// creeping: Var.Update's closure, Atomic2's one-shot TxSet, and a TxSet
-// whose String codec decodes into a fresh string.
+// TestAllocsTypedConvenienceForms pins what the typed forms whose cost is
+// not zero pay per call, so it stays visible instead of creeping:
+// Var.Update's closure, and an Atomically whose String codec decodes into a
+// fresh string.
 func TestAllocsTypedConvenienceForms(t *testing.T) {
 	for _, eng := range stm.Engines() {
 		m := mustNewEngine(t, 16, eng)
@@ -491,32 +453,18 @@ func TestAllocsTypedConvenienceForms(t *testing.T) {
 		assertAllocs(t, eng.String()+"/Var.Update", 1, func() {
 			v.Update(func(x int64) int64 { return x + 1 })
 		})
-		c, err := stm.Alloc(m, stm.Int64())
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertAllocs(t, eng.String()+"/Atomic2", 12, func() {
-			if err := stm.Atomic2(v, c, func(x, y int64) (int64, int64) { return x + 1, y - 1 }); err != nil {
-				t.Fatal(err)
-			}
-		})
 		name, err := stm.Alloc(m, stm.String(16))
 		if err != nil {
 			t.Fatal(err)
 		}
 		name.Store("service-a")
-		ts := stm.NewTxSet(m)
-		sn := stm.AddVar(ts, name)
-		sg := stm.AddVar(ts, c)
-		if err := ts.Compile(); err != nil {
-			t.Fatal(err)
+		rmw := func(tx *stm.DTx) error {
+			stm.WriteVar(tx, name, stm.ReadVar(tx, name))
+			stm.WriteVar(tx, v, stm.ReadVar(tx, v)+1)
+			return nil
 		}
-		rmw := func(tv stm.TxView) {
-			sn.Set(tv, sn.Get(tv))
-			sg.Set(tv, sg.Get(tv)+1)
-		}
-		assertAllocs(t, eng.String()+"/TxSetRun/String(16)", 2, func() {
-			if err := ts.Run(rmw); err != nil {
+		assertAllocs(t, eng.String()+"/Atomically/String(16)", 2, func() {
+			if err := m.Atomically(rmw); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -6,10 +6,10 @@ import (
 )
 
 // Codec[T] maps a Go value onto a fixed number of engine words. It is the
-// bridge between the typed Var/TxSet layer and the paper's static model:
-// because Words is a constant per codec, a typed variable always occupies
-// the same word range and every transaction over typed variables has a
-// data set known before it starts.
+// bridge between the typed Var layer and the paper's static model: because
+// Words is a constant per codec, a typed variable always occupies the same
+// word range, so each of a Var's own operations is a static transaction
+// whose data set is known before it starts.
 //
 // Encode and Decode are evaluated inside transactions — including by
 // helping goroutines — so they must be deterministic, side-effect free,
@@ -22,7 +22,8 @@ type Codec[T any] interface {
 	// Words returns the number of engine words one value occupies. It
 	// must be positive and constant for the life of the codec.
 	Words() int
-	// Encode writes v into dst, which has exactly Words() entries.
+	// Encode writes v into every entry of dst, which has exactly Words()
+	// entries.
 	Encode(v T, dst []uint64)
 	// Decode reads a value from src, which has exactly Words() entries.
 	Decode(src []uint64) T

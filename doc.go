@@ -15,57 +15,31 @@
 // # Quick start: typed variables
 //
 // The front door is the typed layer: allocate Var[T] handles backed by the
-// Memory's word allocator, and run typed transactions over them. Every
-// typed transaction compiles to a static transaction — a Var's codec spans
-// a fixed word range, so the data set is known before the transaction
-// starts — and runs on the same pooled engine hot path as the raw API.
+// Memory's word allocator. A Var's codec spans a fixed word range, so each
+// of its own operations — Load, Store, CompareAndSwap, Update — is a
+// static transaction over those words and runs on the same pooled engine
+// hot path as the raw API.
 //
 //	m, _ := stm.New(64)
 //	checking, _ := stm.Alloc(m, stm.Int64())
 //	savings, _ := stm.Alloc(m, stm.Int64())
 //	checking.Store(900)
-//
-//	// Atomically move money between two typed variables.
-//	_ = stm.Atomic2(checking, savings, func(c, s int64) (int64, int64) {
-//		return c - 250, s + 250
-//	})
+//	savings.Update(func(s int64) int64 { return s + 100 }) // returns the old value
 //
 // Codecs cover int64, uint64, float64, bool, and fixed-capacity strings
 // (String(n)); implement Codec[T] to store structs across several words —
-// the transaction stays static, just wider. Var.Load, Store, and Update
-// give single-variable atomic access.
+// the transaction stays static, just wider.
 //
-// Hot paths declare once and run many times: a TxSet records a set of
-// vars, validates and sorts their words once, and caches the compiled
-// transaction, so repeat executions are allocation-free — the same
-// zero-allocs-per-op contract as the raw prepared hot path, with types:
+// Update functions and codecs must be deterministic and side-effect free:
+// under contention the protocol lets several goroutines evaluate the same
+// transaction's update, and all evaluations must agree.
 //
-//	ts := stm.NewTxSet(m)
-//	ch := stm.AddVar(ts, checking)
-//	sv := stm.AddVar(ts, savings)
-//	_ = ts.Compile()
-//	_ = ts.Run(func(tv stm.TxView) {     // 0 allocs/op, reusable
-//		ch.Set(tv, ch.Get(tv)+10)
-//		sv.Set(tv, sv.Get(tv)+1)
-//	})
+// # Transactions over several variables: Atomically
 //
-// RunWhen/RunWhenContext add guarded (blocking-style) typed transactions;
-// RunContext adds cancellation. A TxSet is a single-goroutine handle
-// (prepare one per goroutine); the Vars and Memory underneath are shared.
-//
-// Update functions, guards, and codecs must be deterministic and
-// side-effect free: under contention the protocol lets several goroutines
-// evaluate the same transaction's update, and all evaluations must agree.
-// Read a transaction's committed snapshot back through Slot.Old rather
-// than writing to captured variables. AtomicN extends the one-shot
-// combinators past three variables of one type.
-//
-// # Dynamic transactions: Atomically
-//
-// When the data set depends on the data — walking a linked structure,
-// following an index — declare nothing and use Atomically, which
-// discovers the footprint as the transaction runs and then commits it
-// through the same static engine:
+// Anything that touches more than one variable — or whose data set
+// depends on the data, such as walking a linked structure or following an
+// index — runs in Atomically, which discovers the footprint as the
+// transaction runs and then commits it through the same static engine:
 //
 //	err := m.Atomically(func(tx *stm.DTx) error {
 //		from := stm.ReadVar(tx, checking)
@@ -87,13 +61,14 @@
 // other than through the DTx. A transaction that writes nothing commits
 // when its function returns, with no engine attempt and no ownership.
 //
-// Choosing between the forms: use Var/TxSet (or a prepared raw Tx) when
-// the variables touched are known before the transaction starts — the
-// static forms skip speculation and validation entirely and are the
-// fastest paths. Use Atomically when the footprint is data-dependent, or
-// when you need Retry/OrElse composition. A stable Atomically call site
-// (same footprint every time) still commits allocation-free in steady
-// state; see DESIGN.md §9.
+// Choosing between the forms: use a Var's own methods for one variable,
+// and Atomically (with ReadVar/WriteVar) for everything that spans
+// several — it composes (Retry, OrElse, the stmds in-transaction forms),
+// and a stable call site (same footprint every time) commits
+// allocation-free in steady state; see DESIGN.md §9. Where the words are
+// known before the transaction starts and speculation is the cost to
+// avoid, drop to a prepared raw Tx (see "Engine-level access" below): the
+// static form skips speculation and validation entirely.
 //
 // # Choosing a structure: the stmds package
 //
@@ -211,10 +186,9 @@
 // per-word value boxes through a pool (DESIGN.md §4), so the hot paths
 // are allocation-free in steady state:
 //
-//   - A compiled TxSet's Run (and the Context/When variants between
-//     waits) performs zero heap allocations per committed transaction
-//     (amortized), as do Var.Load and Var.Store — modulo what the codec
-//     itself allocates (the built-in numeric/bool codecs allocate
+//   - Var.Load, Var.Store and Var.CompareAndSwap perform zero heap
+//     allocations per committed transaction (amortized) — modulo what the
+//     codec itself allocates (the built-in numeric/bool codecs allocate
 //     nothing; String's Decode builds a string). An Atomically call site
 //     with a stable footprint matches the zero-allocation contract: the
 //     DTx, its logs, and the compiled footprint recycle through pools.
@@ -225,13 +199,14 @@
 //   - Add, Swap, CompareAndSwap, ReadAllInto, and WriteAll/ReadAll over
 //     already-ascending address sets run on the same pooled fast path;
 //     ReadAll and CompareAndSwapN allocate only their returned snapshot.
-//   - The convenience forms pay per call: Var.Update and the Atomic
-//     combinators build their closure (and the TxSet) each time;
-//     Tx.Run/Try allocate the result slice and an adapter; AtomicUpdate
-//     and non-ascending k-word operations additionally re-Prepare.
+//   - The convenience forms pay per call: Var.Update builds its closure
+//     each time; Tx.Run/Try allocate the result slice and an adapter;
+//     AtomicUpdate and non-ascending k-word operations additionally
+//     re-Prepare.
 //
-// Prefer a compiled TxSet (typed) or RunInto on a prepared Tx (raw) on hot
-// paths; use the convenience forms where clarity matters more than
-// allocation. See DESIGN.md §6 and §8 for the full accounting; every
-// bound above is a testing.AllocsPerRun assertion in the package tests.
+// Prefer a stable Atomically call site (typed) or RunInto on a prepared
+// Tx (raw) on hot paths; use the convenience forms where clarity matters
+// more than allocation. See DESIGN.md §6 and §8 for the full accounting;
+// every bound above is a testing.AllocsPerRun assertion in the package
+// tests.
 package stm

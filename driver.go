@@ -10,8 +10,8 @@ import (
 )
 
 // The one way to run a transaction. Every entry point of the package — a
-// prepared Tx, the typed TxSet and Var layers, the derived word operations,
-// the commit of a dynamic DTx — describes the attempt it wants as a staged
+// prepared Tx, a Var's own operations, the derived word operations, the
+// commit of a dynamic DTx — describes the attempt it wants as a staged
 // value and hands it to the functions below: attempt arms an engine record
 // from the staged form and runs it once; contend (as run, for a static
 // operation) retries it under the contention policy and closes the

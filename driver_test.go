@@ -17,14 +17,6 @@ func TestNilContextNeverCancelled(t *testing.T) {
 	incF := func(o []uint64) []uint64 { return []uint64{o[0] + 1} }
 	positive := func(o []uint64) bool { return o[0] > 0 }
 	blindWrite := func(tx *stm.DTx) error { tx.Write(0, 7); return nil }
-	typedSet := func(t *testing.T, m *stm.Memory) (*stm.TxSet, stm.Slot[int64]) {
-		v, err := stm.VarAt(m, stm.Int64(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := stm.NewTxSet(m)
-		return ts, stm.AddVar(ts, v)
-	}
 	cases := []struct {
 		name string
 		// guarded cases start from a guard-unmet round on an idle word 0
@@ -35,10 +27,6 @@ func TestNilContextNeverCancelled(t *testing.T) {
 		{"Tx.RunContext", false, func(t *testing.T, m *stm.Memory) error {
 			_, err := mustPrepare(t, m, []int{0}).RunContext(nilCtx, incF)
 			return err
-		}},
-		{"TxSet.RunContext", false, func(t *testing.T, m *stm.Memory) error {
-			ts, _ := typedSet(t, m)
-			return ts.RunContext(nilCtx, func(stm.TxView) {})
 		}},
 		{"AtomicUpdateContext", false, func(t *testing.T, m *stm.Memory) error {
 			_, err := m.AtomicUpdateContext(nilCtx, []int{0}, incF)
@@ -54,10 +42,17 @@ func TestNilContextNeverCancelled(t *testing.T) {
 			_, err := mustPrepare(t, m, []int{0}).RunWhenContext(nilCtx, positive, incF)
 			return err
 		}},
-		{"TxSet.RunWhenContext", true, func(t *testing.T, m *stm.Memory) error {
-			ts, slot := typedSet(t, m)
-			return ts.RunWhenContext(nilCtx,
-				func(v stm.TxView) bool { return slot.Get(v) > 0 }, func(stm.TxView) {})
+		{"AtomicallyContext/Retry", true, func(t *testing.T, m *stm.Memory) error {
+			v, err := stm.VarAt(m, stm.Int64(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m.AtomicallyContext(nilCtx, func(tx *stm.DTx) error {
+				if stm.ReadVar(tx, v) <= 0 {
+					tx.Retry()
+				}
+				return nil
+			})
 		}},
 	}
 	for _, eng := range stm.Engines() {

@@ -159,7 +159,7 @@ const (
 )
 
 // Atomically executes f as one atomic transaction whose data set is
-// discovered on the fly — the dynamic counterpart of Prepare/TxSet, for
+// discovered on the fly — the dynamic counterpart of Prepare, for
 // pointer-chasing work where the footprint depends on the data. f's reads
 // observe a consistent snapshot; its writes are buffered and installed
 // atomically (through the static engine, under the Memory's contention
@@ -176,9 +176,8 @@ const (
 // DTx. A call site whose footprint is stable commits allocation-free in
 // steady state (amortized, modulo codec allocations): the DTx, its logs,
 // and the compiled footprint recycle through per-Memory pools. When the
-// data set is known up front, prefer a compiled TxSet (typed) or a
-// prepared Tx (raw): the static forms skip speculation and validation
-// entirely.
+// data set is raw words known up front, a prepared Tx skips speculation
+// and validation entirely.
 func (m *Memory) Atomically(f func(tx *DTx) error) error {
 	return m.atomically(nil, f, nil)
 }
@@ -305,8 +304,8 @@ func (d *DTx) Write(addr int, v uint64) {
 
 // Retry abandons the attempt and blocks the transaction until some word it
 // has read changes, then re-executes it from the start — the composable
-// form of a guarded transaction (TxSet.RunWhen for footprints known up
-// front). Under OrElse, a Retry in the first branch falls through to the
+// form of a guarded transaction (Tx.RunWhen for raw words known up front).
+// Under OrElse, a Retry in the first branch falls through to the
 // second instead of blocking. A transaction that has read nothing cannot
 // be woken; Retry then fails the operation with ErrRetryNoReads.
 //

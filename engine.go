@@ -9,7 +9,7 @@ import (
 
 // Engine selects a Memory's commit protocol — how transaction attempts read
 // their data sets, validate them, and install new values. Every layer of the
-// API (static transactions, typed Vars and TxSets, dynamic Atomically, the
+// API (static transactions, typed Vars, dynamic Atomically, the
 // stmds structures, contention policies) runs unchanged on any engine; the
 // choice only moves the performance trade-off:
 //

@@ -69,48 +69,6 @@ func TestEngineNamesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAllocsTL2TxSet is the TL2 half of TestAllocsTypedTxSet: a compiled
-// typed read-modify-write over a Var[int64] and a two-word struct var must
-// be allocation-free on the TL2 engine, telemetry on.
-func TestAllocsTL2TxSet(t *testing.T) {
-	m := mustNewEngine(t, 16, stm.TL2)
-	counter, err := stm.Alloc(m, stm.Int64())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := stm.Alloc(m, benchPointCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := stm.NewTxSet(m)
-	sc := stm.AddVar(ts, counter)
-	sp := stm.AddVar(ts, pt)
-	if err := ts.Compile(); err != nil {
-		t.Fatal(err)
-	}
-	rmw := func(tv stm.TxView) {
-		x := sc.Get(tv)
-		q := sp.Get(tv)
-		sc.Set(tv, x+1)
-		sp.Set(tv, benchPoint{q.X + x, q.Y - x})
-	}
-	assertAllocs(t, "TL2/TxSetRun", 0, func() {
-		if err := ts.Run(rmw); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// The read-only fast path: an identity pass over the set commits with
-	// no clock step and no lock — and, like every stable path, no heap.
-	assertAllocs(t, "TL2/TxSetRead", 0, func() {
-		if err := ts.Run(func(stm.TxView) {}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if m.Stats().Commits == 0 {
-		t.Error("telemetry disabled? no commits counted")
-	}
-}
-
 // TestAllocsTL2Atomically is the TL2 half of TestAllocsAtomicallyDynamic:
 // a dynamic read-modify-write with a stable footprint stays allocation-free
 // on the TL2 engine.
@@ -142,10 +100,10 @@ func TestAllocsTL2Atomically(t *testing.T) {
 }
 
 // TestEngineConcurrentMix hammers every engine with the operations whose
-// interleavings differ most between the protocols — single-word Adds, typed
-// CAS, a TxSet RMW, and pure reads — and checks the commuting sums. It is
-// the quick cross-engine smoke; the deep harnesses are the parameterized
-// conservation and linearizability tests.
+// interleavings differ most between the protocols — single-word Adds, CAS,
+// a two-word Atomically RMW, and pure reads — and checks the commuting
+// sums. It is the quick cross-engine smoke; the deep harnesses are the
+// parameterized conservation and linearizability tests.
 func TestEngineConcurrentMix(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
 		const (
@@ -174,7 +132,7 @@ func TestEngineConcurrentMix(t *testing.T) {
 					addrs[i] = i
 				}
 				for i := 0; i < ops; i++ {
-					switch next(3) {
+					switch next(4) {
 					case 0:
 						delta := uint64(next(10) + 1)
 						if _, err := m.Add(next(size), delta); err != nil {
@@ -189,6 +147,18 @@ func TestEngineConcurrentMix(t *testing.T) {
 							t.Error(err)
 							return
 						}
+					case 2:
+						delta := uint64(next(10) + 1)
+						a, b := next(size), next(size)
+						if err := m.Atomically(func(tx *stm.DTx) error {
+							tx.Write(a, tx.Read(a)+delta)
+							tx.Write(b, tx.Read(b)+delta)
+							return nil
+						}); err != nil {
+							t.Error(err)
+							return
+						}
+						sum += 2 * delta // a == b reads its own write: +2·delta all the same
 					default:
 						if err := m.ReadAllInto(addrs, dst); err != nil {
 							t.Error(err)

@@ -1,12 +1,13 @@
 // Quickstart: the public STM API in one file.
 //
-// The typed layer is the front door: allocate Var[T] handles, then run
-// typed transactions over them with Atomic combinators or a prepared
-// TxSet. Underneath, every typed transaction compiles to one of the
-// paper's static transactions — the data set is fixed before it starts —
-// and the Shavit–Touitou protocol is non-blocking, so no transaction ever
-// waits on a stalled goroutine. The raw word-addressed API is still there
-// for engine-level access, shown at the end.
+// The typed layer is the front door: allocate Var[T] handles, use their
+// own methods for one variable, and run Atomically over ReadVar/WriteVar
+// for anything that spans several. A Var's own operations are the paper's
+// static transactions — the data set is fixed before they start — and an
+// Atomically block discovers its data set, then commits it through the
+// same non-blocking Shavit–Touitou protocol, so no transaction ever waits
+// on a stalled goroutine. The raw word-addressed API is still there for
+// engine-level access, shown at the end.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -42,52 +43,52 @@ func main() {
 	rate.Store(0.031)
 
 	// A typed two-variable transaction: move money atomically.
-	if err := stm.Atomic2(checking, savings, func(c, s int64) (int64, int64) {
-		return c - 250, s + 250
+	if err := m.Atomically(func(tx *stm.DTx) error {
+		stm.WriteVar(tx, checking, stm.ReadVar(tx, checking)-250)
+		stm.WriteVar(tx, savings, stm.ReadVar(tx, savings)+250)
+		return nil
 	}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("checking %d, savings %d, rate %.3f\n",
 		checking.Load(), savings.Load(), rate.Load())
 
-	// Hot paths prepare a TxSet once: the data set is validated, sorted,
-	// and compiled to a static transaction, and every Run after that is
-	// allocation-free.
-	ts := stm.NewTxSet(m)
-	ch := stm.AddVar(ts, checking)
-	sv := stm.AddVar(ts, savings)
+	// A call site whose footprint is the same every time commits
+	// allocation-free in steady state: the transaction's logs and its
+	// sorted footprint are recycled, so only the first run pays.
+	bump := func(tx *stm.DTx) error {
+		stm.WriteVar(tx, checking, stm.ReadVar(tx, checking)+10)
+		stm.WriteVar(tx, savings, stm.ReadVar(tx, savings)+1)
+		return nil
+	}
 	for i := 0; i < 3; i++ {
-		if err := ts.Run(func(tv stm.TxView) {
-			ch.Set(tv, ch.Get(tv)+10)
-			sv.Set(tv, sv.Get(tv)+1)
-		}); err != nil {
+		if err := m.Atomically(bump); err != nil {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("after 3 prepared runs: checking %d, savings %d\n",
+	fmt.Printf("after 3 repeated runs: checking %d, savings %d\n",
 		checking.Load(), savings.Load())
 
 	// Single-variable read-modify-write, with the old value back.
 	old := savings.Update(func(s int64) int64 { return s * 2 })
 	fmt.Printf("savings doubled: %d -> %d\n", old, savings.Load())
 
-	// Blocking-style operations: RunWhen retries until a guard holds.
+	// Blocking-style operations: Retry waits until a word the transaction
+	// read changes, then runs it again.
 	gate, err := stm.Alloc(m, stm.Bool())
 	if err != nil {
 		log.Fatal(err)
 	}
 	done := make(chan struct{})
 	go func() {
-		wts := stm.NewTxSet(m)
-		g := stm.AddVar(wts, gate)
-		c := stm.AddVar(wts, checking)
-		if err := wts.RunWhen(
-			func(tv stm.TxView) bool { return g.Get(tv) }, // wait for the gate
-			func(tv stm.TxView) {
-				g.Set(tv, false)
-				c.Set(tv, c.Get(tv)-1) // take a token
-			},
-		); err != nil {
+		if err := m.Atomically(func(tx *stm.DTx) error {
+			if !stm.ReadVar(tx, gate) {
+				tx.Retry() // wait for the gate
+			}
+			stm.WriteVar(tx, gate, false)
+			stm.WriteVar(tx, checking, stm.ReadVar(tx, checking)-1) // take a token
+			return nil
+		}); err != nil {
 			log.Fatal(err)
 		}
 		close(done)
@@ -96,6 +97,9 @@ func main() {
 	gate.Store(true)
 	<-done
 	fmt.Println("consumer passed; checking =", checking.Load())
+	if c, s := checking.Load(), savings.Load(); c != 679 || s != 706 {
+		log.Fatalf("checking %d, savings %d: want 679 and 706", c, s)
+	}
 
 	// Engine-level access: the raw word-addressed static-transaction API
 	// underneath. Reserve words from the same allocator so raw and typed

@@ -1,11 +1,11 @@
-// Typed variables: the Var/TxSet layer over static transactions.
+// Typed variables: Var[T] over int64, struct and string codecs, composed
+// in Atomically transactions.
 //
 // A small payment ledger built from typed transactional variables — int64
 // balances, a multi-word struct for audit state, a fixed-width string for
-// the last-actor label — mutated by typed transactions that compile down
-// to the engine's static data sets. No word addresses, no uint64
-// juggling; conservation of money is checked live by a concurrent
-// auditor.
+// the last-actor label — mutated by transactions that read and write them
+// through ReadVar/WriteVar. No word addresses, no uint64 juggling;
+// conservation of money is checked live by a concurrent auditor.
 //
 // Run with: go run ./examples/typed
 package main
@@ -66,8 +66,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Workers transfer money through TxSets compiled once per account
-	// pair and reused for every transfer on that pair.
+	// Workers transfer money: each transfer reads and writes two balances,
+	// the audit struct and the actor label in one transaction.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -75,73 +75,42 @@ func main() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			who := fmt.Sprintf("worker-%d", w)
-
-			// Compile one TxSet per (from, to) pair up front: the data
-			// set is validated and sorted once, and the hot loop below
-			// only executes. (The update closure is still built per
-			// transfer — it captures that transfer's amount; a fixed
-			// update function, as in the benchmarks, would make the loop
-			// fully allocation-free.)
-			type transfer struct {
-				ts       *stm.TxSet
-				from, to stm.Slot[int64]
-				au       stm.Slot[audit]
-				actor    stm.Slot[string]
-			}
-			pairs := make(map[[2]int]*transfer)
-			for a := 0; a < accounts; a++ {
-				for b := 0; b < accounts; b++ {
-					if a == b {
-						continue
-					}
-					ts := stm.NewTxSet(m)
-					tr := &transfer{
-						ts:    ts,
-						from:  stm.AddVar(ts, balances[a]),
-						to:    stm.AddVar(ts, balances[b]),
-						au:    stm.AddVar(ts, auditVar),
-						actor: stm.AddVar(ts, lastActor),
-					}
-					if err := ts.Compile(); err != nil {
-						log.Fatal(err)
-					}
-					pairs[[2]int{a, b}] = tr
-				}
-			}
-
 			for i := 0; i < perW; i++ {
 				a, b := rng.Intn(accounts), rng.Intn(accounts)
 				if a == b {
 					continue
 				}
 				amt := int64(rng.Intn(50) + 1)
-				tr := pairs[[2]int{a, b}]
-				err := tr.ts.Run(func(tv stm.TxView) {
-					tr.from.Set(tv, tr.from.Get(tv)-amt)
-					tr.to.Set(tv, tr.to.Get(tv)+amt)
-					st := tr.au.Get(tv)
-					tr.au.Set(tv, audit{st.Transfers + 1, st.Volume + amt})
-					tr.actor.Set(tv, who)
-				})
-				if err != nil {
+				if err := m.Atomically(func(tx *stm.DTx) error {
+					stm.WriteVar(tx, balances[a], stm.ReadVar(tx, balances[a])-amt)
+					stm.WriteVar(tx, balances[b], stm.ReadVar(tx, balances[b])+amt)
+					st := stm.ReadVar(tx, auditVar)
+					stm.WriteVar(tx, auditVar, audit{st.Transfers + 1, st.Volume + amt})
+					stm.WriteVar(tx, lastActor, who)
+					return nil
+				}); err != nil {
 					log.Fatal(err)
 				}
 			}
 		}(w)
 	}
 
-	// The auditor snapshots every variable through one compiled TxSet —
-	// a single static transaction, so the invariant holds at every
-	// linearization point it observes.
+	// The auditor reads every variable in one transaction, so the
+	// invariant holds at every linearization point it observes. It writes
+	// nothing, so it commits without an engine attempt.
 	stop := make(chan struct{})
 	audited := make(chan int, 1)
 	go func() {
-		ts := stm.NewTxSet(m)
-		slots := make([]stm.Slot[int64], accounts)
-		for i, v := range balances {
-			slots[i] = stm.AddVar(ts, v)
+		var sum int64
+		var st audit
+		snapshot := func(tx *stm.DTx) error {
+			sum = 0
+			for _, v := range balances {
+				sum += stm.ReadVar(tx, v)
+			}
+			st = stm.ReadVar(tx, auditVar)
+			return nil
 		}
-		au := stm.AddVar(ts, auditVar)
 		checks := 0
 		for {
 			select {
@@ -150,16 +119,12 @@ func main() {
 				return
 			default:
 			}
-			if err := ts.Run(func(stm.TxView) {}); err != nil {
+			if err := m.Atomically(snapshot); err != nil {
 				log.Fatal(err)
-			}
-			var sum int64
-			for _, s := range slots {
-				sum += s.Old()
 			}
 			if sum != accounts*initial {
 				log.Fatalf("audit #%d: total %d, want %d (after %d transfers)",
-					checks, sum, accounts*initial, au.Old().Transfers)
+					checks, sum, accounts*initial, st.Transfers)
 			}
 			checks++
 		}
@@ -175,6 +140,6 @@ func main() {
 	fmt.Printf("%d consistent audits passed; last actor: %q\n", checks, lastActor.Load())
 
 	ps := m.Stats()
-	fmt.Printf("protocol stats: %d attempts, %d commits, %d failures, %d helps\n",
-		ps.Attempts, ps.Commits, ps.Failures, ps.Helps)
+	fmt.Printf("protocol stats: %d attempts, %d commits, %d read-only commits, %d failures, %d helps\n",
+		ps.Attempts, ps.Commits, ps.ReadOnlyCommits, ps.Failures, ps.Helps)
 }

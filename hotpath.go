@@ -28,17 +28,9 @@ import (
 type UpdateInto func(old, new []uint64)
 
 // update is calcTx's parameter block: one prepared transaction's
-// computation and its address remap. Exactly one of fInto (raw word update)
-// or typed (TxView update from the Var/TxSet layer) is set. For the typed
-// form, guard may additionally gate the update: a round whose guard rejects
-// the old values commits the data set unchanged, the typed analogue of
-// guardedInto. Passing the forms through one struct lets the driver stage
-// either without a per-call closure — the key to the typed layer's
-// zero-allocation contract.
+// computation, over caller-order buffers, and its address remap.
 type update struct {
 	fInto UpdateInto
-	typed func(TxView)
-	guard func(TxView) bool
 	perm  []int // caller order -> engine order (Tx.perm); nil for identity
 }
 
@@ -207,10 +199,10 @@ func (s *scratch) ResetForPool() { s.stageUpdate(&update{}) }
 // stageUpdate copies u into the record, field by field on purpose: a
 // whole-struct assignment of pointer fields into heap memory compiles to
 // the runtime's bulk write barrier whenever the collector is running — and
-// value boxing keeps it running — which costs several times what the four
+// value boxing keeps it running — which costs several times what the two
 // plain pointer stores do.
 func (s *scratch) stageUpdate(u *update) {
-	s.u.fInto, s.u.typed, s.u.guard, s.u.perm = u.fInto, u.typed, u.guard, u.perm
+	s.u.fInto, s.u.perm = u.fInto, u.perm
 }
 
 // scratchOf returns the scratch riding r, attaching a fresh one on first
@@ -327,7 +319,7 @@ func calcDyn(env any, old, new []uint64, _ bool) {
 func calcTx(env any, old, new []uint64, exclusive bool) {
 	s := env.(*scratch)
 	if s.u.perm == nil {
-		s.u.apply(old, new)
+		s.u.fInto(old, new)
 		return
 	}
 	co, cn := s.callerOld, s.callerNew
@@ -338,30 +330,10 @@ func calcTx(env any, old, new []uint64, exclusive bool) {
 	for i, si := range s.u.perm {
 		co[i] = old[si]
 	}
-	s.u.apply(co, cn)
+	s.u.fInto(co, cn)
 	for i, si := range s.u.perm {
 		new[si] = cn[i]
 	}
-}
-
-// apply evaluates whichever update form is staged, over caller-order
-// buffers. The typed form sees new pre-initialized to old, so slots the
-// update never Sets commit unchanged; a staged guard that rejects the old
-// values leaves it that way (a validated no-op commit, same as
-// guardedInto).
-func (u *update) apply(old, new []uint64) {
-	if u.typed == nil {
-		u.fInto(old, new)
-		return
-	}
-	copy(new, old)
-	// The guard sees a read-only view — no new buffer — so a guard that
-	// Sets panics instead of silently committing writes, and a rejected
-	// round really does commit the data set unchanged.
-	if u.guard != nil && !u.guard(TxView{old: old}) {
-		return
-	}
-	u.typed(TxView{old: old, new: new})
 }
 
 // wrapInto adapts a slice-returning UpdateFunc to the into-style contract,

@@ -542,7 +542,6 @@ func TestPolicyProtocolEveryEntryPoint(t *testing.T) {
 		m   *stm.Memory
 		tx  *stm.Tx // over words {1, 0}: remapped, First still 0
 		v   *stm.Var[int64]
-		ts  *stm.TxSet
 		ctx context.Context
 		// stales is how many more executions of readOnly go stale.
 		stales int
@@ -598,8 +597,9 @@ func TestPolicyProtocolEveryEntryPoint(t *testing.T) {
 			}
 			return nil
 		}},
-		{"TxSet.Run", 1, 2, "commit", false, false, func(e *env) error {
-			return e.ts.Run(func(stm.TxView) {})
+		{"Var.Update", 1, 2, "commit", false, false, func(e *env) error {
+			e.v.Update(func(x int64) int64 { return x + 1 })
+			return nil
 		}},
 		{"Var.Store", 1, 2, "commit", false, false, func(e *env) error { e.v.Store(42); return nil }},
 		{"Var.CompareAndSwap", 1, 2, "commit", false, false, func(e *env) error { e.v.CompareAndSwap(1, 2); return nil }},
@@ -632,11 +632,6 @@ func TestPolicyProtocolEveryEntryPoint(t *testing.T) {
 				defer cancel()
 				e := &env{m: m, tx: mustPrepare(t, m, []int{1, 0}), ctx: ctx}
 				if e.v, err = stm.VarAt(m, stm.Int64(), 0); err != nil {
-					t.Fatal(err)
-				}
-				e.ts = stm.NewTxSet(m)
-				stm.AddVar(e.ts, e.v)
-				if err := e.ts.Compile(); err != nil {
 					t.Fatal(err)
 				}
 

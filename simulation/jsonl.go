@@ -36,6 +36,14 @@ type runRecord struct {
 	TL2LockAborts     uint64 `json:"aborts_tl2_lock,omitempty"`
 	TL2ValidateAborts uint64 `json:"aborts_tl2_validate,omitempty"`
 	TL2ROCommits      uint64 `json:"tl2_read_only_commits,omitempty"`
+	TL2ClockRaces     uint64 `json:"tl2_clock_races,omitempty"`
+	TL2ClockAdoptions uint64 `json:"tl2_clock_adoptions,omitempty"`
+
+	// Dynamic-transaction counters (stmobs.StatsMap names).
+	SnapshotExtensions uint64 `json:"snapshot_extensions"`
+	SnapshotRechecked  uint64 `json:"snapshot_rechecked"`
+	SnapshotStale      uint64 `json:"snapshot_stale"`
+	ReadOnlyCommits    uint64 `json:"read_only_commits"`
 
 	// Fault-injector activity.
 	FaultInjectors int               `json:"fault_injectors"`
@@ -101,6 +109,13 @@ func record(r Result) runRecord {
 		TL2LockAborts:     s.TL2LockAborts,
 		TL2ValidateAborts: s.TL2ValidateAborts,
 		TL2ROCommits:      s.TL2ReadOnlyCommits,
+		TL2ClockRaces:     s.TL2ClockRaces,
+		TL2ClockAdoptions: s.TL2ClockAdoptions,
+
+		SnapshotExtensions: s.SnapshotExtensions,
+		SnapshotRechecked:  s.SnapshotRechecked,
+		SnapshotStale:      s.SnapshotStale,
+		ReadOnlyCommits:    s.ReadOnlyCommits,
 
 		FaultInjectors: r.Faults.Injectors(),
 		FaultStorms:    r.Faults.Storms,

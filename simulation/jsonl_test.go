@@ -8,12 +8,14 @@ package simulation
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	stm "github.com/stm-go/stm"
 	"github.com/stm-go/stm/internal/simrand"
+	"github.com/stm-go/stm/stmobs"
 )
 
 func TestWriteJSONL(t *testing.T) {
@@ -72,6 +74,53 @@ func TestWriteJSONL(t *testing.T) {
 	flight, ok := sanity["flight"].(string)
 	if !ok || !strings.Contains(flight, "flight recorder:") {
 		t.Errorf("sanity record's flight dump missing or malformed: %q", flight)
+	}
+}
+
+// TestRecordCarriesStatsMapCounters keeps the JSONL schema in step with
+// stmobs.StatsMap: on either engine, every counter StatsMap exports is a
+// record key under the same name, carrying the same value.
+func TestRecordCarriesStatsMapCounters(t *testing.T) {
+	schema := map[string]bool{}
+	rt := reflect.TypeOf(runRecord{})
+	for i := 0; i < rt.NumField(); i++ {
+		schema[strings.Split(rt.Field(i).Tag.Get("json"), ",")[0]] = true
+	}
+	for _, eng := range stm.Engines() {
+		m, err := stm.New(8, stm.WithEngine(eng), stm.WithObs(stm.ObsConfig{Level: stm.ObsHistograms}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Add(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Atomically(func(tx *stm.DTx) error { tx.Read(1); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(record(Result{Engine: eng, Stats: m.Stats()}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec map[string]any
+		if err := json.Unmarshal(b, &rec); err != nil {
+			t.Fatal(err)
+		}
+		counters := 0
+		for key, v := range stmobs.StatsMap(m) {
+			n, ok := v.(uint64)
+			if !ok {
+				continue // engine/obs_level strings, histogram bins
+			}
+			counters++
+			if !schema[key] {
+				t.Errorf("%v: record has no key %q", eng, key)
+			} else if got, _ := rec[key].(float64); uint64(got) != n {
+				t.Errorf("%v: record %s = %v, StatsMap %d", eng, key, rec[key], n)
+			}
+		}
+		if counters < 10 {
+			t.Errorf("%v: StatsMap exported only %d counters", eng, counters)
+		}
 	}
 }
 

@@ -167,6 +167,25 @@ func TestMultiExec(t *testing.T) {
 	})
 }
 
+// TestFeedTornFrameKeepsPlannedArgs: the complete commands of a chunk are
+// planned with arguments that alias the session's read buffer, so a torn
+// frame at the chunk's end must not be moved over them before they run.
+func TestFeedTornFrameKeepsPlannedArgs(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		srv := newTestServer(t, eng)
+		var out bytes.Buffer
+		s := srv.NewSession(&out)
+		for _, chunk := range []string{"SET aaaa 1\r\nGET b", "\r\nGET aaaa\r\n"} {
+			if err := s.Feed([]byte(chunk)); err != nil {
+				t.Fatalf("Feed(%q): %v", chunk, err)
+			}
+		}
+		if got, want := out.String(), "+OK\r\n$-1\r\n$1\r\n1\r\n"; got != want {
+			t.Fatalf("replies = %q, want %q", got, want)
+		}
+	})
+}
+
 func TestQuitAndSessionLifecycle(t *testing.T) {
 	srv := newTestServer(t, stm.ST)
 	var out bytes.Buffer

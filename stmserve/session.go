@@ -206,12 +206,14 @@ func (s *Session) Feed(p []byte) error {
 		}
 		s.plan(s.argsb[:nargs])
 	}
+
+	// Phase two: execute the plan. Only then may the torn frame move to the
+	// front of rbuf: the planned commands' args alias the bytes it would
+	// overwrite.
+	s.execute()
 	if pos > 0 {
 		s.rbuf = s.rbuf[:copy(s.rbuf, s.rbuf[pos:])]
 	}
-
-	// Phase two: execute the plan.
-	s.execute()
 
 	// Replies normally flush per batch through OnCommit; anything still
 	// staged (nothing ran, or an abort path) goes out now.

@@ -1,16 +1,25 @@
 package stm
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrMemoryMismatch reports a ReadVar or WriteVar of a variable that lives
+// in another Memory than the transaction's: a transaction runs over one
+// word vector.
+var ErrMemoryMismatch = errors.New("stm: variables belong to different Memories")
 
 // Var is a named, typed transactional variable: a Codec-encoded value
 // occupying a fixed contiguous word range of one Memory. The handle itself
 // is immutable and safe for concurrent use; the value it names is mutated
-// only through transactions (Store, Update, Atomic*, TxSet), so concurrent
-// access is as safe as the underlying protocol.
+// only through transactions (Store, Update, CompareAndSwap, WriteVar inside
+// Atomically), so concurrent access is as safe as the underlying protocol.
 //
-// A Var compiles away: every typed operation maps onto a static
+// A Var compiles away: each of its own methods maps onto a static
 // transaction over the var's words and runs on the same pooled engine hot
-// path as the raw API.
+// path as the raw API; inside Atomically, ReadVar and WriteVar make its
+// words part of a dynamic transaction's footprint.
 type Var[T any] struct {
 	m     *Memory
 	c     Codec[T]
@@ -168,13 +177,14 @@ func (v *Var[T]) CompareAndSwap(old, new T) bool {
 // be evaluated several times, concurrently, and every evaluation must
 // agree.
 //
-// Update allocates for its per-call closure; hot paths doing repeated
-// typed read-modify-writes should prepare a TxSet once instead, which is
-// allocation-free on repeat executions.
+// Update stays a static transaction over the var's own words, at the cost
+// of one allocation for its per-call closure; a read-modify-write that
+// must also touch other variables belongs in Atomically, where a stable
+// footprint is allocation-free.
 func (v *Var[T]) Update(f func(T) T) T {
 	p := v.m.getWordBuf(len(v.addrs))
-	u := update{typed: func(tv TxView) {
-		v.c.Encode(f(v.c.Decode(tv.old)), tv.new)
+	u := update{fInto: func(old, new []uint64) {
+		v.c.Encode(f(v.c.Decode(old)), new)
 	}}
 	st := v.tx.stage(&u)
 	v.m.run(nil, &st, *p)

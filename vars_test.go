@@ -1,18 +1,15 @@
 package stm_test
 
 // Tests for the typed layer: codec round-trips, the word allocator, Var
-// semantics, TxSet compilation and execution, the Atomic combinators, and
-// a conservation property test (typed bank transfers over mixed
-// int64/struct vars) designed to run under -race.
+// semantics, and a conservation property test (typed bank transfers over
+// mixed int64/struct vars in Atomically) designed to run under -race.
 
 import (
-	"context"
 	"errors"
 	"math"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	stm "github.com/stm-go/stm"
 )
@@ -281,275 +278,11 @@ func TestVarAtRawInterop(t *testing.T) {
 	}
 }
 
-func TestTxSetRunSemantics(t *testing.T) {
-	m := mustNew(t, 16)
-	a, _ := stm.Alloc(m, stm.Int64())
-	p, _ := stm.Alloc(m, pointCodec{})
-	b, _ := stm.Alloc(m, stm.Int64())
-	a.Store(10)
-	p.Store(point{1, 2})
-	b.Store(100)
-
-	ts := stm.NewTxSet(m)
-	sa := stm.AddVar(ts, a)
-	sp := stm.AddVar(ts, p)
-	sb := stm.AddVar(ts, b)
-	if err := ts.Compile(); err != nil {
-		t.Fatal(err)
-	}
-	if ts.Tx() == nil || ts.Size() != 4 {
-		t.Fatalf("compiled TxSet: Tx=%v Size=%d, want non-nil and 4", ts.Tx(), ts.Size())
-	}
-
-	// Move a into p.X; b is declared but never Set: must commit unchanged.
-	err := ts.Run(func(tv stm.TxView) {
-		x := sa.Get(tv)
-		q := sp.Get(tv)
-		sa.Set(tv, 0)
-		sp.Set(tv, point{q.X + x, q.Y})
-		_ = sb.Get(tv)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Load(); got != 0 {
-		t.Errorf("a = %d, want 0", got)
-	}
-	if got := p.Load(); got != (point{11, 2}) {
-		t.Errorf("p = %v, want {11 2}", got)
-	}
-	if got := b.Load(); got != 100 {
-		t.Errorf("untouched slot b = %d, want 100", got)
-	}
-
-	// Slot.Old reads the committed snapshot of the last Run.
-	if got := sa.Old(); got != 10 {
-		t.Errorf("sa.Old() = %d, want 10", got)
-	}
-	if got := sp.Old(); got != (point{1, 2}) {
-		t.Errorf("sp.Old() = %v, want {1 2}", got)
-	}
-	if got := sb.Old(); got != 100 {
-		t.Errorf("sb.Old() = %d, want 100", got)
-	}
-}
-
-func TestTxSetCompileErrors(t *testing.T) {
-	m := mustNew(t, 16)
-	m2 := mustNew(t, 16)
-	a, _ := stm.Alloc(m, stm.Int64())
-	other, _ := stm.Alloc(m2, stm.Int64())
-
-	// Empty set.
-	if err := stm.NewTxSet(m).Compile(); !errors.Is(err, stm.ErrEmptyDataSet) {
-		t.Errorf("empty TxSet err = %v, want ErrEmptyDataSet", err)
-	}
-
-	// Same var twice: duplicate addresses.
-	ts := stm.NewTxSet(m)
-	stm.AddVar(ts, a)
-	stm.AddVar(ts, a)
-	if err := ts.Compile(); !errors.Is(err, stm.ErrDupAddr) {
-		t.Errorf("dup var err = %v, want ErrDupAddr", err)
-	}
-	if err := ts.Run(func(stm.TxView) {}); !errors.Is(err, stm.ErrDupAddr) {
-		t.Errorf("Run after failed compile err = %v, want sticky ErrDupAddr", err)
-	}
-
-	// Var from another Memory.
-	ts = stm.NewTxSet(m)
-	stm.AddVar(ts, a)
-	stm.AddVar(ts, other)
-	if err := ts.Compile(); !errors.Is(err, stm.ErrMemoryMismatch) {
-		t.Errorf("mixed-memory err = %v, want ErrMemoryMismatch", err)
-	}
-
-	// AddVar after compile.
-	ts = stm.NewTxSet(m)
-	stm.AddVar(ts, a)
-	if err := ts.Compile(); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := stm.Alloc(m, stm.Int64())
-	stm.AddVar(ts, b)
-	if err := ts.Run(func(stm.TxView) {}); err == nil {
-		t.Error("AddVar after compile: Run should report the build error")
-	}
-}
-
-func TestTxSetRunWhen(t *testing.T) {
-	m := mustNew(t, 8)
-	gate, _ := stm.Alloc(m, stm.Bool())
-	n, _ := stm.Alloc(m, stm.Int64())
-
-	done := make(chan error, 1)
-	go func() {
-		ts := stm.NewTxSet(m)
-		sg := stm.AddVar(ts, gate)
-		sn := stm.AddVar(ts, n)
-		done <- ts.RunWhen(
-			func(tv stm.TxView) bool { return sg.Get(tv) },
-			func(tv stm.TxView) {
-				sg.Set(tv, false)
-				sn.Set(tv, sn.Get(tv)+1)
-			},
-		)
-	}()
-
-	select {
-	case err := <-done:
-		t.Fatalf("RunWhen returned %v before the gate opened", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	gate.Store(true)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got := gate.Load(); got {
-		t.Error("gate still open after RunWhen consumed it")
-	}
-	if got := n.Load(); got != 1 {
-		t.Errorf("n = %d, want 1", got)
-	}
-}
-
-func TestTxSetGuardIsReadOnly(t *testing.T) {
-	// A guard that tries to Set must panic (it sees a read-only view),
-	// not silently commit its writes.
-	m := mustNew(t, 8)
-	v, _ := stm.Alloc(m, stm.Int64())
-	ts := stm.NewTxSet(m)
-	sv := stm.AddVar(ts, v)
-	defer func() {
-		if recover() == nil {
-			t.Error("Set inside a guard should panic")
-		}
-		// A panic escaping a transaction leaves its attempt wedged (like
-		// panicking with a lock held), so observe only via the
-		// non-transactional Peek: nothing may have been installed.
-		if got := m.Peek(v.Base()); got != 0 {
-			t.Errorf("guard write leaked: word = %d, want 0", got)
-		}
-	}()
-	_ = ts.RunWhen(
-		func(tv stm.TxView) bool { sv.Set(tv, 999); return true },
-		func(tv stm.TxView) {},
-	)
-}
-
-func TestTxSetRunWhenContextCancel(t *testing.T) {
-	m := mustNew(t, 8)
-	gate, _ := stm.Alloc(m, stm.Bool())
-	ts := stm.NewTxSet(m)
-	sg := stm.AddVar(ts, gate)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	err := ts.RunWhenContext(ctx,
-		func(tv stm.TxView) bool { return sg.Get(tv) },
-		func(tv stm.TxView) { sg.Set(tv, false) },
-	)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("err = %v, want DeadlineExceeded", err)
-	}
-}
-
-func TestAtomicCombinators(t *testing.T) {
-	m := mustNew(t, 16)
-	a, _ := stm.Alloc(m, stm.Int64())
-	s, _ := stm.Alloc(m, stm.String(8))
-	p, _ := stm.Alloc(m, pointCodec{})
-	a.Store(5)
-	s.Store("hi")
-
-	if err := stm.Atomic1(a, func(x int64) int64 { return x + 1 }); err != nil {
-		t.Fatal(err)
-	}
-	if err := stm.Atomic2(a, s, func(x int64, str string) (int64, string) {
-		return -x, str + "!"
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := stm.Atomic3(a, s, p, func(x int64, str string, q point) (int64, string, point) {
-		return x, str, point{x, int64(len(str))}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Load(); got != -6 {
-		t.Errorf("a = %d, want -6", got)
-	}
-	if got := s.Load(); got != "hi!" {
-		t.Errorf("s = %q, want %q", got, "hi!")
-	}
-	if got := p.Load(); got != (point{-6, 3}) {
-		t.Errorf("p = %v, want {-6 3}", got)
-	}
-
-	m2 := mustNew(t, 8)
-	b, _ := stm.Alloc(m2, stm.Int64())
-	if err := stm.Atomic2(a, b, func(x, y int64) (int64, int64) { return y, x }); !errors.Is(err, stm.ErrMemoryMismatch) {
-		t.Errorf("cross-memory Atomic2 err = %v, want ErrMemoryMismatch", err)
-	}
-}
-
-func TestAtomicN(t *testing.T) {
-	// The variadic combinator: no cliff after three variables. Rotate five
-	// counters left in one transaction and bump each.
-	m := mustNew(t, 16)
-	vars := make([]*stm.Var[int64], 5)
-	for i := range vars {
-		v, err := stm.Alloc(m, stm.Int64())
-		if err != nil {
-			t.Fatal(err)
-		}
-		v.Store(int64(10 * (i + 1)))
-		vars[i] = v
-	}
-	if err := stm.AtomicN(func(old []int64) []int64 {
-		first := old[0]
-		copy(old, old[1:])
-		old[len(old)-1] = first
-		for i := range old {
-			old[i]++
-		}
-		return old
-	}, vars...); err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{21, 31, 41, 51, 11}
-	for i, v := range vars {
-		if got := v.Load(); got != want[i] {
-			t.Errorf("vars[%d] = %d, want %d", i, got, want[i])
-		}
-	}
-
-	// Error surface: no vars, cross-memory sets, overlapping vars.
-	if err := stm.AtomicN(func(old []int64) []int64 { return old }); !errors.Is(err, stm.ErrEmptyDataSet) {
-		t.Errorf("AtomicN() err = %v, want ErrEmptyDataSet", err)
-	}
-	m2 := mustNew(t, 8)
-	foreign, _ := stm.Alloc(m2, stm.Int64())
-	if err := stm.AtomicN(func(old []int64) []int64 { return old }, vars[0], foreign); !errors.Is(err, stm.ErrMemoryMismatch) {
-		t.Errorf("cross-memory AtomicN err = %v, want ErrMemoryMismatch", err)
-	}
-	if err := stm.AtomicN(func(old []int64) []int64 { return old }, vars[0], vars[0]); !errors.Is(err, stm.ErrDupAddr) {
-		t.Errorf("overlapping AtomicN err = %v, want ErrDupAddr", err)
-	}
-
-	// A wrong-length result panics like the raw UpdateFunc contract.
-	defer func() {
-		if recover() == nil {
-			t.Error("AtomicN with a short result should panic")
-		}
-	}()
-	_ = stm.AtomicN(func(old []int64) []int64 { return old[:1] }, vars[0], vars[1])
-}
-
 // TestTypedTransfersConserveTotal is the typed bank-account property test,
 // meant to run under -race: concurrent transfers between int64 account
 // vars and a struct vault var must conserve the combined total, while a
-// concurrent auditor snapshots all vars through its own TxSet and checks
-// the invariant at every linearization point it observes.
+// concurrent auditor reads all vars in one Atomically and checks the
+// invariant at every linearization point it observes.
 func TestTypedTransfersConserveTotal(t *testing.T) {
 	forEachEngine(t, testTypedTransfersConserveTotal)
 }
@@ -581,14 +314,16 @@ func testTypedTransfersConserveTotal(t *testing.T, eng stm.Engine) {
 	stop := make(chan struct{})
 	auditErr := make(chan error, 1)
 	go func() {
-		// Auditor: one compiled TxSet over every var; an empty update
-		// commits the set unchanged, and Slot.Old reads the snapshot.
-		ts := stm.NewTxSet(m)
-		slots := make([]stm.Slot[int64], accounts)
-		for i, v := range accs {
-			slots[i] = stm.AddVar(ts, v)
+		// Auditor: one read-only transaction over every var, which commits
+		// where its last read was admitted.
+		var sum int64
+		audit := func(tx *stm.DTx) error {
+			sum = stm.ReadVar(tx, vaultVar).X
+			for _, v := range accs {
+				sum += stm.ReadVar(tx, v)
+			}
+			return nil
 		}
-		sv := stm.AddVar(ts, vaultVar)
 		for {
 			select {
 			case <-stop:
@@ -596,15 +331,10 @@ func testTypedTransfersConserveTotal(t *testing.T, eng stm.Engine) {
 				return
 			default:
 			}
-			if err := ts.Run(func(stm.TxView) {}); err != nil {
+			if err := m.Atomically(audit); err != nil {
 				auditErr <- err
 				return
 			}
-			var sum int64
-			for _, s := range slots {
-				sum += s.Old()
-			}
-			sum += sv.Old().X
 			if sum != want {
 				auditErr <- errors.New("audit: snapshot total off")
 				return
@@ -629,8 +359,11 @@ func testTypedTransfersConserveTotal(t *testing.T, eng stm.Engine) {
 				a := accs[next(accounts)]
 				if next(3) == 0 {
 					// Deposit into the struct vault.
-					if err := stm.Atomic2(a, vaultVar, func(x int64, v point) (int64, point) {
-						return x - amt, point{v.X + amt, v.Y + 1}
+					if err := m.Atomically(func(tx *stm.DTx) error {
+						v := stm.ReadVar(tx, vaultVar)
+						stm.WriteVar(tx, a, stm.ReadVar(tx, a)-amt)
+						stm.WriteVar(tx, vaultVar, point{v.X + amt, v.Y + 1})
+						return nil
 					}); err != nil {
 						t.Error(err)
 						return
@@ -644,8 +377,10 @@ func testTypedTransfersConserveTotal(t *testing.T, eng stm.Engine) {
 						continue
 					}
 				}
-				if err := stm.Atomic2(a, b, func(x, y int64) (int64, int64) {
-					return x - amt, y + amt
+				if err := m.Atomically(func(tx *stm.DTx) error {
+					stm.WriteVar(tx, a, stm.ReadVar(tx, a)-amt)
+					stm.WriteVar(tx, b, stm.ReadVar(tx, b)+amt)
+					return nil
 				}); err != nil {
 					t.Error(err)
 					return
