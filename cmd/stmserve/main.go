@@ -45,19 +45,16 @@ import (
 	"github.com/stm-go/stm/stmserve"
 )
 
-// parseObsLevel maps the -obs flag to an observability level.
+// parseObsLevel maps the -obs flag to an observability level. The trace
+// level is not offered: the server registers no TraceObserver, so it would
+// record nothing beyond hist.
 func parseObsLevel(s string) (stm.ObsLevel, error) {
-	switch s {
-	case "off":
-		return stm.ObsOff, nil
-	case "counters":
-		return stm.ObsCounters, nil
-	case "hist":
-		return stm.ObsHistograms, nil
-	case "trace":
-		return stm.ObsTrace, nil
+	for _, l := range []stm.ObsLevel{stm.ObsOff, stm.ObsCounters, stm.ObsHistograms} {
+		if s == l.String() {
+			return l, nil
+		}
 	}
-	return stm.ObsOff, fmt.Errorf("-obs %q: want off, counters, hist, or trace", s)
+	return stm.ObsOff, fmt.Errorf("-obs %q: want off, counters, or hist", s)
 }
 
 func main() {
@@ -77,7 +74,7 @@ func run(args []string) error {
 		qcap   = fs.Int("qcap", 1024, "capacity of each named queue")
 		zcap   = fs.Int("zcap", 1024, "capacity of each named priority queue")
 		admin  = fs.String("admin", "", "admin HTTP listen address (/metrics, /debug/vars, /debug/pprof); empty disables")
-		obs    = fs.String("obs", "counters", `engine observability level ("off", "counters", "hist", "trace")`)
+		obs    = fs.String("obs", "counters", `engine observability level ("off", "counters", "hist")`)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -6,6 +6,8 @@ package backoff
 import (
 	"sync/atomic"
 	"time"
+
+	"github.com/stm-go/stm/internal/xrand"
 )
 
 // Exp is a capped exponential backoff. The zero value is invalid; use New.
@@ -14,7 +16,7 @@ type Exp struct {
 	cur   time.Duration
 	min   time.Duration
 	max   time.Duration
-	rng   uint64
+	rng   xrand.RNG // the jitter stream, held by value: New allocates only the Exp
 	spins int
 }
 
@@ -27,28 +29,20 @@ func New(min, max time.Duration, seed uint64) *Exp {
 	if max < min {
 		max = min
 	}
-	return &Exp{cur: min, min: min, max: max, rng: seed | 1, spins: 8}
+	return &Exp{cur: min, min: min, max: max, rng: *xrand.New(seed), spins: 8}
 }
 
-// seedSeq feeds NewSeeded. Weyl-sequence stepping by the golden-ratio
-// increment keeps concurrently drawn seeds maximally decorrelated.
+// seedSeq feeds NewSeeded one distinct seed per call.
 var seedSeq atomic.Uint64
 
-// NewSeeded is New with a process-wide decorrelated seed: each call —
-// including fully concurrent calls — draws a distinct point of a Weyl
-// sequence, so goroutines that construct their backoff at the same instant
-// never share a jitter stream. Prefer this over hand-rolling seeds from
-// time or goroutine-local state.
+// NewSeeded is New with a process-wide distinct seed: each call —
+// including fully concurrent calls — takes the next value of one atomic
+// counter, so goroutines that construct their backoff at the same instant
+// never share a jitter stream (splitmix64 mixes adjacent seeds into
+// unrelated streams). Prefer this over hand-rolling seeds from time or
+// goroutine-local state.
 func NewSeeded(min, max time.Duration) *Exp {
-	return New(min, max, seedSeq.Add(1)*0x9e3779b97f4a7c15)
-}
-
-// next returns a pseudo-random uint64 (xorshift64*).
-func (b *Exp) next() uint64 {
-	b.rng ^= b.rng >> 12
-	b.rng ^= b.rng << 25
-	b.rng ^= b.rng >> 27
-	return b.rng * 2685821657736338717
+	return New(min, max, seedSeq.Add(1))
 }
 
 // Wait blocks for the current backoff interval (with ±50% jitter) and then
@@ -62,7 +56,7 @@ func (b *Exp) Wait() {
 		}
 		return
 	}
-	jitter := time.Duration(b.next() % uint64(b.cur))
+	jitter := time.Duration(b.rng.Int63n(int64(b.cur)))
 	time.Sleep(b.cur/2 + jitter)
 	if b.cur < b.max {
 		b.cur *= 2

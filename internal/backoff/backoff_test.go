@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/stm-go/stm/internal/xrand"
 )
 
 func TestNewClampsArguments(t *testing.T) {
@@ -71,7 +73,7 @@ func TestNewSeededConcurrentDecorrelation(t *testing.T) {
 	// streams: no two may share an rng state, even when constructed at the
 	// same instant from many goroutines.
 	const n = 64
-	states := make([]uint64, n)
+	states := make([]xrand.RNG, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -81,13 +83,10 @@ func TestNewSeededConcurrentDecorrelation(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	seen := make(map[uint64]bool, n)
-	for i, s := range states {
-		if s == 0 {
-			t.Fatalf("backoff %d has zero rng state", i)
-		}
+	seen := make(map[xrand.RNG]bool, n)
+	for _, s := range states {
 		if seen[s] {
-			t.Fatalf("two concurrently seeded backoffs share rng state %#x", s)
+			t.Fatalf("two concurrently seeded backoffs share rng state %+v", s)
 		}
 		seen[s] = true
 	}
@@ -95,9 +94,17 @@ func TestNewSeededConcurrentDecorrelation(t *testing.T) {
 
 func TestDeterministicJitterPerSeed(t *testing.T) {
 	a, b := New(time.Microsecond, time.Second, 9), New(time.Microsecond, time.Second, 9)
+	c := New(time.Microsecond, time.Second, 10)
 	for i := 0; i < 20; i++ {
-		if a.next() != b.next() {
+		if a.rng != b.rng {
+			t.Fatalf("same seed, draw %d: generator states %+v and %+v differ", i, a.rng, b.rng)
+		}
+		if a.rng == c.rng {
+			t.Fatalf("seeds 9 and 10 share generator state %+v at draw %d", a.rng, i)
+		}
+		if x, y := a.rng.Uint64(), b.rng.Uint64(); x != y {
 			t.Fatal("same seed produced different jitter streams")
 		}
+		c.rng.Uint64()
 	}
 }

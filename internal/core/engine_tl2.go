@@ -115,7 +115,7 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 		// there and commit without touching the clock or any lock.
 		if lvl != ObsOff {
 			rec.obsWrites = 0
-			m.stats.shards[rec.shard].tl2ReadOnly.Add(1)
+			m.stats.bump(rec.shard, cTL2ReadOnly)
 		}
 		if oldOut != nil {
 			copy(oldOut, old)
@@ -165,10 +165,9 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 			adopted = true
 		}
 		if lvl != ObsOff {
-			sh := &m.stats.shards[rec.shard]
-			sh.tl2ClockRace.Add(1)
+			m.stats.bump(rec.shard, cTL2ClockRace)
 			if adopted {
-				sh.tl2ClockAdopt.Add(1)
+				m.stats.bump(rec.shard, cTL2ClockAdopt)
 			}
 		}
 

@@ -219,7 +219,7 @@ func (m *Memory) stStableLoadBox(loc int) *uint64 {
 				if m.chaosOn.Load() != 0 {
 					m.chaosFire(ChaosSTHelping, []int{loc}, -1)
 				}
-				m.stats.help(owner.shard)
+				m.stats.bump(owner.shard, cHelps)
 				m.transaction(owner, false)
 			}
 			owner.unpin()
@@ -337,7 +337,7 @@ func (m *Memory) transaction(rec *Rec, initiator bool) {
 			if m.chaosOn.Load() != 0 {
 				m.chaosFire(ChaosSTHelping, rec.addrs, -1)
 			}
-			m.stats.help(rec.shard)
+			m.stats.bump(rec.shard, cHelps)
 			m.transaction(owner, false)
 			helped = true
 		}

@@ -312,15 +312,14 @@ func (m *Memory) obsEnd(rec *Rec, lvl ObsLevel, ok bool) {
 	var dt uint64
 	if lvl >= ObsHistograms {
 		dt = nowTicks() - rec.obsT0
-		h := &m.stats.hists[rec.shard]
 		if ok {
-			h.commitTicks[histBucket(dt)].Add(1)
+			sh.hists[hCommitTicks].Observe(dt)
 		} else {
-			h.abortTicks[histBucket(dt)].Add(1)
+			sh.hists[hAbortTicks].Observe(dt)
 		}
-		h.readSet[histBucket(uint64(len(rec.addrs)))].Add(1)
+		sh.hists[hReadSet].Observe(uint64(len(rec.addrs)))
 		if rec.obsWrites >= 0 {
-			h.writeSet[histBucket(uint64(rec.obsWrites))].Add(1)
+			sh.hists[hWriteSet].Observe(uint64(rec.obsWrites))
 		}
 	}
 	st := m.obsPtr.Load()
@@ -390,35 +389,33 @@ func (r *Rec) obsFail(reason AbortReason, addr int) {
 }
 
 // DebugString returns a human-readable dump of the Memory's observability
-// state: engine, size, protocol counters, the abort taxonomy, histogram
-// summaries (when populated), and the hottest conflict words. It is a
-// diagnostic snapshot with the same torn-window caveats as Stats.
+// state: engine, size, failure rate, the engine's counters under their
+// export keys, histogram summaries (when populated), and the hottest
+// conflict words. It is a diagnostic snapshot with the same torn-window
+// caveats as Stats.
 func (m *Memory) DebugString() string {
 	var sb strings.Builder
 	s := m.Stats()
-	fmt.Fprintf(&sb, "stm.Memory: engine=%s size=%d obs=%s\n", m.kind, len(m.words), m.ObsLevel())
-	fmt.Fprintf(&sb, "  attempts=%d commits=%d failures=%d (rate %.4f) helps=%d\n",
-		s.Attempts, s.Commits, s.Failures, s.FailureRate(), s.Helps)
-	if m.kind == EngineST {
-		fmt.Fprintf(&sb, "  aborts: st-conflict=%d st-helped=%d\n", s.STConflictAborts, s.STHelpedAborts)
-	} else {
-		fmt.Fprintf(&sb, "  aborts: tl2-read=%d tl2-lock=%d tl2-validate=%d\n",
-			s.TL2ReadAborts, s.TL2LockAborts, s.TL2ValidateAborts)
-		fmt.Fprintf(&sb, "  tl2: read-only-commits=%d clock-races=%d clock-adoptions=%d\n",
-			s.TL2ReadOnlyCommits, s.TL2ClockRaces, s.TL2ClockAdoptions)
-	}
-	fmt.Fprintf(&sb, "  dynamic: read-only-commits=%d snapshot-extensions=%d rechecked-words=%d stale=%d\n",
-		s.ReadOnlyCommits, s.SnapshotExtensions, s.SnapshotRechecked, s.SnapshotStale)
-	hist := func(name string, h HistogramSnapshot, unit string) {
-		if h.Total() == 0 {
-			return
+	fmt.Fprintf(&sb, "stm.Memory: engine=%s size=%d obs=%s failure-rate=%.4f",
+		m.kind, len(m.words), m.ObsLevel(), s.FailureRate())
+	for i, c := range Counters(m.kind) {
+		if i%4 == 0 {
+			sb.WriteString("\n ")
 		}
-		fmt.Fprintf(&sb, "  %-12s %s  (n=%d, %s)\n", name, h.String(), h.Total(), unit)
+		fmt.Fprintf(&sb, " %s=%d", c.Key, c.Value(&s))
 	}
-	hist("commit-ticks", s.CommitTicks, fmt.Sprintf("1 tick ≈ %v nominal", TickInterval))
-	hist("abort-ticks", s.AbortTicks, fmt.Sprintf("1 tick ≈ %v nominal", TickInterval))
-	hist("read-set", s.ReadSetSize, "words")
-	hist("write-set", s.WriteSetSize, "words")
+	sb.WriteByte('\n')
+	for _, def := range histTable {
+		h := def.Value(&s)
+		if h.Total() == 0 {
+			continue
+		}
+		unit := "words"
+		if def.Ticks {
+			unit = fmt.Sprintf("1 tick ≈ %v nominal", TickInterval)
+		}
+		fmt.Fprintf(&sb, "  %-12s %s  (n=%d, %s)\n", def.Key, h.String(), h.Total(), unit)
+	}
 
 	// Hottest conflict words: scan the per-word counters, report the top 5.
 	type hot struct {

@@ -200,9 +200,10 @@ func TestObsHistograms(t *testing.T) {
 	if got := s.ReadSetSize.Total(); got != commits+fails {
 		t.Errorf("ReadSetSize total = %d, want %d", got, commits+fails)
 	}
-	// Every data set above had 2 words: one read-set bucket holds all mass.
-	if got := s.ReadSetSize.Counts[histBucket(2)]; got != commits+fails {
-		t.Errorf("ReadSetSize bucket(2) = %d, want %d", got, commits+fails)
+	// Every data set above had 2 words: one read-set bucket, [2,4), holds
+	// all mass.
+	if got := s.ReadSetSize.Counts[2]; got != commits+fails {
+		t.Errorf("ReadSetSize bin [2,4) = %d, want %d", got, commits+fails)
 	}
 	// The write-set histogram counts attempts whose write set was computed —
 	// on ST that is the committed attempts (the whole data set is installed).

@@ -120,7 +120,7 @@ type ConflictInfo struct {
 // record recycling.
 func (m *Memory) RunAttemptConflict(rec *Rec, calc CalcFunc, oldOut []uint64, info *ConflictInfo) bool {
 	rec.calc = calc
-	m.stats.attempt(rec.shard)
+	m.stats.bump(rec.shard, cAttempts)
 	// The observability seam (obs.go): one plain load decides the whole
 	// attempt's level, so hooks cost a predicted branch when off and the
 	// begin/end pair bracket exactly what the engine executed.
@@ -131,9 +131,9 @@ func (m *Memory) RunAttemptConflict(rec *Rec, calc CalcFunc, oldOut []uint64, in
 
 	ok := m.attempt(rec, oldOut, info)
 	if ok {
-		m.stats.commit(rec.shard)
+		m.stats.bump(rec.shard, cCommits)
 	} else {
-		m.stats.failure(rec.shard)
+		m.stats.bump(rec.shard, cFailures)
 	}
 	if lvl != ObsOff {
 		m.obsEnd(rec, lvl, ok)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -14,50 +15,149 @@ import (
 // binding, so a record that stays on one P keeps hitting the same line).
 const statShards = 8
 
-// statLine is one shard of counters, padded to whole cache lines so shards
-// never false-share. The first four counters are the always-on protocol
-// counters; the taxonomy block below them is bumped only at engine failure
-// sites and the TL2 read-only/clock paths, and only while the observability
-// level is ObsCounters or above.
+// counter indexes a statLine's counters and counterTable. Adding a counter
+// takes a constant here, its counterTable row, its StatsSnapshot field, and
+// its increment site; every exporter walks the table.
+type counter uint8
+
+const (
+	// The four protocol counters (always on).
+	cAttempts counter = iota
+	cCommits
+	cFailures
+	cHelps
+	// The abort taxonomy (ObsCounters+), in AbortReason order: reason r is
+	// counted by cHelps+r (statLine.reason).
+	cAbortSTConflict
+	cAbortSTHelped
+	cAbortTL2Read
+	cAbortTL2Lock
+	cAbortTL2Validate
+	// TL2 protocol telemetry (ObsCounters+, commit path).
+	cTL2ReadOnly
+	cTL2ClockRace
+	cTL2ClockAdopt
+	// The dynamic-transaction tally (always on; NoteSnapshotExtensions).
+	cSnapExtensions
+	cSnapRechecked
+	cSnapStale
+	cReadOnlyCommits
+	nCounters
+)
+
+// hist indexes a statLine's histograms and histTable.
+type hist uint8
+
+const (
+	hCommitTicks hist = iota
+	hAbortTicks
+	hReadSet
+	hWriteSet
+	nHists
+)
+
+// Engine masks for CounterDef: which engines maintain a counter.
+const (
+	onST   = 1 << EngineST
+	onTL2  = 1 << EngineTL2
+	onBoth = onST | onTL2
+)
+
+// CounterDef is one row of the counter table: a StatsSnapshot counter, the
+// engines that maintain it, and the stable key every exporter derives its
+// names from (stmobs.StatsMap and the simulation JSONL record use the key
+// as is; the Prometheus export derives stm_<key>_total from it).
+type CounterDef struct {
+	// Key is the counter's export key, e.g. "attempts", "aborts_st_conflict".
+	Key string
+	// Reason is the abort taxonomy entry the counter tallies, or ReasonNone
+	// for a counter outside the taxonomy.
+	Reason  AbortReason
+	engines uint8
+	field   func(*StatsSnapshot) *uint64
+}
+
+// Value returns the counter's value in s.
+func (c CounterDef) Value(s *StatsSnapshot) uint64 { return *c.field(s) }
+
+var counterTable = [nCounters]CounterDef{
+	cAttempts:         {"attempts", ReasonNone, onBoth, func(s *StatsSnapshot) *uint64 { return &s.Attempts }},
+	cCommits:          {"commits", ReasonNone, onBoth, func(s *StatsSnapshot) *uint64 { return &s.Commits }},
+	cFailures:         {"failures", ReasonNone, onBoth, func(s *StatsSnapshot) *uint64 { return &s.Failures }},
+	cHelps:            {"helps", ReasonNone, onBoth, func(s *StatsSnapshot) *uint64 { return &s.Helps }},
+	cAbortSTConflict:  {"aborts_st_conflict", ReasonSTConflict, onST, func(s *StatsSnapshot) *uint64 { return &s.STConflictAborts }},
+	cAbortSTHelped:    {"aborts_st_helped", ReasonSTHelped, onST, func(s *StatsSnapshot) *uint64 { return &s.STHelpedAborts }},
+	cAbortTL2Read:     {"aborts_tl2_read", ReasonTL2Read, onTL2, func(s *StatsSnapshot) *uint64 { return &s.TL2ReadAborts }},
+	cAbortTL2Lock:     {"aborts_tl2_lock", ReasonTL2Lock, onTL2, func(s *StatsSnapshot) *uint64 { return &s.TL2LockAborts }},
+	cAbortTL2Validate: {"aborts_tl2_validate", ReasonTL2Validate, onTL2, func(s *StatsSnapshot) *uint64 { return &s.TL2ValidateAborts }},
+	cTL2ReadOnly:      {"tl2_read_only_commits", ReasonNone, onTL2, func(s *StatsSnapshot) *uint64 { return &s.TL2ReadOnlyCommits }},
+	cTL2ClockRace:     {"tl2_clock_races", ReasonNone, onTL2, func(s *StatsSnapshot) *uint64 { return &s.TL2ClockRaces }},
+	cTL2ClockAdopt:    {"tl2_clock_adoptions", ReasonNone, onTL2, func(s *StatsSnapshot) *uint64 { return &s.TL2ClockAdoptions }},
+	cSnapExtensions:   {"snapshot_extensions", ReasonNone, onBoth, func(s *StatsSnapshot) *uint64 { return &s.SnapshotExtensions }},
+	cSnapRechecked:    {"snapshot_rechecked", ReasonNone, onBoth, func(s *StatsSnapshot) *uint64 { return &s.SnapshotRechecked }},
+	cSnapStale:        {"snapshot_stale", ReasonNone, onBoth, func(s *StatsSnapshot) *uint64 { return &s.SnapshotStale }},
+	cReadOnlyCommits:  {"read_only_commits", ReasonNone, onBoth, func(s *StatsSnapshot) *uint64 { return &s.ReadOnlyCommits }},
+}
+
+// Counters returns the counter table rows an engine maintains, in table
+// order: the protocol counters, that engine's abort taxonomy and telemetry,
+// and the dynamic-transaction tally. Helps is listed for both engines (it
+// is always 0 on TL2, and exported as such).
+func Counters(k EngineKind) []CounterDef {
+	var out []CounterDef
+	for _, c := range counterTable {
+		if c.engines&(1<<k) != 0 {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// HistogramDef is one row of the histogram table: a StatsSnapshot
+// histogram and its export key (stmobs.StatsMap and the JSONL record export
+// it as hist_<key>).
+type HistogramDef struct {
+	// Key is the histogram's export key, e.g. "commit_ticks", "read_set".
+	Key string
+	// Ticks reports that the histogram's values are coarse ticks (see
+	// TickInterval); otherwise they are sizes in words.
+	Ticks bool
+	field func(*StatsSnapshot) *HistogramSnapshot
+}
+
+// Value returns the histogram's snapshot in s.
+func (h HistogramDef) Value(s *StatsSnapshot) HistogramSnapshot { return *h.field(s) }
+
+var histTable = [nHists]HistogramDef{
+	hCommitTicks: {"commit_ticks", true, func(s *StatsSnapshot) *HistogramSnapshot { return &s.CommitTicks }},
+	hAbortTicks:  {"abort_ticks", true, func(s *StatsSnapshot) *HistogramSnapshot { return &s.AbortTicks }},
+	hReadSet:     {"read_set", false, func(s *StatsSnapshot) *HistogramSnapshot { return &s.ReadSetSize }},
+	hWriteSet:    {"write_set", false, func(s *StatsSnapshot) *HistogramSnapshot { return &s.WriteSetSize }},
+}
+
+// Histograms returns the histogram table rows, in table order; both
+// engines record every histogram.
+func Histograms() []HistogramDef { return slices.Clone(histTable[:]) }
+
+// statLine is one shard of counters and histograms, padded to whole cache
+// lines so shards never false-share. Histogram bins share cache lines
+// within a shard, which is fine — one shard is written from (at steady
+// state) one P.
 type statLine struct {
-	attempts atomic.Uint64
-	commits  atomic.Uint64
-	failures atomic.Uint64
-	helps    atomic.Uint64
-
-	// Abort taxonomy, indexed by AbortReason (reasons[ReasonNone] is
-	// unused). Striped like the protocol counters: a failed attempt bumps
-	// exactly one entry, on its record's shard.
-	reasons [6]atomic.Uint64
-
-	// TL2 protocol telemetry (obs-gated, commit path).
-	tl2ReadOnly   atomic.Uint64 // commits with an empty write set (zero RMW)
-	tl2ClockRace  atomic.Uint64 // commits whose first clock CAS lost (GV4 slow path)
-	tl2ClockAdopt atomic.Uint64 // commits that adopted another commit's clock value
-
-	// Dynamic-transaction snapshot extensions (always on; see
-	// NoteSnapshotExtensions): how often a speculation found the commit
-	// epoch moved and re-checked its read set, how many logged reads those
-	// re-checks covered, and how many of them found a read stale.
-	snapExtensions atomic.Uint64
-	snapRechecked  atomic.Uint64
-	snapStale      atomic.Uint64
-
-	// Dynamic transactions that committed with no engine attempt because
-	// they wrote nothing (always on, folded in with the snapshot tally).
-	readOnlyCommits atomic.Uint64
+	c     [nCounters]atomic.Uint64
+	hists [nHists]Hist
 
 	// traceSeq drives ObsTrace sampling (1-in-SampleEvery per shard); it is
 	// bookkeeping, not a published counter.
 	traceSeq atomic.Uint64
 
-	_ [(cacheLineSize - 18*8%cacheLineSize) % cacheLineSize]byte
+	_ [(cacheLineSize - (int(nCounters)+int(nHists)*HistBins+1)*8%cacheLineSize) % cacheLineSize]byte
 }
 
 // reason charges one failed attempt to its taxonomy entry.
 func (l *statLine) reason(r AbortReason) {
 	if r != ReasonNone {
-		l.reasons[r].Add(1)
+		l.c[cHelps+counter(r)].Add(1)
 	}
 }
 
@@ -66,33 +166,29 @@ func (l *statLine) reason(r AbortReason) {
 // last bin holds everything from 2^(HistBins-2) up.
 const HistBins = 16
 
-// HistBucket maps a value to its log-scaled bin — the binning every
-// HistogramSnapshot in this module shares. External histogram producers
-// (the stmserve per-command metrics) use it so their distributions line up
-// bin-for-bin with the engine's.
-func HistBucket(v uint64) int { return histBucket(v) }
-
-// histBucket maps a value to its log-scaled bin.
-func histBucket(v uint64) int {
-	if v == 0 {
-		return 0
-	}
-	b := bits.Len64(v)
-	if b > HistBins-1 {
-		b = HistBins - 1
-	}
-	return b
+// Hist is one stripe of a log2 histogram: HistBins atomic bins. The engine
+// keeps one per stats shard and histogram, stmserve one per session and
+// distribution; a reader merges the stripes into a HistogramSnapshot with
+// AddTo. The zero value is empty and ready to use.
+type Hist struct {
+	bins [HistBins]atomic.Uint64
 }
 
-// histLine is one shard of the four attempt histograms. Histogram bumps are
-// striped by the record's stats shard like the counters; within a shard the
-// bins share cache lines, which is fine — one shard is written from (at
-// steady state) one P.
-type histLine struct {
-	commitTicks [HistBins]atomic.Uint64
-	abortTicks  [HistBins]atomic.Uint64
-	readSet     [HistBins]atomic.Uint64
-	writeSet    [HistBins]atomic.Uint64
+// Observe records one value in its bin.
+func (h *Hist) Observe(v uint64) { h.bins[min(bits.Len64(v), HistBins-1)].Add(1) }
+
+// Reset zeroes every bin (not atomically across bins).
+func (h *Hist) Reset() {
+	for i := range h.bins {
+		h.bins[i].Store(0)
+	}
+}
+
+// AddTo merges the stripe's current counts into s.
+func (h *Hist) AddTo(s *HistogramSnapshot) {
+	for i := range h.bins {
+		s.Counts[i] += h.bins[i].Load()
+	}
 }
 
 // Stats accumulates protocol counters and histograms, sharded and
@@ -100,45 +196,25 @@ type histLine struct {
 // use.
 type Stats struct {
 	shards [statShards]statLine
-	hists  [statShards]histLine
 }
 
-func (s *Stats) attempt(shard int) { s.shards[shard].attempts.Add(1) }
+// bump adds one to counter c on a shard.
+func (s *Stats) bump(shard int, c counter) { s.shards[shard].c[c].Add(1) }
 
-// reset zeroes every shard — protocol counters, abort taxonomy, TL2
-// telemetry, and all histogram bins — in one sweep. The sweep is not
-// atomic across fields or shards: see StatsSnapshot's torn-window
-// contract.
+// reset zeroes every shard — all counters and histogram bins — in one
+// sweep. The sweep is not atomic across fields or shards: see
+// StatsSnapshot's torn-window contract.
 func (s *Stats) reset() {
 	for i := range s.shards {
 		l := &s.shards[i]
-		l.attempts.Store(0)
-		l.commits.Store(0)
-		l.failures.Store(0)
-		l.helps.Store(0)
-		for r := range l.reasons {
-			l.reasons[r].Store(0)
+		for c := range l.c {
+			l.c[c].Store(0)
 		}
-		l.tl2ReadOnly.Store(0)
-		l.tl2ClockRace.Store(0)
-		l.tl2ClockAdopt.Store(0)
-		l.snapExtensions.Store(0)
-		l.snapRechecked.Store(0)
-		l.snapStale.Store(0)
-		l.readOnlyCommits.Store(0)
-		h := &s.hists[i]
-		for b := 0; b < HistBins; b++ {
-			h.commitTicks[b].Store(0)
-			h.abortTicks[b].Store(0)
-			h.readSet[b].Store(0)
-			h.writeSet[b].Store(0)
+		for h := range l.hists {
+			l.hists[h].Reset()
 		}
 	}
 }
-
-func (s *Stats) commit(shard int)  { s.shards[shard].commits.Add(1) }
-func (s *Stats) failure(shard int) { s.shards[shard].failures.Add(1) }
-func (s *Stats) help(shard int)    { s.shards[shard].helps.Add(1) }
 
 // StatShard draws a stats shard for a long-lived reporter outside the engine
 // — a pooled dynamic-transaction handle — the way Begin binds one to each
@@ -155,14 +231,14 @@ func StatShard() int { return int(recSeq.Add(1) % statShards) }
 func (m *Memory) NoteSnapshotExtensions(shard int, n, rechecked, stale, readOnly uint64) {
 	l := &m.stats.shards[shard]
 	if n != 0 {
-		l.snapExtensions.Add(n)
-		l.snapRechecked.Add(rechecked)
+		l.c[cSnapExtensions].Add(n)
+		l.c[cSnapRechecked].Add(rechecked)
 	}
 	if stale != 0 {
-		l.snapStale.Add(stale)
+		l.c[cSnapStale].Add(stale)
 	}
 	if readOnly != 0 {
-		l.readOnlyCommits.Add(readOnly)
+		l.c[cReadOnlyCommits].Add(readOnly)
 	}
 }
 
@@ -223,7 +299,9 @@ func (h HistogramSnapshot) String() string {
 }
 
 // StatsSnapshot is a point-in-time copy of a Memory's protocol counters,
-// abort taxonomy, and histograms.
+// abort taxonomy, and histograms. Every uint64 field is one row of the
+// counter table (Counters) and every histogram one row of the histogram
+// table (Histograms); exporters walk the tables rather than the fields.
 //
 // Torn-window contract: the snapshot (like ResetStats's sweep) reads each
 // shard and field independently while transactions keep running, so the
@@ -326,31 +404,28 @@ func (s *Stats) snapshot() StatsSnapshot {
 	var out StatsSnapshot
 	for i := range s.shards {
 		l := &s.shards[i]
-		out.Attempts += l.attempts.Load()
-		out.Commits += l.commits.Load()
-		out.Failures += l.failures.Load()
-		out.Helps += l.helps.Load()
-		out.STConflictAborts += l.reasons[ReasonSTConflict].Load()
-		out.STHelpedAborts += l.reasons[ReasonSTHelped].Load()
-		out.TL2ReadAborts += l.reasons[ReasonTL2Read].Load()
-		out.TL2LockAborts += l.reasons[ReasonTL2Lock].Load()
-		out.TL2ValidateAborts += l.reasons[ReasonTL2Validate].Load()
-		out.TL2ReadOnlyCommits += l.tl2ReadOnly.Load()
-		out.TL2ClockRaces += l.tl2ClockRace.Load()
-		out.TL2ClockAdoptions += l.tl2ClockAdopt.Load()
-		out.SnapshotExtensions += l.snapExtensions.Load()
-		out.SnapshotRechecked += l.snapRechecked.Load()
-		out.SnapshotStale += l.snapStale.Load()
-		out.ReadOnlyCommits += l.readOnlyCommits.Load()
-		h := &s.hists[i]
-		for b := 0; b < HistBins; b++ {
-			out.CommitTicks.Counts[b] += h.commitTicks[b].Load()
-			out.AbortTicks.Counts[b] += h.abortTicks[b].Load()
-			out.ReadSetSize.Counts[b] += h.readSet[b].Load()
-			out.WriteSetSize.Counts[b] += h.writeSet[b].Load()
+		for c, def := range counterTable {
+			*def.field(&out) += l.c[c].Load()
+		}
+		for h, def := range histTable {
+			l.hists[h].AddTo(def.field(&out))
 		}
 	}
 	return out
+}
+
+// Add folds o into s: every counter and histogram bin adds. It totals
+// several Memories (or several windows of one) into one snapshot.
+func (s *StatsSnapshot) Add(o StatsSnapshot) {
+	for _, def := range counterTable {
+		*def.field(s) += def.Value(&o)
+	}
+	for _, def := range histTable {
+		h := def.field(s)
+		for i, n := range def.field(&o).Counts {
+			h.Counts[i] += n
+		}
+	}
 }
 
 // FailureRate returns failures per attempt, or 0 for no attempts.

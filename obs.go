@@ -109,10 +109,11 @@ func NowTicks() uint64 { return core.NowTicks() }
 // records; see HistogramSnapshot for the bin layout.
 const HistBins = core.HistBins
 
-// HistBucket maps a value to its log-scaled histogram bin, the same binning
-// HistogramSnapshot uses — external histogram producers use it so their
-// distributions line up bin-for-bin with the engine's.
-func HistBucket(v uint64) int { return core.HistBucket(v) }
+// Hist is one stripe of a log2 histogram — HistBins atomic bins with
+// Observe, Reset and AddTo (a merge into a HistogramSnapshot). The engine's
+// attempt histograms and the stmserve per-command metrics are both made of
+// Hists, so every distribution this module exports bins alike.
+type Hist = core.Hist
 
 // HistogramSnapshot is a point-in-time copy of one log-binned histogram;
 // see StatsSnapshot's histogram fields.
@@ -122,6 +123,22 @@ type HistogramSnapshot = core.HistogramSnapshot
 // taxonomy, and histograms, with the torn-window contract documented on
 // the type.
 type StatsSnapshot = core.StatsSnapshot
+
+// CounterDef is one row of the counter table behind StatsSnapshot: its
+// export key, its abort reason (taxonomy rows only), and Value.
+type CounterDef = core.CounterDef
+
+// Counters returns the counter table rows an engine maintains, in table
+// order. Every exporter (stmobs.StatsMap, stmobs.WriteProm, the simulation
+// JSONL record, DebugString) walks it instead of naming fields.
+func Counters(e Engine) []CounterDef { return core.Counters(e) }
+
+// HistogramDef is one row of the histogram table behind StatsSnapshot: its
+// export key, its unit (ticks or words), and Value.
+type HistogramDef = core.HistogramDef
+
+// Histograms returns the histogram table rows, in table order.
+func Histograms() []HistogramDef { return core.Histograms() }
 
 // Observe installs cfg as the Memory's observability configuration,
 // replacing any previous one. It is safe to call while transactions run;

@@ -115,7 +115,7 @@ func TestObsDebugString(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := m.DebugString()
-		for _, want := range []string{"engine=" + eng.String(), " commits=10", "read-only-commits=1 ", "commit-ticks"} {
+		for _, want := range []string{"engine=" + eng.String(), " commits=10", " read_only_commits=1\n", "commit_ticks"} {
 			if !strings.Contains(s, want) {
 				t.Errorf("%v DebugString missing %q:\n%s", eng, want, s)
 			}

@@ -253,35 +253,14 @@ func (e *Env) takeViolations() ([]string, string) {
 }
 
 // sumStats folds the stats of every attached Memory (scenarios typically
-// build one; serve attaches the server's) into a single snapshot of the
-// scalar counters. Histograms are taken from the first Memory — merging
-// them buys nothing the counters don't already say.
+// build one; serve attaches the server's) into a single snapshot, counters
+// and histograms alike.
 func (e *Env) sumStats() stm.StatsSnapshot {
 	e.memMu.Lock()
 	defer e.memMu.Unlock()
 	var out stm.StatsSnapshot
-	for i, m := range e.mems {
-		s := m.Stats()
-		if i == 0 {
-			out = s
-			continue
-		}
-		out.Attempts += s.Attempts
-		out.Commits += s.Commits
-		out.Failures += s.Failures
-		out.Helps += s.Helps
-		out.STConflictAborts += s.STConflictAborts
-		out.STHelpedAborts += s.STHelpedAborts
-		out.TL2ReadAborts += s.TL2ReadAborts
-		out.TL2LockAborts += s.TL2LockAborts
-		out.TL2ValidateAborts += s.TL2ValidateAborts
-		out.TL2ReadOnlyCommits += s.TL2ReadOnlyCommits
-		out.TL2ClockRaces += s.TL2ClockRaces
-		out.TL2ClockAdoptions += s.TL2ClockAdoptions
-		out.SnapshotExtensions += s.SnapshotExtensions
-		out.SnapshotRechecked += s.SnapshotRechecked
-		out.SnapshotStale += s.SnapshotStale
-		out.ReadOnlyCommits += s.ReadOnlyCommits
+	for _, m := range e.mems {
+		out.Add(m.Stats())
 	}
 	return out
 }

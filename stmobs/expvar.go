@@ -10,51 +10,27 @@ import (
 )
 
 // StatsMap flattens a Memory's stats snapshot into an expvar/JSON-friendly
-// map: scalar counters, the abort taxonomy for the Memory's engine, the
-// dynamic layer's snapshot-extension and read-only-commit counters, and —
-// when histogram-level observability is enabled — the four histograms as
-// bin-count arrays. Every call takes a fresh snapshot (torn-window caveats
-// per stm.StatsSnapshot).
+// map: every counter the Memory's engine maintains under its table key
+// (stm.Counters), and — when histogram-level observability is enabled —
+// each non-empty histogram as a hist_<key> bin-count array, with
+// tick_nanos beside the tick histograms. Every call takes a fresh snapshot
+// (torn-window caveats per stm.StatsSnapshot).
 func StatsMap(m *stm.Memory) map[string]any {
 	s := m.Stats()
 	out := map[string]any{
 		"engine":    m.Engine().String(),
 		"obs_level": m.ObsLevel().String(),
-		"attempts":  s.Attempts,
-		"commits":   s.Commits,
-		"failures":  s.Failures,
-		"helps":     s.Helps,
 	}
-	switch m.Engine() {
-	case stm.ST:
-		out["aborts_st_conflict"] = s.STConflictAborts
-		out["aborts_st_helped"] = s.STHelpedAborts
-	case stm.TL2:
-		out["aborts_tl2_read"] = s.TL2ReadAborts
-		out["aborts_tl2_lock"] = s.TL2LockAborts
-		out["aborts_tl2_validate"] = s.TL2ValidateAborts
-		out["tl2_read_only_commits"] = s.TL2ReadOnlyCommits
-		out["tl2_clock_races"] = s.TL2ClockRaces
-		out["tl2_clock_adoptions"] = s.TL2ClockAdoptions
+	for _, c := range stm.Counters(m.Engine()) {
+		out[c.Key] = c.Value(&s)
 	}
-	out["snapshot_extensions"] = s.SnapshotExtensions
-	out["snapshot_rechecked"] = s.SnapshotRechecked
-	out["snapshot_stale"] = s.SnapshotStale
-	out["read_only_commits"] = s.ReadOnlyCommits
-	hist := func(key string, h stm.HistogramSnapshot) {
-		if h.Total() == 0 {
-			return
+	for _, h := range stm.Histograms() {
+		if hs := h.Value(&s); hs.Total() != 0 {
+			out["hist_"+h.Key] = hs.Counts[:]
+			if h.Ticks {
+				out["tick_nanos"] = uint64(stm.TickInterval.Nanoseconds())
+			}
 		}
-		bins := make([]uint64, len(h.Counts))
-		copy(bins, h.Counts[:])
-		out[key] = bins
-	}
-	hist("hist_commit_ticks", s.CommitTicks)
-	hist("hist_abort_ticks", s.AbortTicks)
-	hist("hist_read_set", s.ReadSetSize)
-	hist("hist_write_set", s.WriteSetSize)
-	if s.CommitTicks.Total() != 0 || s.AbortTicks.Total() != 0 {
-		out["tick_nanos"] = uint64(stm.TickInterval.Nanoseconds())
 	}
 	return out
 }

@@ -8,28 +8,21 @@ import (
 )
 
 // Prometheus text-format export over stm.StatsSnapshot. The metric names
-// and label sets below are stable API (DESIGN.md §15): dashboards and
-// alerts may depend on them.
+// and label sets are stable API (DESIGN.md §15): dashboards and alerts may
+// depend on them. They are derived from the counter and histogram tables
+// (stm.Counters, stm.Histograms), every series labelled {memory, engine}:
 //
-//	stm_attempts_total / stm_commits_total / stm_failures_total /
-//	stm_helps_total                  {memory, engine}
-//	stm_aborts_total                 {memory, engine, reason} — the abort
-//	                                 taxonomy, one series per reason of the
-//	                                 Memory's engine
-//	stm_tl2_read_only_commits_total / stm_tl2_clock_races_total /
-//	stm_tl2_clock_adoptions_total    {memory, engine} — TL2 memories only
-//	stm_snapshot_extensions_total / stm_snapshot_rechecked_words_total /
-//	stm_snapshot_stale_total         {memory, engine} — dynamic transactions'
-//	                                 slow path: read-set re-checks forced by
-//	                                 a moved commit epoch, their size, and
-//	                                 how many unwound the execution
-//	stm_read_only_commits_total      {memory, engine} — dynamic transactions
-//	                                 that wrote nothing and so committed with
-//	                                 no engine attempt (not in stm_commits_total)
-//	stm_obs_level                    {memory, engine} gauge (0=off..3=trace)
-//	stm_tick_seconds                 gauge: nominal seconds per coarse tick
-//	stm_commit_ticks / stm_abort_ticks / stm_read_set_words /
-//	stm_write_set_words              {memory, engine} histograms
+//	stm_<key>_total        one counter per row the Memory's engine
+//	                       maintains, e.g. stm_attempts_total,
+//	                       stm_tl2_clock_races_total, stm_read_only_commits_total
+//	stm_aborts_total       the abort taxonomy rows, one series per reason of
+//	                       the Memory's engine with an extra reason label
+//	stm_snapshot_rechecked_words_total   the snapshot_rechecked row
+//	stm_obs_level          gauge (0=off..3=trace)
+//	stm_tick_seconds       gauge, unlabelled: nominal seconds per coarse tick
+//	stm_<key>              one histogram per row for the tick histograms
+//	                       (stm_commit_ticks, stm_abort_ticks), stm_<key>_words
+//	                       for the size histograms (stm_read_set_words, …)
 //
 // Histogram buckets mirror the engine's log2 bins: le="0","1","3","7",…,
 // "+Inf" (bin i holds values in [2^(i-1), 2^i)). The _sum series is a
@@ -43,44 +36,35 @@ func WriteProm(w io.Writer, name string, m *stm.Memory) {
 	s := m.Stats()
 	labels := fmt.Sprintf("memory=%q,engine=%q", name, m.Engine().String())
 
-	counter := func(metric string, v uint64) {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s{%s} %d\n", metric, metric, labels, v)
+	abortsTyped := false
+	for _, c := range stm.Counters(m.Engine()) {
+		if c.Reason != stm.ReasonNone {
+			if !abortsTyped {
+				fmt.Fprintf(w, "# TYPE stm_aborts_total counter\n")
+				abortsTyped = true
+			}
+			fmt.Fprintf(w, "stm_aborts_total{%s,reason=%q} %d\n", labels, c.Reason.String(), c.Value(&s))
+			continue
+		}
+		metric := "stm_" + c.Key + "_total"
+		if c.Key == "snapshot_rechecked" {
+			metric = "stm_snapshot_rechecked_words_total"
+		}
+		fmt.Fprintf(w, "# TYPE %s counter\n%s{%s} %d\n", metric, metric, labels, c.Value(&s))
 	}
-	counter("stm_attempts_total", s.Attempts)
-	counter("stm_commits_total", s.Commits)
-	counter("stm_failures_total", s.Failures)
-	counter("stm_helps_total", s.Helps)
-
-	fmt.Fprintf(w, "# TYPE stm_aborts_total counter\n")
-	abort := func(reason stm.AbortReason, v uint64) {
-		fmt.Fprintf(w, "stm_aborts_total{%s,reason=%q} %d\n", labels, reason.String(), v)
-	}
-	switch m.Engine() {
-	case stm.ST:
-		abort(stm.ReasonSTConflict, s.STConflictAborts)
-		abort(stm.ReasonSTHelped, s.STHelpedAborts)
-	case stm.TL2:
-		abort(stm.ReasonTL2Read, s.TL2ReadAborts)
-		abort(stm.ReasonTL2Lock, s.TL2LockAborts)
-		abort(stm.ReasonTL2Validate, s.TL2ValidateAborts)
-		counter("stm_tl2_read_only_commits_total", s.TL2ReadOnlyCommits)
-		counter("stm_tl2_clock_races_total", s.TL2ClockRaces)
-		counter("stm_tl2_clock_adoptions_total", s.TL2ClockAdoptions)
-	}
-	counter("stm_snapshot_extensions_total", s.SnapshotExtensions)
-	counter("stm_snapshot_rechecked_words_total", s.SnapshotRechecked)
-	counter("stm_snapshot_stale_total", s.SnapshotStale)
-	counter("stm_read_only_commits_total", s.ReadOnlyCommits)
 
 	fmt.Fprintf(w, "# TYPE stm_obs_level gauge\nstm_obs_level{%s} %d\n",
 		labels, uint32(m.ObsLevel()))
 	fmt.Fprintf(w, "# TYPE stm_tick_seconds gauge\nstm_tick_seconds %g\n",
 		stm.TickInterval.Seconds())
 
-	WritePromHist(w, "stm_commit_ticks", labels, s.CommitTicks)
-	WritePromHist(w, "stm_abort_ticks", labels, s.AbortTicks)
-	WritePromHist(w, "stm_read_set_words", labels, s.ReadSetSize)
-	WritePromHist(w, "stm_write_set_words", labels, s.WriteSetSize)
+	for _, h := range stm.Histograms() {
+		metric := "stm_" + h.Key
+		if !h.Ticks {
+			metric += "_words"
+		}
+		WritePromHist(w, metric, labels, h.Value(&s))
+	}
 }
 
 // WritePromHist writes one log2-binned HistogramSnapshot as a Prometheus

@@ -18,6 +18,7 @@ package stmserve
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -94,35 +95,22 @@ var classOf = [...]cmdClass{
 // retires.
 type sessionMetrics struct {
 	cmds   [nClasses]atomic.Uint64
-	lat    [nClasses][stm.HistBins]atomic.Uint64
-	batch  [stm.HistBins]atomic.Uint64
-	qdepth [stm.HistBins]atomic.Uint64
+	lat    [nClasses]stm.Hist
+	batch  stm.Hist
+	qdepth stm.Hist
 }
 
-// metricsTotals is the plain-word mirror of a stripe, used for the
-// retired-session accumulator and snapshot folding.
-type metricsTotals struct {
-	cmds   [nClasses]uint64
-	lat    [nClasses][stm.HistBins]uint64
-	batch  [stm.HistBins]uint64
-	qdepth [stm.HistBins]uint64
-}
-
-// fold adds a stripe's current counts into t. A stripe being folded at
-// retirement while its session races a final command may miss that
+// addTo adds the stripe's current counts into out. A stripe being folded
+// at retirement while its session races a final command may miss that
 // command's bumps — the same teardown-window caveat StatsSnapshot
 // documents for the engine counters.
-func (t *metricsTotals) fold(sm *sessionMetrics) {
-	for c := 0; c < int(nClasses); c++ {
-		t.cmds[c] += sm.cmds[c].Load()
-		for b := 0; b < stm.HistBins; b++ {
-			t.lat[c][b] += sm.lat[c][b].Load()
-		}
+func (sm *sessionMetrics) addTo(out *Metrics) {
+	for c := range out.Commands {
+		out.Commands[c].Count += sm.cmds[c].Load()
+		sm.lat[c].AddTo(&out.Commands[c].Ticks)
 	}
-	for b := 0; b < stm.HistBins; b++ {
-		t.batch[b] += sm.batch[b].Load()
-		t.qdepth[b] += sm.qdepth[b].Load()
-	}
+	sm.batch.AddTo(&out.BatchCommands)
+	sm.qdepth.AddTo(&out.QueueDepth)
 }
 
 // serverMetrics is the server-wide state: connection lifecycle counters,
@@ -136,11 +124,16 @@ type serverMetrics struct {
 
 	mu   sync.Mutex
 	live map[*sessionMetrics]struct{}
-	dead metricsTotals
+	dead Metrics // retired stripes: Commands, BatchCommands, QueueDepth
 }
 
 func newServerMetrics() *serverMetrics {
-	return &serverMetrics{live: make(map[*sessionMetrics]struct{})}
+	m := &serverMetrics{live: make(map[*sessionMetrics]struct{})}
+	m.dead.Commands = make([]CommandMetrics, nClasses)
+	for c := range m.dead.Commands {
+		m.dead.Commands[c].Class = classNames[c]
+	}
+	return m
 }
 
 func (m *serverMetrics) register(sm *sessionMetrics) {
@@ -153,18 +146,19 @@ func (m *serverMetrics) retire(sm *sessionMetrics) {
 	m.mu.Lock()
 	if _, ok := m.live[sm]; ok {
 		delete(m.live, sm)
-		m.dead.fold(sm)
+		sm.addTo(&m.dead)
 	}
 	m.mu.Unlock()
 }
 
 // totals folds dead + live into one consistent-enough copy.
-func (m *serverMetrics) totals() metricsTotals {
+func (m *serverMetrics) totals() Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t := m.dead
+	t.Commands = slices.Clone(t.Commands)
 	for sm := range m.live {
-		t.fold(sm)
+		sm.addTo(&t)
 	}
 	return t
 }
@@ -209,24 +203,12 @@ type Metrics struct {
 
 // Metrics snapshots the server's serving-layer telemetry.
 func (s *Server) Metrics() Metrics {
-	t := s.met.totals()
-	out := Metrics{
-		Engine:        s.mem.Engine(),
-		ConnsAccepted: s.met.accepted.Load(),
-		ConnsActive:   s.met.active.Load(),
-		ConnsPoisoned: s.met.poisoned.Load(),
-		ConnsKilled:   s.met.killed.Load(),
-		Commands:      make([]CommandMetrics, nClasses),
-	}
-	for c := 0; c < int(nClasses); c++ {
-		out.Commands[c] = CommandMetrics{
-			Class: classNames[c],
-			Count: t.cmds[c],
-			Ticks: stm.HistogramSnapshot{Counts: t.lat[c]},
-		}
-	}
-	out.BatchCommands = stm.HistogramSnapshot{Counts: t.batch}
-	out.QueueDepth = stm.HistogramSnapshot{Counts: t.qdepth}
+	out := s.met.totals()
+	out.Engine = s.mem.Engine()
+	out.ConnsAccepted = s.met.accepted.Load()
+	out.ConnsActive = s.met.active.Load()
+	out.ConnsPoisoned = s.met.poisoned.Load()
+	out.ConnsKilled = s.met.killed.Load()
 	return out
 }
 

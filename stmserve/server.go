@@ -131,8 +131,10 @@ func New(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Memory returns the server's backing Memory — the observability hooks
-// (AbortCounts, LatencyHistogram, tracing) attach here.
+// Memory returns the server's backing Memory — the engine's observability
+// attaches here: Observe sets its level (and any Observer or tracer),
+// Stats reads its counters and histograms, and stmobs.Publish exports them
+// on /debug/vars and /metrics.
 func (s *Server) Memory() *stm.Memory { return s.mem }
 
 // NewSession builds a Session writing replies to w. The server's TCP loop

@@ -409,33 +409,32 @@ func (s *Session) execute() {
 // that IS the latency the client observed for it), the batch-size
 // distribution, and the queue depths staged by the transaction body.
 func (s *Session) recordBatch(lo, hi int, dt uint64) {
-	bkt := stm.HistBucket(dt)
 	for i := lo; i < hi; i++ {
 		c := &s.cmds[i]
-		s.recordCmd(c.op, bkt, dt)
+		s.recordCmd(c.op, dt)
 		if c.op == opExec {
 			for j := c.lo; j < c.hi; j++ {
-				s.recordCmd(s.mq[j].op, bkt, dt)
+				s.recordCmd(s.mq[j].op, dt)
 			}
 		}
 	}
-	s.met.batch[stm.HistBucket(uint64(hi-lo))].Add(1)
+	s.met.batch.Observe(uint64(hi - lo))
 	s.srv.flight.Record(flightBatch, s.id, uint64(hi-lo), dt)
 	s.foldDepths()
 }
 
 // recordCmd charges one executed command to its class.
-func (s *Session) recordCmd(op uint8, bkt int, dt uint64) {
+func (s *Session) recordCmd(op uint8, dt uint64) {
 	cl := classOf[op]
 	s.met.cmds[cl].Add(1)
-	s.met.lat[cl][bkt].Add(1)
+	s.met.lat[cl].Observe(dt)
 	s.srv.flight.Record(flightCmd, s.id, uint64(cl), dt)
 }
 
 // foldDepths drains the staged queue-depth observations into the stripe.
 func (s *Session) foldDepths() {
 	for _, d := range s.depths {
-		s.met.qdepth[stm.HistBucket(uint64(d))].Add(1)
+		s.met.qdepth.Observe(uint64(d))
 	}
 	s.depths = s.depths[:0]
 }
@@ -494,7 +493,7 @@ func (s *Session) execBlocking(c *command) {
 	}
 	// A blocking command is charged its whole wait (that is its
 	// client-observed latency), served or lapsed.
-	s.recordCmd(opBQPop, stm.HistBucket(dt), dt)
+	s.recordCmd(opBQPop, dt)
 	s.foldDepths()
 }
 
