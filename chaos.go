@@ -7,7 +7,7 @@ import (
 // Fault injection: the chaos seam, re-exported from the engine.
 //
 // A Memory accepts one fault-injection hook (SetChaos) fired synchronously
-// at four fixed phases of the engine attempt path — the protocol's most
+// at five fixed phases of the engine attempt path — the protocol's most
 // delicate moments, where ownership or commit locks are held but nothing
 // is installed yet. The simulation package parks goroutines there to prove
 // the rest of the system rides out exactly the stalls Shavit–Touitou's
@@ -21,8 +21,9 @@ type ChaosPoint = core.ChaosPoint
 // The injection sites, in declaration order. The ST points fire only on
 // the ST engine, the TL2 points only on TL2.
 const (
-	// ChaosSTPostLock (ST) fires on an initiator with its whole data set
-	// owned and Success decided, before any value is agreed or installed —
+	// ChaosSTPostLock (ST) fires on an initiator with every word it owns
+	// owned — a static transaction's whole data set, a dynamic one's write
+	// set — and Success decided, before any value is agreed or installed:
 	// the window in which helpers complete a stalled owner's work.
 	ChaosSTPostLock = core.ChaosSTPostLock
 	// ChaosSTHelping (ST) fires on a failed initiator — or on a dynamic
@@ -35,6 +36,10 @@ const (
 	// ChaosTL2PostClock (TL2) fires between the clock step (and validation)
 	// and the first write-back, every lock still held.
 	ChaosTL2PostClock = core.ChaosTL2PostClock
+	// ChaosSTPostStep (ST) fires on the initiator of a dynamic transaction's
+	// commit with its write set owned and the commit epoch stepped, before
+	// the words it only read are validated.
+	ChaosSTPostStep = core.ChaosSTPostStep
 )
 
 // ChaosPoints returns every injection point, in declaration order.

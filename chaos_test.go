@@ -47,8 +47,8 @@ func TestChaosHookPublicSurface(t *testing.T) {
 			}
 		})
 	}
-	if got := len(stm.ChaosPoints()); got != 4 {
-		t.Errorf("ChaosPoints() has %d entries, want 4", got)
+	if got := len(stm.ChaosPoints()); got != 5 {
+		t.Errorf("ChaosPoints() has %d entries, want 5", got)
 	}
 }
 

@@ -56,17 +56,21 @@ type Conflict struct {
 	// Attempts counts this operation's failed attempts so far: ≥ 1 inside
 	// OnConflict and OnAbort, ≥ 0 inside OnCommit.
 	Attempts int
-	// First is the lowest address of the operation's data set — the
-	// conflict-domain key. It is an approximation: operations with the
-	// same First always share a domain, but overlapping data sets with
-	// different lowest addresses (say {0,5} and {5,9}) land in different
-	// domains, so a policy that serializes per domain dampens their
-	// mutual conflicts without eliminating them. The approximation is
-	// what lets the key be computed for free on every operation; policies
-	// remain correct regardless, because they only shape timing. A dynamic
-	// transaction that never reaches the engine reports the first address
-	// it touched instead of the lowest, and -1 (with Size 0) if it touched
-	// none.
+	// First is the lowest address the operation owns — the conflict-domain
+	// key. For a static operation that is its data set's lowest address;
+	// a dynamic transaction's commit owns only the words it writes, so it
+	// reports the lowest of those (two map updates of different keys are
+	// different domains, though both read the map's header words). It is
+	// an approximation: operations with the same First always share a
+	// domain, but overlapping data sets with different lowest addresses
+	// (say {0,5} and {5,9}) land in different domains, so a policy that
+	// serializes per domain dampens their mutual conflicts without
+	// eliminating them. The approximation is what lets the key be computed
+	// for next to nothing on every operation; policies remain correct
+	// regardless, because they only shape timing. A dynamic transaction
+	// that never reaches the engine — it wrote nothing, or a read went
+	// stale first — reports the first address it touched, and -1 (with
+	// Size 0) if it touched none.
 	First int
 	// Size is the data-set size in words — a proxy for the work a failed
 	// attempt wasted.

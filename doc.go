@@ -103,11 +103,13 @@
 // on either:
 //
 //   - stm.ST (the default) is the paper's cooperative-helping ownership
-//     protocol. Every attempt, including a static pure read (Var.Load,
-//     ReadAll), acquires ownership of its whole data set; a blocked
-//     attempt helps its blocker to completion. No transaction ever waits
-//     on a preempted peer — the strongest liveness — at the cost of
-//     several atomic read-modify-writes per word even on such reads.
+//     protocol. Every static attempt, including a pure read (Var.Load,
+//     ReadAll), acquires ownership of its whole data set; a dynamic
+//     commit owns only the words it writes and validates the rest; a
+//     blocked attempt helps its blocker to completion. No transaction
+//     ever waits on a preempted peer — the strongest liveness — at the
+//     cost of several atomic read-modify-writes per owned word, even on
+//     static reads.
 //   - stm.TL2 is a TL2/LSA-style global-version-clock protocol: reads
 //     are invisible (no ownership, validated against a clock sample),
 //     writes commit under short per-word locks, and read-only

@@ -74,11 +74,17 @@ type staged struct {
 	d         *DTx     // opDyn; its log is copied into the record
 }
 
-// first returns the data set's lowest address: the conflict-domain key the
-// contention policy sees for the operation.
+// first returns the conflict-domain key the contention policy sees for the
+// operation: the lowest address the attempt owns. That is the data set's
+// lowest address, except for a dynamic commit, which owns only the words it
+// writes — keying it by a word it merely read would put every operation
+// that reads a structure's header words into one domain.
 func (st *staged) first() int {
-	if st.addrs == nil {
+	switch {
+	case st.addrs == nil:
 		return st.loc
+	case st.op == opDyn:
+		return st.d.lowestWrite()
 	}
 	return st.addrs[0]
 }
@@ -117,7 +123,12 @@ func (m *Memory) attempt(st *staged, old []uint64, info *core.ConflictInfo, prio
 		s.exp = append(s.exp[:0], st.exp...)
 		s.repl = append(s.repl[:0], st.repl...)
 	case opDyn:
-		s.stageDyn(st.d)
+		// The words the transaction wrote are the ones it owns; the rest it
+		// read, under the speculation's epoch sample. A footprint it wrote
+		// all of needs no split.
+		if s.stageDyn(st.d) {
+			r.SetReadSet(s.dynWr, s.dynExp, st.d.epoch)
+		}
 	case opUpdate:
 		s.stageUpdate(st.u)
 		if s.u.perm != nil {

@@ -30,7 +30,9 @@ import (
 // through a per-DTx cache — executes through the one static driver with
 // calcDyn, which installs the write set only if every read still holds its
 // speculated value and otherwise commits a validated no-op, sending the
-// driver back to re-execute. See DESIGN.md §9.
+// driver back to re-execute. On ST that commit owns only the words it
+// writes; the words it only read are validated by the engine, once for all
+// helpers, against the speculation's epoch sample. See DESIGN.md §9.
 
 // ErrRetryNoReads reports a Retry in a transaction (or in both branches of
 // an OrElse) that read nothing: with an empty read set there is no word
@@ -218,8 +220,9 @@ func (m *Memory) OrElseContext(ctx context.Context, first, second func(tx *DTx) 
 // own buffered writes. A read costs the same however many words the
 // transaction has read before it, unless another transaction's commit
 // landed since the previous one: then the reads so far are re-checked once.
-// Reading never takes ownership: a transaction that only reads is never an
-// obstacle to a writer, and commits without visiting its words again.
+// Reading never takes ownership, not even at commit: a word a transaction
+// only read is never an obstacle to a writer, and a transaction that only
+// reads commits without visiting its words again.
 func (d *DTx) Read(addr int) uint64 {
 	d.check()
 	if e := d.lookup(addr); e >= 0 {
@@ -230,8 +233,8 @@ func (d *DTx) Read(addr int) uint64 {
 	}
 	// The stable load returns a committed value — never the physical
 	// mid-install state of a multi-word commit, which holds ownership of
-	// its whole data set while installing (an observed owner is helped to
-	// completion first).
+	// every word it installs while installing (an observed owner is helped
+	// to completion first).
 	box := d.m.eng.StableLoadBox(addr)
 	v := *box
 	d.append(dEntry{addr: addr, box: box, rval: v, val: v, read: true})
@@ -653,8 +656,9 @@ func (d *DTx) compileFootprint() {
 
 // stageDyn copies d's log, laid out by its compiled footprint, into the
 // record's calcDyn parameters — by copy, because helpers may evaluate
-// calcDyn after d has moved on.
-func (s *scratch) stageDyn(d *DTx) {
+// calcDyn after d has moved on. It reports whether some word was only
+// read, not written.
+func (s *scratch) stageDyn(d *DTx) (readOnly bool) {
 	s.ensureDyn(len(d.fpPos))
 	for i, e := range d.fpPos {
 		ent := &d.log[e]
@@ -662,7 +666,21 @@ func (s *scratch) stageDyn(d *DTx) {
 		s.dynExp[i] = ent.rval
 		s.dynWr[i] = ent.written
 		s.dynNew[i] = ent.val
+		readOnly = readOnly || !ent.written
 	}
+	return readOnly
+}
+
+// lowestWrite returns the lowest address the compiled footprint writes — the
+// commit's conflict-domain key (staged.first). The log holds at least one
+// write when it is compiled.
+func (d *DTx) lowestWrite() int {
+	for i, e := range d.fpPos {
+		if d.log[e].written {
+			return d.fpSorted[i]
+		}
+	}
+	return -1
 }
 
 // committedClean reports whether the last committed attempt installed the
@@ -750,10 +768,11 @@ func (d *DTx) noteStale(c *contention.Conflict) *contention.Conflict {
 // to discover a footprint. A round that wrote nothing is the commit: its
 // reads were all current at one instant inside the call (DESIGN.md §9), so
 // the operation returns without the engine. Any other round commits its
-// footprint through the one static driver — acquire ownerships in
-// ascending order, agree old values, and let calcDyn either install the
-// write set (every validated read matched) or commit a no-op (something
-// changed), which sends the round back to re-execute. One policy report
+// footprint through the one static driver — acquire ownership of the
+// written words in ascending order, settle the read ones, agree old values,
+// and let calcDyn either install the write set (every validated read
+// matched) or commit a no-op (something changed), which sends the round
+// back to re-execute. One policy report
 // spans the whole operation: every failure — an ownership conflict at
 // commit, a stale speculative read, a validation miss — lands on it
 // through the same helpers the static forms use, so dynamic transactions
@@ -809,23 +828,21 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 		// specDone: commit the discovered footprint. A second branch that
 		// ran because the first retried also revalidates the first
 		// branch's reads — left priority must hold at the linearization
-		// point, not just at speculation time.
-		if len(d.altAddrs) > 0 && !d.mergeAlt() {
+		// point, not just at speculation time. The merged log holds reads
+		// taken under two epoch samples; a final extension brings them
+		// under one, which both commits below build on: a read-only one
+		// returns on it, a writing one hands it to the engine as the sample
+		// its read-only words were taken under.
+		if len(d.altAddrs) > 0 && (!d.mergeAlt() || !d.extend()) {
 			c = d.noteStale(c)
 			continue
 		}
 		if !d.wrote {
 			// Nothing written: the transaction is already committed, at the
 			// instant its last read was admitted, and no engine attempt
-			// runs. The one case that instant does not cover is a merged
-			// OrElse log — two branches, two epoch samples — which a final
-			// extension brings under one. The operation still closes like
-			// any commit: the policy hears it, keyed as noteStale keys a
-			// log, and the deferred commit actions run.
-			if len(d.altAddrs) > 0 && !d.extend() {
-				c = d.noteStale(c)
-				continue
-			}
+			// runs. The operation still closes like any commit: the policy
+			// hears it, keyed as noteStale keys a log, and the deferred
+			// commit actions run.
 			first, size := d.logKey()
 			m.commitConflict(c, first, size)
 			d.roCommits++

@@ -14,10 +14,12 @@ import (
 // choice only moves the performance trade-off:
 //
 //   - ST (the default) is Shavit & Touitou's cooperative-helping ownership
-//     protocol. Every attempt acquires ownership of its whole data set, and
-//     a blocked attempt helps its blocker to completion, so no transaction
-//     ever waits on a preempted peer — the strongest liveness, at the price
-//     of several atomic read-modify-writes per word even for pure reads.
+//     protocol. A static attempt acquires ownership of its whole data set,
+//     a dynamic commit only of the words it writes (the rest it validates),
+//     and a blocked attempt helps its blocker to completion, so no
+//     transaction ever waits on a preempted peer — the strongest liveness,
+//     at the price of several atomic read-modify-writes per owned word,
+//     even for static pure reads.
 //   - TL2 is a TL2/LSA-style global-version-clock protocol. Reads are
 //     invisible (no ownership, validated against a clock sample), writes
 //     commit under short per-word locks, and read-only attempts commit

@@ -10,7 +10,7 @@ import "fmt"
 // nothing installed, the TL2 clock stepped but the write-back not begun —
 // to prove that the rest of the system rides out exactly the stalls the
 // paper's non-blocking argument is about. The seam is a single registered
-// hook fired at four fixed protocol phases, guarded by the same discipline
+// hook fired at five fixed protocol phases, guarded by the same discipline
 // as the stmobs event seam (obs.go): one plain atomic load of
 // Memory.chaosOn and a branch that predicts not-taken while no hook is
 // registered, so the production hot path pays one predicted branch per
@@ -28,10 +28,11 @@ import "fmt"
 type ChaosPoint uint8
 
 const (
-	// ChaosSTPostLock (ST) fires with the attempt's whole data set owned
-	// and Success decided, before any old value is agreed or any new value
-	// installed — the window in which a stalled initiator's work is
-	// completed by the helpers its conflicts recruit.
+	// ChaosSTPostLock (ST) fires with every word the attempt owns owned —
+	// its whole data set, or the written part of a split one — and Success
+	// decided, before any old value is agreed or any new value installed:
+	// the window in which a stalled initiator's work is completed by the
+	// helpers its conflicts recruit.
 	ChaosSTPostLock ChaosPoint = iota
 	// ChaosSTHelping (ST) fires on a failed initiator, or on a stable load
 	// (StableLoadBox) that found its word owned, immediately before it
@@ -46,12 +47,18 @@ const (
 	// commit's write version, but no word is stamped or installed yet, and
 	// every lock is still held.
 	ChaosTL2PostClock
+	// ChaosSTPostStep (ST) fires on the initiator of an attempt whose data
+	// set is split into owned and read-only words (Rec.SetReadSet): Success
+	// decided, the words it writes owned, the commit epoch stepped, and the
+	// read-only words not yet validated — the window in which a commit that
+	// lands on one of them must still be caught by the validation pass.
+	ChaosSTPostStep
 
 	chaosPoints
 )
 
 // chaosNames is index-aligned with the ChaosPoint constants.
-var chaosNames = [...]string{"st-post-lock", "st-helping", "tl2-post-lock", "tl2-post-clock"}
+var chaosNames = [...]string{"st-post-lock", "st-helping", "tl2-post-lock", "tl2-post-clock", "st-post-step"}
 
 // String returns the point's selector name.
 func (p ChaosPoint) String() string {
@@ -63,7 +70,7 @@ func (p ChaosPoint) String() string {
 
 // ChaosPoints returns every injection point, in declaration order.
 func ChaosPoints() []ChaosPoint {
-	return []ChaosPoint{ChaosSTPostLock, ChaosSTHelping, ChaosTL2PostLock, ChaosTL2PostClock}
+	return []ChaosPoint{ChaosSTPostLock, ChaosSTHelping, ChaosTL2PostLock, ChaosTL2PostClock, ChaosSTPostStep}
 }
 
 // ChaosEvent describes one firing of an injection point. Addrs aliases the
@@ -79,8 +86,9 @@ type ChaosEvent struct {
 	// blocker's.
 	Addrs []int
 	// Writes is the write-set size at the point: the TL2 write count at
-	// the TL2 points, the whole data-set size at ChaosSTPostLock (ST
-	// installs its whole set), and -1 at ChaosSTHelping.
+	// the TL2 points, the number of words the attempt owns at the other ST
+	// points (ST installs what it owns: the whole data set of a static
+	// attempt, the written words of a split one), and -1 at ChaosSTHelping.
 	Writes int
 }
 

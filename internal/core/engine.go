@@ -12,9 +12,12 @@ import (
 // reads its data set, validates it, and installs new values.
 //
 // Two engines exist. EngineST is the source paper's cooperative-helping
-// ownership protocol: every attempt (including pure reads) acquires
-// ownership of its whole data set, and a blocked attempt helps its blocker
-// to completion, which keeps the protocol non-blocking. EngineTL2 is a
+// ownership protocol: an attempt acquires ownership of every word it
+// installs — a static attempt's whole data set, the written words of one
+// whose caller split off the words it only read (Rec.SetReadSet), which are
+// validated instead — and a blocked attempt helps its blocker to
+// completion, which keeps the protocol non-blocking. (A dynamic transaction
+// that wrote nothing makes no attempt at all.) EngineTL2 is a
 // TL2/LSA-style global-version-clock protocol: reads are invisible
 // (ownership-free, validated against a read version sampled from the
 // clock), writes are buffered and installed under short per-word locks at
@@ -141,11 +144,14 @@ func (e *stEngine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool {
 	rec.stable.Store(false)
 
 	if rec.Succeeded() {
+		// ST installs what it owns — the whole data set of a static attempt,
+		// the written words of a split one — so the owned words are the
+		// write set, and their acquisition is the protocol's lock phase.
+		owned := rec.ownedCount()
+		m.stats.shards[rec.shard].c[cOwnedWords].Add(uint64(owned))
 		if lvl != ObsOff {
-			// ST installs its whole data set, so the write set is the data
-			// set; the ownership acquisition is the protocol's lock phase.
-			rec.obsWrites = len(rec.addrs)
-			m.obsEmit(rec, EvLock, -1, len(rec.addrs))
+			rec.obsWrites = owned
+			m.obsEmit(rec, EvLock, -1, owned)
 		}
 		if oldOut != nil {
 			rec.snapshotInto(oldOut)

@@ -14,8 +14,10 @@ import (
 // the stamp is identical before and after the value load. A transaction
 // whose computed new values equal its old values (every pure read: Var.Load,
 // ReadAll, a guard-unmet RunWhen round, calcDyn's no-op arm) commits right
-// there — zero atomic read-modify-writes, the path the ST engine cannot
-// offer because it must CAS ownership of every word it even looks at.
+// there — zero atomic read-modify-writes, the path a static ST attempt
+// cannot offer because it must CAS ownership of every word it even looks
+// at. (calcDyn's no-op arm owns the written words on ST too, and validates
+// the rest.)
 //
 // Writes are lazy: new values are computed into the record's private buffer,
 // and only the words whose value actually changes are locked (owner CAS, in

@@ -296,12 +296,17 @@ func (m *Memory) transaction(rec *Rec, initiator bool) {
 	}
 
 	if st == statusSuccess {
-		// Chaos injection: the initiator stalls here with the whole data
-		// set owned and nothing installed — the exact stall cooperative
+		// Chaos injection: the initiator stalls here with everything it
+		// owns owned and nothing installed — the exact stall cooperative
 		// helping exists to absorb. Helpers never fire (a parked helper
 		// would multiply one injected stall across every rescuer).
 		if initiator && m.chaosOn.Load() != 0 {
-			m.chaosFire(ChaosSTPostLock, rec.addrs, len(rec.addrs))
+			m.chaosFire(ChaosSTPostLock, rec.addrs, rec.ownedCount())
+		}
+		if rec.own != nil {
+			// A split data set steps (unconditionally) and settles its
+			// read-only words before anything else is agreed.
+			m.validateReads(rec, initiator)
 		}
 		m.agreeOldValues(rec)
 		newv := m.newValuesFor(rec, initiator)
@@ -310,8 +315,9 @@ func (m *Memory) transaction(rec *Rec, initiator bool) {
 		// nothing yet. Every participant steps before its own installs, so
 		// the first step precedes the first install whoever performs it; the
 		// repeats are harmless. A commit that changes no value installs
-		// nothing and does not step.
-		if rec.changes(newv) {
+		// nothing and does not step. (A split data set stepped in
+		// validateReads, before its verdict and so before any install.)
+		if rec.own == nil && rec.changes(newv) {
 			m.epoch.Add(1)
 		}
 		m.updateMemory(rec, newv, initiator)
@@ -349,13 +355,17 @@ func (m *Memory) transaction(rec *Rec, initiator bool) {
 	rec.obsHelped = helped
 }
 
-// acquireOwnerships claims the record's data set in ascending address
-// order. It returns when every word is owned by rec (leaving status Null
+// acquireOwnerships claims the words the record owns (its whole data set,
+// or the written part of a split one) in ascending address order. It
+// returns when every such word is owned by rec (leaving status Null
 // for the caller to decide Success), or after CASing rec's status to
 // Failure at the first word found owned by another record, or as soon as it
 // observes a decided status (some other helper got further than us).
 func (m *Memory) acquireOwnerships(rec *Rec) {
 	for i, loc := range rec.addrs {
+		if !rec.owns(i) {
+			continue
+		}
 		w := &m.words[loc]
 		for {
 			if rec.status.Load() != statusNull {
@@ -385,13 +395,90 @@ func (m *Memory) acquireOwnerships(rec *Rec) {
 	}
 }
 
+// validateReads settles a split data set's read-only words (SetReadSet):
+// the step, then one verdict for every participant. The order is the proof
+// (DESIGN.md §9, "Commit: own the writes, validate the reads").
+//
+// Success is decided, so rec owns every word it writes, and keeps them
+// until some participant has installed under the verdict this publishes.
+// The participant steps the epoch first. A step that returns sample+1 is
+// the first since the reads were taken: every read-only word still holds
+// its read value at the step, by the argument that admits a read on the
+// fast path, and that instant — writes owned, reads current — is the
+// commit's linearization point, found without a load. Only one step can
+// return sample+1, which is what keeps two commits that each read what the
+// other writes from both passing on it. Any other step is followed by the
+// pass below, which looks at the words themselves.
+//
+// Whichever finishes first publishes its outcome with one CAS, and every
+// participant — this one included, if it lost — adopts the published one:
+// two passes at different instants can disagree, and the words must be
+// installed under a single verdict or not at all. The pass is published
+// whole because a pass is only evidence once its epoch check has passed;
+// values it loaded before the check failed prove nothing. A participant
+// that finds the verdict already settled neither steps nor validates.
+func (m *Memory) validateReads(rec *Rec, initiator bool) {
+	if rec.verdict.Load() != statusNull {
+		return
+	}
+	e := m.epoch.Add(1)
+	// Chaos injection: the write set is owned and the epoch stepped, and
+	// the read-only words are not validated yet — a commit that lands on
+	// one of them now must be seen by the pass.
+	if initiator && m.chaosOn.Load() != 0 {
+		m.chaosFire(ChaosSTPostStep, rec.addrs, rec.ownedCount())
+	}
+	v := statusSuccess
+	if e != rec.sample+1 {
+		v = m.readPass(rec, e)
+	}
+	rec.verdict.CompareAndSwap(statusNull, v)
+}
+
+// readPass validates the read-only words with loads: each must be unowned
+// and hold its exp value, and the epoch must not move from e, a value it
+// held before the first load, until after the last. Then every word held
+// its exp value at the last load's instant: a commit that replaced one
+// after it was loaded stepped either inside the pass, which the unchanged
+// epoch rules out, or before it, and then it owned the word from before e
+// until its install — across the instant the pass found the word unowned.
+// A word found owned is stale: its owner may have stepped already and be
+// about to install. The pass never helps the owner — the owner may be
+// validating in turn, with one of rec's writes among its reads, and helping
+// would recurse — so a miss costs a re-execution, never a wait. A moved
+// epoch proves nothing either way, and the pass starts over under the new
+// value — unless another participant's verdict has landed meanwhile, which
+// ends it; each restart means some commit stepped, so the system
+// progresses. It returns statusSuccess or failureAt the first stale word.
+func (m *Memory) readPass(rec *Rec, e uint64) int64 {
+	for {
+		for i, loc := range rec.addrs {
+			if rec.own[i] {
+				continue
+			}
+			w := &m.words[loc]
+			if w.owner.Load() != nil || *w.cell.Load() != rec.exp[i] {
+				return failureAt(i)
+			}
+		}
+		now := m.epoch.Load()
+		if now == e {
+			return statusSuccess
+		}
+		if v := rec.verdict.Load(); v != statusNull {
+			return v
+		}
+		e = now
+	}
+}
+
 // agreeOldValues fills the record's old-value slots from the owned memory
 // words. Slots are set-once so all helpers agree on one snapshot: the first
 // CAS to land fixes the value, and any helper that stalled across the
 // update phase finds every slot already filled and writes nothing.
 func (m *Memory) agreeOldValues(rec *Rec) {
 	for i, loc := range rec.addrs {
-		if rec.old[i].Load() == nil {
+		if rec.owns(i) && rec.old[i].Load() == nil {
 			box := m.words[loc].cell.Load()
 			rec.old[i].CompareAndSwap(nil, box)
 		}
@@ -434,6 +521,9 @@ func (m *Memory) newValuesFor(rec *Rec, initiator bool) []uint64 {
 // individually.
 func (m *Memory) updateMemory(rec *Rec, newv []uint64, initiator bool) {
 	for i, loc := range rec.addrs {
+		if !rec.owns(i) {
+			continue
+		}
 		w := &m.words[loc]
 		for {
 			cur := w.cell.Load()
@@ -467,10 +557,13 @@ func (m *Memory) updateMemory(rec *Rec, newv []uint64, initiator bool) {
 
 // releaseOwnerships returns every word still owned by rec to the free
 // state. On the failure path words past the failing index were never
-// acquired by us, but helpers may have acquired them for us, so the whole
-// data set is scanned unconditionally.
+// acquired by us, but helpers may have acquired them for us, so every word
+// the record owns is scanned unconditionally.
 func (m *Memory) releaseOwnerships(rec *Rec) {
-	for _, loc := range rec.addrs {
+	for i, loc := range rec.addrs {
+		if !rec.owns(i) {
+			continue
+		}
 		w := &m.words[loc]
 		if w.owner.Load() == rec {
 			w.owner.CompareAndSwap(rec, nil)

@@ -177,7 +177,8 @@ type Event struct {
 	// Size is the data-set size in words.
 	Size int
 	// Writes is the write-set size in words: the words the engine will
-	// install (TL2: values that actually change; ST: the whole data set).
+	// install (TL2: values that actually change; ST: the words it owns —
+	// the whole data set of a static attempt, a dynamic commit's writes).
 	// It is -1 before the engine has computed it.
 	Writes int
 	// Reason is the abort taxonomy entry (EvAbort only; ReasonNone

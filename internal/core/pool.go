@@ -69,6 +69,8 @@ func (r *Rec) arm(k int) {
 		r.old[i].Store(nil)
 	}
 	r.newVals.Store(nil)
+	r.own, r.exp, r.sample = nil, nil, 0
+	r.verdict.Store(statusNull)
 	r.status.Store(statusNull)
 	r.allWritten.Store(false)
 	r.prio.Store(0)

@@ -80,6 +80,22 @@ type Rec struct {
 	status     atomic.Int64
 	allWritten atomic.Bool
 
+	// Read-set staging (SetReadSet), ST engine only; own is nil for an
+	// attempt that owns its whole data set. own[i] marks the words the
+	// attempt owns and installs; every other word is read-only: never owned,
+	// only validated to still hold exp[i] at the linearization point.
+	// sample is the CommitEpoch value the caller's reads were taken under.
+	// Like addrs they are immutable while the attempt runs.
+	own    []bool
+	exp    []uint64
+	sample uint64
+
+	// verdict settles the read-only words for every participant, once, like
+	// status: statusNull until the first finished validation CASes in
+	// statusSuccess (every read still holds exp) or failureAt(i) (read-only
+	// word i was owned or had moved). See Memory.validateReads.
+	verdict atomic.Int64
+
 	// stable is true while the initiating goroutine is inside
 	// StartTransaction; helpers only volunteer for stable records. Helping
 	// a record that just turned unstable is benign (all completion phases
@@ -181,6 +197,39 @@ func (r *Rec) Env() any { return r.env }
 // once the attempt is running).
 func (r *Rec) SetEnv(v any) { r.env = v }
 
+// SetReadSet splits the data set into what the attempt writes and what it
+// only read: own[i] reports whether the attempt writes addrs[i], exp[i] is
+// the value a word it only read must still hold, and sample is the
+// CommitEpoch value sampled before those reads were taken (every read
+// stably loaded after it, the epoch unchanged at the last). On the ST
+// engine the attempt then owns only the words it writes; the others it
+// validates, once for all participants, and the calc sees exp[i] as such a
+// word's old value if the validation passed and a value different from
+// exp[i] at the first word that failed it. The TL2 engine validates every
+// read anyway and ignores the split. Both slices must have the record's
+// data-set length, stay unchanged until RunAttempt returns, and own at
+// least one word; call it between Begin and RunAttempt.
+func (r *Rec) SetReadSet(own []bool, exp []uint64, sample uint64) {
+	r.own, r.exp, r.sample = own, exp, sample
+}
+
+// owns reports whether the attempt owns (and installs) data-set word i.
+func (r *Rec) owns(i int) bool { return r.own == nil || r.own[i] }
+
+// ownedCount returns how many data-set words the attempt owns.
+func (r *Rec) ownedCount() int {
+	if r.own == nil {
+		return len(r.addrs)
+	}
+	n := 0
+	for _, o := range r.own {
+		if o {
+			n++
+		}
+	}
+	return n
+}
+
 // pin registers the caller as an active helper of r. It returns false —
 // and registers nothing — if the record is sealed (drained and possibly
 // recycled), in which case the caller must not touch the record further.
@@ -222,17 +271,31 @@ func (r *Rec) writeSet(k int) []bool {
 }
 
 // snapshotInto copies the agreed old values into out. It must only be
-// called once the record's status is Success and the agreement phase has
-// filled every slot.
+// called once the record's status is Success, the agreement phase has
+// filled every owned slot and, for a split data set, the verdict is
+// settled. A read-only word's old value is what the verdict says it is:
+// exp, except at the word a failed validation stopped at, which reads as
+// a value exp is not.
 func (r *Rec) snapshotInto(out []uint64) {
+	stale := -1
+	if v := r.verdict.Load(); isFailure(v) {
+		stale = failureIndex(v)
+	}
 	for i := range r.old {
-		out[i] = *r.old[i].Load()
+		switch {
+		case r.owns(i):
+			out[i] = *r.old[i].Load()
+		case i == stale:
+			out[i] = ^r.exp[i]
+		default:
+			out[i] = r.exp[i]
+		}
 	}
 }
 
 // changes reports whether installing newv would change any word's value:
-// some agreed old value differs from its new one. Same precondition as
-// snapshotInto.
+// some agreed old value differs from its new one. It is only asked of a
+// record that owns its whole data set, with snapshotInto's precondition.
 func (r *Rec) changes(newv []uint64) bool {
 	for i := range r.old {
 		if *r.old[i].Load() != newv[i] {

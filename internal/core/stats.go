@@ -42,6 +42,8 @@ const (
 	cSnapRechecked
 	cSnapStale
 	cReadOnlyCommits
+	// ST ownership (always on, commit path).
+	cOwnedWords
 	nCounters
 )
 
@@ -97,6 +99,7 @@ var counterTable = [nCounters]CounterDef{
 	cSnapRechecked:    {"snapshot_rechecked", ReasonNone, onBoth, func(s *StatsSnapshot) *uint64 { return &s.SnapshotRechecked }},
 	cSnapStale:        {"snapshot_stale", ReasonNone, onBoth, func(s *StatsSnapshot) *uint64 { return &s.SnapshotStale }},
 	cReadOnlyCommits:  {"read_only_commits", ReasonNone, onBoth, func(s *StatsSnapshot) *uint64 { return &s.ReadOnlyCommits }},
+	cOwnedWords:       {"owned_words", ReasonNone, onST, func(s *StatsSnapshot) *uint64 { return &s.OwnedWords }},
 }
 
 // Counters returns the counter table rows an engine maintains, in table
@@ -387,6 +390,14 @@ type StatsSnapshot struct {
 	// none of the four protocol counters sees it: operations committed is
 	// this plus the engine commits that installed something.
 	ReadOnlyCommits uint64
+
+	// OwnedWords counts the words committed ST attempts owned (always on,
+	// ST only). A static attempt owns its whole data set; a dynamic
+	// transaction's commit owns only the words it writes and validates the
+	// rest (DESIGN.md §9), so over dynamic commits OwnedWords per Commit is
+	// the write-set size. Failed attempts, whose ownerships were released,
+	// are not counted.
+	OwnedWords uint64
 
 	// Attempt histograms (ObsHistograms+), merged across shards.
 	// CommitTicks/AbortTicks are attempt durations in coarse ticks (see

@@ -7,6 +7,7 @@ package stm_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -115,9 +116,14 @@ func TestObsDebugString(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := m.DebugString()
-		for _, want := range []string{"engine=" + eng.String(), " commits=10", " read_only_commits=1\n", "commit_ticks"} {
-			if !strings.Contains(s, want) {
-				t.Errorf("%v DebugString missing %q:\n%s", eng, want, s)
+		want := []string{"engine=" + eng.String(), "commits=10", "read_only_commits=1", "commit_ticks"}
+		if eng == stm.ST {
+			want = append(want, "owned_words=10") // ten one-word Adds
+		}
+		fields := strings.Fields(s)
+		for _, w := range want {
+			if !slices.Contains(fields, w) {
+				t.Errorf("%v DebugString missing %q:\n%s", eng, w, s)
 			}
 		}
 	}

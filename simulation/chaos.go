@@ -16,10 +16,11 @@ import (
 )
 
 // Park tuning. Roughly one commit in 128 parks, for 20µs–500µs. The parks
-// land where they hurt: an ST initiator sleeps with its whole data set
-// owned (helpers must finish its commit), a TL2 committer sleeps holding
-// its commit locks with the clock already stepped (conflicting writers
-// abort against it for the stall's whole length). Longer or denser parks
+// land where they hurt: an ST initiator sleeps with what it owns owned
+// (helpers must finish its commit) or, committing a dynamic transaction,
+// with the epoch stepped and its reads not yet validated; a TL2 committer
+// sleeps holding its commit locks with the clock already stepped
+// (conflicting writers abort against it for the stall's whole length). Longer or denser parks
 // mostly measure the sleep, not the protocol.
 const (
 	parkDenom    = 128
@@ -32,7 +33,7 @@ const (
 )
 
 // Parker is the seam-level fault injector. Its hook runs synchronously on
-// attempt goroutines at the four stm.ChaosPoints and decides, from a
+// attempt goroutines at the five stm.ChaosPoints and decides, from a
 // deterministic decision stream, whether to park the attempt and for how
 // long. The decision STREAM is deterministic in the seed (decision i is
 // always the same); which attempt draws decision i depends on the OS
@@ -45,7 +46,7 @@ const (
 type Parker struct {
 	seed      uint64
 	seq       atomic.Uint64
-	parks     [4]atomic.Uint64 // indexed by stm.ChaosPoint
+	parks     [5]atomic.Uint64 // indexed by stm.ChaosPoint
 	storms    atomic.Uint64
 	connKills atomic.Uint64
 	mapChurn  atomic.Uint64
@@ -115,7 +116,7 @@ func (p *Parker) counts() FaultCounts {
 
 // FaultCounts records how many times each injector fired during a run.
 type FaultCounts struct {
-	Parks     [4]uint64 // by stm.ChaosPoint: parks taken at each seam site
+	Parks     [5]uint64 // by stm.ChaosPoint: parks taken at each seam site
 	Storms    uint64    // preemption storms run
 	ConnKills uint64    // client connections killed (serve scenario)
 	MapChurn  uint64    // ephemeral-key churn ops forcing map resizes

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	stm "github.com/stm-go/stm"
+	"github.com/stm-go/stm/contention"
 	"github.com/stm-go/stm/stmds"
 )
 
@@ -573,4 +574,44 @@ func TestMapRangeTxDuringMigration(t *testing.T) {
 			}
 		}
 	}
+}
+
+// firstRecorder is a contention policy that hears every commit and keeps
+// the conflict-domain key of the last one.
+type firstRecorder struct{ first int }
+
+func (p *firstRecorder) OnConflict(*contention.Conflict) {}
+func (p *firstRecorder) OnCommit(c *contention.Conflict) { p.first = c.First }
+func (p *firstRecorder) OnAbort(*contention.Conflict)    {}
+func (p *firstRecorder) WantsCleanCommits() bool         { return true }
+
+func TestMapPutsOnDifferentKeysAreDifferentDomains(t *testing.T) {
+	// A Put reads the map's control words — allocated below the table — and
+	// writes its key's slot. Keyed by the lowest address of its data set,
+	// every Put on the map would report the same control word, and a
+	// per-domain policy (contention.Adaptive) would serialize the whole map
+	// as one domain; a dynamic commit is keyed by the lowest word it writes.
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		pol := &firstRecorder{}
+		m, err := stm.New(1<<12, stm.WithEngine(eng), stm.WithPolicy(pol))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp := mustMap(t, m, 64)
+		for _, k := range []int64{1, 2} {
+			if _, _, err := mp.Put(k, 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		firsts := make([]int, 2)
+		for i, k := range []int64{1, 2} {
+			if _, _, err := mp.Put(k, 20); err != nil {
+				t.Fatal(err)
+			}
+			firsts[i] = pol.first
+		}
+		if firsts[0] == firsts[1] {
+			t.Errorf("Puts on keys 1 and 2 both report First = %d: the whole map is one conflict domain", firsts[0])
+		}
+	})
 }

@@ -29,6 +29,7 @@ var goldenProm = map[stm.Engine]string{
 		# TYPE stm_failures_total counter
 		# TYPE stm_helps_total counter
 		# TYPE stm_obs_level gauge
+		# TYPE stm_owned_words_total counter
 		# TYPE stm_read_only_commits_total counter
 		# TYPE stm_read_set_words histogram
 		# TYPE stm_snapshot_extensions_total counter
@@ -49,6 +50,7 @@ var goldenProm = map[stm.Engine]string{
 		stm_failures_total{memory="golden",engine="st"}
 		stm_helps_total{memory="golden",engine="st"}
 		stm_obs_level{memory="golden",engine="st"}
+		stm_owned_words_total{memory="golden",engine="st"}
 		stm_read_only_commits_total{memory="golden",engine="st"}
 		stm_read_set_words_bucket{memory="golden",engine="st"}
 		stm_read_set_words_count{memory="golden",engine="st"}
@@ -112,8 +114,9 @@ var goldenProm = map[stm.Engine]string{
 var goldenStatsMap = map[stm.Engine]string{
 	stm.ST: `
 		aborts_st_conflict aborts_st_helped attempts commits engine failures helps
-		hist_commit_ticks hist_read_set hist_write_set obs_level read_only_commits
-		snapshot_extensions snapshot_rechecked snapshot_stale tick_nanos`,
+		hist_commit_ticks hist_read_set hist_write_set obs_level owned_words
+		read_only_commits snapshot_extensions snapshot_rechecked snapshot_stale
+		tick_nanos`,
 	stm.TL2: `
 		aborts_tl2_lock aborts_tl2_read aborts_tl2_validate attempts commits engine
 		failures helps hist_commit_ticks hist_read_set hist_write_set obs_level
@@ -125,7 +128,7 @@ var goldenJSONL = map[stm.Engine]string{
 	stm.ST: `
 		aborts_st_conflict aborts_st_helped attempts checks commits duration_ms
 		engine failures fault_injectors helps hist_commit_ticks hist_read_set
-		hist_write_set ops policy read_only_commits scenario seed
+		hist_write_set ops owned_words policy read_only_commits scenario seed
 		snapshot_extensions snapshot_rechecked snapshot_stale tick_nanos verdict`,
 	stm.TL2: `
 		aborts_tl2_lock aborts_tl2_read aborts_tl2_validate attempts checks

@@ -31,7 +31,8 @@ type Config struct {
 	// Engine selects the Memory's commit protocol (stm.ST or stm.TL2).
 	Engine stm.Engine
 	// MemoryWords is the size of the transactional Memory backing
-	// everything the server stores. Default 1<<20 words (8 MiB).
+	// everything the server stores. Default 1<<20 words; a word is one
+	// padded 64-byte line, so that is 64 MiB.
 	MemoryWords int
 	// KeyspaceHint sizes the keyspace map for this many entries before it
 	// must grow. Default 4096.

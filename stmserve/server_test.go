@@ -528,3 +528,34 @@ func TestSessionCloseUnparksBlocking(t *testing.T) {
 		t.Fatalf("unparked BQPOP reply = %q, want nil bulk", got)
 	}
 }
+
+func TestPipelinedBatchOwnsOnlyItsWrites(t *testing.T) {
+	// A 64-command pipelined batch is one dynamic commit. Overwriting 64
+	// present keys reads their probe chains and the map's control words and
+	// writes each value's words; on ST the commit owns the written words and
+	// nothing it only read (the words-owned counter's claim, DESIGN.md §12).
+	srv := newTestServer(t, stm.ST)
+	var load, batch strings.Builder
+	for i := 0; i < 64; i++ {
+		fmt.Fprintf(&load, "SET key:%d first\r\n", i)
+		fmt.Fprintf(&batch, "SET key:%d second-value\r\n", i)
+	}
+	feed(t, srv, load.String())
+	before := srv.Memory().Stats()
+	if out := feed(t, srv, batch.String()); out != strings.Repeat("+OK\r\n", 64) {
+		t.Fatalf("batch replies = %q", out)
+	}
+	after := srv.Memory().Stats()
+	commits, owned := after.Commits-before.Commits, after.OwnedWords-before.OwnedWords
+	if commits != 1 {
+		t.Fatalf("the batch made %d engine commits, want 1", commits)
+	}
+	if written := uint64(64 * valWords); owned == 0 || owned > written {
+		t.Errorf("the batch owned %d words, want 1..%d (64 values of %d words)", owned, written, valWords)
+	}
+	for i := 0; i < 64; i += 21 {
+		if out := feed(t, srv, fmt.Sprintf("GET key:%d\r\n", i)); out != "$12\r\nsecond-value\r\n" {
+			t.Errorf("GET key:%d = %q after the batch", i, out)
+		}
+	}
+}
