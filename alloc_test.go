@@ -50,48 +50,64 @@ func assertAllocs(t *testing.T, name string, want float64, fn func()) {
 }
 
 func TestAllocsPreparedRunInto(t *testing.T) {
-	m := mustNew(t, 8)
-	tx := mustPrepare(t, m, []int{3})
-	var old [1]uint64
-	inc := func(o, n []uint64) { n[0] = o[0] + 1 }
-	assertAllocs(t, "RunInto/1", 0, func() { tx.RunInto(inc, old[:]) })
-
-	tx3 := mustPrepare(t, m, []int{1, 4, 6})
-	var old3 [3]uint64
-	rot := func(o, n []uint64) { n[0], n[1], n[2] = o[2], o[0], o[1] }
-	assertAllocs(t, "RunInto/3-ascending", 0, func() { tx3.RunInto(rot, old3[:]) })
-
-	// Permuted declaration order exercises the caller-order remap path.
-	txp := mustPrepare(t, m, []int{6, 1, 4})
-	assertAllocs(t, "RunInto/3-permuted", 0, func() { txp.RunInto(rot, old3[:]) })
-
-	tx8 := mustPrepare(t, m, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	var old8 [8]uint64
-	inc8 := func(o, n []uint64) {
-		for i := range n {
-			n[i] = o[i] + 1
+	// A prepared transaction commits without allocating for any data set,
+	// on either engine: the record, its scratch and the engine's value
+	// buffers are pooled, whatever the width.
+	for _, eng := range stm.Engines() {
+		m := mustNewEngine(t, 64, eng)
+		for _, addrs := range [][]int{{3}, {1, 4, 6}, {0, 1, 2, 3, 4, 5, 6, 7}, wideSet(40)} {
+			tx := mustPrepare(t, m, addrs)
+			old := make([]uint64, len(addrs))
+			inc := func(o, n []uint64) {
+				for i := range n {
+					n[i] = o[i] + 1
+				}
+			}
+			assertAllocs(t, fmt.Sprintf("%v/RunInto/%d", eng, len(addrs)), 0, func() { tx.RunInto(inc, old) })
+			assertAllocs(t, fmt.Sprintf("%v/TryInto/%d", eng, len(addrs)), 0, func() {
+				if !tx.TryInto(inc, old) {
+					t.Fatal("uncontended TryInto failed")
+				}
+			})
 		}
 	}
-	assertAllocs(t, "RunInto/8", 0, func() { tx8.RunInto(inc8, old8[:]) })
+}
+
+// wideSet returns n ascending, non-contiguous addresses 0, 1, 3, 4, 6, ….
+func wideSet(n int) []int {
+	addrs := make([]int, n)
+	for i := range addrs {
+		addrs[i] = i + i/2
+	}
+	return addrs
 }
 
 func TestAllocsSingleWordOps(t *testing.T) {
+	// A one-word data set is the paper's smallest static transaction: a
+	// store and a read of it, and a one-word Var's CAS. The one-word update
+	// is pinned by TestAllocsPreparedRunInto.
 	for _, eng := range stm.Engines() {
 		m := mustNewEngine(t, 8, eng)
-		assertAllocs(t, eng.String()+"/Add", 0, func() {
-			if _, err := m.Add(2, 1); err != nil {
+		var old [1]uint64
+		addr, val := []int{2}, []uint64{7}
+		assertAllocs(t, eng.String()+"/WriteAll", 0, func() {
+			if err := m.WriteAll(addr, val); err != nil {
 				t.Fatal(err)
 			}
 		})
-		assertAllocs(t, eng.String()+"/Swap", 0, func() {
-			if _, err := m.Swap(2, 7); err != nil {
+		assertAllocs(t, eng.String()+"/ReadAllInto", 0, func() {
+			if err := m.ReadAllInto(addr, old[:]); err != nil {
 				t.Fatal(err)
 			}
 		})
-		assertAllocs(t, eng.String()+"/CompareAndSwap", 0, func() {
-			v := m.Peek(5)
-			if _, err := m.CompareAndSwap(5, v, v+1); err != nil {
-				t.Fatal(err)
+		v, err := stm.VarAt(m, stm.Uint64(), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertAllocs(t, eng.String()+"/Var.CompareAndSwap", 0, func() {
+			x := v.Load()
+			if !v.CompareAndSwap(x, x+1) {
+				t.Fatal("uncontended CAS failed")
 			}
 		})
 	}
@@ -99,41 +115,20 @@ func TestAllocsSingleWordOps(t *testing.T) {
 
 func TestAllocsReadAllInto(t *testing.T) {
 	for _, eng := range stm.Engines() {
-		m := mustNewEngine(t, 16, eng)
-		addrs := []int{1, 3, 4, 6, 9, 11, 12, 15}
-		dst := make([]uint64, len(addrs))
-		assertAllocs(t, eng.String()+"/ReadAllInto", 0, func() {
-			if err := m.ReadAllInto(addrs, dst); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestAllocsSnapshotReturningOps pins the operations whose API returns a
-// fresh slice: that slice is their one allocation, and nothing else may
-// join it.
-func TestAllocsSnapshotReturningOps(t *testing.T) {
-	for _, eng := range stm.Engines() {
-		m := mustNewEngine(t, 8, eng)
-		addrs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-		for _, k := range []int{1, 8} {
-			exp, next := make([]uint64, k), make([]uint64, k)
-			assertAllocs(t, fmt.Sprintf("%v/CompareAndSwapN/%d", eng, k), 1, func() {
-				for i, a := range addrs[:k] {
-					exp[i] = m.Peek(a)
-					next[i] = exp[i] + 1
+		m := mustNewEngine(t, 64, eng)
+		for _, addrs := range [][]int{{1, 3, 4, 6, 9, 11, 12, 15}, wideSet(40)} {
+			dst := make([]uint64, len(addrs))
+			assertAllocs(t, fmt.Sprintf("%v/ReadAllInto/%d", eng, len(addrs)), 0, func() {
+				if err := m.ReadAllInto(addrs, dst); err != nil {
+					t.Fatal(err)
 				}
-				if ok, _, err := m.CompareAndSwapN(addrs[:k], exp, next); err != nil || !ok {
-					t.Fatalf("uncontended CompareAndSwapN: ok=%v err=%v", ok, err)
+			})
+			assertAllocs(t, fmt.Sprintf("%v/WriteAll/%d", eng, len(addrs)), 0, func() {
+				if err := m.WriteAll(addrs, dst); err != nil {
+					t.Fatal(err)
 				}
 			})
 		}
-		assertAllocs(t, eng.String()+"/ReadAll", 1, func() {
-			if _, err := m.ReadAll(addrs...); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 
@@ -155,11 +150,6 @@ func TestAllocsDefaultPolicyWithTelemetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertAllocs(t, tc.name+"/Add", 0, func() {
-			if _, err := m.Add(2, 1); err != nil {
-				t.Fatal(err)
-			}
-		})
 		tx := mustPrepare(t, m, []int{1, 4})
 		var old [2]uint64
 		inc := func(o, n []uint64) { n[0], n[1] = o[0]+1, o[1]+1 }
@@ -261,9 +251,7 @@ func TestAllocsAtomicallyDynamic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < slots; i++ {
-			if _, err := hm.Swap(i, uint64(i+1)); err != nil {
-				t.Fatal(err)
-			}
+			swapWord(hm, i, uint64(i+1))
 		}
 		op := 0
 		assertAllocs(t, tc.name+"/hash migrate", 0, func() {
@@ -472,9 +460,8 @@ func TestAllocsTypedConvenienceForms(t *testing.T) {
 }
 
 func TestAllocsVarCompareAndSwap(t *testing.T) {
-	// The typed CAS satellite contract: both the single-word (calcCAS1)
-	// and multi-word (CASN) routes stay allocation-free, success or
-	// failure.
+	// The typed CAS contract: one-word and multi-word vars stay
+	// allocation-free, success or failure.
 	m := mustNew(t, 16)
 	v, err := stm.Alloc(m, stm.Int64())
 	if err != nil {
@@ -504,16 +491,6 @@ func TestAllocsVarCompareAndSwap(t *testing.T) {
 	})
 }
 
-func TestAllocsAddrsInto(t *testing.T) {
-	m := mustNew(t, 16)
-	tx := mustPrepare(t, m, []int{9, 2, 5})
-	buf := make([]int, 0, 3)
-	assertAllocs(t, "AddrsInto", 0, func() { buf = tx.AddrsInto(buf[:0]) })
-	if len(buf) != 3 || buf[0] != 9 || buf[1] != 2 || buf[2] != 5 {
-		t.Errorf("AddrsInto = %v, want [9 2 5] (caller order)", buf)
-	}
-}
-
 // benchPoint / benchPointCodec: a two-word struct codec for the
 // allocation assertions (kept separate from vars_test's point so each
 // file reads standalone).
@@ -529,36 +506,27 @@ func (benchPointCodec) Decode(src []uint64) benchPoint {
 	return benchPoint{int64(src[0]), int64(src[1])}
 }
 
-func TestAllocsLegacyRunReduced(t *testing.T) {
-	// The slice-returning Run keeps its API (so it must allocate the result
-	// and the wrapper), but it must stay far below the pre-pooling seven
-	// allocations per op.
-	m := mustNew(t, 4)
-	tx := mustPrepare(t, m, []int{0})
-	f := func(o []uint64) []uint64 { return []uint64{o[0] + 1} }
-	assertAllocs(t, "Run legacy", 3, func() { tx.Run(f) })
-}
-
 func TestTryIntoSnapshotSemantics(t *testing.T) {
 	m := mustNew(t, 4)
 	if err := m.WriteAll([]int{0, 1, 2}, []uint64{10, 20, 30}); err != nil {
 		t.Fatal(err)
 	}
-	// Declared order (2, 0): old must arrive in caller order, and new
-	// values written in caller order must land on the right words.
-	tx := mustPrepare(t, m, []int{2, 0})
+	// Old values and new ones are index-aligned with the data set: the
+	// snapshot of words 0 and 2 arrives in that order, and each new value
+	// lands on its word.
+	tx := mustPrepare(t, m, []int{0, 2})
 	var old [2]uint64
 	if !tx.TryInto(func(o, n []uint64) { n[0], n[1] = o[0]+1, o[1]+2 }, old[:]) {
 		t.Fatal("uncontended TryInto failed")
 	}
-	if old[0] != 30 || old[1] != 10 {
-		t.Errorf("old = %v, want [30 10] (caller order)", old)
+	if old[0] != 10 || old[1] != 30 {
+		t.Errorf("old = %v, want [10 30]", old)
 	}
-	if got := m.Peek(2); got != 31 {
-		t.Errorf("Peek(2) = %d, want 31", got)
+	if got := m.Peek(0); got != 11 {
+		t.Errorf("Peek(0) = %d, want 11", got)
 	}
-	if got := m.Peek(0); got != 12 {
-		t.Errorf("Peek(0) = %d, want 12", got)
+	if got := m.Peek(2); got != 32 {
+		t.Errorf("Peek(2) = %d, want 32", got)
 	}
 	// nil old discards the snapshot.
 	if !tx.TryInto(func(o, n []uint64) { n[0], n[1] = o[0], o[1] }, nil) {
@@ -590,9 +558,7 @@ func TestRunIntoConcurrentTransfers(t *testing.T) {
 	)
 	m := mustNew(t, accounts)
 	for i := 0; i < accounts; i++ {
-		if _, err := m.Swap(i, initial); err != nil {
-			t.Fatal(err)
-		}
+		swapWord(m, i, initial)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -613,6 +579,9 @@ func TestRunIntoConcurrentTransfers(t *testing.T) {
 				b := int((rng >> 16) % accounts)
 				if a == b {
 					b = (b + 1) % accounts
+				}
+				if a > b {
+					a, b = b, a
 				}
 				tx, err := m.Prepare([]int{a, b})
 				if err != nil {
@@ -665,10 +634,7 @@ func TestPoolReuseStress(t *testing.T) {
 				delta := uint64(next(50) + 1)
 				if next(2) == 0 {
 					loc := next(size)
-					if _, err := m.Add(loc, delta); err != nil {
-						t.Error(err)
-						return
-					}
+					addWord(m, loc, delta)
 					perWord[w][loc] += delta
 					continue
 				}
@@ -705,45 +671,5 @@ func TestPoolReuseStress(t *testing.T) {
 	st := m.Stats()
 	if st.Attempts != st.Commits+st.Failures {
 		t.Errorf("attempts=%d != commits=%d + failures=%d", st.Attempts, st.Commits, st.Failures)
-	}
-}
-
-func TestFastPathMatchesFallback(t *testing.T) {
-	// CompareAndSwapN must behave identically on the ascending fast path
-	// and the permuted fallback path.
-	for _, addrs := range [][]int{{1, 3, 5}, {5, 1, 3}} {
-		m := mustNew(t, 8)
-		if err := m.WriteAll([]int{1, 3, 5}, []uint64{10, 30, 50}); err != nil {
-			t.Fatal(err)
-		}
-		want := map[int]uint64{1: 10, 3: 30, 5: 50}
-		exp := make([]uint64, 3)
-		repl := make([]uint64, 3)
-		for i, a := range addrs {
-			exp[i] = want[a]
-			repl[i] = want[a] + 100
-		}
-		// Mismatch first: nothing changes, snapshot comes back aligned.
-		bad := append([]uint64(nil), exp...)
-		bad[0]++
-		ok, got, err := m.CompareAndSwapN(addrs, bad, repl)
-		if err != nil || ok {
-			t.Fatalf("addrs %v: mismatch CASN ok=%v err=%v, want false nil", addrs, ok, err)
-		}
-		for i, a := range addrs {
-			if got[i] != want[a] {
-				t.Errorf("addrs %v: snapshot[%d] = %d, want %d", addrs, i, got[i], want[a])
-			}
-		}
-		// Match: all words replaced.
-		ok, _, err = m.CompareAndSwapN(addrs, exp, repl)
-		if err != nil || !ok {
-			t.Fatalf("addrs %v: matching CASN ok=%v err=%v, want true nil", addrs, ok, err)
-		}
-		for i, a := range addrs {
-			if got := m.Peek(a); got != repl[i] {
-				t.Errorf("addrs %v: word %d = %d, want %d", addrs, a, got, repl[i])
-			}
-		}
 	}
 }

@@ -142,10 +142,10 @@ func BenchmarkHostCounterSTM(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inc := func(old []uint64) []uint64 { return []uint64{old[0] + 1} }
+	inc := func(o, n []uint64) { n[0] = o[0] + 1 }
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			tx.Run(inc)
+			tx.RunInto(inc, nil)
 		}
 	})
 }
@@ -182,24 +182,20 @@ func BenchmarkHostTransferSTM(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// pairs[a] is the transfer between a and a+7 (mod accounts), prepared
+	// over the ascending pair.
+	var pairs [accounts]*stm.Tx
+	for a := range pairs {
+		c := (a + 7) % accounts
+		if pairs[a], err = m.Prepare([]int{min(a, c), max(a, c)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	move := func(o, n []uint64) { n[0], n[1] = o[0]+1, o[1]-1 }
 	b.RunParallel(func(pb *testing.PB) {
 		var n uint64
 		for pb.Next() {
-			a := int(n % accounts)
-			c := int((n + 7) % accounts)
-			if a == c {
-				c = (c + 1) % accounts
-			}
-			lo, hi := a, c
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			_, err := m.AtomicUpdate([]int{lo, hi}, func(old []uint64) []uint64 {
-				return []uint64{old[0] + 1, old[1] - 1}
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			pairs[n%accounts].RunInto(move, nil)
 			n++
 		}
 	})
@@ -227,63 +223,10 @@ func BenchmarkHostTransferMutex(b *testing.B) {
 	})
 }
 
-// BenchmarkHostCASN measures k-word compare-and-swap as k grows: the cost
-// of transaction size in the host build.
-func BenchmarkHostCASN(b *testing.B) {
-	for _, k := range []int{1, 2, 4, 8, 16} {
-		k := k
-		b.Run(strconv.Itoa(k), func(b *testing.B) {
-			m, err := stm.New(k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			addrs := make([]int, k)
-			expected := make([]uint64, k)
-			next := make([]uint64, k)
-			for i := range addrs {
-				addrs[i] = i
-			}
-			var v uint64
-			for i := 0; i < b.N; i++ {
-				for j := range next {
-					expected[j] = v
-					next[j] = v + 1
-				}
-				ok, _, err := m.CompareAndSwapN(addrs, expected, next)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !ok {
-					b.Fatal("single-threaded CASN failed")
-				}
-				v++
-			}
-		})
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Uncontended hot-path benchmarks: single-goroutine latency of the pooled
 // fast paths, for local profiling. Their allocation counts are asserted in
 // alloc_test.go; end-to-end speed is the benchmark of record's.
-
-// BenchmarkUncontendedRun measures the legacy prepared single-word Run.
-func BenchmarkUncontendedRun(b *testing.B) {
-	m, err := stm.New(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tx, err := m.Prepare([]int{0})
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := func(old []uint64) []uint64 { return []uint64{old[0] + 1} }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx.Run(f)
-	}
-}
 
 // BenchmarkUncontendedRunInto measures the zero-allocation prepared
 // single-word RunInto.
@@ -306,9 +249,9 @@ func BenchmarkUncontendedRunInto(b *testing.B) {
 }
 
 // BenchmarkUncontendedRunIntoK measures k-word RunInto as the data set
-// grows (ascending addresses: the identity fast path).
+// grows: the cost of transaction size in the host build.
 func BenchmarkUncontendedRunIntoK(b *testing.B) {
-	for _, k := range []int{2, 4, 8} {
+	for _, k := range []int{2, 4, 8, 32} {
 		k := k
 		b.Run(strconv.Itoa(k), func(b *testing.B) {
 			m, err := stm.New(k)
@@ -416,36 +359,6 @@ func BenchmarkDynReadSet(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocAdd measures the single-word fetch-and-add fast path.
-func BenchmarkAllocAdd(b *testing.B) {
-	m, err := stm.New(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Add(0, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAllocSwap measures the single-word swap fast path.
-func BenchmarkAllocSwap(b *testing.B) {
-	m, err := stm.New(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Swap(0, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAllocReadAllInto measures the zero-allocation consistent read.
 func BenchmarkAllocReadAllInto(b *testing.B) {
 	const k = 8
@@ -467,39 +380,6 @@ func BenchmarkAllocReadAllInto(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocCASN measures the ascending-addrs k-word compare-and-swap
-// fast path (its one allocation is the returned snapshot).
-func BenchmarkAllocCASN(b *testing.B) {
-	const k = 8
-	m, err := stm.New(k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	addrs := make([]int, k)
-	expected := make([]uint64, k)
-	next := make([]uint64, k)
-	for i := range addrs {
-		addrs[i] = i
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var v uint64
-	for i := 0; i < b.N; i++ {
-		for j := range next {
-			expected[j] = v
-			next[j] = v + 1
-		}
-		ok, _, err := m.CompareAndSwapN(addrs, expected, next)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !ok {
-			b.Fatal("single-threaded CASN failed")
-		}
-		v++
-	}
-}
-
 // BenchmarkHostSnapshot measures consistent multi-word reads vs size.
 func BenchmarkHostSnapshot(b *testing.B) {
 	for _, k := range []int{2, 8, 32} {
@@ -513,9 +393,10 @@ func BenchmarkHostSnapshot(b *testing.B) {
 			for i := range addrs {
 				addrs[i] = i
 			}
+			dst := make([]uint64, k)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.ReadAll(addrs...); err != nil {
+				if err := m.ReadAllInto(addrs, dst); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,5 +1,5 @@
 // Command stmcheck tortures the host (goroutine) STM build and verifies
-// its correctness invariants under real concurrency:
+// its correctness invariants under real concurrency, on every engine:
 //
 //   - exact counting: N goroutines × K increments must land exactly;
 //   - conservation: random multi-word transfers preserve the total;
@@ -47,7 +47,7 @@ func run(args []string) error {
 
 	checks := []struct {
 		name string
-		fn   func(time.Duration, int, int, uint64) error
+		fn   func(stm.Engine, time.Duration, int, int, uint64) error
 	}{
 		{"exact-counting", checkCounting},
 		{"conservation+snapshots", checkConservation},
@@ -55,21 +55,28 @@ func run(args []string) error {
 	}
 	budget := time.Duration(*seconds * float64(time.Second))
 	for _, c := range checks {
-		start := time.Now()
-		if err := c.fn(budget, *goroutines, *words, *seed); err != nil {
-			return fmt.Errorf("%s: %w", c.name, err)
+		for _, eng := range stm.Engines() {
+			start := time.Now()
+			if err := c.fn(eng, budget, *goroutines, *words, *seed); err != nil {
+				return fmt.Errorf("%s on %v: %w", c.name, eng, err)
+			}
+			fmt.Printf("ok  %-24s %-4v %v\n", c.name, eng, time.Since(start).Round(time.Millisecond))
 		}
-		fmt.Printf("ok  %-24s %v\n", c.name, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }
 
 // checkCounting hammers one word with increments and demands exactness.
-func checkCounting(budget time.Duration, goroutines, _ int, _ uint64) error {
-	m, err := stm.New(1)
+func checkCounting(eng stm.Engine, budget time.Duration, goroutines, _ int, _ uint64) error {
+	m, err := stm.New(1, stm.WithEngine(eng))
 	if err != nil {
 		return err
 	}
+	tx, err := m.Prepare([]int{0})
+	if err != nil {
+		return err
+	}
+	inc := func(old, new []uint64) { new[0] = old[0] + 1 }
 	deadline := time.Now().Add(budget)
 	var total atomic.Uint64
 	var wg sync.WaitGroup
@@ -80,9 +87,7 @@ func checkCounting(budget time.Duration, goroutines, _ int, _ uint64) error {
 			var mine uint64
 			for time.Now().Before(deadline) {
 				for i := 0; i < 100; i++ {
-					if _, err := m.Add(0, 1); err != nil {
-						return
-					}
+					tx.RunInto(inc, nil)
 					mine++
 				}
 			}
@@ -98,9 +103,9 @@ func checkCounting(budget time.Duration, goroutines, _ int, _ uint64) error {
 
 // checkConservation runs random guarded transfers while auditors take
 // transactional snapshots; totals must never move.
-func checkConservation(budget time.Duration, goroutines, words int, seed uint64) error {
+func checkConservation(eng stm.Engine, budget time.Duration, goroutines, words int, seed uint64) error {
 	const initial = 1 << 20
-	m, err := stm.New(words)
+	m, err := stm.New(words, stm.WithEngine(eng))
 	if err != nil {
 		return err
 	}
@@ -123,9 +128,9 @@ func checkConservation(budget time.Duration, goroutines, words int, seed uint64)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		snap := make([]uint64, words)
 		for time.Now().Before(deadline) {
-			snap, err := m.ReadAll(addrs...)
-			if err != nil {
+			if err := m.ReadAllInto(addrs, snap); err != nil {
 				errCh <- err
 				return
 			}
@@ -151,17 +156,22 @@ func checkConservation(budget time.Duration, goroutines, words int, seed uint64)
 					continue
 				}
 				amt := rng.Uint64() % 64
-				_, err := m.AtomicUpdate([]int{a, b}, func(old []uint64) []uint64 {
-					x := amt
-					if old[0] < x {
-						x = old[0]
-					}
-					return []uint64{old[0] - x, old[1] + x}
-				})
+				// Move amt from a to b over the ascending data set {a, b}:
+				// from and to index the pair in that order.
+				from, to := 0, 1
+				if a > b {
+					a, b = b, a
+					from, to = 1, 0
+				}
+				tx, err := m.Prepare([]int{a, b})
 				if err != nil {
 					errCh <- err
 					return
 				}
+				tx.RunInto(func(old, new []uint64) {
+					x := min(amt, old[from])
+					new[from], new[to] = old[from]-x, old[to]+x
+				}, nil)
 			}
 		}(g)
 	}
@@ -184,7 +194,7 @@ func checkConservation(budget time.Duration, goroutines, words int, seed uint64)
 // checkLinearizable records a concurrent history of register swaps/reads
 // over a small word set and verifies it against the sequential register
 // specification.
-func checkLinearizable(budget time.Duration, goroutines, _ int, seed uint64) error {
+func checkLinearizable(eng stm.Engine, budget time.Duration, goroutines, _ int, seed uint64) error {
 	// Small bounded runs repeated until the budget is spent: the checker is
 	// exponential in history length, so many short histories beat one long
 	// one, and short histories still catch ordering violations.
@@ -192,19 +202,23 @@ func checkLinearizable(budget time.Duration, goroutines, _ int, seed uint64) err
 	round := 0
 	for time.Now().Before(deadline) {
 		round++
-		if err := linRound(goroutines, seed+uint64(round)); err != nil {
+		if err := linRound(eng, goroutines, seed+uint64(round)); err != nil {
 			return fmt.Errorf("round %d: %w", round, err)
 		}
 	}
 	return nil
 }
 
-func linRound(goroutines int, seed uint64) error {
+func linRound(eng stm.Engine, goroutines int, seed uint64) error {
 	if goroutines > 4 {
 		goroutines = 4 // keep the exhaustive search tractable
 	}
 	const opsPer = 5
-	m, err := stm.New(1)
+	m, err := stm.New(1, stm.WithEngine(eng))
+	if err != nil {
+		return err
+	}
+	tx, err := m.Prepare([]int{0})
 	if err != nil {
 		return err
 	}
@@ -218,11 +232,9 @@ func linRound(goroutines int, seed uint64) error {
 			for i := 0; i < opsPer; i++ {
 				v := rng.Uint64()%100 + 1
 				call := rec.Begin(g, lin.Op{Kind: lin.OpSwap, Arg: v})
-				old, err := m.Swap(0, v)
-				if err != nil {
-					return
-				}
-				rec.End(call, old)
+				var old [1]uint64
+				tx.RunInto(func(_, new []uint64) { new[0] = v }, old[:])
+				rec.End(call, old[0])
 			}
 		}(g)
 	}

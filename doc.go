@@ -88,10 +88,20 @@
 //
 // # Engine-level access: raw words
 //
-// The word-addressed API underneath is fully supported for engine-level
-// work: Prepare/Tx.Run(Into) for static transactions over explicit
-// addresses, and the derived operations ReadAll, WriteAll, Add, Swap,
-// CompareAndSwap, CompareAndSwapN, plus Tx.RunWhen for guarded updates.
+// Underneath is the paper's static transaction over explicit word
+// addresses. Memory.Prepare validates a data set and returns a Tx; the
+// data set must be non-empty, in bounds and strictly ascending, as the
+// paper's is, and anything else is rejected with ErrEmptyDataSet,
+// ErrAddrRange, ErrDupAddr or ErrAddrOrder. Tx.TryInto is the paper's
+// StartTransaction: one attempt of an UpdateInto over the old values,
+// which on conflict helps the blocker and reports failure. Tx.RunInto
+// retries under the contention policy until it commits. Memory.ReadAllInto
+// and Memory.WriteAll are the consistent read and the atomic store of such
+// a data set, with no update function to prepare.
+//
+//	tx, _ := m.Prepare([]int{4, 9})
+//	tx.RunInto(func(old, new []uint64) { new[0], new[1] = old[0]-1, old[1]+1 }, nil)
+//
 // Reserve raw regions from the same allocator with AllocWords so typed and
 // raw words never collide; VarAt overlays typed access on raw words.
 //
@@ -104,7 +114,7 @@
 //
 //   - stm.ST (the default) is the paper's cooperative-helping ownership
 //     protocol. Every static attempt, including a pure read (Var.Load,
-//     ReadAll), acquires ownership of its whole data set; a dynamic
+//     ReadAllInto), acquires ownership of its whole data set; a dynamic
 //     commit owns only the words it writes and validates the rest; a
 //     blocked attempt helps its blocker to completion. No transaction
 //     ever waits on a preempted peer — the strongest liveness — at the
@@ -194,21 +204,15 @@
 //     nothing; String's Decode builds a string). An Atomically call site
 //     with a stable footprint matches the zero-allocation contract: the
 //     DTx, its logs, and the compiled footprint recycle through pools.
-//   - Tx.RunInto and Tx.TryInto are the raw equivalents: zero heap
-//     allocations with a caller-supplied old buffer (for permuted
-//     declarations up to 16 words; larger permuted data sets stage one
-//     snapshot buffer per call).
-//   - Add, Swap, CompareAndSwap, ReadAllInto, and WriteAll/ReadAll over
-//     already-ascending address sets run on the same pooled fast path;
-//     ReadAll and CompareAndSwapN allocate only their returned snapshot.
-//   - The convenience forms pay per call: Var.Update builds its closure
-//     each time; Tx.Run/Try allocate the result slice and an adapter;
-//     AtomicUpdate and non-ascending k-word operations additionally
-//     re-Prepare.
+//   - Tx.RunInto, Tx.TryInto, Memory.ReadAllInto and Memory.WriteAll are
+//     the raw equivalents: zero heap allocations for any data set, with
+//     the caller's slices for addresses, values and old values. Prepare
+//     itself allocates the Tx, once per data set.
+//   - Var.Update pays for the closure it builds around its function, one
+//     allocation per call.
 //
 // Prefer a stable Atomically call site (typed) or RunInto on a prepared
-// Tx (raw) on hot paths; use the convenience forms where clarity matters
-// more than allocation. See DESIGN.md §6 and §8 for the full accounting;
+// Tx (raw) on hot paths. See DESIGN.md §6 and §8 for the full accounting;
 // every bound above is a testing.AllocsPerRun assertion in the package
 // tests.
 package stm

@@ -10,37 +10,23 @@ import (
 
 func TestNilContextNeverCancelled(t *testing.T) {
 	// Every ...Context entry point runs on the one driver, where a nil
-	// context means "never cancelled": a conflict, or a guard-unmet round,
-	// must defer and retry exactly as the context-free form does rather
-	// than dereference the nil.
+	// context means "never cancelled": a conflict, or a Retry's wait, must
+	// defer and retry exactly as the context-free form does rather than
+	// dereference the nil.
 	var nilCtx context.Context
-	incF := func(o []uint64) []uint64 { return []uint64{o[0] + 1} }
-	positive := func(o []uint64) bool { return o[0] > 0 }
 	blindWrite := func(tx *stm.DTx) error { tx.Write(0, 7); return nil }
 	cases := []struct {
 		name string
-		// guarded cases start from a guard-unmet round on an idle word 0
-		// that a later Add satisfies; the others start against a held one.
+		// guarded cases start from a Retry on an idle word 0 that a later
+		// add satisfies; the others start against a held one.
 		guarded bool
 		run     func(t *testing.T, m *stm.Memory) error
 	}{
-		{"Tx.RunContext", false, func(t *testing.T, m *stm.Memory) error {
-			_, err := mustPrepare(t, m, []int{0}).RunContext(nilCtx, incF)
-			return err
-		}},
-		{"AtomicUpdateContext", false, func(t *testing.T, m *stm.Memory) error {
-			_, err := m.AtomicUpdateContext(nilCtx, []int{0}, incF)
-			return err
-		}},
 		{"AtomicallyContext", false, func(t *testing.T, m *stm.Memory) error {
 			return m.AtomicallyContext(nilCtx, blindWrite)
 		}},
 		{"OrElseContext", false, func(t *testing.T, m *stm.Memory) error {
 			return m.OrElseContext(nilCtx, func(tx *stm.DTx) error { tx.Retry(); return nil }, blindWrite)
-		}},
-		{"Tx.RunWhenContext", true, func(t *testing.T, m *stm.Memory) error {
-			_, err := mustPrepare(t, m, []int{0}).RunWhenContext(nilCtx, positive, incF)
-			return err
 		}},
 		{"AtomicallyContext/Retry", true, func(t *testing.T, m *stm.Memory) error {
 			v, err := stm.VarAt(m, stm.Int64(), 0)
@@ -65,9 +51,7 @@ func TestNilContextNeverCancelled(t *testing.T) {
 				}
 				if tc.guarded {
 					time.AfterFunc(2*time.Millisecond, func() {
-						if _, err := m.Add(0, 1); err != nil {
-							t.Error(err)
-						}
+						addWord(m, 0, 1)
 					})
 				} else {
 					s := stallWord0(t, m, 1)

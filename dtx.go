@@ -306,11 +306,11 @@ func (d *DTx) Write(addr int, v uint64) {
 }
 
 // Retry abandons the attempt and blocks the transaction until some word it
-// has read changes, then re-executes it from the start — the composable
-// form of a guarded transaction (Tx.RunWhen for raw words known up front).
-// Under OrElse, a Retry in the first branch falls through to the
-// second instead of blocking. A transaction that has read nothing cannot
-// be woken; Retry then fails the operation with ErrRetryNoReads.
+// has read changes, then re-executes it from the start: the package's one
+// guarded transaction. Under OrElse, a Retry in the first branch falls
+// through to the second instead of blocking. A transaction that has read
+// nothing cannot be woken; Retry then fails the operation with
+// ErrRetryNoReads.
 //
 // Note that a wakeup is triggered by a word's value changing: a committed
 // write that stores the value a word already held does not wake waiters.
@@ -604,11 +604,10 @@ func (d *DTx) readSetChanged() bool {
 }
 
 // waitReadSet blocks until the wait set changes (or ctx is done),
-// escalating on the same condition backoff RunWhen's rounds use: a parked
-// waiter must not hammer the very lines the eventual writer needs. The box
-// snapshots were taken during the speculation, so a write that landed
-// between speculation and this check is seen immediately — no wakeup can
-// be lost to the gap.
+// escalating on a condition backoff: a parked waiter must not hammer the
+// very lines the eventual writer needs. The box snapshots were taken during
+// the speculation, so a write that landed between speculation and this
+// check is seen immediately — no wakeup can be lost to the gap.
 func (d *DTx) waitReadSet(ctx context.Context) error {
 	bo := d.m.newCondBackoff()
 	for !d.readSetChanged() {
@@ -812,10 +811,8 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 			}
 			// Close the round's policy resources before parking: a
 			// serializing policy's token (or an aged priority) must never
-			// be held across an unbounded condition wait — the same
-			// discipline as runWhen, which commits guard-unmet rounds
-			// before its condition waits. The next conflict after the
-			// wakeup opens a fresh report.
+			// be held across an unbounded condition wait. The next
+			// conflict after the wakeup opens a fresh report.
 			if c != nil {
 				m.commitConflict(c, 0, 0) // open report: the data set is on it
 				c = nil
@@ -851,10 +848,10 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 		}
 		d.compileFootprint()
 		st.addrs = d.fpSorted
-		if cap(d.engOld) < st.size() {
-			d.engOld = make([]uint64, st.size())
+		if cap(d.engOld) < len(st.addrs) {
+			d.engOld = make([]uint64, len(st.addrs))
 		}
-		d.engOld = d.engOld[:st.size()]
+		d.engOld = d.engOld[:len(st.addrs)]
 		// Ownership conflicts re-attempt the same compiled footprint: if the
 		// snapshot goes stale meanwhile, the attempt that finally commits
 		// detects it.
@@ -867,10 +864,10 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 			// transaction moved one of our reads between speculation and
 			// commit. Contention — defer, then re-execute from scratch.
 			info := core.ConflictInfo{Addr: stale}
-			c = m.noteConflict(c, st.first(), st.size(), &info)
+			c = m.noteConflict(c, st.first(), len(st.addrs), &info)
 			continue
 		}
-		m.commitConflict(c, st.first(), st.size())
+		m.commitConflict(c, st.first(), len(st.addrs))
 		d.runCommitHooks()
 		return nil
 	}

@@ -57,9 +57,11 @@ func TestPooledDTxIsHistoryFree(t *testing.T) {
 					},
 					func(tx *DTx) error {
 						if round == 1 {
-							if _, err := m.Add(0, 1); err != nil {
+							bump, err := m.Prepare([]int{0})
+							if err != nil {
 								return err
 							}
+							bump.RunInto(func(o, n []uint64) { n[0] = o[0] + 1 }, nil)
 						}
 						return readRange(small, false, nil)(tx)
 					}); err != nil {

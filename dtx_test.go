@@ -164,9 +164,7 @@ func TestFootprintGrowthReexecution(t *testing.T) {
 		va := tx.Read(a)
 		if s == 0 {
 			if myCall == 1 {
-				if _, err := m.Swap(sel, 1); err != nil {
-					return err
-				}
+				swapWord(m, sel, 1)
 			}
 			tx.Write(a, va+10)
 			return nil
@@ -203,11 +201,7 @@ func TestSpeculativeStaleReadRestarts(t *testing.T) {
 		s := tx.Read(sel)
 		if calls == 1 {
 			// Change both words atomically behind the speculation's back.
-			if _, err := m.AtomicUpdate([]int{sel, a}, func(old []uint64) []uint64 {
-				return []uint64{old[0] + 1, old[1] + 50}
-			}); err != nil {
-				return err
-			}
+			addWords(m, []int{sel, a}, 1, 50)
 		}
 		va := tx.Read(a)
 		if s == 0 && va != 0 {
@@ -283,9 +277,7 @@ func TestRetryWakesOnWrite(t *testing.T) {
 		t.Fatalf("transaction committed before the flag was set (err=%v)", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if _, err := m.Swap(0, 7); err != nil {
-		t.Fatal(err)
-	}
+	swapWord(m, 0, 7)
 	select {
 	case err := <-done:
 		if err != nil {
@@ -364,9 +356,7 @@ func TestOrElseWaitsOnBothBranches(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 	// Filling the SECOND branch's slot must wake the combined wait.
-	if _, err := m.Swap(slotB, 33); err != nil {
-		t.Fatal(err)
-	}
+	swapWord(m, slotB, 33)
 	select {
 	case err := <-done:
 		if err != nil {
@@ -405,9 +395,7 @@ func TestOrElseRevalidatesFirstBranchAtCommit(t *testing.T) {
 		func(tx *stm.DTx) error {
 			secondRuns++
 			if secondRuns == 1 {
-				if _, err := m.Swap(flag, 1); err != nil {
-					return err
-				}
+				swapWord(m, flag, 1)
 			}
 			tx.Write(b, 1)
 			return nil
@@ -480,9 +468,7 @@ func TestDynamicConflictsReportToPolicy(t *testing.T) {
 		calls++
 		v := tx.Read(2)
 		if calls == 1 {
-			if _, err := m.Swap(2, v+1); err != nil {
-				return err
-			}
+			swapWord(m, 2, v+1)
 		}
 		tx.Write(3, v)
 		return nil
@@ -505,9 +491,7 @@ func TestDynamicConflictsReportToPolicy(t *testing.T) {
 		calls++
 		v := tx.Read(2)
 		if calls == 1 {
-			if _, err := m.Swap(2, v+1); err != nil {
-				return err
-			}
+			swapWord(m, 2, v+1)
 			tx.Write(3, v) // force a footprint so the conflict is real
 			return nil
 		}
@@ -523,8 +507,7 @@ func TestDynamicConflictsReportToPolicy(t *testing.T) {
 func TestRetryReleasesPolicyBeforeParking(t *testing.T) {
 	// A Retry park is unbounded, so the round's contention-policy
 	// resources (serialization tokens, aged priorities) must be released
-	// before the wait — the same discipline as RunWhen's guard-unmet
-	// rounds. The operation below conflicts once (opening a policy
+	// before the wait. The operation below conflicts once (opening a policy
 	// report), then parks; the report must be closed (an OnCommit) while
 	// it is still parked, not when it finally commits.
 	rec := &recordingPolicy{}
@@ -540,9 +523,7 @@ func TestRetryReleasesPolicyBeforeParking(t *testing.T) {
 			v := tx.Read(1)
 			if calls == 1 {
 				// Invalidate our own read so the first round conflicts.
-				if _, err := m.Swap(1, v+1); err != nil {
-					return err
-				}
+				swapWord(m, 1, v+1)
 				tx.Write(2, v)
 				return nil
 			}
@@ -572,9 +553,7 @@ func TestRetryReleasesPolicyBeforeParking(t *testing.T) {
 		t.Fatalf("operation committed before the flag was set (err=%v)", err)
 	default:
 	}
-	if _, err := m.Swap(0, 9); err != nil {
-		t.Fatal(err)
-	}
+	swapWord(m, 0, 9)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -655,9 +634,7 @@ func testDynamicLinkedListConservation(t *testing.T, eng stm.Engine) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := m.Swap(0, uint64(base(0))); err != nil {
-		t.Fatal(err)
-	}
+	swapWord(m, 0, uint64(base(0)))
 
 	// Worker schedules derive from one simrand base seed, logged with
 	// replay instructions (STM_SIM_SEED) if the harness fails.
@@ -760,11 +737,7 @@ func TestSnapshotStaleReadReexecutesOnce(t *testing.T) {
 			calls++
 			va = tx.Read(a)
 			if calls == 1 {
-				if _, err := m.AtomicUpdate([]int{a, b}, func(old []uint64) []uint64 {
-					return []uint64{old[0] + 1, old[1] + 1}
-				}); err != nil {
-					return err
-				}
+				addWords(m, []int{a, b}, 1, 1)
 			}
 			vb = tx.Read(b)
 			if va != vb {
@@ -797,9 +770,7 @@ func TestSnapshotExtendsPastUnrelatedCommit(t *testing.T) {
 		if err := m.Atomically(func(tx *stm.DTx) error {
 			calls++
 			va := tx.Read(a)
-			if _, err := m.Add(other, 1); err != nil {
-				return err
-			}
+			addWord(m, other, 1)
 			if vb := tx.Read(b); va != 0 || vb != 0 {
 				return fmt.Errorf("A=%d B=%d, want 0 0", va, vb)
 			}
@@ -892,9 +863,7 @@ func TestSnapshotOrElseValidatesRetriedBranch(t *testing.T) {
 			},
 			func(tx *stm.DTx) error {
 				secondRuns++
-				if _, err := m.Swap(flag, 1); err != nil {
-					return err
-				}
+				swapWord(m, flag, 1)
 				tx.Write(b, tx.Read(x)+1)
 				return nil
 			}); err != nil {
@@ -924,9 +893,7 @@ func TestSnapshotExtensionsCounted(t *testing.T) {
 			if err := m.Atomically(func(tx *stm.DTx) error {
 				for i := 0; i < reads; i++ {
 					if foreign > 0 && i%(reads/foreign) == reads/foreign/2 {
-						if _, err := m.Add(reads, 1); err != nil {
-							return err
-						}
+						addWord(m, reads, 1)
 					}
 					tx.Read(i)
 				}

@@ -100,7 +100,7 @@ func TestAllocsTL2Atomically(t *testing.T) {
 }
 
 // TestEngineConcurrentMix hammers every engine with the operations whose
-// interleavings differ most between the protocols — single-word Adds, CAS,
+// interleavings differ most between the protocols — single-word adds, CAS,
 // a two-word Atomically RMW, and pure reads — and checks the commuting
 // sums. It is the quick cross-engine smoke; the deep harnesses are the
 // parameterized conservation and linearizability tests.
@@ -112,6 +112,14 @@ func TestEngineConcurrentMix(t *testing.T) {
 			size    = 8
 		)
 		m := mustNewEngine(t, size, eng)
+		words := make([]*stm.Var[uint64], size)
+		for loc := range words {
+			v, err := stm.VarAt(m, stm.Uint64(), loc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			words[loc] = v
+		}
 		var wg sync.WaitGroup
 		totals := make([]uint64, workers)
 		for w := 0; w < workers; w++ {
@@ -135,18 +143,12 @@ func TestEngineConcurrentMix(t *testing.T) {
 					switch next(4) {
 					case 0:
 						delta := uint64(next(10) + 1)
-						if _, err := m.Add(next(size), delta); err != nil {
-							t.Error(err)
-							return
-						}
+						addWord(m, next(size), delta)
 						sum += delta
 					case 1:
 						loc := next(size)
 						v := m.Peek(loc)
-						if _, err := m.CompareAndSwap(loc, v, v); err != nil {
-							t.Error(err)
-							return
-						}
+						words[loc].CompareAndSwap(v, v)
 					case 2:
 						delta := uint64(next(10) + 1)
 						a, b := next(size), next(size)

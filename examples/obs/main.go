@@ -58,12 +58,13 @@ func run(engine stm.Engine) {
 				if a > b {
 					a, b = b, a
 				}
-				_, err := m.AtomicUpdate([]int{a, b}, func(old []uint64) []uint64 {
-					return []uint64{old[0] + 1, old[1] + 1}
-				})
+				tx, err := m.Prepare([]int{a, b})
 				if err != nil {
 					log.Fatal(err)
 				}
+				tx.RunInto(func(old, new []uint64) {
+					new[0], new[1] = old[0]+1, old[1]+1
+				}, nil)
 			}
 		})
 	}

@@ -112,19 +112,24 @@ func main() {
 	if err := m.WriteAll(addrs, []uint64{100, 200, 300}); err != nil {
 		log.Fatal(err)
 	}
-	rotated, err := m.AtomicUpdate(addrs, func(old []uint64) []uint64 {
-		return []uint64{old[1], old[2], old[0]}
-	})
+	// A static transaction is the paper's: a data set in ascending order,
+	// prepared once, and one function from its old values to its new ones.
+	tx, err := m.Prepare(addrs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	now, _ := m.ReadAll(addrs...)
+	rotated := make([]uint64, len(addrs))
+	tx.RunInto(func(old, new []uint64) {
+		new[0], new[1], new[2] = old[1], old[2], old[0]
+	}, rotated)
+	now := make([]uint64, len(addrs))
+	if err := m.ReadAllInto(addrs, now); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("raw rotate %v -> %v\n", rotated, now)
-	swapped, observed, err := m.CompareAndSwapN(addrs, now, []uint64{1, 2, 3})
-	if err != nil {
-		log.Fatal(err)
+	if now[0] != 200 || now[1] != 300 || now[2] != 100 {
+		log.Fatalf("rotated words = %v, want [200 300 100]", now)
 	}
-	fmt.Printf("raw CASN success=%v (observed %v)\n", swapped, observed)
 
 	st := m.Stats()
 	fmt.Printf("protocol stats: %d attempts, %d commits, %d failures, %d helps\n",

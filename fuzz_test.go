@@ -10,9 +10,9 @@ import (
 	stm "github.com/stm-go/stm"
 )
 
-// FuzzPrepare checks that Prepare either rejects an address list or
-// produces a Tx whose Addrs round-trips the caller's order, for arbitrary
-// inputs.
+// FuzzPrepare checks Prepare against the data-set rule for arbitrary
+// inputs: it accepts exactly the non-empty, strictly ascending, in-bounds
+// address lists, and a Tx it returns runs over those words.
 func FuzzPrepare(f *testing.F) {
 	f.Add([]byte{0, 1, 2}, uint8(8))
 	f.Add([]byte{5, 5}, uint8(8))
@@ -29,27 +29,28 @@ func FuzzPrepare(f *testing.F) {
 		for i, b := range raw {
 			addrs[i] = int(b) // may be out of range: must be rejected, not panic
 		}
-		tx, err := m.Prepare(addrs)
-		if err != nil {
-			return // rejected inputs are fine; panics are not
-		}
-		got := tx.Addrs()
-		if len(got) != len(addrs) {
-			t.Fatalf("Addrs() len %d, want %d", len(got), len(addrs))
-		}
-		for i := range got {
-			if got[i] != addrs[i] {
-				t.Fatalf("Addrs()[%d] = %d, want %d (caller order)", i, got[i], addrs[i])
+		valid := len(addrs) > 0
+		for i, a := range addrs {
+			if a >= size || (i > 0 && addrs[i-1] >= a) {
+				valid = false
 			}
 		}
-		// A valid Tx must be runnable.
-		old := tx.Run(func(old []uint64) []uint64 {
-			nv := make([]uint64, len(old))
-			copy(nv, old)
-			return nv
-		})
-		if len(old) != len(addrs) {
-			t.Fatalf("Run returned %d old values, want %d", len(old), len(addrs))
+		tx, err := m.Prepare(addrs)
+		if (err == nil) != valid {
+			t.Fatalf("Prepare(%v) over %d words = %v, want accepted=%v", addrs, size, err, valid)
+		}
+		if err != nil {
+			return
+		}
+		tx.RunInto(func(o, n []uint64) {
+			for i := range n {
+				n[i] = o[i] + uint64(addrs[i]) + 1
+			}
+		}, nil)
+		for _, a := range addrs {
+			if got := m.Peek(a); got != uint64(a)+1 {
+				t.Fatalf("word %d = %d after one run, want %d", a, got, a+1)
+			}
 		}
 	})
 }
@@ -68,8 +69,8 @@ func FuzzCASN(f *testing.F) {
 		}
 		model := make([]uint64, size)
 
-		// Interpret the bytes as a stream of CASN ops over duplicate-free
-		// address sets.
+		// Interpret the bytes as a stream of CASN ops over ascending address
+		// sets.
 		for start := 0; start+1 < len(rawAddrs); start += 2 {
 			k := int(rawAddrs[start])%3 + 1
 			seen := map[int]bool{}
@@ -96,10 +97,7 @@ func FuzzCASN(f *testing.F) {
 				}
 				next[j] = uint64(loc*1000 + start)
 			}
-			swapped, old, err := m.CompareAndSwapN(addrs, expected, next)
-			if err != nil {
-				t.Fatal(err)
-			}
+			swapped, old := casN(t, m, addrs, expected, next)
 			wantSwap := true
 			for j, loc := range addrs {
 				if old[j] != model[loc] {

@@ -1,8 +1,6 @@
 package stm
 
 import (
-	"fmt"
-
 	"github.com/stm-go/stm/contention"
 	"github.com/stm-go/stm/internal/core"
 )
@@ -18,26 +16,19 @@ import (
 
 // UpdateInto computes a transaction's new values from the old values,
 // writing them into new (len(new) == len(old), both index-aligned with the
-// addresses the caller declared, in the caller's order). It is the
-// allocation-free counterpart of UpdateFunc, used by Tx.RunInto/TryInto.
+// transaction's ascending data set). It is the one function of the paper's
+// static transaction, and Tx.RunInto and Tx.TryInto run it.
 //
-// Like UpdateFunc, it must be deterministic and side-effect free, and must
-// not retain old or new: under helping, several goroutines may evaluate it
-// concurrently for the same transaction over distinct buffers, and all
-// evaluations must produce identical values.
+// It must be deterministic and side-effect free, and must not retain old
+// or new: under helping, several goroutines may evaluate it concurrently
+// for the same transaction over distinct buffers, and all evaluations must
+// produce identical values.
 type UpdateInto func(old, new []uint64)
-
-// update is calcTx's parameter block: one prepared transaction's
-// computation, over caller-order buffers, and its address remap.
-type update struct {
-	fInto UpdateInto
-	perm  []int // caller order -> engine order (Tx.perm); nil for identity
-}
 
 // The Memory's confPool recycles contention.Conflict reports so the policy
 // hooks cost no allocation in steady state: one report accompanies one
-// logical operation (a retry loop, or a single Try) and returns to the pool
-// when the operation commits or aborts. Reports cannot ride the record
+// logical operation (a retry loop, or a single TryInto) and returns to the
+// pool when the operation commits or aborts. Reports cannot ride the record
 // scratch — an operation spans many pooled records — so they pool
 // independently.
 
@@ -118,7 +109,7 @@ func (m *Memory) noteConflict(c *contention.Conflict, first, size int, info *cor
 }
 
 // abortFailed closes an operation whose last attempt failed and will not be
-// retried — the caller owns the retry decision (Try/TryInto) or gave up
+// retried — the caller owns the retry decision (TryInto) or gave up
 // (a cancelled context): the policy is told the operation ended, with that
 // final failure counted, without being asked to defer anything.
 func (m *Memory) abortFailed(c *contention.Conflict, first, size int, info *core.ConflictInfo) {
@@ -160,19 +151,10 @@ func (m *Memory) abortConflict(c *contention.Conflict) {
 // Fields are written only between Begin and RunAttempt (by attempt, on the
 // initiating goroutine, which owns the record exclusively then — and only
 // the fields the staged op's calc reads) and read — never written — by calc
-// evaluations afterwards, except for the caller-order buffers, which only
-// the exclusive (initiator) evaluation of calcTx may use; helpers bring
-// their own.
+// evaluations afterwards.
 type scratch struct {
-	// calcTx parameters: the staged update, and the exclusive caller-order
-	// buffers its remap evaluates through.
-	u         update
-	callerOld []uint64
-	callerNew []uint64
-
-	// Single-word op parameters (calcAdd, calcSwap, calcCAS1).
-	a0 uint64
-	a1 uint64
+	// calcTx parameter: the staged update.
+	u UpdateInto
 
 	// k-word op parameters (calcCASN, calcStore).
 	exp  []uint64
@@ -190,20 +172,10 @@ type scratch struct {
 	dynWr   []bool
 }
 
-// ResetForPool drops the references staged for the last attempt (the
-// caller's update closure and the prepared-transaction permutation) so an
-// idle pooled record retains nothing of its last caller. The value buffers
-// stay: they are the amortization.
-func (s *scratch) ResetForPool() { s.stageUpdate(&update{}) }
-
-// stageUpdate copies u into the record, field by field on purpose: a
-// whole-struct assignment of pointer fields into heap memory compiles to
-// the runtime's bulk write barrier whenever the collector is running — and
-// value boxing keeps it running — which costs several times what the two
-// plain pointer stores do.
-func (s *scratch) stageUpdate(u *update) {
-	s.u.fInto, s.u.perm = u.fInto, u.perm
-}
+// ResetForPool drops the caller's update closure so an idle pooled record
+// retains nothing of its last caller. The value buffers stay: they are the
+// amortization.
+func (s *scratch) ResetForPool() { s.u = nil }
 
 // scratchOf returns the scratch riding r, attaching a fresh one on first
 // use of a record.
@@ -229,39 +201,6 @@ func (s *scratch) ensureDyn(k int) {
 	s.dynNew = s.dynNew[:k]
 	s.dynRead = s.dynRead[:k]
 	s.dynWr = s.dynWr[:k]
-}
-
-// ensureCaller sizes the exclusive caller-order buffers for a k-word
-// remapped transaction.
-func (s *scratch) ensureCaller(k int) {
-	if cap(s.callerOld) < k {
-		s.callerOld = make([]uint64, k)
-		s.callerNew = make([]uint64, k)
-	}
-	s.callerOld = s.callerOld[:k]
-	s.callerNew = s.callerNew[:k]
-}
-
-// calcAdd: new[0] = old[0] + a0.
-func calcAdd(env any, old, new []uint64, _ bool) {
-	new[0] = old[0] + env.(*scratch).a0
-}
-
-// calcSwap: new[0] = a0.
-func calcSwap(env any, _, new []uint64, _ bool) {
-	new[0] = env.(*scratch).a0
-}
-
-// calcCAS1: new[0] = a1 if old[0] == a0, else old[0]. Whether the swap
-// happened is decided afterwards from the committed old value — calc
-// evaluations must not write to the shared scratch.
-func calcCAS1(env any, old, new []uint64, _ bool) {
-	s := env.(*scratch)
-	if old[0] == s.a0 {
-		new[0] = s.a1
-	} else {
-		new[0] = old[0]
-	}
 }
 
 // calcIdentity commits the data set unchanged: a validated consistent read.
@@ -312,38 +251,7 @@ func calcDyn(env any, old, new []uint64, _ bool) {
 	}
 }
 
-// calcTx evaluates a prepared transaction's UpdateInto, remapping between
-// the engine's sorted order and the caller's declared order. The exclusive
-// (initiator) evaluation uses the scratch's caller-order buffers; helpers
-// allocate their own so concurrent evaluations never share mutable state.
-func calcTx(env any, old, new []uint64, exclusive bool) {
-	s := env.(*scratch)
-	if s.u.perm == nil {
-		s.u.fInto(old, new)
-		return
-	}
-	co, cn := s.callerOld, s.callerNew
-	if !exclusive {
-		co = make([]uint64, len(old))
-		cn = make([]uint64, len(old))
-	}
-	for i, si := range s.u.perm {
-		co[i] = old[si]
-	}
-	s.u.fInto(co, cn)
-	for i, si := range s.u.perm {
-		new[si] = cn[i]
-	}
-}
-
-// wrapInto adapts a slice-returning UpdateFunc to the into-style contract,
-// preserving the public API's length-contract panic.
-func wrapInto(f UpdateFunc) UpdateInto {
-	return func(old, new []uint64) {
-		nv := f(old)
-		if len(nv) != len(new) {
-			panic(fmt.Sprintf("stm: UpdateFunc returned %d values for a data set of %d", len(nv), len(new)))
-		}
-		copy(new, nv)
-	}
+// calcTx evaluates a prepared transaction's UpdateInto.
+func calcTx(env any, old, new []uint64, _ bool) {
+	env.(*scratch).u(old, new)
 }

@@ -13,7 +13,7 @@ import (
 // accepting a word only if its version stamp is ≤ rv, it is unlocked, and
 // the stamp is identical before and after the value load. A transaction
 // whose computed new values equal its old values (every pure read: Var.Load,
-// ReadAll, a guard-unmet RunWhen round, calcDyn's no-op arm) commits right
+// ReadAllInto, a failed compare-and-swap, calcDyn's no-op arm) commits right
 // there — zero atomic read-modify-writes, the path a static ST attempt
 // cannot offer because it must CAS ownership of every word it even looks
 // at. (calcDyn's no-op arm owns the written words on ST too, and validates

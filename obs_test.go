@@ -42,11 +42,9 @@ func TestObsAllocFreeHooks(t *testing.T) {
 	if m.ObsLevel() != stm.ObsOff {
 		t.Fatalf("fresh Memory at level %v, want off", m.ObsLevel())
 	}
-	assertAllocs(t, "Add/obs-off", 0, func() {
-		if _, err := m.Add(1, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
+	one := mustPrepare(t, m, []int{1})
+	inc := func(o, n []uint64) { n[0] = o[0] + 1 }
+	assertAllocs(t, "RunInto/obs-off", 0, func() { one.RunInto(inc, nil) })
 
 	// Every level with a registered observer, on both engines: event
 	// delivery rides the pooled record's scratch, histograms are fixed
@@ -58,11 +56,6 @@ func TestObsAllocFreeHooks(t *testing.T) {
 			obs := &countObserver{}
 			m := mustNewEngine(t, 16, eng)
 			m.Observe(stm.ObsConfig{Level: lvl, Observer: obs, SampleEvery: stm.DefaultSampleEvery})
-			assertAllocs(t, name+"/Add", 0, func() {
-				if _, err := m.Add(1, 1); err != nil {
-					t.Fatal(err)
-				}
-			})
 			tx, err := m.Prepare([]int{2, 5})
 			if err != nil {
 				t.Fatal(err)
@@ -95,9 +88,7 @@ func TestObsWithObsOption(t *testing.T) {
 	if m.ObsLevel() != stm.ObsCounters {
 		t.Fatalf("level = %v, want counters", m.ObsLevel())
 	}
-	if _, err := m.Add(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	addWord(m, 0, 1)
 	if obs.begins.Load() != 1 || obs.commits.Load() != 1 {
 		t.Errorf("observer saw %d begins / %d commits, want 1/1", obs.begins.Load(), obs.commits.Load())
 	}
@@ -108,9 +99,7 @@ func TestObsDebugString(t *testing.T) {
 		m := mustNewEngine(t, 8, eng)
 		m.Observe(stm.ObsConfig{Level: stm.ObsHistograms})
 		for i := 0; i < 10; i++ {
-			if _, err := m.Add(i%8, 1); err != nil {
-				t.Fatal(err)
-			}
+			addWord(m, i%8, 1)
 		}
 		if err := m.Atomically(func(tx *stm.DTx) error { tx.Read(0); return nil }); err != nil {
 			t.Fatal(err)
@@ -148,10 +137,7 @@ func TestObsSnapshotWhileMixedLoad(t *testing.T) {
 						return
 					default:
 					}
-					if _, err := m.Add(i%4, 1); err != nil {
-						t.Error(err)
-						return
-					}
+					addWord(m, i%4, 1)
 				}
 			}(w)
 		}

@@ -60,9 +60,7 @@ func TestWithPolicyCleanCommitReports(t *testing.T) {
 	if m.Policy() != contention.Policy(rec) {
 		t.Fatal("Policy() does not return the configured policy")
 	}
-	if _, err := m.Add(3, 1); err != nil {
-		t.Fatal(err)
-	}
+	addWord(m, 3, 1)
 	nc, ncm, na := rec.counts()
 	if nc != 0 || ncm != 1 || na != 0 {
 		t.Fatalf("hooks after one uncontended Add = %d conflicts / %d commits / %d aborts, want 0/1/0", nc, ncm, na)
@@ -135,9 +133,7 @@ func TestPolicySeesConflicts(t *testing.T) {
 		time.Sleep(5 * time.Millisecond) // let B collide with parked A
 		close(release)
 	}()
-	if _, err := m.Add(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	addWord(m, 0, 1)
 	done.Wait()
 
 	if got := m.Peek(0); got != 101 {
@@ -204,9 +200,7 @@ func TestDefaultPolicyWhenUnconfigured(t *testing.T) {
 func TestMemoryResetStatsWindows(t *testing.T) {
 	m := mustNew(t, 8)
 	for i := 0; i < 10; i++ {
-		if _, err := m.Add(1, 1); err != nil {
-			t.Fatal(err)
-		}
+		addWord(m, 1, 1)
 	}
 	if st := m.Stats(); st.Attempts < 10 || st.Commits < 10 {
 		t.Fatalf("pre-reset stats = %+v, want >= 10 attempts/commits", st)
@@ -216,9 +210,7 @@ func TestMemoryResetStatsWindows(t *testing.T) {
 		t.Errorf("post-reset stats = %+v, want zero", st)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := m.Add(1, 1); err != nil {
-			t.Fatal(err)
-		}
+		addWord(m, 1, 1)
 	}
 	if st := m.Stats(); st.Attempts != 3 || st.Commits != 3 {
 		t.Errorf("windowed stats = %+v, want exactly 3 attempts / 3 commits", st)
@@ -256,73 +248,6 @@ func serializedAdaptive(t *testing.T) *contention.Adaptive {
 	return p
 }
 
-func TestRunWhenUnderSerializingPolicy(t *testing.T) {
-	// A producer/consumer pair over one counter word, with the domain
-	// serialized: the consumer's RunWhen parks whenever the counter is
-	// empty. Every RunWhen round commits (guard-unmet rounds are validated
-	// no-ops) and releases the domain token before the condition wait, so
-	// the parked consumer must never starve the producer of the token —
-	// if it did, this test would deadlock and time out.
-	p := serializedAdaptive(t)
-	m, err := stm.New(2, stm.WithPolicy(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx, err := m.Prepare([]int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const items = 200
-	done := make(chan error, 2)
-	go func() { // consumer
-		for i := 0; i < items; i++ {
-			old := tx.RunWhen(
-				func(old []uint64) bool { return old[0] > 0 },
-				func(old []uint64) []uint64 { return []uint64{old[0] - 1} },
-			)
-			if old[0] == 0 {
-				done <- errGuardViolated
-				return
-			}
-		}
-		done <- nil
-	}()
-	go func() { // producer
-		for i := 0; i < items; i++ {
-			if _, err := m.Add(0, 1); err != nil {
-				done <- err
-				return
-			}
-			if i%32 == 0 {
-				time.Sleep(time.Millisecond) // let the consumer drain and park
-			}
-		}
-		done <- nil
-	}()
-
-	timeout := time.After(30 * time.Second)
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-timeout:
-			t.Fatal("deadlock: producer/consumer did not finish under the serializing policy")
-		}
-	}
-	if got := m.Peek(0); got != 0 {
-		t.Errorf("counter = %d after balanced produce/consume, want 0", got)
-	}
-}
-
-var errGuardViolated = &guardViolation{}
-
-type guardViolation struct{}
-
-func (*guardViolation) Error() string { return "RunWhen returned a snapshot its guard rejects" }
-
 func TestTryIntoUnderSerializingPolicy(t *testing.T) {
 	// TryInto must stay a bounded single attempt under a serializing
 	// policy — no token wait on the success path, correct snapshots, and
@@ -355,59 +280,6 @@ func TestTryIntoUnderSerializingPolicy(t *testing.T) {
 	}
 }
 
-// slowConflictPolicy defers every conflicted retry for a long time and
-// records aborts — a stand-in for a serializing policy mid-lease.
-type slowConflictPolicy struct {
-	defer_ time.Duration
-	aborts atomic.Int32
-}
-
-func (p *slowConflictPolicy) OnConflict(*contention.Conflict) { time.Sleep(p.defer_) }
-func (p *slowConflictPolicy) OnCommit(*contention.Conflict)   {}
-func (p *slowConflictPolicy) OnAbort(*contention.Conflict)    { p.aborts.Add(1) }
-
-func TestRunContextCancelSkipsPolicyDeferral(t *testing.T) {
-	// A cancelled context must not sleep out one more policy deferral:
-	// the check sits between the failed attempt and OnConflict.
-	pol := &slowConflictPolicy{defer_: 30 * time.Second}
-	m, err := stm.New(2, stm.WithPolicy(pol))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx, err := m.Prepare([]int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Park a transaction on word 0 so the RunContext attempt conflicts.
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	blockTx, _ := m.Prepare([]int{0})
-	go blockTx.RunInto(func(o, n []uint64) {
-		once.Do(func() { close(entered) })
-		<-release
-		n[0] = o[0]
-	}, nil)
-	<-entered
-
-	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(20*time.Millisecond, cancel)
-	time.AfterFunc(60*time.Millisecond, func() { close(release) })
-	start := time.Now()
-	_, err = tx.RunContext(ctx, func(o []uint64) []uint64 { return []uint64{o[0] + 1} })
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("RunContext committed despite cancellation")
-	}
-	if elapsed > 10*time.Second {
-		t.Fatalf("cancelled RunContext took %v; it slept out the policy deferral", elapsed)
-	}
-	if pol.aborts.Load() == 0 {
-		t.Error("cancelled operation never reported OnAbort")
-	}
-}
-
 func TestKarmaPolicyEndToEnd(t *testing.T) {
 	// Karma under real contention: hammer one word from several goroutines
 	// and check conservation — the policy must only shape timing, never
@@ -423,10 +295,7 @@ func TestKarmaPolicyEndToEnd(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
-				if _, err := m.Add(0, 1); err != nil {
-					t.Error(err)
-					return
-				}
+				addWord(m, 0, 1)
 			}
 		}()
 	}
@@ -540,14 +409,13 @@ func TestPolicyProtocolEveryEntryPoint(t *testing.T) {
 	// goes back to the pool.
 	type env struct {
 		m   *stm.Memory
-		tx  *stm.Tx // over words {1, 0}: remapped, First still 0
+		tx  *stm.Tx // over words {0, 1}
 		v   *stm.Var[int64]
 		ctx context.Context
 		// stales is how many more executions of readOnly go stale.
 		stales int
 	}
 	inc := func(o, n []uint64) { n[0], n[1] = o[0]+1, o[1]+1 }
-	incF := func(o []uint64) []uint64 { return []uint64{o[0] + 1, o[1] + 1} }
 	blindWrite := func(tx *stm.DTx) error { tx.Write(0, 7); return nil }
 	// A transaction that only reads never meets the held word as a conflict
 	// (it helps or waits the holder out) and never reaches the engine; what
@@ -558,9 +426,7 @@ func TestPolicyProtocolEveryEntryPoint(t *testing.T) {
 			tx.Read(0)
 			if e.stales > 0 {
 				e.stales--
-				if _, err := e.m.Add(0, 1); err != nil {
-					return err
-				}
+				addWord(e.m, 0, 1)
 			}
 			tx.Read(1)
 			return nil
@@ -575,22 +441,14 @@ func TestPolicyProtocolEveryEntryPoint(t *testing.T) {
 		stale     bool   // the failures are stale reads, not a held word
 		run       func(e *env) error
 	}{
-		{"Add", 1, 2, "commit", false, false, func(e *env) error { _, err := e.m.Add(0, 1); return err }},
-		{"CompareAndSwapN", 2, 2, "commit", false, false, func(e *env) error {
-			_, _, err := e.m.CompareAndSwapN([]int{0, 1}, []uint64{0, 0}, []uint64{5, 5})
-			return err
-		}},
 		{"ReadAllInto", 2, 2, "commit", false, false, func(e *env) error {
 			var dst [2]uint64
 			return e.m.ReadAllInto([]int{0, 1}, dst[:])
 		}},
-		{"Tx.RunInto", 2, 2, "commit", false, false, func(e *env) error { e.tx.RunInto(inc, nil); return nil }},
-		{"Tx.RunContext/cancelled", 2, 2, "abort", true, false, func(e *env) error {
-			if _, err := e.tx.RunContext(e.ctx, incF); err != context.Canceled {
-				t.Errorf("err = %v, want context.Canceled", err)
-			}
-			return nil
+		{"WriteAll", 2, 2, "commit", false, false, func(e *env) error {
+			return e.m.WriteAll([]int{0, 1}, []uint64{5, 5})
 		}},
+		{"Tx.RunInto", 2, 2, "commit", false, false, func(e *env) error { e.tx.RunInto(inc, nil); return nil }},
 		{"Tx.TryInto", 2, 0, "abort", false, false, func(e *env) error {
 			if e.tx.TryInto(inc, nil) {
 				t.Error("TryInto committed against a held word")
@@ -630,7 +488,7 @@ func TestPolicyProtocolEveryEntryPoint(t *testing.T) {
 				}
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				e := &env{m: m, tx: mustPrepare(t, m, []int{1, 0}), ctx: ctx}
+				e := &env{m: m, tx: mustPrepare(t, m, []int{0, 1}), ctx: ctx}
 				if e.v, err = stm.VarAt(m, stm.Int64(), 0); err != nil {
 					t.Fatal(err)
 				}

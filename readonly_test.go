@@ -38,15 +38,11 @@ func parkCommitter(m *stm.Memory, point stm.ChaosPoint, a, b, elsewhere int) (pa
 	return func() error {
 		armed.Store(true)
 		go func() {
-			_, err := m.AtomicUpdate([]int{a, b}, func(old []uint64) []uint64 {
-				return []uint64{old[0] + 1, old[1] + 1}
-			})
-			done <- err
+			addWords(m, []int{a, b}, 1, 1)
+			done <- nil
 		}()
 		<-parked
-		if _, err := m.Add(elsewhere, 1); err != nil {
-			return err
-		}
+		addWord(m, elsewhere, 1)
 		time.AfterFunc(50*time.Millisecond, func() { close(release) })
 		return nil
 	}, done
@@ -234,9 +230,7 @@ func TestReadOnlyCommitRunsHooksOnce(t *testing.T) {
 			tx.Read(a)
 			if calls == 1 {
 				// Stale the first execution: its registrations must go.
-				if _, err := m.Add(a, 1); err != nil {
-					return err
-				}
+				addWord(m, a, 1)
 			}
 			tx.Read(b)
 			tx.OnCommit(func() { order = append(order, 10*n+2) })

@@ -85,7 +85,7 @@ func TestRecordCarriesStatsMapCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Add(0, 1); err != nil {
+		if err := m.WriteAll([]int{0}, []uint64{1}); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Atomically(func(tx *stm.DTx) error { tx.Read(1); return nil }); err != nil {

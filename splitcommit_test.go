@@ -54,12 +54,11 @@ func TestSplitParkedCommitter(t *testing.T) {
 	})
 	defer release()
 	park()
-	if got, err := m.ReadAll(a); err != nil || got[0] != 0 {
+	var got [1]uint64
+	if err := m.ReadAllInto([]int{a}, got[:]); err != nil || got[0] != 0 {
 		t.Fatalf("read of A beside the parked commit = %v, %v", got, err)
 	}
-	if _, err := m.Add(a, 5); err != nil {
-		t.Fatal(err)
-	}
+	addWord(m, a, 5)
 	if s := m.Stats(); s.Helps != 0 {
 		t.Errorf("helps = %d during the park, want 0: the parked commit owns only B", s.Helps)
 	}
@@ -165,9 +164,7 @@ func TestChaosSTPostStepPublicSurface(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.Add(3, 1); err != nil {
-				t.Fatal(err)
-			}
+			addWord(m, 3, 1)
 			want := 0
 			if eng == stm.ST {
 				want = 1

@@ -9,18 +9,18 @@ import (
 	"github.com/stm-go/stm/internal/core"
 )
 
-// UpdateFunc computes new values for a transaction's data set from the old
-// values, index-aligned with the addresses the caller declared (in the
-// caller's order). It must be deterministic and side-effect free, and must
-// return exactly len(old) values.
-type UpdateFunc func(old []uint64) []uint64
-
 // Validation errors. These alias the engine's sentinels so errors.Is works
 // across the API boundary.
 var (
 	ErrAddrRange    = core.ErrAddrRange
 	ErrEmptyDataSet = core.ErrEmptyDataSet
-	ErrNilUpdate    = core.ErrNilUpdate
+
+	// ErrNilUpdate is the value RunInto, TryInto and Var.Update panic with
+	// when given a nil update function.
+	ErrNilUpdate = core.ErrNilUpdate
+
+	// ErrAddrOrder reports a data set that is not in ascending order.
+	ErrAddrOrder = core.ErrAddrOrder
 
 	// ErrDupAddr reports a data set containing the same address twice.
 	ErrDupAddr = core.ErrDupAddr
@@ -127,7 +127,7 @@ func (m *Memory) WordsAllocated() int { return m.alloc.Allocated() }
 func (m *Memory) Size() int { return m.eng.Size() }
 
 // Peek reads one word without transactional protection: an atomic read of
-// that word with no cross-word consistency guarantee. Use ReadAll for a
+// that word with no cross-word consistency guarantee. Use ReadAllInto for a
 // consistent multi-word snapshot.
 func (m *Memory) Peek(loc int) uint64 { return m.eng.Peek(loc) }
 
@@ -161,38 +161,10 @@ func (m *Memory) Policy() contention.Policy { return m.pol }
 // Engine returns the commit protocol this Memory was built with.
 func (m *Memory) Engine() Engine { return m.eng.EngineKind() }
 
-// AtomicUpdate applies f to the words at addrs as one static transaction,
-// retrying under the contention policy until it commits. It returns the old
-// values (the consistent snapshot f's result was computed from),
-// index-aligned with addrs. addrs may be in any order but must not contain
-// duplicates.
-//
-// For hot paths that reuse a data set, Prepare once and call Tx.Run — or
-// Tx.RunInto for the allocation-free variant. For transactions whose data
-// set is not known up front, use Atomically, the dynamic form.
-func (m *Memory) AtomicUpdate(addrs []int, f UpdateFunc) ([]uint64, error) {
-	return m.AtomicUpdateContext(nil, addrs, f)
-}
-
-// Try makes a single transaction attempt (no retry). ok=false means the
-// attempt was blocked by a conflicting transaction — which this call helped
-// to completion — and the caller should retry.
-func (m *Memory) Try(addrs []int, f UpdateFunc) (old []uint64, ok bool, err error) {
-	tx, err := m.Prepare(addrs)
-	if err != nil {
-		return nil, false, err
-	}
-	if f == nil {
-		return nil, false, ErrNilUpdate
-	}
-	old, ok = tx.Try(f)
-	return old, ok, nil
-}
-
-// newCondBackoff returns the backoff used between guard re-evaluations in
-// RunWhen-style loops. Condition waits are not contention — the transaction
-// committed; the world just isn't ready — so they stay on a plain backoff
-// rather than going through the contention policy.
+// newCondBackoff returns the backoff a DTx.Retry waits on between checks of
+// its read set. Condition waits are not contention — nothing conflicted;
+// the world just isn't ready — so they stay on a plain backoff rather than
+// going through the contention policy.
 func (m *Memory) newCondBackoff() *backoff.Exp {
 	return backoff.NewSeeded(500*time.Nanosecond, 100*time.Microsecond)
 }

@@ -3,9 +3,11 @@ package stm_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	stm "github.com/stm-go/stm"
 	"github.com/stm-go/stm/internal/simrand"
@@ -29,6 +31,41 @@ func mustNewEngine(t *testing.T, size int, eng stm.Engine) *stm.Memory {
 	return m
 }
 
+// addWord adds delta to the word at loc in one static transaction and
+// returns the word's old value; swapWord stores v there instead. Tests use
+// them as the plainest commit to one word.
+func addWord(m *stm.Memory, loc int, delta uint64) uint64 {
+	return updateWord(m, loc, func(old uint64) uint64 { return old + delta })
+}
+
+// addWords adds deltas[i] to the word at addrs[i] (ascending) in one
+// static transaction.
+func addWords(m *stm.Memory, addrs []int, deltas ...uint64) {
+	tx, err := m.Prepare(addrs)
+	if err != nil {
+		panic(err)
+	}
+	tx.RunInto(func(o, n []uint64) {
+		for i := range n {
+			n[i] = o[i] + deltas[i]
+		}
+	}, nil)
+}
+
+func swapWord(m *stm.Memory, loc int, v uint64) uint64 {
+	return updateWord(m, loc, func(uint64) uint64 { return v })
+}
+
+func updateWord(m *stm.Memory, loc int, f func(uint64) uint64) uint64 {
+	tx, err := m.Prepare([]int{loc})
+	if err != nil {
+		panic(err)
+	}
+	var old [1]uint64
+	tx.RunInto(func(o, n []uint64) { n[0] = f(o[0]) }, old[:])
+	return old[0]
+}
+
 // forEachEngine runs f as a subtest per commit engine, so the concurrent
 // harnesses (conservation, linearizability — the ones meant for -race)
 // exercise every protocol, not just the default.
@@ -48,7 +85,10 @@ func TestNewErrors(t *testing.T) {
 }
 
 func TestPrepareValidation(t *testing.T) {
-	m := mustNew(t, 8)
+	// Prepare, ReadAllInto and WriteAll take the paper's data sets:
+	// non-empty, strictly ascending, in bounds. Each rejects any other set
+	// with the matching sentinel before a transaction starts, so memory is
+	// unchanged and no attempt is made.
 	tests := []struct {
 		name  string
 		addrs []int
@@ -58,20 +98,47 @@ func TestPrepareValidation(t *testing.T) {
 		{name: "out of range", addrs: []int{8}, want: stm.ErrAddrRange},
 		{name: "negative", addrs: []int{-2}, want: stm.ErrAddrRange},
 		{name: "duplicate", addrs: []int{3, 3}, want: stm.ErrDupAddr},
-		{name: "duplicate far apart", addrs: []int{3, 1, 3}, want: stm.ErrDupAddr},
-		{name: "ok unsorted", addrs: []int{5, 1, 3}},
+		// A repeat that is not adjacent breaks the order first.
+		{name: "duplicate far apart", addrs: []int{3, 1, 3}, want: stm.ErrAddrOrder},
+		{name: "descending", addrs: []int{5, 2}, want: stm.ErrAddrOrder},
+		{name: "unsorted", addrs: []int{1, 5, 3}, want: stm.ErrAddrOrder},
+		{name: "ascending", addrs: []int{1, 3, 5}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
+			m := mustNew(t, 8)
+			vals := make([]uint64, len(tt.addrs))
+			for i := range vals {
+				vals[i] = uint64(i + 1)
+			}
 			_, err := m.Prepare(tt.addrs)
+			errs := map[string]error{
+				"Prepare":     err,
+				"ReadAllInto": m.ReadAllInto(tt.addrs, make([]uint64, len(tt.addrs))),
+				"WriteAll":    m.WriteAll(tt.addrs, vals),
+			}
+			for entry, err := range errs {
+				if tt.want == nil && err != nil {
+					t.Errorf("%s(%v) = %v, want nil", entry, tt.addrs, err)
+				}
+				if tt.want != nil && !errors.Is(err, tt.want) {
+					t.Errorf("%s(%v) = %v, want %v", entry, tt.addrs, err, tt.want)
+				}
+			}
 			if tt.want == nil {
-				if err != nil {
-					t.Fatalf("Prepare(%v) = %v, want nil", tt.addrs, err)
+				got := make([]uint64, len(tt.addrs))
+				if err := m.ReadAllInto(tt.addrs, got); err != nil || !slices.Equal(got, vals) {
+					t.Errorf("ReadAllInto after WriteAll = %v, %v; want %v", got, err, vals)
 				}
 				return
 			}
-			if !errors.Is(err, tt.want) {
-				t.Fatalf("Prepare(%v) = %v, want %v", tt.addrs, err, tt.want)
+			for loc := 0; loc < m.Size(); loc++ {
+				if v := m.Peek(loc); v != 0 {
+					t.Errorf("word %d = %d after a rejected data set, want 0", loc, v)
+				}
+			}
+			if a := m.Stats().Attempts; a != 0 {
+				t.Errorf("%d attempts after a rejected data set, want 0", a)
 			}
 		})
 	}
@@ -85,106 +152,76 @@ func TestDupAddrCompat(t *testing.T) {
 	if !errors.Is(err, stm.ErrDupAddr) {
 		t.Errorf("duplicate: err = %v, want ErrDupAddr", err)
 	}
-	if _, _, err := m.Try([]int{5, 5}, func(o []uint64) []uint64 { return o }); !errors.Is(err, stm.ErrDupAddr) {
-		t.Errorf("Try duplicate: err = %v, want ErrDupAddr", err)
+	if err := m.WriteAll([]int{5, 5}, []uint64{1, 2}); !errors.Is(err, stm.ErrDupAddr) {
+		t.Errorf("WriteAll duplicate: err = %v, want ErrDupAddr", err)
 	}
-}
-
-func TestUpdateFuncLengthContractPanics(t *testing.T) {
-	// The public length contract: an UpdateFunc must return exactly one
-	// value per declared address, and a prepared Run panics when it does
-	// not rather than installing a short write.
-	m := mustNew(t, 2)
-	tx, err := m.Prepare([]int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("UpdateFunc returning the wrong length should panic")
-		}
-		if m.Peek(0) != 0 || m.Peek(1) != 0 {
-			t.Errorf("memory = (%d,%d) after the panic, want untouched", m.Peek(0), m.Peek(1))
-		}
-	}()
-	tx.Run(func(old []uint64) []uint64 { return []uint64{1} })
 }
 
 func TestCallerOrderPreserved(t *testing.T) {
-	// Addresses declared in descending order: old values and update results
-	// must still be index-aligned with the caller's slice.
+	// Old values and update results are index-aligned with the caller's
+	// address slice, words apart included.
 	m := mustNew(t, 10)
 	if err := m.WriteAll([]int{2, 7}, []uint64{200, 700}); err != nil {
 		t.Fatal(err)
 	}
-	tx, err := m.Prepare([]int{7, 2}) // descending on purpose
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := tx.Run(func(old []uint64) []uint64 {
-		// old[0] must be word 7, old[1] word 2.
-		return []uint64{old[0] + 1, old[1] + 2}
-	})
-	if old[0] != 700 || old[1] != 200 {
-		t.Fatalf("old = %v, want [700 200] (caller order)", old)
-	}
-	if got := m.Peek(7); got != 701 {
-		t.Errorf("Peek(7) = %d, want 701", got)
+	tx := mustPrepare(t, m, []int{2, 7})
+	var old [2]uint64
+	tx.RunInto(func(o, n []uint64) { n[0], n[1] = o[0]+2, o[1]+1 }, old[:])
+	if old[0] != 200 || old[1] != 700 {
+		t.Fatalf("old = %v, want [200 700]", old)
 	}
 	if got := m.Peek(2); got != 202 {
 		t.Errorf("Peek(2) = %d, want 202", got)
 	}
-}
-
-func TestTxAddrs(t *testing.T) {
-	m := mustNew(t, 10)
-	in := []int{9, 0, 4}
-	tx, err := m.Prepare(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := tx.Addrs()
-	if len(got) != 3 || got[0] != 9 || got[1] != 0 || got[2] != 4 {
-		t.Errorf("Addrs() = %v, want %v", got, in)
+	if got := m.Peek(7); got != 701 {
+		t.Errorf("Peek(7) = %d, want 701", got)
 	}
 }
 
-func TestAtomicUpdateNilUpdate(t *testing.T) {
-	m := mustNew(t, 2)
-	if _, err := m.AtomicUpdate([]int{0}, nil); !errors.Is(err, stm.ErrNilUpdate) {
-		t.Errorf("err = %v, want ErrNilUpdate", err)
-	}
-	if _, _, err := m.Try([]int{0}, nil); !errors.Is(err, stm.ErrNilUpdate) {
-		t.Errorf("Try err = %v, want ErrNilUpdate", err)
-	}
-}
-
-func TestRunWhenBlocksUntilGuardHolds(t *testing.T) {
-	// A consumer waits for a word to become non-zero; a producer sets it.
-	m := mustNew(t, 1)
-	tx, err := m.Prepare([]int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan uint64, 1)
-	go func() {
-		old := tx.RunWhen(
-			func(old []uint64) bool { return old[0] != 0 },
-			func(old []uint64) []uint64 { return []uint64{old[0] - 1} },
-		)
-		done <- old[0]
-	}()
-
-	if _, err := m.Swap(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	got := <-done
-	if got != 5 {
-		t.Errorf("RunWhen observed %d, want 5", got)
-	}
-	if v := m.Peek(0); v != 4 {
-		t.Errorf("Peek(0) = %d, want 4", v)
-	}
+func TestNilUpdatePanicsBeforeBegin(t *testing.T) {
+	// A nil update function is a caller's bug, caught on the caller's
+	// goroutine before a record is armed: no attempt is counted, and no
+	// word is left owned by a record no helper could finish, so a later
+	// transaction over the same words commits.
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		m := mustNewEngine(t, 4, eng)
+		tx := mustPrepare(t, m, []int{0, 1})
+		v, err := stm.VarAt(m, stm.Uint64(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, call := range []struct {
+			name string
+			f    func()
+		}{
+			{"Tx.RunInto", func() { tx.RunInto(nil, nil) }},
+			{"Tx.TryInto", func() { tx.TryInto(nil, nil) }},
+			{"Var.Update", func() { v.Update(nil) }},
+		} {
+			before := m.Stats().Attempts
+			func() {
+				defer func() {
+					if r := recover(); r != stm.ErrNilUpdate {
+						t.Errorf("%s(nil) panicked with %v, want ErrNilUpdate", call.name, r)
+					}
+				}()
+				call.f()
+			}()
+			if got := m.Stats().Attempts; got != before {
+				t.Errorf("%s(nil) made %d attempts, want 0", call.name, got-before)
+			}
+			done := make(chan error, 1)
+			go func() { done <- m.WriteAll([]int{1}, []uint64{7}) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("WriteAll after %s(nil): %v", call.name, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("WriteAll after %s(nil) did not commit", call.name)
+			}
+		}
+	})
 }
 
 func TestConcurrentAddExact(t *testing.T) {
@@ -199,10 +236,7 @@ func TestConcurrentAddExact(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if _, err := m.Add(0, 1); err != nil {
-					t.Errorf("Add: %v", err)
-					return
-				}
+				addWord(m, 0, 1)
 			}
 		}()
 	}
@@ -210,6 +244,24 @@ func TestConcurrentAddExact(t *testing.T) {
 	if got, want := m.Peek(0), uint64(goroutines*each); got != want {
 		t.Errorf("counter = %d, want %d", got, want)
 	}
+}
+
+// casN is a k-word compare-and-swap as one static transaction over the
+// ascending addrs: if every word equals expected, install next; otherwise
+// commit the data set unchanged. It returns whether the swap happened and
+// the words it observed.
+func casN(t *testing.T, m *stm.Memory, addrs []int, expected, next []uint64) (bool, []uint64) {
+	t.Helper()
+	tx := mustPrepare(t, m, addrs)
+	old := make([]uint64, len(addrs))
+	tx.RunInto(func(o, n []uint64) {
+		if slices.Equal(o, expected) {
+			copy(n, next)
+		} else {
+			copy(n, o)
+		}
+	}, old)
+	return slices.Equal(old, expected), old
 }
 
 // TestCASNMatchesSequentialSpec drives a single-goroutine CASN against a
@@ -224,16 +276,13 @@ func TestCASNMatchesSequentialSpec(t *testing.T) {
 		if len(rawAddrs) == 0 {
 			return true
 		}
-		// Build a duplicate-free address set in caller order.
-		seen := make(map[int]bool, len(rawAddrs))
+		// Build an ascending address set.
 		var addrs []int
 		for _, a := range rawAddrs {
-			loc := int(a) % size
-			if !seen[loc] {
-				seen[loc] = true
-				addrs = append(addrs, loc)
-			}
+			addrs = append(addrs, int(a)%size)
 		}
+		slices.Sort(addrs)
+		addrs = slices.Compact(addrs)
 		expected := make([]uint64, len(addrs))
 		newv := make([]uint64, len(addrs))
 		for i := range addrs {
@@ -248,10 +297,7 @@ func TestCASNMatchesSequentialSpec(t *testing.T) {
 			}
 		}
 
-		swapped, old, err := m.CompareAndSwapN(addrs, expected, newv)
-		if err != nil {
-			t.Fatalf("CASN: %v", err)
-		}
+		swapped, old := casN(t, m, addrs, expected, newv)
 		// Spec: old must equal the model's current values.
 		wantSwap := true
 		for i, loc := range addrs {
@@ -291,14 +337,18 @@ func TestCASNMatchesSequentialSpec(t *testing.T) {
 }
 
 func TestCompareAndSwapSingle(t *testing.T) {
+	// A one-word Var's CompareAndSwap runs the same k-word CASN calc as a
+	// wide one.
 	m := mustNew(t, 2)
-	ok, err := m.CompareAndSwap(1, 0, 42)
-	if err != nil || !ok {
-		t.Fatalf("CAS(1,0,42) = (%v,%v), want (true,nil)", ok, err)
+	v, err := stm.VarAt(m, stm.Uint64(), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ok, err = m.CompareAndSwap(1, 0, 99)
-	if err != nil || ok {
-		t.Fatalf("CAS(1,0,99) = (%v,%v), want (false,nil)", ok, err)
+	if !v.CompareAndSwap(0, 42) {
+		t.Fatal("CAS(0, 42) = false, want true")
+	}
+	if v.CompareAndSwap(0, 99) {
+		t.Fatal("CAS(0, 99) = true, want false")
 	}
 	if got := m.Peek(1); got != 42 {
 		t.Errorf("Peek(1) = %d, want 42", got)
@@ -307,47 +357,38 @@ func TestCompareAndSwapSingle(t *testing.T) {
 
 func TestWriteAllReadAll(t *testing.T) {
 	m := mustNew(t, 5)
-	if err := m.WriteAll([]int{4, 0, 2}, []uint64{40, 0, 20}); err != nil {
+	if err := m.WriteAll([]int{0, 2, 4}, []uint64{0, 20, 40}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ReadAll(0, 2, 4)
-	if err != nil {
+	got := make([]uint64, 3)
+	if err := m.ReadAllInto([]int{0, 2, 4}, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0 || got[1] != 20 || got[2] != 40 {
-		t.Errorf("ReadAll = %v, want [0 20 40]", got)
+		t.Errorf("ReadAllInto = %v, want [0 20 40]", got)
 	}
 	if err := m.WriteAll([]int{1}, []uint64{1, 2}); err == nil {
 		t.Error("WriteAll length mismatch: want error")
 	}
-	if _, _, err := m.CompareAndSwapN([]int{1}, []uint64{0, 0}, []uint64{1}); err == nil {
-		t.Error("CASN expected-length mismatch: want error")
-	}
-	if _, _, err := m.CompareAndSwapN([]int{1}, []uint64{0}, []uint64{1, 1}); err == nil {
-		t.Error("CASN new-length mismatch: want error")
+	if err := m.ReadAllInto([]int{1}, got); err == nil {
+		t.Error("ReadAllInto length mismatch: want error")
 	}
 }
 
 func TestSwapReturnsOld(t *testing.T) {
 	m := mustNew(t, 1)
-	old, err := m.Swap(0, 7)
-	if err != nil || old != 0 {
-		t.Fatalf("Swap = (%d,%v), want (0,nil)", old, err)
+	if old := swapWord(m, 0, 7); old != 0 {
+		t.Fatalf("swap returned %d, want 0", old)
 	}
-	old, err = m.Swap(0, 9)
-	if err != nil || old != 7 {
-		t.Fatalf("Swap = (%d,%v), want (7,nil)", old, err)
+	if old := swapWord(m, 0, 9); old != 7 {
+		t.Fatalf("swap returned %d, want 7", old)
 	}
 }
 
 func TestAddTwosComplementSubtraction(t *testing.T) {
 	m := mustNew(t, 1)
-	if _, err := m.Add(0, 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Add(0, ^uint64(0)); err != nil { // -1
-		t.Fatal(err)
-	}
+	addWord(m, 0, 10)
+	addWord(m, 0, ^uint64(0)) // -1
 	if got := m.Peek(0); got != 9 {
 		t.Errorf("Peek = %d, want 9", got)
 	}
@@ -357,9 +398,13 @@ func TestSnapshotConsistentUnderTransfers(t *testing.T) {
 	const size = 6
 	m := mustNew(t, size)
 	for i := 0; i < size; i++ {
-		if _, err := m.Swap(i, 100); err != nil {
-			t.Fatal(err)
-		}
+		swapWord(m, i, 100)
+	}
+	addrs := make([]int, size)
+	var moves [size]*stm.Tx // moves[lo]: the transfer over {lo, lo+1 mod size}
+	for i := range addrs {
+		addrs[i] = i
+		moves[i] = mustPrepare(t, m, []int{min(i, (i+1)%size), max(i, (i+1)%size)})
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -373,23 +418,15 @@ func TestSnapshotConsistentUnderTransfers(t *testing.T) {
 				return
 			default:
 			}
-			a, b := n%size, (n+1)%size
-			lo, hi := a, b
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if _, err := m.AtomicUpdate([]int{lo, hi}, func(old []uint64) []uint64 {
-				return []uint64{old[0] - 1, old[1] + 1}
-			}); err != nil {
-				t.Error(err)
-				return
-			}
+			moves[n%size].RunInto(func(old, new []uint64) {
+				new[0], new[1] = old[0]-1, old[1]+1
+			}, nil)
 			n++
 		}
 	}()
+	snap := make([]uint64, size)
 	for i := 0; i < 200; i++ {
-		snap, err := m.Snapshot()
-		if err != nil {
+		if err := m.ReadAllInto(addrs, snap); err != nil {
 			t.Fatal(err)
 		}
 		var sum uint64
@@ -406,9 +443,7 @@ func TestSnapshotConsistentUnderTransfers(t *testing.T) {
 
 func TestStatsExposed(t *testing.T) {
 	m := mustNew(t, 1)
-	if _, err := m.Add(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	addWord(m, 0, 1)
 	st := m.Stats()
 	if st.Attempts == 0 || st.Commits == 0 {
 		t.Errorf("stats not accumulating: %+v", st)

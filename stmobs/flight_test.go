@@ -106,7 +106,7 @@ func TestFlightRecorderObserver(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				_, _ = m.Add(0, 1) // one hot word: contention guarantees aborts
+				addWord(m, 0, 1) // one hot word: contention guarantees aborts
 			}
 		}()
 	}

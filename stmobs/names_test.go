@@ -160,9 +160,7 @@ var leLabel = regexp.MustCompile(`,?le="[^"]*"`)
 func exportedNames(t *testing.T, eng stm.Engine) (prom []string, sm map[string]any, jsonl []string) {
 	t.Helper()
 	m := newMem(t, eng)
-	if _, err := m.Add(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	addWord(m, 0, 1)
 	if err := m.Atomically(func(tx *stm.DTx) error { tx.Read(1); return nil }); err != nil {
 		t.Fatal(err)
 	}

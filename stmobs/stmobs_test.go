@@ -22,9 +22,7 @@ func TestEventCounter(t *testing.T) {
 	m.Observe(stm.ObsConfig{Level: stm.ObsCounters, Observer: c})
 	const n = 25
 	for i := 0; i < n; i++ {
-		if _, err := m.Add(i%8, 1); err != nil {
-			t.Fatal(err)
-		}
+		addWord(m, i%8, 1)
 	}
 	if got := c.Count(stm.EvCommit); got != n {
 		t.Errorf("commit count = %d, want %d", got, n)
@@ -66,9 +64,7 @@ func TestRingTracerSampledFromMemory(t *testing.T) {
 	m.Observe(stm.ObsConfig{Level: stm.ObsTrace, Observer: r, SampleEvery: 1})
 	const n = 10
 	for i := 0; i < n; i++ {
-		if _, err := m.Add(2, 1); err != nil {
-			t.Fatal(err)
-		}
+		addWord(m, 2, 1)
 	}
 	if r.Total() != n {
 		t.Errorf("traced %d transactions, want %d", r.Total(), n)
@@ -109,9 +105,7 @@ func TestStatsMap(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 7; i++ {
-			if _, err := m.Add(0, 1); err != nil {
-				t.Fatal(err)
-			}
+			addWord(m, 0, 1)
 		}
 		sm := stmobs.StatsMap(m)
 		if sm["engine"] != eng.String() || sm["obs_level"] != "hist" {
@@ -162,9 +156,7 @@ func TestSnapshotExtensionsExported(t *testing.T) {
 		}
 		if err := m.Atomically(func(tx *stm.DTx) error {
 			tx.Read(0)
-			if _, err := m.Add(5, 1); err != nil {
-				return err
-			}
+			addWord(m, 5, 1)
 			tx.Read(1)
 			return nil
 		}); err != nil {

@@ -3,6 +3,7 @@ package stm
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrMemoryMismatch reports a ReadVar or WriteVar of a variable that lives
@@ -24,7 +25,6 @@ type Var[T any] struct {
 	m     *Memory
 	c     Codec[T]
 	addrs []int // contiguous ascending [base, base+words)
-	tx    *Tx   // the var's own single-variable compiled transaction
 }
 
 // Alloc reserves words for one value of codec c from m's word allocator
@@ -60,11 +60,7 @@ func VarAt[T any](m *Memory, c Codec[T], base int) (*Var[T], error) {
 	for i := range addrs {
 		addrs[i] = base + i
 	}
-	tx, err := m.Prepare(addrs)
-	if err != nil {
-		return nil, err
-	}
-	return &Var[T]{m: m, c: c, addrs: addrs, tx: tx}, nil
+	return &Var[T]{m: m, c: c, addrs: addrs}, nil
 }
 
 // Base returns the address of the variable's first word; Words returns how
@@ -83,7 +79,7 @@ func (v *Var[T]) Codec() Codec[T] { return v.c }
 // allocates.
 func (v *Var[T]) Load() T {
 	p := v.m.getWordBuf(len(v.addrs))
-	v.m.run(nil, &staged{op: opIdentity, addrs: v.addrs}, *p)
+	v.m.run(&staged{op: opIdentity, addrs: v.addrs}, *p)
 	x := v.c.Decode(*p)
 	v.m.putWordBuf(p)
 	return x
@@ -94,7 +90,7 @@ func (v *Var[T]) Load() T {
 func (v *Var[T]) Store(x T) {
 	p := v.m.getWordBuf(len(v.addrs))
 	v.c.Encode(x, *p)
-	v.m.run(nil, &staged{op: opStore, addrs: v.addrs, repl: *p}, nil)
+	v.m.run(&staged{op: opStore, addrs: v.addrs, repl: *p}, nil)
 	v.m.putWordBuf(p)
 }
 
@@ -139,33 +135,19 @@ func WriteVar[T any](tx *DTx, v *Var[T], x T) {
 // (an over-long string matches its truncation) and a NaN float matches
 // the same NaN bit pattern even though Go's == would say false.
 //
-// Like the raw Memory.CompareAndSwap it rides the pooled engine CAS fast
-// path (calcCAS1 for one-word vars, the k-word CASN calc for wider ones)
-// and is allocation-free (amortized), so simple typed CAS loops need no
-// Update closure.
+// It rides the pooled engine CAS path (the k-word CASN calc, at every
+// width) and is allocation-free (amortized), so simple typed CAS loops need
+// no Update closure.
 func (v *Var[T]) CompareAndSwap(old, new T) bool {
 	k := len(v.addrs)
 	pe := v.m.getWordBuf(k)
 	v.c.Encode(old, *pe)
 	pn := v.m.getWordBuf(k)
 	v.c.Encode(new, *pn)
-	var ok bool
-	if k == 1 {
-		var got [1]uint64
-		v.m.run(nil, &staged{op: opCAS1, loc: v.addrs[0], a0: (*pe)[0], a1: (*pn)[0]}, got[:])
-		ok = got[0] == (*pe)[0]
-	} else {
-		po := v.m.getWordBuf(k)
-		v.m.run(nil, &staged{op: opCASN, addrs: v.addrs, exp: *pe, repl: *pn}, *po)
-		ok = true
-		for i, w := range *po {
-			if w != (*pe)[i] {
-				ok = false
-				break
-			}
-		}
-		v.m.putWordBuf(po)
-	}
+	po := v.m.getWordBuf(k)
+	v.m.run(&staged{op: opCASN, addrs: v.addrs, exp: *pe, repl: *pn}, *po)
+	ok := slices.Equal(*po, *pe)
+	v.m.putWordBuf(po)
 	v.m.putWordBuf(pn)
 	v.m.putWordBuf(pe)
 	return ok
@@ -175,19 +157,21 @@ func (v *Var[T]) CompareAndSwap(old, new T) bool {
 // read-modify-write — and returns the old value the new one was computed
 // from. f must be deterministic and side-effect free: under helping it may
 // be evaluated several times, concurrently, and every evaluation must
-// agree.
+// agree. A nil f panics before the transaction starts.
 //
 // Update stays a static transaction over the var's own words, at the cost
 // of one allocation for its per-call closure; a read-modify-write that
 // must also touch other variables belongs in Atomically, where a stable
 // footprint is allocation-free.
 func (v *Var[T]) Update(f func(T) T) T {
+	if f == nil {
+		panic(ErrNilUpdate)
+	}
 	p := v.m.getWordBuf(len(v.addrs))
-	u := update{fInto: func(old, new []uint64) {
+	u := UpdateInto(func(old, new []uint64) {
 		v.c.Encode(f(v.c.Decode(old)), new)
-	}}
-	st := v.tx.stage(&u)
-	v.m.run(nil, &st, *p)
+	})
+	v.m.run(&staged{op: opUpdate, addrs: v.addrs, u: &u}, *p)
 	x := v.c.Decode(*p)
 	v.m.putWordBuf(p)
 	return x

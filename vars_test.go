@@ -263,9 +263,7 @@ func TestVarAtRawInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Swap(5, 99); err != nil {
-		t.Fatal(err)
-	}
+	swapWord(m, 5, 99)
 	if got := v.Load(); got != 99 {
 		t.Errorf("Load() = %d, want raw-written 99", got)
 	}
