@@ -315,16 +315,15 @@ func BenchmarkDynAtomically(b *testing.B) {
 // set grows, and whether a pooled handle's past shows in it: a read-only
 // Atomically over n words, on a handle that has only ever run that
 // transaction (fresh) and on one that first ran a 16384-word one (grown).
-// Both properties are flat lines — ns/read the same at 64 and at 1024
-// words (reads are admitted by one epoch compare, DESIGN.md §9; at 8192 the
-// commit's record is past the record pool's 4096-word cap and is allocated
-// per operation, which shows), grown the same as fresh (the handle's reset
-// and recycling cost what the operation wrote, not what the handle can
-// hold).
+// Both properties are flat lines — ns/read the same at 16 and at 1024
+// words (a read is admitted by one epoch compare and logged with one index
+// probe, DESIGN.md §9), grown the same as fresh (the handle's reset and
+// recycling cost what the operation wrote, not what the handle can hold).
+// 16, 24 and 32 words bracket a stmds.Map Get, which logs 22 words or more.
 func BenchmarkDynReadSet(b *testing.B) {
 	const grownTo = 16384
 	for _, eng := range stm.Engines() {
-		for _, n := range []int{64, 1024, 8192} {
+		for _, n := range []int{16, 24, 32, 64, 1024, 8192} {
 			for _, handle := range []string{"fresh", "grown"} {
 				b.Run(fmt.Sprintf("%v/%d/%s", eng, n, handle), func(b *testing.B) {
 					m, err := stm.New(grownTo, stm.WithEngine(eng))

@@ -70,15 +70,15 @@ type DTx struct {
 	// successful extend.
 	epoch uint64
 
-	// idx indexes the log by address once it outgrows linear scanning:
-	// open addressing over idx[:1<<idxBits], load at most one half, rebuilt
-	// from the log whenever the table in use has to grow. A slot is live
-	// while its ticket exceeds idxBase, and a rebuild begins by raising
-	// idxBase to idxTop, the highest ticket handed out — so retiring the
-	// whole table is one assignment, and an execution that stays small only
-	// ever touches a small prefix of a table some earlier one grew.
+	// idx indexes the log by address from its first entry: open addressing
+	// over idx[:1<<idxBits], load at most one half, rebuilt from the log
+	// whenever the table in use has to grow. A slot is live while its ticket
+	// exceeds idxBase, and a rebuild or reset begins by raising idxBase to
+	// idxTop, the highest ticket handed out — so retiring the whole table is
+	// one assignment, and an execution that stays small only ever touches a
+	// small prefix of a table some earlier one grew.
 	idx     []dtxSlot
-	idxBits uint   // 0: the log is still scanned linearly
+	idxBits uint   // the table in use is idx[:1<<idxBits]
 	idxBase uint64 // slots with ticket <= idxBase are empty
 	idxTop  uint64
 
@@ -153,12 +153,8 @@ const (
 	sigAbort                  // function returned or raised an error (DTx.err)
 )
 
-// dtxLinearScan is the log size up to which address lookup stays a linear
-// scan; beyond it the index takes over, starting at 1<<dtxIdxMinBits slots.
-const (
-	dtxLinearScan = 16
-	dtxIdxMinBits = 6
-)
+// dtxIdxMinBits sizes the table every execution starts indexing through.
+const dtxIdxMinBits = 6
 
 // Atomically executes f as one atomic transaction whose data set is
 // discovered on the fly — the dynamic counterpart of Prepare, for
@@ -218,15 +214,17 @@ func (m *Memory) OrElseContext(ctx context.Context, first, second func(tx *DTx) 
 // recording addr in the read set. Reads are repeatable (a second Read of
 // the same address returns the same value) and observe the transaction's
 // own buffered writes. A read costs the same however many words the
-// transaction has read before it, unless another transaction's commit
-// landed since the previous one: then the reads so far are re-checked once.
+// transaction has read before it — one hash probe finds a logged word or
+// the slot a new one takes — unless another transaction's commit landed
+// since the previous one: then the reads so far are re-checked once.
 // Reading never takes ownership, not even at commit: a word a transaction
 // only read is never an obstacle to a writer, and a transaction that only
 // reads commits without visiting its words again.
 func (d *DTx) Read(addr int) uint64 {
 	d.check()
-	if e := d.lookup(addr); e >= 0 {
-		return d.log[e].val
+	pos, slot := d.find(addr)
+	if pos >= 0 {
+		return d.log[pos].val
 	}
 	if addr < 0 || addr >= d.m.Size() {
 		d.abort(fmt.Errorf("%w: addr %d, size %d", ErrAddrRange, addr, d.m.Size()))
@@ -237,7 +235,8 @@ func (d *DTx) Read(addr int) uint64 {
 	// to completion first).
 	box := d.m.eng.StableLoadBox(addr)
 	v := *box
-	d.append(dEntry{addr: addr, box: box, rval: v, val: v, read: true})
+	e := d.push(addr, slot)
+	e.box, e.rval, e.val, e.read, e.written = box, v, v, true, false
 	// Admit the new read only beside reads that still hold, so the user
 	// function only ever sees states some linearization actually produced
 	// (opacity) — it can never chase a pointer torn between two commits.
@@ -294,15 +293,17 @@ func (d *DTx) extend() bool {
 func (d *DTx) Write(addr int, v uint64) {
 	d.check()
 	d.wrote = true
-	if e := d.lookup(addr); e >= 0 {
-		d.log[e].val = v
-		d.log[e].written = true
+	pos, slot := d.find(addr)
+	if pos >= 0 {
+		d.log[pos].val = v
+		d.log[pos].written = true
 		return
 	}
 	if addr < 0 || addr >= d.m.Size() {
 		d.abort(fmt.Errorf("%w: addr %d, size %d", ErrAddrRange, addr, d.m.Size()))
 	}
-	d.append(dEntry{addr: addr, val: v, written: true})
+	e := d.push(addr, slot)
+	e.box, e.rval, e.val, e.read, e.written = nil, 0, v, false, true
 }
 
 // Retry abandons the attempt and blocks the transaction until some word it
@@ -379,26 +380,25 @@ func (d *DTx) abort(err error) {
 	panic(sigAbort)
 }
 
-// lookup returns addr's log index, or -1.
-func (d *DTx) lookup(addr int) int {
-	if d.idxBits == 0 {
-		for i := range d.log {
-			if d.log[i].addr == addr {
-				return i
-			}
-		}
-		return -1
-	}
+// find probes the index once for addr: it returns addr's log position, or
+// -1 and the free slot where push is to index it.
+func (d *DTx) find(addr int) (pos, slot int) {
 	mask := 1<<d.idxBits - 1
 	for i := d.idxHome(addr); ; i = (i + 1) & mask {
 		s := &d.idx[i]
 		if s.ticket <= d.idxBase {
-			return -1
+			return -1, i
 		}
 		if s.addr == addr {
-			return int(s.ticket - d.idxBase - 1)
+			return int(s.ticket - d.idxBase - 1), i
 		}
 	}
+}
+
+// lookup returns addr's log position, or -1.
+func (d *DTx) lookup(addr int) int {
+	pos, _ := d.find(addr)
+	return pos
 }
 
 // idxHome is addr's first probe position in the table in use (Fibonacci
@@ -407,38 +407,31 @@ func (d *DTx) idxHome(addr int) int {
 	return int(uint64(addr) * 0x9E3779B97F4A7C15 >> (64 - d.idxBits))
 }
 
-// idxInsert indexes log entry pos, an address lookup does not find.
-func (d *DTx) idxInsert(pos int) {
-	mask := 1<<d.idxBits - 1
-	i := d.idxHome(d.log[pos].addr)
-	for d.idx[i].ticket > d.idxBase {
-		i = (i + 1) & mask
-	}
-	d.idxTop = d.idxBase + uint64(pos) + 1
-	d.idx[i] = dtxSlot{addr: d.log[pos].addr, ticket: d.idxTop}
-}
-
-// append admits a new entry to the log and, once the log has outgrown
-// linear scanning, to the index — doubling the table in use (and building
-// it from the log) whenever the entry would take it past half full.
-func (d *DTx) append(e dEntry) {
-	d.log = append(d.log, e)
+// push admits addr, which find did not find and placed at slot, to the
+// log and the index, and returns its entry for the caller to fill in place.
+// The caller must set every field but addr: the log is truncated, not
+// cleared, so the entry holds whatever an earlier execution left there. An
+// entry that would take the table past half full first doubles it and
+// rebuilds it from the log.
+func (d *DTx) push(addr, slot int) *dEntry {
 	n := len(d.log)
-	if n <= dtxLinearScan {
-		return
+	d.log = slices.Grow(d.log, 1)[:n+1]
+	d.log[n].addr = addr
+	if 2*(n+1) > 1<<d.idxBits {
+		d.idxBits++
+		if len(d.idx) < 1<<d.idxBits {
+			d.idx = make([]dtxSlot, 1<<d.idxBits)
+		}
+		d.idxBase = d.idxTop
+		for i := range n {
+			_, s := d.find(d.log[i].addr)
+			d.idx[s] = dtxSlot{addr: d.log[i].addr, ticket: d.idxBase + uint64(i) + 1}
+		}
+		_, slot = d.find(addr)
 	}
-	if 2*n <= 1<<d.idxBits {
-		d.idxInsert(n - 1)
-		return
-	}
-	d.idxBits = max(d.idxBits+1, dtxIdxMinBits)
-	if len(d.idx) < 1<<d.idxBits {
-		d.idx = make([]dtxSlot, 1<<d.idxBits)
-	}
-	d.idxBase = d.idxTop
-	for i := range d.log {
-		d.idxInsert(i)
-	}
+	d.idxTop = d.idxBase + uint64(n) + 1
+	d.idx[slot] = dtxSlot{addr: addr, ticket: d.idxTop}
+	return &d.log[n]
 }
 
 // varBuf returns the DTx's codec staging buffer, sized to k words.
@@ -456,7 +449,7 @@ func (d *DTx) varBuf(k int) []uint64 {
 func (d *DTx) resetLog() {
 	d.logHW = max(d.logHW, len(d.log))
 	d.log = d.log[:0]
-	d.idxBits = 0
+	d.idxBits, d.idxBase = dtxIdxMinBits, d.idxTop
 	d.wrote = false
 	d.clearHooks()
 }
@@ -538,8 +531,9 @@ func (d *DTx) speculate(f func(tx *DTx) error) (sig dtxSignal) {
 func (d *DTx) mergeAlt() bool {
 	for i, a := range d.altAddrs {
 		box := d.altBoxes[i]
-		if e := d.lookup(a); e >= 0 {
-			ent := &d.log[e]
+		pos, slot := d.find(a)
+		if pos >= 0 {
+			ent := &d.log[pos]
 			if ent.read {
 				if ent.box != box {
 					d.staleAddr = a
@@ -554,7 +548,8 @@ func (d *DTx) mergeAlt() bool {
 			ent.read = true
 			continue
 		}
-		d.append(dEntry{addr: a, box: box, rval: *box, val: *box, read: true})
+		e := d.push(a, slot)
+		e.box, e.rval, e.val, e.read, e.written = box, *box, *box, true, false
 	}
 	return true
 }
@@ -701,7 +696,7 @@ func (m *Memory) getDTx() *DTx {
 	if v := m.dtxPool.Get(); v != nil {
 		return v.(*DTx)
 	}
-	return &DTx{m: m, shard: core.StatShard()}
+	return &DTx{m: m, shard: core.StatShard(), idx: make([]dtxSlot, 1<<dtxIdxMinBits)}
 }
 
 // putDTx recycles a handle, dropping every box pointer and error the last

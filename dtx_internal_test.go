@@ -123,35 +123,86 @@ func TestPooledDTxIsHistoryFree(t *testing.T) {
 }
 
 func TestDTxIndexMatchesLinearScan(t *testing.T) {
-	// The index against the obvious implementation, across every table
-	// doubling, with addresses that collide (multiples of a large power of
-	// two) as well as runs of neighbours, and across a reset onto a table an
-	// earlier, larger execution left full of dead slots.
+	// The index against the obvious implementation, driven through every
+	// path that logs a word — a read, a blind write, a read then a write, a
+	// merged OrElse branch — across every table doubling, with addresses that
+	// collide (multiples of a large power of two) as well as runs of
+	// neighbours, and across a reset onto a table an earlier, larger
+	// execution left full of dead slots. Each round lays a different kind of
+	// entry at a given log position, so an entry built over a stale one
+	// must set every field to pass.
 	m, err := New(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := m.getDTx()
-	for _, n := range []int{3000, 40, 700} {
-		d.resetLog()
-		addr := func(i int) int {
-			if i%2 == 0 {
-				return (i / 2) << 9 // stride 512: the same low bits throughout
+	linearScan := func(addr int) int {
+		for i := range d.log {
+			if d.log[i].addr == addr {
+				return i
 			}
-			return 1<<19 + i // a run of neighbours
 		}
+		return -1
+	}
+	addr := func(i int) int {
+		if i%2 == 0 {
+			return (i / 2) << 9 // stride 512: the same low bits throughout
+		}
+		return 1<<19 + i // a run of neighbours
+	}
+	for round, n := range []int{3000, 40, 700} {
+		d.resetLog()
+		d.epoch = m.eng.CommitEpoch()
+		d.active = true
+		var want []dEntry
 		for i := 0; i < n; i++ {
-			if got := d.lookup(addr(i)); got != -1 {
-				t.Fatalf("n=%d: lookup(%d) = %d before it was logged", n, addr(i), got)
+			a := addr(i)
+			if got := d.lookup(a); got != -1 {
+				t.Fatalf("n=%d: lookup(%d) = %d before it was logged", n, a, got)
 			}
-			d.append(dEntry{addr: addr(i)})
+			box := m.eng.StableLoadBox(a)
+			v := uint64(i + 1)
+			switch (i + round) % 4 {
+			case 0:
+				d.Read(a)
+				want = append(want, dEntry{addr: a, box: box, read: true})
+			case 1:
+				d.Write(a, v)
+				want = append(want, dEntry{addr: a, val: v, written: true})
+			case 2:
+				d.Read(a)
+				d.Write(a, v)
+				want = append(want, dEntry{addr: a, box: box, val: v, read: true, written: true})
+			case 3:
+				// The saved branch read a new word and every word logged
+				// so far that i/2 names: a blind write there turns into a
+				// validated one.
+				b := addr(i / 2)
+				d.altAddrs = append(d.altAddrs[:0], a, b)
+				d.altBoxes = append(d.altBoxes[:0], box, m.eng.StableLoadBox(b))
+				if !d.mergeAlt() {
+					t.Fatalf("n=%d: mergeAlt found a stale read in a quiet memory", n)
+				}
+				want = append(want, dEntry{addr: a, box: box, read: true})
+				if j := i / 2; j < i && !want[j].read {
+					want[j].box, want[j].read = d.altBoxes[1], true
+				}
+			}
 			for _, j := range []int{0, i / 2, i} {
-				if got := d.lookup(addr(j)); got != j {
-					t.Fatalf("n=%d: after %d appends lookup(%d) = %d, want %d", n, i+1, addr(j), got, j)
+				if got, oracle := d.lookup(addr(j)), linearScan(addr(j)); got != oracle || got != j {
+					t.Fatalf("n=%d: after %d entries lookup(%d) = %d, linear scan %d, want %d", n, i+1, addr(j), got, oracle, j)
 				}
 			}
 		}
-		for i := 0; i < n; i++ {
+		d.active = false
+		d.altAddrs, d.altBoxes = d.altAddrs[:0], d.altBoxes[:0]
+		if len(d.log) != n {
+			t.Fatalf("n=%d: %d entries logged", n, len(d.log))
+		}
+		for i := range want {
+			if got := d.log[i]; got != want[i] {
+				t.Fatalf("n=%d: log[%d] = %+v, want %+v", n, i, got, want[i])
+			}
 			if got := d.lookup(addr(i)); got != i {
 				t.Fatalf("n=%d: lookup(%d) = %d, want %d", n, addr(i), got, i)
 			}
@@ -159,5 +210,19 @@ func TestDTxIndexMatchesLinearScan(t *testing.T) {
 		if got := d.lookup(1<<20 - 1); got != -1 {
 			t.Fatalf("n=%d: lookup of an unlogged address = %d", n, got)
 		}
+		// The table in use is the smallest that holds the log at most half
+		// full.
+		if bits := max(dtxIdxMinBits, uint(bitsFor(2*n))); d.idxBits != bits {
+			t.Errorf("n=%d: the index is 1<<%d slots, want 1<<%d", n, d.idxBits, bits)
+		}
 	}
+}
+
+// bitsFor returns the least b with 1<<b >= n.
+func bitsFor(n int) int {
+	b := 0
+	for 1<<b < n {
+		b++
+	}
+	return b
 }

@@ -46,9 +46,10 @@
 // preserving the LL/SC argument. Each memory word packs its value cell and
 // ownership record into one padded cache line, and the protocol counters
 // are sharded per cache line, so neither adjacent words nor bookkeeping
-// false-share (DESIGN.md §3). Helpers stay off the pooled buffers: they
-// evaluate update functions into fresh allocations of their own, bounded
-// by the helping rate.
+// false-share (DESIGN.md §3). The first helper of an attempt evaluates the
+// update function into a second pair of record buffers it claims with one
+// CAS; only a further concurrent helper of the same attempt allocates
+// buffers of its own.
 //
 // # Benign races inherited from the paper
 //

@@ -488,9 +488,10 @@ func (m *Memory) agreeOldValues(rec *Rec) {
 // newValuesFor returns the transaction's computed new values, evaluating
 // calc at most usefully-once (concurrent evaluations agree by contract).
 // The initiating goroutine evaluates into the record's private buffers and
-// publishes through the record's preallocated slice-header box; helpers
-// evaluate into fresh buffers of their own. Whichever publication CAS wins
-// is the result every participant installs.
+// publishes through the record's preallocated slice-header box; the first
+// helper to claim the record's helper buffers does the same with those, and
+// any further concurrent helper evaluates into fresh buffers of its own.
+// Whichever publication CAS wins is the result every participant installs.
 func (m *Memory) newValuesFor(rec *Rec, initiator bool) []uint64 {
 	if p := rec.newVals.Load(); p != nil {
 		return *p
@@ -498,9 +499,15 @@ func (m *Memory) newValuesFor(rec *Rec, initiator bool) []uint64 {
 	k := len(rec.addrs)
 	var old, nv []uint64
 	var hdr *[]uint64
-	if initiator {
+	switch {
+	case initiator:
 		old, nv, hdr = rec.oldBuf[:k], rec.newBuf[:k], rec.newHdr
-	} else {
+	case rec.helpClaimed.CompareAndSwap(false, true):
+		if cap(rec.helpOld) < k {
+			rec.helpOld, rec.helpNew = make([]uint64, k), make([]uint64, k)
+		}
+		old, nv, hdr = rec.helpOld[:k], rec.helpNew[:k], rec.helpHdr
+	default:
 		old, nv, hdr = make([]uint64, k), make([]uint64, k), new([]uint64)
 	}
 	rec.snapshotInto(old)

@@ -44,8 +44,9 @@ func (m *Memory) Begin(k int) *Rec {
 			rec = v.(*Rec)
 		} else {
 			rec = &Rec{
-				newHdr: new([]uint64),
-				shard:  int(recSeq.Add(1) % statShards),
+				newHdr:  new([]uint64),
+				helpHdr: new([]uint64),
+				shard:   int(recSeq.Add(1) % statShards),
 			}
 		}
 	}
@@ -69,6 +70,7 @@ func (r *Rec) arm(k int) {
 		r.old[i].Store(nil)
 	}
 	r.newVals.Store(nil)
+	r.helpClaimed.Store(false)
 	r.own, r.exp, r.sample = nil, nil, 0
 	r.verdict.Store(statusNull)
 	r.status.Store(statusNull)

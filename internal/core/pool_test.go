@@ -2,10 +2,12 @@ package core
 
 // Tests for the record pool's limbo (pool.go): a record whose attempt ends
 // with a helper still pinned is parked, not dropped, and comes back — its
-// staged references released — once the helper has left, never before.
+// staged references released — once the helper has left, never before. And
+// for the record scratch a helper evaluates into.
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -242,4 +244,106 @@ func TestLimboTakeThenCheck(t *testing.T) {
 	if cycles.Load() == 0 {
 		t.Error("the record never went round: the test exercised nothing")
 	}
+}
+
+// TestFirstHelperEvaluatesInPlace pins what helping costs in evaluation
+// buffers: the first helper of an attempt evaluates into the record's own
+// helper buffers at 0 allocs, a second concurrent helper into fresh ones of
+// its own (never the claimed pair), and re-arming frees the claim for the
+// next attempt's first helper.
+func TestFirstHelperEvaluatesInPlace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	m, err := NewMemory(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []int{1, 9, 33}
+	if _, ok := tryOnce(m, addrs, func([]uint64) []uint64 { return []uint64{5, 6, 7} }); !ok {
+		t.Fatal("uncontended attempt failed")
+	}
+	rec := armedRec(m, addrs, nil)
+	rec.calc = func(_ any, old, nv []uint64, _ bool) {
+		for i := range nv {
+			nv[i] = old[i] * 10
+		}
+	}
+	m.agreeOldValues(rec)
+	want := []uint64{50, 60, 70}
+	check := func(who string, got []uint64) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s evaluated %v, want %v", who, got, want)
+		}
+	}
+	firstHelp := func() {
+		rec.newVals.Store(nil)
+		rec.helpClaimed.Store(false)
+		check("the first helper", m.newValuesFor(rec, false))
+	}
+	if got := testing.AllocsPerRun(100, firstHelp); got != 0 {
+		t.Errorf("the first helper's evaluation costs %.1f allocs, want 0", got)
+	}
+	rec.newVals.Store(nil)
+	got := m.newValuesFor(rec, false)
+	check("a second helper", got)
+	if &got[0] == &rec.helpNew[0] {
+		t.Error("a second helper evaluated into the buffers the first one claimed")
+	}
+	rec.sealed.Store(true)
+	rec.arm(len(addrs))
+	if rec.helpClaimed.Load() {
+		t.Error("arm left the helper buffers claimed")
+	}
+}
+
+// TestConcurrentHelpersAgree drives several readers into helping one parked
+// ST attempt at once, round after round on recycled records: one helper
+// evaluates into the record's claimed buffers, the rest into fresh ones, and
+// every reader sees the attempt's values. Under -race it shows a claimed
+// buffer is handed from one attempt's helper to the next only through the
+// seal/pin guard.
+func TestConcurrentHelpersAgree(t *testing.T) {
+	m, err := NewMemoryEngine(8, EngineST)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []int{1, 3, 6}
+	parked, release := make(chan struct{}), make(chan struct{})
+	m.SetChaos(func(e ChaosEvent) {
+		if e.Point == ChaosSTPostLock {
+			parked <- struct{}{}
+			<-release
+		}
+	})
+	defer m.SetChaos(nil)
+	const rounds, readers = 50, 4
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for r := 0; r < rounds; r++ {
+			if _, ok := tryOnce(m, addrs, func(old []uint64) []uint64 {
+				return []uint64{old[0] + 1, old[1] + 1, old[2] + 1}
+			}); !ok {
+				t.Error("a parked attempt nobody conflicted with failed")
+			}
+		}
+	}()
+	for r := 1; r <= rounds; r++ {
+		<-parked
+		var wg sync.WaitGroup
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			go func(a int) {
+				defer wg.Done()
+				if got := *m.StableLoadBox(a); got != uint64(r) {
+					t.Errorf("round %d: a helping reader of word %d saw %d", r, a, got)
+				}
+			}(addrs[i%len(addrs)])
+		}
+		wg.Wait()
+		release <- struct{}{}
+	}
+	<-done
 }

@@ -114,16 +114,25 @@ type Rec struct {
 	pins   atomic.Int32
 
 	// Per-attempt scratch, reused across recycles. oldBuf/newBuf are
-	// the initiating goroutine's private evaluation buffers; helpers
-	// allocate their own. boxes is the backing chunk value boxes are carved
-	// from: each carved slot's address is published into a memory cell at
-	// most once, ever, preserving the GC-based LL/SC argument.
-	addrBuf []int
-	oldBuf  []uint64
-	newBuf  []uint64
-	newHdr  *[]uint64 // initiator's slice-header box for newVals publication
-	boxes   []uint64
-	boxOff  int
+	// the initiating goroutine's private evaluation buffers; helpOld/helpNew
+	// are the same for the one helper per attempt that claims helpClaimed
+	// (arm resets it), grown lazily by that helper, and any other helper
+	// allocates its own. A published buffer stays valid for as long as a
+	// participant may read it, because a record with a pinned helper is
+	// never re-armed (seal/pin plus limbo). boxes is the backing
+	// chunk value boxes are carved from: each carved slot's address is
+	// published into a memory cell at most once, ever, preserving the
+	// GC-based LL/SC argument.
+	addrBuf     []int
+	oldBuf      []uint64
+	newBuf      []uint64
+	newHdr      *[]uint64 // initiator's slice-header box for newVals publication
+	helpOld     []uint64
+	helpNew     []uint64
+	helpHdr     *[]uint64 // the claiming helper's newHdr
+	helpClaimed atomic.Bool
+	boxes       []uint64
+	boxOff      int
 
 	// wrBuf marks the TL2 engine's write set (wrBuf[i]: new[i] != old[i]).
 	// It is private to the attempt — TL2 has no helpers — and sized lazily

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	stm "github.com/stm-go/stm"
 	"github.com/stm-go/stm/stmobs"
@@ -100,19 +101,41 @@ func TestFlightRecorderObserver(t *testing.T) {
 	f := stmobs.NewFlightRecorder(64)
 	m.Observe(stm.ObsConfig{Level: stm.ObsCounters, Observer: f})
 
+	// One writer parks holding word 0's commit lock, so a second writer's
+	// attempts on the word abort until it is released.
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	m.SetChaos(func(e stm.ChaosEvent) {
+		if e.Point == stm.ChaosTL2PostLock {
+			once.Do(func() {
+				close(parked)
+				<-release
+			})
+		}
+	})
+	defer m.SetChaos(nil)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				addWord(m, 0, 1) // one hot word: contention guarantees aborts
-			}
-		}()
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		addWord(m, 0, 1)
+	}()
+	<-parked
+	go func() {
+		defer wg.Done()
+		addWord(m, 0, 1)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); m.Stats().Failures == 0; {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("a writer blocked by a held commit lock never aborted")
+		}
+		time.Sleep(time.Millisecond)
 	}
+	close(release)
 	wg.Wait()
-	if m.Stats().Failures == 0 {
-		t.Skip("no aborts this run; nothing to assert")
+	if got := m.Peek(0); got != 2 {
+		t.Errorf("word 0 = %d after two adds, want 2", got)
 	}
 	found := false
 	for _, e := range f.Snapshot() {
