@@ -164,8 +164,8 @@ func TestAllocsAtomicallyDynamic(t *testing.T) {
 	// The dynamic layer's acceptance headline: an Atomically read-modify-
 	// write over two vars with a stable footprint — the steady state of a
 	// stable call site — is allocation-free with contention telemetry on.
-	// The pooled DTx's logs, staging buffers, and compiled-footprint cache
-	// carry the whole operation; the commit rides the same pooled static
+	// The pooled DTx's logs, staging buffers, and compiled-footprint
+	// buffers carry the whole operation; the commit rides the same pooled static
 	// path as a prepared Tx. Checked under the default policy and under
 	// Adaptive (clean-commit reports exercise the policy hooks every op).
 	for _, tc := range []struct {
@@ -242,8 +242,8 @@ func TestAllocsAtomicallyDynamic(t *testing.T) {
 			}
 		})
 
-		// A different pair of words every operation: the footprint-cache
-		// miss path (discover, sort, commit). Each operation moves one entry
+		// A different pair of words every operation: a footprint that
+		// moves every call (discover, sort, commit). Each operation moves one entry
 		// of a 64-slot table to the other under p(i) = (7i+3) mod 64.
 		const slots = 64
 		hm, err := stm.New(2*slots, tc.opts...)

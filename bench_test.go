@@ -358,6 +358,44 @@ func BenchmarkDynReadSet(b *testing.B) {
 	}
 }
 
+// BenchmarkDynReadMostlyCommit measures a writing dynamic transaction that
+// mostly reads: n scattered words read, one other word written, at a
+// footprint that moves every call — the shape of a pipelined server batch,
+// which reads a map's words by the thousand to change a few. The commit
+// hands the engine only the word it writes; the n it read are validated
+// beside it as a read list (DESIGN.md §9), so what the commit costs beyond
+// the reads themselves should not grow with n.
+func BenchmarkDynReadMostlyCommit(b *testing.B) {
+	const words, stride = 1 << 14, 613 // odd stride: n+1 distinct words
+	for _, eng := range stm.Engines() {
+		for _, n := range []int{16, 64, 1024} {
+			b.Run(fmt.Sprintf("%v/%d", eng, n), func(b *testing.B) {
+				m, err := stm.New(words, stm.WithEngine(eng))
+				if err != nil {
+					b.Fatal(err)
+				}
+				base := 0
+				readMostly := func(tx *stm.DTx) error {
+					var sum uint64
+					for j := 0; j < n; j++ {
+						sum += tx.Read((base + j*stride) % words)
+					}
+					tx.Write((base+n*stride)%words, sum+1)
+					return nil
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					base = (base + 7919) % words
+					if err := m.Atomically(readMostly); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkAllocReadAllInto measures the zero-allocation consistent read.
 func BenchmarkAllocReadAllInto(b *testing.B) {
 	const k = 8

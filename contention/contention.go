@@ -47,8 +47,9 @@ type Owner struct {
 // it. The stm layer recycles Conflict values between operations; policies
 // must not retain them after OnCommit or OnAbort returns.
 type Conflict struct {
-	// Addr is the word whose ownership acquisition failed on the most
-	// recent attempt, or -1 when there was no conflict (OnCommit after a
+	// Addr is the word the most recent failed attempt died at — whose
+	// ownership acquisition failed, or that a dynamic transaction read and
+	// found stale — or -1 when there was no conflict (OnCommit after a
 	// clean first attempt).
 	Addr int
 	// Owner describes the record observed blocking that attempt.
@@ -73,7 +74,9 @@ type Conflict struct {
 	// Size 0) if it touched none.
 	First int
 	// Size is the data-set size in words — a proxy for the work a failed
-	// attempt wasted.
+	// attempt wasted. For a dynamic transaction it is the whole footprint,
+	// the words it read as well as the ones it wrote, though its commit
+	// owns only the latter.
 	Size int
 	// Priority is the priority the policy assigns to this operation. The
 	// stm layer installs it on the next attempt's record, where competing

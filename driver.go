@@ -2,6 +2,7 @@ package stm
 
 import (
 	"context"
+	"errors"
 
 	"github.com/stm-go/stm/contention"
 	"github.com/stm-go/stm/internal/core"
@@ -39,9 +40,9 @@ var calcs = [...]core.CalcFunc{
 // staged describes one transaction attempt before a record exists for it:
 // the data set, strictly ascending as the engine takes it, the calc, and
 // that calc's parameters. A prepared Tx contributes its addrs, a DTx its
-// compiled fpSorted (and fpPos, through d). The value lives on its entry
-// point's stack; attempt copies what the calc will read into the record,
-// so helpers never reach back into it.
+// compiled fpSorted — the words it wrote — and, through d, the rest of its
+// log. The value lives on its entry point's stack; attempt copies what the
+// calc will read into the record, so helpers never reach back into it.
 //
 // The shape is load-bearing for the allocation contract. Go's escape
 // analysis is field-insensitive: a value attempt loaded from a staged and
@@ -63,15 +64,21 @@ type staged struct {
 }
 
 // first returns the conflict-domain key the contention policy sees for the
-// operation: the lowest address the attempt owns. That is the data set's
-// lowest address, except for a dynamic commit, which owns only the words it
-// writes — keying it by a word it merely read would put every operation
-// that reads a structure's header words into one domain.
-func (st *staged) first() int {
+// operation: the lowest address the attempt owns, its data set's first.
+// For a dynamic commit that is the lowest word it writes — keying it by a
+// word it merely read would put every operation that reads a structure's
+// header words into one domain.
+func (st *staged) first() int { return st.addrs[0] }
+
+// size returns the operation's size as the contention policy sees it: the
+// words it touched. A dynamic commit's data set is only what it writes,
+// but its whole footprint is the work a failure wastes, and what a policy
+// that weighs work done (Karma's Priority += Size) has to see.
+func (st *staged) size() int {
 	if st.op == opDyn {
-		return st.d.lowestWrite()
+		return len(st.d.log)
 	}
-	return st.addrs[0]
+	return len(st.addrs)
 }
 
 // attempt makes one engine attempt of st: it draws a record, arms it with
@@ -93,12 +100,11 @@ func (m *Memory) attempt(st *staged, old []uint64, info *core.ConflictInfo, prio
 		s.exp = append(s.exp[:0], st.exp...)
 		s.repl = append(s.repl[:0], st.repl...)
 	case opDyn:
-		// The words the transaction wrote are the ones it owns; the rest it
-		// read, under the speculation's epoch sample. A footprint it wrote
-		// all of needs no split.
-		if s.stageDyn(st.d) {
-			r.SetReadSet(s.dynWr, s.dynExp, st.d.epoch)
-		}
+		// The data set is the words the transaction wrote; the words it
+		// only read ride beside it, to be validated against the
+		// speculation's epoch sample.
+		s.stageDyn(st.d)
+		r.SetReadSet(s.rdAddrs, s.rdExp, st.d.epoch)
 	case opUpdate:
 		s.u = *st.u
 	}
@@ -118,26 +124,37 @@ func (m *Memory) attempt(st *staged, old []uint64, info *core.ConflictInfo, prio
 // sleeping out one more wait; the operation is then closed as aborted, its
 // final failure counted, so the policy releases whatever it granted.
 //
-// The engine committing a dynamic transaction's footprint is not yet the
+// The engine committing a dynamic transaction's write set is not yet the
 // operation committing — atomically has to see which arm of calcDyn it
-// was — so for opDyn, and only then, the report comes back still open.
+// was — so for opDyn, and only then, the report comes back still open. So
+// it does when the engine found the words the transaction only read stale:
+// re-attempting would validate the same stale reads again, so contend
+// notes the conflict once and returns errStaleRead, and atomically
+// re-executes the speculation.
 func (m *Memory) contend(ctx context.Context, st *staged, old []uint64, c *contention.Conflict) (*contention.Conflict, error) {
 	var info core.ConflictInfo
 	for !m.attempt(st, old, &info, prioOf(c)) {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				m.abortFailed(c, st.first(), len(st.addrs), &info)
+				m.abortFailed(c, st.first(), st.size(), &info)
 				return nil, err
 			}
 		}
-		c = m.noteConflict(c, st.first(), len(st.addrs), &info)
+		c = m.noteConflict(c, st.first(), st.size(), &info)
+		if info.ReadStale {
+			return c, errStaleRead
+		}
 	}
 	if st.op == opDyn {
 		return c, nil
 	}
-	m.commitConflict(c, st.first(), len(st.addrs))
+	m.commitConflict(c, st.first(), st.size())
 	return nil, nil
 }
+
+// errStaleRead is contend's report that a dynamic commit's read list went
+// stale: the operation is still open, and the speculation has to re-run.
+var errStaleRead = errors.New("stm: a validated read is stale")
 
 // run is contend for an operation that begins and ends with st, which is
 // every static one: their entry points are argument checking plus a call

@@ -54,7 +54,7 @@ func TestNilContextNeverCancelled(t *testing.T) {
 						addWord(m, 0, 1)
 					})
 				} else {
-					s := stallWord0(t, m, 1)
+					s := stallWord(t, m, 0, 1)
 					pol.onConflict = func(int) { s.next() }
 					defer m.SetChaos(nil)
 				}

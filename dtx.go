@@ -26,13 +26,14 @@ import (
 // having written nothing is committed there and then: the same argument
 // shows its whole log current at one instant inside the call, so it returns
 // with no engine attempt, no ownership and no record. Only a log that holds
-// a write goes on: the discovered footprint — already deduplicated, sorted
-// through a per-DTx cache — executes through the one static driver with
-// calcDyn, which installs the write set only if every read still holds its
-// speculated value and otherwise commits a validated no-op, sending the
-// driver back to re-execute. On ST that commit owns only the words it
-// writes; the words it only read are validated by the engine, once for all
-// helpers, against the speculation's epoch sample. See DESIGN.md §9.
+// a write goes on, and what the engine gets is its write set: the written
+// words, sorted, are the data set the one static driver executes with
+// calcDyn, and the words only read ride beside them as a read list, in log
+// order, which the engine validates against the speculation's epoch sample
+// — on ST once for all helpers — and never sorts, owns or installs. A stale
+// read list fails the attempt and the speculation re-executes; so does a
+// read-then-written word that moved, through calcDyn's validated no-op.
+// See DESIGN.md §9.
 
 // ErrRetryNoReads reports a Retry in a transaction (or in both branches of
 // an OrElse) that read nothing: with an empty read set there is no word
@@ -82,13 +83,8 @@ type DTx struct {
 	idxBase uint64 // slots with ticket <= idxBase are empty
 	idxTop  uint64
 
-	// Compiled-footprint cache: when an attempt discovers the same
-	// addresses in the same order as the cached footprint — the steady
-	// state of a stable call site — the sort is skipped and the cached
-	// engine-order layout is reused. fpAddrs is the access-order key,
-	// fpSorted the engine-order data set, fpPos[i] the log index of the
-	// i-th engine-order word.
-	fpAddrs  []int
+	// Compiled footprint: fpSorted is the engine-order data set — the
+	// words the log writes — and fpPos[i] the log index of the i-th one.
 	fpSorted []int
 	fpPos    []int
 
@@ -171,11 +167,10 @@ const dtxIdxMinBits = 6
 //
 // f may be executed several times before the transaction commits and so
 // must be deterministic and free of side effects other than through the
-// DTx. A call site whose footprint is stable commits allocation-free in
-// steady state (amortized, modulo codec allocations): the DTx, its logs,
-// and the compiled footprint recycle through per-Memory pools. When the
-// data set is raw words known up front, a prepared Tx skips speculation
-// and validation entirely.
+// DTx. A call site commits allocation-free in steady state (amortized,
+// modulo codec allocations): the DTx, its logs, and the compiled footprint
+// recycle through per-Memory pools. When the data set is raw words known up
+// front, a prepared Tx skips speculation and validation entirely.
 func (m *Memory) Atomically(f func(tx *DTx) error) error {
 	return m.atomically(nil, f, nil)
 }
@@ -442,10 +437,9 @@ func (d *DTx) varBuf(k int) []uint64 {
 	return d.wbuf[:k]
 }
 
-// resetLog rewinds the DTx for a fresh speculation; the footprint cache
-// and the buffers survive. Deferred actions registered by the abandoned
-// execution are dropped — only the committing (or finally-failing)
-// execution's actions ever run.
+// resetLog rewinds the DTx for a fresh speculation; the buffers survive.
+// Deferred actions registered by the abandoned execution are dropped — only
+// the committing (or finally-failing) execution's actions ever run.
 func (d *DTx) resetLog() {
 	d.logHW = max(d.logHW, len(d.log))
 	d.log = d.log[:0]
@@ -616,31 +610,19 @@ func (d *DTx) waitReadSet(ctx context.Context) error {
 	return nil
 }
 
-// compileFootprint lays the discovered log out in engine order. The log is
-// deduplicated by construction, so compilation is a sort of the addresses —
-// a flat slice of ints, which slices.Sort orders with no interface and no
-// callback — after which each one's log position is what lookup says it is.
-// All of it is skipped when the access-order address list matches the
-// cached one (the stable-call-site steady state, which is what keeps repeat
-// Atomically calls allocation-free).
+// compileFootprint lays out the words the log writes — the commit's data
+// set — in engine order: a sort of their addresses, a flat slice of ints,
+// which slices.Sort orders with no interface and no callback, after which
+// each one's log position is what lookup says it is. The words the log only
+// read stay in log order (stageDyn hands them to the engine as a read list),
+// so the sort costs what the transaction wrote, not what it touched.
 func (d *DTx) compileFootprint() {
-	if len(d.log) == len(d.fpAddrs) {
-		hit := true
-		for i := range d.log {
-			if d.log[i].addr != d.fpAddrs[i] {
-				hit = false
-				break
-			}
-		}
-		if hit {
-			return
-		}
-	}
-	d.fpAddrs = d.fpAddrs[:0]
+	d.fpSorted = d.fpSorted[:0]
 	for i := range d.log {
-		d.fpAddrs = append(d.fpAddrs, d.log[i].addr)
+		if d.log[i].written {
+			d.fpSorted = append(d.fpSorted, d.log[i].addr)
+		}
 	}
-	d.fpSorted = append(d.fpSorted[:0], d.fpAddrs...)
 	slices.Sort(d.fpSorted)
 	d.fpPos = d.fpPos[:0]
 	for _, a := range d.fpSorted {
@@ -648,39 +630,32 @@ func (d *DTx) compileFootprint() {
 	}
 }
 
-// stageDyn copies d's log, laid out by its compiled footprint, into the
-// record's calcDyn parameters — by copy, because helpers may evaluate
-// calcDyn after d has moved on. It reports whether some word was only
-// read, not written.
-func (s *scratch) stageDyn(d *DTx) (readOnly bool) {
+// stageDyn copies d's compiled write set into the record's calcDyn
+// parameters and the entries it only read, in log order, into its read
+// list — by copy, because helpers may evaluate calcDyn and validate the
+// list after d has moved on.
+func (s *scratch) stageDyn(d *DTx) {
 	s.ensureDyn(len(d.fpPos))
 	for i, e := range d.fpPos {
 		ent := &d.log[e]
 		s.dynRead[i] = ent.read
 		s.dynExp[i] = ent.rval
-		s.dynWr[i] = ent.written
 		s.dynNew[i] = ent.val
-		readOnly = readOnly || !ent.written
 	}
-	return readOnly
-}
-
-// lowestWrite returns the lowest address the compiled footprint writes — the
-// commit's conflict-domain key (staged.first). The log holds at least one
-// write when it is compiled.
-func (d *DTx) lowestWrite() int {
-	for i, e := range d.fpPos {
-		if d.log[e].written {
-			return d.fpSorted[i]
+	s.rdAddrs, s.rdExp = s.rdAddrs[:0], s.rdExp[:0]
+	for i := range d.log {
+		if ent := &d.log[i]; ent.read && !ent.written {
+			s.rdAddrs = append(s.rdAddrs, ent.addr)
+			s.rdExp = append(s.rdExp, ent.rval)
 		}
 	}
-	return -1
 }
 
 // committedClean reports whether the last committed attempt installed the
-// write set: every validated read's agreed old value equals what the
-// speculation saw. If not, the engine committed the no-op arm of calcDyn
-// and the speculation must re-execute; stale names a word that moved.
+// write set: every word the transaction read before writing held, at the
+// agreed old values, what the speculation saw. If not, the engine committed
+// the no-op arm of calcDyn and the speculation must re-execute; stale names
+// a word that moved.
 func (d *DTx) committedClean() (stale int, ok bool) {
 	for i, e := range d.fpPos {
 		ent := &d.log[e]
@@ -701,9 +676,8 @@ func (m *Memory) getDTx() *DTx {
 
 // putDTx recycles a handle, dropping every box pointer and error the last
 // operation logged so an idle pooled DTx retains nothing of it; the value
-// buffers, the index and the compiled-footprint cache stay — they are the
-// amortization (and the cache is exactly what a stable call site wants
-// back). What it costs depends on the operation that ends here, not on the
+// buffers, the index and the compiled-footprint buffers stay — they are the
+// amortization. What it costs depends on the operation that ends here, not on the
 // largest one the handle ever ran: the log and the saved branch are cleared
 // up to this operation's high-water marks, beyond which they are clear
 // already, and the index (addresses and tickets, no pointers) needs nothing.
@@ -762,15 +736,15 @@ func (d *DTx) noteStale(c *contention.Conflict) *contention.Conflict {
 // to discover a footprint. A round that wrote nothing is the commit: its
 // reads were all current at one instant inside the call (DESIGN.md §9), so
 // the operation returns without the engine. Any other round commits its
-// footprint through the one static driver — acquire ownership of the
-// written words in ascending order, settle the read ones, agree old values,
-// and let calcDyn either install the write set (every validated read
-// matched) or commit a no-op (something changed), which sends the round
-// back to re-execute. One policy report
-// spans the whole operation: every failure — an ownership conflict at
-// commit, a stale speculative read, a validation miss — lands on it
-// through the same helpers the static forms use, so dynamic transactions
-// are first-class citizens of the policy's telemetry.
+// write set through the one static driver — acquire the written words in
+// ascending order, validate the words only read, agree old values, and let
+// calcDyn either install the write set (every read-then-written word
+// matched) or commit a no-op (one moved). A stale read list or a no-op
+// sends the round back to re-execute. One policy report spans the whole
+// operation: every failure — an ownership conflict at commit, a stale
+// speculative read, a validation miss — lands on it through the same
+// helpers the static forms use, so dynamic transactions are first-class
+// citizens of the policy's telemetry.
 func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) error) error {
 	d := m.getDTx()
 	defer m.putDTx(d)
@@ -847,22 +821,24 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 			d.engOld = make([]uint64, len(st.addrs))
 		}
 		d.engOld = d.engOld[:len(st.addrs)]
-		// Ownership conflicts re-attempt the same compiled footprint: if the
-		// snapshot goes stale meanwhile, the attempt that finally commits
-		// detects it.
+		// Ownership conflicts re-attempt the same write set; a stale read
+		// list comes back noted, for a fresh speculation.
 		var err error
-		if c, err = m.contend(ctx, &st, d.engOld, c); err != nil {
+		if c, err = m.contend(ctx, &st, d.engOld, c); err == errStaleRead {
+			continue
+		} else if err != nil {
 			return d.fail(nil, err)
 		}
 		if stale, ok := d.committedClean(); !ok {
 			// The engine committed calcDyn's no-op arm: a concurrent
-			// transaction moved one of our reads between speculation and
-			// commit. Contention — defer, then re-execute from scratch.
+			// transaction moved a word we read and then wrote between
+			// speculation and commit. Contention — defer, then re-execute
+			// from scratch.
 			info := core.ConflictInfo{Addr: stale}
-			c = m.noteConflict(c, st.first(), len(st.addrs), &info)
+			c = m.noteConflict(c, st.first(), st.size(), &info)
 			continue
 		}
-		m.commitConflict(c, st.first(), len(st.addrs))
+		m.commitConflict(c, st.first(), st.size())
 		d.runCommitHooks()
 		return nil
 	}

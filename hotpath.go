@@ -160,16 +160,19 @@ type scratch struct {
 	exp  []uint64
 	repl []uint64
 
-	// Dynamic-commit parameters (calcDyn), engine order. dynExp[i] is the
-	// value the speculation read at the i-th footprint word (validated only
-	// when dynRead[i]); dynNew[i] is the value to install (only when
-	// dynWr[i]). The slices are copied from the DTx at stage time — like
-	// exp/repl, helpers may evaluate calcDyn long after the initiating
-	// DTx has moved on, so the record must own its inputs.
+	// Dynamic-commit parameters. The data set is the words the transaction
+	// wrote, in engine order: dynNew[i] is the value calcDyn installs there,
+	// unless the transaction read the word first (dynRead[i]) and it no
+	// longer holds the value read, dynExp[i]. The words it only read are the
+	// record's read list: rdAddrs in log order, read as rdExp. Everything is
+	// copied from the DTx at stage time — like exp/repl, helpers may
+	// evaluate calcDyn and validate the list long after the initiating DTx
+	// has moved on, so the record must own its inputs.
 	dynExp  []uint64
 	dynNew  []uint64
 	dynRead []bool
-	dynWr   []bool
+	rdAddrs []int
+	rdExp   []uint64
 }
 
 // ResetForPool drops the caller's update closure so an idle pooled record
@@ -188,19 +191,17 @@ func scratchOf(r *core.Rec) *scratch {
 	return s
 }
 
-// ensureDyn sizes the dynamic-commit staging buffers for a k-word
-// footprint.
+// ensureDyn sizes the dynamic-commit staging buffers for a k-word write
+// set.
 func (s *scratch) ensureDyn(k int) {
 	if cap(s.dynExp) < k {
 		s.dynExp = make([]uint64, k)
 		s.dynNew = make([]uint64, k)
 		s.dynRead = make([]bool, k)
-		s.dynWr = make([]bool, k)
 	}
 	s.dynExp = s.dynExp[:k]
 	s.dynNew = s.dynNew[:k]
 	s.dynRead = s.dynRead[:k]
-	s.dynWr = s.dynWr[:k]
 }
 
 // calcIdentity commits the data set unchanged: a validated consistent read.
@@ -227,13 +228,14 @@ func calcCASN(env any, old, new []uint64, _ bool) {
 	copy(new, s.repl)
 }
 
-// calcDyn commits a dynamic transaction's discovered footprint: if every
-// validated read still holds the value the speculation saw, install the
-// write set; otherwise commit the data set unchanged (a validated no-op,
-// like calcCASN's mismatch arm). The driver re-derives which case happened
-// from the committed old values and re-executes the speculation on a
-// mismatch — calc evaluations themselves must stay deterministic and must
-// not write to shared state.
+// calcDyn commits a dynamic transaction's write set: if every word it read
+// before writing still holds the value the speculation saw, install the
+// buffered values; otherwise commit the data set unchanged (a validated
+// no-op, like calcCASN's mismatch arm). The driver re-derives which case
+// happened from the committed old values and re-executes the speculation on
+// a mismatch — calc evaluations themselves must stay deterministic and must
+// not write to shared state. The words it only read never reach the calc:
+// the engine validates them and fails the attempt if one moved.
 func calcDyn(env any, old, new []uint64, _ bool) {
 	s := env.(*scratch)
 	for i := range old {
@@ -242,13 +244,7 @@ func calcDyn(env any, old, new []uint64, _ bool) {
 			return
 		}
 	}
-	for i := range old {
-		if s.dynWr[i] {
-			new[i] = s.dynNew[i]
-		} else {
-			new[i] = old[i]
-		}
-	}
+	copy(new, s.dynNew)
 }
 
 // calcTx evaluates a prepared transaction's UpdateInto.

@@ -28,9 +28,8 @@ import "fmt"
 type ChaosPoint uint8
 
 const (
-	// ChaosSTPostLock (ST) fires with every word the attempt owns owned —
-	// its whole data set, or the written part of a split one — and Success
-	// decided, before any old value is agreed or any new value installed:
+	// ChaosSTPostLock (ST) fires with the attempt's whole data set owned
+	// and Success decided, before any old value is agreed or any new value installed:
 	// the window in which a stalled initiator's work is completed by the
 	// helpers its conflicts recruit.
 	ChaosSTPostLock ChaosPoint = iota
@@ -47,11 +46,11 @@ const (
 	// commit's write version, but no word is stamped or installed yet, and
 	// every lock is still held.
 	ChaosTL2PostClock
-	// ChaosSTPostStep (ST) fires on the initiator of an attempt whose data
-	// set is split into owned and read-only words (Rec.SetReadSet): Success
-	// decided, the words it writes owned, the commit epoch stepped, and the
-	// read-only words not yet validated — the window in which a commit that
-	// lands on one of them must still be caught by the validation pass.
+	// ChaosSTPostStep (ST) fires on the initiator of an attempt with a read
+	// list (Rec.SetReadSet): Success decided, its data set — the words it
+	// writes — owned, the commit epoch stepped, and the read list not yet
+	// validated — the window in which a commit that lands on one of its
+	// words must still be caught by the validation pass.
 	ChaosSTPostStep
 
 	chaosPoints
@@ -81,14 +80,13 @@ type ChaosEvent struct {
 	Point ChaosPoint
 	// Engine is the Memory's commit protocol.
 	Engine EngineKind
-	// Addrs is the attempt's data set. At ChaosSTHelping it is the failed
-	// initiator's data set (or the one word a stable load wanted), not the
-	// blocker's.
+	// Addrs is the attempt's data set, without any read list. At
+	// ChaosSTHelping it is the failed initiator's data set (or the one word
+	// a stable load wanted), not the blocker's.
 	Addrs []int
 	// Writes is the write-set size at the point: the TL2 write count at
-	// the TL2 points, the number of words the attempt owns at the other ST
-	// points (ST installs what it owns: the whole data set of a static
-	// attempt, the written words of a split one), and -1 at ChaosSTHelping.
+	// the TL2 points, the data-set size at the other ST points (ST owns and
+	// installs its whole data set), and -1 at ChaosSTHelping.
 	Writes int
 }
 

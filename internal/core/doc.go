@@ -12,6 +12,13 @@
 //  4. computes new values with a deterministic update function,
 //  5. writes the new values and releases ownership.
 //
+// A record may also carry a read list (Rec.SetReadSet): words its caller
+// read and does not write, never owned, only validated — after step 2, once
+// for every helper — against the commit-epoch sample they were read under.
+// That is how a dynamic transaction, built on the static protocol, commits
+// its write set alone (DESIGN.md §9); a stale list fails the attempt with
+// nothing installed.
+//
 // If acquisition finds a word owned by another transaction, the transaction
 // fails itself (CAS status to Failure) and the initiating goroutine helps
 // the blocking transaction run to completion before retrying — the paper's

@@ -12,18 +12,18 @@ import (
 // reads its data set, validates it, and installs new values.
 //
 // Two engines exist. EngineST is the source paper's cooperative-helping
-// ownership protocol: an attempt acquires ownership of every word it
-// installs — a static attempt's whole data set, the written words of one
-// whose caller split off the words it only read (Rec.SetReadSet), which are
-// validated instead — and a blocked attempt helps its blocker to
-// completion, which keeps the protocol non-blocking. (A dynamic transaction
-// that wrote nothing makes no attempt at all.) EngineTL2 is a
-// TL2/LSA-style global-version-clock protocol: reads are invisible
-// (ownership-free, validated against a read version sampled from the
-// clock), writes are buffered and installed under short per-word locks at
-// commit, and a transaction whose computed new values equal its old values
-// commits as a pure read with no atomic read-modify-write at all — the
-// read-mostly fast path EngineST cannot offer. The trade-off is liveness:
+// ownership protocol: an attempt acquires ownership of its whole data set
+// — the words it installs; words its caller only read ride beside it as a
+// read list (Rec.SetReadSet), validated and never owned — and a blocked
+// attempt helps its blocker to completion, which keeps the protocol
+// non-blocking. (A dynamic transaction that wrote nothing makes no attempt
+// at all.) EngineTL2 is a TL2/LSA-style global-version-clock protocol:
+// reads are invisible (ownership-free, validated against a read version
+// sampled from the clock), writes are buffered and installed under short
+// per-word locks at commit, and a transaction whose computed new values
+// equal its old values commits as a pure read with no atomic
+// read-modify-write at all — the read-mostly fast path EngineST cannot
+// offer. The trade-off is liveness:
 // TL2 commits hold locks, so a preempted committer briefly blocks
 // conflicting writers (they fail and defer to the contention policy)
 // instead of being helped. See DESIGN.md §11.
@@ -129,7 +129,8 @@ func (e *stEngine) Kind() EngineKind { return EngineST }
 
 // Attempt runs the protocol for rec to completion from the initiating
 // goroutine, with the stable window open so contending transactions may
-// help. Failed attempts have helped their blocker before returning.
+// help. An attempt that failed at an ownership conflict has helped its
+// blocker before returning; one whose read list was stale helps nobody.
 func (e *stEngine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool {
 	m := e.m
 	lvl := m.obsLevel()
@@ -144,10 +145,12 @@ func (e *stEngine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool {
 	rec.stable.Store(false)
 
 	if rec.Succeeded() {
-		// ST installs what it owns — the whole data set of a static attempt,
-		// the written words of a split one — so the owned words are the
-		// write set, and their acquisition is the protocol's lock phase.
-		owned := rec.ownedCount()
+		if i, stale := rec.staleRead(); stale {
+			return m.failAttempt(rec, info, ConflictInfo{Index: i, Addr: rec.reads[i], ReadStale: true}, nil, ReasonSTValidate)
+		}
+		// ST owns its whole data set, which is the write set — its
+		// acquisition is the protocol's lock phase.
+		owned := len(rec.addrs)
 		m.stats.shards[rec.shard].c[cOwnedWords].Add(uint64(owned))
 		if lvl != ObsOff {
 			rec.obsWrites = owned
@@ -158,7 +161,7 @@ func (e *stEngine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool {
 		}
 		return true
 	}
-	// Taxonomy: every ST failure is an ownership conflict; the two
+	// Taxonomy: every other ST failure is an ownership conflict; the two
 	// sub-reasons split on whether this attempt's failure path executed
 	// the blocker's protocol (rec.obsHelped, set by m.transaction).
 	addr := -1
@@ -179,3 +182,29 @@ func (e *stEngine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool {
 // StableLoadBox returns a committed box for loc, helping any stable owner
 // to completion first — the protocol's non-blocking answer to every stall.
 func (e *stEngine) StableLoadBox(loc int) *uint64 { return e.m.stStableLoadBox(loc) }
+
+// failAttempt ends an attempt that died at the word at describes: it charges
+// the word's conflict counter, records the abort taxonomy entry, and fills
+// the caller's conflict report with at and, when present, the blocking
+// record — the policy's ConflictInfo and the obs seam's reason come from
+// the same failure site, so the two surfaces can never disagree. owner is
+// read through atomics only: it may already be recycled onto a later
+// attempt, which yields stale-but-safe advisory values.
+func (m *Memory) failAttempt(rec *Rec, info *ConflictInfo, at ConflictInfo, owner *Rec, reason AbortReason) bool {
+	m.words[at.Addr].conflicts.Add(1)
+	rec.obsFail(reason, at.Addr)
+	if m.obsLevel() != ObsOff && reason != ReasonTL2Lock {
+		// Admission and validation failures are validation events; a lost
+		// lock CAS is reported by EvAbort alone.
+		m.obsEmit(rec, EvValidationFail, at.Addr, -1)
+	}
+	if info != nil {
+		*info = at
+		if owner != nil && owner != rec {
+			info.OwnerPresent = true
+			info.OwnerVersion = owner.version.Load()
+			info.OwnerPriority = owner.prio.Load()
+		}
+	}
+	return false
+}

@@ -16,8 +16,15 @@ import (
 // ReadAllInto, a failed compare-and-swap, calcDyn's no-op arm) commits right
 // there — zero atomic read-modify-writes, the path a static ST attempt
 // cannot offer because it must CAS ownership of every word it even looks
-// at. (calcDyn's no-op arm owns the written words on ST too, and validates
-// the rest.)
+// at.
+//
+// A dynamic commit's data set is only the words it writes; the words it
+// only read arrive beside it as a read list (Rec.SetReadSet) with the
+// commit epoch — this clock — sampled before they were read. The attempt
+// never reads them again: after its clock step it checks each one unlocked
+// and stamped at or below that sample S, and skips even that when its
+// clock CAS moved S→S+1, which proves no commit intervened since the reads.
+// A pure-read attempt checks the list unless the clock still reads S.
 //
 // Writes are lazy: new values are computed into the record's private buffer,
 // and only the words whose value actually changes are locked (owner CAS, in
@@ -114,7 +121,14 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 	if writes == 0 {
 		// Pure read: every word held a version ≤ rv while unlocked, so the
 		// snapshot is the committed state at the rv sample — serialize
-		// there and commit without touching the clock or any lock.
+		// there and commit without touching the clock or any lock. A read
+		// list is current there too if the clock has not moved since its
+		// sample; otherwise it is validated first.
+		if len(rec.reads) != 0 && rv != rec.sample {
+			if i, owner := e.checkReads(rec); i >= 0 {
+				return e.failRead(rec, info, i, owner)
+			}
+		}
 		if lvl != ObsOff {
 			rec.obsWrites = 0
 			m.stats.bump(rec.shard, cTL2ReadOnly)
@@ -203,6 +217,18 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 		}
 	}
 
+	// The read list is validated against its own sample S, not rv: the
+	// caller read it before this attempt began, and a word overwritten
+	// between S and rv carries a stamp ≤ rv. The skip is the same proof as
+	// above, moved back to S: the CAS moved the clock S→S+1, so no commit
+	// stepped since the list was read.
+	if len(rec.reads) != 0 && !(skipValidate && rv == rec.sample) {
+		if i, owner := e.checkReads(rec); i >= 0 {
+			e.release(rec, wr, k)
+			return e.failRead(rec, info, i, owner)
+		}
+	}
+
 	// Chaos injection: stall between the GV4 clock step (and validation)
 	// and the first write-back — the clock already carries wv but no word
 	// is stamped or installed, so every concurrent reader serializes
@@ -242,31 +268,37 @@ func (e *tl2Engine) release(rec *Rec, wr []bool, upto int) {
 	}
 }
 
-// fail charges the failed attempt to the word it died at, records the abort
-// taxonomy entry, and fills the caller's conflict report — the policy's
-// ConflictInfo and the obs seam's reason come from the same failure site,
-// so the two surfaces can never disagree. owner, when present, is read
-// through atomics only: it may already be recycled onto a later attempt,
-// which yields stale-but-safe advisory values, same as the ST engine's
-// inspection.
+// fail ends the attempt at data-set word idx (see Memory.failAttempt).
 func (e *tl2Engine) fail(rec *Rec, info *ConflictInfo, idx int, owner *Rec, reason AbortReason) bool {
-	loc := rec.addrs[idx]
-	e.m.words[loc].conflicts.Add(1)
-	rec.obsFail(reason, loc)
-	if e.m.obsLevel() != ObsOff && reason != ReasonTL2Lock {
-		// Read-admission and revalidation failures are validation events;
-		// a lost lock CAS is reported by EvAbort alone.
-		e.m.obsEmit(rec, EvValidationFail, loc, -1)
-	}
-	if info != nil {
-		*info = ConflictInfo{Index: idx, Addr: loc}
-		if owner != nil && owner != rec {
-			info.OwnerPresent = true
-			info.OwnerVersion = owner.version.Load()
-			info.OwnerPriority = owner.prio.Load()
+	return e.m.failAttempt(rec, info, ConflictInfo{Index: idx, Addr: rec.addrs[idx]}, owner, reason)
+}
+
+// failRead ends the attempt at read-list word i, found locked by owner (or
+// stamped past the sample, owner nil).
+func (e *tl2Engine) failRead(rec *Rec, info *ConflictInfo, i int, owner *Rec) bool {
+	return e.m.failAttempt(rec, info, ConflictInfo{Index: i, Addr: rec.reads[i], ReadStale: true}, owner, ReasonTL2Validate)
+}
+
+// checkReads validates the read list against its sample S: every word must
+// be unlocked and stamped ≤ S, loaded in that order, as in the write-set
+// validation — a commit that locks a word after the owner load mints its
+// stamp from a clock step after this attempt's own, and serializes after
+// it. A word passing both held its read value from the caller's read until
+// the version load: any install after that read carries a stamp > S,
+// because its committer locked the word after the read found it unlocked,
+// after the clock had reached S. It returns the first stale word's index
+// and the owner found there, or -1.
+func (e *tl2Engine) checkReads(rec *Rec) (int, *Rec) {
+	for i, loc := range rec.reads {
+		w := &e.m.words[loc]
+		if owner := w.owner.Load(); owner != nil {
+			return i, owner
+		}
+		if w.version.Load() > rec.sample {
+			return i, nil
 		}
 	}
-	return false
+	return -1, nil
 }
 
 // StableLoadBox waits out the short commit-lock window instead of helping:

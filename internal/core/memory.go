@@ -296,17 +296,20 @@ func (m *Memory) transaction(rec *Rec, initiator bool) {
 	}
 
 	if st == statusSuccess {
-		// Chaos injection: the initiator stalls here with everything it
-		// owns owned and nothing installed — the exact stall cooperative
+		// Chaos injection: the initiator stalls here with its whole data
+		// set owned and nothing installed — the exact stall cooperative
 		// helping exists to absorb. Helpers never fire (a parked helper
 		// would multiply one injected stall across every rescuer).
 		if initiator && m.chaosOn.Load() != 0 {
-			m.chaosFire(ChaosSTPostLock, rec.addrs, rec.ownedCount())
+			m.chaosFire(ChaosSTPostLock, rec.addrs, len(rec.addrs))
 		}
-		if rec.own != nil {
-			// A split data set steps (unconditionally) and settles its
-			// read-only words before anything else is agreed.
-			m.validateReads(rec, initiator)
+		// An attempt with a read list steps (unconditionally) and settles it
+		// before anything else is agreed. A stale verdict ends the attempt:
+		// every participant releases what the record owns, having agreed
+		// and installed nothing, and the initiator reports the failure.
+		if len(rec.reads) != 0 && !m.validateReads(rec, initiator) {
+			m.releaseOwnerships(rec)
+			return
 		}
 		m.agreeOldValues(rec)
 		newv := m.newValuesFor(rec, initiator)
@@ -315,9 +318,9 @@ func (m *Memory) transaction(rec *Rec, initiator bool) {
 		// nothing yet. Every participant steps before its own installs, so
 		// the first step precedes the first install whoever performs it; the
 		// repeats are harmless. A commit that changes no value installs
-		// nothing and does not step. (A split data set stepped in
+		// nothing and does not step. (One with a read list stepped in
 		// validateReads, before its verdict and so before any install.)
-		if rec.own == nil && rec.changes(newv) {
+		if len(rec.reads) == 0 && rec.changes(newv) {
 			m.epoch.Add(1)
 		}
 		m.updateMemory(rec, newv, initiator)
@@ -355,17 +358,13 @@ func (m *Memory) transaction(rec *Rec, initiator bool) {
 	rec.obsHelped = helped
 }
 
-// acquireOwnerships claims the words the record owns (its whole data set,
-// or the written part of a split one) in ascending address order. It
-// returns when every such word is owned by rec (leaving status Null
+// acquireOwnerships claims the record's data set in ascending address
+// order. It returns when every word is owned by rec (leaving status Null
 // for the caller to decide Success), or after CASing rec's status to
 // Failure at the first word found owned by another record, or as soon as it
 // observes a decided status (some other helper got further than us).
 func (m *Memory) acquireOwnerships(rec *Rec) {
 	for i, loc := range rec.addrs {
-		if !rec.owns(i) {
-			continue
-		}
 		w := &m.words[loc]
 		for {
 			if rec.status.Load() != statusNull {
@@ -395,20 +394,22 @@ func (m *Memory) acquireOwnerships(rec *Rec) {
 	}
 }
 
-// validateReads settles a split data set's read-only words (SetReadSet):
-// the step, then one verdict for every participant. The order is the proof
-// (DESIGN.md §9, "Commit: own the writes, validate the reads").
+// validateReads settles the record's read list (SetReadSet): the step,
+// then one verdict for every participant, which it reports as valid or
+// stale. The order is the proof (DESIGN.md §9, "Commit: own the writes,
+// validate the reads").
 //
-// Success is decided, so rec owns every word it writes, and keeps them
-// until some participant has installed under the verdict this publishes.
-// The participant steps the epoch first. A step that returns sample+1 is
-// the first since the reads were taken: every read-only word still holds
-// its read value at the step, by the argument that admits a read on the
-// fast path, and that instant — writes owned, reads current — is the
-// commit's linearization point, found without a load. Only one step can
-// return sample+1, which is what keeps two commits that each read what the
-// other writes from both passing on it. Any other step is followed by the
-// pass below, which looks at the words themselves.
+// Success is decided, so rec owns its whole data set — the words it
+// writes — and keeps them until some participant has installed under the
+// verdict this publishes, or released them under a stale one. The
+// participant steps the epoch first. A step that returns sample+1 is the
+// first since the reads were taken: every read-list word still holds its
+// read value at the step, by the argument that admits a read on the fast
+// path, and that instant — writes owned, reads current — is the commit's
+// linearization point, found without a load. Only one step can return
+// sample+1, which is what keeps two commits that each read what the other
+// writes from both passing on it. Any other step is followed by the pass
+// below, which looks at the words themselves.
 //
 // Whichever finishes first publishes its outcome with one CAS, and every
 // participant — this one included, if it lost — adopts the published one:
@@ -417,25 +418,26 @@ func (m *Memory) acquireOwnerships(rec *Rec) {
 // whole because a pass is only evidence once its epoch check has passed;
 // values it loaded before the check failed prove nothing. A participant
 // that finds the verdict already settled neither steps nor validates.
-func (m *Memory) validateReads(rec *Rec, initiator bool) {
-	if rec.verdict.Load() != statusNull {
-		return
+func (m *Memory) validateReads(rec *Rec, initiator bool) bool {
+	if v := rec.verdict.Load(); v != statusNull {
+		return v == statusSuccess
 	}
 	e := m.epoch.Add(1)
 	// Chaos injection: the write set is owned and the epoch stepped, and
-	// the read-only words are not validated yet — a commit that lands on
-	// one of them now must be seen by the pass.
+	// the read list is not validated yet — a commit that lands on one of
+	// its words now must be seen by the pass.
 	if initiator && m.chaosOn.Load() != 0 {
-		m.chaosFire(ChaosSTPostStep, rec.addrs, rec.ownedCount())
+		m.chaosFire(ChaosSTPostStep, rec.addrs, len(rec.addrs))
 	}
 	v := statusSuccess
 	if e != rec.sample+1 {
 		v = m.readPass(rec, e)
 	}
 	rec.verdict.CompareAndSwap(statusNull, v)
+	return rec.verdict.Load() == statusSuccess
 }
 
-// readPass validates the read-only words with loads: each must be unowned
+// readPass validates the read list with loads: each word must be unowned
 // and hold its exp value, and the epoch must not move from e, a value it
 // held before the first load, until after the last. Then every word held
 // its exp value at the last load's instant: a commit that replaced one
@@ -452,10 +454,7 @@ func (m *Memory) validateReads(rec *Rec, initiator bool) {
 // progresses. It returns statusSuccess or failureAt the first stale word.
 func (m *Memory) readPass(rec *Rec, e uint64) int64 {
 	for {
-		for i, loc := range rec.addrs {
-			if rec.own[i] {
-				continue
-			}
+		for i, loc := range rec.reads {
 			w := &m.words[loc]
 			if w.owner.Load() != nil || *w.cell.Load() != rec.exp[i] {
 				return failureAt(i)
@@ -478,7 +477,7 @@ func (m *Memory) readPass(rec *Rec, e uint64) int64 {
 // update phase finds every slot already filled and writes nothing.
 func (m *Memory) agreeOldValues(rec *Rec) {
 	for i, loc := range rec.addrs {
-		if rec.owns(i) && rec.old[i].Load() == nil {
+		if rec.old[i].Load() == nil {
 			box := m.words[loc].cell.Load()
 			rec.old[i].CompareAndSwap(nil, box)
 		}
@@ -528,9 +527,6 @@ func (m *Memory) newValuesFor(rec *Rec, initiator bool) []uint64 {
 // individually.
 func (m *Memory) updateMemory(rec *Rec, newv []uint64, initiator bool) {
 	for i, loc := range rec.addrs {
-		if !rec.owns(i) {
-			continue
-		}
 		w := &m.words[loc]
 		for {
 			cur := w.cell.Load()
@@ -564,13 +560,10 @@ func (m *Memory) updateMemory(rec *Rec, newv []uint64, initiator bool) {
 
 // releaseOwnerships returns every word still owned by rec to the free
 // state. On the failure path words past the failing index were never
-// acquired by us, but helpers may have acquired them for us, so every word
-// the record owns is scanned unconditionally.
+// acquired by us, but helpers may have acquired them for us, so the whole
+// data set is scanned unconditionally.
 func (m *Memory) releaseOwnerships(rec *Rec) {
-	for i, loc := range rec.addrs {
-		if !rec.owns(i) {
-			continue
-		}
+	for _, loc := range rec.addrs {
 		w := &m.words[loc]
 		if w.owner.Load() == rec {
 			w.owner.CompareAndSwap(rec, nil)

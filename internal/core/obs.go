@@ -90,6 +90,11 @@ const (
 	// the blocker still stable and executed its protocol on its behalf —
 	// the cooperative-helping cost of the failure, paid by this attempt.
 	ReasonSTHelped
+	// ReasonSTValidate (ST) is a read-list validation failure: the attempt
+	// owned its data set, but a word it only read (Rec.SetReadSet) was
+	// owned by another record or had moved since the caller's epoch sample,
+	// so it released everything and installed nothing.
+	ReasonSTValidate
 
 	// ReasonTL2Read (TL2) is an invisible-read admission failure: a data-set
 	// word was locked, version-stamped above the read version, or moved
@@ -98,15 +103,17 @@ const (
 	// ReasonTL2Lock (TL2) is a write-lock acquisition failure: a write-set
 	// word was locked by a concurrent committer.
 	ReasonTL2Lock
-	// ReasonTL2Validate (TL2) is a post-lock validation failure: the clock
-	// moved between the read sample and the lock phase, and revalidation
-	// found a data-set word overwritten or locked since the reads.
+	// ReasonTL2Validate (TL2) is a validation failure: the clock moved
+	// between the read sample and the lock phase, and revalidation found a
+	// data-set word overwritten or locked since the reads, or a read-list
+	// word (Rec.SetReadSet) was locked or stamped past the caller's epoch
+	// sample.
 	ReasonTL2Validate
 )
 
 // reasonNames is index-aligned with the AbortReason constants.
 var reasonNames = [...]string{
-	"none", "st-conflict", "st-helped", "tl2-read", "tl2-lock", "tl2-validate",
+	"none", "st-conflict", "st-helped", "st-validate", "tl2-read", "tl2-lock", "tl2-validate",
 }
 
 // String returns the reason's taxonomy name.
@@ -121,8 +128,7 @@ func (r AbortReason) String() string {
 type EventKind uint8
 
 const (
-	// EvBegin fires when an armed attempt starts executing. Size is the
-	// data-set size.
+	// EvBegin fires when an armed attempt starts executing.
 	EvBegin EventKind = iota
 	// EvReadSet fires when the attempt's read phase completes: the whole
 	// data set has been read consistently. The TL2 engine emits it after
@@ -134,8 +140,9 @@ const (
 	// (Writes = data-set size; ST acquires its whole set).
 	EvLock
 	// EvValidationFail fires when a validation or admission check fails:
-	// the TL2 read-phase rejection or post-lock revalidation failure, at
-	// the failing word (Addr). It is always followed by EvAbort.
+	// the TL2 read-phase rejection or revalidation failure, or a stale read
+	// list on either engine, at the failing word (Addr). It is always
+	// followed by EvAbort.
 	EvValidationFail
 	// EvCommit fires when the attempt commits. Ticks is the attempt
 	// duration in coarse ticks (0 below ObsHistograms or under one tick).
@@ -174,7 +181,9 @@ type Event struct {
 	// Addr is the word the event concerns (the failing word for
 	// EvValidationFail/EvAbort), or -1 when no single word is.
 	Addr int
-	// Size is the data-set size in words.
+	// Size is the attempt's footprint in words: the data set plus the
+	// validated reads of its read list (Rec.SetReadSet), so a dynamic
+	// commit reports every word its transaction touched.
 	Size int
 	// Writes is the write-set size in words: the words the engine will
 	// install (TL2: values that actually change; ST: the words it owns —
@@ -208,10 +217,12 @@ type TraceEvent struct {
 	Engine EngineKind
 	// Seq is the attempt identity (Rec.Version).
 	Seq uint64
-	// Addrs is the attempt's data set (engine order), copied.
+	// Addrs is the attempt's data set (engine order), copied: a dynamic
+	// commit's written words, without its read list.
 	Addrs []int
-	// Writes is the write-set size (TL2: changed words; ST: the whole
-	// set), or -1 if the attempt failed before computing it.
+	// Writes is the write-set size (TL2: changed words; ST: the words it
+	// owns, which is its data set), or -1 if the attempt failed before
+	// computing it.
 	Writes int
 	// Committed reports the outcome; Reason is the taxonomy entry for
 	// failed attempts.
@@ -295,7 +306,7 @@ func (m *Memory) obsBegin(rec *Rec, lvl ObsLevel) {
 			Engine: m.kind,
 			Seq:    rec.version.Load(),
 			Addr:   -1,
-			Size:   len(rec.addrs),
+			Size:   rec.footprint(),
 			Writes: -1,
 		}
 		st.observer.ObsEvent(&rec.evt)
@@ -318,7 +329,7 @@ func (m *Memory) obsEnd(rec *Rec, lvl ObsLevel, ok bool) {
 		} else {
 			sh.hists[hAbortTicks].Observe(dt)
 		}
-		sh.hists[hReadSet].Observe(uint64(len(rec.addrs)))
+		sh.hists[hReadSet].Observe(uint64(rec.footprint()))
 		if rec.obsWrites >= 0 {
 			sh.hists[hWriteSet].Observe(uint64(rec.obsWrites))
 		}
@@ -337,7 +348,7 @@ func (m *Memory) obsEnd(rec *Rec, lvl ObsLevel, ok bool) {
 			Engine: m.kind,
 			Seq:    rec.version.Load(),
 			Addr:   addr,
-			Size:   len(rec.addrs),
+			Size:   rec.footprint(),
 			Writes: rec.obsWrites,
 			Reason: reason,
 			Ticks:  dt,
@@ -374,7 +385,7 @@ func (m *Memory) obsEmit(rec *Rec, kind EventKind, addr, writes int) {
 		Engine: m.kind,
 		Seq:    rec.version.Load(),
 		Addr:   addr,
-		Size:   len(rec.addrs),
+		Size:   rec.footprint(),
 		Writes: writes,
 	}
 	st.observer.ObsEvent(&rec.evt)

@@ -161,7 +161,7 @@ func TestObsTaxonomyPartitionsFailures(t *testing.T) {
 			}
 			wg.Wait()
 			s := m.Stats()
-			sum := s.STConflictAborts + s.STHelpedAborts +
+			sum := s.STConflictAborts + s.STHelpedAborts + s.STValidateAborts +
 				s.TL2ReadAborts + s.TL2LockAborts + s.TL2ValidateAborts
 			if sum != s.Failures {
 				t.Errorf("taxonomy sum %d != failures %d (snapshot %+v)", sum, s.Failures, s)

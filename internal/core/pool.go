@@ -71,7 +71,7 @@ func (r *Rec) arm(k int) {
 	}
 	r.newVals.Store(nil)
 	r.helpClaimed.Store(false)
-	r.own, r.exp, r.sample = nil, nil, 0
+	r.reads, r.exp, r.sample = nil, nil, 0
 	r.verdict.Store(statusNull)
 	r.status.Store(statusNull)
 	r.allWritten.Store(false)
@@ -94,15 +94,21 @@ func (m *Memory) RunAttempt(rec *Rec, calc CalcFunc, oldOut []uint64) bool {
 	return m.RunAttemptConflict(rec, calc, oldOut, nil)
 }
 
-// ConflictInfo describes why an attempt failed: the word whose ownership
-// could not be acquired and a snapshot of the record observed blocking it.
+// ConflictInfo describes why an attempt failed: the word it died at —
+// whose ownership or lock could not be acquired, or that failed validation
+// — and a snapshot of the record observed blocking it, if any.
 // It is filled by RunAttemptConflict on the failure path so contention
 // policies can be fed without retaining the (recycled) record.
 type ConflictInfo struct {
 	// Index is the position within the sorted data set at which
-	// acquisition failed; Addr is the corresponding word address.
+	// acquisition or validation failed; Addr is the corresponding word
+	// address.
 	Index int
 	Addr  int
+	// ReadStale reports that the attempt failed because its read list
+	// (Rec.SetReadSet) was stale: Index is then a position in the read list
+	// and Addr the word there. Re-attempting the same list would fail again.
+	ReadStale bool
 	// OwnerPresent reports whether a blocking record was still installed
 	// at Addr when the failure was inspected; when false the blocker
 	// already completed (or was helped to completion by this very attempt)

@@ -1,42 +1,56 @@
 package core
 
-// Tests for split data sets (Rec.SetReadSet) on the ST engine: the attempt
-// owns only the words it writes, steps the commit epoch, and settles the
-// words it only read with one verdict for every participant — for free when
-// its step is the first since the reads were taken, by a pass over the
+// Tests for read lists (Rec.SetReadSet): the words an attempt only read,
+// carried beside its data set and validated, never owned, locked, agreed or
+// installed. On ST the attempt owns its data set, steps the commit epoch,
+// and settles the list with one verdict for every participant — for free
+// when its step is the first since the reads were taken, by a pass over the
 // words otherwise (DESIGN.md §9, "Commit: own the writes, validate the
-// reads").
+// reads"). On TL2 the list is checked by stamp against its own sample after
+// the clock step (DESIGN.md §11). Either way a stale list fails the attempt
+// with ConflictInfo.ReadStale, having installed nothing.
 
 import (
 	"sync"
 	"testing"
 )
 
-// splitRec draws a record over addrs that owns the words marked in own and
-// validates the others against their current values, under the current
-// epoch as the sample; f computes the owned words' new values (its old
-// values for read-only words are what the verdict says they are).
-func splitRec(m *Memory, addrs []int, own []bool, f updateFunc) *Rec {
-	exp := make([]uint64, len(addrs))
-	for i, a := range addrs {
+// splitRec draws a record whose data set is writes and whose read list is
+// reads, validated against their current values under the current epoch as
+// the sample; f computes the data set's new values.
+func splitRec(m *Memory, writes, reads []int, f updateFunc) *Rec {
+	exp := make([]uint64, len(reads))
+	for i, a := range reads {
 		exp[i] = m.Peek(a)
 	}
-	rec := armedRec(m, addrs, f)
-	rec.SetReadSet(own, exp, m.CommitEpoch())
+	rec := armedRec(m, writes, f)
+	rec.SetReadSet(reads, exp, m.CommitEpoch())
 	return rec
 }
 
-// incOwned returns an update adding one to the words marked in own and
-// leaving the rest as they are.
-func incOwned(own []bool) updateFunc {
-	return func(old []uint64) []uint64 {
-		nv := append([]uint64(nil), old...)
-		for i, o := range own {
-			if o {
-				nv[i]++
-			}
+// runSplit runs r once and returns its outcome, the old values of its data
+// set on commit, and the conflict report on failure.
+func runSplit(m *Memory, r *Rec) (ok bool, old []uint64, info ConflictInfo) {
+	old = make([]uint64, r.Size())
+	ok = m.RunAttemptConflict(r, r.calc, old, &info)
+	return ok, old, info
+}
+
+// wantStale checks a failed split attempt's report: the stale word at read
+// list index i, and nothing of data set writes installed (each still holds
+// its value in was) or left owned.
+func wantStale(t *testing.T, m *Memory, ok bool, info ConflictInfo, i, addr int, writes []int, was []uint64) {
+	t.Helper()
+	if ok {
+		t.Fatal("split attempt committed over a stale read")
+	}
+	if !info.ReadStale || info.Index != i || info.Addr != addr {
+		t.Errorf("report = %+v, want ReadStale at read-list index %d (word %d)", info, i, addr)
+	}
+	for j, a := range writes {
+		if m.Owner(a) != nil || m.Peek(a) != was[j] {
+			t.Errorf("word %d = %d owned by %p after a stale attempt, want %d and unowned", a, m.Peek(a), m.Owner(a), was[j])
 		}
-		return nv
 	}
 }
 
@@ -49,12 +63,16 @@ func TestSplitCommitOwnsOnlyWrites(t *testing.T) {
 		t.Fatal("seeding transaction failed")
 	}
 	m.ResetStats()
-	addrs, own := []int{1, 3, 5}, []bool{false, true, false}
 	rec := &chaosRecorder{}
-	m.SetChaos(rec.hook(m))
-	r := splitRec(m, addrs, own, incOwned(own))
-	old := make([]uint64, 3)
-	if !m.RunAttempt(r, r.calc, old) {
+	record := rec.hook(m)
+	var readsOwned []bool
+	m.SetChaos(func(e ChaosEvent) {
+		record(e)
+		readsOwned = append(readsOwned, m.Owner(1) != nil, m.Owner(5) != nil)
+	})
+	r := splitRec(m, []int{3}, []int{5, 1}, chaosAdd(1))
+	ok, old, _ := runSplit(m, r)
+	if !ok {
 		t.Fatal("uncontended split attempt failed")
 	}
 	m.SetChaos(nil)
@@ -63,21 +81,21 @@ func TestSplitCommitOwnsOnlyWrites(t *testing.T) {
 		if len(fires) != 1 {
 			t.Fatalf("%v fired %d times, want 1", p, len(fires))
 		}
-		i := fires[0]
-		if w := rec.events[i].Writes; w != 1 {
-			t.Errorf("%v: Writes = %d, want 1 (the one owned word)", p, w)
+		e := rec.events[fires[0]]
+		if e.Writes != 1 || len(e.Addrs) != 1 || e.Addrs[0] != 3 || !rec.owned[fires[0]][0] {
+			t.Errorf("%v: Writes=%d Addrs=%v owned=%v, want the one written word 3, owned", p, e.Writes, e.Addrs, rec.owned[fires[0]])
 		}
-		for j, a := range rec.events[i].Addrs {
-			if rec.owned[i][j] != own[j] {
-				t.Errorf("%v: word %d owned=%v, want %v", p, a, rec.owned[i][j], own[j])
-			}
+	}
+	for i, o := range readsOwned {
+		if o {
+			t.Errorf("a read-list word was owned at chaos fire %d", i/2)
 		}
 	}
 	if got := [3]uint64{m.Peek(1), m.Peek(3), m.Peek(5)}; got != [3]uint64{4, 5, 4} {
 		t.Errorf("words = %v, want [4 5 4]", got)
 	}
-	if got := [3]uint64{old[0], old[1], old[2]}; got != [3]uint64{4, 4, 4} {
-		t.Errorf("old values = %v, want [4 4 4] (the validated reads read as their expected values)", got)
+	if len(old) != 1 || old[0] != 4 {
+		t.Errorf("old values = %v, want [4]: the data set alone", old)
 	}
 	if s := m.Stats(); s.Commits != 1 || s.OwnedWords != 1 {
 		t.Errorf("commits=%d owned words=%d, want 1 and 1", s.Commits, s.OwnedWords)
@@ -92,7 +110,7 @@ func TestSplitCommitOwnsOnlyWrites(t *testing.T) {
 }
 
 // TestSplitCommitFirstStepLooksAtNothing: a step that returns sample+1 is
-// the verdict. The read-only word is owned by a committer parked before its
+// the verdict. The read-list word is owned by a committer parked before its
 // own step — a pass would call it stale — and the split commit still
 // installs, linearized at its step, ahead of the parked one.
 func TestSplitCommitFirstStepLooksAtNothing(t *testing.T) {
@@ -103,7 +121,7 @@ func TestSplitCommitFirstStepLooksAtNothing(t *testing.T) {
 	parked, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	m.SetChaos(func(e ChaosEvent) {
-		if e.Point == ChaosSTPostLock && len(e.Addrs) == 1 {
+		if e.Point == ChaosSTPostLock && len(e.Addrs) == 1 && e.Addrs[0] == 1 {
 			once.Do(func() { close(parked); <-release })
 		}
 	})
@@ -114,68 +132,58 @@ func TestSplitCommitFirstStepLooksAtNothing(t *testing.T) {
 		done <- ok
 	}()
 	<-parked
-	own := []bool{true, false}
-	r := splitRec(m, []int{0, 1}, own, incOwned(own))
-	old := make([]uint64, 2)
-	if !m.RunAttempt(r, r.calc, old) {
+	r := splitRec(m, []int{0}, []int{1}, chaosAdd(1))
+	if ok, _, _ := runSplit(m, r); !ok {
 		t.Fatal("split attempt failed")
+	}
+	if m.Peek(0) != 1 || m.Peek(1) != 0 {
+		t.Errorf("word 0 = %d, word 1 = %d; want 1 and 0 (valid on the step alone)", m.Peek(0), m.Peek(1))
 	}
 	close(release)
 	if !<-done {
 		t.Fatal("parked committer failed")
-	}
-	if m.Peek(0) != 1 || old[1] != 0 {
-		t.Errorf("word 0 = %d, old value of word 1 = %d; want 1 and 0 (valid on the step alone)", m.Peek(0), old[1])
 	}
 	if m.Peek(1) != 1 {
 		t.Errorf("word 1 = %d, want 1 (the parked commit, after the split one)", m.Peek(1))
 	}
 }
 
-// TestSplitCommitStaleRead: a commit lands on the read-only word after the
+// TestSplitCommitStaleRead: a commit lands on the read-list word after the
 // sample, so the split commit's step is not the first and the pass finds
-// the word moved: the verdict is stale at that word, the calc sees a value
-// other than the expected one there, and (here) installs nothing.
+// the word moved: the attempt fails at that word with ReadStale, counted as
+// st-validate, having installed nothing and released its write.
 func TestSplitCommitStaleRead(t *testing.T) {
 	m, err := NewMemory(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	own := []bool{true, false}
-	r := splitRec(m, []int{0, 1}, own, func(old []uint64) []uint64 {
-		if old[1] != 0 {
-			return append([]uint64(nil), old...) // stale: commit a no-op
-		}
-		return []uint64{old[0] + 1, old[1]}
-	})
+	m.Observe(ObsConfig{Level: ObsCounters})
+	r := splitRec(m, []int{0}, []int{2, 1}, chaosAdd(1))
 	if _, ok := tryOnce(m, []int{1}, chaosAdd(7)); !ok {
 		t.Fatal("foreign commit failed")
 	}
-	old := make([]uint64, 2)
-	if !m.RunAttempt(r, r.calc, old) {
-		t.Fatal("split attempt failed")
+	m.ResetStats()
+	ok, _, info := runSplit(m, r)
+	wantStale(t, m, ok, info, 1, 1, []int{0}, []uint64{0})
+	if s := m.Stats(); s.Failures != 1 || s.STValidateAborts != 1 || s.Helps != 0 || m.ConflictCount(1) != 1 {
+		t.Errorf("failures=%d st-validate=%d helps=%d conflicts at word 1=%d, want 1, 1, 0, 1",
+			s.Failures, s.STValidateAborts, s.Helps, m.ConflictCount(1))
 	}
-	if old[1] == 0 {
-		t.Errorf("old value of the moved read = 0, want anything but the expected 0")
-	}
-	if m.Peek(0) != 0 {
-		t.Errorf("word 0 = %d, want 0: the commit validated against a moved read", m.Peek(0))
-	}
-	// Moved and moved back is a pass too: the verdict compares values.
+	// Moved and moved back is a pass: the verdict compares values.
 	if _, ok := tryOnce(m, []int{1}, func([]uint64) []uint64 { return []uint64{0} }); !ok {
 		t.Fatal("foreign commit failed")
 	}
-	r = splitRec(m, []int{0, 1}, own, incOwned(own))
+	r = splitRec(m, []int{0}, []int{2, 1}, chaosAdd(1))
 	r.sample-- // a commit stepped since the sample: the pass runs
-	if !m.RunAttempt(r, r.calc, old) || m.Peek(0) != 1 {
-		t.Errorf("word 0 = %d after a pass over a current read, want 1", m.Peek(0))
+	if ok, _, _ := runSplit(m, r); !ok || m.Peek(0) != 1 {
+		t.Errorf("ok=%v word 0 = %d after a pass over a current read, want true and 1", ok, m.Peek(0))
 	}
 }
 
-// TestChaosSTPostStepPhase: the point fires on the initiator of a split
-// attempt only, after the step and before the verdict — its write set
-// owned and uninstalled, its reads unowned — so a commit that lands on a
-// read during the park is one the pass must see. The split commit's reads
+// TestChaosSTPostStepPhase: the point fires on the initiator of an attempt
+// with a read list only, after the step and before the verdict — its write
+// set owned and uninstalled, its reads unowned — so a commit that lands on
+// a read during the park is one the pass must see. The split commit's reads
 // are dated before an earlier commit's step, so its own step is not the
 // first since them and the pass runs, after the park.
 func TestChaosSTPostStepPhase(t *testing.T) {
@@ -187,7 +195,6 @@ func TestChaosSTPostStepPhase(t *testing.T) {
 		t.Fatal("seeding transaction failed")
 	}
 	e0 := m.CommitEpoch()
-	own := []bool{false, true}
 	var r *Rec
 	fired := 0
 	foreign := make(chan struct{})
@@ -216,18 +223,13 @@ func TestChaosSTPostStepPhase(t *testing.T) {
 		<-foreign
 	})
 	defer m.SetChaos(nil)
-	r = splitRec(m, []int{2, 4}, own, incOwned(own))
+	r = splitRec(m, []int{4}, []int{2}, chaosAdd(1))
 	r.sample = e0 - 1 // read before the seeding commit stepped
-	old := make([]uint64, 2)
-	if !m.RunAttempt(r, r.calc, old) {
-		t.Fatal("split attempt failed")
-	}
+	ok, _, info := runSplit(m, r)
 	if fired != 1 {
 		t.Fatalf("st-post-step fired %d times, want 1", fired)
 	}
-	if old[0] == 0 {
-		t.Errorf("the read moved during the park, but the verdict passed it")
-	}
+	wantStale(t, m, ok, info, 0, 2, []int{4}, []uint64{0})
 	// Static attempts own everything and never fire the point.
 	fired = 0
 	if _, ok := tryOnce(m, []int{2, 4}, chaosAdd(1)); !ok || fired != 0 {
@@ -235,7 +237,7 @@ func TestChaosSTPostStepPhase(t *testing.T) {
 	}
 }
 
-// TestReadPassPublishesWhole: two read-only words are never both 0 — a
+// TestReadPassPublishesWhole: two read-list words are never both 0 — a
 // writer swaps them between (0, 1) and (1, 0) in single commits — but each
 // is 0 half the time. A split commit that expects them both 0 must find a
 // read stale every time. A pass that a swap lands inside loads each of the
@@ -268,22 +270,109 @@ func TestReadPassPublishesWhole(t *testing.T) {
 		}
 	}()
 	defer func() { close(stop); wg.Wait() }()
-	addrs := make([]int, hi+1)
-	own := make([]bool, hi+1)
-	for i := range addrs {
-		addrs[i] = i
+	reads := make([]int, hi)
+	for i := range reads {
+		reads[i] = lo + i
 	}
-	own[0] = true
-	exp := make([]uint64, hi+1)
-	old := make([]uint64, hi+1)
+	exp := make([]uint64, hi)
 	for i := 0; i < 5000; i++ {
-		r := armedRec(m, addrs, incOwned(own))
-		r.SetReadSet(own, exp, 0) // the seeding commit stepped since
-		if !m.RunAttempt(r, r.calc, old) {
-			continue
-		}
-		if old[lo] == 0 && old[hi] == 0 {
+		r := armedRec(m, []int{0}, chaosAdd(1))
+		r.SetReadSet(reads, exp, 0) // the seeding commit stepped since
+		ok, _, info := runSplit(m, r)
+		if ok {
 			t.Fatalf("attempt %d validated both words at 0, a state they never held", i)
 		}
+		if !info.ReadStale || (info.Addr != lo && info.Addr != hi) {
+			t.Fatalf("attempt %d failed with %+v, want a stale read of word %d or %d", i, info, lo, hi)
+		}
+	}
+	if m.Peek(0) != 0 {
+		t.Errorf("word 0 = %d, want 0: no split attempt may install", m.Peek(0))
+	}
+}
+
+// TestSplitTL2StaleReadFailsValidate: on TL2 a read-list word stamped past
+// the sample fails the attempt after its lock phase — tl2-validate, with
+// ReadStale — and the attempt releases its locks having installed nothing.
+// A word that moved without changing the read list's words does not.
+func TestSplitTL2StaleReadFailsValidate(t *testing.T) {
+	m, _ := newTL2(t, 8)
+	m.Observe(ObsConfig{Level: ObsCounters})
+	r := splitRec(m, []int{0}, []int{3, 1}, chaosAdd(1))
+	if _, ok := tryOnce(m, []int{1}, chaosAdd(7)); !ok {
+		t.Fatal("foreign commit failed")
+	}
+	m.ResetStats()
+	ok, _, info := runSplit(m, r)
+	wantStale(t, m, ok, info, 1, 1, []int{0}, []uint64{0})
+	if s := m.Stats(); s.Failures != 1 || s.TL2ValidateAborts != 1 || m.ConflictCount(1) != 1 {
+		t.Errorf("failures=%d tl2-validate=%d conflicts at word 1=%d, want 1, 1, 1", s.Failures, s.TL2ValidateAborts, m.ConflictCount(1))
+	}
+	// Under a clock moved by a commit to another word the list validates.
+	r = splitRec(m, []int{0}, []int{3, 1}, chaosAdd(1))
+	if _, ok := tryOnce(m, []int{5}, chaosAdd(1)); !ok {
+		t.Fatal("foreign commit failed")
+	}
+	if ok, _, _ := runSplit(m, r); !ok || m.Peek(0) != 1 {
+		t.Errorf("ok=%v word 0 = %d over a current read list, want true and 1", ok, m.Peek(0))
+	}
+}
+
+// TestSplitTL2SkipNeedsTheSample: the validation is skipped only when the
+// attempt's clock CAS moved the clock from the read list's own sample. Here
+// the attempt starts with the clock still at the sample, and a commit to a
+// read-list word lands while it holds its locks, before its clock step: the
+// CAS fails, the list is validated, and the moved word is caught.
+func TestSplitTL2SkipNeedsTheSample(t *testing.T) {
+	m, _ := newTL2(t, 8)
+	foreign := make(chan struct{})
+	var once sync.Once
+	m.SetChaos(func(e ChaosEvent) {
+		if e.Point != ChaosTL2PostLock || e.Addrs[0] != 0 {
+			return
+		}
+		once.Do(func() {
+			go func() {
+				if _, ok := tryOnce(m, []int{2}, chaosAdd(1)); !ok {
+					t.Error("foreign commit failed")
+				}
+				close(foreign)
+			}()
+			<-foreign
+		})
+	})
+	defer m.SetChaos(nil)
+	r := splitRec(m, []int{0}, []int{2}, chaosAdd(1))
+	ok, _, info := runSplit(m, r)
+	wantStale(t, m, ok, info, 0, 2, []int{0}, []uint64{0})
+}
+
+// TestSplitTL2NoWriteAttempt: an attempt that changes nothing commits as a
+// pure read at its clock sample rv, so its read list must hold there: it is
+// validated unless rv is the list's own sample. A moved read fails the
+// attempt; a clock moved by an unrelated commit costs only the check.
+func TestSplitTL2NoWriteAttempt(t *testing.T) {
+	m, e := newTL2(t, 8)
+	identity := func(old []uint64) []uint64 { return append([]uint64(nil), old...) }
+	r := splitRec(m, []int{0}, []int{1}, identity)
+	if _, ok := tryOnce(m, []int{1}, chaosAdd(1)); !ok {
+		t.Fatal("foreign commit failed")
+	}
+	clock := e.clock.Load()
+	ok, _, info := runSplit(m, r)
+	wantStale(t, m, ok, info, 0, 1, []int{0}, []uint64{0})
+	if e.clock.Load() != clock {
+		t.Errorf("a failed pure read moved the clock")
+	}
+	r = splitRec(m, []int{0}, []int{1}, identity)
+	if _, ok := tryOnce(m, []int{4}, chaosAdd(1)); !ok {
+		t.Fatal("foreign commit failed")
+	}
+	if ok, _, _ := runSplit(m, r); !ok {
+		t.Error("pure read over a current read list failed under a moved clock")
+	}
+	r = splitRec(m, []int{0}, []int{1}, identity)
+	if ok, _, _ := runSplit(m, r); !ok {
+		t.Error("pure read under an unmoved clock failed")
 	}
 }

@@ -80,19 +80,19 @@ type Rec struct {
 	status     atomic.Int64
 	allWritten atomic.Bool
 
-	// Read-set staging (SetReadSet), ST engine only; own is nil for an
-	// attempt that owns its whole data set. own[i] marks the words the
-	// attempt owns and installs; every other word is read-only: never owned,
-	// only validated to still hold exp[i] at the linearization point.
-	// sample is the CommitEpoch value the caller's reads were taken under.
-	// Like addrs they are immutable while the attempt runs.
-	own    []bool
+	// Read list (SetReadSet): the words the attempt only read, beside its
+	// data set — in the caller's order, disjoint from addrs, never owned,
+	// locked, agreed or installed, only validated: reads[i] must still hold
+	// exp[i], the value the caller read there after sampling the
+	// CommitEpoch value sample. Empty for an attempt without one. Like
+	// addrs they are immutable while the attempt runs.
+	reads  []int
 	exp    []uint64
 	sample uint64
 
-	// verdict settles the read-only words for every participant, once, like
+	// verdict settles the read list for every ST participant, once, like
 	// status: statusNull until the first finished validation CASes in
-	// statusSuccess (every read still holds exp) or failureAt(i) (read-only
+	// statusSuccess (every read still holds exp) or failureAt(i) (read-list
 	// word i was owned or had moved). See Memory.validateReads.
 	verdict atomic.Int64
 
@@ -206,37 +206,34 @@ func (r *Rec) Env() any { return r.env }
 // once the attempt is running).
 func (r *Rec) SetEnv(v any) { r.env = v }
 
-// SetReadSet splits the data set into what the attempt writes and what it
-// only read: own[i] reports whether the attempt writes addrs[i], exp[i] is
-// the value a word it only read must still hold, and sample is the
-// CommitEpoch value sampled before those reads were taken (every read
-// stably loaded after it, the epoch unchanged at the last). On the ST
-// engine the attempt then owns only the words it writes; the others it
-// validates, once for all participants, and the calc sees exp[i] as such a
-// word's old value if the validation passed and a value different from
-// exp[i] at the first word that failed it. The TL2 engine validates every
-// read anyway and ignores the split. Both slices must have the record's
-// data-set length, stay unchanged until RunAttempt returns, and own at
-// least one word; call it between Begin and RunAttempt.
-func (r *Rec) SetReadSet(own []bool, exp []uint64, sample uint64) {
-	r.own, r.exp, r.sample = own, exp, sample
+// SetReadSet gives the attempt a read list beside its data set: addrs are
+// words the attempt read and does not write — disjoint from the data set,
+// in any order — exp[i] is the value addrs[i] was read as, and sample is
+// the CommitEpoch value sampled before those reads were taken (every read
+// stably loaded after it, the epoch unchanged at the last). No engine owns,
+// locks, agrees or installs a read-list word, and the calc never sees one:
+// the engine validates the list against sample, the ST engine once for all
+// participants (DESIGN.md §9), the TL2 engine by stamp (§11). A stale list
+// fails the attempt with ConflictInfo.ReadStale set: re-attempting the
+// same list would only fail again, so the caller has to read afresh. Both
+// slices must have the same length and stay unchanged until RunAttempt
+// returns; call it between Begin and RunAttempt.
+func (r *Rec) SetReadSet(addrs []int, exp []uint64, sample uint64) {
+	r.reads, r.exp, r.sample = addrs, exp, sample
 }
 
-// owns reports whether the attempt owns (and installs) data-set word i.
-func (r *Rec) owns(i int) bool { return r.own == nil || r.own[i] }
+// footprint returns how many words the attempt spans: its data set plus its
+// read list.
+func (r *Rec) footprint() int { return len(r.addrs) + len(r.reads) }
 
-// ownedCount returns how many data-set words the attempt owns.
-func (r *Rec) ownedCount() int {
-	if r.own == nil {
-		return len(r.addrs)
+// staleRead returns the read-list index a stale verdict names and true, or
+// 0 and false if the verdict is not a failure.
+func (r *Rec) staleRead() (int, bool) {
+	v := r.verdict.Load()
+	if !isFailure(v) {
+		return 0, false
 	}
-	n := 0
-	for _, o := range r.own {
-		if o {
-			n++
-		}
-	}
-	return n
+	return failureIndex(v), true
 }
 
 // pin registers the caller as an active helper of r. It returns false —
@@ -280,31 +277,17 @@ func (r *Rec) writeSet(k int) []bool {
 }
 
 // snapshotInto copies the agreed old values into out. It must only be
-// called once the record's status is Success, the agreement phase has
-// filled every owned slot and, for a split data set, the verdict is
-// settled. A read-only word's old value is what the verdict says it is:
-// exp, except at the word a failed validation stopped at, which reads as
-// a value exp is not.
+// called once the record's status is Success and the agreement phase has
+// filled every slot.
 func (r *Rec) snapshotInto(out []uint64) {
-	stale := -1
-	if v := r.verdict.Load(); isFailure(v) {
-		stale = failureIndex(v)
-	}
 	for i := range r.old {
-		switch {
-		case r.owns(i):
-			out[i] = *r.old[i].Load()
-		case i == stale:
-			out[i] = ^r.exp[i]
-		default:
-			out[i] = r.exp[i]
-		}
+		out[i] = *r.old[i].Load()
 	}
 }
 
 // changes reports whether installing newv would change any word's value:
-// some agreed old value differs from its new one. It is only asked of a
-// record that owns its whole data set, with snapshotInto's precondition.
+// some agreed old value differs from its new one. It has snapshotInto's
+// precondition.
 func (r *Rec) changes(newv []uint64) bool {
 	for i := range r.old {
 		if *r.old[i].Load() != newv[i] {

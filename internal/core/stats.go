@@ -30,6 +30,7 @@ const (
 	// counted by cHelps+r (statLine.reason).
 	cAbortSTConflict
 	cAbortSTHelped
+	cAbortSTValidate
 	cAbortTL2Read
 	cAbortTL2Lock
 	cAbortTL2Validate
@@ -89,6 +90,7 @@ var counterTable = [nCounters]CounterDef{
 	cHelps:            {"helps", ReasonNone, onBoth, func(s *StatsSnapshot) *uint64 { return &s.Helps }},
 	cAbortSTConflict:  {"aborts_st_conflict", ReasonSTConflict, onST, func(s *StatsSnapshot) *uint64 { return &s.STConflictAborts }},
 	cAbortSTHelped:    {"aborts_st_helped", ReasonSTHelped, onST, func(s *StatsSnapshot) *uint64 { return &s.STHelpedAborts }},
+	cAbortSTValidate:  {"aborts_st_validate", ReasonSTValidate, onST, func(s *StatsSnapshot) *uint64 { return &s.STValidateAborts }},
 	cAbortTL2Read:     {"aborts_tl2_read", ReasonTL2Read, onTL2, func(s *StatsSnapshot) *uint64 { return &s.TL2ReadAborts }},
 	cAbortTL2Lock:     {"aborts_tl2_lock", ReasonTL2Lock, onTL2, func(s *StatsSnapshot) *uint64 { return &s.TL2LockAborts }},
 	cAbortTL2Validate: {"aborts_tl2_validate", ReasonTL2Validate, onTL2, func(s *StatsSnapshot) *uint64 { return &s.TL2ValidateAborts }},
@@ -328,12 +330,13 @@ type StatsSnapshot struct {
 	Attempts uint64
 	// Commits counts attempts whose status was decided Success. It counts
 	// engine attempts, not operations: a dynamic transaction that wrote
-	// nothing commits without one and shows in ReadOnlyCommits instead, and
-	// one whose commit-time validation failed adds a Commit (the no-op arm)
-	// for every re-execution.
+	// nothing commits without one and shows in ReadOnlyCommits instead; one
+	// whose validation of the words it only read failed adds a Failure for
+	// every re-execution, and one whose read-then-written word moved adds a
+	// Commit (calcDyn's no-op arm).
 	Commits uint64
-	// Failures counts attempts whose status was decided Failure; each such
-	// attempt triggered at most one help.
+	// Failures counts attempts that failed; each triggered at most one
+	// help.
 	Failures uint64
 	// Helps counts times an initiator executed another transaction's
 	// protocol on its behalf (non-redundant helping). ST-only: always 0 on
@@ -342,9 +345,12 @@ type StatsSnapshot struct {
 
 	// ST abort taxonomy (ObsCounters+): STConflictAborts are ownership
 	// conflicts whose blocker needed no help; STHelpedAborts additionally
-	// executed the blocker's protocol. The two partition ST failures.
+	// executed the blocker's protocol; STValidateAborts owned their data
+	// set but found a word of their read list stale (a dynamic commit whose
+	// reads moved after its speculation). The three partition ST failures.
 	STConflictAborts uint64
 	STHelpedAborts   uint64
+	STValidateAborts uint64
 
 	// TL2 abort taxonomy (ObsCounters+): read-phase admission failures,
 	// write-lock acquisition failures, and post-lock validation failures.
@@ -402,9 +408,9 @@ type StatsSnapshot struct {
 	// Attempt histograms (ObsHistograms+), merged across shards.
 	// CommitTicks/AbortTicks are attempt durations in coarse ticks (see
 	// the ticks precision contract: one tick is nominally TickInterval,
-	// and sub-tick attempts land in bin 0). ReadSetSize/WriteSetSize are
-	// data-set and write-set sizes in words, recorded per finished
-	// attempt.
+	// and sub-tick attempts land in bin 0). ReadSetSize is the attempt's
+	// footprint in words — its data set plus any read list, Event.Size —
+	// and WriteSetSize its write-set size, recorded per finished attempt.
 	CommitTicks  HistogramSnapshot
 	AbortTicks   HistogramSnapshot
 	ReadSetSize  HistogramSnapshot

@@ -63,7 +63,7 @@ func TestStatsTableCoversSnapshot(t *testing.T) {
 	for r := ReasonSTConflict; r <= ReasonTL2Validate; r++ {
 		c := counterTable[cHelps+counter(r)]
 		want := uint8(onTL2)
-		if r <= ReasonSTHelped {
+		if r <= ReasonSTValidate {
 			want = onST
 		}
 		if c.Reason != r || c.engines != want {

@@ -60,12 +60,14 @@ const (
 // attempt is charged to exactly one reason.
 type AbortReason = core.AbortReason
 
-// The abort taxonomy. ST failures are ReasonSTConflict or ReasonSTHelped;
-// TL2 failures are ReasonTL2Read, ReasonTL2Lock, or ReasonTL2Validate.
+// The abort taxonomy. ST failures are ReasonSTConflict, ReasonSTHelped, or
+// ReasonSTValidate; TL2 failures are ReasonTL2Read, ReasonTL2Lock, or
+// ReasonTL2Validate.
 const (
 	ReasonNone        = core.ReasonNone
 	ReasonSTConflict  = core.ReasonSTConflict
 	ReasonSTHelped    = core.ReasonSTHelped
+	ReasonSTValidate  = core.ReasonSTValidate
 	ReasonTL2Read     = core.ReasonTL2Read
 	ReasonTL2Lock     = core.ReasonTL2Lock
 	ReasonTL2Validate = core.ReasonTL2Validate

@@ -316,9 +316,9 @@ type staller struct {
 	done    chan struct{} // closed when the chain has run out
 }
 
-// stallWord0 starts a chain of rounds stalled transactions on word 0 of m
-// and returns once the first is parked.
-func stallWord0(t *testing.T, m *stm.Memory, rounds int) *staller {
+// stallWord starts a chain of rounds stalled transactions on word addr of
+// m and returns once the first is parked.
+func stallWord(t *testing.T, m *stm.Memory, addr, rounds int) *staller {
 	t.Helper()
 	s := &staller{
 		parked:  make(chan struct{}),
@@ -334,7 +334,7 @@ func stallWord0(t *testing.T, m *stm.Memory, rounds int) *staller {
 			<-s.release
 		}
 	})
-	tx := mustPrepare(t, m, []int{0})
+	tx := mustPrepare(t, m, []int{addr})
 	go func() {
 		defer close(s.done)
 		for i := 0; i < rounds; i++ {
@@ -506,7 +506,7 @@ func TestPolicyProtocolEveryEntryPoint(t *testing.T) {
 				e.stales = rounds
 				next, finish := func() {}, func() {}
 				if !tc.stale {
-					s := stallWord0(t, m, rounds)
+					s := stallWord(t, m, 0, rounds)
 					next, finish = s.next, s.finish
 				}
 				pol.onConflict = func(n int) {
@@ -551,5 +551,81 @@ func TestPolicyProtocolEveryEntryPoint(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+func TestPolicyDynamicCommitReport(t *testing.T) {
+	// A dynamic commit's data set is the words it writes, but the policy
+	// sees the operation: First is its lowest written word — here above
+	// the words it only read — and Size its whole footprint, reads
+	// included. A conflict at commit is reported once and re-attempted; a
+	// read found stale at commit is reported once and sends the operation
+	// back to speculate, so the policy hears it exactly once per
+	// re-speculation.
+	const footprint, first = 4, 4
+	for _, eng := range stm.Engines() {
+		t.Run(eng.String(), func(t *testing.T) {
+			pol := &protocolPolicy{}
+			m, err := stm.New(8, stm.WithEngine(eng), stm.WithPolicy(pol))
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls, stales := 0, 0
+			f := func(tx *stm.DTx) error {
+				calls++
+				sum := tx.Read(1) + tx.Read(2)
+				tx.Write(6, sum)
+				tx.Write(first, sum+1)
+				if stales > 0 {
+					// A commit to a word already read, after the last read:
+					// only the commit's validation can see it.
+					stales--
+					addWord(m, 1, 1)
+				}
+				return nil
+			}
+			check := func(name string, conflicts, specs, addr int) {
+				t.Helper()
+				pol.mu.Lock()
+				defer pol.mu.Unlock()
+				if len(pol.calls) != conflicts+1 || calls != specs {
+					t.Fatalf("%s: %d hook calls over %d speculations, want %d conflicts + 1 commit over %d: %+v",
+						name, len(pol.calls), calls, conflicts, specs, pol.calls)
+				}
+				for i, call := range pol.calls {
+					wantHook, wantAddr := "conflict", addr
+					if i == conflicts {
+						wantHook = "commit"
+					}
+					if call.hook != wantHook || call.c.First != first || call.c.Size != footprint || call.c.Addr != wantAddr {
+						t.Errorf("%s: call %d = %s %+v, want %s with First=%d Size=%d Addr=%d",
+							name, i, call.hook, call.c, wantHook, first, footprint, wantAddr)
+					}
+				}
+				pol.calls, calls = nil, 0
+			}
+
+			// A held written word: one conflict, the same write set
+			// re-attempted, one speculation.
+			s := stallWord(t, m, first, 1)
+			pol.onConflict = func(int) { s.next() }
+			if err := m.Atomically(f); err != nil {
+				t.Fatal(err)
+			}
+			s.finish()
+			m.SetChaos(nil)
+			pol.onConflict = nil
+			check("held write", 1, 1, first)
+
+			// Two stale reads: two conflicts, three speculations.
+			stales = 2
+			if err := m.Atomically(f); err != nil {
+				t.Fatal(err)
+			}
+			check("stale read", 2, 3, 1)
+			if m.Peek(first) != m.Peek(1)+m.Peek(2)+1 {
+				t.Errorf("word %d = %d, want the sum of the final reads plus one", first, m.Peek(first))
+			}
+		})
 	}
 }

@@ -52,8 +52,8 @@ func WriteReport(w io.Writer, results []Result) {
 			s.Commits, s.Failures, 100*s.FailureRate())
 		switch r.Engine {
 		case stm.ST:
-			fmt.Fprintf(w, " helps=%d conflict=%d helped=%d\n",
-				s.Helps, s.STConflictAborts, s.STHelpedAborts)
+			fmt.Fprintf(w, " helps=%d conflict=%d helped=%d validate=%d\n",
+				s.Helps, s.STConflictAborts, s.STHelpedAborts, s.STValidateAborts)
 		case stm.TL2:
 			fmt.Fprintf(w, " read=%d lock=%d validate=%d ro-commits=%d\n",
 				s.TL2ReadAborts, s.TL2LockAborts, s.TL2ValidateAborts, s.TL2ReadOnlyCommits)

@@ -1,8 +1,8 @@
 package stm_test
 
 // A dynamic transaction that wrote something commits on ST owning only the
-// words it wrote; the words it only read are validated, once, with one
-// verdict every participant adopts (DESIGN.md §9, "Commit: own the writes,
+// words it wrote, its data set; the words it only read ride beside them as
+// a read list, validated once, with one verdict every participant adopts (DESIGN.md §9, "Commit: own the writes,
 // validate the reads"). These tests park that commit through the chaos
 // seam at both of its windows — write set owned (ChaosSTPostLock), epoch
 // stepped (ChaosSTPostStep) — and check what the rest of the system may and
@@ -42,8 +42,8 @@ func TestSplitParkedCommitter(t *testing.T) {
 	// step. A reader of A and a writer of A both go through without meeting
 	// it: nothing of theirs is owned, so nobody helps anybody. The writer's
 	// step comes before T's, so T's step is not the first since its read and
-	// its pass finds A moved: the commit is a no-op and T re-executes, copying
-	// the new A.
+	// its pass finds A moved: the attempt fails, installing nothing, and T
+	// re-executes, copying the new A.
 	const a, b = 0, 1
 	m := mustNewEngine(t, 4, stm.ST)
 	calls := 0
@@ -142,9 +142,10 @@ func TestSplitCommitOwnsWhatItWrites(t *testing.T) {
 }
 
 func TestChaosSTPostStepPublicSurface(t *testing.T) {
-	// The point fires once per split commit, on ST only, with Writes the
-	// written words; its write is not installed yet. Static transactions
-	// and TL2 never fire it.
+	// The point fires once per split commit, on ST only, with Addrs and
+	// Writes the written words — the read ones are not in its data set —
+	// and its write not installed yet. Static transactions and TL2 never
+	// fire it.
 	for _, eng := range stm.Engines() {
 		t.Run(eng.String(), func(t *testing.T) {
 			m := mustNewEngine(t, 8, eng)
@@ -172,8 +173,9 @@ func TestChaosSTPostStepPublicSurface(t *testing.T) {
 			if len(events) != want {
 				t.Fatalf("st-post-step fired %d times, want %d", len(events), want)
 			}
-			if want == 1 && (events[0].Writes != 2 || len(events[0].Addrs) != 4 || installed[0] != 0) {
-				t.Errorf("event Writes=%d Addrs=%v with word 3 = %d, want 2 writes of 4 words, nothing installed",
+			if want == 1 && (events[0].Writes != 2 || len(events[0].Addrs) != 2 ||
+				events[0].Addrs[0] != 3 || events[0].Addrs[1] != 5 || installed[0] != 0) {
+				t.Errorf("event Writes=%d Addrs=%v with word 3 = %d, want the 2 written words [3 5], nothing installed",
 					events[0].Writes, events[0].Addrs, installed[0])
 			}
 		})

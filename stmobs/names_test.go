@@ -42,6 +42,7 @@ var goldenProm = map[stm.Engine]string{
 		stm_abort_ticks_sum{memory="golden",engine="st"}
 		stm_aborts_total{memory="golden",engine="st",reason="st-conflict"}
 		stm_aborts_total{memory="golden",engine="st",reason="st-helped"}
+		stm_aborts_total{memory="golden",engine="st",reason="st-validate"}
 		stm_attempts_total{memory="golden",engine="st"}
 		stm_commit_ticks_bucket{memory="golden",engine="st"}
 		stm_commit_ticks_count{memory="golden",engine="st"}
@@ -113,10 +114,10 @@ var goldenProm = map[stm.Engine]string{
 
 var goldenStatsMap = map[stm.Engine]string{
 	stm.ST: `
-		aborts_st_conflict aborts_st_helped attempts commits engine failures helps
-		hist_commit_ticks hist_read_set hist_write_set obs_level owned_words
-		read_only_commits snapshot_extensions snapshot_rechecked snapshot_stale
-		tick_nanos`,
+		aborts_st_conflict aborts_st_helped aborts_st_validate attempts commits
+		engine failures helps hist_commit_ticks hist_read_set hist_write_set
+		obs_level owned_words read_only_commits snapshot_extensions
+		snapshot_rechecked snapshot_stale tick_nanos`,
 	stm.TL2: `
 		aborts_tl2_lock aborts_tl2_read aborts_tl2_validate attempts commits engine
 		failures helps hist_commit_ticks hist_read_set hist_write_set obs_level
@@ -126,10 +127,11 @@ var goldenStatsMap = map[stm.Engine]string{
 
 var goldenJSONL = map[stm.Engine]string{
 	stm.ST: `
-		aborts_st_conflict aborts_st_helped attempts checks commits duration_ms
-		engine failures fault_injectors helps hist_commit_ticks hist_read_set
-		hist_write_set ops owned_words policy read_only_commits scenario seed
-		snapshot_extensions snapshot_rechecked snapshot_stale tick_nanos verdict`,
+		aborts_st_conflict aborts_st_helped aborts_st_validate attempts checks
+		commits duration_ms engine failures fault_injectors helps
+		hist_commit_ticks hist_read_set hist_write_set ops owned_words policy
+		read_only_commits scenario seed snapshot_extensions snapshot_rechecked
+		snapshot_stale tick_nanos verdict`,
 	stm.TL2: `
 		aborts_tl2_lock aborts_tl2_read aborts_tl2_validate attempts checks
 		commits duration_ms engine failures fault_injectors helps
