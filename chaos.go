@@ -37,8 +37,8 @@ const (
 	// and the first write-back, every lock still held.
 	ChaosTL2PostClock = core.ChaosTL2PostClock
 	// ChaosSTPostStep (ST) fires on the initiator of a dynamic transaction's
-	// commit with its write set owned and the commit epoch stepped, before
-	// the words it only read are validated.
+	// commit that read something, with its write set owned and the commit
+	// epoch stepped, before the words it read are validated.
 	ChaosSTPostStep = core.ChaosSTPostStep
 )
 

@@ -5,7 +5,11 @@
 //	stmsim -suite smoke                  # CI tier, ~30s
 //	stmsim -suite canary -duration 10m   # long matrix run
 //	stmsim -suite sanity                 # only the planted bug; must be caught
-//	stmsim -suite smoke -seed 12345      # replay a failing run
+//	stmsim -suite smoke -seed 12345      # re-run a failing run's seed
+//
+// A seed reproduces the fault decisions and the workload draws, not the Go
+// schedule, so a failure that depends on the schedule may need several
+// runs of the same seed.
 //
 // It can also emit machine-readable results and serve the admin endpoints
 // while running:
@@ -45,7 +49,7 @@ func run(args []string) error {
 		jsonOut  = fs.String("json", "", "write per-run JSONL records to this file")
 		admin    = fs.String("admin", "", "admin HTTP listen address (/metrics, /debug/vars, /debug/pprof)")
 		duration = fs.Duration("duration", 0, "wall time, like 10m (0: the tier's default)")
-		seed     = fs.Uint64("seed", 0, "base seed to replay (unset: fresh, or STM_SIM_SEED)")
+		seed     = fs.Uint64("seed", 0, "base seed: reproduces fault decisions and workload draws, not the schedule (unset: fresh, or STM_SIM_SEED)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -99,8 +99,9 @@ type Policy interface {
 	// policy's job is only to decide how long to defer the retry, blocking
 	// for that duration.
 	OnConflict(c *Conflict)
-	// OnCommit is called once when the operation commits, including
-	// commits whose update was a validated no-op. Policies release
+	// OnCommit is called once when the operation commits, including a
+	// static compare-and-swap whose comparison failed (a validated no-op
+	// commit). Policies release
 	// per-operation resources (tokens, priorities) here. By default it is
 	// only invoked for operations that conflicted at least once; policies
 	// that also need clean commits — e.g. to window abort rates —

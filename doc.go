@@ -115,8 +115,8 @@
 //   - stm.ST (the default) is the paper's cooperative-helping ownership
 //     protocol. Every static attempt, including a pure read (Var.Load,
 //     ReadAllInto), acquires ownership of its whole data set; a dynamic
-//     commit owns only the words it writes and validates the rest; a
-//     blocked attempt helps its blocker to completion. No transaction
+//     commit owns only the words it writes and validates every word it
+//     read; a blocked attempt helps its blocker to completion. No transaction
 //     ever waits on a preempted peer — the strongest liveness — at the
 //     cost of several atomic read-modify-writes per owned word, even on
 //     static reads.

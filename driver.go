@@ -26,7 +26,7 @@ const (
 	opIdentity           // calcIdentity: nothing
 	opStore              // calcStore: repl
 	opCASN               // calcCASN: exp, repl
-	opDyn                // calcDyn: d's compiled footprint
+	opDyn                // calcStore: d's written values, and its read list
 )
 
 var calcs = [...]core.CalcFunc{
@@ -34,7 +34,7 @@ var calcs = [...]core.CalcFunc{
 	opIdentity: calcIdentity,
 	opStore:    calcStore,
 	opCASN:     calcCASN,
-	opDyn:      calcDyn,
+	opDyn:      calcStore,
 }
 
 // staged describes one transaction attempt before a record exists for it:
@@ -100,9 +100,9 @@ func (m *Memory) attempt(st *staged, old []uint64, info *core.ConflictInfo, prio
 		s.exp = append(s.exp[:0], st.exp...)
 		s.repl = append(s.repl[:0], st.repl...)
 	case opDyn:
-		// The data set is the words the transaction wrote; the words it
-		// only read ride beside it, to be validated against the
-		// speculation's epoch sample.
+		// The data set is the words the transaction wrote; every word it
+		// read rides beside it, to be validated against the speculation's
+		// epoch sample.
 		s.stageDyn(st.d)
 		r.SetReadSet(s.rdAddrs, s.rdExp, st.d.epoch)
 	case opUpdate:
@@ -124,13 +124,10 @@ func (m *Memory) attempt(st *staged, old []uint64, info *core.ConflictInfo, prio
 // sleeping out one more wait; the operation is then closed as aborted, its
 // final failure counted, so the policy releases whatever it granted.
 //
-// The engine committing a dynamic transaction's write set is not yet the
-// operation committing — atomically has to see which arm of calcDyn it
-// was — so for opDyn, and only then, the report comes back still open. So
-// it does when the engine found the words the transaction only read stale:
-// re-attempting would validate the same stale reads again, so contend
-// notes the conflict once and returns errStaleRead, and atomically
-// re-executes the speculation.
+// A dynamic commit whose read list the engine found stale is the one
+// exception to retrying: re-attempting would validate the same stale reads
+// again, so contend notes the conflict once and returns errStaleRead with
+// the report still open, and atomically re-executes the speculation.
 func (m *Memory) contend(ctx context.Context, st *staged, old []uint64, c *contention.Conflict) (*contention.Conflict, error) {
 	var info core.ConflictInfo
 	for !m.attempt(st, old, &info, prioOf(c)) {
@@ -144,9 +141,6 @@ func (m *Memory) contend(ctx context.Context, st *staged, old []uint64, c *conte
 		if info.ReadStale {
 			return c, errStaleRead
 		}
-	}
-	if st.op == opDyn {
-		return c, nil
 	}
 	m.commitConflict(c, st.first(), st.size())
 	return nil, nil

@@ -26,14 +26,14 @@ import (
 // having written nothing is committed there and then: the same argument
 // shows its whole log current at one instant inside the call, so it returns
 // with no engine attempt, no ownership and no record. Only a log that holds
-// a write goes on, and what the engine gets is its write set: the written
-// words, sorted, are the data set the one static driver executes with
-// calcDyn, and the words only read ride beside them as a read list, in log
-// order, which the engine validates against the speculation's epoch sample
-// — on ST once for all helpers — and never sorts, owns or installs. A stale
-// read list fails the attempt and the speculation re-executes; so does a
-// read-then-written word that moved, through calcDyn's validated no-op.
-// See DESIGN.md §9.
+// a write goes on, and what the engine gets is a WriteAll of its write set:
+// the written words, sorted, are the data set the one static driver stores
+// the buffered values into, and every word the speculation read — written
+// or not — rides beside them as a read list, in log order, which the engine
+// validates against the speculation's epoch sample (on ST once for all
+// helpers) and never sorts or installs. A stale read list fails the attempt
+// and the speculation re-executes: that is the one way a read that moved
+// before the commit ends. See DESIGN.md §9.
 
 // ErrRetryNoReads reports a Retry in a transaction (or in both branches of
 // an OrElse) that read nothing: with an empty read set there is no word
@@ -83,13 +83,11 @@ type DTx struct {
 	idxBase uint64 // slots with ticket <= idxBase are empty
 	idxTop  uint64
 
-	// Compiled footprint: fpSorted is the engine-order data set — the
-	// words the log writes — and fpPos[i] the log index of the i-th one.
+	// fpSorted is the compiled engine-order data set: the words the log
+	// writes.
 	fpSorted []int
-	fpPos    []int
 
-	engOld []uint64 // committed old values, engine order (commit scratch)
-	wbuf   []uint64 // codec staging for ReadVar/WriteVar
+	wbuf []uint64 // codec staging for ReadVar/WriteVar
 
 	// Deferred actions (OnCommit/OnAbort): run exactly once, outside the
 	// speculative body, after the transaction's outcome is decided. Only
@@ -612,10 +610,9 @@ func (d *DTx) waitReadSet(ctx context.Context) error {
 
 // compileFootprint lays out the words the log writes — the commit's data
 // set — in engine order: a sort of their addresses, a flat slice of ints,
-// which slices.Sort orders with no interface and no callback, after which
-// each one's log position is what lookup says it is. The words the log only
-// read stay in log order (stageDyn hands them to the engine as a read list),
-// so the sort costs what the transaction wrote, not what it touched.
+// which slices.Sort orders with no interface and no callback. The words the
+// log read stay in log order (stageDyn hands them to the engine as a read
+// list), so the sort costs what the transaction wrote, not what it touched.
 func (d *DTx) compileFootprint() {
 	d.fpSorted = d.fpSorted[:0]
 	for i := range d.log {
@@ -624,46 +621,24 @@ func (d *DTx) compileFootprint() {
 		}
 	}
 	slices.Sort(d.fpSorted)
-	d.fpPos = d.fpPos[:0]
-	for _, a := range d.fpSorted {
-		d.fpPos = append(d.fpPos, d.lookup(a))
-	}
 }
 
-// stageDyn copies d's compiled write set into the record's calcDyn
-// parameters and the entries it only read, in log order, into its read
-// list — by copy, because helpers may evaluate calcDyn and validate the
-// list after d has moved on.
+// stageDyn copies d's compiled write set's buffered values into the
+// record's repl, in engine order, and every entry it read, in log order,
+// into its read list — by copy, because helpers may validate the list after
+// d has moved on.
 func (s *scratch) stageDyn(d *DTx) {
-	s.ensureDyn(len(d.fpPos))
-	for i, e := range d.fpPos {
-		ent := &d.log[e]
-		s.dynRead[i] = ent.read
-		s.dynExp[i] = ent.rval
-		s.dynNew[i] = ent.val
+	s.repl = s.repl[:0]
+	for _, a := range d.fpSorted {
+		s.repl = append(s.repl, d.log[d.lookup(a)].val)
 	}
 	s.rdAddrs, s.rdExp = s.rdAddrs[:0], s.rdExp[:0]
 	for i := range d.log {
-		if ent := &d.log[i]; ent.read && !ent.written {
+		if ent := &d.log[i]; ent.read {
 			s.rdAddrs = append(s.rdAddrs, ent.addr)
 			s.rdExp = append(s.rdExp, ent.rval)
 		}
 	}
-}
-
-// committedClean reports whether the last committed attempt installed the
-// write set: every word the transaction read before writing held, at the
-// agreed old values, what the speculation saw. If not, the engine committed
-// the no-op arm of calcDyn and the speculation must re-execute; stale names
-// a word that moved.
-func (d *DTx) committedClean() (stale int, ok bool) {
-	for i, e := range d.fpPos {
-		ent := &d.log[e]
-		if ent.read && d.engOld[i] != ent.rval {
-			return d.fpSorted[i], false
-		}
-	}
-	return 0, true
 }
 
 // getDTx draws a pooled dynamic-transaction handle.
@@ -737,14 +712,12 @@ func (d *DTx) noteStale(c *contention.Conflict) *contention.Conflict {
 // reads were all current at one instant inside the call (DESIGN.md §9), so
 // the operation returns without the engine. Any other round commits its
 // write set through the one static driver — acquire the written words in
-// ascending order, validate the words only read, agree old values, and let
-// calcDyn either install the write set (every read-then-written word
-// matched) or commit a no-op (one moved). A stale read list or a no-op
-// sends the round back to re-execute. One policy report spans the whole
-// operation: every failure — an ownership conflict at commit, a stale
-// speculative read, a validation miss — lands on it through the same
-// helpers the static forms use, so dynamic transactions are first-class
-// citizens of the policy's telemetry.
+// ascending order, validate every word read, and install the buffered
+// values — and a stale read sends the round back to re-execute. One policy
+// report spans the whole operation: every failure — an ownership conflict
+// at commit, a stale speculative read, a validation miss — lands on it
+// through the same helpers the static forms use, so dynamic transactions
+// are first-class citizens of the policy's telemetry.
 func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) error) error {
 	d := m.getDTx()
 	defer m.putDTx(d)
@@ -817,28 +790,14 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 		}
 		d.compileFootprint()
 		st.addrs = d.fpSorted
-		if cap(d.engOld) < len(st.addrs) {
-			d.engOld = make([]uint64, len(st.addrs))
-		}
-		d.engOld = d.engOld[:len(st.addrs)]
 		// Ownership conflicts re-attempt the same write set; a stale read
 		// list comes back noted, for a fresh speculation.
 		var err error
-		if c, err = m.contend(ctx, &st, d.engOld, c); err == errStaleRead {
+		if c, err = m.contend(ctx, &st, nil, c); err == errStaleRead {
 			continue
 		} else if err != nil {
 			return d.fail(nil, err)
 		}
-		if stale, ok := d.committedClean(); !ok {
-			// The engine committed calcDyn's no-op arm: a concurrent
-			// transaction moved a word we read and then wrote between
-			// speculation and commit. Contention — defer, then re-execute
-			// from scratch.
-			info := core.ConflictInfo{Addr: stale}
-			c = m.noteConflict(c, st.first(), st.size(), &info)
-			continue
-		}
-		m.commitConflict(c, st.first(), st.size())
 		d.runCommitHooks()
 		return nil
 	}

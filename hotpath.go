@@ -150,27 +150,21 @@ func (m *Memory) abortConflict(c *contention.Conflict) {
 //
 // Fields are written only between Begin and RunAttempt (by attempt, on the
 // initiating goroutine, which owns the record exclusively then — and only
-// the fields the staged op's calc reads) and read — never written — by calc
-// evaluations afterwards.
+// the fields the staged op needs) and read — never written — afterwards, by
+// calc evaluations and by the engine validating a read list.
 type scratch struct {
 	// calcTx parameter: the staged update.
 	u UpdateInto
 
-	// k-word op parameters (calcCASN, calcStore).
+	// k-word op parameters (calcCASN, calcStore). A dynamic commit stages
+	// its written values, in engine order, in repl.
 	exp  []uint64
 	repl []uint64
 
-	// Dynamic-commit parameters. The data set is the words the transaction
-	// wrote, in engine order: dynNew[i] is the value calcDyn installs there,
-	// unless the transaction read the word first (dynRead[i]) and it no
-	// longer holds the value read, dynExp[i]. The words it only read are the
-	// record's read list: rdAddrs in log order, read as rdExp. Everything is
-	// copied from the DTx at stage time — like exp/repl, helpers may
-	// evaluate calcDyn and validate the list long after the initiating DTx
-	// has moved on, so the record must own its inputs.
-	dynExp  []uint64
-	dynNew  []uint64
-	dynRead []bool
+	// Read list (opDyn): every word a dynamic transaction read, in log
+	// order, written or not, and the value it read there. Like exp/repl they
+	// are copies: helpers may validate the list long after the initiating
+	// DTx has moved on, so the record must own its inputs.
 	rdAddrs []int
 	rdExp   []uint64
 }
@@ -189,19 +183,6 @@ func scratchOf(r *core.Rec) *scratch {
 	s := &scratch{}
 	r.SetEnv(s)
 	return s
-}
-
-// ensureDyn sizes the dynamic-commit staging buffers for a k-word write
-// set.
-func (s *scratch) ensureDyn(k int) {
-	if cap(s.dynExp) < k {
-		s.dynExp = make([]uint64, k)
-		s.dynNew = make([]uint64, k)
-		s.dynRead = make([]bool, k)
-	}
-	s.dynExp = s.dynExp[:k]
-	s.dynNew = s.dynNew[:k]
-	s.dynRead = s.dynRead[:k]
 }
 
 // calcIdentity commits the data set unchanged: a validated consistent read.
@@ -226,25 +207,6 @@ func calcCASN(env any, old, new []uint64, _ bool) {
 		}
 	}
 	copy(new, s.repl)
-}
-
-// calcDyn commits a dynamic transaction's write set: if every word it read
-// before writing still holds the value the speculation saw, install the
-// buffered values; otherwise commit the data set unchanged (a validated
-// no-op, like calcCASN's mismatch arm). The driver re-derives which case
-// happened from the committed old values and re-executes the speculation on
-// a mismatch — calc evaluations themselves must stay deterministic and must
-// not write to shared state. The words it only read never reach the calc:
-// the engine validates them and fails the attempt if one moved.
-func calcDyn(env any, old, new []uint64, _ bool) {
-	s := env.(*scratch)
-	for i := range old {
-		if s.dynRead[i] && old[i] != s.dynExp[i] {
-			copy(new, old)
-			return
-		}
-	}
-	copy(new, s.dynNew)
 }
 
 // calcTx evaluates a prepared transaction's UpdateInto.

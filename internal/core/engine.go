@@ -13,9 +13,9 @@ import (
 //
 // Two engines exist. EngineST is the source paper's cooperative-helping
 // ownership protocol: an attempt acquires ownership of its whole data set
-// — the words it installs; words its caller only read ride beside it as a
-// read list (Rec.SetReadSet), validated and never owned — and a blocked
-// attempt helps its blocker to completion, which keeps the protocol
+// — the words it installs; the words its caller read ride beside it as a
+// read list (Rec.SetReadSet), validated and never owned for it — and a
+// blocked attempt helps its blocker to completion, which keeps the protocol
 // non-blocking. (A dynamic transaction that wrote nothing makes no attempt
 // at all.) EngineTL2 is a TL2/LSA-style global-version-clock protocol:
 // reads are invisible (ownership-free, validated against a read version

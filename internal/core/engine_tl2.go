@@ -13,18 +13,19 @@ import (
 // accepting a word only if its version stamp is ≤ rv, it is unlocked, and
 // the stamp is identical before and after the value load. A transaction
 // whose computed new values equal its old values (every pure read: Var.Load,
-// ReadAllInto, a failed compare-and-swap, calcDyn's no-op arm) commits right
-// there — zero atomic read-modify-writes, the path a static ST attempt
-// cannot offer because it must CAS ownership of every word it even looks
-// at.
+// ReadAllInto, a failed compare-and-swap, a dynamic commit that writes back
+// what it read) commits right there — zero atomic read-modify-writes, the
+// path a static ST attempt cannot offer because it must CAS ownership of
+// every word it even looks at.
 //
-// A dynamic commit's data set is only the words it writes; the words it
-// only read arrive beside it as a read list (Rec.SetReadSet) with the
-// commit epoch — this clock — sampled before they were read. The attempt
-// never reads them again: after its clock step it checks each one unlocked
-// and stamped at or below that sample S, and skips even that when its
-// clock CAS moved S→S+1, which proves no commit intervened since the reads.
-// A pure-read attempt checks the list unless the clock still reads S.
+// A dynamic commit's data set is only the words it writes; every word it
+// read, written or not, arrives beside it as a read list (Rec.SetReadSet)
+// with the commit epoch — this clock — sampled before they were read. The
+// attempt never reads them again: after its clock step it checks each one
+// unlocked (or locked by itself) and stamped at or below that sample S, and
+// skips even that when its clock CAS moved S→S+1, which proves no commit
+// intervened since the reads. A pure-read attempt checks the list unless
+// the clock still reads S.
 //
 // Writes are lazy: new values are computed into the record's private buffer,
 // and only the words whose value actually changes are locked (owner CAS, in
@@ -280,18 +281,20 @@ func (e *tl2Engine) failRead(rec *Rec, info *ConflictInfo, i int, owner *Rec) bo
 }
 
 // checkReads validates the read list against its sample S: every word must
-// be unlocked and stamped ≤ S, loaded in that order, as in the write-set
-// validation — a commit that locks a word after the owner load mints its
-// stamp from a clock step after this attempt's own, and serializes after
-// it. A word passing both held its read value from the caller's read until
-// the version load: any install after that read carries a stamp > S,
-// because its committer locked the word after the read found it unlocked,
-// after the clock had reached S. It returns the first stale word's index
-// and the owner found there, or -1.
+// be unlocked, or locked by rec itself, and stamped ≤ S, loaded in that
+// order, as in the write-set validation — a commit that locks a word after
+// the owner load mints its stamp from a clock step after this attempt's
+// own, and serializes after it. A word passing both held its read value
+// from the caller's read until the version load: any install after that
+// read carries a stamp > S, because its committer locked the word after the
+// read found it unlocked, after the clock had reached S. A word rec locked
+// — one it read and then writes — stays so until rec's own write-back, so
+// its stamp check covers it up to the commit. It returns the first stale
+// word's index and the owner found there, or -1.
 func (e *tl2Engine) checkReads(rec *Rec) (int, *Rec) {
 	for i, loc := range rec.reads {
 		w := &e.m.words[loc]
-		if owner := w.owner.Load(); owner != nil {
+		if owner := w.owner.Load(); owner != nil && owner != rec {
 			return i, owner
 		}
 		if w.version.Load() > rec.sample {

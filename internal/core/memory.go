@@ -437,26 +437,29 @@ func (m *Memory) validateReads(rec *Rec, initiator bool) bool {
 	return rec.verdict.Load() == statusSuccess
 }
 
-// readPass validates the read list with loads: each word must be unowned
-// and hold its exp value, and the epoch must not move from e, a value it
-// held before the first load, until after the last. Then every word held
-// its exp value at the last load's instant: a commit that replaced one
-// after it was loaded stepped either inside the pass, which the unchanged
-// epoch rules out, or before it, and then it owned the word from before e
-// until its install — across the instant the pass found the word unowned.
-// A word found owned is stale: its owner may have stepped already and be
-// about to install. The pass never helps the owner — the owner may be
-// validating in turn, with one of rec's writes among its reads, and helping
-// would recurse — so a miss costs a re-execution, never a wait. A moved
-// epoch proves nothing either way, and the pass starts over under the new
-// value — unless another participant's verdict has landed meanwhile, which
-// ends it; each restart means some commit stepped, so the system
-// progresses. It returns statusSuccess or failureAt the first stale word.
+// readPass validates the read list with loads: each word must be unowned,
+// or owned by rec itself, and hold its exp value, and the epoch must not
+// move from e, a value it held before the first load, until after the last.
+// Then every word held its exp value at the last load's instant: a commit
+// that replaced an unowned one after it was loaded stepped either inside
+// the pass, which the unchanged epoch rules out, or before it, and then it
+// owned the word from before e until its install — across the instant the
+// pass found the word unowned. A word rec owns — one it read and then wrote
+// — nobody else can install over until rec releases it, and rec installs
+// nothing before its verdict. A word another record owns is stale: its
+// owner may have stepped already and be about to install. The pass never
+// helps the owner — the owner may be validating in turn, with one of rec's
+// writes among its reads, and helping would recurse — so a miss costs a
+// re-execution, never a wait. A moved epoch proves nothing either way, and
+// the pass starts over under the new value — unless another participant's
+// verdict has landed meanwhile, which ends it; each restart means some
+// commit stepped, so the system progresses. It returns statusSuccess or
+// failureAt the first stale word.
 func (m *Memory) readPass(rec *Rec, e uint64) int64 {
 	for {
 		for i, loc := range rec.reads {
 			w := &m.words[loc]
-			if w.owner.Load() != nil || *w.cell.Load() != rec.exp[i] {
+			if o := w.owner.Load(); (o != nil && o != rec) || *w.cell.Load() != rec.exp[i] {
 				return failureAt(i)
 			}
 		}

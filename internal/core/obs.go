@@ -91,7 +91,7 @@ const (
 	// the cooperative-helping cost of the failure, paid by this attempt.
 	ReasonSTHelped
 	// ReasonSTValidate (ST) is a read-list validation failure: the attempt
-	// owned its data set, but a word it only read (Rec.SetReadSet) was
+	// owned its data set, but a word on its read list (Rec.SetReadSet) was
 	// owned by another record or had moved since the caller's epoch sample,
 	// so it released everything and installed nothing.
 	ReasonSTValidate
@@ -183,7 +183,8 @@ type Event struct {
 	Addr int
 	// Size is the attempt's footprint in words: the data set plus the
 	// validated reads of its read list (Rec.SetReadSet), so a dynamic
-	// commit reports every word its transaction touched.
+	// commit reports every word its transaction touched — a word it read
+	// and then wrote is on both, and counts twice.
 	Size int
 	// Writes is the write-set size in words: the words the engine will
 	// install (TL2: values that actually change; ST: the words it owns —

@@ -1,14 +1,15 @@
 package core
 
-// Tests for read lists (Rec.SetReadSet): the words an attempt only read,
-// carried beside its data set and validated, never owned, locked, agreed or
-// installed. On ST the attempt owns its data set, steps the commit epoch,
-// and settles the list with one verdict for every participant — for free
-// when its step is the first since the reads were taken, by a pass over the
-// words otherwise (DESIGN.md §9, "Commit: own the writes, validate the
-// reads"). On TL2 the list is checked by stamp against its own sample after
-// the clock step (DESIGN.md §11). Either way a stale list fails the attempt
-// with ConflictInfo.ReadStale, having installed nothing.
+// Tests for read lists (Rec.SetReadSet): the words an attempt read, carried
+// beside its data set and validated, never owned, locked, agreed or
+// installed for being on the list. A word may be on both, when the attempt
+// read it and then wrote it. On ST the attempt owns its data set, steps the
+// commit epoch, and settles the list with one verdict for every participant
+// — for free when its step is the first since the reads were taken, by a
+// pass over the words otherwise (DESIGN.md §9, "Commit: own the writes,
+// validate the reads"). On TL2 the list is checked by stamp against its own
+// sample after the clock step (DESIGN.md §11). Either way a stale list fails
+// the attempt with ConflictInfo.ReadStale, having installed nothing.
 
 import (
 	"sync"
@@ -374,5 +375,47 @@ func TestSplitTL2NoWriteAttempt(t *testing.T) {
 	r = splitRec(m, []int{0}, []int{1}, identity)
 	if ok, _, _ := runSplit(m, r); !ok {
 		t.Error("pure read under an unmoved clock failed")
+	}
+}
+
+// TestReadListOwnWrite: a read-list word the record also writes — read and
+// then written — is owned (ST) or locked (TL2) by the record itself when the
+// list is validated. That owner is no conflict, but the word's value (ST) or
+// stamp (TL2) is still checked: unchanged since the caller's read, it
+// passes; moved between the read and the acquisition, it fails the attempt
+// with ReadStale. Each attempt starts after a commit has moved the epoch
+// past its sample, so neither engine may skip the check.
+func TestReadListOwnWrite(t *testing.T) {
+	for _, kind := range EngineKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			m, err := NewMemoryEngine(8, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var held []bool
+			m.SetChaos(func(e ChaosEvent) {
+				if (e.Point == ChaosSTPostStep || e.Point == ChaosTL2PostLock) && e.Addrs[0] == 0 {
+					held = append(held, m.Owner(3) != nil && m.Owner(3) == m.Owner(0))
+				}
+			})
+			defer m.SetChaos(nil)
+			r := splitRec(m, []int{0, 3}, []int{3, 1}, chaosAdd(1))
+			if _, ok := tryOnce(m, []int{5}, chaosAdd(1)); !ok {
+				t.Fatal("foreign commit failed")
+			}
+			if ok, old, _ := runSplit(m, r); !ok || old[1] != 0 || m.Peek(0) != 1 || m.Peek(3) != 1 {
+				t.Fatalf("ok=%v old=%v words 0, 3 = %d, %d over an unchanged own write, want true, [0 0], 1, 1",
+					ok, old, m.Peek(0), m.Peek(3))
+			}
+			r = splitRec(m, []int{0, 3}, []int{3, 1}, chaosAdd(1))
+			if _, ok := tryOnce(m, []int{3}, chaosAdd(7)); !ok {
+				t.Fatal("foreign commit failed")
+			}
+			ok, _, info := runSplit(m, r)
+			wantStale(t, m, ok, info, 0, 3, []int{0, 3}, []uint64{1, 8})
+			if len(held) != 2 || !held[0] || !held[1] {
+				t.Errorf("word 3 held by the record at validation: %v, want [true true]", held)
+			}
+		})
 	}
 }

@@ -80,12 +80,12 @@ type Rec struct {
 	status     atomic.Int64
 	allWritten atomic.Bool
 
-	// Read list (SetReadSet): the words the attempt only read, beside its
-	// data set — in the caller's order, disjoint from addrs, never owned,
-	// locked, agreed or installed, only validated: reads[i] must still hold
-	// exp[i], the value the caller read there after sampling the
-	// CommitEpoch value sample. Empty for an attempt without one. Like
-	// addrs they are immutable while the attempt runs.
+	// Read list (SetReadSet): the words the attempt read, beside its data
+	// set — in the caller's order, possibly also in addrs, never owned,
+	// locked, agreed or installed as read-list words, only validated:
+	// reads[i] must still hold exp[i], the value the caller read there
+	// after sampling the CommitEpoch value sample. Empty for an attempt
+	// without one. Like addrs they are immutable while the attempt runs.
 	reads  []int
 	exp    []uint64
 	sample uint64
@@ -207,23 +207,25 @@ func (r *Rec) Env() any { return r.env }
 func (r *Rec) SetEnv(v any) { r.env = v }
 
 // SetReadSet gives the attempt a read list beside its data set: addrs are
-// words the attempt read and does not write — disjoint from the data set,
-// in any order — exp[i] is the value addrs[i] was read as, and sample is
-// the CommitEpoch value sampled before those reads were taken (every read
-// stably loaded after it, the epoch unchanged at the last). No engine owns,
-// locks, agrees or installs a read-list word, and the calc never sees one:
-// the engine validates the list against sample, the ST engine once for all
-// participants (DESIGN.md §9), the TL2 engine by stamp (§11). A stale list
-// fails the attempt with ConflictInfo.ReadStale set: re-attempting the
-// same list would only fail again, so the caller has to read afresh. Both
-// slices must have the same length and stay unchanged until RunAttempt
-// returns; call it between Begin and RunAttempt.
+// words the attempt read, in any order — a word may also be in the data
+// set, when the attempt read it and then wrote it — exp[i] is the value
+// addrs[i] was read as, and sample is the CommitEpoch value sampled before
+// those reads were taken (every read stably loaded after it, the epoch
+// unchanged at the last). No engine owns, locks, agrees or installs a word
+// for being on the list, and the calc never sees the list: the engine
+// validates it against sample, the ST engine once for all participants
+// (DESIGN.md §9), the TL2 engine by stamp (§11). A stale list fails the
+// attempt with ConflictInfo.ReadStale set: re-attempting the same list
+// would only fail again, so the caller has to read afresh. Both slices must
+// have the same length and stay unchanged until RunAttempt returns; call it
+// between Begin and RunAttempt.
 func (r *Rec) SetReadSet(addrs []int, exp []uint64, sample uint64) {
 	r.reads, r.exp, r.sample = addrs, exp, sample
 }
 
 // footprint returns how many words the attempt spans: its data set plus its
-// read list.
+// read list, with a word on both counted twice — finding the overlap would
+// cost a search per read, on every observed attempt.
 func (r *Rec) footprint() int { return len(r.addrs) + len(r.reads) }
 
 // staleRead returns the read-list index a stale verdict names and true, or

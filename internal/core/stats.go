@@ -330,10 +330,9 @@ type StatsSnapshot struct {
 	Attempts uint64
 	// Commits counts attempts whose status was decided Success. It counts
 	// engine attempts, not operations: a dynamic transaction that wrote
-	// nothing commits without one and shows in ReadOnlyCommits instead; one
-	// whose validation of the words it only read failed adds a Failure for
-	// every re-execution, and one whose read-then-written word moved adds a
-	// Commit (calcDyn's no-op arm).
+	// nothing commits without one and shows in ReadOnlyCommits instead, and
+	// one that wrote adds exactly one Commit — a read found stale at commit
+	// adds a Failure for every re-execution, never a Commit.
 	Commits uint64
 	// Failures counts attempts that failed; each triggered at most one
 	// help.

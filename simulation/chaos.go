@@ -1,7 +1,8 @@
 // The fault injectors: the Parker, which sleeps attempt goroutines at the
 // engine chaos points, and the preemption storm, which periodically
 // floods the scheduler with runnable goroutines. Both draw every decision
-// from the run seed, so a failing run's fault schedule replays.
+// from the run seed, so a failing run's seed reproduces its fault
+// decisions — though not which attempt each one lands on (see Parker).
 
 package simulation
 

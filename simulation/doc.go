@@ -40,8 +40,12 @@
 // delicate phases — data set owned but nothing installed (ST), commit
 // locks held with the clock stepped but no word written back (TL2), and
 // mid-helping — plus scheduler preemption storms, forced map churn, and
-// connection kills. Every decision draws from one base seed; a failing
-// run prints that seed and is replayed with -seed (or STM_SIM_SEED).
+// connection kills. Every fault decision and workload draw comes from one
+// base seed, which a failing run prints. Running again with -seed (or
+// STM_SIM_SEED) reproduces those decisions and draws, not the Go schedule:
+// which attempt reaches a chaos point first, and so which one a decision
+// lands on, is the runtime's choice. A failure that depends on the
+// schedule may need several runs of the same seed.
 //
 // # Running
 //

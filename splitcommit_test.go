@@ -1,14 +1,16 @@
 package stm_test
 
 // A dynamic transaction that wrote something commits on ST owning only the
-// words it wrote, its data set; the words it only read ride beside them as
-// a read list, validated once, with one verdict every participant adopts (DESIGN.md §9, "Commit: own the writes,
-// validate the reads"). These tests park that commit through the chaos
-// seam at both of its windows — write set owned (ChaosSTPostLock), epoch
-// stepped (ChaosSTPostStep) — and check what the rest of the system may and
-// may not do meanwhile.
+// words it wrote, its data set; every word it read, written or not, rides
+// beside them as a read list, validated once, with one verdict every
+// participant adopts (DESIGN.md §9, "Commit: own the writes, validate the
+// reads"). Most of these tests park that commit through the chaos seam at
+// both of its windows — write set owned (ChaosSTPostLock), epoch stepped
+// (ChaosSTPostStep) — and check what the rest of the system may and may not
+// do meanwhile.
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,6 +179,66 @@ func TestChaosSTPostStepPublicSurface(t *testing.T) {
 				events[0].Addrs[0] != 3 || events[0].Addrs[1] != 5 || installed[0] != 0) {
 				t.Errorf("event Writes=%d Addrs=%v with word 3 = %d, want the 2 written words [3 5], nothing installed",
 					events[0].Writes, events[0].Addrs, installed[0])
+			}
+		})
+	}
+}
+
+func TestSplitStaleReadThenWrittenFails(t *testing.T) {
+	// T reads A and then writes A (and B). While its speculation is in
+	// flight another goroutine commits a new A, and T's function returns
+	// without reading again, so only the commit can see that A moved. On
+	// either engine that ends one way: a failed validation attempt that
+	// installs nothing and reports A, then a re-execution that commits — one
+	// Commit for the operation, never a committed no-op.
+	const a, b = 2, 3
+	for _, eng := range stm.Engines() {
+		t.Run(eng.String(), func(t *testing.T) {
+			pol := &protocolPolicy{}
+			m, err := stm.New(4, stm.WithEngine(eng), stm.WithPolicy(pol),
+				stm.WithObs(stm.ObsConfig{Level: stm.ObsCounters}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var atConflict [2]uint64
+			pol.onConflict = func(int) { atConflict = [2]uint64{m.Peek(a), m.Peek(b)} }
+			before := m.Stats()
+			calls := 0
+			if err := m.Atomically(func(tx *stm.DTx) error {
+				calls++
+				v := tx.Read(a)
+				if calls == 1 {
+					done := make(chan struct{})
+					go func() { addWord(m, a, 10); close(done) }()
+					<-done
+				}
+				tx.Write(a, v+1)
+				tx.Write(b, v+1)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			s := m.Stats()
+			validate := s.STValidateAborts - before.STValidateAborts
+			if eng == stm.TL2 {
+				validate = s.TL2ValidateAborts - before.TL2ValidateAborts
+			}
+			// The foreign commit is the other Commit.
+			if commits, failures := s.Commits-before.Commits, s.Failures-before.Failures; commits != 2 || failures != 1 || validate != 1 {
+				t.Errorf("commits=%d failures=%d validate aborts=%d, want 2 (the foreign one and T's), 1, 1", commits, failures, validate)
+			}
+			if atConflict != [2]uint64{10, 0} {
+				t.Errorf("A, B = %v after the failed attempt, want [10 0]: it must install nothing", atConflict)
+			}
+			var hooks []string
+			for _, c := range pol.calls {
+				hooks = append(hooks, c.hook)
+			}
+			if !slices.Equal(hooks, []string{"conflict", "commit"}) || pol.calls[0].c.Addr != a {
+				t.Errorf("policy heard %v (first at %+v), want a conflict at word %d, then the commit", hooks, pol.calls, a)
+			}
+			if calls != 2 || m.Peek(a) != 11 || m.Peek(b) != 11 {
+				t.Errorf("executions=%d A=%d B=%d, want 2, 11, 11 (the re-execution over the new A)", calls, m.Peek(a), m.Peek(b))
 			}
 		})
 	}
