@@ -417,12 +417,13 @@ func BenchmarkAllocReadAllInto(b *testing.B) {
 	}
 }
 
-// BenchmarkHostSnapshot measures consistent multi-word reads vs size.
+// BenchmarkHostSnapshot measures consistent multi-word reads vs size, on
+// each engine: one reader, and at 8 and 32 words a par row where
+// RunParallel's readers (two under -cpu 2) read the same words at once.
 func BenchmarkHostSnapshot(b *testing.B) {
-	for _, k := range []int{2, 8, 32} {
-		k := k
-		b.Run(strconv.Itoa(k), func(b *testing.B) {
-			m, err := stm.New(k)
+	for _, eng := range stm.Engines() {
+		for _, k := range []int{2, 8, 32} {
+			m, err := stm.New(k, stm.WithEngine(eng))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -430,13 +431,30 @@ func BenchmarkHostSnapshot(b *testing.B) {
 			for i := range addrs {
 				addrs[i] = i
 			}
-			dst := make([]uint64, k)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := m.ReadAllInto(addrs, dst); err != nil {
-					b.Fatal(err)
+			b.Run(fmt.Sprintf("%v/%d", eng, k), func(b *testing.B) {
+				dst := make([]uint64, k)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := m.ReadAllInto(addrs, dst); err != nil {
+						b.Fatal(err)
+					}
 				}
+			})
+			if k == 2 {
+				continue
 			}
-		})
+			b.Run(fmt.Sprintf("%v/%d/par", eng, k), func(b *testing.B) {
+				b.ReportAllocs()
+				b.RunParallel(func(pb *testing.PB) {
+					dst := make([]uint64, k)
+					for pb.Next() {
+						if err := m.ReadAllInto(addrs, dst); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				})
+			})
+		}
 	}
 }

@@ -100,12 +100,11 @@ type Policy interface {
 	// for that duration.
 	OnConflict(c *Conflict)
 	// OnCommit is called once when the operation commits, including a
-	// static compare-and-swap whose comparison failed (a validated no-op
-	// commit). Policies release
-	// per-operation resources (tokens, priorities) here. By default it is
-	// only invoked for operations that conflicted at least once; policies
-	// that also need clean commits — e.g. to window abort rates —
-	// implement CleanCommitObserver.
+	// transaction that only read. Policies release per-operation resources
+	// (tokens, priorities) here. By default it is only invoked for
+	// operations that conflicted at least once; policies that also need
+	// clean commits — e.g. to window abort rates — implement
+	// CleanCommitObserver.
 	OnCommit(c *Conflict)
 	// OnAbort is called once when the operation is abandoned without
 	// committing: a single-attempt Try that failed, or a retry loop

@@ -95,9 +95,9 @@
 // ErrAddrRange, ErrDupAddr or ErrAddrOrder. Tx.TryInto is the paper's
 // StartTransaction: one attempt of an UpdateInto over the old values,
 // which on conflict helps the blocker and reports failure. Tx.RunInto
-// retries under the contention policy until it commits. Memory.ReadAllInto
-// and Memory.WriteAll are the consistent read and the atomic store of such
-// a data set, with no update function to prepare.
+// retries under the contention policy until it commits. Memory.WriteAll is
+// the atomic store of such a data set, with no update function to prepare;
+// Memory.ReadAllInto, its consistent read, is a read-only Atomically.
 //
 //	tx, _ := m.Prepare([]int{4, 9})
 //	tx.RunInto(func(old, new []uint64) { new[0], new[1] = old[0]-1, old[1]+1 }, nil)
@@ -113,13 +113,12 @@
 // on either:
 //
 //   - stm.ST (the default) is the paper's cooperative-helping ownership
-//     protocol. Every static attempt, including a pure read (Var.Load,
-//     ReadAllInto), acquires ownership of its whole data set; a dynamic
-//     commit owns only the words it writes and validates every word it
-//     read; a blocked attempt helps its blocker to completion. No transaction
-//     ever waits on a preempted peer — the strongest liveness — at the
-//     cost of several atomic read-modify-writes per owned word, even on
-//     static reads.
+//     protocol. Every static attempt acquires ownership of its whole data
+//     set; a dynamic commit owns only the words it writes and validates
+//     every word it read; a blocked attempt, or a read, helps its blocker
+//     to completion. No transaction ever waits on a preempted peer — the
+//     strongest liveness — at the cost of several atomic read-modify-writes
+//     per owned word.
 //   - stm.TL2 is a TL2/LSA-style global-version-clock protocol: reads
 //     are invisible (no ownership, validated against a clock sample),
 //     writes commit under short per-word locks, and read-only
@@ -129,10 +128,10 @@
 //     benchmark of record (go run ./benchmark) measures both engines on
 //     every workload.
 //
-// A dynamic transaction (Atomically, OrElse) that wrote nothing is the
-// exception to both descriptions: it makes no attempt on either engine —
-// it is committed where its last read was admitted — so a stmds.Map.Get
-// owns nothing on ST and skips even the zero-RMW attempt on TL2.
+// A transaction that wrote nothing (a read-only Atomically or OrElse, and
+// so ReadAllInto, Var.Load, a failed Var.CompareAndSwap, a stmds.Map.Get)
+// is the exception to both: it is committed where its last read was
+// admitted, with no attempt on either engine, owning nothing on ST.
 //
 // Rule of thumb: reach for TL2 when reads dominate or scalability of
 // read paths matters; keep ST when worst-case progress under preemption
@@ -199,11 +198,11 @@
 // are allocation-free in steady state:
 //
 //   - Var.Load, Var.Store and Var.CompareAndSwap perform zero heap
-//     allocations per committed transaction (amortized) — modulo what the
-//     codec itself allocates (the built-in numeric/bool codecs allocate
-//     nothing; String's Decode builds a string). An Atomically call site
-//     with a stable footprint matches the zero-allocation contract: the
-//     DTx, its logs, and the compiled footprint recycle through pools.
+//     allocations (amortized) — modulo what the codec itself allocates
+//     (the built-in numeric/bool codecs allocate nothing; String's Decode
+//     builds a string). So does an Atomically call site with a stable
+//     footprint, which Load and CompareAndSwap are: the DTx, its logs,
+//     and the compiled footprint recycle through pools.
 //   - Tx.RunInto, Tx.TryInto, Memory.ReadAllInto and Memory.WriteAll are
 //     the raw equivalents: zero heap allocations for any data set, with
 //     the caller's slices for addresses, values and old values. Prepare

@@ -8,33 +8,31 @@ import (
 	"github.com/stm-go/stm/internal/core"
 )
 
-// The one way to run a transaction. Every entry point of the package — a
-// prepared Tx, a Var's own operations, ReadAllInto and WriteAll, the commit
-// of a dynamic DTx — describes the attempt it wants as a staged value and
-// hands it to the functions below: attempt arms an engine record from the
-// staged form and runs it once; contend (as run, for a static operation)
-// retries it under the contention policy and closes the operation as
-// committed. Nothing else in the package draws a record, runs an attempt,
-// or decides when the policy hears what. See DESIGN.md §6.
+// The one way to run a transaction attempt. Every entry point of the
+// package that writes — a prepared Tx, Var.Update and Var.Store, WriteAll,
+// the commit of a dynamic DTx that wrote — describes the attempt it wants
+// as a staged value and hands it to the functions below: attempt arms an
+// engine record from the staged form and runs it once; contend (as run,
+// for a static operation) retries it under the contention policy and
+// closes the operation as committed. Nothing else in the package draws a
+// record or runs an attempt. The reads (ReadAllInto, Var.Load, a failed
+// Var.CompareAndSwap) are read-only dynamic transactions and never get
+// here. See DESIGN.md §6.
 
 // op names the package-level calc an attempt evaluates, and with it which
 // of the staged parameters the record needs.
 type op uint8
 
 const (
-	opUpdate   op = iota // calcTx: u
-	opIdentity           // calcIdentity: nothing
-	opStore              // calcStore: repl
-	opCASN               // calcCASN: exp, repl
-	opDyn                // calcStore: d's written values, and its read list
+	opUpdate op = iota // calcTx: u
+	opStore            // calcStore: repl
+	opDyn              // calcStore: d's written values, and its read list
 )
 
 var calcs = [...]core.CalcFunc{
-	opUpdate:   calcTx,
-	opIdentity: calcIdentity,
-	opStore:    calcStore,
-	opCASN:     calcCASN,
-	opDyn:      calcStore,
+	opUpdate: calcTx,
+	opStore:  calcStore,
+	opDyn:    calcStore,
 }
 
 // staged describes one transaction attempt before a record exists for it:
@@ -48,19 +46,19 @@ var calcs = [...]core.CalcFunc{
 // analysis is field-insensitive: a value attempt loaded from a staged and
 // stored where it outlives the call (the engine keeps the calc, the
 // record's scratch keeps the update func for helpers) would drag every
-// slice in the struct to the heap with it — and ReadAllInto and WriteAll
-// promise their callers that stack-backed addrs and value slices stay on
-// the stack. So the calc is named by op and looked up in calcs rather than
-// carried as a func value, and the update sits behind a pointer, where only
-// its contents flow on. And entry points hand the value on by pointer,
-// built in place.
+// slice in the struct to the heap with it — and WriteAll promises its
+// callers that stack-backed addrs and value slices stay on the stack. So
+// the calc is named by op and looked up in calcs rather than carried as a
+// func value, and the update sits behind a pointer, where only its
+// contents flow on. And entry points hand the value on by pointer, built
+// in place.
 type staged struct {
 	op    op
 	addrs []int // strictly ascending, in bounds
 
-	exp, repl []uint64    // opCASN, opStore; copied into the record
-	u         *UpdateInto // opUpdate; copied into the record
-	d         *DTx        // opDyn; its log is copied into the record
+	repl []uint64    // opStore; copied into the record
+	u    *UpdateInto // opUpdate; copied into the record
+	d    *DTx        // opDyn; its log is copied into the record
 }
 
 // first returns the conflict-domain key the contention policy sees for the
@@ -94,10 +92,9 @@ func (m *Memory) attempt(st *staged, old []uint64, info *core.ConflictInfo, prio
 	}
 	s := scratchOf(r)
 	switch st.op {
-	case opStore, opCASN:
-		// Copies: helpers may evaluate the calc after the caller's slices
-		// have moved on.
-		s.exp = append(s.exp[:0], st.exp...)
+	case opStore:
+		// A copy: helpers may evaluate the calc after the caller's slice
+		// has moved on.
 		s.repl = append(s.repl[:0], st.repl...)
 	case opDyn:
 		// The data set is the words the transaction wrote; every word it

@@ -18,8 +18,8 @@ import (
 //     a dynamic commit only of the words it writes (the rest it validates),
 //     and a blocked attempt helps its blocker to completion, so no
 //     transaction ever waits on a preempted peer — the strongest liveness,
-//     at the price of several atomic read-modify-writes per owned word,
-//     even for static pure reads.
+//     at the price of several atomic read-modify-writes per owned word. A
+//     read owns nothing: it helps an owner it meets and reads on.
 //   - TL2 is a TL2/LSA-style global-version-clock protocol. Reads are
 //     invisible (no ownership, validated against a clock sample), writes
 //     commit under short per-word locks, and read-only attempts commit

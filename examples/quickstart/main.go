@@ -2,9 +2,10 @@
 //
 // The typed layer is the front door: allocate Var[T] handles, use their
 // own methods for one variable, and run Atomically over ReadVar/WriteVar
-// for anything that spans several. A Var's own operations are the paper's
-// static transactions — the data set is fixed before they start — and an
-// Atomically block discovers its data set, then commits it through the
+// for anything that spans several. A Var's Store and Update are the
+// paper's static transactions — the data set is fixed before they start —
+// and an Atomically block (Load and CompareAndSwap are small ones)
+// discovers its data set, then commits it through the
 // same non-blocking Shavit–Touitou protocol, so no transaction ever waits
 // on a stalled goroutine. The raw word-addressed API is still there for
 // engine-level access, shown at the end.

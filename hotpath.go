@@ -52,9 +52,9 @@ func (m *Memory) putConflict(c *contention.Conflict) {
 
 // getWordBuf returns a pooled staging buffer of length k. Typed Var
 // operations stage encoded words here: a stack buffer would escape through
-// the codec's interface method calls, so pooling is what keeps Load/Store
-// allocation-free. Callers must putWordBuf the same pointer when done and
-// must not retain the slice (codecs already promise not to).
+// the codec's interface method calls, so pooling is what keeps Store and
+// CompareAndSwap allocation-free. Callers must putWordBuf the same pointer
+// when done and must not retain the slice (codecs already promise not to).
 func (m *Memory) getWordBuf(k int) *[]uint64 {
 	p, ok := m.bufPool.Get().(*[]uint64)
 	if !ok || cap(*p) < k {
@@ -156,13 +156,12 @@ type scratch struct {
 	// calcTx parameter: the staged update.
 	u UpdateInto
 
-	// k-word op parameters (calcCASN, calcStore). A dynamic commit stages
-	// its written values, in engine order, in repl.
-	exp  []uint64
+	// calcStore parameter: the values to store. A dynamic commit stages its
+	// written values here, in engine order.
 	repl []uint64
 
 	// Read list (opDyn): every word a dynamic transaction read, in log
-	// order, written or not, and the value it read there. Like exp/repl they
+	// order, written or not, and the value it read there. Like repl they
 	// are copies: helpers may validate the list long after the initiating
 	// DTx has moved on, so the record must own its inputs.
 	rdAddrs []int
@@ -185,28 +184,9 @@ func scratchOf(r *core.Rec) *scratch {
 	return s
 }
 
-// calcIdentity commits the data set unchanged: a validated consistent read.
-func calcIdentity(_ any, old, new []uint64, _ bool) {
-	copy(new, old)
-}
-
 // calcStore overwrites the data set with repl.
 func calcStore(env any, _, new []uint64, _ bool) {
 	copy(new, env.(*scratch).repl)
-}
-
-// calcCASN: if every old[i] equals exp[i], install repl; otherwise commit
-// the data set unchanged. The swap decision is re-derived by the caller
-// from the committed old values.
-func calcCASN(env any, old, new []uint64, _ bool) {
-	s := env.(*scratch)
-	for i := range old {
-		if old[i] != s.exp[i] {
-			copy(new, old)
-			return
-		}
-	}
-	copy(new, s.repl)
 }
 
 // calcTx evaluates a prepared transaction's UpdateInto.

@@ -16,17 +16,16 @@ import (
 // — the words it installs; the words its caller read ride beside it as a
 // read list (Rec.SetReadSet), validated and never owned for it — and a
 // blocked attempt helps its blocker to completion, which keeps the protocol
-// non-blocking. (A dynamic transaction that wrote nothing makes no attempt
-// at all.) EngineTL2 is a TL2/LSA-style global-version-clock protocol:
+// non-blocking. EngineTL2 is a TL2/LSA-style global-version-clock protocol:
 // reads are invisible (ownership-free, validated against a read version
 // sampled from the clock), writes are buffered and installed under short
-// per-word locks at commit, and a transaction whose computed new values
-// equal its old values commits as a pure read with no atomic
-// read-modify-write at all — the read-mostly fast path EngineST cannot
-// offer. The trade-off is liveness:
-// TL2 commits hold locks, so a preempted committer briefly blocks
-// conflicting writers (they fail and defer to the contention policy)
-// instead of being helped. See DESIGN.md §11.
+// per-word locks at commit, and an attempt whose computed new values equal
+// its old values commits with no atomic read-modify-write at all, which
+// EngineST cannot offer. The trade-off is liveness: TL2 commits hold
+// locks, so a preempted committer briefly blocks conflicting writers (they
+// fail and defer to the contention policy) instead of being helped. A
+// transaction that writes nothing — every read of the stm package — makes
+// no attempt on either engine. See DESIGN.md §11.
 type Engine interface {
 	// Kind identifies the protocol.
 	Kind() EngineKind

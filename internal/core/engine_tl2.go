@@ -12,11 +12,11 @@ import (
 // clock and reads each data-set word with no ownership acquisition at all,
 // accepting a word only if its version stamp is ≤ rv, it is unlocked, and
 // the stamp is identical before and after the value load. A transaction
-// whose computed new values equal its old values (every pure read: Var.Load,
-// ReadAllInto, a failed compare-and-swap, a dynamic commit that writes back
+// whose computed new values equal its old values (an update that changes
+// nothing, a store of the current values, a dynamic commit that writes back
 // what it read) commits right there — zero atomic read-modify-writes, the
-// path a static ST attempt cannot offer because it must CAS ownership of
-// every word it even looks at.
+// path an ST attempt cannot offer because it must CAS ownership of every
+// word in its data set.
 //
 // A dynamic commit's data set is only the words it writes; every word it
 // read, written or not, arrives beside it as a read list (Rec.SetReadSet)

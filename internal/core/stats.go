@@ -360,9 +360,10 @@ type StatsSnapshot struct {
 
 	// TL2 protocol telemetry (ObsCounters+). TL2ReadOnlyCommits counts
 	// engine attempts that committed with an empty write set — the zero-RMW
-	// fast path. Those are the static read-only forms only (Var.Load,
-	// ReadAllInto, a stmds Map.Len): a read-only dynamic transaction makes
-	// no attempt at all and is counted by ReadOnlyCommits.
+	// fast path: a RunInto whose update changes nothing, a WriteAll or Store
+	// of the current values, a dynamic commit that writes back exactly what
+	// it read. A transaction that writes nothing makes no attempt at all and
+	// is counted by ReadOnlyCommits.
 	// TL2ClockRaces counts writing commits whose first global-clock CAS
 	// lost to a concurrent commit (the GV4 slow path); TL2ClockAdoptions
 	// counts the subset that then adopted another commit's clock value
@@ -388,7 +389,8 @@ type StatsSnapshot struct {
 	SnapshotStale      uint64
 
 	// ReadOnlyCommits counts dynamic transactions (Atomically, OrElse and
-	// everything built on them) that committed having written nothing
+	// everything built on them: ReadAllInto, Var.Load, a Var.CompareAndSwap
+	// whose comparison failed) that committed having written nothing
 	// (always on, both engines). Such a transaction is committed when its
 	// speculation ends — every read it logged was current at one instant
 	// inside the call, DESIGN.md §9 — so it makes no engine attempt and

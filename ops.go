@@ -2,15 +2,16 @@ package stm
 
 import "strconv"
 
-// The two word operations that need no update function: a consistent read
-// and an atomic store over an ascending data set the caller already holds.
-// Both stage the caller's slices straight into the driver, allocation-free.
+// The two word operations that need no update function, over an ascending
+// data set the caller already holds: a consistent read, a read-only
+// Atomically, and an atomic store staged straight into the driver. Both are
+// allocation-free.
 
 // ReadAllInto writes a consistent snapshot of the words at addrs into dst:
-// the values all existed simultaneously at the transaction's linearization
-// point. addrs must be a data set Prepare would accept (non-empty, strictly
-// ascending, in bounds) and len(dst) must equal len(addrs). It performs
-// zero heap allocations (amortized).
+// the values all existed at one instant inside the call. It reads them in a
+// read-only Atomically, owning no word. addrs must be a data set Prepare
+// would accept (non-empty, strictly ascending, in bounds) and len(dst) must
+// equal len(addrs). It performs zero heap allocations (amortized).
 func (m *Memory) ReadAllInto(addrs []int, dst []uint64) error {
 	if len(addrs) != len(dst) {
 		return errLengthMismatch(len(addrs), len(dst))
@@ -18,8 +19,12 @@ func (m *Memory) ReadAllInto(addrs []int, dst []uint64) error {
 	if err := m.eng.ValidateDataSet(addrs); err != nil {
 		return err
 	}
-	m.run(&staged{op: opIdentity, addrs: addrs}, dst)
-	return nil
+	return m.Atomically(func(tx *DTx) error {
+		for i, a := range addrs {
+			dst[i] = tx.Read(a)
+		}
+		return nil
+	})
 }
 
 // WriteAll atomically stores vals[i] into addrs[i]. addrs must be a data

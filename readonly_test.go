@@ -316,3 +316,91 @@ func TestReadOnlyCommitsCounted(t *testing.T) {
 		}
 	})
 }
+
+func TestReadOnlyStaticReads(t *testing.T) {
+	// ReadAllInto, Var.Load and a Var.CompareAndSwap whose comparison fails
+	// are read-only transactions: each is one ReadOnlyCommit and makes no
+	// engine attempt. A CompareAndSwap that swaps is one engine Commit.
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		m := mustNewEngine(t, 8, eng)
+		v, err := stm.VarAt(m, stm.Int64(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := stm.VarAt[point](m, pointCodec{}, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Store(point{1, 2})
+		for _, tc := range []struct {
+			name                   string
+			attempts, commits, ros uint64
+			op                     func() bool // reports whether the op did what it should
+		}{
+			{"ReadAllInto", 0, 0, 1, func() bool {
+				var dst [3]uint64
+				return m.ReadAllInto([]int{0, 6, 7}, dst[:]) == nil && dst == [3]uint64{0, 1, 2}
+			}},
+			{"Var.Load", 0, 0, 1, func() bool { return p.Load() == point{1, 2} }},
+			{"Var.CompareAndSwap/failed", 0, 0, 1, func() bool { return !v.CompareAndSwap(1, 2) }},
+			{"Var.CompareAndSwap/failed-second-word", 0, 0, 1, func() bool {
+				return !p.CompareAndSwap(point{1, 3}, point{9, 9})
+			}},
+			{"Var.CompareAndSwap", 1, 1, 0, func() bool { return v.CompareAndSwap(0, 2) }},
+		} {
+			before := m.Stats()
+			if !tc.op() {
+				t.Errorf("%s: wrong result", tc.name)
+			}
+			after := m.Stats()
+			if a, c, r := after.Attempts-before.Attempts, after.Commits-before.Commits, after.ReadOnlyCommits-before.ReadOnlyCommits; a != tc.attempts || c != tc.commits || r != tc.ros {
+				t.Errorf("%s: attempts +%d commits +%d read-only commits +%d, want +%d +%d +%d",
+					tc.name, a, c, r, tc.attempts, tc.commits, tc.ros)
+			}
+		}
+		if got := v.Load(); got != 2 {
+			t.Errorf("after the swap: %d, want 2", got)
+		}
+	})
+}
+
+func TestReadOnlyReadAllIntoHelpsParkedOwner(t *testing.T) {
+	// On ST a reader never waits for a stalled writer and never fails: it
+	// helps the writer's record to completion and reads on (F5's
+	// non-blocking claim, stated for readers). A record parked by the chaos
+	// seam owns word 0; ReadAllInto over it returns the value the parked
+	// record installs, while the record's own goroutine is still parked,
+	// and the contention policy hears nothing.
+	pol := &protocolPolicy{}
+	m, err := stm.New(8, stm.WithEngine(stm.ST), stm.WithPolicy(pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := stallWord(t, m, 0, 1)
+	var dst [2]uint64
+	done := make(chan error, 1)
+	go func() { done <- m.ReadAllInto([]int{0, 1}, dst[:]) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		s.finish()
+		t.Fatal("ReadAllInto blocked behind a parked owner")
+	}
+	st := m.Stats()
+	s.finish()
+	m.SetChaos(nil)
+	if dst != [2]uint64{1, 0} {
+		t.Errorf("read %v, want [1 0]: the parked increment, helped to completion", dst)
+	}
+	if st.Helps == 0 || st.ReadOnlyCommits != 1 {
+		t.Errorf("helps=%d read-only commits=%d, want >0 and 1", st.Helps, st.ReadOnlyCommits)
+	}
+	pol.mu.Lock()
+	defer pol.mu.Unlock()
+	if len(pol.calls) != 0 {
+		t.Errorf("policy saw %d hook calls, want none: %+v", len(pol.calls), pol.calls)
+	}
+}

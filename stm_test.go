@@ -337,8 +337,8 @@ func TestCASNMatchesSequentialSpec(t *testing.T) {
 }
 
 func TestCompareAndSwapSingle(t *testing.T) {
-	// A one-word Var's CompareAndSwap runs the same k-word CASN calc as a
-	// wide one.
+	// A one-word Var's CompareAndSwap runs the same comparison as a wide
+	// one.
 	m := mustNew(t, 2)
 	v, err := stm.VarAt(m, stm.Uint64(), 1)
 	if err != nil {

@@ -49,8 +49,8 @@
 // known footprint but a per-call payload (queue put/take, heap push) also
 // ride the dynamic commit: it is the one public path that stages every
 // input in engine-owned scratch, which keeps the payload safe from the
-// protocol's helping goroutines (see DESIGN.md §10). Fixed read-only
-// footprints (Len) run as prepared static transactions. Either way the
+// protocol's helping goroutines (see DESIGN.md §10). Len is its LenTx in
+// a transaction of its own, which commits read-only. Either way the
 // hot paths recycle per-structure operation scratch through sync.Pools,
 // so stable-shape operations settle at zero heap allocations per op —
 // pinned by this package's allocation tests.

@@ -39,8 +39,7 @@ type Map[K comparable, V any] struct {
 
 	kw, vw    int
 	slotWords int
-	ctl       int   // base of the control block (ctlWords words)
-	cntAddrs  []int // the live-count stripe words, ascending
+	ctl       int // base of the control block (ctlWords words)
 
 	growMu sync.Mutex // serializes table allocation, not operations
 	ops    sync.Pool  // of *mapOp[K, V]
@@ -128,10 +127,6 @@ func NewMap[K comparable, V any](m *stm.Memory, kc stm.Codec[K], vc stm.Codec[V]
 	}
 	if err := m.WriteAll([]int{ctl + ctlAbase, ctl + ctlAcap}, []uint64{uint64(base), cap0}); err != nil {
 		return nil, err
-	}
-	mp.cntAddrs = make([]int, countStripes)
-	for i := range mp.cntAddrs {
-		mp.cntAddrs[i] = ctl + ctlCnt + i
 	}
 	mp.ops.New = func() any { return newMapOp(mp) }
 	return mp, nil
@@ -271,17 +266,15 @@ func (mp *Map[K, V]) Maintain() error {
 	return nil
 }
 
-// Len returns the number of live entries: one consistent read of the
-// count stripes.
+// Len returns the number of live entries: LenTx in a transaction of its
+// own, which only reads.
 func (mp *Map[K, V]) Len() int {
-	op := mp.getOp()
-	defer mp.putOp(op)
-	_ = mp.m.ReadAllInto(mp.cntAddrs, op.stripes)
-	var n uint64
-	for _, s := range op.stripes {
-		n += s
-	}
-	return int(n)
+	var n int
+	_ = mp.m.Atomically(func(tx *stm.DTx) error {
+		n = mp.LenTx(tx)
+		return nil
+	})
+	return n
 }
 
 // LenTx is Len inside the caller's transaction. Note that it reads every
@@ -523,10 +516,9 @@ func (mp *Map[K, V]) emergencyGrow() error {
 // pre-bound transaction functions, pooled per map so stable-shape
 // operations allocate nothing.
 type mapOp[K comparable, V any] struct {
-	mp      *Map[K, V]
-	kbuf    []uint64 // encoded op key
-	vbuf    []uint64 // value staging
-	stripes []uint64 // Len staging
+	mp   *Map[K, V]
+	kbuf []uint64 // encoded op key
+	vbuf []uint64 // value staging
 
 	k    K
 	v    V
@@ -541,10 +533,9 @@ type mapOp[K comparable, V any] struct {
 
 func newMapOp[K comparable, V any](mp *Map[K, V]) *mapOp[K, V] {
 	op := &mapOp[K, V]{
-		mp:      mp,
-		kbuf:    make([]uint64, mp.kw),
-		vbuf:    make([]uint64, mp.vw),
-		stripes: make([]uint64, countStripes),
+		mp:   mp,
+		kbuf: make([]uint64, mp.kw),
+		vbuf: make([]uint64, mp.vw),
 	}
 	op.getFn = op.runGet
 	op.putFn = op.runPut

@@ -28,7 +28,6 @@ type Queue[T any] struct {
 	tail     int // monotonic put counter word
 	slots    int // base of the slot array
 	capacity uint64
-	htAddrs  []int // {head, tail}, ascending, for Len's static read
 	ops      sync.Pool
 }
 
@@ -54,7 +53,6 @@ func NewQueue[T any](m *stm.Memory, c stm.Codec[T], capacity int) (*Queue[T], er
 		m: m, c: c, vw: c.Words(),
 		head: base, tail: base + 1, slots: base + 2,
 		capacity: uint64(capacity),
-		htAddrs:  []int{base, base + 1},
 	}
 	q.ops.New = func() any { return newQOp(q) }
 	return q, nil
@@ -66,13 +64,15 @@ func (q *Queue[T]) Memory() *stm.Memory { return q.m }
 // Cap returns the queue's fixed capacity.
 func (q *Queue[T]) Cap() int { return int(q.capacity) }
 
-// Len returns the number of queued elements: one consistent snapshot of
-// the head and tail counters.
+// Len returns the number of queued elements: LenTx in a transaction of its
+// own, which only reads.
 func (q *Queue[T]) Len() int {
-	op := q.getOp()
-	defer q.putOp(op)
-	_ = q.m.ReadAllInto(q.htAddrs, op.ht[:])
-	return int(op.ht[1] - op.ht[0])
+	var n int
+	_ = q.m.Atomically(func(tx *stm.DTx) error {
+		n = q.LenTx(tx)
+		return nil
+	})
+	return n
 }
 
 // LenTx is Len inside the caller's transaction.
@@ -203,7 +203,6 @@ type qOp[T any] struct {
 	q    *Queue[T]
 	v    T
 	vbuf []uint64
-	ht   [2]uint64
 	ok   bool
 
 	putFn, takeFn, elseFn func(*stm.DTx) error

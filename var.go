@@ -3,7 +3,6 @@ package stm
 import (
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // ErrMemoryMismatch reports a ReadVar or WriteVar of a variable that lives
@@ -17,10 +16,11 @@ var ErrMemoryMismatch = errors.New("stm: variables belong to different Memories"
 // only through transactions (Store, Update, CompareAndSwap, WriteVar inside
 // Atomically), so concurrent access is as safe as the underlying protocol.
 //
-// A Var compiles away: each of its own methods maps onto a static
-// transaction over the var's words and runs on the same pooled engine hot
-// path as the raw API; inside Atomically, ReadVar and WriteVar make its
-// words part of a dynamic transaction's footprint.
+// A Var compiles away. Store and Update are static transactions over the
+// var's words, on the same pooled engine hot path as the raw API; Load and
+// CompareAndSwap are small Atomically calls; inside any dynamic
+// transaction, ReadVar and WriteVar make the var's words part of its
+// footprint.
 type Var[T any] struct {
 	m     *Memory
 	c     Codec[T]
@@ -74,14 +74,15 @@ func (v *Var[T]) Words() int { return len(v.addrs) }
 func (v *Var[T]) Codec() Codec[T] { return v.c }
 
 // Load returns the variable's value from a consistent snapshot of its
-// words (one read-only transaction; for multi-word vars no torn read is
-// possible). Allocation-free (amortized), modulo what the codec's Decode
-// allocates.
+// words (one read-only transaction, which makes no engine attempt; for
+// multi-word vars no torn read is possible). Allocation-free (amortized),
+// modulo what the codec's Decode allocates.
 func (v *Var[T]) Load() T {
-	p := v.m.getWordBuf(len(v.addrs))
-	v.m.run(&staged{op: opIdentity, addrs: v.addrs}, *p)
-	x := v.c.Decode(*p)
-	v.m.putWordBuf(p)
+	var x T
+	_ = v.m.Atomically(func(tx *DTx) error {
+		x = ReadVar(tx, v)
+		return nil
+	})
 	return x
 }
 
@@ -135,21 +136,26 @@ func WriteVar[T any](tx *DTx, v *Var[T], x T) {
 // (an over-long string matches its truncation) and a NaN float matches
 // the same NaN bit pattern even though Go's == would say false.
 //
-// It rides the pooled engine CAS path (the k-word CASN calc, at every
-// width) and is allocation-free (amortized), so simple typed CAS loops need
-// no Update closure.
+// It is Atomically comparing the var's words with old's and, only if all
+// match, writing new: a comparison that fails is a read-only commit, with
+// no engine attempt. It is allocation-free (amortized), so simple typed
+// CAS loops need no Update closure.
 func (v *Var[T]) CompareAndSwap(old, new T) bool {
-	k := len(v.addrs)
-	pe := v.m.getWordBuf(k)
-	v.c.Encode(old, *pe)
-	pn := v.m.getWordBuf(k)
-	v.c.Encode(new, *pn)
-	po := v.m.getWordBuf(k)
-	v.m.run(&staged{op: opCASN, addrs: v.addrs, exp: *pe, repl: *pn}, *po)
-	ok := slices.Equal(*po, *pe)
-	v.m.putWordBuf(po)
-	v.m.putWordBuf(pn)
-	v.m.putWordBuf(pe)
+	p := v.m.getWordBuf(len(v.addrs))
+	v.c.Encode(old, *p)
+	var ok bool
+	_ = v.m.Atomically(func(tx *DTx) error {
+		ok = false
+		for i, a := range v.addrs {
+			if tx.Read(a) != (*p)[i] {
+				return nil
+			}
+		}
+		WriteVar(tx, v, new)
+		ok = true
+		return nil
+	})
+	v.m.putWordBuf(p)
 	return ok
 }
 

@@ -189,8 +189,8 @@ func TestVarCompareAndSwap(t *testing.T) {
 		t.Errorf("Load = %d after CAS, want 20", got)
 	}
 
-	// Multi-word vars go through the k-word CASN calc: the swap is atomic
-	// across the whole encoding, or nothing changes.
+	// Multi-word vars compare every word of the encoding: the swap is
+	// atomic across the whole encoding, or nothing changes.
 	p, err := stm.Alloc(m, pointCodec{})
 	if err != nil {
 		t.Fatal(err)
