@@ -1,14 +1,8 @@
 package stm_test
 
-// Benchmark harness: one testing.B entry per reproduced paper artifact
-// (F1..F6, T1 — see DESIGN.md §5 and cmd/stmbench for the full sweeps) plus
-// host-mode benchmarks (T2) that measure the real-goroutine build against
-// conventional synchronization.
-//
-// Simulator benchmarks execute a fixed virtual-time simulation per
-// iteration and report simulated throughput as a custom metric
-// (simops/Mcycle); wall-clock ns/op measures the simulator itself, the
-// custom metric reproduces the paper's y-axis.
+// Host-mode benchmarks (T2): the real-goroutine library measured against
+// conventional synchronization on the machine running the tests. The
+// paper's simulated figures are produced by cmd/stmbench (DESIGN.md §5).
 
 import (
 	"fmt"
@@ -18,119 +12,7 @@ import (
 	"testing"
 
 	stm "github.com/stm-go/stm"
-	"github.com/stm-go/stm/internal/sim"
-	"github.com/stm-go/stm/internal/workload"
 )
-
-const (
-	simDuration = 200_000 // virtual cycles per simulator iteration
-	simProcs    = 16
-)
-
-// benchSim runs one simulated workload point per b.N iteration and reports
-// the simulated throughput (the paper's metric) alongside wall time.
-func benchSim(b *testing.B, spec workload.Spec) {
-	b.Helper()
-	var last float64
-	for i := 0; i < b.N; i++ {
-		spec.Seed = 1995 + uint64(i)
-		out, err := workload.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = out.Throughput
-	}
-	b.ReportMetric(last, "simops/Mcycle")
-}
-
-func methodsFor(kind workload.Kind) []workload.Method {
-	if kind == workload.KindResAlloc {
-		return []workload.Method{
-			workload.MethodSTM, workload.MethodSTMNoHelp, workload.MethodSTMUnsorted, workload.MethodMCS,
-		}
-	}
-	return workload.Methods
-}
-
-func benchFigure(b *testing.B, kind workload.Kind, arch workload.Arch) {
-	b.Helper()
-	for _, method := range methodsFor(kind) {
-		method := method
-		b.Run(string(method), func(b *testing.B) {
-			benchSim(b, workload.Spec{
-				Kind:     kind,
-				Method:   method,
-				Arch:     arch,
-				Procs:    simProcs,
-				Duration: simDuration,
-				QueueCap: 64,
-				Pools:    16,
-				K:        3,
-			})
-		})
-	}
-}
-
-// BenchmarkF1CountingBus reproduces figure F1 (counting, bus machine) at
-// P=16; run cmd/stmbench -exp F1 for the full processor sweep.
-func BenchmarkF1CountingBus(b *testing.B) {
-	benchFigure(b, workload.KindCounting, workload.ArchBus)
-}
-
-// BenchmarkF2CountingNet reproduces figure F2 (counting, network machine).
-func BenchmarkF2CountingNet(b *testing.B) {
-	benchFigure(b, workload.KindCounting, workload.ArchNet)
-}
-
-// BenchmarkF3QueueBus reproduces figure F3 (queue, bus machine).
-func BenchmarkF3QueueBus(b *testing.B) {
-	benchFigure(b, workload.KindQueue, workload.ArchBus)
-}
-
-// BenchmarkF4QueueNet reproduces figure F4 (queue, network machine).
-func BenchmarkF4QueueNet(b *testing.B) {
-	benchFigure(b, workload.KindQueue, workload.ArchNet)
-}
-
-// BenchmarkT1Breakdown reproduces table T1's underlying measurement: the
-// STM counting run whose latency/failure/helping rates the table reports.
-func BenchmarkT1Breakdown(b *testing.B) {
-	benchSim(b, workload.Spec{
-		Kind:     workload.KindCounting,
-		Method:   workload.MethodSTM,
-		Arch:     workload.ArchBus,
-		Procs:    simProcs,
-		Duration: simDuration,
-	})
-}
-
-// BenchmarkF5Stalls reproduces figure F5: throughput with 2 of 16
-// processors periodically preempted mid-transaction.
-func BenchmarkF5Stalls(b *testing.B) {
-	for _, method := range []workload.Method{workload.MethodSTM, workload.MethodTTAS, workload.MethodMCS} {
-		method := method
-		b.Run(string(method), func(b *testing.B) {
-			benchSim(b, workload.Spec{
-				Kind:     workload.KindCounting,
-				Method:   method,
-				Arch:     workload.ArchBus,
-				Procs:    simProcs,
-				Duration: simDuration,
-				Stall:    &sim.StallPlan{Procs: 2, Period: 10, Duration: simDuration / 20},
-			})
-		})
-	}
-}
-
-// BenchmarkF6Ablation reproduces figure F6: the design-choice ablation on
-// k-way resource allocation.
-func BenchmarkF6Ablation(b *testing.B) {
-	benchFigure(b, workload.KindResAlloc, workload.ArchBus)
-}
-
-// ---------------------------------------------------------------------------
-// T2: host-mode benchmarks — the real-goroutine library vs conventional
-// synchronization on the machine running the tests.
 
 // BenchmarkHostCounterSTM measures transactional fetch-and-increment.
 func BenchmarkHostCounterSTM(b *testing.B) {

@@ -33,7 +33,6 @@ import (
 
 	"github.com/stm-go/stm/internal/bench"
 	"github.com/stm-go/stm/internal/sim"
-	"github.com/stm-go/stm/internal/workload"
 )
 
 func main() {
@@ -89,10 +88,10 @@ func run(args []string, out io.Writer) error {
 			}
 			p = opt.Procs[0]
 		}
-		spec := workload.Spec{
-			Kind:     workload.Kind(*kind),
-			Method:   workload.Method(*method),
-			Arch:     workload.Arch(*arch),
+		spec := bench.Spec{
+			Kind:     bench.Kind(*kind),
+			Method:   bench.Method(*method),
+			Arch:     bench.Arch(*arch),
 			Procs:    p,
 			Duration: opt.Duration,
 			Seed:     opt.Seed,
@@ -134,16 +133,16 @@ func run(args []string, out io.Writer) error {
 func runExperiment(id string, opt bench.Options) (table, csv string, err error) {
 	switch id {
 	case "F1":
-		f, err := bench.Counting(workload.ArchBus, opt)
+		f, err := bench.Counting(bench.ArchBus, opt)
 		return f.Table(), f.CSV(), err
 	case "F2":
-		f, err := bench.Counting(workload.ArchNet, opt)
+		f, err := bench.Counting(bench.ArchNet, opt)
 		return f.Table(), f.CSV(), err
 	case "F3":
-		f, err := bench.Queue(workload.ArchBus, opt)
+		f, err := bench.Queue(bench.ArchBus, opt)
 		return f.Table(), f.CSV(), err
 	case "F4":
-		f, err := bench.Queue(workload.ArchNet, opt)
+		f, err := bench.Queue(bench.ArchNet, opt)
 		return f.Table(), f.CSV(), err
 	case "T1":
 		d, err := bench.Breakdown(opt)
@@ -167,8 +166,8 @@ func runExperiment(id string, opt bench.Options) (table, csv string, err error) 
 
 // runScenario runs one workload spec and reports it in detail: throughput,
 // latency, and the method's own counters.
-func runScenario(spec workload.Spec, out io.Writer) error {
-	res, err := workload.Run(spec)
+func runScenario(spec bench.Spec, out io.Writer) error {
+	res, err := bench.Run(spec)
 	if err != nil {
 		return err
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/stm-go/stm/internal/sim"
-	"github.com/stm-go/stm/internal/workload"
 )
 
 // Options parameterizes an experiment run.
@@ -21,8 +20,6 @@ type Options struct {
 	QueueCap int
 	// Pools/K parameterize the resource-allocation workload.
 	Pools, K int
-	// Workers bounds host-side parallelism across points (0 = GOMAXPROCS).
-	Workers int
 }
 
 // DefaultOptions returns the experiment calibration. quick selects a
@@ -49,39 +46,25 @@ func DefaultOptions(quick bool) Options {
 	}
 }
 
-// run executes one workload spec, returning throughput.
-func run(spec workload.Spec) (workload.Outcome, error) {
-	return workload.Run(spec)
-}
-
-// sweep runs spec-variants over (procs × methods) in parallel and builds
-// one series per method.
-func (o Options) sweep(kind workload.Kind, arch workload.Arch, methods []workload.Method,
-	stallFor func(procs int) *sim.StallPlan) ([]Series, error) {
-
-	type key struct {
-		mi, pi int
-	}
-	results := make(map[key]float64, len(methods)*len(o.Procs))
-	var mu sync.Mutex
-	var firstErr error
-
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-
+// sweep runs spec-variants over (procs × methods), GOMAXPROCS points at a
+// time, and builds one series per method.
+func (o Options) sweep(kind Kind, arch Arch, methods []Method) ([]Series, error) {
+	series := make([]Series, len(methods))
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+	)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for mi, method := range methods {
+		series[mi] = Series{Label: string(method), Points: make([]Point, len(o.Procs))}
 		for pi, procs := range o.Procs {
-			mi, pi, method, procs := mi, pi, method, procs
 			wg.Add(1)
 			sem <- struct{}{}
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				spec := workload.Spec{
+				out, err := Run(Spec{
 					Kind:     kind,
 					Method:   method,
 					Arch:     arch,
@@ -91,20 +74,15 @@ func (o Options) sweep(kind workload.Kind, arch workload.Arch, methods []workloa
 					QueueCap: o.QueueCap,
 					Pools:    o.Pools,
 					K:        o.K,
-				}
-				if stallFor != nil {
-					spec.Stall = stallFor(procs)
-				}
-				out, err := run(spec)
-				mu.Lock()
-				defer mu.Unlock()
+				})
 				if err != nil {
+					mu.Lock()
 					if firstErr == nil {
 						firstErr = fmt.Errorf("%s/%s/p=%d: %w", kind, method, procs, err)
 					}
-					return
+					mu.Unlock()
 				}
-				results[key{mi, pi}] = out.Throughput
+				series[mi].Points[pi] = Point{X: float64(procs), Y: out.Throughput}
 			}()
 		}
 	}
@@ -112,27 +90,18 @@ func (o Options) sweep(kind workload.Kind, arch workload.Arch, methods []workloa
 	if firstErr != nil {
 		return nil, firstErr
 	}
-
-	series := make([]Series, len(methods))
-	for mi, method := range methods {
-		pts := make([]Point, len(o.Procs))
-		for pi, procs := range o.Procs {
-			pts[pi] = Point{X: float64(procs), Y: results[key{mi, pi}]}
-		}
-		series[mi] = Series{Label: string(method), Points: pts}
-	}
 	return series, nil
 }
 
 // Counting reproduces the counting-benchmark throughput figures: F1 on the
 // bus machine, F2 on the network machine.
-func Counting(arch workload.Arch, o Options) (Figure, error) {
-	series, err := o.sweep(workload.KindCounting, arch, workload.Methods, nil)
+func Counting(arch Arch, o Options) (Figure, error) {
+	series, err := o.sweep(KindCounting, arch, Methods)
 	if err != nil {
 		return Figure{}, err
 	}
 	id := "F1"
-	if arch == workload.ArchNet {
+	if arch == ArchNet {
 		id = "F2"
 	}
 	return Figure{
@@ -149,13 +118,13 @@ func Counting(arch workload.Arch, o Options) (Figure, error) {
 
 // Queue reproduces the doubly-linked-queue throughput figures: F3 (bus)
 // and F4 (network).
-func Queue(arch workload.Arch, o Options) (Figure, error) {
-	series, err := o.sweep(workload.KindQueue, arch, workload.Methods, nil)
+func Queue(arch Arch, o Options) (Figure, error) {
+	series, err := o.sweep(KindQueue, arch, Methods)
 	if err != nil {
 		return Figure{}, err
 	}
 	id := "F3"
-	if arch == workload.ArchNet {
+	if arch == ArchNet {
 		id = "F4"
 	}
 	return Figure{
@@ -190,11 +159,11 @@ func Breakdown(o Options) (Doc, error) {
 			fmt.Sprintf("duration=%d cycles/point, seed=%d", o.Duration, o.Seed),
 		},
 	}
-	for _, arch := range []workload.Arch{workload.ArchBus, workload.ArchNet} {
+	for _, arch := range []Arch{ArchBus, ArchNet} {
 		for _, procs := range procsList {
-			out, err := run(workload.Spec{
-				Kind:     workload.KindCounting,
-				Method:   workload.MethodSTM,
+			out, err := Run(Spec{
+				Kind:     KindCounting,
+				Method:   MethodSTM,
 				Arch:     arch,
 				Procs:    procs,
 				Duration: o.Duration,
@@ -213,7 +182,7 @@ func Breakdown(o Options) (Doc, error) {
 			}
 			latency := float64(procs) * float64(o.Duration) / ops
 			traffic := out.Extra["bus_transactions"]
-			if arch == workload.ArchNet {
+			if arch == ArchNet {
 				traffic = out.Extra["remote_ops"]
 			}
 			doc.Rows = append(doc.Rows, []string{
@@ -222,7 +191,7 @@ func Breakdown(o Options) (Doc, error) {
 				fmt.Sprintf("%.0f", latency),
 				fmt.Sprintf("%.0f", out.Extra["lat_p50"]),
 				fmt.Sprintf("%.0f", out.Extra["lat_p95"]),
-				fmt.Sprintf("%.3f", out.Extra["failures"]/maxf(out.Extra["attempts"], 1)),
+				fmt.Sprintf("%.3f", out.Extra["failures"]/max(out.Extra["attempts"], 1)),
 				fmt.Sprintf("%.3f", out.Extra["helps"]/commits),
 				fmt.Sprintf("%.4f", out.Extra["heals"]/commits),
 				fmt.Sprintf("%.1f", traffic/ops),
@@ -241,16 +210,16 @@ func Stalls(o Options) (Figure, error) {
 		procs = 8
 	}
 	stalledCounts := []int{0, 1, 2, 4}
-	methods := []workload.Method{workload.MethodSTM, workload.MethodTTAS, workload.MethodMCS}
+	methods := []Method{MethodSTM, MethodTTAS, MethodMCS}
 
 	series := make([]Series, len(methods))
 	for mi, method := range methods {
 		pts := make([]Point, 0, len(stalledCounts))
 		for _, s := range stalledCounts {
-			spec := workload.Spec{
-				Kind:     workload.KindCounting,
+			spec := Spec{
+				Kind:     KindCounting,
 				Method:   method,
-				Arch:     workload.ArchBus,
+				Arch:     ArchBus,
 				Procs:    procs,
 				Duration: o.Duration,
 				Seed:     o.Seed,
@@ -258,7 +227,7 @@ func Stalls(o Options) (Figure, error) {
 			if s > 0 {
 				spec.Stall = &sim.StallPlan{Procs: s, Period: 10, Duration: o.Duration / 20}
 			}
-			out, err := run(spec)
+			out, err := Run(spec)
 			if err != nil {
 				return Figure{}, err
 			}
@@ -282,10 +251,10 @@ func Stalls(o Options) (Figure, error) {
 // Ablation reproduces F6: the paper's design choices (helping, ordered
 // acquisition) measured on the k-way resource-allocation workload.
 func Ablation(o Options) (Figure, error) {
-	methods := []workload.Method{
-		workload.MethodSTM, workload.MethodSTMNoHelp, workload.MethodSTMUnsorted, workload.MethodMCS,
+	methods := []Method{
+		MethodSTM, MethodSTMNoHelp, MethodSTMUnsorted, MethodMCS,
 	}
-	series, err := o.sweep(workload.KindResAlloc, workload.ArchBus, methods, nil)
+	series, err := o.sweep(KindResAlloc, ArchBus, methods)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -300,11 +269,4 @@ func Ablation(o Options) (Figure, error) {
 			fmt.Sprintf("duration=%d cycles/point, seed=%d", o.Duration, o.Seed),
 		},
 	}, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

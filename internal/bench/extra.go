@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"fmt"
-
-	"github.com/stm-go/stm/internal/workload"
-)
+import "fmt"
 
 // StepCounts produces T0: each method's protocol footprint — simulated
 // memory operations per completed workload operation — measured on the
@@ -21,15 +17,15 @@ func StepCounts(o Options) (Doc, error) {
 			fmt.Sprintf("duration=%d cycles/point, seed=%d", o.Duration, o.Seed),
 		},
 	}
-	kinds := []workload.Kind{workload.KindCounting, workload.KindQueue}
+	kinds := []Kind{KindCounting, KindQueue}
 	for _, kind := range kinds {
-		for _, method := range workload.Methods {
+		for _, method := range Methods {
 			row := []string{string(kind), string(method)}
 			for _, procs := range []int{1, 8} {
-				out, err := workload.Run(workload.Spec{
+				out, err := Run(Spec{
 					Kind:     kind,
 					Method:   method,
-					Arch:     workload.ArchIdeal,
+					Arch:     ArchIdeal,
 					Procs:    procs,
 					Duration: o.Duration,
 					Seed:     o.Seed,
@@ -56,16 +52,16 @@ func StepCounts(o Options) (Doc, error) {
 func TxSize(o Options) (Figure, error) {
 	const procs = 16
 	ks := []int{1, 2, 4, 8}
-	methods := []workload.Method{workload.MethodSTM, workload.MethodSTMNoHelp, workload.MethodMCS}
+	methods := []Method{MethodSTM, MethodSTMNoHelp, MethodMCS}
 
 	series := make([]Series, len(methods))
 	for mi, method := range methods {
 		pts := make([]Point, 0, len(ks))
 		for _, k := range ks {
-			out, err := workload.Run(workload.Spec{
-				Kind:     workload.KindResAlloc,
+			out, err := Run(Spec{
+				Kind:     KindResAlloc,
 				Method:   method,
-				Arch:     workload.ArchBus,
+				Arch:     ArchBus,
 				Procs:    procs,
 				Duration: o.Duration,
 				Seed:     o.Seed,

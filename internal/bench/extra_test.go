@@ -3,8 +3,6 @@ package bench
 import (
 	"strconv"
 	"testing"
-
-	"github.com/stm-go/stm/internal/workload"
 )
 
 func TestStepCountsQuick(t *testing.T) {
@@ -23,7 +21,7 @@ func TestStepCountsQuick(t *testing.T) {
 	// lock rows — the constant overhead the paper acknowledges.
 	var stmOps, ttasOps float64
 	for _, row := range d.Rows {
-		if row[0] != string(workload.KindCounting) {
+		if row[0] != string(KindCounting) {
 			continue
 		}
 		v, err := strconv.ParseFloat(row[2], 64)
@@ -31,9 +29,9 @@ func TestStepCountsQuick(t *testing.T) {
 			t.Fatalf("unparsable P=1 cell %q", row[2])
 		}
 		switch row[1] {
-		case string(workload.MethodSTM):
+		case string(MethodSTM):
 			stmOps = v
-		case string(workload.MethodTTAS):
+		case string(MethodTTAS):
 			ttasOps = v
 		}
 	}
@@ -69,10 +67,10 @@ func TestTxSizeQuick(t *testing.T) {
 }
 
 func TestIdealArchExposed(t *testing.T) {
-	out, err := workload.Run(workload.Spec{
-		Kind:     workload.KindCounting,
-		Method:   workload.MethodSTM,
-		Arch:     workload.ArchIdeal,
+	out, err := Run(Spec{
+		Kind:     KindCounting,
+		Method:   MethodSTM,
+		Arch:     ArchIdeal,
 		Procs:    2,
 		Duration: 50_000,
 		Seed:     3,

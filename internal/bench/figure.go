@@ -1,6 +1,3 @@
-// Package bench defines and runs the reproduction's experiments — one per
-// figure/table of the paper's evaluation (see DESIGN.md §5) — and renders
-// their results as aligned text tables and CSV.
 package bench
 
 import (

@@ -40,7 +40,7 @@
 // consumes it — and the seal/pin generation guard keeps a helper from ever
 // confusing two attempts of one record, the role played by version numbers
 // in the paper's (non-GC) setting (DESIGN.md §4). The simulator build
-// (internal/simstm) keeps the paper's exact versioned records instead,
+// (internal/sim) keeps the paper's exact versioned records instead,
 // because simulated memory has no GC.
 //
 // # Hot-path memory behavior

@@ -40,10 +40,11 @@ func WriteBackBusConfig() BusConfig {
 // until the lock word is written, then storms the bus, exactly the
 // behaviour the paper's bus figures turn on.
 type BusModel struct {
-	cfg       BusConfig
-	procs     int
-	cached    []uint64 // per-word bitmask of processors with a valid copy (procs ≤ 64)
-	cachedBig [][]bool // fallback when procs > 64
+	cfg BusConfig
+	// sharers is one bitset per word, stride words of 64 bits each: bit p
+	// of word addr's set is on while processor p holds a valid copy.
+	sharers   []uint64
+	stride    int
 	busFreeAt int64
 	busOps    int64
 }
@@ -53,61 +54,35 @@ var _ CostModel = (*BusModel)(nil)
 // NewBusModel builds a bus model for the given processor count and memory
 // size.
 func NewBusModel(procs, words int, cfg BusConfig) *BusModel {
-	b := &BusModel{cfg: cfg, procs: procs}
-	if procs <= 64 {
-		b.cached = make([]uint64, words)
-	} else {
-		b.cachedBig = make([][]bool, words)
-		for i := range b.cachedBig {
-			b.cachedBig[i] = make([]bool, procs)
-		}
-	}
-	return b
-}
-
-// Name implements CostModel.
-func (b *BusModel) Name() string { return "bus" }
-
-// Reset implements CostModel.
-func (b *BusModel) Reset() {
-	for i := range b.cached {
-		b.cached[i] = 0
-	}
-	for i := range b.cachedBig {
-		for j := range b.cachedBig[i] {
-			b.cachedBig[i][j] = false
-		}
-	}
-	b.busFreeAt = 0
-	b.busOps = 0
+	stride := (procs + 63) / 64
+	return &BusModel{cfg: cfg, sharers: make([]uint64, words*stride), stride: stride}
 }
 
 // BusTransactions returns the number of bus transactions issued so far —
 // the coherence-traffic metric reported by experiment T1.
 func (b *BusModel) BusTransactions() int64 { return b.busOps }
 
+// set returns addr's sharer bitset.
+func (b *BusModel) set(addr int) []uint64 {
+	return b.sharers[addr*b.stride : (addr+1)*b.stride]
+}
+
 func (b *BusModel) has(p, addr int) bool {
-	if b.cached != nil {
-		return b.cached[addr]&(1<<uint(p)) != 0
-	}
-	return b.cachedBig[addr][p]
+	return b.set(addr)[p/64]&(1<<uint(p%64)) != 0
 }
 
 func (b *BusModel) addSharer(p, addr int) {
-	if b.cached != nil {
-		b.cached[addr] |= 1 << uint(p)
-		return
-	}
-	b.cachedBig[addr][p] = true
+	b.set(addr)[p/64] |= 1 << uint(p%64)
 }
 
 // exclusive reports whether p is the sole holder of addr's line.
 func (b *BusModel) exclusive(p, addr int) bool {
-	if b.cached != nil {
-		return b.cached[addr] == 1<<uint(p)
-	}
-	for i, has := range b.cachedBig[addr] {
-		if has != (i == p) {
+	for i, w := range b.set(addr) {
+		var want uint64
+		if i == p/64 {
+			want = 1 << uint(p%64)
+		}
+		if w != want {
 			return false
 		}
 	}
@@ -115,14 +90,9 @@ func (b *BusModel) exclusive(p, addr int) bool {
 }
 
 func (b *BusModel) setExclusive(p, addr int) {
-	if b.cached != nil {
-		b.cached[addr] = 1 << uint(p)
-		return
-	}
-	for i := range b.cachedBig[addr] {
-		b.cachedBig[addr][i] = false
-	}
-	b.cachedBig[addr][p] = true
+	set := b.set(addr)
+	clear(set)
+	set[p/64] = 1 << uint(p%64)
 }
 
 // busTransaction queues one transaction behind current bus traffic and

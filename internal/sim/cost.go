@@ -38,11 +38,6 @@ func (k OpKind) String() string {
 	}
 }
 
-// isWrite reports whether k modifies memory (and must invalidate caches).
-func (k OpKind) isWrite() bool {
-	return k == OpWrite || k == OpSC || k == OpCAS
-}
-
 // CostModel prices one memory operation and evolves the architecture's
 // contention state (bus occupancy, module queues, cache residency). The
 // machine calls Cost exactly once per operation, in global virtual-time
@@ -51,8 +46,4 @@ type CostModel interface {
 	// Cost returns the cycles from issue to completion for processor p
 	// performing kind on word addr, issued at time now.
 	Cost(p int, addr int, kind OpKind, now int64) int64
-	// Name identifies the model in experiment output.
-	Name() string
-	// Reset clears contention state so a model can be reused across runs.
-	Reset()
 }

@@ -1,14 +1,10 @@
-package simherlihy
+package sim
 
-import (
-	"testing"
+import "testing"
 
-	"github.com/stm-go/stm/internal/sim"
-)
-
-// ops: 0 = add arg to every state word; 1 = bounded enqueue/dequeue ops on
+// Herlihy test ops: 0 = add arg to every state word; 1 = bounded enqueue/dequeue ops on
 // a queue state [head, tail, slots...], selected by arg2 (0 enq, 1 deq).
-var testOps = []OpFunc{
+var herlihyTestOps = []OpFunc{
 	func(arg, _ uint64, old []uint64) []uint64 {
 		nv := make([]uint64, len(old))
 		for i, v := range old {
@@ -41,16 +37,16 @@ var testOps = []OpFunc{
 	},
 }
 
-func newObj(t *testing.T, procs, stateWords int) (*Object, *sim.Machine) {
+func newObj(t *testing.T, procs, stateWords int) (*Herlihy, *Machine) {
 	t.Helper()
-	o, err := New(Config{Procs: procs, StateWords: stateWords, Base: 0, Ops: testOps})
+	o, err := NewHerlihy(procs, stateWords, herlihyTestOps)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	m, err := sim.NewMachine(sim.Config{
+	m, err := NewMachine(Config{
 		Procs:  procs,
 		Words:  o.Words(),
-		Model:  sim.NewBusModel(procs, o.Words(), sim.DefaultBusConfig()),
+		Model:  NewBusModel(procs, o.Words(), DefaultBusConfig()),
 		Seed:   7,
 		Jitter: 1,
 	})
@@ -63,28 +59,30 @@ func newObj(t *testing.T, procs, stateWords int) (*Object, *sim.Machine) {
 	return o, m
 }
 
-func TestValidation(t *testing.T) {
-	bad := []Config{
-		{Procs: 0, StateWords: 1, Ops: testOps},
-		{Procs: 1, StateWords: 0, Ops: testOps},
-		{Procs: 1, StateWords: 1},
-		{Procs: 1, StateWords: 1, Ops: testOps, Base: -1},
+func TestNewHerlihyValidation(t *testing.T) {
+	bad := []struct {
+		procs, stateWords int
+		ops               []OpFunc
+	}{
+		{0, 1, herlihyTestOps},
+		{1, 0, herlihyTestOps},
+		{1, 1, nil},
 	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+	for i, c := range bad {
+		if _, err := NewHerlihy(c.procs, c.stateWords, c.ops); err == nil {
 			t.Errorf("config %d: want error", i)
 		}
 	}
 }
 
 func TestSeedInitialValidatesLength(t *testing.T) {
-	o, err := New(Config{Procs: 1, StateWords: 3, Ops: testOps})
+	o, err := NewHerlihy(1, 3, herlihyTestOps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.NewMachine(sim.Config{
+	m, err := NewMachine(Config{
 		Procs: 1, Words: o.Words(),
-		Model: sim.NewBusModel(1, o.Words(), sim.DefaultBusConfig()),
+		Model: NewBusModel(1, o.Words(), DefaultBusConfig()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +92,8 @@ func TestSeedInitialValidatesLength(t *testing.T) {
 	}
 }
 
-func TestWordsLayout(t *testing.T) {
-	o, err := New(Config{Procs: 3, StateWords: 4, Ops: testOps})
+func TestHerlihyWordsLayout(t *testing.T) {
+	o, err := NewHerlihy(3, 4, herlihyTestOps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +104,7 @@ func TestWordsLayout(t *testing.T) {
 
 func TestSingleProcCounter(t *testing.T) {
 	o, m := newObj(t, 1, 1)
-	if _, err := m.Run([]sim.Program{func(p *sim.Proc) {
+	if _, err := m.Run([]Program{func(p *Proc) {
 		for i := 0; i < 40; i++ {
 			old := o.Update(p, 0, 1, 0)
 			if old[0] != uint64(i) {
@@ -132,9 +130,9 @@ func TestContendedCounterExact(t *testing.T) {
 		each  = 50
 	)
 	o, m := newObj(t, procs, 1)
-	progs := make([]sim.Program, procs)
+	progs := make([]Program, procs)
 	for i := range progs {
-		progs[i] = func(p *sim.Proc) {
+		progs[i] = func(p *Proc) {
 			for k := 0; k < each; k++ {
 				o.Update(p, 0, 1, 0)
 			}
@@ -164,13 +162,13 @@ func TestQueueStateMachine(t *testing.T) {
 		each  = 60
 	)
 	o, m := newObj(t, procs, 2+4)
-	progs := []sim.Program{
-		func(p *sim.Proc) {
+	progs := []Program{
+		func(p *Proc) {
 			for k := 0; k < each; k++ {
 				o.Update(p, 1, uint64(k), 0) // enqueue (may be full: no-op)
 			}
 		},
-		func(p *sim.Proc) {
+		func(p *Proc) {
 			for k := 0; k < each; k++ {
 				o.Update(p, 1, 0, 1) // dequeue (may be empty: no-op)
 			}
@@ -190,7 +188,7 @@ func TestCopyCostScalesWithStateSize(t *testing.T) {
 	// The defining property: per-op memory traffic grows with object size.
 	opsFor := func(stateWords int) int64 {
 		o, m := newObj(t, 1, stateWords)
-		res, err := m.Run([]sim.Program{func(p *sim.Proc) {
+		res, err := m.Run([]Program{func(p *Proc) {
 			for i := 0; i < 10; i++ {
 				o.Update(p, 0, 1, 0)
 			}

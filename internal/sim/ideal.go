@@ -15,12 +15,6 @@ var _ CostModel = (*IdealModel)(nil)
 // NewIdealModel builds a unit-cost model.
 func NewIdealModel() *IdealModel { return &IdealModel{} }
 
-// Name implements CostModel.
-func (im *IdealModel) Name() string { return "ideal" }
-
-// Reset implements CostModel.
-func (im *IdealModel) Reset() { im.ops = 0 }
-
 // Ops returns the number of operations priced so far.
 func (im *IdealModel) Ops() int64 { return im.ops }
 

@@ -1,17 +1,13 @@
-package simlock
+package sim
 
-import (
-	"testing"
+import "testing"
 
-	"github.com/stm-go/stm/internal/sim"
-)
-
-func machineFor(t *testing.T, procs, words int) *sim.Machine {
+func machineFor(t *testing.T, procs, words int) *Machine {
 	t.Helper()
-	m, err := sim.NewMachine(sim.Config{
+	m, err := NewMachine(Config{
 		Procs:  procs,
 		Words:  words,
-		Model:  sim.NewBusModel(procs, words, sim.DefaultBusConfig()),
+		Model:  NewBusModel(procs, words, DefaultBusConfig()),
 		Seed:   99,
 		Jitter: 1,
 	})
@@ -21,56 +17,33 @@ func machineFor(t *testing.T, procs, words int) *sim.Machine {
 	return m
 }
 
-func TestConstructorValidation(t *testing.T) {
-	if _, err := NewTTAS(-1, 0, 0); err == nil {
-		t.Error("NewTTAS(-1): want error")
+func TestLockWords(t *testing.T) {
+	if w := (TTAS{}).Words(); w != 1 {
+		t.Errorf("ttas words = %d, want 1", w)
 	}
-	if _, err := NewMCS(-1, 2); err == nil {
-		t.Error("NewMCS(-1,2): want error")
-	}
-	if _, err := NewMCS(0, 0); err == nil {
-		t.Error("NewMCS(0,0): want error")
-	}
-}
-
-func TestLockNamesAndWords(t *testing.T) {
-	ttas, err := NewTTAS(0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ttas.Name() != "ttas" || ttas.Words() != 1 {
-		t.Errorf("ttas meta = (%q,%d)", ttas.Name(), ttas.Words())
-	}
-	mcs, err := NewMCS(0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mcs.Name() != "mcs" || mcs.Words() != 17 {
-		t.Errorf("mcs meta = (%q,%d), want (mcs,17)", mcs.Name(), mcs.Words())
+	if w := NewMCS(8).Words(); w != 17 {
+		t.Errorf("mcs words = %d, want 17", w)
 	}
 }
 
 // exerciseMutualExclusion runs a critical-section counter under the lock
 // and checks exactness plus actual exclusion (a guard word that would
 // expose overlapping critical sections).
-func exerciseMutualExclusion(t *testing.T, mkLock func(base, procs int) (Lock, error)) {
+func exerciseMutualExclusion(t *testing.T, mkLock func(procs int) Lock) {
 	t.Helper()
 	const (
 		procs = 8
 		each  = 80
 	)
 	// Memory: lock region + counter word + in-CS guard word.
-	lk, err := mkLock(0, procs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lk := mkLock(procs)
 	counterAddr := lk.Words()
 	guardAddr := counterAddr + 1
 	m := machineFor(t, procs, lk.Words()+2)
 
-	progs := make([]sim.Program, procs)
+	progs := make([]Program, procs)
 	for i := range progs {
-		progs[i] = func(p *sim.Proc) {
+		progs[i] = func(p *Proc) {
 			for k := 0; k < each; k++ {
 				lk.Acquire(p)
 				if g := p.Read(guardAddr); g != 0 {
@@ -93,31 +66,24 @@ func exerciseMutualExclusion(t *testing.T, mkLock func(base, procs int) (Lock, e
 }
 
 func TestTTASMutualExclusion(t *testing.T) {
-	exerciseMutualExclusion(t, func(base, procs int) (Lock, error) {
-		return NewTTAS(base, 0, 0)
-	})
+	exerciseMutualExclusion(t, func(int) Lock { return TTAS{} })
 }
 
 func TestMCSMutualExclusion(t *testing.T) {
-	exerciseMutualExclusion(t, func(base, procs int) (Lock, error) {
-		return NewMCS(base, procs)
-	})
+	exerciseMutualExclusion(t, func(procs int) Lock { return NewMCS(procs) })
 }
 
 func TestMCSFIFOHandoff(t *testing.T) {
 	// With staggered arrival, MCS must grant the lock in arrival order.
 	const procs = 4
-	lk, err := NewMCS(0, procs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lk := NewMCS(procs)
 	m := machineFor(t, procs, lk.Words()+1)
 	seqAddr := lk.Words()
 	var order [procs]uint64
-	progs := make([]sim.Program, procs)
+	progs := make([]Program, procs)
 	for i := range progs {
 		i := i
-		progs[i] = func(p *sim.Proc) {
+		progs[i] = func(p *Proc) {
 			p.Think(int64(i) * 2000) // arrival order by id
 			lk.Acquire(p)
 			seq := p.Read(seqAddr)
@@ -140,12 +106,9 @@ func TestMCSFIFOHandoff(t *testing.T) {
 func TestTTASUncontendedCheap(t *testing.T) {
 	// Acquire+release with no contention should take only a handful of
 	// operations (read + CAS + write).
-	lk, err := NewTTAS(0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lk := TTAS{}
 	m := machineFor(t, 1, 2)
-	res, err := m.Run([]sim.Program{func(p *sim.Proc) {
+	res, err := m.Run([]Program{func(p *Proc) {
 		lk.Acquire(p)
 		lk.Release(p)
 	}})
@@ -158,17 +121,10 @@ func TestTTASUncontendedCheap(t *testing.T) {
 }
 
 func TestLockReleaseMakesLockReacquirable(t *testing.T) {
-	for _, mk := range []func() (Lock, error){
-		func() (Lock, error) { return NewTTAS(0, 0, 0) },
-		func() (Lock, error) { return NewMCS(0, 1) },
-	} {
-		lk, err := mk()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, lk := range []Lock{TTAS{}, NewMCS(1)} {
 		m := machineFor(t, 1, lk.Words()+1)
 		done := 0
-		if _, err := m.Run([]sim.Program{func(p *sim.Proc) {
+		if _, err := m.Run([]Program{func(p *Proc) {
 			for k := 0; k < 10; k++ {
 				lk.Acquire(p)
 				lk.Release(p)
@@ -178,7 +134,7 @@ func TestLockReleaseMakesLockReacquirable(t *testing.T) {
 			t.Fatal(err)
 		}
 		if done != 10 {
-			t.Errorf("%s: completed %d acquire/release cycles, want 10", lk.Name(), done)
+			t.Errorf("%T: completed %d acquire/release cycles, want 10", lk, done)
 		}
 	}
 }

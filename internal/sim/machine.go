@@ -52,8 +52,8 @@ type Result struct {
 	Time int64
 	// MemOps[p] counts shared-memory operations issued by processor p.
 	MemOps []int64
-	// Stopped reports whether the run ended by RequestStop or MaxTime
-	// rather than by all programs returning.
+	// Stopped reports whether the run ended at MaxTime rather than by all
+	// programs returning.
 	Stopped bool
 }
 
@@ -62,8 +62,8 @@ type Result struct {
 var errStopped = errors.New("sim: machine stopped")
 
 // Machine is a simulated multiprocessor. Create with NewMachine, load
-// programs, then Run. A Machine may be Run once; build a fresh one (or call
-// Reset) per experiment.
+// programs, then Run. A Machine may be Run once; build a fresh one per
+// experiment.
 type Machine struct {
 	cfg   Config
 	words []uint64
@@ -74,7 +74,6 @@ type Machine struct {
 	yieldCh  chan yieldMsg
 	stopping bool
 	now      int64
-	tracer   Tracer
 }
 
 type yieldMsg struct {
@@ -117,15 +116,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Procs returns the number of processors.
-func (m *Machine) Procs() int { return m.cfg.Procs }
-
 // Model returns the machine's cost model (for reading traffic counters
 // such as bus transactions after a run).
 func (m *Machine) Model() CostModel { return m.cfg.Model }
-
-// Words returns the memory size.
-func (m *Machine) Words() int { return m.cfg.Words }
 
 // WordAt returns the value of a memory word. Valid before a run (to seed
 // initial state via SetWord) and after it completes.
@@ -133,11 +126,6 @@ func (m *Machine) WordAt(addr int) uint64 { return m.words[addr] }
 
 // SetWord initializes a memory word before Run.
 func (m *Machine) SetWord(addr int, v uint64) { m.words[addr] = v }
-
-// RequestStop makes every subsequent memory operation unwind its program.
-// Programs (typically a workload that has reached its operation target)
-// call this through Proc.StopMachine.
-func (m *Machine) RequestStop() { m.stopping = true }
 
 // procHeap orders processors by (readyTime, id).
 type procHeap []*Proc
@@ -230,27 +218,6 @@ func (m *Machine) Run(progs []Program) (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// Reset returns the machine to a pristine pre-run state (zeroed memory,
-// cleared reservations and counters, model contention state reset) so it
-// can be Run again. The RNG is reseeded from the original seed.
-func (m *Machine) Reset() {
-	for i := range m.words {
-		m.words[i] = 0
-		m.stamp[i] = 0
-	}
-	for _, p := range m.procs {
-		p.time = 0
-		p.ops = 0
-		p.resAddr = -1
-		p.resStamp = 0
-		p.rng = procRNG(m.cfg.Seed, p.id)
-	}
-	m.cfg.Model.Reset()
-	m.rng = xrand.New(m.cfg.Seed)
-	m.stopping = false
-	m.now = 0
 }
 
 // procRNG derives processor i's private random stream from the machine

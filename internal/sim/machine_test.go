@@ -255,37 +255,6 @@ func TestAtomicityOfSimulatedCAS(t *testing.T) {
 	}
 }
 
-func TestRequestStopUnwindsEveryProgram(t *testing.T) {
-	// An infinite program must be stopped by another processor's
-	// StopMachine; the run must still terminate and report Stopped.
-	m := busMachine(t, 3, 4, 3)
-	progs := []Program{
-		func(p *Proc) {
-			for i := 0; i < 50; i++ {
-				p.Write(0, uint64(i))
-			}
-			p.StopMachine()
-		},
-		func(p *Proc) {
-			for { // never returns on its own
-				p.Read(1)
-			}
-		},
-		func(p *Proc) {
-			for {
-				p.Read(2)
-			}
-		},
-	}
-	res, err := m.Run(progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stopped {
-		t.Error("result did not report Stopped")
-	}
-}
-
 func TestMaxTimeStopsRun(t *testing.T) {
 	m, err := NewMachine(Config{
 		Procs:   1,
@@ -349,31 +318,6 @@ func TestStallPlanDelaysVictims(t *testing.T) {
 	}
 	if diff > 1000 {
 		t.Errorf("unstalled procs diverged by %d cycles", diff)
-	}
-}
-
-func TestResetRestoresPristineState(t *testing.T) {
-	m := busMachine(t, 2, 4, 5)
-	progs := []Program{
-		func(p *Proc) { p.Write(0, 1) },
-		func(p *Proc) { p.Write(1, 2) },
-	}
-	if _, err := m.Run(progs); err != nil {
-		t.Fatal(err)
-	}
-	m.Reset()
-	if m.WordAt(0) != 0 || m.WordAt(1) != 0 {
-		t.Error("Reset did not zero memory")
-	}
-	res, err := m.Run(progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.WordAt(0) != 1 || m.WordAt(1) != 2 {
-		t.Error("re-run after Reset produced wrong memory")
-	}
-	if res.MemOps[0] != 1 || res.MemOps[1] != 1 {
-		t.Errorf("re-run op counts = %v, want [1 1]", res.MemOps)
 	}
 }
 

@@ -26,34 +26,15 @@ func DefaultNetConfig() NetConfig {
 // contention, not coherence traffic, dominates.
 type NetModel struct {
 	cfg          NetConfig
-	procs        int
-	words        int
-	moduleFreeAt []int64
+	moduleFreeAt []int64 // per processor's module: when it is next free
 	remoteOps    int64
 }
 
 var _ CostModel = (*NetModel)(nil)
 
-// NewNetModel builds a network model for the given processor count and
-// memory size.
-func NewNetModel(procs, words int, cfg NetConfig) *NetModel {
-	return &NetModel{
-		cfg:          cfg,
-		procs:        procs,
-		words:        words,
-		moduleFreeAt: make([]int64, procs),
-	}
-}
-
-// Name implements CostModel.
-func (n *NetModel) Name() string { return "net" }
-
-// Reset implements CostModel.
-func (n *NetModel) Reset() {
-	for i := range n.moduleFreeAt {
-		n.moduleFreeAt[i] = 0
-	}
-	n.remoteOps = 0
+// NewNetModel builds a network model for the given processor count.
+func NewNetModel(procs int, cfg NetConfig) *NetModel {
+	return &NetModel{cfg: cfg, moduleFreeAt: make([]int64, procs)}
 }
 
 // RemoteOps returns the number of remote (off-node) operations so far.
@@ -62,7 +43,7 @@ func (n *NetModel) RemoteOps() int64 { return n.remoteOps }
 // home returns the module that owns addr: words are striped round-robin,
 // so consecutive protocol words land on distinct modules, while a single
 // hot word concentrates load on one module.
-func (n *NetModel) home(addr int) int { return addr % n.procs }
+func (n *NetModel) home(addr int) int { return addr % len(n.moduleFreeAt) }
 
 // Cost implements CostModel.
 func (n *NetModel) Cost(p int, addr int, kind OpKind, now int64) int64 {

@@ -29,13 +29,6 @@ func (p *Proc) ID() int { return p.id }
 // Now returns the processor's local virtual clock.
 func (p *Proc) Now() int64 { return p.time }
 
-// Ops returns the number of memory operations issued so far.
-func (p *Proc) Ops() int64 { return p.ops }
-
-// StopMachine asks the machine to halt every processor at its next memory
-// operation. The caller keeps running until its own next operation.
-func (p *Proc) StopMachine() { p.m.RequestStop() }
-
 // Think advances the local clock by c cycles of purely local computation.
 // It performs no memory access and does not yield the processor.
 func (p *Proc) Think(c int64) {
@@ -62,7 +55,6 @@ func (p *Proc) acquireTurn() {
 // applying jitter and any configured stall plan.
 func (p *Proc) charge(kind OpKind, addr int) {
 	m := p.m
-	start := p.time
 	cost := m.cfg.Model.Cost(p.id, addr, kind, p.time)
 	if m.cfg.Jitter > 0 {
 		cost += m.rng.Int63n(m.cfg.Jitter + 1)
@@ -72,9 +64,6 @@ func (p *Proc) charge(kind OpKind, addr int) {
 		cost += s.Duration
 	}
 	p.time += cost
-	if m.tracer != nil {
-		m.tracer.Trace(TraceEvent{Proc: p.id, Kind: kind, Addr: addr, Start: start, Cost: cost})
-	}
 }
 
 // Read returns the value of a shared word.
@@ -152,3 +141,16 @@ func (p *Proc) CAS(addr int, old, new uint64) bool {
 // workload choices such as picking a random account pair; it consumes no
 // virtual time.
 func (p *Proc) Rand() uint64 { return p.rng.Uint64() }
+
+// backoff is capped exponential backoff with jitter, the retry pause of
+// every protocol here: each wait draws uniformly from [cur, 2·cur) cycles,
+// then cur doubles up to max.
+type backoff struct{ cur, max int64 }
+
+func newBackoff(max int64) backoff { return backoff{cur: 32, max: max} }
+
+// wait pauses p once and lengthens the next pause.
+func (b *backoff) wait(p *Proc) {
+	p.Think(b.cur + int64(p.Rand()%uint64(b.cur)))
+	b.cur = min(2*b.cur, b.max)
+}

@@ -1,21 +1,86 @@
-package simstm
+package sim
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"github.com/stm-go/stm/internal/sim"
-	"github.com/stm-go/stm/internal/stats"
 )
 
-// OpFunc computes a transaction's new values from its agreed old values and
-// an immediate argument, both of which live in simulated shared memory.
+// OpFunc computes new values from old ones and two immediate arguments:
+// a transaction's data set for STM, the whole object for Herlihy.
 // Implementations must be deterministic, side-effect free, and TOTAL: a
-// maximally stale helper can invoke them with garbage inputs (its results
-// are then discarded by version guards), so they must not panic on any
-// input. The result must have len(old) elements.
+// maximally stale helper or copier can invoke them with garbage inputs (its
+// results are then discarded by version guards or a failed
+// store-conditional), so they must not panic on any input. The result must
+// have len(old) elements.
 type OpFunc func(arg, arg2 uint64, old []uint64) []uint64
+
+// calcCost is the Think cycles a protocol charges per word it computes a
+// new value for: the transaction body, or the object update.
+const calcCost = 2
+
+// STM memory layout. An instance occupies simulated memory from word 0:
+//
+//	0 ........... D-1           data words (the transactional memory)
+//	D ........... 2D-1          ownership words, one per data word
+//	2D .......... 2D+P*R-1      transaction records, R words per processor
+//
+// A record's R = recHeaderWords + 2*MaxK words are laid out as:
+//
+//	+0 version     monotonically increasing per attempt (owner-written)
+//	+1 status      0 = Null, 1 = Success, 2|i<<2 = Failure at data-set index i
+//	+2 allWritten  1 once the update phase completed
+//	+3 stable      1 while the owner is inside its attempt loop
+//	+4 size        number of words in the data set (≤ MaxK)
+//	+5 opcode      index into the instance's registered OpFuncs
+//	+6 oparg       first immediate argument passed to the op function
+//	+7 oparg2      second immediate argument passed to the op function
+//	+8 … +8+K-1        addrs: data-word indices
+//	+8+K … +8+2K-1     old values; emptyOld means "not yet agreed"
+const (
+	offVersion     = 0
+	offStatus      = 1
+	offAllWritten  = 2
+	offStable      = 3
+	offSize        = 4
+	offOpcode      = 5
+	offOpArg       = 6
+	offOpArg2      = 7
+	recHeaderWords = 8
+)
+
+// Status word values.
+const (
+	statusNull    uint64 = 0
+	statusSuccess uint64 = 1
+	statusFailBit uint64 = 2
+)
+
+func failureAt(idx int) uint64 { return statusFailBit | uint64(idx)<<2 }
+
+func isFailure(st uint64) bool { return st&3 == statusFailBit }
+
+func failureIndex(st uint64) int { return int(st >> 2) }
+
+// emptyOld is the in-band "old value not yet agreed" marker. Data words
+// must never hold this value; NewSTM's op registry is documented
+// accordingly. (The paper uses pointer/nil for the same purpose.)
+const emptyOld = ^uint64(0)
+
+// Ownership words pack (record base, version) so that stale claims are
+// distinguishable from live ones: base in the high 32 bits, the low 32
+// bits of the claiming attempt's version below. 0 means unowned, which is
+// unambiguous because record bases are strictly positive (the data region
+// precedes the record region and is non-empty).
+const ownVersionMask = (1 << 32) - 1
+
+func packOwner(recBase int, version uint64) uint64 {
+	return uint64(recBase)<<32 | (version & ownVersionMask)
+}
+
+func unpackOwner(w uint64) (recBase int, version32 uint64) {
+	return int(w >> 32), w & ownVersionMask
+}
 
 // Variant selects protocol ablations for experiment F6. The zero value is
 // the paper's protocol (helping on, sorted acquisition).
@@ -28,29 +93,22 @@ type Variant struct {
 	Unsorted bool
 }
 
-// Config describes an STM instance inside a simulated machine.
-type Config struct {
+// STMConfig describes an STM instance inside a simulated machine.
+type STMConfig struct {
 	// Procs must equal the machine's processor count.
 	Procs int
 	// DataWords is the size of the transactional memory.
 	DataWords int
 	// MaxK is the largest data-set size any transaction will use.
 	MaxK int
-	// Base is the first simulated-memory word of the instance's region.
-	Base int
 	// Ops registers the op functions transactions can invoke by opcode.
 	Ops []OpFunc
 	// Variant selects ablations; zero value = the paper's protocol.
 	Variant Variant
-	// CalcCost is the Think cycles charged per data-set word for computing
-	// new values (models the transaction body). Default 2 if zero.
-	CalcCost int64
-	// BackoffMin/BackoffMax bound the exponential retry backoff in cycles.
-	// Defaults 32/8192 if zero.
-	BackoffMin, BackoffMax int64
 }
 
-// Stats aggregates per-processor protocol counters for one run.
+// Stats counts one protocol instance's outcomes over a run. Helps and
+// Heals are STM's alone.
 type Stats struct {
 	Attempts int64
 	Commits  int64
@@ -59,50 +117,37 @@ type Stats struct {
 	Heals    int64 // stale ownership words freed
 }
 
+// maxBackoff caps the protocols' retry backoff, in cycles.
+const maxBackoff = 8192
+
 // STM is one transactional-memory instance placed in a simulated machine's
 // memory. Create with NewSTM, then have each simulated processor call Run.
-// The instance itself holds only immutable layout plus per-processor
-// counters; all shared protocol state lives in simulated memory.
+// The instance itself holds only immutable layout plus counters; all shared
+// protocol state lives in simulated memory. The machine runs one processor
+// at a time, so the counters need no locking.
 type STM struct {
-	cfg      Config
+	cfg      STMConfig
 	recWords int
-	perProc  []Stats     // indexed by processor id; written only by that processor's program
-	latency  [][]float64 // per-processor commit latencies in cycles (Run entry → commit)
+	stats    Stats
+	latency  []float64 // commit latencies in cycles (Run entry → commit)
 }
 
 // NewSTM validates cfg and returns an instance. The caller must size the
-// machine's memory to cover [cfg.Base, cfg.Base+Words()).
-func NewSTM(cfg Config) (*STM, error) {
+// machine's memory to cover [0, Words()).
+func NewSTM(cfg STMConfig) (*STM, error) {
 	if cfg.Procs < 1 {
-		return nil, fmt.Errorf("simstm: Procs must be ≥ 1, got %d", cfg.Procs)
+		return nil, fmt.Errorf("sim: Procs must be ≥ 1, got %d", cfg.Procs)
 	}
 	if cfg.DataWords < 1 {
-		return nil, fmt.Errorf("simstm: DataWords must be ≥ 1, got %d", cfg.DataWords)
+		return nil, fmt.Errorf("sim: DataWords must be ≥ 1, got %d", cfg.DataWords)
 	}
 	if cfg.MaxK < 1 || cfg.MaxK > cfg.DataWords {
-		return nil, fmt.Errorf("simstm: MaxK must be in [1,%d], got %d", cfg.DataWords, cfg.MaxK)
+		return nil, fmt.Errorf("sim: MaxK must be in [1,%d], got %d", cfg.DataWords, cfg.MaxK)
 	}
 	if len(cfg.Ops) == 0 {
-		return nil, errors.New("simstm: at least one OpFunc is required")
+		return nil, errors.New("sim: at least one OpFunc is required")
 	}
-	if cfg.Base < 0 {
-		return nil, fmt.Errorf("simstm: Base must be ≥ 0, got %d", cfg.Base)
-	}
-	if cfg.CalcCost <= 0 {
-		cfg.CalcCost = 2
-	}
-	if cfg.BackoffMin <= 0 {
-		cfg.BackoffMin = 32
-	}
-	if cfg.BackoffMax < cfg.BackoffMin {
-		cfg.BackoffMax = 8192
-	}
-	return &STM{
-		cfg:      cfg,
-		recWords: recHeaderWords + 2*cfg.MaxK,
-		perProc:  make([]Stats, cfg.Procs),
-		latency:  make([][]float64, cfg.Procs),
-	}, nil
+	return &STM{cfg: cfg, recWords: recHeaderWords + 2*cfg.MaxK}, nil
 }
 
 // Words returns the total simulated-memory footprint of the instance.
@@ -110,63 +155,34 @@ func (s *STM) Words() int {
 	return 2*s.cfg.DataWords + s.cfg.Procs*s.recWords
 }
 
-// DataAddr maps a data-word index to its simulated-memory address.
-func (s *STM) DataAddr(i int) int { return s.cfg.Base + i }
-
-func (s *STM) ownAddr(i int) int { return s.cfg.Base + s.cfg.DataWords + i }
+// ownAddr is data word i's ownership word; data word i itself is at
+// address i.
+func (s *STM) ownAddr(i int) int { return s.cfg.DataWords + i }
 
 func (s *STM) recBase(proc int) int {
-	return s.cfg.Base + 2*s.cfg.DataWords + proc*s.recWords
+	return 2*s.cfg.DataWords + proc*s.recWords
 }
 
-// Stats sums the per-processor counters. Call only after the machine run
+// Stats returns the instance's counters. Call only after the machine run
 // completes.
-func (s *STM) Stats() Stats {
-	var total Stats
-	for _, st := range s.perProc {
-		total.Attempts += st.Attempts
-		total.Commits += st.Commits
-		total.Failures += st.Failures
-		total.Helps += st.Helps
-		total.Heals += st.Heals
-	}
-	return total
-}
+func (s *STM) Stats() Stats { return s.stats }
 
-// ProcStats returns processor p's counters.
-func (s *STM) ProcStats(p int) Stats { return s.perProc[p] }
-
-// ResetStats zeroes all counters and latency samples (for reusing an
-// instance across runs).
-func (s *STM) ResetStats() {
-	for i := range s.perProc {
-		s.perProc[i] = Stats{}
-		s.latency[i] = nil
-	}
-}
-
-// LatencySummary summarizes commit latency (cycles from Run entry to
-// commit, including failed attempts and backoff) across all processors.
-// Call after the machine run completes.
-func (s *STM) LatencySummary() stats.Summary {
-	var all []float64
-	for _, l := range s.latency {
-		all = append(all, l...)
-	}
-	return stats.Summarize(all)
-}
+// Latencies returns every commit's latency in cycles, from Run entry to
+// commit, including failed attempts and backoff. Call after the machine run
+// completes.
+func (s *STM) Latencies() []float64 { return s.latency }
 
 // Run executes one static transaction on processor p, retrying with
 // exponential backoff until it commits: StartTransaction in the paper.
 // addrs are data-word indices (deduplicated by the caller); opcode selects
 // a registered OpFunc, which receives arg and arg2. It returns the agreed old
 // values, index-aligned with addrs as passed.
-func (s *STM) Run(p *sim.Proc, addrs []int, opcode int, arg, arg2 uint64) []uint64 {
+func (s *STM) Run(p *Proc, addrs []int, opcode int, arg, arg2 uint64) []uint64 {
 	if len(addrs) == 0 || len(addrs) > s.cfg.MaxK {
-		panic(fmt.Sprintf("simstm: data set size %d outside [1,%d]", len(addrs), s.cfg.MaxK))
+		panic(fmt.Sprintf("sim: data set size %d outside [1,%d]", len(addrs), s.cfg.MaxK))
 	}
 	if opcode < 0 || opcode >= len(s.cfg.Ops) {
-		panic(fmt.Sprintf("simstm: opcode %d outside [0,%d)", opcode, len(s.cfg.Ops)))
+		panic(fmt.Sprintf("sim: opcode %d outside [0,%d)", opcode, len(s.cfg.Ops)))
 	}
 
 	// Engine order: ascending addresses unless the Unsorted ablation.
@@ -187,7 +203,6 @@ func (s *STM) Run(p *sim.Proc, addrs []int, opcode int, arg, arg2 uint64) []uint
 	}
 
 	rb := s.recBase(p.ID())
-	me := &s.perProc[p.ID()]
 	started := p.Now()
 
 	// Write the attempt-invariant record fields once per Run.
@@ -199,7 +214,7 @@ func (s *STM) Run(p *sim.Proc, addrs []int, opcode int, arg, arg2 uint64) []uint
 		p.Write(rb+recHeaderWords+i, uint64(a))
 	}
 
-	backoff := s.cfg.BackoffMin
+	bo := newBackoff(maxBackoff)
 	for {
 		// Initialize the attempt: bump version, clear decision state,
 		// blank the old-value slots, then declare the record stable.
@@ -212,15 +227,15 @@ func (s *STM) Run(p *sim.Proc, addrs []int, opcode int, arg, arg2 uint64) []uint
 		}
 		p.Write(rb+offStable, 1)
 
-		me.Attempts++
+		s.stats.Attempts++
 		s.transaction(p, rb, version, order, true)
 
 		st := p.Read(rb + offStatus)
 		p.Write(rb+offStable, 0)
 
 		if st == statusSuccess {
-			me.Commits++
-			s.latency[p.ID()] = append(s.latency[p.ID()], float64(p.Now()-started))
+			s.stats.Commits++
+			s.latency = append(s.latency, float64(p.Now()-started))
 			// Read back the agreed snapshot (charged, like any consumer of
 			// the transaction's result) and undo the sort permutation.
 			oldSorted := make([]uint64, len(order))
@@ -234,16 +249,8 @@ func (s *STM) Run(p *sim.Proc, addrs []int, opcode int, arg, arg2 uint64) []uint
 			return old
 		}
 
-		me.Failures++
-		// Exponential backoff with deterministic jitter before retrying.
-		wait := backoff + int64(p.Rand()%uint64(backoff))
-		p.Think(wait)
-		if backoff < s.cfg.BackoffMax {
-			backoff *= 2
-			if backoff > s.cfg.BackoffMax {
-				backoff = s.cfg.BackoffMax
-			}
-		}
+		s.stats.Failures++
+		bo.wait(p)
 	}
 }
 
@@ -251,9 +258,7 @@ func (s *STM) Run(p *sim.Proc, addrs []int, opcode int, arg, arg2 uint64) []uint
 // completion. addrsHint carries the initiator's locally-known engine-order
 // data set; helpers pass nil and read the data set from shared memory under
 // version guards.
-func (s *STM) transaction(p *sim.Proc, rb int, version uint64, addrsHint []int, initiator bool) {
-	me := &s.perProc[p.ID()]
-
+func (s *STM) transaction(p *Proc, rb int, version uint64, addrsHint []int, initiator bool) {
 	addrs := addrsHint
 	if addrs == nil {
 		size := int(p.Read(rb + offSize))
@@ -318,7 +323,7 @@ func (s *STM) transaction(p *sim.Proc, rb int, version uint64, addrsHint []int, 
 	if p.Read(orb+offStable) != 1 {
 		return
 	}
-	me.Helps++
+	s.stats.Helps++
 	s.transaction(p, orb, fullVer, nil, false)
 }
 
@@ -326,8 +331,7 @@ func (s *STM) transaction(p *sim.Proc, rb int, version uint64, addrsHint []int, 
 // record's status Null when every word is claimed, or CASes it to Failure
 // at the first index blocked by a live claim. Stale claims (version
 // mismatch: their attempt already decided) are healed in place.
-func (s *STM) acquireOwnerships(p *sim.Proc, rb int, version uint64, addrs []int) {
-	me := &s.perProc[p.ID()]
+func (s *STM) acquireOwnerships(p *Proc, rb int, version uint64, addrs []int) {
 	want := packOwner(rb, version)
 	for i, loc := range addrs {
 		ownAddr := s.ownAddr(loc)
@@ -355,7 +359,7 @@ func (s *STM) acquireOwnerships(p *sim.Proc, rb int, version uint64, addrs []int
 				// a version bump happens only after the attempt decided and
 				// ran its release phase.
 				if p.SC(ownAddr, 0) {
-					me.Heals++
+					s.stats.Heals++
 				}
 				continue
 			}
@@ -371,7 +375,7 @@ func (s *STM) acquireOwnerships(p *sim.Proc, rb int, version uint64, addrs []int
 
 // agreeOldValues fills the record's old-value slots from the claimed data
 // words, set-once via LL/SC so every helper agrees on one snapshot.
-func (s *STM) agreeOldValues(p *sim.Proc, rb int, version uint64, addrs []int) {
+func (s *STM) agreeOldValues(p *Proc, rb int, version uint64, addrs []int) {
 	for i, loc := range addrs {
 		slot := rb + recHeaderWords + s.cfg.MaxK + i
 		if p.LL(slot) != emptyOld {
@@ -380,14 +384,14 @@ func (s *STM) agreeOldValues(p *sim.Proc, rb int, version uint64, addrs []int) {
 		if p.Read(rb+offVersion) != version {
 			return
 		}
-		v := p.Read(s.DataAddr(loc))
+		v := p.Read(loc)
 		p.SC(slot, v) // failure means another helper agreed first
 	}
 }
 
 // calcNewValues reads the agreed snapshot and computes the new values,
-// charging CalcCost cycles per word for the transaction body.
-func (s *STM) calcNewValues(p *sim.Proc, rb int, version uint64, addrs []int) []uint64 {
+// charging calcCost cycles per word for the transaction body.
+func (s *STM) calcNewValues(p *Proc, rb int, version uint64, addrs []int) []uint64 {
 	old := make([]uint64, len(addrs))
 	for i := range addrs {
 		old[i] = p.Read(rb + recHeaderWords + s.cfg.MaxK + i)
@@ -401,7 +405,7 @@ func (s *STM) calcNewValues(p *sim.Proc, rb int, version uint64, addrs []int) []
 	if p.Read(rb+offVersion) != version {
 		return old
 	}
-	p.Think(s.cfg.CalcCost * int64(len(addrs)))
+	p.Think(calcCost * int64(len(addrs)))
 	newv := s.cfg.Ops[opcode](arg, arg2, old)
 	if len(newv) != len(addrs) {
 		return old // defensive: treat a misbehaving op as identity
@@ -411,11 +415,10 @@ func (s *STM) calcNewValues(p *sim.Proc, rb int, version uint64, addrs []int) []
 
 // updateMemory installs the new values under LL/SC and version guards, then
 // raises allWritten to cut lagging helpers short.
-func (s *STM) updateMemory(p *sim.Proc, rb int, version uint64, addrs []int, newv []uint64) {
+func (s *STM) updateMemory(p *Proc, rb int, version uint64, addrs []int, newv []uint64) {
 	for i, loc := range addrs {
-		dataAddr := s.DataAddr(loc)
 		for {
-			cur := p.LL(dataAddr)
+			cur := p.LL(loc)
 			if p.Read(rb+offAllWritten) == 1 {
 				return
 			}
@@ -425,7 +428,7 @@ func (s *STM) updateMemory(p *sim.Proc, rb int, version uint64, addrs []int, new
 			if cur == newv[i] {
 				break
 			}
-			if p.SC(dataAddr, newv[i]) {
+			if p.SC(loc, newv[i]) {
 				break
 			}
 			// SC lost to a helper writing the same value (or our claim is
@@ -443,7 +446,7 @@ func (s *STM) updateMemory(p *sim.Proc, rb int, version uint64, addrs []int, new
 // releaseOwnerships frees every data word still claimed by this exact
 // attempt (record base AND version), scanning the whole data set because
 // helpers may have claimed words the failing path never reached.
-func (s *STM) releaseOwnerships(p *sim.Proc, rb int, version uint64, addrs []int) {
+func (s *STM) releaseOwnerships(p *Proc, rb int, version uint64, addrs []int) {
 	mine := packOwner(rb, version)
 	for _, loc := range addrs {
 		ownAddr := s.ownAddr(loc)

@@ -1,16 +1,12 @@
-package simstm
+package sim
 
-import (
-	"testing"
+import "testing"
 
-	"github.com/stm-go/stm/internal/sim"
-)
-
-// Test op registry:
+// STM test op registry:
 //
 //	op 0: add arg to every word in the data set
 //	op 1: transfer arg from word 0 to word 1 of the data set (guarded)
-var testOps = []OpFunc{
+var stmTestOps = []OpFunc{
 	func(arg, _ uint64, old []uint64) []uint64 {
 		nv := make([]uint64, len(old))
 		for i, v := range old {
@@ -30,31 +26,30 @@ var testOps = []OpFunc{
 }
 
 type harness struct {
-	m *sim.Machine
+	m *Machine
 	s *STM
 }
 
-func newHarness(t *testing.T, procs, dataWords, maxK int, variant Variant, stall *sim.StallPlan, useNet bool) *harness {
+func newHarness(t *testing.T, procs, dataWords, maxK int, variant Variant, stall *StallPlan, useNet bool) *harness {
 	t.Helper()
-	s, err := NewSTM(Config{
+	s, err := NewSTM(STMConfig{
 		Procs:     procs,
 		DataWords: dataWords,
 		MaxK:      maxK,
-		Base:      0,
-		Ops:       testOps,
+		Ops:       stmTestOps,
 		Variant:   variant,
 	})
 	if err != nil {
 		t.Fatalf("NewSTM: %v", err)
 	}
 	words := s.Words()
-	var model sim.CostModel
+	var model CostModel
 	if useNet {
-		model = sim.NewNetModel(procs, words, sim.DefaultNetConfig())
+		model = NewNetModel(procs, DefaultNetConfig())
 	} else {
-		model = sim.NewBusModel(procs, words, sim.DefaultBusConfig())
+		model = NewBusModel(procs, words, DefaultBusConfig())
 	}
-	m, err := sim.NewMachine(sim.Config{
+	m, err := NewMachine(Config{
 		Procs:  procs,
 		Words:  words,
 		Model:  model,
@@ -79,14 +74,13 @@ func (h *harness) checkOwnershipsFree(t *testing.T) {
 }
 
 func TestNewSTMValidation(t *testing.T) {
-	base := Config{Procs: 1, DataWords: 4, MaxK: 2, Ops: testOps}
-	bad := []Config{
-		{Procs: 0, DataWords: 4, MaxK: 2, Ops: testOps},
-		{Procs: 1, DataWords: 0, MaxK: 2, Ops: testOps},
-		{Procs: 1, DataWords: 4, MaxK: 0, Ops: testOps},
-		{Procs: 1, DataWords: 4, MaxK: 5, Ops: testOps},
+	base := STMConfig{Procs: 1, DataWords: 4, MaxK: 2, Ops: stmTestOps}
+	bad := []STMConfig{
+		{Procs: 0, DataWords: 4, MaxK: 2, Ops: stmTestOps},
+		{Procs: 1, DataWords: 0, MaxK: 2, Ops: stmTestOps},
+		{Procs: 1, DataWords: 4, MaxK: 0, Ops: stmTestOps},
+		{Procs: 1, DataWords: 4, MaxK: 5, Ops: stmTestOps},
 		{Procs: 1, DataWords: 4, MaxK: 2},
-		{Procs: 1, DataWords: 4, MaxK: 2, Ops: testOps, Base: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewSTM(cfg); err == nil {
@@ -98,8 +92,8 @@ func TestNewSTMValidation(t *testing.T) {
 	}
 }
 
-func TestWordsLayout(t *testing.T) {
-	s, err := NewSTM(Config{Procs: 3, DataWords: 10, MaxK: 2, Ops: testOps, Base: 5})
+func TestSTMWordsLayout(t *testing.T) {
+	s, err := NewSTM(STMConfig{Procs: 3, DataWords: 10, MaxK: 2, Ops: stmTestOps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +101,10 @@ func TestWordsLayout(t *testing.T) {
 	if got, want := s.Words(), 2*10+3*wantRec; got != want {
 		t.Errorf("Words() = %d, want %d", got, want)
 	}
-	if s.DataAddr(0) != 5 || s.DataAddr(9) != 14 {
-		t.Errorf("DataAddr mapping wrong: %d, %d", s.DataAddr(0), s.DataAddr(9))
+	if s.ownAddr(0) != 10 {
+		t.Errorf("ownAddr(0) = %d, want 10", s.ownAddr(0))
 	}
-	if s.ownAddr(0) != 15 {
-		t.Errorf("ownAddr(0) = %d, want 15", s.ownAddr(0))
-	}
-	if s.recBase(0) != 25 || s.recBase(1) != 25+wantRec {
+	if s.recBase(0) != 20 || s.recBase(1) != 20+wantRec {
 		t.Errorf("recBase = %d,%d", s.recBase(0), s.recBase(1))
 	}
 }
@@ -145,7 +136,7 @@ func TestStatusEncoding(t *testing.T) {
 
 func TestCountingSingleProc(t *testing.T) {
 	h := newHarness(t, 1, 4, 1, Variant{}, nil, false)
-	progs := []sim.Program{func(p *sim.Proc) {
+	progs := []Program{func(p *Proc) {
 		for i := 0; i < 50; i++ {
 			old := h.s.Run(p, []int{2}, 0, 1, 0)
 			if old[0] != uint64(i) {
@@ -156,7 +147,7 @@ func TestCountingSingleProc(t *testing.T) {
 	if _, err := h.m.Run(progs); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.m.WordAt(h.s.DataAddr(2)); got != 50 {
+	if got := h.m.WordAt(2); got != 50 {
 		t.Errorf("counter = %d, want 50", got)
 	}
 	st := h.s.Stats()
@@ -173,9 +164,9 @@ func testCountingContended(t *testing.T, variant Variant, useNet bool) {
 		each  = 60
 	)
 	h := newHarness(t, procs, 2, 1, variant, nil, useNet)
-	progs := make([]sim.Program, procs)
+	progs := make([]Program, procs)
 	for i := range progs {
-		progs[i] = func(p *sim.Proc) {
+		progs[i] = func(p *Proc) {
 			for k := 0; k < each; k++ {
 				h.s.Run(p, []int{0}, 0, 1, 0)
 			}
@@ -184,7 +175,7 @@ func testCountingContended(t *testing.T, variant Variant, useNet bool) {
 	if _, err := h.m.Run(progs); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.m.WordAt(h.s.DataAddr(0)); got != procs*each {
+	if got := h.m.WordAt(0); got != procs*each {
 		t.Errorf("counter = %d, want %d", got, procs*each)
 	}
 	st := h.s.Stats()
@@ -211,11 +202,11 @@ func TestTransfersConserveTotal(t *testing.T) {
 	)
 	h := newHarness(t, procs, accounts, 2, Variant{}, nil, false)
 	for i := 0; i < accounts; i++ {
-		h.m.SetWord(h.s.DataAddr(i), initial)
+		h.m.SetWord(i, initial)
 	}
-	progs := make([]sim.Program, procs)
+	progs := make([]Program, procs)
 	for i := range progs {
-		progs[i] = func(p *sim.Proc) {
+		progs[i] = func(p *Proc) {
 			for k := 0; k < each; k++ {
 				a := int(p.Rand() % accounts)
 				b := int(p.Rand() % accounts)
@@ -232,7 +223,7 @@ func TestTransfersConserveTotal(t *testing.T) {
 	}
 	var sum uint64
 	for i := 0; i < accounts; i++ {
-		sum += h.m.WordAt(h.s.DataAddr(i))
+		sum += h.m.WordAt(i)
 	}
 	if sum != accounts*initial {
 		t.Errorf("total = %d, want %d", sum, accounts*initial)
@@ -242,9 +233,9 @@ func TestTransfersConserveTotal(t *testing.T) {
 
 func TestOldValuesCallerOrder(t *testing.T) {
 	h := newHarness(t, 1, 8, 2, Variant{}, nil, false)
-	h.m.SetWord(h.s.DataAddr(3), 33)
-	h.m.SetWord(h.s.DataAddr(6), 66)
-	progs := []sim.Program{func(p *sim.Proc) {
+	h.m.SetWord(3, 33)
+	h.m.SetWord(6, 66)
+	progs := []Program{func(p *Proc) {
 		// Descending caller order must come back descending.
 		old := h.s.Run(p, []int{6, 3}, 0, 0, 0)
 		if old[0] != 66 || old[1] != 33 {
@@ -260,8 +251,8 @@ func TestOldValuesCallerOrder(t *testing.T) {
 // `delta` to data word 0, acquires its ownership, parks for stallDur cycles
 // mid-transaction, then resumes and completes — the canonical "stalled
 // owner" the cooperative method exists for.
-func stalledOwnerProgram(s *STM, stallDur int64, delta uint64) sim.Program {
-	return func(p *sim.Proc) {
+func stalledOwnerProgram(s *STM, stallDur int64, delta uint64) Program {
+	return func(p *Proc) {
 		rb := s.recBase(p.ID())
 		p.Write(rb+offSize, 1)
 		p.Write(rb+offOpcode, 0)
@@ -273,16 +264,16 @@ func stalledOwnerProgram(s *STM, stallDur int64, delta uint64) sim.Program {
 		p.Write(rb+offAllWritten, 0)
 		p.Write(rb+recHeaderWords+s.cfg.MaxK, emptyOld)
 		p.Write(rb+offStable, 1)
-		s.perProc[p.ID()].Attempts++
+		s.stats.Attempts++
 
 		s.acquireOwnerships(p, rb, version, []int{0})
 		p.Think(stallDur) // parked while holding the claim on word 0
 
 		s.transaction(p, rb, version, []int{0}, true)
 		if p.Read(rb+offStatus) == statusSuccess {
-			s.perProc[p.ID()].Commits++
+			s.stats.Commits++
 		} else {
-			s.perProc[p.ID()].Failures++
+			s.stats.Failures++
 		}
 		p.Write(rb+offStable, 0)
 	}
@@ -299,9 +290,9 @@ func TestHelpingUnblocksStalledOwner(t *testing.T) {
 	)
 	h := newHarness(t, 2, 2, 1, Variant{}, nil, false)
 	var finish1 int64
-	progs := []sim.Program{
+	progs := []Program{
 		stalledOwnerProgram(h.s, stallDur, 100),
-		func(p *sim.Proc) {
+		func(p *Proc) {
 			p.Think(2000) // let the owner claim first
 			for k := 0; k < each; k++ {
 				h.s.Run(p, []int{0}, 0, 1, 0)
@@ -312,7 +303,7 @@ func TestHelpingUnblocksStalledOwner(t *testing.T) {
 	if _, err := h.m.Run(progs); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.m.WordAt(h.s.DataAddr(0)); got != 100+each {
+	if got := h.m.WordAt(0); got != 100+each {
 		t.Errorf("counter = %d, want %d (stalled tx + increments)", got, 100+each)
 	}
 	if finish1 >= stallDur {
@@ -334,9 +325,9 @@ func TestNoHelpingBlocksOnStalledOwner(t *testing.T) {
 	)
 	h := newHarness(t, 2, 2, 1, Variant{NoHelping: true}, nil, false)
 	var finish1 int64
-	progs := []sim.Program{
+	progs := []Program{
 		stalledOwnerProgram(h.s, stallDur, 100),
-		func(p *sim.Proc) {
+		func(p *Proc) {
 			p.Think(2000) // let the owner claim first
 			for k := 0; k < each; k++ {
 				h.s.Run(p, []int{0}, 0, 1, 0)
@@ -347,7 +338,7 @@ func TestNoHelpingBlocksOnStalledOwner(t *testing.T) {
 	if _, err := h.m.Run(progs); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.m.WordAt(h.s.DataAddr(0)); got != 100+each {
+	if got := h.m.WordAt(0); got != 100+each {
 		t.Errorf("counter = %d, want %d (correctness must survive)", got, 100+each)
 	}
 	if finish1 < stallDur {
@@ -368,10 +359,10 @@ func TestStallPlanPreemptionCorrectness(t *testing.T) {
 		stallDur = int64(200_000)
 	)
 	h := newHarness(t, procs, 2, 1, Variant{},
-		&sim.StallPlan{Procs: 1, Period: 7, Duration: stallDur}, false)
-	progs := make([]sim.Program, procs)
+		&StallPlan{Procs: 1, Period: 7, Duration: stallDur}, false)
+	progs := make([]Program, procs)
 	for i := range progs {
-		progs[i] = func(p *sim.Proc) {
+		progs[i] = func(p *Proc) {
 			for k := 0; k < each; k++ {
 				h.s.Run(p, []int{0}, 0, 1, 0)
 			}
@@ -380,7 +371,7 @@ func TestStallPlanPreemptionCorrectness(t *testing.T) {
 	if _, err := h.m.Run(progs); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.m.WordAt(h.s.DataAddr(0)); got != procs*each {
+	if got := h.m.WordAt(0); got != procs*each {
 		t.Errorf("counter = %d, want %d", got, procs*each)
 	}
 	h.checkOwnershipsFree(t)
@@ -389,10 +380,10 @@ func TestStallPlanPreemptionCorrectness(t *testing.T) {
 func TestDisjointDataSetsNoFailures(t *testing.T) {
 	const procs = 4
 	h := newHarness(t, procs, procs, 1, Variant{}, nil, false)
-	progs := make([]sim.Program, procs)
+	progs := make([]Program, procs)
 	for i := range progs {
 		i := i
-		progs[i] = func(p *sim.Proc) {
+		progs[i] = func(p *Proc) {
 			for k := 0; k < 40; k++ {
 				h.s.Run(p, []int{i}, 0, 1, 0)
 			}
@@ -406,21 +397,21 @@ func TestDisjointDataSetsNoFailures(t *testing.T) {
 		t.Errorf("failures = %d, want 0 for disjoint data sets", st.Failures)
 	}
 	for i := 0; i < procs; i++ {
-		if got := h.m.WordAt(h.s.DataAddr(i)); got != 40 {
+		if got := h.m.WordAt(i); got != 40 {
 			t.Errorf("word %d = %d, want 40", i, got)
 		}
 	}
 }
 
-func TestLatencySummary(t *testing.T) {
+func TestLatencies(t *testing.T) {
 	h := newHarness(t, 2, 2, 1, Variant{}, nil, false)
-	progs := []sim.Program{
-		func(p *sim.Proc) {
+	progs := []Program{
+		func(p *Proc) {
 			for k := 0; k < 20; k++ {
 				h.s.Run(p, []int{0}, 0, 1, 0)
 			}
 		},
-		func(p *sim.Proc) {
+		func(p *Proc) {
 			for k := 0; k < 20; k++ {
 				h.s.Run(p, []int{0}, 0, 1, 0)
 			}
@@ -429,45 +420,14 @@ func TestLatencySummary(t *testing.T) {
 	if _, err := h.m.Run(progs); err != nil {
 		t.Fatal(err)
 	}
-	lat := h.s.LatencySummary()
-	if lat.N != 40 {
-		t.Errorf("latency samples = %d, want 40", lat.N)
+	lat := h.s.Latencies()
+	if len(lat) != 40 {
+		t.Errorf("latency samples = %d, want 40", len(lat))
 	}
-	if lat.P50 <= 0 || lat.P95 < lat.P50 || lat.Max < lat.P95 {
-		t.Errorf("implausible latency summary: %+v", lat)
-	}
-	h.s.ResetStats()
-	if h.s.LatencySummary().N != 0 {
-		t.Error("ResetStats kept latency samples")
-	}
-}
-
-func TestStatsPerProcAndReset(t *testing.T) {
-	h := newHarness(t, 2, 2, 1, Variant{}, nil, false)
-	progs := []sim.Program{
-		func(p *sim.Proc) {
-			for k := 0; k < 10; k++ {
-				h.s.Run(p, []int{0}, 0, 1, 0)
-			}
-		},
-		func(p *sim.Proc) {
-			for k := 0; k < 5; k++ {
-				h.s.Run(p, []int{1}, 0, 1, 0)
-			}
-		},
-	}
-	if _, err := h.m.Run(progs); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.s.ProcStats(0).Commits; got != 10 {
-		t.Errorf("proc 0 commits = %d, want 10", got)
-	}
-	if got := h.s.ProcStats(1).Commits; got != 5 {
-		t.Errorf("proc 1 commits = %d, want 5", got)
-	}
-	h.s.ResetStats()
-	if h.s.Stats() != (Stats{}) {
-		t.Error("ResetStats did not zero counters")
+	for i, l := range lat {
+		if l <= 0 {
+			t.Errorf("latency %d = %v, want positive", i, l)
+		}
 	}
 }
 
@@ -478,10 +438,10 @@ func TestMultiWordDataSetsWithOverlap(t *testing.T) {
 	h := newHarness(t, procs, 6, 3, Variant{}, nil, false)
 	sets := [][]int{{0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {3, 4, 5}}
 	const each = 25
-	progs := make([]sim.Program, procs)
+	progs := make([]Program, procs)
 	for i := range progs {
 		i := i
-		progs[i] = func(p *sim.Proc) {
+		progs[i] = func(p *Proc) {
 			for k := 0; k < each; k++ {
 				h.s.Run(p, sets[i], 0, 1, 0)
 			}
@@ -492,7 +452,7 @@ func TestMultiWordDataSetsWithOverlap(t *testing.T) {
 	}
 	want := []uint64{each, 2 * each, 3 * each, 3 * each, 2 * each, each}
 	for i, w := range want {
-		if got := h.m.WordAt(h.s.DataAddr(i)); got != w {
+		if got := h.m.WordAt(i); got != w {
 			t.Errorf("word %d = %d, want %d", i, got, w)
 		}
 	}
