@@ -11,10 +11,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	stm "github.com/stm-go/stm"
-	"github.com/stm-go/stm/contention"
 )
 
 func mustPrepare(t *testing.T, m *stm.Memory, addrs []int) *stm.Tx {
@@ -135,27 +133,19 @@ func TestAllocsReadAllInto(t *testing.T) {
 func TestAllocsDefaultPolicyWithTelemetry(t *testing.T) {
 	// The contention subsystem's bookkeeping — per-word conflict counters,
 	// the pooled Conflict report, the policy hooks — must not cost the
-	// uncontended hot paths their zero-allocation contract. Checked for an
-	// explicitly configured default policy and for Adaptive, which opts
-	// into clean-commit reports and therefore exercises the report pool on
-	// every single operation.
-	for _, tc := range []struct {
-		name string
-		opt  stm.Option
-	}{
-		{"ExpBackoff", stm.WithPolicy(contention.NewExpBackoff(500*time.Nanosecond, 100*time.Microsecond))},
-		{"Adaptive", stm.WithPolicy(contention.NewAdaptive(contention.AdaptiveConfig{}))},
-	} {
-		m, err := stm.New(8, tc.opt)
+	// uncontended hot paths their zero-allocation contract. Checked on the
+	// policy a Memory ships with, on both engines.
+	for _, eng := range stm.Engines() {
+		m, err := stm.New(8, stm.WithEngine(eng))
 		if err != nil {
 			t.Fatal(err)
 		}
 		tx := mustPrepare(t, m, []int{1, 4})
 		var old [2]uint64
 		inc := func(o, n []uint64) { n[0], n[1] = o[0]+1, o[1]+1 }
-		assertAllocs(t, tc.name+"/RunInto", 0, func() { tx.RunInto(inc, old[:]) })
+		assertAllocs(t, eng.String()+"/RunInto", 0, func() { tx.RunInto(inc, old[:]) })
 		if m.Stats().Commits == 0 {
-			t.Errorf("%s: telemetry disabled? no commits counted", tc.name)
+			t.Errorf("%s: telemetry disabled? no commits counted", eng)
 		}
 	}
 }
@@ -166,16 +156,11 @@ func TestAllocsAtomicallyDynamic(t *testing.T) {
 	// stable call site — is allocation-free with contention telemetry on.
 	// The pooled DTx's logs, staging buffers, and compiled-footprint
 	// buffers carry the whole operation; the commit rides the same pooled static
-	// path as a prepared Tx. Checked under the default policy and under
-	// Adaptive (clean-commit reports exercise the policy hooks every op).
-	for _, tc := range []struct {
-		name string
-		opts []stm.Option
-	}{
-		{"Default", nil},
-		{"Adaptive", []stm.Option{stm.WithPolicy(contention.NewAdaptive(contention.AdaptiveConfig{}))}},
-	} {
-		m, err := stm.New(16, tc.opts...)
+	// path as a prepared Tx. Checked under the default policy on both
+	// engines.
+	for _, eng := range stm.Engines() {
+		name, opts := eng.String(), []stm.Option{stm.WithEngine(eng)}
+		m, err := stm.New(16, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,13 +179,13 @@ func TestAllocsAtomicallyDynamic(t *testing.T) {
 			stm.WriteVar(tx, pt, benchPoint{q.X + x, q.Y - x})
 			return nil
 		}
-		assertAllocs(t, tc.name+"/Atomically", 0, func() {
+		assertAllocs(t, name+"/Atomically", 0, func() {
 			if err := m.Atomically(rmw); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if m.Stats().Commits == 0 {
-			t.Errorf("%s: telemetry disabled? no commits counted", tc.name)
+			t.Errorf("%s: telemetry disabled? no commits counted", name)
 		}
 		// A transaction that only reads commits where it stands: no record,
 		// no footprint, nothing to allocate — and no engine attempt.
@@ -211,7 +196,7 @@ func TestAllocsAtomicallyDynamic(t *testing.T) {
 			return nil
 		}
 		before := m.Stats()
-		assertAllocs(t, tc.name+"/Atomically read-only", 0, func() {
+		assertAllocs(t, name+"/Atomically read-only", 0, func() {
 			if err := m.Atomically(lookup); err != nil {
 				t.Fatal(err)
 			}
@@ -219,22 +204,22 @@ func TestAllocsAtomicallyDynamic(t *testing.T) {
 		after := m.Stats()
 		if after.Attempts != before.Attempts || after.ReadOnlyCommits == before.ReadOnlyCommits {
 			t.Errorf("%s: read-only Atomically made %d engine attempts and %d read-only commits, want 0 and > 0",
-				tc.name, after.Attempts-before.Attempts, after.ReadOnlyCommits-before.ReadOnlyCommits)
+				name, after.Attempts-before.Attempts, after.ReadOnlyCommits-before.ReadOnlyCommits)
 		}
 		_ = sum
 
 		// Pointer chasing, what only the dynamic API can express: the
 		// footprint depends on the data met, up to 129 words per operation.
 		const listKeys = 64
-		l := newWordList(t, tc.opts, listKeys+1, listKeys)
+		l := newWordList(t, opts, listKeys+1, listKeys)
 		n := 0
-		assertAllocs(t, tc.name+"/list contains", 0, func() {
+		assertAllocs(t, name+"/list contains", 0, func() {
 			n++
 			if got, want := l.contains(t, uint64(2*(n%listKeys)+n%2)), n%2 == 1; got != want {
 				t.Fatalf("contains = %v, want %v", got, want)
 			}
 		})
-		assertAllocs(t, tc.name+"/list insert+remove", 0, func() {
+		assertAllocs(t, name+"/list insert+remove", 0, func() {
 			n++
 			k := uint64(2 * (n%listKeys + 1))
 			if !l.insert(t, k) || !l.remove(t, k) {
@@ -246,7 +231,7 @@ func TestAllocsAtomicallyDynamic(t *testing.T) {
 		// moves every call (discover, sort, commit). Each operation moves one entry
 		// of a 64-slot table to the other under p(i) = (7i+3) mod 64.
 		const slots = 64
-		hm, err := stm.New(2*slots, tc.opts...)
+		hm, err := stm.New(2*slots, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +239,7 @@ func TestAllocsAtomicallyDynamic(t *testing.T) {
 			swapWord(hm, i, uint64(i+1))
 		}
 		op := 0
-		assertAllocs(t, tc.name+"/hash migrate", 0, func() {
+		assertAllocs(t, name+"/hash migrate", 0, func() {
 			i := op % slots
 			src, dst := i, slots+(7*i+3)%slots
 			if (op/slots)%2 == 1 {

@@ -2,7 +2,6 @@ package contention
 
 import (
 	"testing"
-	"time"
 
 	"github.com/stm-go/stm/internal/backoff"
 )
@@ -13,42 +12,9 @@ func TestDefaultIsExpBackoff(t *testing.T) {
 	}
 }
 
-func TestWantsCleanCommits(t *testing.T) {
-	for _, tc := range []struct {
-		p    Policy
-		want bool
-	}{
-		{NewAggressive(), false},
-		{Default(), false},
-		{NewKarma(0, 0), false},
-		{NewAdaptive(AdaptiveConfig{}), true},
-	} {
-		if got := WantsCleanCommits(tc.p); got != tc.want {
-			t.Errorf("WantsCleanCommits(%T) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-}
-
-func TestAggressiveReturnsImmediately(t *testing.T) {
-	p := NewAggressive()
-	c := &Conflict{Addr: 3, Attempts: 1, Size: 2}
-	start := time.Now()
-	for i := 0; i < 100; i++ {
-		p.OnConflict(c)
-	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Errorf("100 aggressive conflicts took %v; expected immediate returns", elapsed)
-	}
-	if c.State != nil {
-		t.Error("Aggressive attached per-operation state")
-	}
-	p.OnCommit(c)
-	p.OnAbort(c)
-}
-
 func TestExpBackoffStatePerOperation(t *testing.T) {
-	p := NewExpBackoff(time.Microsecond, 10*time.Microsecond)
-	c := &Conflict{Addr: 1, Size: 1}
+	p := Default()
+	c := &Conflict{Addr: 1}
 	c.Attempts++
 	p.OnConflict(c)
 	bo, ok := c.State.(*backoff.Exp)
@@ -59,151 +25,5 @@ func TestExpBackoffStatePerOperation(t *testing.T) {
 	p.OnConflict(c)
 	if c.State.(*backoff.Exp) != bo {
 		t.Error("backoff state not reused across the operation's conflicts")
-	}
-}
-
-func TestKarmaAccruesPriorityPerRetry(t *testing.T) {
-	p := NewKarma(time.Microsecond, 10*time.Microsecond)
-	c := &Conflict{Size: 3} // no owner present: prompt retries
-	for i := 1; i <= 5; i++ {
-		c.Attempts++
-		p.OnConflict(c)
-		if want := uint64(3 * i); c.Priority != want {
-			t.Fatalf("after %d conflicts Priority = %d, want %d", i, c.Priority, want)
-		}
-	}
-}
-
-func TestKarmaDefersToSeniorOwner(t *testing.T) {
-	p := NewKarma(time.Millisecond, 20*time.Millisecond)
-	// Outranked: a deficit of ~100 at 1ms/point, capped at 20ms.
-	junior := &Conflict{Size: 1, Owner: Owner{Present: true, Priority: 100}}
-	junior.Attempts++
-	start := time.Now()
-	p.OnConflict(junior)
-	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
-		t.Errorf("outranked conflict deferred only %v; want a deficit-proportional wait", elapsed)
-	}
-	// Outranking: the blocker is junior to us, so retry promptly.
-	senior := &Conflict{Size: 1, Priority: 0, Owner: Owner{Present: true, Priority: 2}}
-	senior.Priority = 500
-	senior.Attempts++
-	start = time.Now()
-	p.OnConflict(senior)
-	if elapsed := time.Since(start); elapsed > 5*time.Millisecond {
-		t.Errorf("outranking conflict deferred %v; want a prompt retry", elapsed)
-	}
-}
-
-// adaptiveTestConfig reacts within a few milliseconds so tests stay fast.
-func adaptiveTestConfig() AdaptiveConfig {
-	return AdaptiveConfig{
-		Window:         time.Millisecond,
-		SerializeAbove: 0.4,
-		ReleaseBelow:   0.2,
-		MinAttempts:    8,
-		HoldFor:        20 * time.Millisecond,
-		Lease:          10 * time.Millisecond,
-		BackoffMin:     time.Microsecond,
-		BackoffMax:     4 * time.Microsecond,
-	}
-}
-
-// serialize drives p's domain for first into serialization mode.
-func serialize(t *testing.T, p *Adaptive, first int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for !p.Serialized(first) {
-		if time.Now().After(deadline) {
-			t.Fatal("domain never serialized")
-		}
-		c := &Conflict{First: first, Size: 1}
-		for i := 0; i < 16; i++ {
-			c.Attempts++
-			p.OnConflict(c)
-		}
-		p.OnAbort(c)
-		time.Sleep(2 * time.Millisecond)
-		// The next hook call rolls the expired window and applies the rate.
-		cc := &Conflict{First: first, Size: 1}
-		p.OnCommit(cc)
-	}
-}
-
-func TestAdaptiveSerializesHotDomain(t *testing.T) {
-	p := NewAdaptive(adaptiveTestConfig())
-	serialize(t, p, 7)
-	if p.Serialized(99999) && p.slot(99999) != p.slot(7) {
-		t.Error("cold domain serialized")
-	}
-}
-
-func TestAdaptiveLeaseBoundedWaitAndExpiry(t *testing.T) {
-	cfg := adaptiveTestConfig()
-	cfg.Lease = 10 * time.Millisecond
-	cfg.HoldFor = 10 * time.Second // keep serialization pinned for the test
-	p := NewAdaptive(cfg)
-	serialize(t, p, 7)
-
-	// Let any lease left behind by the serialize helper expire, then take
-	// the fresh one: a conflict against a free domain claims it and
-	// returns immediately — the probe turn.
-	time.Sleep(cfg.Lease + cfg.Lease/4)
-	prober := &Conflict{First: 7, Size: 1}
-	prober.Attempts++
-	start := time.Now()
-	p.OnConflict(prober)
-	if elapsed := time.Since(start); elapsed > cfg.Lease/2 {
-		t.Errorf("free-domain conflict deferred %v; want an immediate probe turn", elapsed)
-	}
-
-	// The prober now parks forever — it never commits, never aborts, and
-	// nothing was handed to it that could wedge the domain. A second
-	// operation's deferral must be bounded by lease expiry: it sleeps out
-	// the abandoned lease and then gets its own probe turn.
-	waiter := &Conflict{First: 7, Size: 1}
-	waiter.Attempts++
-	start = time.Now()
-	p.OnConflict(waiter)
-	elapsed := time.Since(start)
-	if elapsed < cfg.Lease/4 {
-		t.Errorf("waiter returned in %v; expected it to sleep out the live lease", elapsed)
-	}
-	if elapsed > 10*cfg.Lease {
-		t.Errorf("waiter blocked %v; lease wait must be bounded", elapsed)
-	}
-
-	// With the lease now claimed by the waiter's probe turn and that
-	// operation also abandoned, a third party is still never blocked for
-	// more than the bounded rounds of sleeping: the domain self-heals by
-	// expiry alone.
-	third := &Conflict{First: 7, Size: 1}
-	third.Attempts++
-	start = time.Now()
-	p.OnConflict(third)
-	if elapsed := time.Since(start); elapsed > 10*cfg.Lease {
-		t.Errorf("third party blocked %v despite two abandoned claimants", elapsed)
-	}
-	p.OnAbort(prober)
-	p.OnAbort(waiter)
-	p.OnCommit(third)
-}
-
-func TestAdaptiveReleasesAfterHold(t *testing.T) {
-	cfg := adaptiveTestConfig()
-	cfg.HoldFor = 10 * time.Millisecond
-	p := NewAdaptive(cfg)
-	serialize(t, p, 3)
-
-	// Feed clean windows until the hold expires and the domain releases.
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Serialized(3) {
-		if time.Now().After(deadline) {
-			t.Fatal("domain never released despite clean windows past HoldFor")
-		}
-		for i := 0; i < 16; i++ {
-			p.OnCommit(&Conflict{First: 3, Size: 1})
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }

@@ -174,22 +174,13 @@
 //
 // # Choosing a contention policy
 //
-// How a transaction defers its retries is pluggable per Memory
-// (WithPolicy, WithPolicyFactory; see the contention package). The default,
-// contention.ExpBackoff, is the safe all-rounder. Pick
-// contention.Aggressive when conflicts are rare or short-lived and latency
-// matters more than wasted attempts; contention.Karma when a few large
-// transactions must not be starved by many small ones; and
-// contention.Adaptive when hot spots come and go — it backs off while a
-// conflict domain is healthy and serializes the domain through an expiring
-// time lease when the measured abort rate says helping is being wasted.
-// Policies shape only timing, never correctness: every policy inherits the
-// protocol's non-blocking helping, and the adaptive lease expires rather
-// than being held, so no policy can deadlock a transaction. Live conflict
-// telemetry — Stats, ConflictCount, windowed via ResetStats — shows what
-// the policy is reacting to. The four policies are tested for behaviour,
-// not measured against each other: no policy is claimed faster on the
-// benchmark of record (see DESIGN.md §7).
+// A transaction that fails after helping its blocker retries after capped
+// exponential backoff, contention.ExpBackoff, the policy every Memory gets
+// by default. WithPolicy installs another contention.Policy; the seam exists
+// so that a test can watch or steer conflicts. A policy shapes only timing,
+// never correctness: every transaction inherits the protocol's non-blocking
+// helping. Live conflict telemetry — Stats, ConflictCount, windowed via
+// ResetStats — shows where transactions conflict.
 //
 // # Performance model
 //

@@ -61,35 +61,14 @@ type staged struct {
 	d    *DTx        // opDyn; its log is copied into the record
 }
 
-// first returns the conflict-domain key the contention policy sees for the
-// operation: the lowest address the attempt owns, its data set's first.
-// For a dynamic commit that is the lowest word it writes — keying it by a
-// word it merely read would put every operation that reads a structure's
-// header words into one domain.
-func (st *staged) first() int { return st.addrs[0] }
-
-// size returns the operation's size as the contention policy sees it: the
-// words it touched. A dynamic commit's data set is only what it writes,
-// but its whole footprint is the work a failure wastes, and what a policy
-// that weighs work done (Karma's Priority += Size) has to see.
-func (st *staged) size() int {
-	if st.op == opDyn {
-		return len(st.d.log)
-	}
-	return len(st.addrs)
-}
-
 // attempt makes one engine attempt of st: it draws a record, arms it with
-// the data set and prio (the policy-assigned priority, 0 for none), stages
-// exactly the parameters st.op's calc reads, and runs it. On commit the old
-// values land in old (nil to discard them), index-aligned with st.addrs. On
-// failure info carries the engine's conflict report.
-func (m *Memory) attempt(st *staged, old []uint64, info *core.ConflictInfo, prio uint64) bool {
+// the data set, stages exactly the parameters st.op's calc reads, and runs
+// it. On commit the old values land in old (nil to discard them),
+// index-aligned with st.addrs. On failure info carries the engine's
+// conflict report.
+func (m *Memory) attempt(st *staged, old []uint64, info *core.ConflictInfo) bool {
 	r := m.eng.Begin(len(st.addrs))
 	copy(r.Addrs(), st.addrs)
-	if prio != 0 {
-		r.SetPriority(prio)
-	}
 	s := scratchOf(r)
 	switch st.op {
 	case opStore:
@@ -110,10 +89,9 @@ func (m *Memory) attempt(st *staged, old []uint64, info *core.ConflictInfo, prio
 
 // contend is the one contention loop: it attempts st until the engine
 // commits it, reporting each failure to the contention policy and waiting
-// out whatever deferral the policy imposes, with the policy's priority
-// installed on every re-attempt, and then closes the operation with the
-// policy as committed. c is the operation's report so far: nil, unless the
-// operation conflicted before it got here.
+// out whatever deferral the policy imposes, and then closes the operation
+// with the policy as committed. c is the operation's report so far: nil,
+// unless the operation conflicted before it got here.
 //
 // A nil ctx is never cancelled. Otherwise ctx is checked between a failed
 // attempt and the policy's (possibly long) deferral — never before the
@@ -127,19 +105,19 @@ func (m *Memory) attempt(st *staged, old []uint64, info *core.ConflictInfo, prio
 // the report still open, and atomically re-executes the speculation.
 func (m *Memory) contend(ctx context.Context, st *staged, old []uint64, c *contention.Conflict) (*contention.Conflict, error) {
 	var info core.ConflictInfo
-	for !m.attempt(st, old, &info, prioOf(c)) {
+	for !m.attempt(st, old, &info) {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				m.abortFailed(c, st.first(), st.size(), &info)
+				m.abortFailed(c, &info)
 				return nil, err
 			}
 		}
-		c = m.noteConflict(c, st.first(), st.size(), &info)
+		c = m.noteConflict(c, &info)
 		if info.ReadStale {
 			return c, errStaleRead
 		}
 	}
-	m.commitConflict(c, st.first(), st.size())
+	m.commitConflict(c)
 	return nil, nil
 }
 

@@ -685,25 +685,12 @@ func (d *DTx) fail(c *contention.Conflict, err error) error {
 	return err
 }
 
-// logKey names the log to the contention policy where no footprint has been
-// compiled: the conflict domain is keyed by approximation, by the first
-// address the transaction touched, which is stable for a stable call site.
-// An empty log — an all-side-effect transaction, say a server batch that
-// only staged replies — has no address to key by.
-func (d *DTx) logKey() (first, size int) {
-	if len(d.log) == 0 {
-		return -1, 0
-	}
-	return d.log[0].addr, len(d.log)
-}
-
 // noteStale reports a speculation that died before it had a footprint to
 // commit — a read found the snapshot stale — to the contention policy like
 // any other failed attempt.
 func (d *DTx) noteStale(c *contention.Conflict) *contention.Conflict {
 	info := core.ConflictInfo{Addr: d.staleAddr}
-	first, size := d.logKey()
-	return d.m.noteConflict(c, first, size, &info)
+	return d.m.noteConflict(c, &info)
 }
 
 // atomically is the speculation loop shared by Atomically, OrElse, and
@@ -751,14 +738,12 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 			if d.readCount() == 0 {
 				return d.fail(c, ErrRetryNoReads)
 			}
-			// Close the round's policy resources before parking: a
-			// serializing policy's token (or an aged priority) must never
-			// be held across an unbounded condition wait. The next
-			// conflict after the wakeup opens a fresh report.
-			if c != nil {
-				m.commitConflict(c, 0, 0) // open report: the data set is on it
-				c = nil
-			}
+			// Close the round's report before parking: a policy must
+			// never hold per-operation resources across an unbounded
+			// condition wait. The next conflict after the wakeup opens a
+			// fresh report.
+			m.commitConflict(c)
+			c = nil
 			if err := d.waitReadSet(ctx); err != nil {
 				return d.fail(nil, err)
 			}
@@ -779,11 +764,10 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 		if !d.wrote {
 			// Nothing written: the transaction is already committed, at the
 			// instant its last read was admitted, and no engine attempt
-			// runs. The operation still closes like any commit: the policy
-			// hears it, keyed as noteStale keys a log, and the deferred
+			// runs. The operation still closes like any commit: a report
+			// its stale rounds opened goes to the policy, and the deferred
 			// commit actions run.
-			first, size := d.logKey()
-			m.commitConflict(c, first, size)
+			m.commitConflict(c)
 			d.roCommits++
 			d.runCommitHooks()
 			return nil

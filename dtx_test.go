@@ -457,7 +457,9 @@ func TestAtomicallyContextCancel(t *testing.T) {
 func TestDynamicConflictsReportToPolicy(t *testing.T) {
 	// A dynamic transaction whose validation fails must flow through the
 	// contention policy exactly like a static conflict: OnConflict for the
-	// failed round, OnCommit when the operation finally lands.
+	// failed round, OnCommit when the operation finally lands. The Swap
+	// that invalidates the read never conflicts, so it never reaches the
+	// policy.
 	rec := &recordingPolicy{}
 	m, err := stm.New(8, stm.WithPolicy(rec))
 	if err != nil {
@@ -475,13 +477,8 @@ func TestDynamicConflictsReportToPolicy(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	nc, ncm, _ := rec.counts()
-	if nc < 1 {
-		t.Errorf("policy saw %d conflicts, want >= 1 (validation failure is contention)", nc)
-	}
-	// The Swap commits once, the dynamic operation once.
-	if ncm < 2 {
-		t.Errorf("policy saw %d commits, want >= 2", ncm)
+	if nc, ncm, na := rec.counts(); nc != 1 || ncm != 1 || na != 0 {
+		t.Errorf("policy saw %d conflicts / %d commits / %d aborts, want 1/1/0 (validation failure is contention)", nc, ncm, na)
 	}
 	// An aborted dynamic operation (user error after a conflict) releases
 	// through OnAbort.
@@ -499,15 +496,14 @@ func TestDynamicConflictsReportToPolicy(t *testing.T) {
 	}); !errors.Is(err, boom) {
 		t.Fatal(err)
 	}
-	if _, _, na := rec.counts(); na < 1 {
-		t.Errorf("policy saw %d aborts, want >= 1", na)
+	if nc, ncm, na := rec.counts(); nc != 2 || ncm != 1 || na != 1 {
+		t.Errorf("policy saw %d conflicts / %d commits / %d aborts in all, want 2/1/1", nc, ncm, na)
 	}
 }
 
 func TestRetryReleasesPolicyBeforeParking(t *testing.T) {
 	// A Retry park is unbounded, so the round's contention-policy
-	// resources (serialization tokens, aged priorities) must be released
-	// before the wait. The operation below conflicts once (opening a policy
+	// resources must be released before the wait. The operation below conflicts once (opening a policy
 	// report), then parks; the report must be closed (an OnCommit) while
 	// it is still parked, not when it finally commits.
 	rec := &recordingPolicy{}
@@ -534,17 +530,20 @@ func TestRetryReleasesPolicyBeforeParking(t *testing.T) {
 			return nil
 		})
 	}()
-	// While the operation is parked: one conflict (the validation
-	// failure) and two commits — the Swap's own clean commit plus the
-	// park-time release of the operation's report.
+	// While the operation is parked: exactly one conflict (the validation
+	// failure) and one commit, the park-time release of the operation's
+	// report. The Swaps never conflict, so they never reach the policy.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		nc, ncm, _ := rec.counts()
-		if nc >= 1 && ncm >= 2 {
+		nc, ncm, na := rec.counts()
+		if nc+ncm+na >= 2 {
+			if nc != 1 || ncm != 1 || na != 0 {
+				t.Fatalf("parked operation: %d conflicts / %d commits / %d aborts, want 1/1/0", nc, ncm, na)
+			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("parked operation still holds its policy report: %d conflicts / %d commits, want >=1 / >=2", nc, ncm)
+			t.Fatalf("parked operation still holds its policy report: %d conflicts / %d commits, want 1 / 1", nc, ncm)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -559,6 +558,11 @@ func TestRetryReleasesPolicyBeforeParking(t *testing.T) {
 	}
 	if got := m.Peek(2); got != 9 {
 		t.Errorf("word 2 = %d, want 9", got)
+	}
+	// Woken, the operation commits cleanly: its report is already closed,
+	// and nothing more reaches the policy.
+	if nc, ncm, na := rec.counts(); nc != 1 || ncm != 1 || na != 0 {
+		t.Errorf("after the wakeup: %d conflicts / %d commits / %d aborts, want 1/1/0", nc, ncm, na)
 	}
 }
 

@@ -32,15 +32,12 @@ type UpdateInto func(old, new []uint64)
 // scratch — an operation spans many pooled records — so they pool
 // independently.
 
-// getConflict returns a report armed for an operation over the data set
-// starting at first with size words. Addr starts at -1: "no conflict yet".
-func (m *Memory) getConflict(first, size int) *contention.Conflict {
-	c, ok := m.confPool.Get().(*contention.Conflict)
-	if !ok {
-		c = &contention.Conflict{}
+// getConflict returns a zeroed report for an operation's first conflict.
+func (m *Memory) getConflict() *contention.Conflict {
+	if c, ok := m.confPool.Get().(*contention.Conflict); ok {
+		return c
 	}
-	*c = contention.Conflict{Addr: -1, First: first, Size: size}
-	return c
+	return &contention.Conflict{}
 }
 
 // putConflict recycles a report, dropping any policy state it accumulated
@@ -68,42 +65,29 @@ func (m *Memory) getWordBuf(k int) *[]uint64 {
 func (m *Memory) putWordBuf(p *[]uint64) { m.bufPool.Put(p) }
 
 // The policy protocol of one logical operation, as the driver speaks it: at
-// most one report per operation, created on its first conflict (or at a
-// clean commit the policy asked to hear about), fed to OnConflict once per
-// deferred failure with Attempts counting them, and closed by exactly one
-// OnCommit or OnAbort, after which it returns to the pool.
-
-// prioOf reads the policy-assigned priority off an operation's report, or 0
-// before the operation has one.
-func prioOf(c *contention.Conflict) uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.Priority
-}
+// most one report per operation, created on its first conflict, fed to
+// OnConflict once per deferred failure with Attempts counting them, and
+// closed by exactly one OnCommit or OnAbort, after which it returns to the
+// pool. An operation that never conflicted never reaches the policy.
 
 // failedAttempt counts a failed attempt on the operation's report —
-// creating the report on the first one — and copies the engine's account of
-// it (info must be the ConflictInfo the failed attempt filled).
-func (m *Memory) failedAttempt(c *contention.Conflict, first, size int, info *core.ConflictInfo) *contention.Conflict {
+// creating the report on the first one — and copies the address the
+// engine says it died at (info must be the ConflictInfo the failed attempt
+// filled).
+func (m *Memory) failedAttempt(c *contention.Conflict, info *core.ConflictInfo) *contention.Conflict {
 	if c == nil {
-		c = m.getConflict(first, size)
+		c = m.getConflict()
 	}
 	c.Attempts++
 	c.Addr = info.Addr
-	c.Owner = contention.Owner{
-		Present:  info.OwnerPresent,
-		Version:  info.OwnerVersion,
-		Priority: info.OwnerPriority,
-	}
 	return c
 }
 
 // noteConflict reports a failed attempt that will be retried to the
 // contention policy and blocks for however long the policy defers the
 // retry.
-func (m *Memory) noteConflict(c *contention.Conflict, first, size int, info *core.ConflictInfo) *contention.Conflict {
-	c = m.failedAttempt(c, first, size, info)
+func (m *Memory) noteConflict(c *contention.Conflict, info *core.ConflictInfo) *contention.Conflict {
+	c = m.failedAttempt(c, info)
 	m.pol.OnConflict(c)
 	return c
 }
@@ -112,21 +96,15 @@ func (m *Memory) noteConflict(c *contention.Conflict, first, size int, info *cor
 // retried — the caller owns the retry decision (TryInto) or gave up
 // (a cancelled context): the policy is told the operation ended, with that
 // final failure counted, without being asked to defer anything.
-func (m *Memory) abortFailed(c *contention.Conflict, first, size int, info *core.ConflictInfo) {
-	m.abortConflict(m.failedAttempt(c, first, size, info))
+func (m *Memory) abortFailed(c *contention.Conflict, info *core.ConflictInfo) {
+	m.abortConflict(m.failedAttempt(c, info))
 }
 
-// commitConflict closes an operation as committed, releasing any policy
-// resources (tokens, priorities) its report carries. A nil report means the
-// operation never conflicted; the policy only hears about it if it opted
-// into clean commits, in which case first and size (not consulted
-// otherwise) name the data set.
-func (m *Memory) commitConflict(c *contention.Conflict, first, size int) {
+// commitConflict closes an operation as committed. A nil report means the
+// operation never conflicted, and there is nothing to close.
+func (m *Memory) commitConflict(c *contention.Conflict) {
 	if c == nil {
-		if !m.allCommits {
-			return
-		}
-		c = m.getConflict(first, size)
+		return
 	}
 	m.pol.OnCommit(c)
 	m.putConflict(c)

@@ -1,6 +1,6 @@
 // Package backoff provides capped exponential backoff with deterministic
-// per-goroutine jitter, used by transaction retry loops and by the
-// lock/Herlihy baselines. It is allocation-free after construction.
+// per-goroutine jitter, used by the stm package's retry waits. It is
+// allocation-free after construction.
 package backoff
 
 import (
@@ -8,6 +8,14 @@ import (
 	"time"
 
 	"github.com/stm-go/stm/internal/xrand"
+)
+
+// Min and Max are the wait bounds of every retry in the stm package: the
+// default contention policy's backoff after a conflict and a DTx.Retry's
+// condition wait both start at Min and double to at most Max.
+const (
+	Min = 500 * time.Nanosecond
+	Max = 100 * time.Microsecond
 )
 
 // Exp is a capped exponential backoff. The zero value is invalid; use New.
@@ -35,14 +43,15 @@ func New(min, max time.Duration, seed uint64) *Exp {
 // seedSeq feeds NewSeeded one distinct seed per call.
 var seedSeq atomic.Uint64
 
-// NewSeeded is New with a process-wide distinct seed: each call —
+// NewSeeded is New(Min, Max, seed) with a process-wide distinct seed: each
+// call —
 // including fully concurrent calls — takes the next value of one atomic
 // counter, so goroutines that construct their backoff at the same instant
 // never share a jitter stream (splitmix64 mixes adjacent seeds into
 // unrelated streams). Prefer this over hand-rolling seeds from time or
 // goroutine-local state.
-func NewSeeded(min, max time.Duration) *Exp {
-	return New(min, max, seedSeq.Add(1))
+func NewSeeded() *Exp {
+	return New(Min, Max, seedSeq.Add(1))
 }
 
 // Wait blocks for the current backoff interval (with ±50% jitter) and then

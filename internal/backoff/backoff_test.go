@@ -79,7 +79,7 @@ func TestNewSeededConcurrentDecorrelation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			states[i] = NewSeeded(time.Microsecond, time.Millisecond).rng
+			states[i] = NewSeeded().rng
 		}(i)
 	}
 	wg.Wait()

@@ -14,9 +14,7 @@ var ErrOutOfWords = errors.New("core: word allocator exhausted")
 // variable never straddles more naturally-aligned word groups than its size
 // requires. With the current one-word-per-cache-line layout (memory.go) any
 // placement already gives each word its own line; the alignment keeps the
-// guarantee if the layout is ever packed to words-per-line, and keeps
-// conflict-domain keys (a data set's first address, see contention) on
-// well-spread boundaries.
+// guarantee if the layout is ever packed to words-per-line.
 const allocAlignCap = 8
 
 // Allocator hands out contiguous, non-overlapping word ranges from a

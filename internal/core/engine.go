@@ -145,7 +145,7 @@ func (e *stEngine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool {
 
 	if rec.Succeeded() {
 		if i, stale := rec.staleRead(); stale {
-			return m.failAttempt(rec, info, ConflictInfo{Index: i, Addr: rec.reads[i], ReadStale: true}, nil, ReasonSTValidate)
+			return m.failAttempt(rec, info, ConflictInfo{Index: i, Addr: rec.reads[i], ReadStale: true}, ReasonSTValidate)
 		}
 		// ST owns its whole data set, which is the write set — its
 		// acquisition is the protocol's lock phase.
@@ -163,8 +163,11 @@ func (e *stEngine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool {
 	// Taxonomy: every other ST failure is an ownership conflict; the two
 	// sub-reasons split on whether this attempt's failure path executed
 	// the blocker's protocol (rec.obsHelped, set by m.transaction).
+	// A record decided Success by a helper after the status check failed
+	// nowhere (rare): it reports address -1.
 	addr := -1
-	if idx, failed := rec.FailedIndex(); failed {
+	idx, failed := rec.FailedIndex()
+	if failed {
 		addr = rec.addrs[idx]
 	}
 	if rec.obsHelped {
@@ -173,7 +176,7 @@ func (e *stEngine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool {
 		rec.obsFail(ReasonSTConflict, addr)
 	}
 	if info != nil {
-		m.fillConflict(rec, info)
+		*info = ConflictInfo{Index: idx, Addr: addr}
 	}
 	return false
 }
@@ -184,12 +187,10 @@ func (e *stEngine) StableLoadBox(loc int) *uint64 { return e.m.stStableLoadBox(l
 
 // failAttempt ends an attempt that died at the word at describes: it charges
 // the word's conflict counter, records the abort taxonomy entry, and fills
-// the caller's conflict report with at and, when present, the blocking
-// record — the policy's ConflictInfo and the obs seam's reason come from
-// the same failure site, so the two surfaces can never disagree. owner is
-// read through atomics only: it may already be recycled onto a later
-// attempt, which yields stale-but-safe advisory values.
-func (m *Memory) failAttempt(rec *Rec, info *ConflictInfo, at ConflictInfo, owner *Rec, reason AbortReason) bool {
+// the caller's conflict report with at — the policy's ConflictInfo and the
+// obs seam's reason come from the same failure site, so the two surfaces
+// can never disagree.
+func (m *Memory) failAttempt(rec *Rec, info *ConflictInfo, at ConflictInfo, reason AbortReason) bool {
 	m.words[at.Addr].conflicts.Add(1)
 	rec.obsFail(reason, at.Addr)
 	if m.obsLevel() != ObsOff && reason != ReasonTL2Lock {
@@ -199,11 +200,6 @@ func (m *Memory) failAttempt(rec *Rec, info *ConflictInfo, at ConflictInfo, owne
 	}
 	if info != nil {
 		*info = at
-		if owner != nil && owner != rec {
-			info.OwnerPresent = true
-			info.OwnerVersion = owner.version.Load()
-			info.OwnerPriority = owner.prio.Load()
-		}
 	}
 	return false
 }

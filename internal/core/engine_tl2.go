@@ -95,12 +95,12 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 	for i, loc := range rec.addrs {
 		w := &m.words[loc]
 		v1 := w.version.Load()
-		if owner := w.owner.Load(); owner != nil {
-			return e.fail(rec, info, i, owner, ReasonTL2Read)
+		if w.owner.Load() != nil {
+			return e.fail(rec, info, i, ReasonTL2Read)
 		}
 		val := *w.cell.Load()
 		if w.version.Load() != v1 || v1 > rv {
-			return e.fail(rec, info, i, nil, ReasonTL2Read)
+			return e.fail(rec, info, i, ReasonTL2Read)
 		}
 		old[i] = val
 	}
@@ -126,8 +126,8 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 		// list is current there too if the clock has not moved since its
 		// sample; otherwise it is validated first.
 		if len(rec.reads) != 0 && rv != rec.sample {
-			if i, owner := e.checkReads(rec); i >= 0 {
-				return e.failRead(rec, info, i, owner)
+			if i := e.checkReads(rec); i >= 0 {
+				return e.failRead(rec, info, i)
 			}
 		}
 		if lvl != ObsOff {
@@ -148,7 +148,7 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 		w := &m.words[loc]
 		if !w.owner.CompareAndSwap(nil, rec) {
 			e.release(rec, wr, i)
-			return e.fail(rec, info, i, w.owner.Load(), ReasonTL2Lock)
+			return e.fail(rec, info, i, ReasonTL2Lock)
 		}
 	}
 	if lvl != ObsOff {
@@ -197,7 +197,7 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 			if wr[i] {
 				if w.version.Load() > rv {
 					e.release(rec, wr, k)
-					return e.fail(rec, info, i, nil, ReasonTL2Validate)
+					return e.fail(rec, info, i, ReasonTL2Validate)
 				}
 				continue
 			}
@@ -209,11 +209,11 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 			// two loads and pass with a stale stamp ≤ rv.
 			if owner := w.owner.Load(); owner != nil && owner != rec {
 				e.release(rec, wr, k)
-				return e.fail(rec, info, i, owner, ReasonTL2Validate)
+				return e.fail(rec, info, i, ReasonTL2Validate)
 			}
 			if w.version.Load() > rv {
 				e.release(rec, wr, k)
-				return e.fail(rec, info, i, nil, ReasonTL2Validate)
+				return e.fail(rec, info, i, ReasonTL2Validate)
 			}
 		}
 	}
@@ -224,9 +224,9 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 	// above, moved back to S: the CAS moved the clock S→S+1, so no commit
 	// stepped since the list was read.
 	if len(rec.reads) != 0 && !(skipValidate && rv == rec.sample) {
-		if i, owner := e.checkReads(rec); i >= 0 {
+		if i := e.checkReads(rec); i >= 0 {
 			e.release(rec, wr, k)
-			return e.failRead(rec, info, i, owner)
+			return e.failRead(rec, info, i)
 		}
 	}
 
@@ -270,14 +270,14 @@ func (e *tl2Engine) release(rec *Rec, wr []bool, upto int) {
 }
 
 // fail ends the attempt at data-set word idx (see Memory.failAttempt).
-func (e *tl2Engine) fail(rec *Rec, info *ConflictInfo, idx int, owner *Rec, reason AbortReason) bool {
-	return e.m.failAttempt(rec, info, ConflictInfo{Index: idx, Addr: rec.addrs[idx]}, owner, reason)
+func (e *tl2Engine) fail(rec *Rec, info *ConflictInfo, idx int, reason AbortReason) bool {
+	return e.m.failAttempt(rec, info, ConflictInfo{Index: idx, Addr: rec.addrs[idx]}, reason)
 }
 
-// failRead ends the attempt at read-list word i, found locked by owner (or
-// stamped past the sample, owner nil).
-func (e *tl2Engine) failRead(rec *Rec, info *ConflictInfo, i int, owner *Rec) bool {
-	return e.m.failAttempt(rec, info, ConflictInfo{Index: i, Addr: rec.reads[i], ReadStale: true}, owner, ReasonTL2Validate)
+// failRead ends the attempt at read-list word i, found locked by another
+// record or stamped past the sample.
+func (e *tl2Engine) failRead(rec *Rec, info *ConflictInfo, i int) bool {
+	return e.m.failAttempt(rec, info, ConflictInfo{Index: i, Addr: rec.reads[i], ReadStale: true}, ReasonTL2Validate)
 }
 
 // checkReads validates the read list against its sample S: every word must
@@ -290,18 +290,18 @@ func (e *tl2Engine) failRead(rec *Rec, info *ConflictInfo, i int, owner *Rec) bo
 // read found it unlocked, after the clock had reached S. A word rec locked
 // — one it read and then writes — stays so until rec's own write-back, so
 // its stamp check covers it up to the commit. It returns the first stale
-// word's index and the owner found there, or -1.
-func (e *tl2Engine) checkReads(rec *Rec) (int, *Rec) {
+// word's index, or -1.
+func (e *tl2Engine) checkReads(rec *Rec) int {
 	for i, loc := range rec.reads {
 		w := &e.m.words[loc]
 		if owner := w.owner.Load(); owner != nil && owner != rec {
-			return i, owner
+			return i
 		}
 		if w.version.Load() > rec.sample {
-			return i, nil
+			return i
 		}
 	}
-	return -1, nil
+	return -1
 }
 
 // StableLoadBox waits out the short commit-lock window instead of helping:

@@ -75,10 +75,8 @@ func TestTL2WriteStampsAndBumpsClock(t *testing.T) {
 func TestTL2LockConflictTelemetry(t *testing.T) {
 	m, _ := newTL2(t, 8)
 	// Park a foreign lock on word 3 and watch an attempt die on it with a
-	// full conflict report and a per-word conflict bump.
+	// conflict report naming the word and a per-word conflict bump.
 	blocker := armedRec(m, []int{3}, func(old []uint64) []uint64 { return old })
-	blocker.version.Store(42)
-	blocker.prio.Store(9)
 	m.words[3].owner.Store(blocker)
 
 	rec := m.Begin(2)
@@ -88,11 +86,8 @@ func TestTL2LockConflictTelemetry(t *testing.T) {
 	if m.RunAttemptConflict(rec, inc, nil, &info) {
 		t.Fatal("attempt against a locked word committed")
 	}
-	if info.Index != 1 || info.Addr != 3 {
-		t.Errorf("conflict at index %d addr %d, want 1/3", info.Index, info.Addr)
-	}
-	if !info.OwnerPresent || info.OwnerVersion != 42 || info.OwnerPriority != 9 {
-		t.Errorf("owner snapshot = %+v, want present v42 p9", info)
+	if info.Index != 1 || info.Addr != 3 || info.ReadStale {
+		t.Errorf("conflict = %+v, want index 1 addr 3, not a stale read", info)
 	}
 	if got := m.ConflictCount(3); got != 1 {
 		t.Errorf("ConflictCount(3) = %d, want 1", got)
@@ -116,8 +111,8 @@ func TestTL2StaleStampFailsValidation(t *testing.T) {
 	if m.RunAttemptConflict(rec, func(_ any, old, new []uint64, _ bool) { new[0] = old[0] }, nil, &info) {
 		t.Fatal("attempt with stale rv committed")
 	}
-	if info.Addr != 4 || info.OwnerPresent {
-		t.Errorf("conflict = %+v, want unowned failure at addr 4", info)
+	if info.Addr != 4 || info.Index != 0 {
+		t.Errorf("conflict = %+v, want a failure at addr 4", info)
 	}
 	if got := m.ConflictCount(4); got != 1 {
 		t.Errorf("ConflictCount(4) = %d, want 1", got)

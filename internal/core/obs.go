@@ -30,7 +30,7 @@ import (
 //	              copied footprint and hand it to the TraceObserver. The
 //	              sampled path may allocate; the sampling makes it cheap.
 //
-// The contention policies and this seam are two consumers of the same
+// The contention policy and this seam are two consumers of the same
 // engine-side conflict report: an engine failure site fills the caller's
 // ConflictInfo (feeding contention.Policy) and records the abort reason on
 // the record (feeding the taxonomy and the EvAbort event) in the same

@@ -68,7 +68,7 @@ func TestObsTaxonomyST(t *testing.T) {
 
 	// An unstable blocker: the failure path finds no protocol to help, so
 	// every failure is charged to st-conflict, never st-helped.
-	_, release := blockWord(m, 5, 0)
+	release := blockWord(m, 5)
 	const fails = 7
 	for i := 0; i < fails; i++ {
 		if _, ok := tryOnce(m, []int{2, 5}, identity); ok {
@@ -100,7 +100,7 @@ func TestObsTaxonomyTL2(t *testing.T) {
 	m.Observe(ObsConfig{Level: ObsCounters})
 
 	// A locked word rejects the invisible read phase: tl2-read.
-	_, release := blockWord(m, 3, 0)
+	release := blockWord(m, 3)
 	const fails = 5
 	for i := 0; i < fails; i++ {
 		if _, ok := tryOnce(m, []int{1, 3}, identity); ok {
@@ -177,7 +177,7 @@ func TestObsHistograms(t *testing.T) {
 	}
 	m.Observe(ObsConfig{Level: ObsHistograms})
 
-	_, release := blockWord(m, 6, 0)
+	release := blockWord(m, 6)
 	const fails = 4
 	for i := 0; i < fails; i++ {
 		tryOnce(m, []int{1, 6}, identity)
@@ -220,7 +220,7 @@ func TestObsObserverEvents(t *testing.T) {
 	log := &eventLog{}
 	m.Observe(ObsConfig{Level: ObsCounters, Observer: log})
 
-	_, release := blockWord(m, 6, 0)
+	release := blockWord(m, 6)
 	const fails = 3
 	for i := 0; i < fails; i++ {
 		tryOnce(m, []int{6}, identity)
@@ -261,7 +261,7 @@ func TestObsTraceSampling(t *testing.T) {
 	// make any coarser period nondeterministic for a sequential caller.
 	m.Observe(ObsConfig{Level: ObsTrace, Observer: log, SampleEvery: 1})
 
-	_, release := blockWord(m, 3, 0)
+	release := blockWord(m, 3)
 	const fails = 2
 	for i := 0; i < fails; i++ {
 		tryOnce(m, []int{1, 3}, identity)
@@ -311,7 +311,7 @@ func TestObsResetSweepsEverything(t *testing.T) {
 				t.Fatal(err)
 			}
 			m.Observe(ObsConfig{Level: ObsTrace, Observer: &traceLog{}, SampleEvery: 1})
-			_, release := blockWord(m, 2, 0)
+			release := blockWord(m, 2)
 			for i := 0; i < 5; i++ {
 				tryOnce(m, []int{2}, identity)
 			}

@@ -75,7 +75,6 @@ func (r *Rec) arm(k int) {
 	r.verdict.Store(statusNull)
 	r.status.Store(statusNull)
 	r.allWritten.Store(false)
-	r.prio.Store(0)
 	r.version.Add(1)
 }
 
@@ -95,8 +94,7 @@ func (m *Memory) RunAttempt(rec *Rec, calc CalcFunc, oldOut []uint64) bool {
 }
 
 // ConflictInfo describes why an attempt failed: the word it died at —
-// whose ownership or lock could not be acquired, or that failed validation
-// — and a snapshot of the record observed blocking it, if any.
+// whose ownership or lock could not be acquired, or that failed validation.
 // It is filled by RunAttemptConflict on the failure path so contention
 // policies can be fed without retaining the (recycled) record.
 type ConflictInfo struct {
@@ -109,17 +107,6 @@ type ConflictInfo struct {
 	// (Rec.SetReadSet) was stale: Index is then a position in the read list
 	// and Addr the word there. Re-attempting the same list would fail again.
 	ReadStale bool
-	// OwnerPresent reports whether a blocking record was still installed
-	// at Addr when the failure was inspected; when false the blocker
-	// already completed (or was helped to completion by this very attempt)
-	// and the fields below are zero.
-	OwnerPresent bool
-	// OwnerVersion and OwnerPriority are racy snapshots of the blocking
-	// record's attempt identity and contention-policy priority. They are
-	// advisory: the owner may have moved on to a later attempt between the
-	// conflict and the inspection.
-	OwnerVersion  uint64
-	OwnerPriority uint64
 }
 
 // RunAttemptConflict is RunAttempt with conflict telemetry: on failure it
@@ -150,24 +137,6 @@ func (m *Memory) RunAttemptConflict(rec *Rec, calc CalcFunc, oldOut []uint64, in
 	}
 	m.recycle(rec)
 	return ok
-}
-
-// fillConflict inspects a failed record before it is recycled. All reads of
-// the blocking record go through atomics, so a concurrently re-armed owner
-// yields stale-but-safe values.
-func (m *Memory) fillConflict(rec *Rec, info *ConflictInfo) {
-	*info = ConflictInfo{Addr: -1}
-	idx, failed := rec.FailedIndex()
-	if !failed {
-		return // decided Success by a helper after the status check; rare
-	}
-	addr := rec.addrs[idx]
-	info.Index, info.Addr = idx, addr
-	if owner := m.words[addr].owner.Load(); owner != nil && owner != rec {
-		info.OwnerPresent = true
-		info.OwnerVersion = owner.version.Load()
-		info.OwnerPriority = owner.prio.Load()
-	}
 }
 
 // PoolResettable lets an Env payload drop caller references — staged

@@ -54,18 +54,11 @@ type Rec struct {
 	calc  CalcFunc
 	env   any // opaque payload for calc; persists across pool cycles
 
-	// version is the record's diagnostic identity, bumped per attempt.
-	// It is atomic because conflict telemetry reads it through a word's
-	// owner pointer with no synchronization: the loaded value may belong
-	// to a neighbouring attempt of the same record, which is fine for a
-	// diagnostic, but the load itself must not race the re-arm store.
+	// version is the record's diagnostic identity, bumped per attempt,
+	// and the sequence number of its observability events. It is atomic
+	// so that a reader holding a stale pointer to a pooled record loads a
+	// neighbouring attempt's value instead of racing the re-arm store.
 	version atomic.Uint64
-
-	// prio is the contention-policy priority the initiating goroutine
-	// installed for this attempt (0 when no policy cares). Like version it
-	// is read racily through owner pointers, by competing policies that
-	// compare priorities — hence atomic.
-	prio atomic.Uint64
 
 	// old holds the agreed snapshot: old[i] is the boxed value of addrs[i]
 	// at the transaction's linearization point. Entries are set-once (CAS
@@ -162,20 +155,6 @@ var recSeq atomic.Uint64
 
 // Size returns the number of words in the record's data set.
 func (r *Rec) Size() int { return len(r.addrs) }
-
-// Version returns the record's attempt identity, monotonically increasing
-// per reuse of the record.
-func (r *Rec) Version() uint64 { return r.version.Load() }
-
-// SetPriority installs the contention-policy priority for this attempt. It
-// must only be called between Begin and RunAttempt, by the initiating
-// goroutine; competing transactions that conflict with this record observe
-// the value in their ConflictInfo report.
-func (r *Rec) SetPriority(p uint64) { r.prio.Store(p) }
-
-// Priority returns the priority installed for the record's current attempt,
-// or 0 if none was set.
-func (r *Rec) Priority() uint64 { return r.prio.Load() }
 
 // Succeeded reports whether the record's decided status is Success.
 func (r *Rec) Succeeded() bool { return r.status.Load() == statusSuccess }

@@ -9,11 +9,10 @@ import (
 // attempt touching loc fails. The returned release function removes it.
 // The dummy is unstable (stable=false), so failing attempts do not try to
 // run its protocol.
-func blockWord(m *Memory, loc int, prio uint64) (owner *Rec, release func()) {
+func blockWord(m *Memory, loc int) (release func()) {
 	rec := armedRec(m, []int{loc}, func(old []uint64) []uint64 { return old })
-	rec.prio.Store(prio)
 	m.words[loc].owner.Store(rec)
-	return rec, func() { m.words[loc].owner.CompareAndSwap(rec, nil) }
+	return func() { m.words[loc].owner.CompareAndSwap(rec, nil) }
 }
 
 func TestConflictCountPerWord(t *testing.T) {
@@ -21,7 +20,7 @@ func TestConflictCountPerWord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, release := blockWord(m, 5, 0)
+	release := blockWord(m, 5)
 
 	const fails = 17
 	for i := 0; i < fails; i++ {
@@ -41,12 +40,14 @@ func TestConflictCountPerWord(t *testing.T) {
 	}
 }
 
+// TestRunAttemptConflictReportsOwner checks that an attempt dying at a word
+// another record owns reports that word and its index.
 func TestRunAttemptConflictReportsOwner(t *testing.T) {
 	m, err := NewMemory(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner, release := blockWord(m, 3, 42)
+	release := blockWord(m, 3)
 	defer release()
 
 	rec := m.Begin(2)
@@ -60,17 +61,8 @@ func TestRunAttemptConflictReportsOwner(t *testing.T) {
 	if ok {
 		t.Fatal("attempt against a blocked word committed")
 	}
-	if info.Addr != 3 || info.Index != 1 {
-		t.Errorf("conflict at addr %d (index %d), want addr 3 (index 1)", info.Addr, info.Index)
-	}
-	if !info.OwnerPresent {
-		t.Fatal("owner still installed but OwnerPresent = false")
-	}
-	if info.OwnerPriority != 42 {
-		t.Errorf("OwnerPriority = %d, want 42", info.OwnerPriority)
-	}
-	if info.OwnerVersion != owner.Version() {
-		t.Errorf("OwnerVersion = %d, want %d", info.OwnerVersion, owner.Version())
+	if info.Addr != 3 || info.Index != 1 || info.ReadStale {
+		t.Errorf("conflict = %+v, want addr 3 (index 1), not a stale read", info)
 	}
 }
 
@@ -92,37 +84,12 @@ func TestRunAttemptConflictSuccessLeavesInfoUntouched(t *testing.T) {
 	}
 }
 
-func TestSetPriorityVisibleToConflicts(t *testing.T) {
-	m, err := NewMemory(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Install a pooled record as owner with a priority, then conflict with it.
-	holder := m.Begin(1)
-	holder.Addrs()[0] = 2
-	holder.SetPriority(99)
-	m.words[2].owner.Store(holder)
-	defer m.words[2].owner.CompareAndSwap(holder, nil)
-
-	rec := m.Begin(1)
-	rec.Addrs()[0] = 2
-	var info ConflictInfo
-	if m.RunAttemptConflict(rec, func(_ any, old, new []uint64, _ bool) {
-		copy(new, old)
-	}, nil, &info) {
-		t.Fatal("attempt against a blocked word committed")
-	}
-	if !info.OwnerPresent || info.OwnerPriority != 99 {
-		t.Errorf("info = %+v, want OwnerPresent with priority 99", info)
-	}
-}
-
 func TestResetStats(t *testing.T) {
 	m, err := NewMemory(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, release := blockWord(m, 1, 0)
+	release := blockWord(m, 1)
 	for i := 0; i < 5; i++ {
 		tryOnce(m, []int{1}, func(old []uint64) []uint64 { return old })
 	}

@@ -1,5 +1,5 @@
 // Package simulation is the whole-system scenario and chaos harness: it
-// composes the repository's layers — engines, contention policies, the
+// composes the repository's layers — engines, the
 // dynamic transaction layer, stmds structures, and the stmserve network
 // server — into multi-component systems, runs them for a configured
 // duration under seeded fault injection, and continuously checks the

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	stm "github.com/stm-go/stm"
-	"github.com/stm-go/stm/contention"
 	"github.com/stm-go/stm/internal/xrand"
 	"github.com/stm-go/stm/stmobs"
 )
@@ -31,7 +30,6 @@ type Scenario interface {
 // Config parameterizes one scenario run.
 type Config struct {
 	Engine   stm.Engine    // commit engine for every Memory the run builds
-	Policy   string        // contention policy selector; see Policies
 	Seed     uint64        // base seed; every random decision derives from it
 	Duration time.Duration // wall-clock run time (violations end runs early)
 	Ops      uint64        // if non-zero, the run also ends once this many operations completed
@@ -40,49 +38,20 @@ type Config struct {
 	Publish  bool          // stmobs.Publish attached Memories as "stmsim" (for -admin)
 }
 
-// Policies lists the contention-policy selectors Config.Policy accepts.
-// "default" is capped exponential backoff (contention.Default).
-func Policies() []string {
-	return []string{"default", "aggressive", "expbackoff", "karma", "adaptive"}
-}
-
-// policyFactory maps a selector to a fresh-instance factory, suitable for
-// stm.WithPolicyFactory so every Memory in a run gets its own policy
-// state (windowed counters, serialization tokens).
-func policyFactory(name string) (func() contention.Policy, error) {
-	switch name {
-	case "", "default":
-		return func() contention.Policy { return contention.Default() }, nil
-	case "aggressive":
-		return func() contention.Policy { return contention.NewAggressive() }, nil
-	case "expbackoff":
-		return func() contention.Policy {
-			return contention.NewExpBackoff(500*time.Nanosecond, 100*time.Microsecond)
-		}, nil
-	case "karma":
-		return func() contention.Policy { return contention.NewKarma(0, 0) }, nil
-	case "adaptive":
-		return func() contention.Policy { return contention.NewAdaptive(contention.AdaptiveConfig{}) }, nil
-	default:
-		return nil, fmt.Errorf("simulation: unknown policy %q (have %v)", name, Policies())
-	}
-}
-
 // maxViolations bounds the recorded messages: the first violation already
 // fails the run, later ones are corroboration, and an unbounded slice
 // under a hot auditor loop is a memory leak.
 const maxViolations = 16
 
 // Env is the per-run environment a Scenario runs inside: it builds the
-// run's Memories (engine, policy, observability, and chaos hook applied
+// run's Memories (engine, observability, and chaos hook applied
 // uniformly), hands out seeded random streams, carries the stop signal,
 // and accounts operations, invariant checks, and violations.
 type Env struct {
-	cfg     Config
-	factory func() contention.Policy
-	ctx     context.Context
-	cancel  context.CancelFunc
-	parker  *Parker
+	cfg    Config
+	ctx    context.Context
+	cancel context.CancelFunc
+	parker *Parker
 
 	memMu sync.Mutex
 	mems  []*stm.Memory
@@ -101,11 +70,7 @@ type Env struct {
 	flightDump string
 }
 
-func newEnv(cfg Config) (*Env, error) {
-	factory, err := policyFactory(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
+func newEnv(cfg Config) *Env {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
@@ -114,13 +79,13 @@ func newEnv(cfg Config) (*Env, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	env := &Env{
-		cfg: cfg, factory: factory, ctx: ctx, cancel: cancel,
+		cfg: cfg, ctx: ctx, cancel: cancel,
 		flight: stmobs.NewFlightRecorder(256),
 	}
 	if cfg.Faults {
 		env.parker = newParker(cfg.Seed)
 	}
-	return env, nil
+	return env
 }
 
 // Config returns the run's configuration.
@@ -156,12 +121,11 @@ func (e *Env) Stream(tag uint64) *xrand.RNG {
 }
 
 // NewMemory builds a Memory of the given word size with the run's engine,
-// a fresh policy instance, taxonomy counters, and — when faults are armed
-// — the Parker's chaos hook attached.
+// taxonomy counters, and — when faults are armed — the Parker's chaos hook
+// attached.
 func (e *Env) NewMemory(words int) (*stm.Memory, error) {
 	m, err := stm.New(words,
 		stm.WithEngine(e.cfg.Engine),
-		stm.WithPolicyFactory(e.factory),
 		stm.WithObs(stm.ObsConfig{Level: stm.ObsCounters}),
 	)
 	if err != nil {
@@ -272,17 +236,9 @@ func RunScenario(cfg Config, scn Scenario) Result {
 	res := Result{
 		Scenario: scn.Name(),
 		Engine:   cfg.Engine,
-		Policy:   cfg.Policy,
 		Seed:     cfg.Seed,
 	}
-	if res.Policy == "" {
-		res.Policy = "default"
-	}
-	env, err := newEnv(cfg)
-	if err != nil {
-		res.Err = err
-		return res
-	}
+	env := newEnv(cfg)
 	defer env.cancel()
 	timer := time.AfterFunc(env.cfg.Duration, env.cancel)
 	defer timer.Stop()

@@ -54,40 +54,31 @@ func TestSmokeSuite(t *testing.T) {
 	}
 }
 
-// TestEveryPolicyRuns pushes one scenario through every contention-policy
-// selector — the canary matrix dimension, pinned cheaply on every PR. Each
-// run ends at an operation count, not a time: on a loaded host under -race
-// the scenario's set-up alone can outlast any budget short enough to be
-// cheap, and "no operations completed" then says nothing about the policy.
-// The duration is only the deadline for a policy that really is stuck.
-func TestEveryPolicyRuns(t *testing.T) {
+// TestRunEndsAtOpCount pushes one scenario through both engines to an
+// operation count, not a time: on a loaded host under -race the scenario's
+// set-up alone can outlast any budget short enough to be cheap, and "no
+// operations completed" then says nothing about the engine. The duration is
+// only the deadline for a run that really is stuck.
+func TestRunEndsAtOpCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-system suite: seconds of wall clock")
 	}
 	const ops = 2000
 	seed := simrand.SeedForTest(t)
-	for _, pol := range Policies() {
+	for _, eng := range stm.Engines() {
 		r := RunScenario(Config{
-			Engine:   stm.ST,
-			Policy:   pol,
+			Engine:   eng,
 			Seed:     seed,
 			Duration: time.Minute,
 			Ops:      ops,
 			Workers:  4,
 		}, Bank())
 		if !r.OK() {
-			t.Errorf("policy %s: err=%v violations=%v", pol, r.Err, r.Violations)
+			t.Errorf("engine %s: err=%v violations=%v", eng, r.Err, r.Violations)
 		}
 		if r.Ops < ops {
-			t.Errorf("policy %s: %d operations completed in %v, want %d", pol, r.Ops, r.Duration, ops)
+			t.Errorf("engine %s: %d operations completed in %v, want %d", eng, r.Ops, r.Duration, ops)
 		}
-	}
-}
-
-func TestUnknownPolicyErrors(t *testing.T) {
-	r := RunScenario(Config{Policy: "nope", Duration: 10 * time.Millisecond}, Bank())
-	if r.Err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }
 

@@ -18,7 +18,7 @@ type histSummary struct {
 }
 
 // record flattens one Result into the JSONL schema: the run's identity and
-// verdict (scenario, engine, policy, seed, duration_ms, verdict, ops,
+// verdict (scenario, engine, seed, duration_ms, verdict, ops,
 // checks); every counter the run's engine maintains, under its table key
 // (stm.Counters — the stmobs.StatsMap names); each non-empty histogram as
 // hist_<key> {total, bins} (bin i spans [2^(i-1), 2^i) ticks/words; bin 0
@@ -35,7 +35,6 @@ func record(r Result) map[string]any {
 	rec := map[string]any{
 		"scenario":        r.Scenario,
 		"engine":          r.Engine.String(),
-		"policy":          r.Policy,
 		"seed":            r.Seed,
 		"duration_ms":     r.Duration.Milliseconds(),
 		"verdict":         verdict,

@@ -18,7 +18,6 @@ import (
 type Result struct {
 	Scenario string
 	Engine   stm.Engine
-	Policy   string
 	Seed     uint64
 	Duration time.Duration
 
@@ -44,8 +43,8 @@ func WriteReport(w io.Writer, results []Result) {
 		} else if len(r.Violations) > 0 {
 			verdict = "VIOLATION"
 		}
-		fmt.Fprintf(w, "%-9s engine=%-4s policy=%-10s %9s  ops=%-9d checks=%-7d %s\n",
-			r.Scenario, r.Engine, r.Policy, r.Duration.Round(time.Millisecond),
+		fmt.Fprintf(w, "%-9s engine=%-4s %9s  ops=%-9d checks=%-7d %s\n",
+			r.Scenario, r.Engine, r.Duration.Round(time.Millisecond),
 			r.Ops, r.Checks, verdict)
 		s := r.Stats
 		fmt.Fprintf(w, "          commits=%d failures=%d (%.1f%% fail)",

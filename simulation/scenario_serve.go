@@ -31,10 +31,8 @@ const (
 
 type serveScenario struct{}
 
-// Serve returns the TCP server scenario. Note the contention policy does
-// not apply here: the server builds its own Memory with the default
-// policy (stmserve.Config has no policy knob — a deliberate surface
-// choice), so only the engine and fault dimensions vary.
+// Serve returns the TCP server scenario. The server builds its own Memory,
+// so only the engine and fault dimensions vary.
 func Serve() Scenario { return serveScenario{} }
 
 func (serveScenario) Name() string { return "serve" }

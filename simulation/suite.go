@@ -21,10 +21,9 @@ func Scenarios() []Scenario {
 }
 
 // SuiteConfig parameterizes a matrix run: every scenario under every
-// engine × policy combination, faults armed, one base seed.
+// engine, faults armed, one base seed.
 type SuiteConfig struct {
 	Engines   []stm.Engine
-	Policies  []string
 	Scenarios []Scenario
 	Seed      uint64        // 0: resolve via simrand (STM_SIM_SEED or fresh)
 	Duration  time.Duration // per scenario run
@@ -37,14 +36,12 @@ type SuiteConfig struct {
 	Publish   bool      // keep the current run's Memories Published as "stmsim"
 }
 
-// Smoke is the CI tier: every scenario on both engines under the default
-// policy with faults armed, short enough to ride on every PR (about 15s
+// Smoke is the CI tier: every scenario on both engines with faults armed, short enough to ride on every PR (about 15s
 // wall plus race overhead), strict enough to demand three injectors per
 // run and a caught sanity break.
 func Smoke() SuiteConfig {
 	return SuiteConfig{
 		Engines:   stm.Engines(),
-		Policies:  []string{"default"},
 		Scenarios: Scenarios(),
 		Duration:  1200 * time.Millisecond,
 		Workers:   4,
@@ -54,13 +51,12 @@ func Smoke() SuiteConfig {
 	}
 }
 
-// Canary is the long tier: the full engine × policy matrix, the total
+// Canary is the long tier: the engine × scenario matrix, the total
 // duration split evenly across runs. Meant for nightly / on-demand runs
 // (stmsim -suite canary -duration 10m).
 func Canary(total time.Duration) SuiteConfig {
 	cfg := Smoke()
-	cfg.Policies = Policies()
-	runs := len(cfg.Engines)*len(cfg.Policies)*len(cfg.Scenarios) + len(cfg.Engines) // + sanity
+	runs := len(cfg.Engines)*len(cfg.Scenarios) + len(cfg.Engines) // + sanity
 	if total <= 0 {
 		total = 10 * time.Minute
 	}
@@ -86,9 +82,6 @@ func RunSuite(cfg SuiteConfig) ([]Result, bool) {
 	if len(cfg.Engines) == 0 {
 		cfg.Engines = stm.Engines()
 	}
-	if len(cfg.Policies) == 0 {
-		cfg.Policies = []string{"default"}
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		var replay bool
@@ -97,16 +90,15 @@ func RunSuite(cfg SuiteConfig) ([]Result, bool) {
 			fmt.Fprintf(out, "replaying seed %d from %s\n", seed, simrand.EnvSeed)
 		}
 	}
-	fmt.Fprintf(out, "suite: %d scenarios × %d engines × %d policies, %v per run, faults=%v, seed=%d\n",
-		len(cfg.Scenarios), len(cfg.Engines), len(cfg.Policies), cfg.Duration, cfg.Faults, seed)
+	fmt.Fprintf(out, "suite: %d scenarios × %d engines, %v per run, faults=%v, seed=%d\n",
+		len(cfg.Scenarios), len(cfg.Engines), cfg.Duration, cfg.Faults, seed)
 
 	var results []Result
 	ok := true
-	run := func(scn Scenario, eng stm.Engine, pol string) Result {
-		fmt.Fprintf(out, "run %-9s engine=%-4s policy=%s ...\n", scn.Name(), eng, pol)
+	run := func(scn Scenario, eng stm.Engine) Result {
+		fmt.Fprintf(out, "run %-9s engine=%-4s ...\n", scn.Name(), eng)
 		return RunScenario(Config{
 			Engine:   eng,
-			Policy:   pol,
 			Seed:     seed,
 			Duration: cfg.Duration,
 			Workers:  cfg.Workers,
@@ -115,27 +107,25 @@ func RunSuite(cfg SuiteConfig) ([]Result, bool) {
 		}, scn)
 	}
 	for _, eng := range cfg.Engines {
-		for _, pol := range cfg.Policies {
-			for _, scn := range cfg.Scenarios {
-				r := run(scn, eng, pol)
-				results = append(results, r)
-				if !r.OK() {
-					ok = false
-				}
-				if cfg.Faults && r.Err == nil && r.Faults.Injectors() < cfg.MinInject {
-					ok = false
-					r.Violations = append(r.Violations, fmt.Sprintf(
-						"harness: only %d distinct fault injectors fired, want >= %d",
-						r.Faults.Injectors(), cfg.MinInject))
-					results[len(results)-1] = r
-				}
+		for _, scn := range cfg.Scenarios {
+			r := run(scn, eng)
+			results = append(results, r)
+			if !r.OK() {
+				ok = false
+			}
+			if cfg.Faults && r.Err == nil && r.Faults.Injectors() < cfg.MinInject {
+				ok = false
+				r.Violations = append(r.Violations, fmt.Sprintf(
+					"harness: only %d distinct fault injectors fired, want >= %d",
+					r.Faults.Injectors(), cfg.MinInject))
+				results[len(results)-1] = r
 			}
 		}
-		// Sanity rides once per engine (policy doesn't change the bug):
-		// its run must end in a REPORTED violation, or the suite's
-		// auditors are decorative and everything above proved nothing.
+		// Sanity rides once per engine: its run must end in a REPORTED
+		// violation, or the suite's auditors are decorative and everything
+		// above proved nothing.
 		if cfg.Sanity {
-			r := run(Sanity(), eng, cfg.Policies[0])
+			r := run(Sanity(), eng)
 			results = append(results, r)
 			if r.Err != nil || len(r.Violations) == 0 {
 				ok = false

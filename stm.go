@@ -2,7 +2,6 @@ package stm
 
 import (
 	"sync"
-	"time"
 
 	"github.com/stm-go/stm/contention"
 	"github.com/stm-go/stm/internal/backoff"
@@ -43,11 +42,8 @@ type Memory struct {
 	alloc *core.Allocator
 
 	// pol decides how retry loops react to contention; see the contention
-	// package. allCommits caches whether pol opted into clean-commit
-	// reports (contention.CleanCommitObserver), deciding once whether the
-	// uncontended fast path must build a report at all.
-	pol        contention.Policy
-	allCommits bool
+	// package.
+	pol contention.Policy
 
 	confPool sync.Pool // of *contention.Conflict; see hotpath.go
 	bufPool  sync.Pool // of *[]uint64 word staging buffers; see hotpath.go
@@ -71,20 +67,6 @@ func WithPolicy(p contention.Policy) Option {
 	return func(c *config) { c.policy = p }
 }
 
-// WithPolicyFactory is WithPolicy with late binding: factory is invoked
-// once, at New time, to build this Memory's policy. Use it when one
-// configuration constructs many Memories — each gets a fresh policy
-// instance, so windowed counters and serialization tokens are never shared
-// across Memories. A nil factory (or a factory returning nil) selects the
-// default policy.
-func WithPolicyFactory(factory func() contention.Policy) Option {
-	return func(c *config) {
-		if factory != nil {
-			c.policy = factory()
-		}
-	}
-}
-
 // New returns a Memory of size words, all zero, configured by opts.
 func New(size int, opts ...Option) (*Memory, error) {
 	var cfg config
@@ -102,10 +84,9 @@ func New(size int, opts ...Option) (*Memory, error) {
 		eng.Observe(*cfg.obs)
 	}
 	return &Memory{
-		eng:        eng,
-		alloc:      core.NewAllocator(size),
-		pol:        cfg.policy,
-		allCommits: contention.WantsCleanCommits(cfg.policy),
+		eng:   eng,
+		alloc: core.NewAllocator(size),
+		pol:   cfg.policy,
 	}, nil
 }
 
@@ -143,15 +124,13 @@ func (m *Memory) Stats() core.StatsSnapshot { return m.eng.Stats() }
 // abort-taxonomy and TL2 telemetry counters, histogram bins, and the
 // per-word conflict counters — opening a fresh observation window. It is
 // safe to call while transactions run: the counters are advisory, and a
-// bump racing the reset lands in either window. Benchmark sweeps and
-// adaptive consumers use it to read rates per window instead of monotonic
-// totals.
+// bump racing the reset lands in either window. Benchmark sweeps use it to
+// read rates per window instead of monotonic totals.
 func (m *Memory) ResetStats() { m.eng.ResetStats() }
 
 // ConflictCount returns the number of failed attempts that died at loc (an
 // ownership or commit-lock conflict, or a failed read validation, depending
-// on the engine) since construction or the last ResetStats — the
-// per-word conflict telemetry feeding contention policies. A hot word is
+// on the engine) since construction or the last ResetStats. A hot word is
 // one whose count grows fastest.
 func (m *Memory) ConflictCount(loc int) uint64 { return m.eng.ConflictCount(loc) }
 
@@ -166,5 +145,5 @@ func (m *Memory) Engine() Engine { return m.eng.EngineKind() }
 // the world just isn't ready — so they stay on a plain backoff rather than
 // going through the contention policy.
 func (m *Memory) newCondBackoff() *backoff.Exp {
-	return backoff.NewSeeded(500*time.Nanosecond, 100*time.Microsecond)
+	return backoff.NewSeeded()
 }

@@ -129,13 +129,13 @@ var goldenJSONL = map[stm.Engine]string{
 	stm.ST: `
 		aborts_st_conflict aborts_st_helped aborts_st_validate attempts checks
 		commits duration_ms engine failures fault_injectors helps
-		hist_commit_ticks hist_read_set hist_write_set ops owned_words policy
+		hist_commit_ticks hist_read_set hist_write_set ops owned_words
 		read_only_commits scenario seed snapshot_extensions snapshot_rechecked
 		snapshot_stale tick_nanos verdict`,
 	stm.TL2: `
 		aborts_tl2_lock aborts_tl2_read aborts_tl2_validate attempts checks
 		commits duration_ms engine failures fault_injectors helps
-		hist_commit_ticks hist_read_set hist_write_set ops policy
+		hist_commit_ticks hist_read_set hist_write_set ops
 		read_only_commits scenario seed snapshot_extensions snapshot_rechecked
 		snapshot_stale tick_nanos tl2_clock_adoptions tl2_clock_races
 		tl2_read_only_commits verdict`,

@@ -39,11 +39,10 @@ func (tx *Tx) TryInto(f UpdateInto, old []uint64) bool {
 	tx.check(f, old)
 	st := staged{op: opUpdate, addrs: tx.addrs, u: &f}
 	var info core.ConflictInfo
-	if !tx.m.attempt(&st, old, &info, 0) {
-		tx.m.abortFailed(nil, st.first(), len(st.addrs), &info)
+	if !tx.m.attempt(&st, old, &info) {
+		tx.m.abortFailed(nil, &info)
 		return false
 	}
-	tx.m.commitConflict(nil, st.first(), len(st.addrs))
 	return true
 }
 
