@@ -1,9 +1,10 @@
 package stmds
 
-// Key hashing: structures hash a key's codec-encoded words, so any K with
-// a Codec hashes consistently without a user-supplied hash function, and
-// two keys that encode equally (e.g. strings canonicalized by a String
-// codec) always land in the same bucket chain.
+// Key hashing: structures hash a key's codec-encoded words (Map: without
+// the trailing zero words, which it does not store), so any K with a Codec
+// hashes consistently without a user-supplied hash function, and two keys
+// that encode equally (e.g. strings canonicalized by a String codec)
+// always land in the same bucket chain.
 
 // mix64 is the splitmix64 finalizer: a cheap full-avalanche mix, so that
 // dense key spaces (sequential ints are the common case) still spread

@@ -68,6 +68,40 @@ const (
 	slotTomb  = 2
 )
 
+// A full slot's state word packs, from the low bits up: slotFull (2 bits),
+// the key's used width and the value's used width (widthBits each), and
+// the top bits of the key's hash. A used width is the encoding with its
+// trailing zero words cut off; the words of a slot past its used widths
+// are never read, so they are never written and may hold a former
+// occupant's tail. An empty slot's state is slotEmpty and a tombstone's is
+// slotTomb, both with no other bit set.
+const (
+	slotKindMask  = 3
+	widthBits     = 16
+	maxCodecWords = 1<<widthBits - 1
+	kuShift       = 2
+	vuShift       = kuShift + widthBits
+	tagShift      = vuShift + widthBits
+	vuMask        = maxCodecWords << vuShift
+)
+
+// isFull reports whether the state word st is a full slot's.
+func isFull(st uint64) bool { return st&slotKindMask == slotFull }
+
+// keyWidth and valWidth return a full slot's used key and value widths.
+func keyWidth(st uint64) int { return int(st>>kuShift) & maxCodecWords }
+func valWidth(st uint64) int { return int(st>>vuShift) & maxCodecWords }
+
+// usedWords returns the used width of an encoding: its length without
+// trailing zero words.
+func usedWords(enc []uint64) int {
+	n := len(enc)
+	for n > 0 && enc[n-1] == 0 {
+		n--
+	}
+	return n
+}
+
 // minMapCap is the smallest table; capacities are powers of two.
 const minMapCap = 8
 
@@ -100,13 +134,13 @@ func MapWords[K comparable, V any](kc stm.Codec[K], vc stm.Codec[V], sizeHint in
 // returns the zero V — which is how Set embeds a Map without paying a
 // value word per entry.
 func NewMap[K comparable, V any](m *stm.Memory, kc stm.Codec[K], vc stm.Codec[V], sizeHint int) (*Map[K, V], error) {
-	if kc == nil || kc.Words() <= 0 {
-		return nil, fmt.Errorf("stmds: map key codec must have positive width")
+	if kc == nil || kc.Words() <= 0 || kc.Words() > maxCodecWords {
+		return nil, fmt.Errorf("stmds: map key codec width must be in 1..%d", maxCodecWords)
 	}
 	vw := 0
 	if vc != nil {
-		if vc.Words() <= 0 {
-			return nil, fmt.Errorf("stmds: map value codec must have positive width")
+		if vc.Words() <= 0 || vc.Words() > maxCodecWords {
+			return nil, fmt.Errorf("stmds: map value codec width must be in 1..%d", maxCodecWords)
 		}
 		vw = vc.Words()
 	}
@@ -295,18 +329,19 @@ func (mp *Map[K, V]) LenTx(tx *stm.DTx) int {
 // what the invariant checkers in the simulation package sum over.
 //
 // Atomicity here is bought with footprint: RangeTx reads the state word of
-// every slot (active and, mid-migration, old table), so it conflicts with
-// every concurrent mutation — any one of them landing before the commit
-// sends the whole iteration back to re-execute — and the commit owns (ST)
-// or validates (TL2) every word it read. An execution nothing overlaps
-// costs O(slots); each concurrent commit, to this map or any other word of
-// the Memory, adds one re-check of the slots read so far (counted in
-// Stats().SnapshotRechecked). So the limit on a ranged map is how often it
-// is written, not how large it is: range over maps that are quiet for the
-// time an iteration takes, or take the iteration out of hot paths; for a
-// cheap conflict-free cardinality check use LenTx. Entries are yielded in
-// table order, which is not insertion
-// or key order. yield must follow the same rules as any code inside
+// every slot (active and, mid-migration, old table) and the used words of
+// every entry, so it conflicts with every concurrent mutation — any one of
+// them landing before the commit sends the whole iteration back to
+// re-execute. On both engines the words it read ride the commit as a read
+// list that is validated, not owned; the commit owns only what tx wrote.
+// An execution nothing overlaps costs O(slots); each concurrent commit, to
+// this map or any other word of the Memory, adds one re-check of the words
+// read so far (counted in Stats().SnapshotRechecked). So the limit on a
+// ranged map is how often it is written, not how large it is: range over
+// maps that are quiet for the time an iteration takes, or take the
+// iteration out of hot paths; for a cheap conflict-free cardinality check
+// use LenTx. Entries are yielded in table order, which is not insertion or
+// key order. yield must follow the same rules as any code inside
 // Atomically (no side effects — it may run on snapshots that never
 // commit); mutating the map inside yield is allowed through the Tx forms
 // but the iteration does not re-visit slots it has already passed.
@@ -331,13 +366,13 @@ func (op *mapOp[K, V]) rangeTable(tx *stm.DTx, base int, tcap uint64, yield func
 	mp := op.mp
 	for i := uint64(0); i < tcap; i++ {
 		a := base + int(i)*mp.slotWords
-		if tx.Read(a) != slotFull {
+		st := tx.Read(a)
+		if !isFull(st) {
 			continue
 		}
-		for j := 0; j < mp.kw; j++ {
-			op.kbuf[j] = tx.Read(a + 1 + j)
-		}
-		op.loadVal(tx, a)
+		op.loadKey(tx, a, st)
+		clear(op.kbuf[op.ku:])
+		op.loadVal(tx, a, st)
 		if !yield(mp.kc.Decode(op.kbuf), op.prev) {
 			return false
 		}
@@ -468,6 +503,8 @@ func (mp *Map[K, V]) emergencyGrow() error {
 		return err
 	}
 	mask := newCap - 1
+	op := mp.getOp()
+	defer mp.putOp(op)
 	return mp.m.Atomically(func(tx *stm.DTx) error {
 		ocap := tx.Read(ctl + ctlOcap)
 		if ocap == 0 || tx.Read(ctl+ctlAcap) != acap {
@@ -476,17 +513,15 @@ func (mp *Map[K, V]) emergencyGrow() error {
 		obase := int(tx.Read(ctl + ctlObase))
 		for i := tx.Read(ctl + ctlCursor); i < ocap; i++ {
 			a := obase + int(i)*mp.slotWords
-			if tx.Read(a) != slotFull {
+			st := tx.Read(a)
+			if !isFull(st) {
 				continue
 			}
-			h := uint64(0x9e3779b97f4a7c15)
-			for j := 0; j < mp.kw; j++ {
-				h = mix64(h ^ tx.Read(a+1+j))
-			}
+			op.loadKey(tx, a, st)
 			// The fresh table is all-empty except for this transaction's
 			// own buffered inserts, which tx.Read observes — a plain walk
 			// to the first empty slot is a correct probe.
-			idx := h & mask
+			idx := op.hash & mask
 			steps := uint64(0)
 			for tx.Read(base+int(idx)*mp.slotWords) != slotEmpty {
 				idx = (idx + 1) & mask
@@ -494,11 +529,7 @@ func (mp *Map[K, V]) emergencyGrow() error {
 					return ErrMapFull // unreachable: newCap > total live
 				}
 			}
-			dst := base + int(idx)*mp.slotWords
-			for j := 0; j < mp.slotWords; j++ {
-				tx.Write(dst+j, tx.Read(a+j))
-			}
-			tx.Write(a, slotTomb)
+			op.moveSlot(tx, base+int(idx)*mp.slotWords, a, st)
 		}
 		tx.Write(ctl+ctlObase, tx.Read(ctl+ctlAbase))
 		tx.Write(ctl+ctlOcap, acap)
@@ -520,9 +551,11 @@ type mapOp[K comparable, V any] struct {
 	kbuf []uint64 // encoded op key
 	vbuf []uint64 // value staging
 
-	k    K
-	v    V
-	hash uint64
+	k        K
+	v        V
+	ku       int    // used width of kbuf
+	hash     uint64 // of kbuf[:ku]
+	keyState uint64 // a full slot's state word for this key, value width 0
 
 	prev     V
 	found    bool
@@ -548,7 +581,27 @@ func newMapOp[K comparable, V any](mp *Map[K, V]) *mapOp[K, V] {
 // outside the transaction (the key is immutable across re-executions).
 func (op *mapOp[K, V]) encodeKey() {
 	op.mp.kc.Encode(op.k, op.kbuf)
-	op.hash = hashWords(op.kbuf)
+	op.stageKey(usedWords(op.kbuf))
+}
+
+// stageKey derives the hash and state of the key whose used words are
+// kbuf[:ku]. Trailing zero words do not enter the hash, so it is a
+// function of the encoding however wide the codec is.
+func (op *mapOp[K, V]) stageKey(ku int) {
+	op.ku = ku
+	op.hash = hashWords(op.kbuf[:ku])
+	op.keyState = slotFull | uint64(ku)<<kuShift | op.hash>>tagShift<<tagShift
+}
+
+// loadKey stages the key of the full slot at a, whose state word is st:
+// its used words into kbuf (the tail past them keeps whatever it held),
+// then its hash and state.
+func (op *mapOp[K, V]) loadKey(tx *stm.DTx, a int, st uint64) {
+	ku := keyWidth(st)
+	for j := 0; j < ku; j++ {
+		op.kbuf[j] = tx.Read(a + 1 + j)
+	}
+	op.stageKey(ku)
 }
 
 // readCtl reads the table geometry into the transaction's read set. The
@@ -566,80 +619,109 @@ func (op *mapOp[K, V]) readCtl(tx *stm.DTx) (abase int, acap uint64, obase int, 
 }
 
 // probe walks the staged key's chain (op.kbuf/op.hash) in the table at
-// base/tcap. It returns the matching slot's address (-1 if absent), the
-// address where an insert of the key belongs (the first tombstone of the chain, else the terminating
-// empty slot; -1 if the chain covers the whole table), and whether that
-// insert slot is a tombstone.
-func (op *mapOp[K, V]) probe(tx *stm.DTx, base int, tcap uint64) (foundAddr, availAddr int, availTomb bool) {
+// base/tcap. It returns the matching slot's address (-1 if absent) with
+// its state word, and the address where an insert of the key belongs (the
+// first tombstone of the chain, else the terminating empty slot; -1 if the
+// chain covers the whole table) with that slot's state, slotTomb or
+// slotEmpty. A full slot whose state disagrees with the key's width or
+// hash tag is passed on its state word alone; only a candidate's used key
+// words are read.
+func (op *mapOp[K, V]) probe(tx *stm.DTx, base int, tcap uint64) (foundAddr int, foundSt uint64, availAddr int, availSt uint64) {
 	mp := op.mp
 	mask := tcap - 1
 	idx := op.hash & mask
 	firstTomb := -1
 	for n := uint64(0); n < tcap; n++ {
 		a := base + int(idx)*mp.slotWords
-		switch tx.Read(a) {
-		case slotEmpty:
+		switch st := tx.Read(a); {
+		case st == slotEmpty:
 			if firstTomb >= 0 {
-				return -1, firstTomb, true
+				return -1, 0, firstTomb, slotTomb
 			}
-			return -1, a, false
-		case slotFull:
+			return -1, 0, a, slotEmpty
+		case st == slotTomb:
+			if firstTomb < 0 {
+				firstTomb = a
+			}
+		case st&^vuMask == op.keyState:
 			// Keys match iff their encoded words match — the same
 			// transactional-truth convention as Var.CompareAndSwap, and
 			// the only definition consistent with hashing the encoding
 			// (a canonicalizing codec or a NaN float key would otherwise
 			// hash equal but compare unequal and duplicate).
 			match := true
-			for j := 0; j < mp.kw; j++ {
+			for j := 0; j < op.ku; j++ {
 				if tx.Read(a+1+j) != op.kbuf[j] {
 					match = false
 					break
 				}
 			}
 			if match {
-				return a, -1, false
-			}
-		default: // tombstone
-			if firstTomb < 0 {
-				firstTomb = a
+				return a, st, -1, 0
 			}
 		}
 		idx = (idx + 1) & mask
 	}
-	return -1, firstTomb, firstTomb >= 0
+	if firstTomb >= 0 {
+		return -1, 0, firstTomb, slotTomb
+	}
+	return -1, 0, -1, 0
 }
 
-// loadVal decodes the value words of the slot at a into op.prev.
-func (op *mapOp[K, V]) loadVal(tx *stm.DTx, a int) {
+// loadVal decodes the value of the full slot at a, whose state word is
+// st, into op.prev: its used words, then zeros for the rest of the codec
+// width.
+func (op *mapOp[K, V]) loadVal(tx *stm.DTx, a int, st uint64) {
 	mp := op.mp
 	if mp.vc == nil {
 		return
 	}
-	for j := 0; j < mp.vw; j++ {
+	vu := valWidth(st)
+	for j := 0; j < vu; j++ {
 		op.vbuf[j] = tx.Read(a + 1 + mp.kw + j)
 	}
+	clear(op.vbuf[vu:])
 	op.prev = mp.vc.Decode(op.vbuf)
 }
 
-// storeVal writes op.v's encoded words into the slot at a.
-func (op *mapOp[K, V]) storeVal(tx *stm.DTx, a int) {
+// store puts op.v under the staged key into the slot at a, whose state
+// word is st: a slot found holding the key, or an insert slot (st is
+// slotEmpty or slotTomb), which also takes the key's used words. Only the
+// value's used words are written, and the state word only when it
+// changes.
+func (op *mapOp[K, V]) store(tx *stm.DTx, a int, st uint64) {
 	mp := op.mp
-	if mp.vc == nil {
-		return
+	vu := 0
+	if mp.vc != nil {
+		mp.vc.Encode(op.v, op.vbuf)
+		vu = usedWords(op.vbuf)
 	}
-	mp.vc.Encode(op.v, op.vbuf)
-	for j := 0; j < mp.vw; j++ {
+	if nst := op.keyState | uint64(vu)<<vuShift; nst != st {
+		tx.Write(a, nst)
+	}
+	if !isFull(st) {
+		for j := 0; j < op.ku; j++ {
+			tx.Write(a+1+j, op.kbuf[j])
+		}
+	}
+	for j := 0; j < vu; j++ {
 		tx.Write(a+1+mp.kw+j, op.vbuf[j])
 	}
 }
 
-// storeKey writes the encoded key in src into the slot at a and marks it
-// full.
-func (op *mapOp[K, V]) storeKey(tx *stm.DTx, a int, src []uint64) {
-	tx.Write(a, slotFull)
-	for j := 0; j < op.mp.kw; j++ {
-		tx.Write(a+1+j, src[j])
+// moveSlot copies the full slot at src, whose state word is st and whose
+// key words are staged in kbuf, into the free slot at dst and tombstones
+// src: the state word and the used key and value words.
+func (op *mapOp[K, V]) moveSlot(tx *stm.DTx, dst, src int, st uint64) {
+	mp := op.mp
+	tx.Write(dst, st)
+	for j := 0; j < op.ku; j++ {
+		tx.Write(dst+1+j, op.kbuf[j])
 	}
+	for j, vu := 0, valWidth(st); j < vu; j++ {
+		tx.Write(dst+1+mp.kw+j, tx.Read(src+1+mp.kw+j))
+	}
+	tx.Write(src, slotTomb)
 }
 
 // bumpStripe adds delta (two's complement for decrements) to op.k's
@@ -656,14 +738,14 @@ func (op *mapOp[K, V]) runGet(tx *stm.DTx) error {
 	var zero V
 	op.prev = zero
 	abase, acap, obase, ocap := op.readCtl(tx)
-	if fa, _, _ := op.probe(tx, abase, acap); fa >= 0 {
-		op.loadVal(tx, fa)
+	if fa, st, _, _ := op.probe(tx, abase, acap); fa >= 0 {
+		op.loadVal(tx, fa, st)
 		op.found = true
 		return nil
 	}
 	if ocap != 0 {
-		if fa, _, _ := op.probe(tx, obase, ocap); fa >= 0 {
-			op.loadVal(tx, fa)
+		if fa, st, _, _ := op.probe(tx, obase, ocap); fa >= 0 {
+			op.loadVal(tx, fa, st)
 			op.found = true
 		}
 	}
@@ -679,10 +761,10 @@ func (op *mapOp[K, V]) runPut(tx *stm.DTx) error {
 	var zero V
 	op.prev = zero
 	abase, acap, obase, ocap := op.readCtl(tx)
-	fa, avail, availTomb := op.probe(tx, abase, acap)
+	fa, st, avail, availSt := op.probe(tx, abase, acap)
 	if fa >= 0 {
-		op.loadVal(tx, fa)
-		op.storeVal(tx, fa)
+		op.loadVal(tx, fa, st)
+		op.store(tx, fa, st)
 		op.found = true
 		return nil
 	}
@@ -693,15 +775,14 @@ func (op *mapOp[K, V]) runPut(tx *stm.DTx) error {
 		return nil
 	}
 	if ocap != 0 {
-		if ofa, _, _ := op.probe(tx, obase, ocap); ofa >= 0 {
-			op.loadVal(tx, ofa)
+		if ofa, ost, _, _ := op.probe(tx, obase, ocap); ofa >= 0 {
+			op.loadVal(tx, ofa, ost)
 			op.found = true
 			tx.Write(ofa, slotTomb) // the live copy moves to the active table
 		}
 	}
-	op.storeKey(tx, avail, op.kbuf)
-	op.storeVal(tx, avail)
-	if availTomb {
+	op.store(tx, avail, availSt)
+	if availSt == slotTomb {
 		op.bumpStripe(tx, ctlTmb, ^uint64(0)) // reused a tombstone
 	}
 	if !op.found {
@@ -716,8 +797,8 @@ func (op *mapOp[K, V]) runDel(tx *stm.DTx) error {
 	var zero V
 	op.prev = zero
 	abase, acap, obase, ocap := op.readCtl(tx)
-	if fa, _, _ := op.probe(tx, abase, acap); fa >= 0 {
-		op.loadVal(tx, fa)
+	if fa, st, _, _ := op.probe(tx, abase, acap); fa >= 0 {
+		op.loadVal(tx, fa, st)
 		tx.Write(fa, slotTomb)
 		op.bumpStripe(tx, ctlCnt, ^uint64(0))
 		op.bumpStripe(tx, ctlTmb, 1)
@@ -725,8 +806,8 @@ func (op *mapOp[K, V]) runDel(tx *stm.DTx) error {
 		return nil
 	}
 	if ocap != 0 {
-		if fa, _, _ := op.probe(tx, obase, ocap); fa >= 0 {
-			op.loadVal(tx, fa)
+		if fa, st, _, _ := op.probe(tx, obase, ocap); fa >= 0 {
+			op.loadVal(tx, fa, st)
 			tx.Write(fa, slotTomb)
 			op.bumpStripe(tx, ctlCnt, ^uint64(0))
 			// Old-table tombstones don't feed the active-occupancy trigger.
@@ -758,36 +839,32 @@ func (op *mapOp[K, V]) runMigrate(tx *stm.DTx) error {
 	}
 	for i := cur; i < end; i++ {
 		a := obase + int(i)*mp.slotWords
-		if tx.Read(a) != slotFull {
+		st := tx.Read(a)
+		if !isFull(st) {
 			continue
 		}
-		// Stage the moving entry's key words in kbuf for the rehoming
-		// probe. runMigrate always runs as its own transaction, before
-		// its op is reused for the caller's main operation, so
-		// clobbering op.hash/op.kbuf here is fine.
-		for j := 0; j < mp.kw; j++ {
-			op.kbuf[j] = tx.Read(a + 1 + j)
+		// Stage the moving entry's key in kbuf for the rehoming probe.
+		// runMigrate always runs as its own transaction, before its op
+		// is reused for the caller's main operation, so clobbering the
+		// staged key here is fine.
+		op.loadKey(tx, a, st)
+		fa, _, avail, availSt := op.probe(tx, abase, acap)
+		if fa >= 0 {
+			tx.Write(a, slotTomb)
+			continue
 		}
-		op.hash = hashWords(op.kbuf)
-		fa, avail, availTomb := op.probe(tx, abase, acap)
-		if fa < 0 {
-			if avail < 0 {
-				// Active table momentarily has no slot for this chain: park
-				// the cursor here; a later help (after puts grow the table)
-				// finishes the job. Unreachable under the §10 occupancy
-				// bound, but never silently drop an entry.
-				tx.Write(ctl+ctlCursor, i)
-				return nil
-			}
-			op.storeKey(tx, avail, op.kbuf)
-			for j := 0; j < mp.vw; j++ {
-				tx.Write(avail+1+mp.kw+j, tx.Read(a+1+mp.kw+j))
-			}
-			if availTomb {
-				op.bumpStripe(tx, ctlTmb, ^uint64(0))
-			}
+		if avail < 0 {
+			// Active table momentarily has no slot for this chain: park
+			// the cursor here; a later help (after puts grow the table)
+			// finishes the job. Unreachable under the §10 occupancy
+			// bound, but never silently drop an entry.
+			tx.Write(ctl+ctlCursor, i)
+			return nil
 		}
-		tx.Write(a, slotTomb)
+		op.moveSlot(tx, avail, a, st)
+		if availSt == slotTomb {
+			op.bumpStripe(tx, ctlTmb, ^uint64(0))
+		}
 	}
 	if end == ocap {
 		tx.Write(ctl+ctlObase, 0)

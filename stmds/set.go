@@ -5,7 +5,7 @@ import (
 )
 
 // Set is a transactional set of K: a Map[K, struct{}] with no value words
-// (one meta word plus the encoded key per slot) and a membership-shaped
+// (one state word plus the encoded key per slot) and a membership-shaped
 // API. It shares the Map's concurrency and incremental-resize behavior.
 type Set[K comparable] struct {
 	mp *Map[K, struct{}]

@@ -65,7 +65,10 @@ func valFromInt(n int64) (v wireVal) {
 func (v *wireVal) bytes() []byte { return v.b[:v.n] }
 
 // keyWords/valWords are the codec widths: one length word plus the byte
-// array packed eight bytes per word, little-endian.
+// array packed eight bytes per word, little-endian. They size the map's
+// slots, but a short key or value costs only its used words: the map
+// stores an encoding without its trailing zero words, so a 7-byte key
+// reads and writes 2 words, not keyWords.
 const (
 	keyWords = 1 + MaxKeyBytes/8
 	valWords = 1 + MaxValBytes/8
