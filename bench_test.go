@@ -130,6 +130,44 @@ func BenchmarkUncontendedRunInto(b *testing.B) {
 	}
 }
 
+// discardObserver receives events and traces and drops them, so
+// BenchmarkObsLevels times the seam rather than an observer.
+type discardObserver struct{}
+
+func (discardObserver) ObsEvent(*stm.Event)      {}
+func (discardObserver) ObsTrace(*stm.TraceEvent) {}
+
+// BenchmarkObsLevels measures what each observability level adds to an
+// uncontended two-word RunInto, on both engines, with an observer that
+// discards what it receives and the default sampling period: off is the
+// bare fast path, counters adds event delivery, hist the size histograms
+// and a clock read for 1 attempt in DefaultSampleEvery, trace the same
+// attempt's TraceEvent.
+func BenchmarkObsLevels(b *testing.B) {
+	for _, eng := range stm.Engines() {
+		for _, lvl := range []stm.ObsLevel{stm.ObsOff, stm.ObsCounters, stm.ObsHistograms, stm.ObsTrace} {
+			b.Run(eng.String()+"/"+lvl.String(), func(b *testing.B) {
+				m, err := stm.New(4, stm.WithEngine(eng),
+					stm.WithObs(stm.ObsConfig{Level: lvl, Observer: discardObserver{}}))
+				if err != nil {
+					b.Fatal(err)
+				}
+				tx, err := m.Prepare([]int{0, 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				var old [2]uint64
+				f := func(o, n []uint64) { n[0], n[1] = o[0]+1, o[1]+1 }
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tx.RunInto(f, old[:])
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkUncontendedRunIntoK measures k-word RunInto as the data set
 // grows: the cost of transaction size in the host build.
 func BenchmarkUncontendedRunIntoK(b *testing.B) {

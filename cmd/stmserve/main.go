@@ -74,7 +74,7 @@ func run(args []string) error {
 		qcap   = fs.Int("qcap", 1024, "capacity of each named queue")
 		zcap   = fs.Int("zcap", 1024, "capacity of each named priority queue")
 		admin  = fs.String("admin", "", "admin HTTP listen address (/metrics, /debug/vars, /debug/pprof); empty disables")
-		obs    = fs.String("obs", "counters", `engine observability level ("off", "counters", "hist")`)
+		obs    = fs.String("obs", "counters", fmt.Sprintf(`engine observability level ("off", "counters", or "hist": also set-size histograms, and commit/abort latency of 1 attempt in %d)`, stm.DefaultSampleEvery))
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

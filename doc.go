@@ -148,10 +148,11 @@
 // adds a per-engine abort taxonomy to Stats (ST: ownership conflicts vs
 // helping-induced aborts; TL2: read vs lock vs validate failures, plus
 // read-only commits and clock-race telemetry) and delivers attempt
-// events to a registered Observer. ObsHistograms adds commit/abort
-// latency and set-size histograms on a coarse-ticks source (no time.Now
-// on the attempt path; see TickInterval for the precision contract).
-// ObsTrace samples 1-in-SampleEvery per-transaction traces:
+// events to a registered Observer. ObsHistograms adds set-size histograms
+// of every attempt and commit/abort latency histograms in nanoseconds: 1
+// attempt in ObsConfig.SampleEvery (per stats shard) reads the monotonic
+// clock at its begin and end, the rest never read it. ObsTrace turns the
+// same sampled attempts into per-transaction traces:
 //
 //	tracer := stmobs.NewRingTracer(256)
 //	m.Observe(stm.ObsConfig{Level: stm.ObsTrace, Observer: tracer, SampleEvery: 1024})

@@ -2,9 +2,11 @@
 //
 // Runs the same contended counter workload on both engines with full
 // observability enabled — counters, histograms, and sampled traces into a
-// ring — then dumps what each surface sees: the abort taxonomy and latency
-// histograms (DebugString), the expvar JSON a /debug/vars scraper would
-// read, and the last few sampled transaction traces.
+// ring — then dumps what each surface sees: the abort taxonomy, the size
+// histograms of every attempt and the nanosecond latency histograms of the
+// 1-in-SampleEvery sampled attempts (DebugString), the expvar JSON a
+// /debug/vars scraper would read, and the last few traces, which are the
+// same sampled attempts.
 //
 // Run with: go run ./examples/obs
 package main
@@ -83,8 +85,8 @@ func run(engine stm.Engine) {
 	traces := tracer.Traces()
 	fmt.Printf("sampled traces retained: %d of %d delivered\n", len(traces), tracer.Total())
 	for _, tr := range traces {
-		fmt.Printf("  seq=%d writes=%d committed=%v reason=%d addrs=%v ticks=%d\n",
-			tr.Seq, tr.Writes, tr.Committed, tr.Reason, tr.Addrs, tr.Ticks)
+		fmt.Printf("  seq=%d writes=%d committed=%v reason=%d addrs=%v took=%v\n",
+			tr.Seq, tr.Writes, tr.Committed, tr.Reason, tr.Addrs, tr.Elapsed)
 	}
 	fmt.Println()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 )
 
 // The stmobs event seam: per-attempt observability with zero cost when off.
@@ -23,12 +24,18 @@ import (
 //	              shards; bumped only at engine failure sites and the TL2
 //	              read-only/clock paths) plus Begin/Commit/Abort/ReadSet/
 //	              Lock/ValidationFail events to a registered Observer.
-//	ObsHistograms + commit/abort latency (coarse ticks; see ticks.go) and
-//	              read/write-set-size histograms, per stats shard.
-//	ObsTrace      + sampled per-transaction traces: 1-in-SampleEvery
-//	              attempts (per stats shard) build a TraceEvent with a
-//	              copied footprint and hand it to the TraceObserver. The
-//	              sampled path may allocate; the sampling makes it cheap.
+//	ObsHistograms + read/write-set-size histograms of every attempt, and
+//	              commit/abort latency of the sampled attempts, per stats
+//	              shard.
+//	ObsTrace      + the sampled attempts also build a TraceEvent with a
+//	              copied footprint for the TraceObserver. The sampled path
+//	              may allocate; the sampling makes it cheap.
+//
+// One sampler serves latency and traces: at ObsHistograms and above, 1 in
+// SampleEvery attempts (per stats shard, counted at obsBegin) reads the
+// monotonic clock at begin and end. The clock is never read for the other
+// attempts, because a read on every attempt costs a measurable share of a
+// sub-microsecond commit.
 //
 // The contention policy and this seam are two consumers of the same
 // engine-side conflict report: an engine failure site fills the caller's
@@ -47,11 +54,11 @@ const (
 	// ObsCounters enables the abort-reason taxonomy counters and event
 	// delivery to a registered Observer.
 	ObsCounters
-	// ObsHistograms additionally records commit/abort latency and
-	// read/write-set-size histograms.
+	// ObsHistograms additionally records read/write-set-size histograms
+	// and the commit/abort latency of 1 in SampleEvery attempts.
 	ObsHistograms
-	// ObsTrace additionally samples 1-in-SampleEvery attempts into
-	// TraceEvents delivered to a registered TraceObserver.
+	// ObsTrace additionally turns the sampled attempts into TraceEvents
+	// delivered to a registered TraceObserver.
 	ObsTrace
 )
 
@@ -144,11 +151,11 @@ const (
 	// list on either engine, at the failing word (Addr). It is always
 	// followed by EvAbort.
 	EvValidationFail
-	// EvCommit fires when the attempt commits. Ticks is the attempt
-	// duration in coarse ticks (0 below ObsHistograms or under one tick).
+	// EvCommit fires when the attempt commits, with the attempt's Elapsed
+	// time if it was sampled.
 	EvCommit
 	// EvAbort fires when the attempt fails, with the taxonomy Reason, the
-	// word it died at (Addr), and the attempt duration in Ticks.
+	// word it died at (Addr), and the attempt's Elapsed time if sampled.
 	EvAbort
 )
 
@@ -194,10 +201,10 @@ type Event struct {
 	// Reason is the abort taxonomy entry (EvAbort only; ReasonNone
 	// otherwise).
 	Reason AbortReason
-	// Ticks is the attempt duration in coarse ticks for EvCommit/EvAbort
-	// at ObsHistograms and above; 0 otherwise. See ticks.go for the
-	// precision contract.
-	Ticks uint64
+	// Elapsed is the attempt's duration on the monotonic clock for
+	// EvCommit/EvAbort of an attempt sampled at ObsHistograms and above
+	// (1 in ObsConfig.SampleEvery); 0 otherwise.
+	Elapsed time.Duration
 }
 
 // Observer receives events from the engine attempt path. Implementations
@@ -210,8 +217,8 @@ type Observer interface {
 }
 
 // TraceEvent is one sampled per-transaction trace: the attempt's footprint,
-// outcome, and timing, built only for the 1-in-SampleEvery attempts the
-// ObsTrace level samples. Unlike Event it is freshly allocated and owned by
+// outcome, and timing, built at ObsTrace for the 1-in-SampleEvery attempts
+// whose latency is sampled. Unlike Event it is freshly allocated and owned by
 // the receiver — tracers may retain it.
 type TraceEvent struct {
 	// Engine is the Memory's commit protocol.
@@ -229,8 +236,8 @@ type TraceEvent struct {
 	// failed attempts.
 	Committed bool
 	Reason    AbortReason
-	// Ticks is the attempt duration in coarse ticks (see ticks.go).
-	Ticks uint64
+	// Elapsed is the attempt's duration on the monotonic clock.
+	Elapsed time.Duration
 }
 
 // TraceObserver receives sampled traces. An Observer that also implements
@@ -247,13 +254,17 @@ type ObsConfig struct {
 	// above. If it also implements TraceObserver it receives sampled
 	// traces at ObsTrace.
 	Observer Observer
-	// SampleEvery is the trace sampling period at ObsTrace: one attempt in
-	// SampleEvery (per stats shard) is traced. 0 means DefaultSampleEvery.
+	// SampleEvery is the sampling period at ObsHistograms and above: one
+	// attempt in SampleEvery (per stats shard) is timed on the monotonic
+	// clock, feeding the commit/abort latency histograms and Event.Elapsed,
+	// and at ObsTrace the same attempt is traced. Size histograms and
+	// events see every attempt. 0 means DefaultSampleEvery; 1 times every
+	// attempt.
 	SampleEvery int
 }
 
-// DefaultSampleEvery is the trace sampling period used when ObsConfig
-// leaves SampleEvery zero.
+// DefaultSampleEvery is the sampling period used when ObsConfig leaves
+// SampleEvery zero.
 const DefaultSampleEvery = 128
 
 // obsState is the immutable registered configuration; Memory.obsPtr swaps
@@ -262,6 +273,16 @@ type obsState struct {
 	observer    Observer
 	tracer      TraceObserver // cached type assertion of observer
 	sampleEvery uint64
+	sampleMask  uint64 // sampleEvery-1 if sampleEvery is a power of two above 1, else 0
+}
+
+// picks reports whether the sampler picks the attempt numbered seq: a mask
+// test for a power-of-two period such as the default, a division otherwise.
+func (st *obsState) picks(seq uint64) bool {
+	if st.sampleMask != 0 {
+		return seq&st.sampleMask == 0
+	}
+	return seq%st.sampleEvery == 0
 }
 
 // Observe installs cfg as the Memory's observability configuration,
@@ -275,11 +296,11 @@ func (m *Memory) Observe(cfg ObsConfig) {
 	if st.sampleEvery == 0 {
 		st.sampleEvery = DefaultSampleEvery
 	}
+	if st.sampleEvery&(st.sampleEvery-1) == 0 {
+		st.sampleMask = st.sampleEvery - 1
+	}
 	if t, ok := cfg.Observer.(TraceObserver); ok {
 		st.tracer = t
-	}
-	if cfg.Level >= ObsHistograms {
-		startTicks()
 	}
 	m.obsPtr.Store(st)
 	m.obsLvl.Store(uint32(cfg.Level))
@@ -292,16 +313,18 @@ func (m *Memory) ObsLevel() ObsLevel { return ObsLevel(m.obsLvl.Load()) }
 // ObsOff and branch around everything else.
 func (m *Memory) obsLevel() ObsLevel { return ObsLevel(m.obsLvl.Load()) }
 
-// obsBegin opens an attempt's observation: stamps the start tick (at
-// ObsHistograms and above) and emits EvBegin to a registered observer.
-// Called only when the level is not ObsOff.
+// obsBegin opens an attempt's observation: emits EvBegin to a registered
+// observer and, at ObsHistograms and above, reads the clock if the shard's
+// sampler picks this attempt. Called only when the level is not ObsOff.
 func (m *Memory) obsBegin(rec *Rec, lvl ObsLevel) {
 	rec.obsReason = ReasonNone
 	rec.obsWrites = -1
-	if lvl >= ObsHistograms {
-		rec.obsT0 = nowTicks()
+	rec.obsT0 = 0
+	st := m.obsPtr.Load()
+	if st == nil {
+		return
 	}
-	if st := m.obsPtr.Load(); st != nil && st.observer != nil {
+	if st.observer != nil {
 		rec.evt = Event{
 			Kind:   EvBegin,
 			Engine: m.kind,
@@ -312,7 +335,19 @@ func (m *Memory) obsBegin(rec *Rec, lvl ObsLevel) {
 		}
 		st.observer.ObsEvent(&rec.evt)
 	}
+	if lvl >= ObsHistograms && st.picks(m.stats.shards[rec.shard].sampleSeq.Add(1)) {
+		rec.obsT0 = monoNanos()
+	}
 }
+
+// clockBase anchors the attempt clock. time.Since of a reading that
+// carries the monotonic clock reads only that clock, once, where time.Now
+// reads the wall clock as well.
+var clockBase = time.Now()
+
+// monoNanos reads the monotonic clock in nanoseconds since clockBase,
+// which is never 0 once package initialisation is over.
+func monoNanos() int64 { return int64(time.Since(clockBase)) }
 
 // obsEnd closes an attempt's observation: taxonomy counters, histograms,
 // the EvCommit/EvAbort event, and trace sampling. Called only when the
@@ -322,14 +357,17 @@ func (m *Memory) obsEnd(rec *Rec, lvl ObsLevel, ok bool) {
 	if !ok {
 		sh.reason(rec.obsReason)
 	}
-	var dt uint64
-	if lvl >= ObsHistograms {
-		dt = nowTicks() - rec.obsT0
+	sampled := rec.obsT0 != 0
+	var dt time.Duration
+	if sampled {
+		dt = time.Duration(monoNanos() - rec.obsT0)
 		if ok {
-			sh.hists[hCommitTicks].Observe(dt)
+			sh.hists[hCommitNanos].Observe(uint64(dt))
 		} else {
-			sh.hists[hAbortTicks].Observe(dt)
+			sh.hists[hAbortNanos].Observe(uint64(dt))
 		}
+	}
+	if lvl >= ObsHistograms {
 		sh.hists[hReadSet].Observe(uint64(rec.footprint()))
 		if rec.obsWrites >= 0 {
 			sh.hists[hWriteSet].Observe(uint64(rec.obsWrites))
@@ -345,30 +383,27 @@ func (m *Memory) obsEnd(rec *Rec, lvl ObsLevel, ok bool) {
 			kind, addr, reason = EvAbort, rec.obsAddr, rec.obsReason
 		}
 		rec.evt = Event{
-			Kind:   kind,
-			Engine: m.kind,
-			Seq:    rec.version.Load(),
-			Addr:   addr,
-			Size:   rec.footprint(),
-			Writes: rec.obsWrites,
-			Reason: reason,
-			Ticks:  dt,
+			Kind:    kind,
+			Engine:  m.kind,
+			Seq:     rec.version.Load(),
+			Addr:    addr,
+			Size:    rec.footprint(),
+			Writes:  rec.obsWrites,
+			Reason:  reason,
+			Elapsed: dt,
 		}
 		st.observer.ObsEvent(&rec.evt)
 	}
-	if lvl >= ObsTrace && st.tracer != nil {
-		if sh.traceSeq.Add(1)%st.sampleEvery == 0 {
-			t := &TraceEvent{
-				Engine:    m.kind,
-				Seq:       rec.version.Load(),
-				Addrs:     append([]int(nil), rec.addrs...),
-				Writes:    rec.obsWrites,
-				Committed: ok,
-				Reason:    rec.obsReason,
-				Ticks:     dt,
-			}
-			st.tracer.ObsTrace(t)
-		}
+	if sampled && lvl >= ObsTrace && st.tracer != nil {
+		st.tracer.ObsTrace(&TraceEvent{
+			Engine:    m.kind,
+			Seq:       rec.version.Load(),
+			Addrs:     append([]int(nil), rec.addrs...),
+			Writes:    rec.obsWrites,
+			Committed: ok,
+			Reason:    rec.obsReason,
+			Elapsed:   dt,
+		})
 	}
 }
 
@@ -424,8 +459,8 @@ func (m *Memory) DebugString() string {
 			continue
 		}
 		unit := "words"
-		if def.Ticks {
-			unit = fmt.Sprintf("1 tick ≈ %v nominal", TickInterval)
+		if def.Nanos {
+			unit = "ns, sampled"
 		}
 		fmt.Fprintf(&sb, "  %-12s %s  (n=%d, %s)\n", def.Key, h.String(), h.Total(), unit)
 	}

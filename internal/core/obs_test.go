@@ -5,6 +5,7 @@ package core
 // snapshot/reset/reconfigure contract (the race-mode target in CI).
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -175,7 +176,9 @@ func TestObsHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Observe(ObsConfig{Level: ObsHistograms})
+	// SampleEvery=1 times every attempt, so the latency histograms see one
+	// observation per attempt.
+	m.Observe(ObsConfig{Level: ObsHistograms, SampleEvery: 1})
 
 	release := blockWord(m, 6)
 	const fails = 4
@@ -191,11 +194,11 @@ func TestObsHistograms(t *testing.T) {
 	}
 
 	s := m.Stats()
-	if got := s.CommitTicks.Total(); got != commits {
-		t.Errorf("CommitTicks total = %d, want %d", got, commits)
+	if got := s.CommitNanos.Total(); got != commits {
+		t.Errorf("CommitNanos total = %d, want %d", got, commits)
 	}
-	if got := s.AbortTicks.Total(); got != fails {
-		t.Errorf("AbortTicks total = %d, want %d", got, fails)
+	if got := s.AbortNanos.Total(); got != fails {
+		t.Errorf("AbortNanos total = %d, want %d", got, fails)
 	}
 	if got := s.ReadSetSize.Total(); got != commits+fails {
 		t.Errorf("ReadSetSize total = %d, want %d", got, commits+fails)
@@ -209,6 +212,71 @@ func TestObsHistograms(t *testing.T) {
 	// on ST that is the committed attempts (the whole data set is installed).
 	if got := s.WriteSetSize.Total(); got != commits {
 		t.Errorf("WriteSetSize total = %d, want %d", got, commits)
+	}
+}
+
+// TestObsLatencyResolution: with every attempt sampled, each uncontended
+// commit lands in a nanosecond bin above 0 on both engines — a commit takes
+// well over a nanosecond, and a coarser clock would put it in bin 0.
+func TestObsLatencyResolution(t *testing.T) {
+	for _, kind := range EngineKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			m, err := NewMemoryEngine(8, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Observe(ObsConfig{Level: ObsHistograms, SampleEvery: 1})
+			const n = 200
+			for i := 0; i < n; i++ {
+				if _, ok := tryOnce(m, []int{1, 5}, func(old []uint64) []uint64 {
+					return []uint64{old[0] + 1, old[1] + 1}
+				}); !ok {
+					t.Fatal("uncontended attempt failed")
+				}
+			}
+			h := m.Stats().CommitNanos
+			if h.Total() != n || h.Counts[0] != 0 {
+				t.Errorf("CommitNanos total = %d, bin 0 = %d; want %d and 0 (%s)", h.Total(), h.Counts[0], n, h)
+			}
+		})
+	}
+}
+
+// TestObsLatencySampling: with SampleEvery k, the latency histograms hold
+// attempts/k observations, give or take one per stats shard (each shard
+// counts its own attempts), while the size histograms see every attempt.
+// k = 16 takes the sampler's mask test, k = 12 its division.
+func TestObsLatencySampling(t *testing.T) {
+	for _, kind := range EngineKinds() {
+		for _, k := range []uint64{16, 12} {
+			t.Run(fmt.Sprintf("%v/every=%d", kind, k), func(t *testing.T) {
+				m, err := NewMemoryEngine(64, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				const workers, per = 4, 2000
+				m.Observe(ObsConfig{Level: ObsHistograms, SampleEvery: int(k)})
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for i := 0; i < per; i++ {
+							tryOnce(m, []int{2 * w, 2*w + 1}, identity)
+						}
+					}(w)
+				}
+				wg.Wait()
+				s := m.Stats()
+				lat := int64(s.CommitNanos.Total() + s.AbortNanos.Total())
+				if want := int64(s.Attempts / k); lat < want-statShards || lat > want+statShards {
+					t.Errorf("latency observations = %d over %d attempts, want %d ± %d", lat, s.Attempts, want, statShards)
+				}
+				if got := s.ReadSetSize.Total(); got != s.Attempts {
+					t.Errorf("ReadSetSize total = %d, want every attempt (%d)", got, s.Attempts)
+				}
+			})
+		}
 	}
 }
 
@@ -319,7 +387,7 @@ func TestObsResetSweepsEverything(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				tryOnce(m, []int{2}, identity)
 			}
-			if s := m.Stats(); s.Failures == 0 || s.CommitTicks.Total() == 0 {
+			if s := m.Stats(); s.Failures == 0 || s.CommitNanos.Total() == 0 {
 				t.Fatalf("no observed state accumulated before reset: %+v", s)
 			}
 
@@ -334,7 +402,7 @@ func TestObsResetSweepsEverything(t *testing.T) {
 				t.Errorf("taxonomy survived reset: %+v", s)
 			}
 			for name, h := range map[string]HistogramSnapshot{
-				"commit": s.CommitTicks, "abort": s.AbortTicks,
+				"commit": s.CommitNanos, "abort": s.AbortNanos,
 				"readset": s.ReadSetSize, "writeset": s.WriteSetSize,
 			} {
 				if h.Total() != 0 {

@@ -139,7 +139,7 @@ type Rec struct {
 	// write unconditionally. evt is the record-owned Event delivered to a
 	// registered Observer: reusing it is what keeps event delivery at zero
 	// allocations per attempt.
-	obsT0     uint64      // attempt start, coarse ticks (ObsHistograms+)
+	obsT0     int64       // start of a sampled attempt (monoNanos); 0 if not sampled
 	obsReason AbortReason // taxonomy entry for a failed attempt
 	obsAddr   int         // word the failed attempt died at
 	obsWrites int         // engine-computed write-set size; -1 if unknown

@@ -52,8 +52,8 @@ const (
 type hist uint8
 
 const (
-	hCommitTicks hist = iota
-	hAbortTicks
+	hCommitNanos hist = iota
+	hAbortNanos
 	hReadSet
 	hWriteSet
 	nHists
@@ -122,11 +122,12 @@ func Counters(k EngineKind) []CounterDef {
 // histogram and its export key (stmobs.StatsMap and the JSONL record export
 // it as hist_<key>).
 type HistogramDef struct {
-	// Key is the histogram's export key, e.g. "commit_ticks", "read_set".
+	// Key is the histogram's export key, e.g. "commit_nanos", "read_set".
 	Key string
-	// Ticks reports that the histogram's values are coarse ticks (see
-	// TickInterval); otherwise they are sizes in words.
-	Ticks bool
+	// Nanos reports that the histogram's values are durations in
+	// nanoseconds, and its Key ends in "_nanos"; otherwise they are sizes
+	// in words.
+	Nanos bool
 	field func(*StatsSnapshot) *HistogramSnapshot
 }
 
@@ -134,8 +135,8 @@ type HistogramDef struct {
 func (h HistogramDef) Value(s *StatsSnapshot) HistogramSnapshot { return *h.field(s) }
 
 var histTable = [nHists]HistogramDef{
-	hCommitTicks: {"commit_ticks", true, func(s *StatsSnapshot) *HistogramSnapshot { return &s.CommitTicks }},
-	hAbortTicks:  {"abort_ticks", true, func(s *StatsSnapshot) *HistogramSnapshot { return &s.AbortTicks }},
+	hCommitNanos: {"commit_nanos", true, func(s *StatsSnapshot) *HistogramSnapshot { return &s.CommitNanos }},
+	hAbortNanos:  {"abort_nanos", true, func(s *StatsSnapshot) *HistogramSnapshot { return &s.AbortNanos }},
 	hReadSet:     {"read_set", false, func(s *StatsSnapshot) *HistogramSnapshot { return &s.ReadSetSize }},
 	hWriteSet:    {"write_set", false, func(s *StatsSnapshot) *HistogramSnapshot { return &s.WriteSetSize }},
 }
@@ -152,9 +153,9 @@ type statLine struct {
 	c     [nCounters]atomic.Uint64
 	hists [nHists]Hist
 
-	// traceSeq drives ObsTrace sampling (1-in-SampleEvery per shard); it is
-	// bookkeeping, not a published counter.
-	traceSeq atomic.Uint64
+	// sampleSeq picks the 1-in-SampleEvery attempts whose latency is timed
+	// (and, at ObsTrace, traced); it is bookkeeping, not a published counter.
+	sampleSeq atomic.Uint64
 
 	_ [(cacheLineSize - (int(nCounters)+int(nHists)*HistBins+1)*8%cacheLineSize) % cacheLineSize]byte
 }
@@ -168,8 +169,9 @@ func (l *statLine) reason(r AbortReason) {
 
 // HistBins is the number of log-scaled histogram bins. Bin 0 holds the
 // value 0; bin i (1 ≤ i < HistBins-1) holds values in [2^(i-1), 2^i); the
-// last bin holds everything from 2^(HistBins-2) up.
-const HistBins = 16
+// last bin holds everything from 2^(HistBins-2) up, so a nanosecond
+// histogram resolves durations up to about a second.
+const HistBins = 32
 
 // Hist is one stripe of a log2 histogram: HistBins atomic bins. The engine
 // keeps one per stats shard and histogram, stmserve one per session and
@@ -248,9 +250,9 @@ func (m *Memory) NoteSnapshotExtensions(shard int, n, rechecked, stale, readOnly
 }
 
 // HistogramSnapshot is a point-in-time copy of one log-binned histogram,
-// merged across shards. Counts[0] holds the value 0 (for tick histograms:
-// "completed in under one tick"); Counts[i] holds [2^(i-1), 2^i); the last
-// bin is open-ended.
+// merged across shards. Counts[0] holds the value 0; Counts[i] holds
+// [2^(i-1), 2^i); the last bin is open-ended (from 2^30: about 1.07 s in a
+// nanosecond histogram).
 type HistogramSnapshot struct {
 	Counts [HistBins]uint64
 }
@@ -407,13 +409,13 @@ type StatsSnapshot struct {
 	OwnedWords uint64
 
 	// Attempt histograms (ObsHistograms+), merged across shards.
-	// CommitTicks/AbortTicks are attempt durations in coarse ticks (see
-	// the ticks precision contract: one tick is nominally TickInterval,
-	// and sub-tick attempts land in bin 0). ReadSetSize is the attempt's
-	// footprint in words — its data set plus any read list, Event.Size —
-	// and WriteSetSize its write-set size, recorded per finished attempt.
-	CommitTicks  HistogramSnapshot
-	AbortTicks   HistogramSnapshot
+	// CommitNanos/AbortNanos are attempt durations in nanoseconds on the
+	// monotonic clock, recorded for the 1 in ObsConfig.SampleEvery
+	// attempts the sampler picks. ReadSetSize is the attempt's footprint
+	// in words — its data set plus any read list, Event.Size — and
+	// WriteSetSize its write-set size, recorded for every finished attempt.
+	CommitNanos  HistogramSnapshot
+	AbortNanos   HistogramSnapshot
 	ReadSetSize  HistogramSnapshot
 	WriteSetSize HistogramSnapshot
 }

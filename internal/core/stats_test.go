@@ -82,16 +82,16 @@ func TestStatsSnapshotAdd(t *testing.T) {
 	}
 	a.ReadSetSize.Counts[3] = 2
 	b.ReadSetSize.Counts[3] = 5
-	b.AbortTicks.Counts[HistBins-1] = 1
+	b.AbortNanos.Counts[HistBins-1] = 1
 	a.Add(b)
 	for i, c := range counterTable {
 		if got := c.Value(&a); got != uint64(i)+100 {
 			t.Errorf("%s = %d after Add, want %d", c.Key, got, i+100)
 		}
 	}
-	if a.ReadSetSize.Counts[3] != 7 || a.AbortTicks.Total() != 1 {
-		t.Errorf("histograms after Add: read-set bin 3 = %d (want 7), abort ticks total = %d (want 1)",
-			a.ReadSetSize.Counts[3], a.AbortTicks.Total())
+	if a.ReadSetSize.Counts[3] != 7 || a.AbortNanos.Total() != 1 {
+		t.Errorf("histograms after Add: read-set bin 3 = %d (want 7), abort nanos total = %d (want 1)",
+			a.ReadSetSize.Counts[3], a.AbortNanos.Total())
 	}
 }
 
@@ -99,7 +99,7 @@ func TestStatsSnapshotAdd(t *testing.T) {
 // into a snapshot, and Reset.
 func TestStatsHistBins(t *testing.T) {
 	var h Hist
-	for _, v := range []uint64{0, 1, 2, 3, 4, 1<<14 - 1, 1 << 14, ^uint64(0)} {
+	for _, v := range []uint64{0, 1, 2, 3, 4, 1<<(HistBins-2) - 1, 1 << (HistBins - 2), ^uint64(0)} {
 		h.Observe(v)
 	}
 	var s HistogramSnapshot
@@ -107,7 +107,7 @@ func TestStatsHistBins(t *testing.T) {
 	h.AddTo(&s) // merging adds
 	want := HistogramSnapshot{}
 	want.Counts[0], want.Counts[1], want.Counts[2], want.Counts[3] = 2, 2, 4, 2
-	want.Counts[14], want.Counts[HistBins-1] = 2, 4
+	want.Counts[HistBins-2], want.Counts[HistBins-1] = 2, 4
 	if s != want {
 		t.Errorf("bins = %v, want %v", s.Counts, want.Counts)
 	}

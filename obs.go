@@ -10,8 +10,10 @@ import (
 // default — every hook on the attempt path is one predicted branch, zero
 // allocations, zero counters beyond the four protocol counters), counters
 // (abort-reason taxonomy on Stats plus events to a registered Observer),
-// histograms (commit/abort latency and read/write-set-size histograms on a
-// coarse ticks source), and trace (sampled per-transaction TraceEvents).
+// histograms (read/write-set-size histograms of every attempt, and the
+// commit/abort latency in nanoseconds of 1 attempt in
+// ObsConfig.SampleEvery), and trace (those sampled attempts also become
+// TraceEvents).
 // The stmobs package builds export surfaces — an expvar publisher, a ring
 // tracer, pprof label tagging — on top of this seam. See DESIGN.md §12.
 
@@ -26,11 +28,11 @@ const (
 	// ObsCounters enables the abort-reason taxonomy counters on Stats and
 	// event delivery to a registered Observer.
 	ObsCounters = core.ObsCounters
-	// ObsHistograms additionally records commit/abort latency and
-	// read/write-set-size histograms.
+	// ObsHistograms additionally records read/write-set-size histograms
+	// and, for 1 attempt in ObsConfig.SampleEvery, commit/abort latency.
 	ObsHistograms = core.ObsHistograms
-	// ObsTrace additionally samples per-transaction traces, 1 in
-	// ObsConfig.SampleEvery, to a registered TraceObserver.
+	// ObsTrace additionally delivers the sampled attempts as
+	// per-transaction traces to a registered TraceObserver.
 	ObsTrace = core.ObsTrace
 )
 
@@ -84,28 +86,9 @@ type TraceObserver = core.TraceObserver
 // ObsConfig configures a Memory's observability seam.
 type ObsConfig = core.ObsConfig
 
-// DefaultSampleEvery is the ObsTrace sampling period used when ObsConfig
-// leaves SampleEvery zero.
+// DefaultSampleEvery is the latency and trace sampling period used when
+// ObsConfig leaves SampleEvery zero.
 const DefaultSampleEvery = core.DefaultSampleEvery
-
-// TickInterval is the nominal duration of one latency-histogram tick. The
-// tick source is coarse by design (no time.Now on the attempt path): ticks
-// are monotone but not uniform, and attempts shorter than one tick land in
-// histogram bin 0. See the precision contract in DESIGN.md §12.
-const TickInterval = core.TickInterval
-
-// StartTicks launches the coarse tick source if it is not already running.
-// Code that builds its own tick-stamped telemetry on NowTicks (the stmserve
-// per-command metrics, the stmobs flight recorder) without enabling
-// histogram-level observability calls this once at setup; it is idempotent
-// and costs one sleeping goroutine for the life of the process.
-func StartTicks() { core.StartTickSource() }
-
-// NowTicks reads the current coarse tick count: one plain load, safe on any
-// hot path. Ticks advance only while the source runs (StartTicks, or the
-// first ObsHistograms-level Observe); multiply by TickInterval for nominal
-// wall time, subject to the §12 precision contract.
-func NowTicks() uint64 { return core.NowTicks() }
 
 // HistBins is the number of bins in every log-scaled histogram this module
 // records; see HistogramSnapshot for the bin layout.
@@ -136,7 +119,7 @@ type CounterDef = core.CounterDef
 func Counters(e Engine) []CounterDef { return core.Counters(e) }
 
 // HistogramDef is one row of the histogram table behind StatsSnapshot: its
-// export key, its unit (ticks or words), and Value.
+// export key, its unit (nanoseconds or words), and Value.
 type HistogramDef = core.HistogramDef
 
 // Histograms returns the histogram table rows, in table order.

@@ -97,7 +97,7 @@ func TestObsWithObsOption(t *testing.T) {
 func TestObsDebugString(t *testing.T) {
 	for _, eng := range stm.Engines() {
 		m := mustNewEngine(t, 8, eng)
-		m.Observe(stm.ObsConfig{Level: stm.ObsHistograms})
+		m.Observe(stm.ObsConfig{Level: stm.ObsHistograms, SampleEvery: 1})
 		for i := 0; i < 10; i++ {
 			addWord(m, i%8, 1)
 		}
@@ -105,7 +105,7 @@ func TestObsDebugString(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := m.DebugString()
-		want := []string{"engine=" + eng.String(), "commits=10", "read_only_commits=1", "commit_ticks"}
+		want := []string{"engine=" + eng.String(), "commits=10", "read_only_commits=1", "commit_nanos"}
 		if eng == stm.ST {
 			want = append(want, "owned_words=10") // ten one-word Adds
 		}

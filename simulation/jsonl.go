@@ -21,8 +21,8 @@ type histSummary struct {
 // verdict (scenario, engine, seed, duration_ms, verdict, ops,
 // checks); every counter the run's engine maintains, under its table key
 // (stm.Counters — the stmobs.StatsMap names); each non-empty histogram as
-// hist_<key> {total, bins} (bin i spans [2^(i-1), 2^i) ticks/words; bin 0
-// is exactly 0), with tick_nanos beside the tick histograms; the
+// hist_<key> {total, bins} (bin i spans [2^(i-1), 2^i) nanoseconds for the
+// _nanos keys, words otherwise; bin 0 is exactly 0); the
 // fault-injector activity; and, only when present, the violations, the
 // flight dump and the error.
 func record(r Result) map[string]any {
@@ -49,9 +49,6 @@ func record(r Result) map[string]any {
 	for _, h := range stm.Histograms() {
 		if hs := h.Value(&s); hs.Total() != 0 {
 			rec["hist_"+h.Key] = histSummary{Total: hs.Total(), Bins: hs.Counts[:]}
-			if h.Ticks {
-				rec["tick_nanos"] = uint64(stm.TickInterval.Nanoseconds())
-			}
 		}
 	}
 

@@ -16,7 +16,7 @@ import (
 func newMem(t *testing.T, eng stm.Engine) *stm.Memory {
 	t.Helper()
 	m, err := stm.New(8, stm.WithEngine(eng),
-		stm.WithObs(stm.ObsConfig{Level: stm.ObsHistograms}))
+		stm.WithObs(stm.ObsConfig{Level: stm.ObsHistograms, SampleEvery: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +106,8 @@ func TestAdminMuxMetrics(t *testing.T) {
 		`stm_attempts_total{memory="test_admin_mux",engine="tl2"}`,
 		`stm_commits_total{memory="test_admin_mux",engine="tl2"} 5`,
 		`stm_aborts_total{memory="test_admin_mux",engine="tl2",reason="tl2-read"}`,
-		`# TYPE stm_commit_ticks histogram`,
-		`stm_commit_ticks_count{memory="test_admin_mux",engine="tl2"} 5`,
-		`stm_tick_seconds`,
+		`# TYPE stm_commit_seconds histogram`,
+		`stm_commit_seconds_count{memory="test_admin_mux",engine="tl2"} 5`,
 		"extra_metric_total 1", // the Collector's contribution
 	} {
 		if !strings.Contains(body, want) {
@@ -131,14 +130,16 @@ func TestAdminMuxMetrics(t *testing.T) {
 }
 
 // TestWritePromHistBuckets pins the histogram exposition: cumulative
-// buckets with le = 2^i - 1 upper bounds, a final +Inf, count == total.
+// buckets with le = 2^i - 1 upper bounds divided by perUnit, a final +Inf,
+// count == total, and a lower-bound sum in the exported unit.
 func TestWritePromHistBuckets(t *testing.T) {
 	var h stm.HistogramSnapshot
 	h.Counts[0] = 2 // value 0
 	h.Counts[1] = 3 // value 1
 	h.Counts[4] = 1 // values 8..15
 	var b strings.Builder
-	stmobs.WritePromHist(&b, "x", "", h)
+	stmobs.WritePromHist(&b, "x", "", h, 1)
+	stmobs.WritePromHist(&b, "x_seconds", `a="b"`, h, 1e9)
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE x histogram\n",
@@ -147,8 +148,17 @@ func TestWritePromHistBuckets(t *testing.T) {
 		"x_bucket{le=\"3\"} 5\n",
 		"x_bucket{le=\"7\"} 5\n",
 		"x_bucket{le=\"15\"} 6\n",
+		"x_bucket{le=\"536870911\"} 6\n",
 		"x_bucket{le=\"+Inf\"} 6\n",
+		"x_sum 11\n",
 		"x_count 6\n",
+		"# TYPE x_seconds histogram\n",
+		"x_seconds_bucket{a=\"b\",le=\"0\"} 2\n",
+		"x_seconds_bucket{a=\"b\",le=\"0.000000001\"} 5\n",
+		"x_seconds_bucket{a=\"b\",le=\"0.000000015\"} 6\n",
+		"x_seconds_bucket{a=\"b\",le=\"0.536870911\"} 6\n",
+		"x_seconds_sum{a=\"b\"} 0.000000011\n",
+		"x_seconds_count{a=\"b\"} 6\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WritePromHist output missing %q in:\n%s", want, out)
@@ -167,7 +177,7 @@ func TestStatsMapTL2Keys(t *testing.T) {
 		"aborts_tl2_read", "aborts_tl2_lock", "aborts_tl2_validate",
 		"tl2_read_only_commits", "tl2_clock_races", "tl2_clock_adoptions",
 		"snapshot_extensions", "snapshot_rechecked", "snapshot_stale", "read_only_commits",
-		"hist_commit_ticks", "hist_read_set", "tick_nanos",
+		"hist_commit_nanos", "hist_read_set",
 	} {
 		if _, ok := sm[key]; !ok {
 			t.Errorf("TL2 StatsMap missing key %q", key)

@@ -12,8 +12,8 @@ import (
 // StatsMap flattens a Memory's stats snapshot into an expvar/JSON-friendly
 // map: every counter the Memory's engine maintains under its table key
 // (stm.Counters), and — when histogram-level observability is enabled —
-// each non-empty histogram as a hist_<key> bin-count array, with
-// tick_nanos beside the tick histograms. Every call takes a fresh snapshot
+// each non-empty histogram as a hist_<key> bin-count array (nanoseconds
+// for the _nanos keys, words otherwise). Every call takes a fresh snapshot
 // (torn-window caveats per stm.StatsSnapshot).
 func StatsMap(m *stm.Memory) map[string]any {
 	s := m.Stats()
@@ -27,9 +27,6 @@ func StatsMap(m *stm.Memory) map[string]any {
 	for _, h := range stm.Histograms() {
 		if hs := h.Value(&s); hs.Total() != 0 {
 			out["hist_"+h.Key] = hs.Counts[:]
-			if h.Ticks {
-				out["tick_nanos"] = uint64(stm.TickInterval.Nanoseconds())
-			}
 		}
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+	"time"
 
 	stm "github.com/stm-go/stm"
 )
@@ -12,8 +13,9 @@ import (
 // events, for the dump-on-failure style of observability. Where the
 // RingTracer samples rare, rich TraceEvents under a mutex, the flight
 // recorder takes the opposite trade: every event, four scalar words, no
-// locks — recording is one atomic counter bump plus four relaxed atomic
-// stores, cheap enough to leave on every command of a production server.
+// locks — recording is one clock read, one atomic counter bump and four
+// relaxed atomic stores, cheap enough to leave on every command of a
+// production server.
 // When something dies (SIGQUIT, a panic, a simulation invariant violation)
 // the last len(ring) events are already in memory, ready to dump next to
 // the replay seed.
@@ -28,10 +30,11 @@ import (
 // the FlightStm* kinds are reserved for the stm.Observer integration, and
 // stmserve documents its command kinds in DESIGN.md §15.
 type FlightEvent struct {
-	// Ticks is the coarse-tick timestamp at record time (stm.NowTicks;
-	// multiply by stm.TickInterval for nominal wall time). 48 bits are
-	// stored, which at the nominal tick rate wraps after centuries.
-	Ticks uint64
+	// At is the record time since the recorder was built (Dump's header
+	// prints that instant), on the monotonic clock at microsecond
+	// resolution. 48 bits of microseconds are stored, which wrap after
+	// about 8.9 years.
+	At time.Duration
 	// Kind identifies the event within its producer's namespace.
 	Kind uint16
 	// Conn is the connection / actor / attempt identity, 0 when none.
@@ -57,42 +60,44 @@ const (
 func (e FlightEvent) String() string {
 	switch e.Kind {
 	case FlightStmAbort:
-		return fmt.Sprintf("t=%d stm-abort seq=%d reason=%s addr=%d",
-			e.Ticks, e.Conn, stm.AbortReason(e.A), int64(e.B))
+		return fmt.Sprintf("t=%v stm-abort seq=%d reason=%s addr=%d",
+			e.At, e.Conn, stm.AbortReason(e.A), int64(e.B))
 	case FlightStmValidationFail:
-		return fmt.Sprintf("t=%d stm-validation-fail seq=%d addr=%d",
-			e.Ticks, e.Conn, int64(e.B))
+		return fmt.Sprintf("t=%v stm-validation-fail seq=%d addr=%d",
+			e.At, e.Conn, int64(e.B))
 	}
-	return fmt.Sprintf("t=%d kind=0x%04x conn=%d a=%d b=%d", e.Ticks, e.Kind, e.Conn, e.A, e.B)
+	return fmt.Sprintf("t=%v kind=0x%04x conn=%d a=%d b=%d", e.At, e.Kind, e.Conn, e.A, e.B)
 }
 
 // FlightRecorder is the ring. The zero value is not usable; construct with
 // NewFlightRecorder. All methods are safe for concurrent use from any
 // number of goroutines.
 type FlightRecorder struct {
+	start time.Time // event stamps count from here
 	mask  uint64
 	head  atomic.Uint64 // next sequence number == total events recorded
 	slots [][4]atomic.Uint64
 }
 
 // NewFlightRecorder returns a recorder retaining the last capacity events
-// (rounded up to a power of two, minimum 16). It starts the coarse tick
-// source so event timestamps advance.
+// (rounded up to a power of two, minimum 16). Event stamps count from the
+// moment it is built.
 func NewFlightRecorder(capacity int) *FlightRecorder {
 	n := 16
 	for n < capacity {
 		n <<= 1
 	}
-	stm.StartTicks()
-	return &FlightRecorder{mask: uint64(n - 1), slots: make([][4]atomic.Uint64, n)}
+	return &FlightRecorder{start: time.Now(), mask: uint64(n - 1), slots: make([][4]atomic.Uint64, n)}
 }
 
-// Record appends one event: lock-free, allocation-free, ~five atomic word
+// Record appends one event, stamped with the time since the recorder was
+// built: lock-free, allocation-free, one clock read and ~five atomic word
 // operations.
 func (f *FlightRecorder) Record(kind uint16, conn, a, b uint64) {
+	us := uint64(time.Since(f.start) / time.Microsecond)
 	seq := f.head.Add(1) - 1
 	s := &f.slots[seq&f.mask]
-	s[0].Store(stm.NowTicks()<<16 | uint64(kind))
+	s[0].Store(us<<16 | uint64(kind))
 	s[1].Store(conn)
 	s[2].Store(a)
 	s[3].Store(b)
@@ -118,11 +123,11 @@ func (f *FlightRecorder) Snapshot() []FlightEvent {
 		s := &f.slots[(head-n+i)&f.mask]
 		w0 := s[0].Load()
 		out = append(out, FlightEvent{
-			Ticks: w0 >> 16,
-			Kind:  uint16(w0),
-			Conn:  s[1].Load(),
-			A:     s[2].Load(),
-			B:     s[3].Load(),
+			At:   time.Duration(w0>>16) * time.Microsecond,
+			Kind: uint16(w0),
+			Conn: s[1].Load(),
+			A:    s[2].Load(),
+			B:    s[3].Load(),
 		})
 	}
 	return out
@@ -130,15 +135,15 @@ func (f *FlightRecorder) Snapshot() []FlightEvent {
 
 // Dump writes the retained events oldest-first, one per line, through
 // describe (nil uses FlightEvent.String). The header line carries the
-// event count and the tick-to-wall conversion so a dump is interpretable
-// on its own.
+// event count and the wall-clock time the recorder was built, which every
+// event's At counts from, so a dump is interpretable on its own.
 func (f *FlightRecorder) Dump(w io.Writer, describe func(FlightEvent) string) error {
 	if describe == nil {
 		describe = FlightEvent.String
 	}
 	events := f.Snapshot()
-	if _, err := fmt.Fprintf(w, "flight recorder: %d events retained (of %d recorded, 1 tick ≈ %v nominal)\n",
-		len(events), f.Total(), stm.TickInterval); err != nil {
+	if _, err := fmt.Fprintf(w, "flight recorder: %d events retained (of %d recorded, t counts from %s)\n",
+		len(events), f.Total(), f.start.Format(time.RFC3339Nano)); err != nil {
 		return err
 	}
 	for _, e := range events {

@@ -33,6 +33,27 @@ func TestFlightRecorderOrderAndWrap(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderStamps: Record stamps each event with the time since
+// the recorder was built, at microsecond resolution, with no set-up call.
+func TestFlightRecorderStamps(t *testing.T) {
+	built := time.Now()
+	f := stmobs.NewFlightRecorder(16)
+	f.Record(1, 0, 0, 0)
+	time.Sleep(5 * time.Millisecond)
+	f.Record(2, 0, 0, 0)
+	elapsed := time.Since(built)
+	ev := f.Snapshot()
+	if len(ev) != 2 {
+		t.Fatalf("retained %d events, want 2", len(ev))
+	}
+	if ev[1].At-ev[0].At < 5*time.Millisecond || ev[1].At > elapsed {
+		t.Errorf("stamps %v, %v: want at least 5ms apart and at most %v", ev[0].At, ev[1].At, elapsed)
+	}
+	if ev[1].At%time.Microsecond != 0 {
+		t.Errorf("stamp %v is finer than a microsecond", ev[1].At)
+	}
+}
+
 func TestFlightRecorderCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
 		{0, 16}, {1, 16}, {16, 16}, {17, 32}, {1000, 1024},

@@ -21,10 +21,10 @@ import (
 
 var goldenProm = map[stm.Engine]string{
 	stm.ST: `
-		# TYPE stm_abort_ticks histogram
+		# TYPE stm_abort_seconds histogram
 		# TYPE stm_aborts_total counter
 		# TYPE stm_attempts_total counter
-		# TYPE stm_commit_ticks histogram
+		# TYPE stm_commit_seconds histogram
 		# TYPE stm_commits_total counter
 		# TYPE stm_failures_total counter
 		# TYPE stm_helps_total counter
@@ -35,18 +35,17 @@ var goldenProm = map[stm.Engine]string{
 		# TYPE stm_snapshot_extensions_total counter
 		# TYPE stm_snapshot_rechecked_words_total counter
 		# TYPE stm_snapshot_stale_total counter
-		# TYPE stm_tick_seconds gauge
 		# TYPE stm_write_set_words histogram
-		stm_abort_ticks_bucket{memory="golden",engine="st"}
-		stm_abort_ticks_count{memory="golden",engine="st"}
-		stm_abort_ticks_sum{memory="golden",engine="st"}
+		stm_abort_seconds_bucket{memory="golden",engine="st"}
+		stm_abort_seconds_count{memory="golden",engine="st"}
+		stm_abort_seconds_sum{memory="golden",engine="st"}
 		stm_aborts_total{memory="golden",engine="st",reason="st-conflict"}
 		stm_aborts_total{memory="golden",engine="st",reason="st-helped"}
 		stm_aborts_total{memory="golden",engine="st",reason="st-validate"}
 		stm_attempts_total{memory="golden",engine="st"}
-		stm_commit_ticks_bucket{memory="golden",engine="st"}
-		stm_commit_ticks_count{memory="golden",engine="st"}
-		stm_commit_ticks_sum{memory="golden",engine="st"}
+		stm_commit_seconds_bucket{memory="golden",engine="st"}
+		stm_commit_seconds_count{memory="golden",engine="st"}
+		stm_commit_seconds_sum{memory="golden",engine="st"}
 		stm_commits_total{memory="golden",engine="st"}
 		stm_failures_total{memory="golden",engine="st"}
 		stm_helps_total{memory="golden",engine="st"}
@@ -59,15 +58,14 @@ var goldenProm = map[stm.Engine]string{
 		stm_snapshot_extensions_total{memory="golden",engine="st"}
 		stm_snapshot_rechecked_words_total{memory="golden",engine="st"}
 		stm_snapshot_stale_total{memory="golden",engine="st"}
-		stm_tick_seconds
 		stm_write_set_words_bucket{memory="golden",engine="st"}
 		stm_write_set_words_count{memory="golden",engine="st"}
 		stm_write_set_words_sum{memory="golden",engine="st"}`,
 	stm.TL2: `
-		# TYPE stm_abort_ticks histogram
+		# TYPE stm_abort_seconds histogram
 		# TYPE stm_aborts_total counter
 		# TYPE stm_attempts_total counter
-		# TYPE stm_commit_ticks histogram
+		# TYPE stm_commit_seconds histogram
 		# TYPE stm_commits_total counter
 		# TYPE stm_failures_total counter
 		# TYPE stm_helps_total counter
@@ -77,21 +75,20 @@ var goldenProm = map[stm.Engine]string{
 		# TYPE stm_snapshot_extensions_total counter
 		# TYPE stm_snapshot_rechecked_words_total counter
 		# TYPE stm_snapshot_stale_total counter
-		# TYPE stm_tick_seconds gauge
 		# TYPE stm_tl2_clock_adoptions_total counter
 		# TYPE stm_tl2_clock_races_total counter
 		# TYPE stm_tl2_read_only_commits_total counter
 		# TYPE stm_write_set_words histogram
-		stm_abort_ticks_bucket{memory="golden",engine="tl2"}
-		stm_abort_ticks_count{memory="golden",engine="tl2"}
-		stm_abort_ticks_sum{memory="golden",engine="tl2"}
+		stm_abort_seconds_bucket{memory="golden",engine="tl2"}
+		stm_abort_seconds_count{memory="golden",engine="tl2"}
+		stm_abort_seconds_sum{memory="golden",engine="tl2"}
 		stm_aborts_total{memory="golden",engine="tl2",reason="tl2-lock"}
 		stm_aborts_total{memory="golden",engine="tl2",reason="tl2-read"}
 		stm_aborts_total{memory="golden",engine="tl2",reason="tl2-validate"}
 		stm_attempts_total{memory="golden",engine="tl2"}
-		stm_commit_ticks_bucket{memory="golden",engine="tl2"}
-		stm_commit_ticks_count{memory="golden",engine="tl2"}
-		stm_commit_ticks_sum{memory="golden",engine="tl2"}
+		stm_commit_seconds_bucket{memory="golden",engine="tl2"}
+		stm_commit_seconds_count{memory="golden",engine="tl2"}
+		stm_commit_seconds_sum{memory="golden",engine="tl2"}
 		stm_commits_total{memory="golden",engine="tl2"}
 		stm_failures_total{memory="golden",engine="tl2"}
 		stm_helps_total{memory="golden",engine="tl2"}
@@ -103,7 +100,6 @@ var goldenProm = map[stm.Engine]string{
 		stm_snapshot_extensions_total{memory="golden",engine="tl2"}
 		stm_snapshot_rechecked_words_total{memory="golden",engine="tl2"}
 		stm_snapshot_stale_total{memory="golden",engine="tl2"}
-		stm_tick_seconds
 		stm_tl2_clock_adoptions_total{memory="golden",engine="tl2"}
 		stm_tl2_clock_races_total{memory="golden",engine="tl2"}
 		stm_tl2_read_only_commits_total{memory="golden",engine="tl2"}
@@ -115,29 +111,29 @@ var goldenProm = map[stm.Engine]string{
 var goldenStatsMap = map[stm.Engine]string{
 	stm.ST: `
 		aborts_st_conflict aborts_st_helped aborts_st_validate attempts commits
-		engine failures helps hist_commit_ticks hist_read_set hist_write_set
+		engine failures helps hist_commit_nanos hist_read_set hist_write_set
 		obs_level owned_words read_only_commits snapshot_extensions
-		snapshot_rechecked snapshot_stale tick_nanos`,
+		snapshot_rechecked snapshot_stale`,
 	stm.TL2: `
 		aborts_tl2_lock aborts_tl2_read aborts_tl2_validate attempts commits engine
-		failures helps hist_commit_ticks hist_read_set hist_write_set obs_level
+		failures helps hist_commit_nanos hist_read_set hist_write_set obs_level
 		read_only_commits snapshot_extensions snapshot_rechecked snapshot_stale
-		tick_nanos tl2_clock_adoptions tl2_clock_races tl2_read_only_commits`,
+		tl2_clock_adoptions tl2_clock_races tl2_read_only_commits`,
 }
 
 var goldenJSONL = map[stm.Engine]string{
 	stm.ST: `
 		aborts_st_conflict aborts_st_helped aborts_st_validate attempts checks
 		commits duration_ms engine failures fault_injectors helps
-		hist_commit_ticks hist_read_set hist_write_set ops owned_words
+		hist_commit_nanos hist_read_set hist_write_set ops owned_words
 		read_only_commits scenario seed snapshot_extensions snapshot_rechecked
-		snapshot_stale tick_nanos verdict`,
+		snapshot_stale verdict`,
 	stm.TL2: `
 		aborts_tl2_lock aborts_tl2_read aborts_tl2_validate attempts checks
 		commits duration_ms engine failures fault_injectors helps
-		hist_commit_ticks hist_read_set hist_write_set ops
+		hist_commit_nanos hist_read_set hist_write_set ops
 		read_only_commits scenario seed snapshot_extensions snapshot_rechecked
-		snapshot_stale tick_nanos tl2_clock_adoptions tl2_clock_races
+		snapshot_stale tl2_clock_adoptions tl2_clock_races
 		tl2_read_only_commits verdict`,
 }
 

@@ -3,6 +3,8 @@ package stmobs
 import (
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	stm "github.com/stm-go/stm"
 )
@@ -19,15 +21,15 @@ import (
 //	                       the Memory's engine with an extra reason label
 //	stm_snapshot_rechecked_words_total   the snapshot_rechecked row
 //	stm_obs_level          gauge (0=off..3=trace)
-//	stm_tick_seconds       gauge, unlabelled: nominal seconds per coarse tick
-//	stm_<key>              one histogram per row for the tick histograms
-//	                       (stm_commit_ticks, stm_abort_ticks), stm_<key>_words
-//	                       for the size histograms (stm_read_set_words, …)
+//	stm_<name>_seconds     one histogram per duration row (key <name>_nanos):
+//	                       stm_commit_seconds, stm_abort_seconds
+//	stm_<key>_words        one histogram per size row (stm_read_set_words, …)
 //
 // Histogram buckets mirror the engine's log2 bins: le="0","1","3","7",…,
-// "+Inf" (bin i holds values in [2^(i-1), 2^i)). The _sum series is a
-// lower-bound estimate computed from bucket lower bounds — the engine does
-// not track exact sums — and is documented as approximate.
+// "+Inf" (bin i holds values in [2^(i-1), 2^i)), converted to seconds for
+// the duration rows. The _sum series is a lower-bound estimate computed
+// from bucket lower bounds — the engine does not track exact sums — and is
+// documented as approximate.
 
 // WriteProm writes one Memory's stats snapshot in Prometheus text format,
 // labelled memory=name. It takes a fresh snapshot per call, with
@@ -55,15 +57,12 @@ func WriteProm(w io.Writer, name string, m *stm.Memory) {
 
 	fmt.Fprintf(w, "# TYPE stm_obs_level gauge\nstm_obs_level{%s} %d\n",
 		labels, uint32(m.ObsLevel()))
-	fmt.Fprintf(w, "# TYPE stm_tick_seconds gauge\nstm_tick_seconds %g\n",
-		stm.TickInterval.Seconds())
-
 	for _, h := range stm.Histograms() {
-		metric := "stm_" + h.Key
-		if !h.Ticks {
-			metric += "_words"
+		if h.Nanos {
+			WritePromHist(w, "stm_"+strings.TrimSuffix(h.Key, "_nanos")+"_seconds", labels, h.Value(&s), 1e9)
+		} else {
+			WritePromHist(w, "stm_"+h.Key+"_words", labels, h.Value(&s), 1)
 		}
-		WritePromHist(w, metric, labels, h.Value(&s))
 	}
 }
 
@@ -71,10 +70,13 @@ func WriteProm(w io.Writer, name string, m *stm.Memory) {
 // histogram (metric_bucket cumulative series with le upper bounds, an
 // approximate lower-bound metric_sum, and metric_count). labels is the
 // pre-rendered label body without braces, e.g. `memory="kv",engine="st"`;
-// it may be empty. Shared by the stm memory export above and producer
-// collectors (the stmserve server metrics) so every histogram on an admin
-// endpoint speaks the same bucket layout.
-func WritePromHist(w io.Writer, metric, labels string, h stm.HistogramSnapshot) {
+// it may be empty. perUnit is how many recorded values make one exported
+// unit: 1e9 for a nanosecond histogram exported in seconds, 1 for a count.
+// Shared by the stm memory export above and producer collectors (the
+// stmserve server metrics) so every histogram on an admin endpoint speaks
+// the same bucket layout.
+func WritePromHist(w io.Writer, metric, labels string, h stm.HistogramSnapshot, perUnit float64) {
+	num := func(v uint64) string { return strconv.FormatFloat(float64(v)/perUnit, 'f', -1, 64) }
 	brace := func(extra string) string {
 		switch {
 		case labels == "" && extra == "":
@@ -100,9 +102,9 @@ func WritePromHist(w io.Writer, metric, labels string, h stm.HistogramSnapshot) 
 		if i > 0 {
 			le = 1<<uint(i) - 1
 		}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", metric, brace(fmt.Sprintf("le=\"%d\"", le)), cum)
+		fmt.Fprintf(w, "%s_bucket%s %d\n", metric, brace(`le="`+num(le)+`"`), cum)
 	}
 	fmt.Fprintf(w, "%s_bucket%s %d\n", metric, brace(`le="+Inf"`), cum)
-	fmt.Fprintf(w, "%s_sum%s %d\n", metric, brace(""), sum)
+	fmt.Fprintf(w, "%s_sum%s %s\n", metric, brace(""), num(sum))
 	fmt.Fprintf(w, "%s_count%s %d\n", metric, brace(""), cum)
 }

@@ -100,7 +100,7 @@ func TestRingTracerConcurrent(t *testing.T) {
 func TestStatsMap(t *testing.T) {
 	for _, eng := range stm.Engines() {
 		m, err := stm.New(8, stm.WithEngine(eng),
-			stm.WithObs(stm.ObsConfig{Level: stm.ObsHistograms}))
+			stm.WithObs(stm.ObsConfig{Level: stm.ObsHistograms, SampleEvery: 1}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestStatsMap(t *testing.T) {
 		if hasST != (eng == stm.ST) || hasTL2 != (eng == stm.TL2) {
 			t.Errorf("%v: taxonomy keys st=%v tl2=%v", eng, hasST, hasTL2)
 		}
-		if _, ok := sm["hist_commit_ticks"]; !ok {
+		if _, ok := sm["hist_commit_nanos"]; !ok {
 			t.Errorf("%v: commit histogram missing at hist level", eng)
 		}
 		// The map must be expvar-compatible: plain JSON marshaling works.

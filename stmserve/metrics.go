@@ -2,16 +2,16 @@
 // histograms, batch-size and queue-depth distributions, connection
 // lifecycle counters, and the flight recorder.
 //
-// The discipline mirrors the engine's stats (DESIGN.md §12/§15): no
-// time.Now on the command path (latency is measured in the coarse ticks the
-// engine histograms already use, one plain load per batch boundary), no
-// allocation at steady state (each session owns a pre-allocated stripe of
-// atomic counters; a command bumps its own session's stripe, so stripes are
-// written from one goroutine and never contended), and merging deferred to
-// snapshot time (Metrics folds the retired-session accumulator with every
-// live stripe). Metrics are always on — the whole point of the stripe
-// layout is that "on" costs a handful of uncontended atomic adds per
-// command.
+// The discipline mirrors the engine's stats (DESIGN.md §12/§15): latency
+// is timed per batch or blocking wait, not per command (one monotonic
+// clock reading at each end, in nanoseconds like the engine histograms),
+// no allocation at steady state (each session owns a pre-allocated stripe
+// of atomic counters; a command bumps its own session's stripe, so stripes
+// are written from one goroutine and never contended), and merging
+// deferred to snapshot time (Metrics folds the retired-session accumulator
+// with every live stripe). Metrics are always on — the whole point of the
+// stripe layout is that "on" costs a handful of uncontended atomic adds
+// per command.
 
 package stmserve
 
@@ -21,6 +21,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	stm "github.com/stm-go/stm"
 	"github.com/stm-go/stm/stmobs"
@@ -107,7 +108,7 @@ type sessionMetrics struct {
 func (sm *sessionMetrics) addTo(out *Metrics) {
 	for c := range out.Commands {
 		out.Commands[c].Count += sm.cmds[c].Load()
-		sm.lat[c].AddTo(&out.Commands[c].Ticks)
+		sm.lat[c].AddTo(&out.Commands[c].Latency)
 	}
 	sm.batch.AddTo(&out.BatchCommands)
 	sm.qdepth.AddTo(&out.QueueDepth)
@@ -169,11 +170,11 @@ type CommandMetrics struct {
 	Class string
 	// Count is how many commands of this class have executed.
 	Count uint64
-	// Ticks is the class's client-observed latency distribution in coarse
-	// ticks (stm.TickInterval per tick, engine precision contract): each
-	// command is charged the duration of the batch (or blocking wait) that
-	// carried it, measured from execution start to commit.
-	Ticks stm.HistogramSnapshot
+	// Latency is the class's client-observed latency distribution in
+	// nanoseconds: each command is charged the duration of the batch (or
+	// blocking wait) that carried it, measured from execution start to
+	// commit.
+	Latency stm.HistogramSnapshot
 }
 
 // Metrics is a point-in-time snapshot of the server's serving-layer
@@ -216,9 +217,7 @@ func (s *Server) Metrics() Metrics {
 // Prometheus text format. Stable metric names (DESIGN.md §15):
 //
 //	stmserve_commands_total{engine,class}       per-class command counter
-//	stmserve_command_ticks{engine,class}        per-class latency histogram
-//	                                            (coarse ticks; see
-//	                                            stm_tick_seconds)
+//	stmserve_command_seconds{engine,class}      per-class latency histogram
 //	stmserve_batch_commands{engine}             commands-per-commit histogram
 //	stmserve_queue_depth{engine}                queue-depth histogram
 //	stmserve_connections_accepted_total{engine}
@@ -239,12 +238,12 @@ func (s *Server) WritePrometheus(w io.Writer) {
 		if c.Count == 0 {
 			continue
 		}
-		stmobs.WritePromHist(w, "stmserve_command_ticks",
-			fmt.Sprintf("engine=%q,class=%q", eng, c.Class), c.Ticks)
+		stmobs.WritePromHist(w, "stmserve_command_seconds",
+			fmt.Sprintf("engine=%q,class=%q", eng, c.Class), c.Latency, 1e9)
 	}
 	labels := fmt.Sprintf("engine=%q", eng)
-	stmobs.WritePromHist(w, "stmserve_batch_commands", labels, m.BatchCommands)
-	stmobs.WritePromHist(w, "stmserve_queue_depth", labels, m.QueueDepth)
+	stmobs.WritePromHist(w, "stmserve_batch_commands", labels, m.BatchCommands, 1)
+	stmobs.WritePromHist(w, "stmserve_queue_depth", labels, m.QueueDepth, 1)
 	counter := func(name string, v uint64) {
 		fmt.Fprintf(w, "# TYPE %s counter\n%s{%s} %d\n", name, name, labels, v)
 	}
@@ -259,10 +258,10 @@ func (s *Server) WritePrometheus(w io.Writer) {
 // records. The dump format is documented in DESIGN.md §15.
 const (
 	// flightCmd: one executed command. Conn=session id, A=class,
-	// B=batch/blocking latency in ticks.
+	// B=batch/blocking latency in nanoseconds.
 	flightCmd uint16 = 1 + iota
 	// flightBatch: one committed batch. Conn=session id, A=commands in the
-	// batch, B=latency in ticks.
+	// batch, B=latency in nanoseconds.
 	flightBatch
 	// flightSession: session lifecycle. Conn=session id, A: 0=open,
 	// 1=clean close, 2=poisoned.
@@ -281,18 +280,18 @@ func describeFlight(e stmobs.FlightEvent) string {
 		if e.A < uint64(nClasses) {
 			class = classNames[e.A]
 		}
-		return fmt.Sprintf("t=%d conn=%d cmd class=%s ticks=%d", e.Ticks, e.Conn, class, e.B)
+		return fmt.Sprintf("t=%v conn=%d cmd class=%s took=%v", e.At, e.Conn, class, time.Duration(e.B))
 	case flightBatch:
-		return fmt.Sprintf("t=%d conn=%d batch cmds=%d ticks=%d", e.Ticks, e.Conn, e.A, e.B)
+		return fmt.Sprintf("t=%v conn=%d batch cmds=%d took=%v", e.At, e.Conn, e.A, time.Duration(e.B))
 	case flightSession:
 		what := [...]string{"open", "close", "poisoned"}
 		w := "?"
 		if e.A < uint64(len(what)) {
 			w = what[e.A]
 		}
-		return fmt.Sprintf("t=%d conn=%d session %s", e.Ticks, e.Conn, w)
+		return fmt.Sprintf("t=%v conn=%d session %s", e.At, e.Conn, w)
 	case flightPanic:
-		return fmt.Sprintf("t=%d conn=%d PANIC in connection handler", e.Ticks, e.Conn)
+		return fmt.Sprintf("t=%v conn=%d PANIC in connection handler", e.At, e.Conn)
 	}
 	return e.String()
 }

@@ -67,7 +67,7 @@ func TestMetricsCommandCounts(t *testing.T) {
 		}
 		// Every executed command was also charged one latency observation.
 		for _, c := range m.Commands {
-			if got := c.Ticks.Total(); got != c.Count {
+			if got := c.Latency.Total(); got != c.Count {
 				t.Errorf("class %s: latency total %d != count %d", c.Class, got, c.Count)
 			}
 		}
@@ -242,8 +242,8 @@ func TestWritePrometheusServerNames(t *testing.T) {
 			"stmserve_commands_total{" + engLabel + `,class="get"} 1`,
 			"stmserve_commands_total{" + engLabel + `,class="set"} 1`,
 			"stmserve_commands_total{" + engLabel + `,class="zadd"} 0`,
-			"# TYPE stmserve_command_ticks histogram",
-			"stmserve_command_ticks_count{" + engLabel + `,class="get"} 1`,
+			"# TYPE stmserve_command_seconds histogram",
+			"stmserve_command_seconds_count{" + engLabel + `,class="get"} 1`,
 			"stmserve_batch_commands_bucket{" + engLabel + `,le="+Inf"} 1`,
 			"stmserve_queue_depth_count{" + engLabel + "} 1",
 			"stmserve_connections_accepted_total{" + engLabel + "} 0",
@@ -256,7 +256,7 @@ func TestWritePrometheusServerNames(t *testing.T) {
 			}
 		}
 		// Zero-count classes must not emit empty histograms.
-		if strings.Contains(body, `stmserve_command_ticks_count{`+engLabel+`,class="zadd"}`) {
+		if strings.Contains(body, `stmserve_command_seconds_count{`+engLabel+`,class="zadd"}`) {
 			t.Error("histogram emitted for a class that never executed")
 		}
 	})

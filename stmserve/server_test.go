@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -361,6 +362,52 @@ func TestServerConcurrentConservation(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestCloseLeavesNoGoroutines: New, Serve, one round trip and Close leave
+// no goroutine running this module's code behind, apart from the test's
+// own — the server starts no process-lifetime goroutine of its own.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	srv, err := New(Config{MemoryWords: 1 << 12, KeyspaceHint: 16})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	conn := dial(t, ln.Addr().String())
+	if _, err := conn.Write([]byte("PING\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got := readReply(bufio.NewReader(conn)); got != "+PONG\r\n" {
+		t.Fatalf("PING reply = %q", got)
+	}
+	conn.Close()
+	srv.Close()
+	<-served
+
+	// Goroutines unwinding after Close may take a moment to exit.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var prof bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&prof, 2); err != nil {
+			t.Fatal(err)
+		}
+		var stray []string
+		for _, g := range strings.Split(prof.String(), "\n\n") {
+			if strings.Contains(g, "github.com/stm-go/stm/") && !strings.Contains(g, t.Name()) {
+				stray = append(stray, g)
+			}
+		}
+		if len(stray) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive Close:\n\n%s", len(stray), strings.Join(stray, "\n\n"))
+		}
+	}
 }
 
 // serveTCP starts the server on a loopback listener and returns its

@@ -390,9 +390,9 @@ func (s *Session) execute() {
 		}
 		s.batchLo, s.batchHi = i, j
 		s.wmark = len(s.wbuf)
-		t0 := stm.NowTicks()
+		t0 := time.Now()
 		_ = s.srv.mem.Atomically(s.batchFn) // the body never returns an error
-		s.recordBatch(i, j, stm.NowTicks()-t0)
+		s.recordBatch(i, j, time.Since(t0))
 		if s.dirtyKV {
 			// Keyspace maintenance (incremental resize, growth trigger)
 			// cannot run inside the batch transaction; amortize it here.
@@ -408,7 +408,7 @@ func (s *Session) execute() {
 // command in the batch is charged the batch's commit-to-commit duration —
 // that IS the latency the client observed for it), the batch-size
 // distribution, and the queue depths staged by the transaction body.
-func (s *Session) recordBatch(lo, hi int, dt uint64) {
+func (s *Session) recordBatch(lo, hi int, dt time.Duration) {
 	for i := lo; i < hi; i++ {
 		c := &s.cmds[i]
 		s.recordCmd(c.op, dt)
@@ -419,16 +419,16 @@ func (s *Session) recordBatch(lo, hi int, dt uint64) {
 		}
 	}
 	s.met.batch.Observe(uint64(hi - lo))
-	s.srv.flight.Record(flightBatch, s.id, uint64(hi-lo), dt)
+	s.srv.flight.Record(flightBatch, s.id, uint64(hi-lo), uint64(dt))
 	s.foldDepths()
 }
 
 // recordCmd charges one executed command to its class.
-func (s *Session) recordCmd(op uint8, dt uint64) {
+func (s *Session) recordCmd(op uint8, dt time.Duration) {
 	cl := classOf[op]
 	s.met.cmds[cl].Add(1)
-	s.met.lat[cl].Observe(dt)
-	s.srv.flight.Record(flightCmd, s.id, uint64(cl), dt)
+	s.met.lat[cl].Observe(uint64(dt))
+	s.srv.flight.Record(flightCmd, s.id, uint64(cl), uint64(dt))
 }
 
 // foldDepths drains the staged queue-depth observations into the stripe.
@@ -479,9 +479,9 @@ func (s *Session) execBlocking(c *command) {
 	if c.toMS > 0 {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(c.toMS)*time.Millisecond)
 	}
-	t0 := stm.NowTicks()
+	t0 := time.Now()
 	err := s.srv.mem.AtomicallyContext(ctx, s.blockFn)
-	dt := stm.NowTicks() - t0
+	dt := time.Since(t0)
 	if cancel != nil {
 		cancel()
 	}
