@@ -273,16 +273,6 @@ type obsState struct {
 	observer    Observer
 	tracer      TraceObserver // cached type assertion of observer
 	sampleEvery uint64
-	sampleMask  uint64 // sampleEvery-1 if sampleEvery is a power of two above 1, else 0
-}
-
-// picks reports whether the sampler picks the attempt numbered seq: a mask
-// test for a power-of-two period such as the default, a division otherwise.
-func (st *obsState) picks(seq uint64) bool {
-	if st.sampleMask != 0 {
-		return seq&st.sampleMask == 0
-	}
-	return seq%st.sampleEvery == 0
 }
 
 // Observe installs cfg as the Memory's observability configuration,
@@ -295,9 +285,6 @@ func (m *Memory) Observe(cfg ObsConfig) {
 	st := &obsState{observer: cfg.Observer, sampleEvery: uint64(cfg.SampleEvery)}
 	if st.sampleEvery == 0 {
 		st.sampleEvery = DefaultSampleEvery
-	}
-	if st.sampleEvery&(st.sampleEvery-1) == 0 {
-		st.sampleMask = st.sampleEvery - 1
 	}
 	if t, ok := cfg.Observer.(TraceObserver); ok {
 		st.tracer = t
@@ -335,7 +322,7 @@ func (m *Memory) obsBegin(rec *Rec, lvl ObsLevel) {
 		}
 		st.observer.ObsEvent(&rec.evt)
 	}
-	if lvl >= ObsHistograms && st.picks(m.stats.shards[rec.shard].sampleSeq.Add(1)) {
+	if lvl >= ObsHistograms && m.stats.shards[rec.shard].sampleSeq.Add(1)%st.sampleEvery == 0 {
 		rec.obsT0 = monoNanos()
 	}
 }

@@ -245,7 +245,6 @@ func TestObsLatencyResolution(t *testing.T) {
 // TestObsLatencySampling: with SampleEvery k, the latency histograms hold
 // attempts/k observations, give or take one per stats shard (each shard
 // counts its own attempts), while the size histograms see every attempt.
-// k = 16 takes the sampler's mask test, k = 12 its division.
 func TestObsLatencySampling(t *testing.T) {
 	for _, kind := range EngineKinds() {
 		for _, k := range []uint64{16, 12} {

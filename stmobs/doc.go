@@ -33,11 +33,11 @@
 // Medians of 10 runs on a 2-vCPU Intel Xeon VM, go1.24, in ns/op:
 //
 //	engine   off   counters   hist   trace
-//	ST       355        413    438     420
-//	TL2      240        320    341     340
+//	ST       439        525    546     526
+//	TL2      349        402    435     434
 //
-// The interquartile range of those runs is 6–19 % of their median, so
-// hist and trace cost the same there: the clock is read for 1 attempt in
+// The interquartile range of those runs is 22–45 % of their median (the
+// VM was shared), so hist and trace cost the same there: the clock is read for 1 attempt in
 // 128, and a trace is built for that attempt alone.
 //
 // # The admin endpoint

@@ -27,6 +27,14 @@ import (
 	"github.com/stm-go/stm/stmobs"
 )
 
+// clockBase anchors the batch clock. time.Since of a reading that carries
+// the monotonic clock reads only that clock, once, where time.Now reads
+// the wall clock as well.
+var clockBase = time.Now()
+
+// monoNow reads the monotonic clock as the time elapsed since clockBase.
+func monoNow() time.Duration { return time.Since(clockBase) }
+
 // cmdClass buckets the command vocabulary for metrics: one class per
 // user-meaningful command shape. INCR/DECR/INCRBY share a class (same
 // transactional shape), as do PING/ECHO; MULTI/DISCARD/QUEUED replies are

@@ -390,9 +390,9 @@ func (s *Session) execute() {
 		}
 		s.batchLo, s.batchHi = i, j
 		s.wmark = len(s.wbuf)
-		t0 := time.Now()
+		t0 := monoNow()
 		_ = s.srv.mem.Atomically(s.batchFn) // the body never returns an error
-		s.recordBatch(i, j, time.Since(t0))
+		s.recordBatch(i, j, monoNow()-t0)
 		if s.dirtyKV {
 			// Keyspace maintenance (incremental resize, growth trigger)
 			// cannot run inside the batch transaction; amortize it here.
@@ -479,9 +479,9 @@ func (s *Session) execBlocking(c *command) {
 	if c.toMS > 0 {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(c.toMS)*time.Millisecond)
 	}
-	t0 := time.Now()
+	t0 := monoNow()
 	err := s.srv.mem.AtomicallyContext(ctx, s.blockFn)
-	dt := time.Since(t0)
+	dt := monoNow() - t0
 	if cancel != nil {
 		cancel()
 	}
