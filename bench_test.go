@@ -130,22 +130,20 @@ func BenchmarkUncontendedRunInto(b *testing.B) {
 	}
 }
 
-// discardObserver receives events and traces and drops them, so
-// BenchmarkObsLevels times the seam rather than an observer.
+// discardObserver receives events and drops them, so BenchmarkObsLevels
+// times the seam rather than an observer.
 type discardObserver struct{}
 
-func (discardObserver) ObsEvent(*stm.Event)      {}
-func (discardObserver) ObsTrace(*stm.TraceEvent) {}
+func (discardObserver) ObsEvent(*stm.Event) {}
 
 // BenchmarkObsLevels measures what each observability level adds to an
 // uncontended two-word RunInto, on both engines, with an observer that
 // discards what it receives and the default sampling period: off is the
 // bare fast path, counters adds event delivery, hist the size histograms
-// and a clock read for 1 attempt in DefaultSampleEvery, trace the same
-// attempt's TraceEvent.
+// and a clock read for 1 attempt in DefaultSampleEvery.
 func BenchmarkObsLevels(b *testing.B) {
 	for _, eng := range stm.Engines() {
-		for _, lvl := range []stm.ObsLevel{stm.ObsOff, stm.ObsCounters, stm.ObsHistograms, stm.ObsTrace} {
+		for _, lvl := range []stm.ObsLevel{stm.ObsOff, stm.ObsCounters, stm.ObsHistograms} {
 			b.Run(eng.String()+"/"+lvl.String(), func(b *testing.B) {
 				m, err := stm.New(4, stm.WithEngine(eng),
 					stm.WithObs(stm.ObsConfig{Level: lvl, Observer: discardObserver{}}))

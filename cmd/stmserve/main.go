@@ -45,9 +45,8 @@ import (
 	"github.com/stm-go/stm/stmserve"
 )
 
-// parseObsLevel maps the -obs flag to an observability level. The trace
-// level is not offered: the server registers no TraceObserver, so it would
-// record nothing beyond hist.
+// parseObsLevel maps the -obs flag to an observability level, by the
+// level's String.
 func parseObsLevel(s string) (stm.ObsLevel, error) {
 	for _, l := range []stm.ObsLevel{stm.ObsOff, stm.ObsCounters, stm.ObsHistograms} {
 		if s == l.String() {

@@ -7,9 +7,9 @@ import (
 	stm "github.com/stm-go/stm"
 )
 
-// TestObsParseLevel pins the -obs vocabulary: three levels, and an error
-// that names them for anything else — including trace, which the server
-// has no tracer for.
+// TestObsParseLevel pins the -obs vocabulary: the three levels, and an
+// error that names them for anything else — including trace, which is no
+// level.
 func TestObsParseLevel(t *testing.T) {
 	for _, tc := range []struct {
 		in   string

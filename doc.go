@@ -151,15 +151,18 @@
 // events to a registered Observer. ObsHistograms adds set-size histograms
 // of every attempt and commit/abort latency histograms in nanoseconds: 1
 // attempt in ObsConfig.SampleEvery (per stats shard) reads the monotonic
-// clock at its begin and end, the rest never read it. ObsTrace turns the
-// same sampled attempts into per-transaction traces:
+// clock at its begin and end, the rest never read it. A sampled attempt's
+// EvCommit or EvAbort carries its Elapsed time beside its data set
+// (Event.Addrs), so the sampled events are the per-transaction traces; a
+// flight recorder registered as the Observer keeps the recent sampled
+// commits beside every abort:
 //
-//	tracer := stmobs.NewRingTracer(256)
-//	m.Observe(stm.ObsConfig{Level: stm.ObsTrace, Observer: tracer, SampleEvery: 1024})
+//	flight := stmobs.NewFlightRecorder(256)
+//	m.Observe(stm.ObsConfig{Level: stm.ObsHistograms, Observer: flight, SampleEvery: 1024})
 //	stmobs.Publish("stm", m) // live snapshot at /debug/vars
 //
 // The stmobs subpackage holds the export surfaces — expvar publisher,
-// ring tracer, event counters, pprof label tagging. See DESIGN.md §12.
+// flight recorder, pprof label tagging. See DESIGN.md §12.
 //
 // # Deferred actions and serving over the network
 //

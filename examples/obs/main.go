@@ -1,12 +1,17 @@
 // Obs: observing a Memory with the stmobs seam.
 //
 // Runs the same contended counter workload on both engines with full
-// observability enabled — counters, histograms, and sampled traces into a
-// ring — then dumps what each surface sees: the abort taxonomy, the size
-// histograms of every attempt and the nanosecond latency histograms of the
-// 1-in-SampleEvery sampled attempts (DebugString), the expvar JSON a
-// /debug/vars scraper would read, and the last few traces, which are the
-// same sampled attempts.
+// observability enabled — counters, histograms, and a flight recorder
+// registered as the observer — then dumps what each surface sees: the
+// abort taxonomy, the size histograms of every attempt and the nanosecond
+// latency histograms of the 1-in-SampleEvery sampled attempts
+// (DebugString), the expvar JSON a /debug/vars scraper would read, and the
+// flight recorder's ring, which holds the recent aborts and the same
+// sampled commits.
+//
+// It exits non-zero unless the counter words sum to two increments per
+// transaction, Stats counts one commit per transaction, and the ring holds
+// at least one sampled commit.
 //
 // Run with: go run ./examples/obs
 package main
@@ -18,6 +23,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 	"sync"
 
 	stm "github.com/stm-go/stm"
@@ -30,14 +36,16 @@ const (
 	txs     = 20_000 // transactions per worker
 )
 
-func run(engine stm.Engine) {
-	tracer := stmobs.NewRingTracer(4)
+// run drives the workload on one engine and reports whether its three
+// invariants held.
+func run(engine stm.Engine) bool {
+	flight := stmobs.NewFlightRecorder(32)
 	m, err := stm.New(words,
 		stm.WithEngine(engine),
 		stm.WithObs(stm.ObsConfig{
-			Level:       stm.ObsTrace,
-			Observer:    tracer,
-			SampleEvery: 1024,
+			Level:       stm.ObsHistograms,
+			Observer:    flight,
+			SampleEvery: 16,
 		}))
 	if err != nil {
 		log.Fatal(err)
@@ -82,18 +90,50 @@ func run(engine stm.Engine) {
 	}
 	fmt.Printf("expvar %q:\n%s\n\n", "stm_"+engine.String(), raw)
 
-	traces := tracer.Traces()
-	fmt.Printf("sampled traces retained: %d of %d delivered\n", len(traces), tracer.Total())
-	for _, tr := range traces {
-		fmt.Printf("  seq=%d writes=%d committed=%v reason=%d addrs=%v took=%v\n",
-			tr.Seq, tr.Writes, tr.Committed, tr.Reason, tr.Addrs, tr.Elapsed)
+	if err := flight.Dump(os.Stdout, nil); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println()
+
+	commits := m.Stats().Commits
+	all := make([]int, words)
+	for i := range all {
+		all[i] = i
+	}
+	vals := make([]uint64, words)
+	if err := m.ReadAllInto(all, vals); err != nil {
+		log.Fatal(err)
+	}
+	var sum uint64
+	for _, v := range vals {
+		sum += v
+	}
+	sampled := 0
+	for _, e := range flight.Snapshot() {
+		if e.Kind == stmobs.FlightStmCommit {
+			sampled++
+		}
+	}
+	ok := true
+	if want := uint64(2 * workers * txs); sum != want {
+		fmt.Printf("%s: counter words sum to %d, want %d\n", engine, sum, want)
+		ok = false
+	}
+	if want := uint64(workers * txs); commits != want {
+		fmt.Printf("%s: Stats().Commits = %d, want %d\n", engine, commits, want)
+		ok = false
+	}
+	if sampled == 0 {
+		fmt.Printf("%s: the flight recorder holds no sampled commit\n", engine)
+		ok = false
+	}
+	return ok
 }
 
 func main() {
+	ok := true
 	for _, engine := range stm.Engines() {
-		run(engine)
+		ok = run(engine) && ok
 	}
 	// The Memories stay registered with expvar; a server would expose them
 	// at /debug/vars. Show they are really there.
@@ -104,4 +144,7 @@ func main() {
 		}
 	})
 	fmt.Printf("expvar registry now serves %d stm memories at /debug/vars\n", names)
+	if !ok {
+		os.Exit(1)
+	}
 }

@@ -92,8 +92,8 @@ type Memory struct {
 	// Observability seam (see obs.go). obsLvl is the hot-path gate — one
 	// plain load per hook site; ObsOff means every hook is a predicted
 	// not-taken branch. obsPtr holds the registered configuration, swapped
-	// whole so readers always see a consistent observer/tracer/sampling
-	// triple.
+	// whole so readers always see a consistent observer and sampling
+	// period.
 	obsLvl atomic.Uint32
 	obsPtr atomic.Pointer[obsState]
 

@@ -15,10 +15,11 @@ import (
 // dispatch uses (engine.go's devirtualized type switch) to keep the fast
 // path free of interface-call side effects. When a level is enabled, event
 // delivery reuses the record-owned Event scratch (Rec.evt), so a registered
-// observer costs interface calls but no allocations: the Event rides the
-// pooled record exactly like the calc scratch does.
+// observer costs interface calls but no allocations at any level: the Event
+// rides the pooled record exactly like the calc scratch does, and its Addrs
+// is the record's own data set, not a copy.
 //
-// Three consumers hang off the seam, in increasing cost order:
+// Two levels hang off the seam, in increasing cost order:
 //
 //	ObsCounters   abort-reason taxonomy counters (striped into the stats
 //	              shards; bumped only at engine failure sites and the TL2
@@ -27,15 +28,12 @@ import (
 //	ObsHistograms + read/write-set-size histograms of every attempt, and
 //	              commit/abort latency of the sampled attempts, per stats
 //	              shard.
-//	ObsTrace      + the sampled attempts also build a TraceEvent with a
-//	              copied footprint for the TraceObserver. The sampled path
-//	              may allocate; the sampling makes it cheap.
 //
-// One sampler serves latency and traces: at ObsHistograms and above, 1 in
-// SampleEvery attempts (per stats shard, counted at obsBegin) reads the
-// monotonic clock at begin and end. The clock is never read for the other
-// attempts, because a read on every attempt costs a measurable share of a
-// sub-microsecond commit.
+// At ObsHistograms, 1 in SampleEvery attempts (per stats shard, counted at
+// obsBegin) reads the monotonic clock at begin and end; its EvCommit or
+// EvAbort carries the Elapsed time, so the sampled events are the traces.
+// The clock is never read for the other attempts, because a read on every
+// attempt costs a measurable share of a sub-microsecond commit.
 //
 // The contention policy and this seam are two consumers of the same
 // engine-side conflict report: an engine failure site fills the caller's
@@ -55,15 +53,13 @@ const (
 	// delivery to a registered Observer.
 	ObsCounters
 	// ObsHistograms additionally records read/write-set-size histograms
-	// and the commit/abort latency of 1 in SampleEvery attempts.
+	// and times 1 in SampleEvery attempts: their latency feeds the
+	// commit/abort histograms and their events' Elapsed. It is the top
+	// level.
 	ObsHistograms
-	// ObsTrace additionally turns the sampled attempts into TraceEvents
-	// delivered to a registered TraceObserver.
-	ObsTrace
 )
 
-// String returns the level's selector name ("off", "counters", "hist",
-// "trace").
+// String returns the level's selector name ("off", "counters", "hist").
 func (l ObsLevel) String() string {
 	switch l {
 	case ObsOff:
@@ -72,8 +68,6 @@ func (l ObsLevel) String() string {
 		return "counters"
 	case ObsHistograms:
 		return "hist"
-	case ObsTrace:
-		return "trace"
 	}
 	return fmt.Sprintf("ObsLevel(%d)", uint32(l))
 }
@@ -176,7 +170,9 @@ func (k EventKind) String() string {
 // Observer receives is record-owned scratch: it is valid only for the
 // duration of the ObsEvent call and is overwritten by the record's next
 // event, so observers must copy what they keep and must not retain the
-// pointer. All fields are scalars — copying the struct is safe and cheap.
+// pointer. Every field but Addrs is a scalar; Addrs aliases the record's
+// data set, so an observer that keeps it copies the slice, not just the
+// struct.
 type Event struct {
 	// Kind is the hook site that fired.
 	Kind EventKind
@@ -202,9 +198,14 @@ type Event struct {
 	// otherwise).
 	Reason AbortReason
 	// Elapsed is the attempt's duration on the monotonic clock for
-	// EvCommit/EvAbort of an attempt sampled at ObsHistograms and above
-	// (1 in ObsConfig.SampleEvery); 0 otherwise.
+	// EvCommit/EvAbort of an attempt sampled at ObsHistograms (1 in
+	// ObsConfig.SampleEvery); 0 otherwise.
 	Elapsed time.Duration
+	// Addrs is the attempt's data set in engine order: a static attempt's
+	// words, a dynamic commit's written words (its read list is not on
+	// it). It is record-owned scratch, valid only during ObsEvent — copy,
+	// don't retain.
+	Addrs []int
 }
 
 // Observer receives events from the engine attempt path. Implementations
@@ -216,50 +217,18 @@ type Observer interface {
 	ObsEvent(e *Event)
 }
 
-// TraceEvent is one sampled per-transaction trace: the attempt's footprint,
-// outcome, and timing, built at ObsTrace for the 1-in-SampleEvery attempts
-// whose latency is sampled. Unlike Event it is freshly allocated and owned by
-// the receiver — tracers may retain it.
-type TraceEvent struct {
-	// Engine is the Memory's commit protocol.
-	Engine EngineKind
-	// Seq is the attempt identity (Rec.Version).
-	Seq uint64
-	// Addrs is the attempt's data set (engine order), copied: a dynamic
-	// commit's written words, without its read list.
-	Addrs []int
-	// Writes is the write-set size (TL2: changed words; ST: the words it
-	// owns, which is its data set), or -1 if the attempt failed before
-	// computing it.
-	Writes int
-	// Committed reports the outcome; Reason is the taxonomy entry for
-	// failed attempts.
-	Committed bool
-	Reason    AbortReason
-	// Elapsed is the attempt's duration on the monotonic clock.
-	Elapsed time.Duration
-}
-
-// TraceObserver receives sampled traces. An Observer that also implements
-// TraceObserver is detected once, at Observe time (never per event).
-type TraceObserver interface {
-	ObsTrace(t *TraceEvent)
-}
-
 // ObsConfig configures a Memory's observability seam.
 type ObsConfig struct {
 	// Level selects what the seam records; ObsOff disables everything.
 	Level ObsLevel
 	// Observer, when non-nil, receives attempt events at ObsCounters and
-	// above. If it also implements TraceObserver it receives sampled
-	// traces at ObsTrace.
+	// above.
 	Observer Observer
-	// SampleEvery is the sampling period at ObsHistograms and above: one
-	// attempt in SampleEvery (per stats shard) is timed on the monotonic
-	// clock, feeding the commit/abort latency histograms and Event.Elapsed,
-	// and at ObsTrace the same attempt is traced. Size histograms and
-	// events see every attempt. 0 means DefaultSampleEvery; 1 times every
-	// attempt.
+	// SampleEvery is the sampling period at ObsHistograms: one attempt in
+	// SampleEvery (per stats shard) is timed on the monotonic clock,
+	// feeding the commit/abort latency histograms and Event.Elapsed. Size
+	// histograms and events see every attempt. 0 means DefaultSampleEvery;
+	// 1 times every attempt.
 	SampleEvery int
 }
 
@@ -268,10 +237,9 @@ type ObsConfig struct {
 const DefaultSampleEvery = 128
 
 // obsState is the immutable registered configuration; Memory.obsPtr swaps
-// whole states so concurrent readers always see a consistent triple.
+// whole states so concurrent readers always see a consistent pair.
 type obsState struct {
 	observer    Observer
-	tracer      TraceObserver // cached type assertion of observer
 	sampleEvery uint64
 }
 
@@ -286,9 +254,6 @@ func (m *Memory) Observe(cfg ObsConfig) {
 	if st.sampleEvery == 0 {
 		st.sampleEvery = DefaultSampleEvery
 	}
-	if t, ok := cfg.Observer.(TraceObserver); ok {
-		st.tracer = t
-	}
 	m.obsPtr.Store(st)
 	m.obsLvl.Store(uint32(cfg.Level))
 }
@@ -301,8 +266,8 @@ func (m *Memory) ObsLevel() ObsLevel { return ObsLevel(m.obsLvl.Load()) }
 func (m *Memory) obsLevel() ObsLevel { return ObsLevel(m.obsLvl.Load()) }
 
 // obsBegin opens an attempt's observation: emits EvBegin to a registered
-// observer and, at ObsHistograms and above, reads the clock if the shard's
-// sampler picks this attempt. Called only when the level is not ObsOff.
+// observer and, at ObsHistograms, reads the clock if the shard's sampler
+// picks this attempt. Called only when the level is not ObsOff.
 func (m *Memory) obsBegin(rec *Rec, lvl ObsLevel) {
 	rec.obsReason = ReasonNone
 	rec.obsWrites = -1
@@ -312,15 +277,7 @@ func (m *Memory) obsBegin(rec *Rec, lvl ObsLevel) {
 		return
 	}
 	if st.observer != nil {
-		rec.evt = Event{
-			Kind:   EvBegin,
-			Engine: m.kind,
-			Seq:    rec.version.Load(),
-			Addr:   -1,
-			Size:   rec.footprint(),
-			Writes: -1,
-		}
-		st.observer.ObsEvent(&rec.evt)
+		st.observer.ObsEvent(m.event(rec, EvBegin, -1, -1, ReasonNone, 0))
 	}
 	if lvl >= ObsHistograms && m.stats.shards[rec.shard].sampleSeq.Add(1)%st.sampleEvery == 0 {
 		rec.obsT0 = monoNanos()
@@ -337,16 +294,15 @@ var clockBase = time.Now()
 func monoNanos() int64 { return int64(time.Since(clockBase)) }
 
 // obsEnd closes an attempt's observation: taxonomy counters, histograms,
-// the EvCommit/EvAbort event, and trace sampling. Called only when the
-// level is not ObsOff, after the engine decided the outcome.
+// and the EvCommit/EvAbort event. Called only when the level is not
+// ObsOff, after the engine decided the outcome.
 func (m *Memory) obsEnd(rec *Rec, lvl ObsLevel, ok bool) {
 	sh := &m.stats.shards[rec.shard]
 	if !ok {
 		sh.reason(rec.obsReason)
 	}
-	sampled := rec.obsT0 != 0
 	var dt time.Duration
-	if sampled {
+	if rec.obsT0 != 0 {
 		dt = time.Duration(monoNanos() - rec.obsT0)
 		if ok {
 			sh.hists[hCommitNanos].Observe(uint64(dt))
@@ -369,28 +325,7 @@ func (m *Memory) obsEnd(rec *Rec, lvl ObsLevel, ok bool) {
 		if !ok {
 			kind, addr, reason = EvAbort, rec.obsAddr, rec.obsReason
 		}
-		rec.evt = Event{
-			Kind:    kind,
-			Engine:  m.kind,
-			Seq:     rec.version.Load(),
-			Addr:    addr,
-			Size:    rec.footprint(),
-			Writes:  rec.obsWrites,
-			Reason:  reason,
-			Elapsed: dt,
-		}
-		st.observer.ObsEvent(&rec.evt)
-	}
-	if sampled && lvl >= ObsTrace && st.tracer != nil {
-		st.tracer.ObsTrace(&TraceEvent{
-			Engine:    m.kind,
-			Seq:       rec.version.Load(),
-			Addrs:     append([]int(nil), rec.addrs...),
-			Writes:    rec.obsWrites,
-			Committed: ok,
-			Reason:    rec.obsReason,
-			Elapsed:   dt,
-		})
+		st.observer.ObsEvent(m.event(rec, kind, addr, rec.obsWrites, reason, dt))
 	}
 }
 
@@ -403,15 +338,24 @@ func (m *Memory) obsEmit(rec *Rec, kind EventKind, addr, writes int) {
 	if st == nil || st.observer == nil {
 		return
 	}
-	rec.evt = Event{
-		Kind:   kind,
-		Engine: m.kind,
-		Seq:    rec.version.Load(),
-		Addr:   addr,
-		Size:   rec.footprint(),
-		Writes: writes,
-	}
-	st.observer.ObsEvent(&rec.evt)
+	st.observer.ObsEvent(m.event(rec, kind, addr, writes, ReasonNone, 0))
+}
+
+// event fills the record-owned Event scratch field by field and returns
+// it. Assigning a whole Event literal would build it on the stack and copy
+// it behind a write-barrier check, because Addrs is a pointer field.
+func (m *Memory) event(rec *Rec, kind EventKind, addr, writes int, reason AbortReason, dt time.Duration) *Event {
+	e := &rec.evt
+	e.Kind = kind
+	e.Engine = m.kind
+	e.Seq = rec.version.Load()
+	e.Addr = addr
+	e.Size = rec.footprint()
+	e.Writes = writes
+	e.Reason = reason
+	e.Elapsed = dt
+	e.Addrs = rec.addrs
+	return e
 }
 
 // obsFail records an engine failure site's taxonomy entry on the record,

@@ -1,7 +1,7 @@
 package core
 
 // Tests for the stmobs seam: abort taxonomy per engine, histograms, event
-// delivery, trace sampling, the ResetStats sweep, and the concurrent
+// delivery, latency sampling, the ResetStats sweep, and the concurrent
 // snapshot/reset/reconfigure contract (the race-mode target in CI).
 
 import (
@@ -29,24 +29,28 @@ func (l *eventLog) ObsEvent(e *Event) {
 	}
 }
 
-// traceLog records every sampled trace (it implements both interfaces, like
-// stmobs.RingTracer).
-type traceLog struct {
-	mu     sync.Mutex
-	traces []TraceEvent
+// endLog keeps a copy of every EvCommit/EvAbort event, its Addrs copied
+// too, since the event and its data set are record-owned scratch.
+type endLog struct {
+	mu   sync.Mutex
+	ends []Event
 }
 
-func (l *traceLog) ObsEvent(e *Event) {}
-func (l *traceLog) ObsTrace(t *TraceEvent) {
+func (l *endLog) ObsEvent(e *Event) {
+	if e.Kind != EvCommit && e.Kind != EvAbort {
+		return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.traces = append(l.traces, *t)
+	c := *e
+	c.Addrs = append([]int(nil), e.Addrs...)
+	l.ends = append(l.ends, c)
 }
 
 func identity(old []uint64) []uint64 { return old }
 
 func TestObsLevelStrings(t *testing.T) {
-	cases := map[ObsLevel]string{ObsOff: "off", ObsCounters: "counters", ObsHistograms: "hist", ObsTrace: "trace"}
+	cases := map[ObsLevel]string{ObsOff: "off", ObsCounters: "counters", ObsHistograms: "hist", ObsHistograms + 1: "ObsLevel(3)"}
 	for lvl, want := range cases {
 		if lvl.String() != want {
 			t.Errorf("%d.String() = %q, want %q", lvl, lvl.String(), want)
@@ -318,15 +322,17 @@ func TestObsObserverEvents(t *testing.T) {
 	}
 }
 
+// TestObsTraceSampling: at ObsHistograms every sampled attempt's end event
+// is its trace — footprint, outcome, and elapsed time.
 func TestObsTraceSampling(t *testing.T) {
 	m, err := NewMemory(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := &traceLog{}
-	// SampleEvery=1 traces every attempt: the per-shard sampling counters
+	log := &endLog{}
+	// SampleEvery=1 times every attempt: the per-shard sampling counters
 	// make any coarser period nondeterministic for a sequential caller.
-	m.Observe(ObsConfig{Level: ObsTrace, Observer: log, SampleEvery: 1})
+	m.Observe(ObsConfig{Level: ObsHistograms, Observer: log, SampleEvery: 1})
 
 	release := blockWord(m, 3)
 	const fails = 2
@@ -345,28 +351,31 @@ func TestObsTraceSampling(t *testing.T) {
 
 	log.mu.Lock()
 	defer log.mu.Unlock()
-	if len(log.traces) != fails+commits {
-		t.Fatalf("traces = %d, want %d", len(log.traces), fails+commits)
+	if len(log.ends) != fails+commits {
+		t.Fatalf("end events = %d, want %d", len(log.ends), fails+commits)
 	}
 	var committed, aborted int
-	for _, tr := range log.traces {
-		if len(tr.Addrs) != 2 || tr.Addrs[0] != 1 || tr.Addrs[1] != 3 {
-			t.Errorf("trace footprint = %v, want [1 3]", tr.Addrs)
+	for _, e := range log.ends {
+		if e.Elapsed <= 0 {
+			t.Errorf("%v event Elapsed = %v, want > 0 for a sampled attempt", e.Kind, e.Elapsed)
 		}
-		if tr.Committed {
+		if len(e.Addrs) != 2 || e.Addrs[0] != 1 || e.Addrs[1] != 3 {
+			t.Errorf("%v event Addrs = %v, want [1 3]", e.Kind, e.Addrs)
+		}
+		if e.Kind == EvCommit {
 			committed++
-			if tr.Writes != 2 || tr.Reason != ReasonNone {
-				t.Errorf("committed trace = %+v, want 2 writes, no reason", tr)
+			if e.Writes != 2 || e.Reason != ReasonNone {
+				t.Errorf("commit event = %+v, want 2 writes, no reason", e)
 			}
 		} else {
 			aborted++
-			if tr.Reason != ReasonSTConflict {
-				t.Errorf("aborted trace reason = %v, want st-conflict", tr.Reason)
+			if e.Reason != ReasonSTConflict {
+				t.Errorf("abort event reason = %v, want st-conflict", e.Reason)
 			}
 		}
 	}
 	if committed != commits || aborted != fails {
-		t.Errorf("traced %d commits / %d aborts, want %d/%d", committed, aborted, commits, fails)
+		t.Errorf("sampled %d commits / %d aborts, want %d/%d", committed, aborted, commits, fails)
 	}
 }
 
@@ -377,7 +386,7 @@ func TestObsResetSweepsEverything(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.Observe(ObsConfig{Level: ObsTrace, Observer: &traceLog{}, SampleEvery: 1})
+			m.Observe(ObsConfig{Level: ObsHistograms, Observer: &endLog{}, SampleEvery: 1})
 			release := blockWord(m, 2)
 			for i := 0; i < 5; i++ {
 				tryOnce(m, []int{2}, identity)
@@ -425,12 +434,12 @@ func TestObsConcurrentSnapshotAndReconfigure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			log := &traceLog{}
+			log := &eventLog{}
 			configs := []ObsConfig{
 				{},
-				{Level: ObsCounters, Observer: &eventLog{}},
+				{Level: ObsCounters, Observer: log},
 				{Level: ObsHistograms, Observer: log},
-				{Level: ObsTrace, Observer: log, SampleEvery: 8},
+				{Level: ObsHistograms, Observer: log, SampleEvery: 8},
 			}
 
 			var wg sync.WaitGroup

@@ -153,8 +153,8 @@ type statLine struct {
 	c     [nCounters]atomic.Uint64
 	hists [nHists]Hist
 
-	// sampleSeq picks the 1-in-SampleEvery attempts whose latency is timed
-	// (and, at ObsTrace, traced); it is bookkeeping, not a published counter.
+	// sampleSeq picks the 1-in-SampleEvery attempts whose latency is timed;
+	// it is bookkeeping, not a published counter.
 	sampleSeq atomic.Uint64
 
 	_ [(cacheLineSize - (int(nCounters)+int(nHists)*HistBins+1)*8%cacheLineSize) % cacheLineSize]byte

@@ -6,16 +6,17 @@ import (
 
 // Observability: the stmobs seam, re-exported from the engine.
 //
-// A Memory can be observed at four cumulative levels (ObsLevel): off (the
+// A Memory can be observed at three cumulative levels (ObsLevel): off (the
 // default — every hook on the attempt path is one predicted branch, zero
 // allocations, zero counters beyond the four protocol counters), counters
 // (abort-reason taxonomy on Stats plus events to a registered Observer),
-// histograms (read/write-set-size histograms of every attempt, and the
+// and histograms (read/write-set-size histograms of every attempt, and the
 // commit/abort latency in nanoseconds of 1 attempt in
-// ObsConfig.SampleEvery), and trace (those sampled attempts also become
-// TraceEvents).
-// The stmobs package builds export surfaces — an expvar publisher, a ring
-// tracer, pprof label tagging — on top of this seam. See DESIGN.md §12.
+// ObsConfig.SampleEvery, which that attempt's event also carries). No
+// level allocates.
+// The stmobs package builds export surfaces — an expvar publisher, a
+// flight recorder, pprof label tagging — on top of this seam. See
+// DESIGN.md §12.
 
 // ObsLevel selects how much the observability seam records; levels are
 // cumulative. The zero value is ObsOff.
@@ -31,9 +32,6 @@ const (
 	// ObsHistograms additionally records read/write-set-size histograms
 	// and, for 1 attempt in ObsConfig.SampleEvery, commit/abort latency.
 	ObsHistograms = core.ObsHistograms
-	// ObsTrace additionally delivers the sampled attempts as
-	// per-transaction traces to a registered TraceObserver.
-	ObsTrace = core.ObsTrace
 )
 
 // Observer receives events from the engine attempt path; see the
@@ -75,18 +73,10 @@ const (
 	ReasonTL2Validate = core.ReasonTL2Validate
 )
 
-// TraceEvent is one sampled per-transaction trace; unlike Event it is
-// freshly allocated and may be retained by the receiver.
-type TraceEvent = core.TraceEvent
-
-// TraceObserver receives sampled traces at ObsTrace; an Observer that also
-// implements it is detected once, at Observe time.
-type TraceObserver = core.TraceObserver
-
 // ObsConfig configures a Memory's observability seam.
 type ObsConfig = core.ObsConfig
 
-// DefaultSampleEvery is the latency and trace sampling period used when
+// DefaultSampleEvery is the latency sampling period used when
 // ObsConfig leaves SampleEvery zero.
 const DefaultSampleEvery = core.DefaultSampleEvery
 

@@ -16,13 +16,11 @@ import (
 	stm "github.com/stm-go/stm"
 )
 
-// countObserver tallies events and sampled traces without allocating — the
-// shape a production observer has.
+// countObserver tallies events, and the sampled ones (those carrying an
+// Elapsed time), without allocating — the shape a production observer has.
 type countObserver struct {
-	begins, commits, aborts, traces atomic.Uint64
+	begins, commits, aborts, sampled atomic.Uint64
 }
-
-func (o *countObserver) ObsTrace(*stm.TraceEvent) { o.traces.Add(1) }
 
 func (o *countObserver) ObsEvent(e *stm.Event) {
 	switch e.Kind {
@@ -32,6 +30,9 @@ func (o *countObserver) ObsEvent(e *stm.Event) {
 		o.commits.Add(1)
 	case stm.EvAbort:
 		o.aborts.Add(1)
+	}
+	if e.Elapsed != 0 {
+		o.sampled.Add(1)
 	}
 }
 
@@ -46,16 +47,23 @@ func TestObsAllocFreeHooks(t *testing.T) {
 	inc := func(o, n []uint64) { n[0] = o[0] + 1 }
 	assertAllocs(t, "RunInto/obs-off", 0, func() { one.RunInto(inc, nil) })
 
-	// Every level with a registered observer, on both engines: event
-	// delivery rides the pooled record's scratch, histograms are fixed
-	// arrays, and a trace sample's cost is amortized over SampleEvery
-	// transactions, so the contract holds all the way up to ObsTrace.
+	// Every level with a registered observer, on both engines, at the
+	// default sampling period and with every attempt sampled: event
+	// delivery rides the pooled record's scratch (its Addrs is the
+	// record's own data set), and histograms are fixed arrays, so no
+	// attempt allocates, sampled or not.
 	for _, eng := range stm.Engines() {
-		for _, lvl := range []stm.ObsLevel{stm.ObsCounters, stm.ObsHistograms, stm.ObsTrace} {
-			name := fmt.Sprintf("%v/obs-%v", eng, lvl)
+		for _, cfg := range []stm.ObsConfig{
+			{Level: stm.ObsCounters},
+			{Level: stm.ObsHistograms},
+			{Level: stm.ObsHistograms, SampleEvery: 1},
+		} {
+			lvl := cfg.Level
+			name := fmt.Sprintf("%v/obs-%v/sample-%d", eng, lvl, cfg.SampleEvery)
 			obs := &countObserver{}
+			cfg.Observer = obs
 			m := mustNewEngine(t, 16, eng)
-			m.Observe(stm.ObsConfig{Level: lvl, Observer: obs, SampleEvery: stm.DefaultSampleEvery})
+			m.Observe(cfg)
 			tx, err := m.Prepare([]int{2, 5})
 			if err != nil {
 				t.Fatal(err)
@@ -71,9 +79,9 @@ func TestObsAllocFreeHooks(t *testing.T) {
 				}
 			})
 			// The zero-allocation runs were measured, not metered off.
-			if obs.begins.Load() == 0 || obs.commits.Load() == 0 || (lvl == stm.ObsTrace) != (obs.traces.Load() > 0) {
-				t.Errorf("%s: observer saw %d begins / %d commits / %d traces",
-					name, obs.begins.Load(), obs.commits.Load(), obs.traces.Load())
+			if obs.begins.Load() == 0 || obs.commits.Load() == 0 || (lvl == stm.ObsHistograms) != (obs.sampled.Load() > 0) {
+				t.Errorf("%s: observer saw %d begins / %d commits / %d sampled",
+					name, obs.begins.Load(), obs.commits.Load(), obs.sampled.Load())
 			}
 		}
 	}
@@ -141,8 +149,9 @@ func TestObsSnapshotWhileMixedLoad(t *testing.T) {
 				}
 			}(w)
 		}
-		for i := 0; i < 100; i++ {
-			lvl := stm.ObsLevel(uint32(i % 4))
+		// 102 rounds over the three levels end at the top one.
+		for i := 0; i < 102; i++ {
+			lvl := stm.ObsLevel(uint32(i % 3))
 			m.Observe(stm.ObsConfig{Level: lvl, Observer: obs})
 			_ = m.Stats()
 			if i%10 == 0 {
@@ -151,8 +160,37 @@ func TestObsSnapshotWhileMixedLoad(t *testing.T) {
 		}
 		close(stop)
 		wg.Wait()
-		if got := m.ObsLevel(); got != stm.ObsTrace {
-			t.Errorf("%v: final level = %v, want trace", eng, got)
+		if got := m.ObsLevel(); got != stm.ObsHistograms {
+			t.Errorf("%v: final level = %v, want hist", eng, got)
 		}
 	}
 }
+
+// TestObsEventAddrsDynamicCommit: a dynamic commit's end event carries its
+// written words, in engine order, and not the words it only read.
+func TestObsEventAddrsDynamicCommit(t *testing.T) {
+	for _, eng := range stm.Engines() {
+		m := mustNewEngine(t, 8, eng)
+		var got [][]int
+		m.Observe(stm.ObsConfig{Level: stm.ObsHistograms, SampleEvery: 1, Observer: observerFunc(func(e *stm.Event) {
+			if e.Kind == stm.EvCommit {
+				got = append(got, slices.Clone(e.Addrs))
+			}
+		})})
+		if err := m.Atomically(func(tx *stm.DTx) error {
+			tx.Write(5, tx.Read(0)+tx.Read(2)+1)
+			tx.Write(2, 7)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || !slices.Equal(got[0], []int{2, 5}) {
+			t.Errorf("%v: commit events' Addrs = %v, want one [2 5]", eng, got)
+		}
+	}
+}
+
+// observerFunc adapts a function to stm.Observer.
+type observerFunc func(*stm.Event)
+
+func (f observerFunc) ObsEvent(e *stm.Event) { f(e) }

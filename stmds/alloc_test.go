@@ -182,14 +182,16 @@ func TestAllocsTL2Map(t *testing.T) {
 
 // TestAllocsMapGetObserved pins a map hit at every observability level on
 // both engines: the seam must not cost a structure its zero-allocation
-// contract, with an event counter installed and, at ObsTrace, a ring
-// tracer sampling one transaction in DefaultSampleEvery.
+// contract, with an observer installed — one that discards every event,
+// or a flight recorder keeping every sampled commit. A hit makes no engine
+// attempt, so an overwrite is pinned beside it for the attempt path.
 func TestAllocsMapGetObserved(t *testing.T) {
 	for _, eng := range stm.Engines() {
+		flight := stmobs.NewFlightRecorder(64)
 		for _, cfg := range []stm.ObsConfig{
-			{Level: stm.ObsCounters, Observer: &stmobs.EventCounter{}},
-			{Level: stm.ObsHistograms, Observer: &stmobs.EventCounter{}},
-			{Level: stm.ObsTrace, Observer: stmobs.NewRingTracer(64), SampleEvery: stm.DefaultSampleEvery},
+			{Level: stm.ObsCounters, Observer: discardObserver{}},
+			{Level: stm.ObsHistograms, Observer: discardObserver{}},
+			{Level: stm.ObsHistograms, Observer: flight, SampleEvery: 1},
 		} {
 			m := mustMemEngine(t, 1<<14, eng)
 			m.Observe(cfg)
@@ -199,14 +201,29 @@ func TestAllocsMapGetObserved(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			assertAllocs(t, fmt.Sprintf("%v/obs-%v/Map.Get hit", eng, cfg.Level), 0, func() {
+			name := fmt.Sprintf("%v/obs-%v/sample-%d", eng, cfg.Level, cfg.SampleEvery)
+			assertAllocs(t, name+"/Map.Get hit", 0, func() {
 				if v, ok := mp.Get(64); !ok || v != 192 {
 					t.Fatal("wrong value")
 				}
 			})
+			assertAllocs(t, name+"/Map.Put overwrite", 0, func() {
+				if _, _, err := mp.Put(64, 192); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		// The recorder's runs were measured, not metered off.
+		if flight.Total() == 0 {
+			t.Errorf("%v: the flight recorder kept no sampled commit", eng)
 		}
 	}
 }
+
+// discardObserver receives events and drops them.
+type discardObserver struct{}
+
+func (discardObserver) ObsEvent(*stm.Event) {}
 
 // Compile-time check that Set rides Map's no-value-words mode without its
 // own allocation surface worth pinning separately.

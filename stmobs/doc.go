@@ -1,9 +1,8 @@
 // Package stmobs builds export surfaces on the stm package's observability
 // seam: an HTTP admin endpoint (Prometheus /metrics, expvar /debug/vars,
 // net/http/pprof), a lock-free flight recorder for dump-on-failure
-// debugging, a ring buffer for sampled per-transaction traces, event
-// counters, and runtime/pprof label tagging for goroutines that run
-// transactions.
+// debugging that also keeps the sampled transaction attempts, and
+// runtime/pprof label tagging for goroutines that run transactions.
 //
 // # Observing a Memory
 //
@@ -11,34 +10,39 @@
 // costs nothing until enabled: every hook on the attempt path is one
 // predicted branch while the level is stm.ObsOff. A typical production
 // setup enables counters and histograms, publishes them over expvar, and
-// keeps a small trace ring for incident debugging:
+// registers a flight recorder, which keeps the recent aborts and sampled
+// commits for incident debugging:
 //
-//	tracer := stmobs.NewRingTracer(256)
+//	flight := stmobs.NewFlightRecorder(256)
 //	m.Observe(stm.ObsConfig{
-//		Level:       stm.ObsTrace,
-//		Observer:    tracer,
+//		Level:       stm.ObsHistograms,
+//		Observer:    flight,
 //		SampleEvery: 1024,
 //	})
 //	stmobs.Publish("stm", m) // GET /debug/vars → {"stm": {...}, ...}
 //
-// Counters-only observation (stm.ObsCounters, typically with an
-// EventCounter or no observer at all) adds the abort-reason taxonomy to
-// m.Stats(); the histogram and trace levels buy latency distributions and
-// sampled footprints on top. Every level keeps the hot paths at zero
-// allocations per operation on both engines (pinned by the stm package's
+// Counters-only observation (stm.ObsCounters, with or without an
+// observer) adds the abort-reason taxonomy to m.Stats(); the histogram
+// level buys set-size and latency distributions on top, and the events
+// of its sampled attempts carry their elapsed time beside their data set
+// (stm.Event.Addrs), which makes them the per-transaction traces. Every
+// level keeps the hot paths at zero allocations per operation on both
+// engines, sampled attempts included (pinned by the stm package's
 // TestObsAllocFreeHooks and stmds's TestAllocsMapGetObserved). What each
 // level costs in time is BenchmarkObsLevels in the stm package (go test
 // -run '^$' -bench ObsLevels .): an uncontended two-word RunInto with an
 // observer that discards what it receives, at the default SampleEvery.
 // Medians of 10 runs on a 2-vCPU Intel Xeon VM, go1.24, in ns/op:
 //
-//	engine   off   counters   hist   trace
-//	ST       439        525    546     526
-//	TL2      349        402    435     434
+//	engine   off   counters   hist
+//	ST       449        480    522
+//	TL2      334        382    419
 //
-// The interquartile range of those runs is 22–45 % of their median (the
-// VM was shared), so hist and trace cost the same there: the clock is read for 1 attempt in
-// 128, and a trace is built for that attempt alone.
+// The interquartile range of those runs is 4–15 % of their median (the VM
+// was shared). The clock is read for 1 attempt in 128; what the other 127
+// pay at counters and hist is event delivery (three events per uncontended
+// ST attempt, four per TL2 attempt) and, at hist, the two set-size
+// histograms.
 //
 // # The admin endpoint
 //
@@ -68,9 +72,10 @@
 // FlightRecorder is the dump-on-failure complement to the metrics above: a
 // fixed-size lock-free ring of recent four-word events, cheap enough (one
 // clock read, one atomic counter bump, four relaxed stores) to leave
-// always-on under every command of a production server. Producers Record
+// always-on under every batch of a production server. Producers Record
 // their own event vocabulary; registered as an stm.Observer it also
-// retains recent engine aborts. When something dies — SIGQUIT, a panic, a
+// retains recent engine aborts and, at stm.ObsHistograms, the sampled
+// commits (FlightStmCommit). When something dies — SIGQUIT, a panic, a
 // simulation invariant violation — Dump writes the retained history,
 // newest context included, next to whatever replay information the
 // failure printed. cmd/stmserve and the simulation harness wire all three

@@ -10,12 +10,13 @@ import (
 )
 
 // The flight recorder: an always-on fixed-size lock-free ring of recent
-// events, for the dump-on-failure style of observability. Where the
-// RingTracer samples rare, rich TraceEvents under a mutex, the flight
-// recorder takes the opposite trade: every event, four scalar words, no
-// locks — recording is one clock read, one atomic counter bump and four
-// relaxed atomic stores, cheap enough to leave on every command of a
-// production server.
+// events, for the dump-on-failure style of observability. Every event is
+// four scalar words and no lock is taken — recording is one clock read, one
+// atomic counter bump and four relaxed atomic stores, cheap enough to leave
+// on every batch of a production server. Registered as an stm.Observer it
+// also keeps the engine's aborts and, at stm.ObsHistograms, the sampled
+// commits, so one ring holds both the producer's history and the recent
+// transaction attempts.
 // When something dies (SIGQUIT, a panic, a simulation invariant violation)
 // the last len(ring) events are already in memory, ready to dump next to
 // the replay seed.
@@ -52,6 +53,10 @@ const (
 	// FlightStmValidationFail is a validation/admission failure inside an
 	// attempt: Conn is the attempt Seq, B the failing word as an int64.
 	FlightStmValidationFail
+	// FlightStmCommit is a sampled committed attempt (one whose event
+	// carries an Elapsed time): Conn is the attempt Seq, A its write-set
+	// size in words, B its duration in nanoseconds.
+	FlightStmCommit
 )
 
 // String renders the event: reserved stm kinds decoded, everything else as
@@ -65,6 +70,9 @@ func (e FlightEvent) String() string {
 	case FlightStmValidationFail:
 		return fmt.Sprintf("t=%v stm-validation-fail seq=%d addr=%d",
 			e.At, e.Conn, int64(e.B))
+	case FlightStmCommit:
+		return fmt.Sprintf("t=%v stm-commit seq=%d writes=%d took=%v",
+			e.At, e.Conn, e.A, time.Duration(e.B))
 	}
 	return fmt.Sprintf("t=%v kind=0x%04x conn=%d a=%d b=%d", e.At, e.Kind, e.Conn, e.A, e.B)
 }
@@ -154,13 +162,20 @@ func (f *FlightRecorder) Dump(w io.Writer, describe func(FlightEvent) string) er
 	return nil
 }
 
-// ObsEvent implements stm.Observer: abort and validation-failure events are
-// recorded (commits would flood the ring with the uninteresting common
-// case); everything else is ignored. Register the recorder as the
-// ObsConfig.Observer at stm.ObsCounters or above to capture engine-level
-// failure context alongside producer events.
+// ObsEvent implements stm.Observer: abort and validation-failure events
+// are recorded, and so are the commits the seam sampled (those with an
+// Elapsed time, 1 in ObsConfig.SampleEvery at stm.ObsHistograms; every
+// commit would flood the ring with the common case); everything else is
+// ignored. Register the recorder as the ObsConfig.Observer at
+// stm.ObsCounters to capture engine-level failure context alongside
+// producer events, or at stm.ObsHistograms to keep recent sampled attempts
+// as well.
 func (f *FlightRecorder) ObsEvent(e *stm.Event) {
 	switch e.Kind {
+	case stm.EvCommit:
+		if e.Elapsed != 0 {
+			f.Record(FlightStmCommit, e.Seq, uint64(e.Writes), uint64(e.Elapsed))
+		}
 	case stm.EvAbort:
 		f.Record(FlightStmAbort, e.Seq, uint64(e.Reason), uint64(int64(e.Addr)))
 	case stm.EvValidationFail:

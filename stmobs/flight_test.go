@@ -171,3 +171,41 @@ func TestFlightRecorderObserver(t *testing.T) {
 		t.Errorf("aborts occurred (%d failures) but none recorded", m.Stats().Failures)
 	}
 }
+
+// TestFlightRecorderSampledCommits: registered at ObsHistograms, the
+// recorder keeps one stm-commit event per sampled commit, with the write
+// set and the elapsed time; at ObsCounters nothing is sampled and no
+// commit is recorded.
+func TestFlightRecorderSampledCommits(t *testing.T) {
+	for _, eng := range stm.Engines() {
+		for _, lvl := range []stm.ObsLevel{stm.ObsCounters, stm.ObsHistograms} {
+			m, err := stm.New(8, stm.WithEngine(eng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := stmobs.NewFlightRecorder(64)
+			m.Observe(stm.ObsConfig{Level: lvl, Observer: f, SampleEvery: 1})
+			const n = 10
+			for i := 0; i < n; i++ {
+				addWord(m, 2, 1)
+			}
+			want := 0
+			if lvl == stm.ObsHistograms {
+				want = n
+			}
+			commits := 0
+			for _, e := range f.Snapshot() {
+				if e.Kind != stmobs.FlightStmCommit {
+					continue
+				}
+				commits++
+				if e.A != 1 || e.B == 0 || !strings.Contains(e.String(), "stm-commit") {
+					t.Errorf("%v/%v: commit event %+v renders %q, want 1 write and a duration", eng, lvl, e, e.String())
+				}
+			}
+			if commits != want {
+				t.Errorf("%v/%v: %d stm-commit events after %d commits, want %d", eng, lvl, commits, n, want)
+			}
+		}
+	}
+}

@@ -20,7 +20,7 @@ import (
 //	stm_aborts_total       the abort taxonomy rows, one series per reason of
 //	                       the Memory's engine with an extra reason label
 //	stm_snapshot_rechecked_words_total   the snapshot_rechecked row
-//	stm_obs_level          gauge (0=off..3=trace)
+//	stm_obs_level          gauge (0=off, 1=counters, 2=hist)
 //	stm_<name>_seconds     one histogram per duration row (key <name>_nanos):
 //	                       stm_commit_seconds, stm_abort_seconds
 //	stm_<key>_words        one histogram per size row (stm_read_set_words, …)

@@ -6,96 +6,11 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"testing"
 
 	stm "github.com/stm-go/stm"
 	"github.com/stm-go/stm/stmobs"
 )
-
-func TestEventCounter(t *testing.T) {
-	m, err := stm.New(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &stmobs.EventCounter{}
-	m.Observe(stm.ObsConfig{Level: stm.ObsCounters, Observer: c})
-	const n = 25
-	for i := 0; i < n; i++ {
-		addWord(m, i%8, 1)
-	}
-	if got := c.Count(stm.EvCommit); got != n {
-		t.Errorf("commit count = %d, want %d", got, n)
-	}
-	if got := c.Count(stm.EvBegin); got < n {
-		t.Errorf("begin count = %d, want >= %d", got, n)
-	}
-	if got := c.Count(stm.EventKind(200)); got != 0 {
-		t.Errorf("out-of-range kind count = %d, want 0", got)
-	}
-}
-
-func TestRingTracerEviction(t *testing.T) {
-	r := stmobs.NewRingTracer(3)
-	for i := 0; i < 5; i++ {
-		r.ObsTrace(&stm.TraceEvent{Seq: uint64(i)})
-	}
-	if r.Total() != 5 {
-		t.Errorf("total = %d, want 5", r.Total())
-	}
-	traces := r.Traces()
-	if len(traces) != 3 {
-		t.Fatalf("retained %d traces, want 3", len(traces))
-	}
-	// Oldest first, the newest 3 of the 5 delivered.
-	for i, tr := range traces {
-		if want := uint64(i + 2); tr.Seq != want {
-			t.Errorf("traces[%d].Seq = %d, want %d", i, tr.Seq, want)
-		}
-	}
-}
-
-func TestRingTracerSampledFromMemory(t *testing.T) {
-	m, err := stm.New(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := stmobs.NewRingTracer(64)
-	m.Observe(stm.ObsConfig{Level: stm.ObsTrace, Observer: r, SampleEvery: 1})
-	const n = 10
-	for i := 0; i < n; i++ {
-		addWord(m, 2, 1)
-	}
-	if r.Total() != n {
-		t.Errorf("traced %d transactions, want %d", r.Total(), n)
-	}
-	for _, tr := range r.Traces() {
-		if !tr.Committed || len(tr.Addrs) != 1 || tr.Addrs[0] != 2 {
-			t.Errorf("trace = %+v, want a committed [2] footprint", tr)
-		}
-	}
-}
-
-func TestRingTracerConcurrent(t *testing.T) {
-	r := stmobs.NewRingTracer(8)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				r.ObsTrace(&stm.TraceEvent{Seq: uint64(w*1000 + i)})
-				if i%100 == 0 {
-					_ = r.Traces()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if r.Total() != 2000 || len(r.Traces()) != 8 {
-		t.Errorf("total=%d retained=%d, want 2000/8", r.Total(), len(r.Traces()))
-	}
-}
 
 func TestStatsMap(t *testing.T) {
 	for _, eng := range stm.Engines() {

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -265,12 +266,11 @@ func (s *Server) WritePrometheus(w io.Writer) {
 // Flight-recorder event kinds (stmobs.FlightEvent.Kind) the server
 // records. The dump format is documented in DESIGN.md §15.
 const (
-	// flightCmd: one executed command. Conn=session id, A=class,
-	// B=batch/blocking latency in nanoseconds.
-	flightCmd uint16 = 1 + iota
-	// flightBatch: one committed batch. Conn=session id, A=commands in the
-	// batch, B=latency in nanoseconds.
-	flightBatch
+	// flightBatch: one batch transaction, or one BQPOP wait. Conn=session
+	// id, A=the command count in the low 32 bits and, above them, a
+	// bitmask of the classes present (1<<cmdClass), B=latency in
+	// nanoseconds.
+	flightBatch uint16 = 1 + iota
 	// flightSession: session lifecycle. Conn=session id, A: 0=open,
 	// 1=clean close, 2=poisoned.
 	flightSession
@@ -283,14 +283,15 @@ const (
 // kinds fall through to the stmobs default.
 func describeFlight(e stmobs.FlightEvent) string {
 	switch e.Kind {
-	case flightCmd:
-		class := "?"
-		if e.A < uint64(nClasses) {
-			class = classNames[e.A]
-		}
-		return fmt.Sprintf("t=%v conn=%d cmd class=%s took=%v", e.At, e.Conn, class, time.Duration(e.B))
 	case flightBatch:
-		return fmt.Sprintf("t=%v conn=%d batch cmds=%d took=%v", e.At, e.Conn, e.A, time.Duration(e.B))
+		var classes []string
+		for c, name := range classNames {
+			if e.A>>32&(1<<c) != 0 {
+				classes = append(classes, name)
+			}
+		}
+		return fmt.Sprintf("t=%v conn=%d batch cmds=%d classes=%s took=%v",
+			e.At, e.Conn, uint32(e.A), strings.Join(classes, ","), time.Duration(e.B))
 	case flightSession:
 		what := [...]string{"open", "close", "poisoned"}
 		w := "?"
@@ -305,7 +306,7 @@ func describeFlight(e stmobs.FlightEvent) string {
 }
 
 // Flight returns the server's always-on flight recorder: the last
-// Config.FlightEvents command/batch/session events, dumpable via
+// Config.FlightEvents batch/session events, dumpable via
 // DumpFlight. cmd/stmserve dumps it on SIGQUIT and the connection handler
 // dumps it on panic.
 func (s *Server) Flight() *stmobs.FlightRecorder { return s.flight }

@@ -281,14 +281,47 @@ func TestServerFlightVocabulary(t *testing.T) {
 	for _, want := range []string{
 		"flight recorder:",
 		"session open",
-		"cmd class=set",
-		"cmd class=get",
-		"batch cmds=2",
+		"batch cmds=2 classes=get,set took=",
 		"session close",
 	} {
 		if !strings.Contains(dump, want) {
 			t.Errorf("DumpFlight missing %q in:\n%s", want, dump)
 		}
+	}
+}
+
+// TestServerFlightOneEventPerBatch: a batch transaction leaves one flight
+// event, however many commands it ran — MULTI/EXEC included — while the
+// per-class counters still count every command.
+func TestServerFlightOneEventPerBatch(t *testing.T) {
+	srv := newTestServer(t, stm.ST)
+	var out bytes.Buffer
+	s := srv.NewSession(&out)
+	for _, tc := range []struct{ in, want string }{
+		{"SET a 1\r\nSET b 2\r\nGET a\r\nINCR n\r\nQPUSH q x\r\n", "batch cmds=5 classes=get,set,incr,qpush took="},
+		{"MULTI\r\nSET a 3\r\nGET b\r\nDEL a\r\nEXEC\r\n", "batch cmds=5 classes=get,set,del,multi,exec took="},
+		{"BQPOP q\r\n", "batch cmds=1 classes=bqpop took="},
+	} {
+		before := srv.Flight().Total()
+		if err := s.Feed([]byte(tc.in)); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Flight().Total() - before; got != 1 {
+			t.Errorf("Feed(%q) recorded %d flight events, want 1", tc.in, got)
+		}
+		var b bytes.Buffer
+		if err := srv.DumpFlight(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), tc.want) {
+			t.Errorf("Feed(%q): dump lacks %q:\n%s", tc.in, tc.want, b.String())
+		}
+	}
+	s.retire()
+	// The queued SET is charged to multi when queued and to set in EXEC.
+	m := srv.Metrics()
+	if set, multi := classCount(t, m, "set").Count, classCount(t, m, "multi").Count; set != 3 || multi != 4 {
+		t.Errorf("set/multi counts = %d/%d, want 3/4", set, multi)
 	}
 }
 

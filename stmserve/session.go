@@ -407,28 +407,31 @@ func (s *Session) execute() {
 // and the flight recorder: per-class counters, per-class latency (every
 // command in the batch is charged the batch's commit-to-commit duration —
 // that IS the latency the client observed for it), the batch-size
-// distribution, and the queue depths staged by the transaction body.
+// distribution, the queue depths staged by the transaction body, and one
+// flight event for the whole batch.
 func (s *Session) recordBatch(lo, hi int, dt time.Duration) {
+	var classes uint64
 	for i := lo; i < hi; i++ {
 		c := &s.cmds[i]
-		s.recordCmd(c.op, dt)
+		classes |= s.recordCmd(c.op, dt)
 		if c.op == opExec {
 			for j := c.lo; j < c.hi; j++ {
-				s.recordCmd(s.mq[j].op, dt)
+				classes |= s.recordCmd(s.mq[j].op, dt)
 			}
 		}
 	}
 	s.met.batch.Observe(uint64(hi - lo))
-	s.srv.flight.Record(flightBatch, s.id, uint64(hi-lo), uint64(dt))
+	s.srv.flight.Record(flightBatch, s.id, classes<<32|uint64(hi-lo), uint64(dt))
 	s.foldDepths()
 }
 
-// recordCmd charges one executed command to its class.
-func (s *Session) recordCmd(op uint8, dt time.Duration) {
+// recordCmd charges one executed command to its class and returns the
+// class's bit for the batch's flight event.
+func (s *Session) recordCmd(op uint8, dt time.Duration) uint64 {
 	cl := classOf[op]
 	s.met.cmds[cl].Add(1)
 	s.met.lat[cl].Observe(uint64(dt))
-	s.srv.flight.Record(flightCmd, s.id, uint64(cl), uint64(dt))
+	return 1 << cl
 }
 
 // foldDepths drains the staged queue-depth observations into the stripe.
@@ -492,8 +495,8 @@ func (s *Session) execBlocking(c *command) {
 		s.flush()
 	}
 	// A blocking command is charged its whole wait (that is its
-	// client-observed latency), served or lapsed.
-	s.recordCmd(opBQPop, dt)
+	// client-observed latency), served or lapsed, and is a batch of one.
+	s.srv.flight.Record(flightBatch, s.id, s.recordCmd(opBQPop, dt)<<32|1, uint64(dt))
 	s.foldDepths()
 }
 
