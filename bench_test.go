@@ -166,6 +166,23 @@ func BenchmarkObsLevels(b *testing.B) {
 	}
 }
 
+// BenchmarkMemoryNew measures building the server-sized Memory, 1<<20
+// words, on both engines: what every stmserve start and every benchmark
+// segment pays before its first transaction. Every cell starts nil, so this
+// is the allocation and the runtime's clearing of it.
+func BenchmarkMemoryNew(b *testing.B) {
+	for _, eng := range stm.Engines() {
+		b.Run(eng.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := stm.New(1<<20, stm.WithEngine(eng)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkUncontendedRunIntoK measures k-word RunInto as the data set
 // grows: the cost of transaction size in the host build.
 func BenchmarkUncontendedRunIntoK(b *testing.B) {

@@ -27,8 +27,9 @@
 //	stmserve -admin 127.0.0.1:7172 -obs hist
 //	curl -s localhost:7172/metrics | grep stmserve_commands_total
 //
-// SIGQUIT dumps the flight recorder (the most recent command/batch/session
-// events) to stderr before the runtime's usual goroutine dump.
+// SIGQUIT dumps the flight recorder (the most recent batch and session
+// events and, unless -obs is off, the engine's aborts and at hist its
+// sampled commits) to stderr before the runtime's usual goroutine dump.
 //
 // See the stmserve package documentation for the command vocabulary.
 package main
@@ -61,6 +62,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stmserve:", err)
 		os.Exit(1)
 	}
+}
+
+// observe sets the engine's observability level and, above off, registers
+// the server's flight recorder as the engine's Observer, so the ring keeps
+// the engine's aborts and validation failures (and, at hist, its sampled
+// commits) beside the batches that caused them.
+func observe(srv *stmserve.Server, lvl stm.ObsLevel) {
+	cfg := stm.ObsConfig{Level: lvl}
+	if lvl != stm.ObsOff {
+		cfg.Observer = srv.Flight()
+	}
+	srv.Memory().Observe(cfg)
 }
 
 func run(args []string) error {
@@ -97,7 +110,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv.Memory().Observe(stm.ObsConfig{Level: lvl})
+	observe(srv, lvl)
 
 	if *admin != "" {
 		if err := stmobs.Publish("stmserve", srv.Memory()); err != nil {

@@ -123,9 +123,10 @@ type dtxSlot struct {
 }
 
 // dEntry is one logged address: the box observed at first read (nil for a
-// blind write), the value the speculation read there (rval, validated at
-// commit when read is set), and the value the transaction currently sees
-// (val — rval overlaid with any buffered write).
+// blind write, and for a read of a word no commit has changed, whose first
+// box is nil; read tells the two apart), the value the speculation read
+// there (rval, validated at commit when read is set), and the value the
+// transaction currently sees (val — rval overlaid with any buffered write).
 type dEntry struct {
 	addr    int
 	box     *uint64
@@ -227,7 +228,7 @@ func (d *DTx) Read(addr int) uint64 {
 	// every word it installs while installing (an observed owner is helped
 	// to completion first).
 	box := d.m.eng.StableLoadBox(addr)
-	v := *box
+	v := core.BoxVal(box)
 	e := d.push(addr, slot)
 	e.box, e.rval, e.val, e.read, e.written = box, v, v, true, false
 	// Admit the new read only beside reads that still hold, so the user
@@ -536,12 +537,13 @@ func (d *DTx) mergeAlt() bool {
 			// The second branch blind-writes a word the first branch
 			// read: keep the write, but validate the first branch's view.
 			ent.box = box
-			ent.rval = *box
+			ent.rval = core.BoxVal(box)
 			ent.read = true
 			continue
 		}
 		e := d.push(a, slot)
-		e.box, e.rval, e.val, e.read, e.written = box, *box, *box, true, false
+		v := core.BoxVal(box)
+		e.box, e.rval, e.val, e.read, e.written = box, v, v, true, false
 	}
 	return true
 }

@@ -226,3 +226,48 @@ func bitsFor(n int) int {
 	}
 	return b
 }
+
+// TestCommitEpochEqualValueCommits pins how far a commit that changes no
+// value steps the commit epoch, per engine. A dynamic commit that reads a
+// word and writes the same value back steps once on ST, where every
+// attempt with a read list steps before it validates, and not at all on
+// TL2, which locks no word whose value stays and so never reaches its
+// clock. A blind equal-value write steps neither engine.
+func TestCommitEpochEqualValueCommits(t *testing.T) {
+	for _, eng := range Engines() {
+		t.Run(eng.String(), func(t *testing.T) {
+			m, err := New(16, WithEngine(eng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.WriteAll([]int{2}, []uint64{7}); err != nil {
+				t.Fatal(err)
+			}
+			box := m.eng.LoadBox(2)
+			readWriteBack := uint64(0)
+			if eng == ST {
+				readWriteBack = 1
+			}
+			for _, tc := range []struct {
+				name string
+				f    func(tx *DTx) error
+				want uint64
+			}{
+				{"read, write back", func(tx *DTx) error { tx.Write(2, tx.Read(2)); return nil }, readWriteBack},
+				{"blind write of the value", func(tx *DTx) error { tx.Write(2, 7); return nil }, 0},
+				{"blind write of 0 to a fresh word", func(tx *DTx) error { tx.Write(3, 0); return nil }, 0},
+			} {
+				e0 := m.eng.CommitEpoch()
+				if err := m.Atomically(tc.f); err != nil {
+					t.Fatal(err)
+				}
+				if got := m.eng.CommitEpoch() - e0; got != tc.want {
+					t.Errorf("%s: epoch stepped %d, want %d", tc.name, got, tc.want)
+				}
+			}
+			if m.eng.LoadBox(2) != box || m.eng.LoadBox(3) != nil {
+				t.Error("an equal-value commit replaced a box")
+			}
+		})
+	}
+}

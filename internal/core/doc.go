@@ -36,10 +36,12 @@
 // every committed store publishes a box address that has never been
 // published before. A CompareAndSwap on the pointer succeeds only if the
 // word was not written since it was read, because a live box pointer is
-// never recycled. Transaction records are reused — Begin arms one, RunAttempt
-// consumes it — and the seal/pin generation guard keeps a helper from ever
-// confusing two attempts of one record, the role played by version numbers
-// in the paper's (non-GC) setting (DESIGN.md §4). The simulator build
+// never recycled. Every word's first box is nil, which reads as 0 and is
+// replaced by the first install that changes the word's value. Transaction
+// records are reused — Begin arms one, RunAttempt consumes it — and the
+// seal/pin generation guard keeps a helper from ever confusing two attempts
+// of one record, the role played by version numbers in the paper's
+// (non-GC) setting (DESIGN.md §4). The simulator build
 // (internal/sim) keeps the paper's exact versioned records instead,
 // because simulated memory has no GC.
 //

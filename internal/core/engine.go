@@ -40,9 +40,10 @@ type Engine interface {
 	Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool
 
 	// StableLoadBox returns a box that was loc's current value at an
-	// instant when no commit was mid-install at that word — the engine-
-	// specific half of Memory.StableLoadBox (EngineST helps an observed
-	// owner to completion; EngineTL2 waits out the short lock window).
+	// instant when no commit was mid-install at that word — nil for a word
+	// no commit has changed, read through BoxVal — the engine-specific
+	// half of Memory.StableLoadBox (EngineST helps an observed owner to
+	// completion; EngineTL2 waits out the short lock window).
 	StableLoadBox(loc int) *uint64
 }
 

@@ -98,7 +98,7 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 		if w.owner.Load() != nil {
 			return e.fail(rec, info, i, ReasonTL2Read)
 		}
-		val := *w.cell.Load()
+		val := BoxVal(w.cell.Load())
 		if w.version.Load() != v1 || v1 > rv {
 			return e.fail(rec, info, i, ReasonTL2Read)
 		}

@@ -69,7 +69,8 @@ type word struct {
 // methods are safe for concurrent use.
 //
 // Words are stored as pointers to immutable boxes so that pointer
-// CompareAndSwap provides LL/SC semantics (see package documentation).
+// CompareAndSwap provides LL/SC semantics (see package documentation). A
+// word no commit has changed holds nil, which reads as 0 (BoxVal).
 type Memory struct {
 	words  []word
 	engine Engine     // commit protocol; see engine.go
@@ -113,7 +114,8 @@ func NewMemory(size int) (*Memory, error) {
 // NewMemoryEngine returns a Memory of size words, all initialized to zero,
 // whose transactions execute through the given commit engine. The engine is
 // fixed for the Memory's lifetime: every transaction on one Memory speaks
-// the same protocol.
+// the same protocol. Every cell starts nil — the word's first box, read as
+// 0 — so construction is one allocation and no per-word store.
 func NewMemoryEngine(size int, kind EngineKind) (*Memory, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("core: memory size must be positive, got %d", size)
@@ -125,11 +127,6 @@ func NewMemoryEngine(size int, kind EngineKind) (*Memory, error) {
 	}
 	m.engine = eng
 	m.kind = eng.Kind()
-	zero := new(uint64)
-	for i := range m.words {
-		// All cells may share one zero box: boxes are immutable.
-		m.words[i].cell.Store(zero)
-	}
 	return m, nil
 }
 
@@ -144,15 +141,29 @@ func (m *Memory) Size() int { return len(m.words) }
 
 // Peek reads a single word without transactional protection. The value is
 // an atomic snapshot of one word but carries no consistency guarantee
-// relative to other words; use a transaction for multi-word reads.
-func (m *Memory) Peek(loc int) uint64 { return *m.words[loc].cell.Load() }
+// relative to other words; use a transaction for multi-word reads. A word
+// no commit has changed reads 0.
+func (m *Memory) Peek(loc int) uint64 { return BoxVal(m.words[loc].cell.Load()) }
 
-// LoadBox reads loc's current value box without acquiring ownership: *box
-// is the word's value, and the pointer itself is a version witness —
-// because committed transactions install a fresh box whenever a word's
-// value changes (and only then; an equal-value write keeps the old box,
-// and a published box is never republished), two equal LoadBox results
-// bracket an interval in which the word's value never changed.
+// BoxVal is the value a loaded box stands for: *box, or 0 for nil, the
+// first box of every word. Every dereference of a cell's box goes through
+// it.
+func BoxVal(box *uint64) uint64 {
+	if box == nil {
+		return 0
+	}
+	return *box
+}
+
+// LoadBox reads loc's current value box without acquiring ownership:
+// BoxVal(box) is the word's value, and the pointer itself is a version
+// witness — because committed transactions install a fresh box whenever a
+// word's value changes (and only then; an equal-value write keeps the old
+// box, and a published box is never republished), two equal LoadBox
+// results bracket an interval in which the word's value never changed.
+// Every word's first box is nil, which stands for 0: the first install that
+// changes the word's value replaces it, and nothing stores nil again, so
+// nil is a witness like any other box.
 //
 // A raw LoadBox may observe the physical mid-install state of a multi-word
 // commit (updateMemory CASes one word at a time while ownership is held),
@@ -169,10 +180,14 @@ func (m *Memory) LoadBox(loc int) *uint64 { return m.words[loc].cell.Load() }
 // changes value at least once per value-changing commit, at an instant —
 // the commit's step — when the commit already holds ownership (ST) or the
 // commit lock (TL2) of every word it will install, and has installed none
-// of them. A commit that changes no value need not step, and steps that
-// belong to no install (a helper's repeat of its record's step, a TL2
-// attempt that steps and then fails validation) are harmless: readers only
-// ever conclude something from the word NOT having moved.
+// of them. A commit that changes no value steps only on ST, and only if it
+// carries a read list: a dynamic commit that read anything steps once
+// before it validates, even when it writes back the values it read. One
+// that changes no value steps not at all on TL2, which locks no word whose
+// value stays, nor on ST without a read list (a blind equal-value write).
+// Steps that belong to no install (a helper's repeat of its record's step,
+// a TL2 attempt that steps and then fails validation) are harmless:
+// readers only ever conclude something from the word NOT having moved.
 //
 // That conclusion is what makes a dynamic transaction's reads O(1): boxes
 // obtained through StableLoadBox at instants inside an interval over which
@@ -185,12 +200,13 @@ func (m *Memory) LoadBox(loc int) *uint64 { return m.words[loc].cell.Load() }
 func (m *Memory) CommitEpoch() uint64 { return m.epoch.Load() }
 
 // StableLoadBox is LoadBox restricted to committed states: the returned
-// box was loc's current value at an instant when no transaction owned the
-// word — and since a multi-word commit holds ownership (ST) or its commit
-// locks (TL2) on its entire install set from before its first install
-// until after its last, that instant cannot fall inside anyone's install
-// phase. The double-check is sound because published boxes are never
-// reused: cell==box before and after the owner check means the cell held
+// box (nil for a word no commit has changed; read it through BoxVal) was
+// loc's current value at an instant when no transaction owned the word —
+// and since a multi-word commit holds ownership (ST) or its commit locks
+// (TL2) on its entire install set from before its first install until
+// after its last, that instant cannot fall inside anyone's install phase.
+// The double-check is sound because published boxes are never reused, nil
+// included: cell==box before and after the owner check means the cell held
 // box throughout. How an owned word is waited out is engine-specific: the
 // ST engine helps the owner to completion (the protocol's non-blocking
 // answer to every stall), the TL2 engine yields until the short commit
@@ -459,7 +475,7 @@ func (m *Memory) readPass(rec *Rec, e uint64) int64 {
 	for {
 		for i, loc := range rec.reads {
 			w := &m.words[loc]
-			if o := w.owner.Load(); (o != nil && o != rec) || *w.cell.Load() != rec.exp[i] {
+			if o := w.owner.Load(); (o != nil && o != rec) || BoxVal(w.cell.Load()) != rec.exp[i] {
 				return failureAt(i)
 			}
 		}
@@ -474,6 +490,11 @@ func (m *Memory) readPass(rec *Rec, e uint64) int64 {
 	}
 }
 
+// zeroOld is the agreed old value of a word whose cell is still nil. A slot
+// cannot hold nil itself, which means "not yet agreed". It is only ever
+// stored in old-value slots, never installed in a cell.
+var zeroOld = new(uint64)
+
 // agreeOldValues fills the record's old-value slots from the owned memory
 // words. Slots are set-once so all helpers agree on one snapshot: the first
 // CAS to land fixes the value, and any helper that stalled across the
@@ -482,6 +503,9 @@ func (m *Memory) agreeOldValues(rec *Rec) {
 	for i, loc := range rec.addrs {
 		if rec.old[i].Load() == nil {
 			box := m.words[loc].cell.Load()
+			if box == nil {
+				box = zeroOld
+			}
 			rec.old[i].CompareAndSwap(nil, box)
 		}
 	}
@@ -523,7 +547,9 @@ func (m *Memory) newValuesFor(rec *Rec, initiator bool) []uint64 {
 // cell pointer, so a maximally stale helper — one that loaded the cell
 // before the transaction completed and released — can never clobber a later
 // transaction's write: the box it read has been replaced and its CAS fails.
-// allWritten cuts the phase short once some participant finished it.
+// allWritten cuts the phase short once some participant finished it. A nil
+// cell is replaced like any other box, and never restored: a 0 written over
+// it is an equal-value write, which keeps it.
 //
 // The initiating goroutine carves value boxes from the record's backing
 // chunk (one allocation amortized over boxChunk commits); helpers box
@@ -536,8 +562,8 @@ func (m *Memory) updateMemory(rec *Rec, newv []uint64, initiator bool) {
 			if rec.allWritten.Load() {
 				return
 			}
-			if *cur == newv[i] {
-				break // already installed (by us or a helper)
+			if BoxVal(cur) == newv[i] {
+				break // already installed (by us or a helper), or unchanged
 			}
 			var box *uint64
 			if initiator {

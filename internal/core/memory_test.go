@@ -76,6 +76,25 @@ func TestNewMemory(t *testing.T) {
 	}
 }
 
+// TestNewMemoryCellsNil pins construction: no per-word store, so every
+// cell is nil, every word's first box, and reads as 0.
+func TestNewMemoryCellsNil(t *testing.T) {
+	for _, kind := range EngineKinds() {
+		m, err := NewMemoryEngine(4096, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range m.words {
+			if box := m.LoadBox(i); box != nil {
+				t.Fatalf("%v: word %d starts with box %p (value %d), want nil", kind, i, box, *box)
+			}
+		}
+		if got := BoxVal(nil); got != 0 {
+			t.Fatalf("BoxVal(nil) = %d, want 0", got)
+		}
+	}
+}
+
 func TestValidateDataSet(t *testing.T) {
 	m := mustMemory(t, 10)
 	tests := []struct {
@@ -389,7 +408,7 @@ func TestHelpingDecidedRecordHealsOwnership(t *testing.T) {
 	done := armedRec(m, []int{1}, addFunc(0))
 	done.stable.Store(true)
 	done.status.Store(statusSuccess)
-	done.old[0].CompareAndSwap(nil, m.words[1].cell.Load())
+	done.old[0].Store(zeroOld) // word 1 was never written: nil agrees as the sentinel
 	done.allWritten.Store(true)
 	if !m.words[1].owner.CompareAndSwap(nil, done) {
 		t.Fatal("could not install decided owner")

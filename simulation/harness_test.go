@@ -84,7 +84,8 @@ func TestRunEndsAtOpCount(t *testing.T) {
 
 // TestSanityScenarioCaught pins the harness's own eyesight without the
 // suite wrapper: the planted two-transaction bug must surface as a
-// recorded violation on both engines.
+// recorded violation on both engines, and the flight dump frozen at the
+// violation must hold the events leading up to it.
 func TestSanityScenarioCaught(t *testing.T) {
 	seed := simrand.SeedForTest(t)
 	for _, eng := range stm.Engines() {
@@ -99,6 +100,9 @@ func TestSanityScenarioCaught(t *testing.T) {
 		}
 		if len(r.Violations) == 0 {
 			t.Errorf("engine %s: planted bug not caught", eng)
+		}
+		if !strings.Contains(r.Flight, "\n  ") {
+			t.Errorf("engine %s: violation's flight dump retains no event:\n%s", eng, r.Flight)
 		}
 	}
 }

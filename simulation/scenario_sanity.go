@@ -20,6 +20,14 @@ const (
 	sanityInitial  = int64(1_000)
 )
 
+// Flight-event kinds the sanity scenario records in its run's ring, one per
+// committed half of a transfer: Conn is the worker, A the account, B the
+// amount. They are what the violation dump shows the money doing.
+const (
+	sanityDebit uint16 = iota + 1
+	sanityCredit
+)
+
 type sanityScenario struct{}
 
 // Sanity returns the deliberately broken scenario.
@@ -72,12 +80,16 @@ func (sanityScenario) Run(env *Env) error {
 					return err
 				})
 				if err == nil && amt > 0 {
+					env.Flight().Record(sanityDebit, uint64(w), uint64(from), uint64(amt))
 					time.Sleep(200 * time.Microsecond) // widen the window
 					err = m.Atomically(func(tx *stm.DTx) error {
 						vb, _ := mp.GetTx(tx, to)
 						_, _, err := mp.PutTx(tx, to, vb+amt)
 						return err
 					})
+					if err == nil {
+						env.Flight().Record(sanityCredit, uint64(w), uint64(to), uint64(amt))
+					}
 				}
 				if err != nil {
 					return

@@ -307,8 +307,9 @@ func describeFlight(e stmobs.FlightEvent) string {
 
 // Flight returns the server's always-on flight recorder: the last
 // Config.FlightEvents batch/session events, dumpable via
-// DumpFlight. cmd/stmserve dumps it on SIGQUIT and the connection handler
-// dumps it on panic.
+// DumpFlight. cmd/stmserve registers it as the engine's Observer, so it
+// also keeps the engine's aborts and sampled commits, dumps it on SIGQUIT,
+// and the connection handler dumps it on panic.
 func (s *Server) Flight() *stmobs.FlightRecorder { return s.flight }
 
 // DumpFlight writes the flight recorder's retained events to w, oldest
