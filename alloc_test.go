@@ -2,7 +2,7 @@ package stm_test
 
 // Allocation regression tests for the pooled hot path, plus correctness
 // tests for the Into API surface and the record-recycling (seal/pin)
-// scheme under contention. The allocation assertions pin down the
+// scheme when transactions contend. The allocation assertions pin down the
 // zero-allocation contract documented in DESIGN.md §6: if a change makes a
 // fast path allocate again, these fail before any benchmark has to notice.
 
@@ -131,10 +131,9 @@ func TestAllocsReadAllInto(t *testing.T) {
 }
 
 func TestAllocsDefaultPolicyWithTelemetry(t *testing.T) {
-	// The contention subsystem's bookkeeping — per-word conflict counters,
-	// the pooled Conflict report, the policy hooks — must not cost the
-	// uncontended hot paths their zero-allocation contract. Checked on the
-	// policy a Memory ships with, on both engines.
+	// The retry driver's bookkeeping — per-word conflict counters, the
+	// operation's backoff — must not cost the uncontended hot paths their
+	// zero-allocation contract. Checked on both engines.
 	for _, eng := range stm.Engines() {
 		m, err := stm.New(8, stm.WithEngine(eng))
 		if err != nil {
@@ -150,14 +149,48 @@ func TestAllocsDefaultPolicyWithTelemetry(t *testing.T) {
 	}
 }
 
+func TestAllocsConflictBackoff(t *testing.T) {
+	// A conflicted operation waits on a backoff its retry loop holds by
+	// value, so the conflict costs no allocation. Here every Atomically
+	// fails once: a commit to the word it read lands after the read, the
+	// commit's validation finds it stale, and the operation backs off,
+	// re-executes and commits.
+	for _, eng := range stm.Engines() {
+		m := mustNewEngine(t, 8, eng)
+		bump := mustPrepare(t, m, []int{1})
+		inc := func(o, n []uint64) { n[0] = o[0] + 1 }
+		var runs uint64
+		stale := false
+		f := func(tx *stm.DTx) error {
+			v := tx.Read(1)
+			if stale {
+				stale = false
+				bump.RunInto(inc, nil)
+			}
+			tx.Write(2, v)
+			return nil
+		}
+		before := m.Stats()
+		assertAllocs(t, eng.String()+"/conflicted Atomically", 0, func() {
+			runs++
+			stale = true
+			if err := m.Atomically(f); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got, want := delta(before, m.Stats()), (counts{attempts: 3 * runs, failures: runs, commits: 2 * runs}); got != want {
+			t.Errorf("%s: attempts, failures, commits = %+v over %d operations, want %+v", eng, got, runs, want)
+		}
+	}
+}
+
 func TestAllocsAtomicallyDynamic(t *testing.T) {
 	// The dynamic layer's acceptance headline: an Atomically read-modify-
 	// write over two vars with a stable footprint — the steady state of a
 	// stable call site — is allocation-free with contention telemetry on.
 	// The pooled DTx's logs, staging buffers, and compiled-footprint
 	// buffers carry the whole operation; the commit rides the same pooled static
-	// path as a prepared Tx. Checked under the default policy on both
-	// engines.
+	// path as a prepared Tx. Checked on both engines.
 	for _, eng := range stm.Engines() {
 		name, opts := eng.String(), []stm.Option{stm.WithEngine(eng)}
 		m, err := stm.New(16, opts...)

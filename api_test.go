@@ -15,7 +15,7 @@ import (
 // update function. A method added here is a deliberate API change.
 var goldenMethods = map[reflect.Type]string{
 	reflect.TypeOf((*stm.Memory)(nil)): `AllocWords Atomically AtomicallyContext ConflictCount DebugString
-		Engine ObsLevel Observe OrElse OrElseContext Peek Policy Prepare ReadAllInto ResetStats
+		Engine ObsLevel Observe OrElse OrElseContext Peek Prepare ReadAllInto ResetStats
 		SetChaos Size Stats WordsAllocated WriteAll`,
 	reflect.TypeOf((*stm.Tx)(nil)):         `RunInto TryInto`,
 	reflect.TypeOf((*stm.DTx)(nil)):        `Footprint Memory OnAbort OnCommit Read Retry Write`,

@@ -95,7 +95,7 @@
 // ErrAddrRange, ErrDupAddr or ErrAddrOrder. Tx.TryInto is the paper's
 // StartTransaction: one attempt of an UpdateInto over the old values,
 // which on conflict helps the blocker and reports failure. Tx.RunInto
-// retries under the contention policy until it commits. Memory.WriteAll is
+// retries until it commits. Memory.WriteAll is
 // the atomic store of such a data set, with no update function to prepare;
 // Memory.ReadAllInto, its consistent read, is a read-only Atomically.
 //
@@ -108,9 +108,8 @@
 // # Choosing an engine
 //
 // The commit protocol itself is pluggable per Memory (WithEngine). Two
-// engines ship; every layer above — typed, dynamic, stmds, contention
-// policies — runs unchanged, and at the same zero-allocation contract,
-// on either:
+// engines ship; every layer above — typed, dynamic, stmds — runs
+// unchanged, and at the same zero-allocation contract, on either:
 //
 //   - stm.ST (the default) is the paper's cooperative-helping ownership
 //     protocol. Every static attempt acquires ownership of its whole data
@@ -124,7 +123,7 @@
 //     writes commit under short per-word locks, and read-only
 //     attempts commit with zero atomic read-modify-writes; the trade is
 //     that a preempted committer briefly blocks conflicting writers,
-//     which retry under the contention policy instead of helping. The
+//     which back off and retry instead of helping. The
 //     benchmark of record (go run ./benchmark) measures both engines on
 //     every workload.
 //
@@ -176,15 +175,13 @@
 // with blocking pops on Retry and zero-allocation steady-state command
 // handling. See cmd/stmserve for the binary and DESIGN.md §13.
 //
-// # Choosing a contention policy
+// # Retries
 //
 // A transaction that fails after helping its blocker retries after capped
-// exponential backoff, contention.ExpBackoff, the policy every Memory gets
-// by default. WithPolicy installs another contention.Policy; the seam exists
-// so that a test can watch or steer conflicts. A policy shapes only timing,
-// never correctness: every transaction inherits the protocol's non-blocking
-// helping. Live conflict telemetry — Stats, ConflictCount, windowed via
-// ResetStats — shows where transactions conflict.
+// exponential backoff with per-operation jitter, which shapes only timing,
+// never correctness. Live conflict telemetry — Stats, ConflictCount,
+// windowed via ResetStats, and EvAbort events to an Observer — shows where
+// transactions conflict.
 //
 // # Performance model
 //

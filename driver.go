@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 
-	"github.com/stm-go/stm/contention"
+	"github.com/stm-go/stm/internal/backoff"
 	"github.com/stm-go/stm/internal/core"
 )
 
@@ -13,11 +13,10 @@ import (
 // the commit of a dynamic DTx that wrote — describes the attempt it wants
 // as a staged value and hands it to the functions below: attempt arms an
 // engine record from the staged form and runs it once; contend (as run,
-// for a static operation) retries it under the contention policy and
-// closes the operation as committed. Nothing else in the package draws a
-// record or runs an attempt. The reads (ReadAllInto, Var.Load, a failed
-// Var.CompareAndSwap) are read-only dynamic transactions and never get
-// here. See DESIGN.md §6.
+// for a static operation) retries it, backing off between attempts, until
+// it commits. Nothing else in the package draws a record or runs an
+// attempt. The reads (ReadAllInto, Var.Load, a failed Var.CompareAndSwap)
+// are read-only dynamic transactions and never get here. See DESIGN.md §6.
 
 // op names the package-level calc an attempt evaluates, and with it which
 // of the staged parameters the record needs.
@@ -64,8 +63,8 @@ type staged struct {
 // attempt makes one engine attempt of st: it draws a record, arms it with
 // the data set, stages exactly the parameters st.op's calc reads, and runs
 // it. On commit the old values land in old (nil to discard them),
-// index-aligned with st.addrs. On failure info carries the engine's
-// conflict report.
+// index-aligned with st.addrs. On failure info, unless nil, carries the
+// engine's conflict report.
 func (m *Memory) attempt(st *staged, old []uint64, info *core.ConflictInfo) bool {
 	r := m.eng.Begin(len(st.addrs))
 	copy(r.Addrs(), st.addrs)
@@ -87,38 +86,36 @@ func (m *Memory) attempt(st *staged, old []uint64, info *core.ConflictInfo) bool
 	return m.eng.RunAttemptConflict(r, calcs[st.op], old, info)
 }
 
-// contend is the one contention loop: it attempts st until the engine
-// commits it, reporting each failure to the contention policy and waiting
-// out whatever deferral the policy imposes, and then closes the operation
-// with the policy as committed. c is the operation's report so far: nil,
-// unless the operation conflicted before it got here.
+// contend is the one retry loop: it attempts st until the engine commits
+// it, waiting on bo between a failed attempt and the next. bo is the
+// operation's backoff, which lasts as long as the operation does: run
+// declares it for a static operation, atomically for a dynamic one, across
+// all its speculation rounds. A failed attempt has already helped its
+// blocker to completion (ST) or met a lock its holder releases on its own
+// (TL2), so the wait only decides when to retry.
 //
 // A nil ctx is never cancelled. Otherwise ctx is checked between a failed
-// attempt and the policy's (possibly long) deferral — never before the
-// first attempt — so a cancelled caller returns promptly instead of
-// sleeping out one more wait; the operation is then closed as aborted, its
-// final failure counted, so the policy releases whatever it granted.
+// attempt and the wait — never before the first attempt — so a cancelled
+// caller returns promptly instead of sleeping out one more wait.
 //
 // A dynamic commit whose read list the engine found stale is the one
 // exception to retrying: re-attempting would validate the same stale reads
-// again, so contend notes the conflict once and returns errStaleRead with
-// the report still open, and atomically re-executes the speculation.
-func (m *Memory) contend(ctx context.Context, st *staged, old []uint64, c *contention.Conflict) (*contention.Conflict, error) {
+// again, so contend waits once and returns errStaleRead, and atomically
+// re-executes the speculation.
+func (m *Memory) contend(ctx context.Context, st *staged, old []uint64, bo *backoff.Exp) error {
 	var info core.ConflictInfo
 	for !m.attempt(st, old, &info) {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				m.abortFailed(c, &info)
-				return nil, err
+				return err
 			}
 		}
-		c = m.noteConflict(c, &info)
+		bo.Wait()
 		if info.ReadStale {
-			return c, errStaleRead
+			return errStaleRead
 		}
 	}
-	m.commitConflict(c)
-	return nil, nil
+	return nil
 }
 
 // errStaleRead is contend's report that a dynamic commit's read list went
@@ -129,5 +126,6 @@ var errStaleRead = errors.New("stm: a validated read is stale")
 // every static one: their entry points are argument checking plus a call
 // to run. A static operation has no context, so it always commits.
 func (m *Memory) run(st *staged, old []uint64) {
-	m.contend(nil, st, old, nil)
+	var bo backoff.Exp
+	m.contend(nil, st, old, &bo)
 }

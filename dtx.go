@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"slices"
 
-	"github.com/stm-go/stm/contention"
+	"github.com/stm-go/stm/internal/backoff"
 	"github.com/stm-go/stm/internal/core"
 )
 
@@ -109,10 +109,9 @@ type DTx struct {
 	exts, rechecked, stales, roCommits uint64
 	shard                              int
 
-	active    bool  // inside the transaction function
-	wrote     bool  // the execution buffered a write: the log needs the engine
-	staleAddr int   // address an extension found stale (sigStale)
-	err       error // error carried by sigAbort
+	active bool  // inside the transaction function
+	wrote  bool  // the execution buffered a write: the log needs the engine
+	err    error // error carried by sigAbort
 }
 
 // dtxSlot is one slot of the log index: a logged address and a ticket,
@@ -155,8 +154,8 @@ const dtxIdxMinBits = 6
 // discovered on the fly — the dynamic counterpart of Prepare, for
 // pointer-chasing work where the footprint depends on the data. f's reads
 // observe a consistent snapshot; its writes are buffered and installed
-// atomically (through the static engine, under the Memory's contention
-// policy) when f returns nil. If f returns an error the transaction aborts
+// atomically (through the static engine, retrying as a static transaction
+// does) when f returns nil. If f returns an error the transaction aborts
 // — no write reaches memory — and Atomically returns that error.
 //
 // A transaction that wrote nothing commits where its last read was
@@ -254,8 +253,8 @@ func (d *DTx) Read(addr int) uint64 {
 // before the new sample and still holds the word, its install yet to come,
 // leaves the old box in the cell; the raw compare passes, the install
 // lands, and no later fast-path read can notice, since the epoch that
-// commit moved is the one just adopted. A stale read reports false (with
-// staleAddr set) and Read unwinds the execution with sigStale.
+// commit moved is the one just adopted. A stale read reports false and Read
+// unwinds the execution with sigStale.
 //
 // atomically makes the same pass over an OrElse's merged log before a
 // read-only commit: the retried first branch's reads were admitted under an
@@ -271,7 +270,6 @@ func (d *DTx) extend() bool {
 		}
 		d.rechecked++
 		if d.m.eng.StableLoadBox(e.addr) != e.box {
-			d.staleAddr = e.addr
 			d.stales++
 			return false
 		}
@@ -520,7 +518,7 @@ func (d *DTx) speculate(f func(tx *DTx) error) (sig dtxSignal) {
 // no atomic left-priority OrElse execution produces. A word both
 // branches read must have shown them the same box; if not, the first
 // branch's retry decision is already stale and the whole operation
-// re-executes (mergeAlt reports false with staleAddr set).
+// re-executes (mergeAlt reports false).
 func (d *DTx) mergeAlt() bool {
 	for i, a := range d.altAddrs {
 		box := d.altBoxes[i]
@@ -529,7 +527,6 @@ func (d *DTx) mergeAlt() bool {
 			ent := &d.log[pos]
 			if ent.read {
 				if ent.box != box {
-					d.staleAddr = a
 					return false
 				}
 				continue
@@ -598,7 +595,7 @@ func (d *DTx) readSetChanged() bool {
 // the speculation, so a write that landed between speculation and this
 // check is seen immediately — no wakeup can be lost to the gap.
 func (d *DTx) waitReadSet(ctx context.Context) error {
-	bo := d.m.newCondBackoff()
+	var bo backoff.Exp
 	for !d.readSetChanged() {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -678,21 +675,11 @@ func (m *Memory) putDTx(d *DTx) {
 	m.dtxPool.Put(d)
 }
 
-// fail ends the operation with err: the policy report (if any conflict
-// opened one) closes as aborted and the final execution's OnAbort actions
+// fail ends the operation with err: the final execution's OnAbort actions
 // run.
-func (d *DTx) fail(c *contention.Conflict, err error) error {
-	d.m.abortConflict(c)
+func (d *DTx) fail(err error) error {
 	d.runAbortHooks()
 	return err
-}
-
-// noteStale reports a speculation that died before it had a footprint to
-// commit — a read found the snapshot stale — to the contention policy like
-// any other failed attempt.
-func (d *DTx) noteStale(c *contention.Conflict) *contention.Conflict {
-	info := core.ConflictInfo{Addr: d.staleAddr}
-	return d.m.noteConflict(c, &info)
 }
 
 // atomically is the speculation loop shared by Atomically, OrElse, and
@@ -702,15 +689,15 @@ func (d *DTx) noteStale(c *contention.Conflict) *contention.Conflict {
 // the operation returns without the engine. Any other round commits its
 // write set through the one static driver — acquire the written words in
 // ascending order, validate every word read, and install the buffered
-// values — and a stale read sends the round back to re-execute. One policy
-// report spans the whole operation: every failure — an ownership conflict
-// at commit, a stale speculative read, a validation miss — lands on it
-// through the same helpers the static forms use, so dynamic transactions
-// are first-class citizens of the policy's telemetry.
+// values — and a stale read sends the round back to re-execute. One backoff
+// spans the whole operation: every failure — an ownership conflict at
+// commit, a stale speculative read, a validation miss — waits on it, as a
+// static operation's failures do, until a Retry parks the operation; the
+// wake-up starts a fresh one.
 func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) error) error {
 	d := m.getDTx()
 	defer m.putDTx(d)
-	var c *contention.Conflict
+	var bo backoff.Exp
 	st := staged{op: opDyn, d: d} // addrs: each round's compiled footprint
 	for {
 		// Unlike the static forms, which always make their first attempt, a
@@ -718,7 +705,7 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 		// under a cancelled context.
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return d.fail(c, err)
+				return d.fail(err)
 			}
 		}
 		d.altAddrs = d.altAddrs[:0]
@@ -732,22 +719,19 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 		case sigAbort:
 			err := d.err
 			d.err = nil
-			return d.fail(c, err)
+			return d.fail(err)
 		case sigStale:
-			c = d.noteStale(c)
+			bo.Wait()
 			continue
 		case sigRetry:
 			if d.readCount() == 0 {
-				return d.fail(c, ErrRetryNoReads)
+				return d.fail(ErrRetryNoReads)
 			}
-			// Close the round's report before parking: a policy must
-			// never hold per-operation resources across an unbounded
-			// condition wait. The next conflict after the wakeup opens a
-			// fresh report.
-			m.commitConflict(c)
-			c = nil
+			// The park is a condition wait, not contention: the conflicts
+			// before it say nothing about the ones after the wake-up.
+			bo = backoff.Exp{}
 			if err := d.waitReadSet(ctx); err != nil {
-				return d.fail(nil, err)
+				return d.fail(err)
 			}
 			continue
 		}
@@ -760,16 +744,13 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 		// returns on it, a writing one hands it to the engine as the sample
 		// its read-only words were taken under.
 		if len(d.altAddrs) > 0 && (!d.mergeAlt() || !d.extend()) {
-			c = d.noteStale(c)
+			bo.Wait()
 			continue
 		}
 		if !d.wrote {
 			// Nothing written: the transaction is already committed, at the
 			// instant its last read was admitted, and no engine attempt
-			// runs. The operation still closes like any commit: a report
-			// its stale rounds opened goes to the policy, and the deferred
-			// commit actions run.
-			m.commitConflict(c)
+			// runs. The deferred commit actions run as after any commit.
 			d.roCommits++
 			d.runCommitHooks()
 			return nil
@@ -777,12 +758,11 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 		d.compileFootprint()
 		st.addrs = d.fpSorted
 		// Ownership conflicts re-attempt the same write set; a stale read
-		// list comes back noted, for a fresh speculation.
-		var err error
-		if c, err = m.contend(ctx, &st, nil, c); err == errStaleRead {
+		// list comes back for a fresh speculation.
+		if err := m.contend(ctx, &st, nil, &bo); err == errStaleRead {
 			continue
 		} else if err != nil {
-			return d.fail(nil, err)
+			return d.fail(err)
 		}
 		d.runCommitHooks()
 		return nil

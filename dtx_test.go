@@ -2,8 +2,8 @@ package stm_test
 
 // Tests for the dynamic transaction layer (Atomically / OrElse / Retry):
 // basic read/write semantics, opacity of the speculative snapshot,
-// footprint-growth re-execution, blocking composition, contention-policy
-// integration, and — under the race detector — a linked-list transfer
+// footprint-growth re-execution, blocking composition, conflict counts,
+// and — under the race detector — a linked-list transfer
 // workload whose conservation property any torn read, lost wakeup, or
 // stale helper would violate.
 
@@ -454,18 +454,13 @@ func TestAtomicallyContextCancel(t *testing.T) {
 	}
 }
 
-func TestDynamicConflictsReportToPolicy(t *testing.T) {
-	// A dynamic transaction whose validation fails must flow through the
-	// contention policy exactly like a static conflict: OnConflict for the
-	// failed round, OnCommit when the operation finally lands. The Swap
-	// that invalidates the read never conflicts, so it never reaches the
-	// policy.
-	rec := &recordingPolicy{}
-	m, err := stm.New(8, stm.WithPolicy(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestDynamicConflictsCounted(t *testing.T) {
+	// A dynamic transaction whose validation fails is a failed attempt like
+	// a static conflict, and is retried until the operation lands. The Swap
+	// that invalidates the read is a commit of its own.
+	m := mustNew(t, 8)
 	calls := 0
+	before := m.Stats()
 	if err := m.Atomically(func(tx *stm.DTx) error {
 		calls++
 		v := tx.Read(2)
@@ -477,13 +472,14 @@ func TestDynamicConflictsReportToPolicy(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if nc, ncm, na := rec.counts(); nc != 1 || ncm != 1 || na != 0 {
-		t.Errorf("policy saw %d conflicts / %d commits / %d aborts, want 1/1/0 (validation failure is contention)", nc, ncm, na)
+	if got, want := delta(before, m.Stats()), (counts{attempts: 3, failures: 1, commits: 2}); got != want || calls != 2 {
+		t.Errorf("attempts, failures, commits = %+v over %d executions, want %+v over 2", got, calls, want)
 	}
-	// An aborted dynamic operation (user error after a conflict) releases
-	// through OnAbort.
+	// An operation that fails and then aborts (a user error on the
+	// re-execution) commits nothing of its own.
 	calls = 0
 	boom := errors.New("boom")
+	before = m.Stats()
 	if err := m.Atomically(func(tx *stm.DTx) error {
 		calls++
 		v := tx.Read(2)
@@ -496,73 +492,8 @@ func TestDynamicConflictsReportToPolicy(t *testing.T) {
 	}); !errors.Is(err, boom) {
 		t.Fatal(err)
 	}
-	if nc, ncm, na := rec.counts(); nc != 2 || ncm != 1 || na != 1 {
-		t.Errorf("policy saw %d conflicts / %d commits / %d aborts in all, want 2/1/1", nc, ncm, na)
-	}
-}
-
-func TestRetryReleasesPolicyBeforeParking(t *testing.T) {
-	// A Retry park is unbounded, so the round's contention-policy
-	// resources must be released before the wait. The operation below conflicts once (opening a policy
-	// report), then parks; the report must be closed (an OnCommit) while
-	// it is still parked, not when it finally commits.
-	rec := &recordingPolicy{}
-	m, err := stm.New(8, stm.WithPolicy(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	done := make(chan error, 1)
-	go func() {
-		done <- m.Atomically(func(tx *stm.DTx) error {
-			calls++
-			v := tx.Read(1)
-			if calls == 1 {
-				// Invalidate our own read so the first round conflicts.
-				swapWord(m, 1, v+1)
-				tx.Write(2, v)
-				return nil
-			}
-			if tx.Read(0) == 0 {
-				tx.Retry()
-			}
-			tx.Write(2, tx.Read(0))
-			return nil
-		})
-	}()
-	// While the operation is parked: exactly one conflict (the validation
-	// failure) and one commit, the park-time release of the operation's
-	// report. The Swaps never conflict, so they never reach the policy.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		nc, ncm, na := rec.counts()
-		if nc+ncm+na >= 2 {
-			if nc != 1 || ncm != 1 || na != 0 {
-				t.Fatalf("parked operation: %d conflicts / %d commits / %d aborts, want 1/1/0", nc, ncm, na)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("parked operation still holds its policy report: %d conflicts / %d commits, want 1 / 1", nc, ncm)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case err := <-done:
-		t.Fatalf("operation committed before the flag was set (err=%v)", err)
-	default:
-	}
-	swapWord(m, 0, 9)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Peek(2); got != 9 {
-		t.Errorf("word 2 = %d, want 9", got)
-	}
-	// Woken, the operation commits cleanly: its report is already closed,
-	// and nothing more reaches the policy.
-	if nc, ncm, na := rec.counts(); nc != 1 || ncm != 1 || na != 0 {
-		t.Errorf("after the wakeup: %d conflicts / %d commits / %d aborts, want 1/1/0", nc, ncm, na)
+	if got, want := delta(before, m.Stats()), (counts{attempts: 2, failures: 1, commits: 1}); got != want {
+		t.Errorf("aborted operation: attempts, failures, commits = %+v, want %+v", got, want)
 	}
 }
 

@@ -1,9 +1,6 @@
 package stm
 
-import (
-	"github.com/stm-go/stm/contention"
-	"github.com/stm-go/stm/internal/core"
-)
+import "github.com/stm-go/stm/internal/core"
 
 // Hot-path plumbing: what an allocation-free attempt is made of.
 //
@@ -25,28 +22,6 @@ import (
 // produce identical values.
 type UpdateInto func(old, new []uint64)
 
-// The Memory's confPool recycles contention.Conflict reports so the policy
-// hooks cost no allocation in steady state: one report accompanies one
-// logical operation (a retry loop, or a single TryInto) and returns to the
-// pool when the operation commits or aborts. Reports cannot ride the record
-// scratch — an operation spans many pooled records — so they pool
-// independently.
-
-// getConflict returns a zeroed report for an operation's first conflict.
-func (m *Memory) getConflict() *contention.Conflict {
-	if c, ok := m.confPool.Get().(*contention.Conflict); ok {
-		return c
-	}
-	return &contention.Conflict{}
-}
-
-// putConflict recycles a report, dropping any policy state it accumulated
-// so an idle pooled report retains nothing of its last operation.
-func (m *Memory) putConflict(c *contention.Conflict) {
-	*c = contention.Conflict{}
-	m.confPool.Put(c)
-}
-
 // getWordBuf returns a pooled staging buffer of length k. Typed Var
 // operations stage encoded words here: a stack buffer would escape through
 // the codec's interface method calls, so pooling is what keeps Store and
@@ -63,63 +38,6 @@ func (m *Memory) getWordBuf(k int) *[]uint64 {
 }
 
 func (m *Memory) putWordBuf(p *[]uint64) { m.bufPool.Put(p) }
-
-// The policy protocol of one logical operation, as the driver speaks it: at
-// most one report per operation, created on its first conflict, fed to
-// OnConflict once per deferred failure with Attempts counting them, and
-// closed by exactly one OnCommit or OnAbort, after which it returns to the
-// pool. An operation that never conflicted never reaches the policy.
-
-// failedAttempt counts a failed attempt on the operation's report —
-// creating the report on the first one — and copies the address the
-// engine says it died at (info must be the ConflictInfo the failed attempt
-// filled).
-func (m *Memory) failedAttempt(c *contention.Conflict, info *core.ConflictInfo) *contention.Conflict {
-	if c == nil {
-		c = m.getConflict()
-	}
-	c.Attempts++
-	c.Addr = info.Addr
-	return c
-}
-
-// noteConflict reports a failed attempt that will be retried to the
-// contention policy and blocks for however long the policy defers the
-// retry.
-func (m *Memory) noteConflict(c *contention.Conflict, info *core.ConflictInfo) *contention.Conflict {
-	c = m.failedAttempt(c, info)
-	m.pol.OnConflict(c)
-	return c
-}
-
-// abortFailed closes an operation whose last attempt failed and will not be
-// retried — the caller owns the retry decision (TryInto) or gave up
-// (a cancelled context): the policy is told the operation ended, with that
-// final failure counted, without being asked to defer anything.
-func (m *Memory) abortFailed(c *contention.Conflict, info *core.ConflictInfo) {
-	m.abortConflict(m.failedAttempt(c, info))
-}
-
-// commitConflict closes an operation as committed. A nil report means the
-// operation never conflicted, and there is nothing to close.
-func (m *Memory) commitConflict(c *contention.Conflict) {
-	if c == nil {
-		return
-	}
-	m.pol.OnCommit(c)
-	m.putConflict(c)
-}
-
-// abortConflict closes an operation that ends without committing and
-// without a further failed attempt to count (a dynamic transaction's user
-// error, say). An operation that never conflicted has nothing to close.
-func (m *Memory) abortConflict(c *contention.Conflict) {
-	if c == nil {
-		return
-	}
-	m.pol.OnAbort(c)
-	m.putConflict(c)
-}
 
 // scratch is the per-record parameter block for the package-level calc
 // functions. It persists across pool cycles attached to a record's Env, so

@@ -1,6 +1,7 @@
-// Package backoff provides capped exponential backoff with deterministic
-// per-goroutine jitter, used by the stm package's retry waits. It is
-// allocation-free after construction.
+// Package backoff is the wait between the stm package's retries: capped
+// exponential backoff with per-operation jitter. An Exp is a value, ready
+// at its zero value, so the retry loop that owns it keeps it on its stack
+// and waiting allocates nothing.
 package backoff
 
 import (
@@ -10,73 +11,49 @@ import (
 	"github.com/stm-go/stm/internal/xrand"
 )
 
-// Min and Max are the wait bounds of every retry in the stm package: the
-// default contention policy's backoff after a conflict and a DTx.Retry's
-// condition wait both start at Min and double to at most Max.
+// Min and Max bound the sleeps of every retry in the stm package, after a
+// conflict and in a DTx.Retry's condition wait alike: the first sleep is
+// about Min, each later one doubles, up to Max.
 const (
 	Min = 500 * time.Nanosecond
 	Max = 100 * time.Microsecond
 )
 
-// Exp is a capped exponential backoff. The zero value is invalid; use New.
-// Exp is not safe for concurrent use — each goroutine owns its own.
+// spins is how many Waits of an Exp are short busy spins before it starts
+// to sleep.
+const spins = 8
+
+// Exp is a capped exponential backoff. The zero value is ready to use. An
+// Exp belongs to one goroutine; each operation declares its own.
 type Exp struct {
-	cur   time.Duration
-	min   time.Duration
-	max   time.Duration
-	rng   xrand.RNG // the jitter stream, held by value: New allocates only the Exp
-	spins int
+	waits int           // Waits so far
+	cur   time.Duration // the next sleep's mean; 0 until the first sleep
+	rng   xrand.RNG     // the jitter stream, seeded by the first Wait
 }
 
-// New returns a backoff that starts at min and doubles to at most max.
-// seed decorrelates concurrent goroutines; any value is fine.
-func New(min, max time.Duration, seed uint64) *Exp {
-	if min <= 0 {
-		min = time.Microsecond
-	}
-	if max < min {
-		max = min
-	}
-	return &Exp{cur: min, min: min, max: max, rng: *xrand.New(seed), spins: 8}
-}
-
-// seedSeq feeds NewSeeded one distinct seed per call.
+// seedSeq hands each Exp's first Wait a distinct jitter seed: concurrent
+// operations never share a stream, because splitmix64 mixes adjacent seeds
+// into unrelated ones.
 var seedSeq atomic.Uint64
 
-// NewSeeded is New(Min, Max, seed) with a process-wide distinct seed: each
-// call —
-// including fully concurrent calls — takes the next value of one atomic
-// counter, so goroutines that construct their backoff at the same instant
-// never share a jitter stream (splitmix64 mixes adjacent seeds into
-// unrelated streams). Prefer this over hand-rolling seeds from time or
-// goroutine-local state.
-func NewSeeded() *Exp {
-	return New(Min, Max, seedSeq.Add(1))
-}
-
-// Wait blocks for the current backoff interval (with ±50% jitter) and then
-// doubles it, saturating at the configured maximum. The first few waits are
-// busy spins, which wins on short conflicts.
+// Wait blocks for the current backoff interval and then doubles it. The
+// first eight waits are busy spins, which wins on short conflicts; after
+// them each sleep lasts the interval with ±50% jitter, starting at Min and
+// saturating at Max.
 func (b *Exp) Wait() {
-	if b.spins > 0 {
-		b.spins--
+	if b.waits == 0 {
+		b.rng = *xrand.New(seedSeq.Add(1))
+	}
+	b.waits++
+	if b.waits <= spins {
 		for i := 0; i < 64; i++ {
 			_ = i
 		}
 		return
 	}
-	jitter := time.Duration(b.rng.Int63n(int64(b.cur)))
-	time.Sleep(b.cur/2 + jitter)
-	if b.cur < b.max {
-		b.cur *= 2
-		if b.cur > b.max {
-			b.cur = b.max
-		}
+	if b.cur == 0 {
+		b.cur = Min
 	}
-}
-
-// Reset returns the backoff to its initial interval. Call after a success.
-func (b *Exp) Reset() {
-	b.cur = b.min
-	b.spins = 8
+	time.Sleep(b.cur/2 + time.Duration(b.rng.Int63n(int64(b.cur))))
+	b.cur = min(2*b.cur, Max)
 }

@@ -8,57 +8,41 @@ import (
 	"github.com/stm-go/stm/internal/xrand"
 )
 
-func TestNewClampsArguments(t *testing.T) {
-	b := New(0, -1, 1)
-	if b.min <= 0 || b.max < b.min {
-		t.Errorf("bad clamping: min=%v max=%v", b.min, b.max)
-	}
-}
-
 func TestWaitDoublesAndSaturates(t *testing.T) {
-	b := New(time.Microsecond, 8*time.Microsecond, 1)
-	b.spins = 0 // skip the spin phase for this test
+	b := Exp{waits: spins} // skip the spin phase for this test
+	want := Min
 	for i := 0; i < 10; i++ {
 		b.Wait()
+		want = min(2*want, Max)
+		if b.cur != want {
+			t.Fatalf("after sleep %d cur = %v, want %v", i+1, b.cur, want)
+		}
 	}
-	if b.cur != 8*time.Microsecond {
-		t.Errorf("cur = %v, want saturation at 8µs", b.cur)
-	}
-}
-
-func TestResetRestoresInitialState(t *testing.T) {
-	b := New(time.Microsecond, time.Millisecond, 2)
-	b.spins = 0
-	for i := 0; i < 5; i++ {
-		b.Wait()
-	}
-	b.Reset()
-	if b.cur != b.min {
-		t.Errorf("cur after Reset = %v, want %v", b.cur, b.min)
-	}
-	if b.spins == 0 {
-		t.Error("spin budget not restored by Reset")
+	if b.cur != Max {
+		t.Errorf("cur = %v, want saturation at %v", b.cur, Max)
 	}
 }
 
 func TestFirstWaitsSpin(t *testing.T) {
-	b := New(time.Millisecond, time.Second, 3)
-	start := time.Now()
-	for i := 0; i < 8; i++ {
-		b.Wait() // spin phase: must not sleep a millisecond
+	var b Exp
+	for i := 0; i < spins; i++ {
+		b.Wait()
+		if b.cur != 0 {
+			t.Fatalf("wait %d slept (cur = %v); the first %d waits spin", i+1, b.cur, spins)
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Errorf("spin phase took %v; expected busy spins", elapsed)
+	b.Wait()
+	if b.cur != 2*Min {
+		t.Errorf("cur after the first sleep = %v, want %v", b.cur, 2*Min)
 	}
 }
 
 func TestJitterWithinBounds(t *testing.T) {
-	b := New(100*time.Microsecond, 100*time.Microsecond, 7)
-	b.spins = 0
+	b := Exp{waits: spins, cur: Max}
 	start := time.Now()
 	b.Wait()
 	elapsed := time.Since(start)
-	// Sleep is cur/2 + jitter∈[0,cur): between 50µs and ~200µs plus
+	// Sleep is cur/2 + jitter∈[0,cur): between 50µs and ~150µs plus
 	// scheduler slop.
 	if elapsed < 40*time.Microsecond {
 		t.Errorf("wait too short: %v", elapsed)
@@ -68,10 +52,10 @@ func TestJitterWithinBounds(t *testing.T) {
 	}
 }
 
-func TestNewSeededConcurrentDecorrelation(t *testing.T) {
-	// Backoffs constructed concurrently must all start distinct jitter
-	// streams: no two may share an rng state, even when constructed at the
-	// same instant from many goroutines.
+func TestConcurrentSeedsDecorrelate(t *testing.T) {
+	// Backoffs first waited on concurrently must all start distinct jitter
+	// streams: no two may share an rng state, even when seeded at the same
+	// instant from many goroutines.
 	const n = 64
 	states := make([]xrand.RNG, n)
 	var wg sync.WaitGroup
@@ -79,7 +63,9 @@ func TestNewSeededConcurrentDecorrelation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			states[i] = NewSeeded().rng
+			var b Exp
+			b.Wait()
+			states[i] = b.rng
 		}(i)
 	}
 	wg.Wait()
@@ -93,8 +79,15 @@ func TestNewSeededConcurrentDecorrelation(t *testing.T) {
 }
 
 func TestDeterministicJitterPerSeed(t *testing.T) {
-	a, b := New(time.Microsecond, time.Second, 9), New(time.Microsecond, time.Second, 9)
-	c := New(time.Microsecond, time.Second, 10)
+	// An Exp's jitter stream is a function of the seed its first Wait
+	// draws: the same seed replays the same stream, the next one differs.
+	seeded := func(seed uint64) *Exp {
+		seedSeq.Store(seed - 1)
+		b := new(Exp)
+		b.Wait()
+		return b
+	}
+	a, b, c := seeded(9), seeded(9), seeded(10)
 	for i := 0; i < 20; i++ {
 		if a.rng != b.rng {
 			t.Fatalf("same seed, draw %d: generator states %+v and %+v differ", i, a.rng, b.rng)

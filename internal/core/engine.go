@@ -23,7 +23,7 @@ import (
 // its old values commits with no atomic read-modify-write at all, which
 // EngineST cannot offer. The trade-off is liveness: TL2 commits hold
 // locks, so a preempted committer briefly blocks conflicting writers (they
-// fail and defer to the contention policy) instead of being helped. A
+// fail, back off and retry) instead of being helped. A
 // transaction that writes nothing — every read of the stm package — makes
 // no attempt on either engine. See DESIGN.md §11.
 type Engine interface {
@@ -188,7 +188,7 @@ func (e *stEngine) StableLoadBox(loc int) *uint64 { return e.m.stStableLoadBox(l
 
 // failAttempt ends an attempt that died at the word at describes: it charges
 // the word's conflict counter, records the abort taxonomy entry, and fills
-// the caller's conflict report with at — the policy's ConflictInfo and the
+// the caller's conflict report with at — the driver's ConflictInfo and the
 // obs seam's reason come from the same failure site, so the two surfaces
 // can never disagree.
 func (m *Memory) failAttempt(rec *Rec, info *ConflictInfo, at ConflictInfo, reason AbortReason) bool {

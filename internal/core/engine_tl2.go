@@ -46,8 +46,8 @@ import (
 // window (see DESIGN.md §11 for the full opacity argument).
 //
 // What TL2 gives up is ST's helping: a preempted lock holder briefly blocks
-// conflicting commits, which fail their attempts and defer to the
-// contention policy rather than completing the blocker's work. The
+// conflicting commits, which fail their attempts and back off before
+// retrying rather than completing the blocker's work. The
 // obstruction is bounded by the (short) lock→validate→write-back window,
 // and StableLoadBox waits it out with a yield loop.
 
@@ -156,7 +156,7 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 		m.obsEmit(rec, EvLock, -1, writes)
 	}
 	// Chaos injection: stall with the commit locks held, clock untouched.
-	// Conflicting writers fail at their lock CAS and defer to the policy;
+	// Conflicting writers fail at their lock CAS and back off;
 	// invisible readers of the locked words fail admission.
 	if m.chaosOn.Load() != 0 {
 		m.chaosFire(ChaosTL2PostLock, rec.addrs, writes)

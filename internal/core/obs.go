@@ -35,11 +35,12 @@ import (
 // The clock is never read for the other attempts, because a read on every
 // attempt costs a measurable share of a sub-microsecond commit.
 //
-// The contention policy and this seam are two consumers of the same
-// engine-side conflict report: an engine failure site fills the caller's
-// ConflictInfo (feeding contention.Policy) and records the abort reason on
-// the record (feeding the taxonomy and the EvAbort event) in the same
-// breath, so the two surfaces can never disagree about why an attempt died.
+// The retry driver and this seam are two consumers of the same engine-side
+// conflict report: an engine failure site fills the caller's ConflictInfo
+// (telling the driver whether a dynamic commit's reads went stale) and
+// records the abort reason on the record (feeding the taxonomy and the
+// EvAbort event) in the same breath, so the two can never disagree about
+// why an attempt died.
 
 // ObsLevel selects how much the observability seam records. Levels are
 // cumulative: each includes everything below it.

@@ -95,8 +95,8 @@ func (m *Memory) RunAttempt(rec *Rec, calc CalcFunc, oldOut []uint64) bool {
 
 // ConflictInfo describes why an attempt failed: the word it died at —
 // whose ownership or lock could not be acquired, or that failed validation.
-// It is filled by RunAttemptConflict on the failure path so contention
-// policies can be fed without retaining the (recycled) record.
+// It is filled by RunAttemptConflict on the failure path, so the caller can
+// tell why an attempt failed without retaining the (recycled) record.
 type ConflictInfo struct {
 	// Index is the position within the sorted data set at which
 	// acquisition or validation failed; Addr is the corresponding word

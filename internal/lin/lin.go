@@ -13,6 +13,7 @@ package lin
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -20,7 +21,7 @@ import (
 // OpKind identifies an operation of the sequential specification.
 type OpKind int
 
-// Operation kinds understood by the built-in word model.
+// Operation kinds understood by WordModel.
 const (
 	OpRead OpKind = iota + 1
 	OpWrite
@@ -92,13 +93,17 @@ func (r *Recorder) History() History {
 	return out
 }
 
-// Model is a sequential specification over a single uint64 state.
+// Model is a sequential specification. Its state is opaque to the search,
+// so one checker serves a word, a queue or a map key alike.
 type Model struct {
 	// Init is the initial state.
-	Init uint64
+	Init any
 	// Step applies op to state, returning the next state and the return
-	// value a correct implementation must produce.
-	Step func(state uint64, op Op) (next uint64, ret uint64)
+	// value a correct implementation must produce; ok is false for an
+	// operation the specification does not know.
+	Step func(state any, op Op) (next any, ret uint64, ok bool)
+	// Key encodes a state uniquely; it drives memoization.
+	Key func(state any) string
 }
 
 // WordModel is the sequential specification of a single shared word
@@ -106,25 +111,27 @@ type Model struct {
 func WordModel(init uint64) Model {
 	return Model{
 		Init: init,
-		Step: func(s uint64, op Op) (uint64, uint64) {
+		Step: func(state any, op Op) (any, uint64, bool) {
+			s := state.(uint64)
 			switch op.Kind {
 			case OpRead:
-				return s, s
+				return s, s, true
 			case OpWrite:
-				return op.Arg, 0
+				return op.Arg, 0, true
 			case OpSwap:
-				return op.Arg, s
+				return op.Arg, s, true
 			case OpCAS:
 				if s == op.Arg {
-					return op.Arg2, 1
+					return op.Arg2, 1, true
 				}
-				return s, 0
+				return s, 0, true
 			case OpAdd:
-				return s + op.Arg, s
+				return s + op.Arg, s, true
 			default:
-				return s, 0
+				return s, 0, false
 			}
 		},
+		Key: func(state any) string { return strconv.FormatUint(state.(uint64), 10) },
 	}
 }
 
@@ -140,19 +147,19 @@ func Check(h History, m Model) bool {
 	}
 	// failed memoizes (remaining-set, state) pairs proven unlinearizable.
 	type cfg struct {
-		mask  uint64
-		state uint64
+		mask uint64
+		key  string
 	}
 	failed := make(map[cfg]bool)
 
 	full := uint64(1)<<uint(n) - 1
 
-	var search func(mask uint64, state uint64) bool
-	search = func(mask, state uint64) bool {
+	var search func(mask uint64, state any) bool
+	search = func(mask uint64, state any) bool {
 		if mask == 0 {
 			return true
 		}
-		c := cfg{mask, state}
+		c := cfg{mask, m.Key(state)}
 		if failed[c] {
 			return false
 		}
@@ -177,8 +184,8 @@ func Check(h History, m Model) bool {
 			if !minimal {
 				continue
 			}
-			next, ret := m.Step(state, h[i].Op)
-			if ret != h[i].Ret {
+			next, ret, ok := m.Step(state, h[i].Op)
+			if !ok || ret != h[i].Ret {
 				continue
 			}
 			if search(mask&^bit, next) {

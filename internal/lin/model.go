@@ -12,10 +12,6 @@ const (
 	// OpDeq dequeues; Ret is the value, or EmptyRet if the container was
 	// empty.
 	OpDeq
-	// OpPush pushes Arg onto a stack; Ret is 1 if accepted, 0 if full.
-	OpPush
-	// OpPop pops from a stack; Ret is the value, or EmptyRet if empty.
-	OpPop
 	// OpPut maps the fixed key to Arg; Ret is the previous value, or
 	// EmptyRet if the key was absent.
 	OpPut
@@ -28,74 +24,6 @@ const (
 
 // EmptyRet is the return value encoding "container was empty".
 const EmptyRet = ^uint64(0)
-
-// GModel is a sequential specification with opaque state, for objects whose
-// state does not fit in one word. Key must uniquely encode a state (it
-// drives memoization).
-type GModel struct {
-	Init interface{}
-	Step func(state interface{}, op Op) (next interface{}, ret uint64, ok bool)
-	Key  func(state interface{}) string
-}
-
-// CheckG reports whether h is linearizable with respect to m. Histories of
-// more than 64 operations are rejected.
-func CheckG(h History, m GModel) bool {
-	n := len(h)
-	if n == 0 {
-		return true
-	}
-	if n > 64 {
-		return false
-	}
-	type cfg struct {
-		mask uint64
-		key  string
-	}
-	failed := make(map[cfg]bool)
-	full := uint64(1)<<uint(n) - 1
-
-	var search func(mask uint64, state interface{}) bool
-	search = func(mask uint64, state interface{}) bool {
-		if mask == 0 {
-			return true
-		}
-		c := cfg{mask, m.Key(state)}
-		if failed[c] {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			bit := uint64(1) << uint(i)
-			if mask&bit == 0 {
-				continue
-			}
-			minimal := true
-			for j := 0; j < n; j++ {
-				jbit := uint64(1) << uint(j)
-				if j == i || mask&jbit == 0 {
-					continue
-				}
-				if h[j].Res < h[i].Inv {
-					minimal = false
-					break
-				}
-			}
-			if !minimal {
-				continue
-			}
-			next, ret, ok := m.Step(state, h[i].Op)
-			if !ok || ret != h[i].Ret {
-				continue
-			}
-			if search(mask&^bit, next) {
-				return true
-			}
-		}
-		failed[c] = true
-		return false
-	}
-	return search(full, m.Init)
-}
 
 // queueState is an immutable FIFO snapshot.
 type queueState []uint64
@@ -113,10 +41,10 @@ func encodeVals(vals []uint64) string {
 
 // QueueModel is the sequential specification of a bounded FIFO queue with
 // the given capacity, for OpEnq/OpDeq histories.
-func QueueModel(capacity int) GModel {
-	return GModel{
+func QueueModel(capacity int) Model {
+	return Model{
 		Init: queueState(nil),
-		Step: func(state interface{}, op Op) (interface{}, uint64, bool) {
+		Step: func(state any, op Op) (any, uint64, bool) {
 			q := state.(queueState)
 			switch op.Kind {
 			case OpEnq:
@@ -138,7 +66,7 @@ func QueueModel(capacity int) GModel {
 				return q, 0, false
 			}
 		},
-		Key: func(state interface{}) string { return encodeVals(state.(queueState)) },
+		Key: func(state any) string { return encodeVals(state.(queueState)) },
 	}
 }
 
@@ -151,10 +79,10 @@ type mapCell struct {
 // MapModel is the sequential specification of a single map key supporting
 // put, get, and delete, for OpPut/OpGet/OpDel histories. Absence is
 // reported as EmptyRet, so EmptyRet must not be used as a stored value.
-func MapModel() GModel {
-	return GModel{
+func MapModel() Model {
+	return Model{
 		Init: mapCell{},
-		Step: func(state interface{}, op Op) (interface{}, uint64, bool) {
+		Step: func(state any, op Op) (any, uint64, bool) {
 			c := state.(mapCell)
 			prev := EmptyRet
 			if c.present {
@@ -171,43 +99,12 @@ func MapModel() GModel {
 				return c, 0, false
 			}
 		},
-		Key: func(state interface{}) string {
+		Key: func(state any) string {
 			c := state.(mapCell)
 			if !c.present {
 				return "-"
 			}
 			return strconv.FormatUint(c.val, 10)
 		},
-	}
-}
-
-// StackModel is the sequential specification of a bounded LIFO stack with
-// the given capacity, for OpPush/OpPop histories.
-func StackModel(capacity int) GModel {
-	return GModel{
-		Init: queueState(nil),
-		Step: func(state interface{}, op Op) (interface{}, uint64, bool) {
-			s := state.(queueState)
-			switch op.Kind {
-			case OpPush:
-				if len(s) >= capacity {
-					return s, 0, true
-				}
-				next := make(queueState, len(s)+1)
-				copy(next, s)
-				next[len(s)] = op.Arg
-				return next, 1, true
-			case OpPop:
-				if len(s) == 0 {
-					return s, EmptyRet, true
-				}
-				next := make(queueState, len(s)-1)
-				copy(next, s[:len(s)-1])
-				return next, s[len(s)-1], true
-			default:
-				return s, 0, false
-			}
-		},
-		Key: func(state interface{}) string { return encodeVals(state.(queueState)) },
 	}
 }

@@ -10,7 +10,7 @@ func TestQueueModelSequential(t *testing.T) {
 		mkEntry(0, Op{Kind: OpDeq}, 7, 7, 8),
 		mkEntry(0, Op{Kind: OpDeq}, EmptyRet, 9, 10),
 	}
-	if !CheckG(h, QueueModel(4)) {
+	if !Check(h, QueueModel(4)) {
 		t.Error("valid FIFO history rejected")
 	}
 }
@@ -21,7 +21,7 @@ func TestQueueModelFIFOViolation(t *testing.T) {
 		mkEntry(0, Op{Kind: OpEnq, Arg: 7}, 1, 3, 4),
 		mkEntry(0, Op{Kind: OpDeq}, 7, 5, 6), // LIFO order: invalid for a queue
 	}
-	if CheckG(h, QueueModel(4)) {
+	if Check(h, QueueModel(4)) {
 		t.Error("LIFO dequeue accepted by the queue model")
 	}
 }
@@ -31,14 +31,14 @@ func TestQueueModelCapacity(t *testing.T) {
 		mkEntry(0, Op{Kind: OpEnq, Arg: 1}, 1, 1, 2),
 		mkEntry(0, Op{Kind: OpEnq, Arg: 2}, 0, 3, 4), // full at capacity 1
 	}
-	if !CheckG(h, QueueModel(1)) {
+	if !Check(h, QueueModel(1)) {
 		t.Error("full-rejection history rejected")
 	}
 	bad := History{
 		mkEntry(0, Op{Kind: OpEnq, Arg: 1}, 1, 1, 2),
 		mkEntry(0, Op{Kind: OpEnq, Arg: 2}, 1, 3, 4), // impossible accept
 	}
-	if CheckG(bad, QueueModel(1)) {
+	if Check(bad, QueueModel(1)) {
 		t.Error("over-capacity accept allowed")
 	}
 }
@@ -52,35 +52,14 @@ func TestQueueModelConcurrentAmbiguity(t *testing.T) {
 		mkEntry(0, Op{Kind: OpDeq}, 20, 7, 8),
 		mkEntry(0, Op{Kind: OpDeq}, 10, 9, 10),
 	}
-	if !CheckG(h, QueueModel(4)) {
+	if !Check(h, QueueModel(4)) {
 		t.Error("valid resolution of concurrent enqueues rejected")
-	}
-}
-
-func TestStackModelSequential(t *testing.T) {
-	h := History{
-		mkEntry(0, Op{Kind: OpPush, Arg: 5}, 1, 1, 2),
-		mkEntry(0, Op{Kind: OpPush, Arg: 7}, 1, 3, 4),
-		mkEntry(0, Op{Kind: OpPop}, 7, 5, 6),
-		mkEntry(0, Op{Kind: OpPop}, 5, 7, 8),
-		mkEntry(0, Op{Kind: OpPop}, EmptyRet, 9, 10),
-	}
-	if !CheckG(h, StackModel(4)) {
-		t.Error("valid LIFO history rejected")
-	}
-	bad := History{
-		mkEntry(0, Op{Kind: OpPush, Arg: 5}, 1, 1, 2),
-		mkEntry(0, Op{Kind: OpPush, Arg: 7}, 1, 3, 4),
-		mkEntry(0, Op{Kind: OpPop}, 5, 5, 6), // FIFO order: invalid for a stack
-	}
-	if CheckG(bad, StackModel(4)) {
-		t.Error("FIFO pop accepted by the stack model")
 	}
 }
 
 func TestCheckGRejectsUnknownOps(t *testing.T) {
 	h := History{mkEntry(0, Op{Kind: OpRead}, 0, 1, 2)}
-	if CheckG(h, QueueModel(2)) {
+	if Check(h, QueueModel(2)) {
 		t.Error("unknown op kind accepted")
 	}
 }
@@ -90,13 +69,13 @@ func TestCheckGOversize(t *testing.T) {
 	for i := range h {
 		h[i] = mkEntry(0, Op{Kind: OpEnq, Arg: 1}, 1, int64(2*i+1), int64(2*i+2))
 	}
-	if CheckG(h, QueueModel(100)) {
+	if Check(h, QueueModel(100)) {
 		t.Error("oversize history must be rejected")
 	}
 }
 
 func TestCheckGEmpty(t *testing.T) {
-	if !CheckG(nil, QueueModel(1)) {
+	if !Check(nil, QueueModel(1)) {
 		t.Error("empty history must be linearizable")
 	}
 }

@@ -370,13 +370,9 @@ func TestReadOnlyReadAllIntoHelpsParkedOwner(t *testing.T) {
 	// non-blocking claim, stated for readers). A record parked by the chaos
 	// seam owns word 0; ReadAllInto over it returns the value the parked
 	// record installs, while the record's own goroutine is still parked,
-	// and the contention policy hears nothing.
-	pol := &protocolPolicy{}
-	m, err := stm.New(8, stm.WithEngine(stm.ST), stm.WithPolicy(pol))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := stallWord(t, m, 0, 1)
+	// and no attempt fails.
+	m := mustNewEngine(t, 8, stm.ST)
+	s := stallWord(t, m, 0)
 	var dst [2]uint64
 	done := make(chan error, 1)
 	go func() { done <- m.ReadAllInto([]int{0, 1}, dst[:]) }()
@@ -395,12 +391,7 @@ func TestReadOnlyReadAllIntoHelpsParkedOwner(t *testing.T) {
 	if dst != [2]uint64{1, 0} {
 		t.Errorf("read %v, want [1 0]: the parked increment, helped to completion", dst)
 	}
-	if st.Helps == 0 || st.ReadOnlyCommits != 1 {
-		t.Errorf("helps=%d read-only commits=%d, want >0 and 1", st.Helps, st.ReadOnlyCommits)
-	}
-	pol.mu.Lock()
-	defer pol.mu.Unlock()
-	if len(pol.calls) != 0 {
-		t.Errorf("policy saw %d hook calls, want none: %+v", len(pol.calls), pol.calls)
+	if st.Helps == 0 || st.ReadOnlyCommits != 1 || st.Failures != 0 {
+		t.Errorf("helps=%d read-only commits=%d failures=%d, want >0, 1 and 0", st.Helps, st.ReadOnlyCommits, st.Failures)
 	}
 }

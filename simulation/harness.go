@@ -58,8 +58,10 @@ type Env struct {
 
 	// flight records engine-level failure events (aborts, validation
 	// failures) from every attached Memory; Violatef captures its dump so
-	// the report can show the moments before the violation.
-	flight *stmobs.FlightRecorder
+	// the report can show the moments before the violation, rendering the
+	// scenario's own kinds through describe (nil: raw fields).
+	flight   *stmobs.FlightRecorder
+	describe func(stmobs.FlightEvent) string
 
 	ops    atomic.Uint64
 	checks atomic.Uint64
@@ -178,7 +180,7 @@ func (e *Env) Violatef(format string, args ...any) {
 		// First violation: freeze the flight recorder's view of the moments
 		// leading up to it, before teardown traffic overwrites the ring.
 		var b strings.Builder
-		_ = e.flight.Dump(&b, nil)
+		_ = e.flight.Dump(&b, e.describe)
 		e.flightDump = b.String()
 	}
 	if len(e.violations) < maxViolations {
@@ -229,6 +231,12 @@ func (e *Env) sumStats() stm.StatsSnapshot {
 	return out
 }
 
+// flightDescriber is a Scenario that names the flight-event kinds it
+// records, for the violation dump.
+type flightDescriber interface {
+	describeFlight(stmobs.FlightEvent) string
+}
+
 // RunScenario executes one scenario under cfg and reports the outcome.
 // It always returns a Result; Result.Err carries infrastructure failures.
 func RunScenario(cfg Config, scn Scenario) Result {
@@ -239,6 +247,9 @@ func RunScenario(cfg Config, scn Scenario) Result {
 		Seed:     cfg.Seed,
 	}
 	env := newEnv(cfg)
+	if d, ok := scn.(flightDescriber); ok {
+		env.describe = d.describeFlight
+	}
 	defer env.cancel()
 	timer := time.AfterFunc(env.cfg.Duration, env.cancel)
 	defer timer.Stop()

@@ -104,6 +104,9 @@ func TestSanityScenarioCaught(t *testing.T) {
 		if !strings.Contains(r.Flight, "\n  ") {
 			t.Errorf("engine %s: violation's flight dump retains no event:\n%s", eng, r.Flight)
 		}
+		if !strings.Contains(r.Flight, " debit worker=") {
+			t.Errorf("engine %s: violation's flight dump does not name the scenario's debits:\n%s", eng, r.Flight)
+		}
 	}
 }
 

@@ -8,11 +8,15 @@
 package simulation
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	stm "github.com/stm-go/stm"
 	"github.com/stm-go/stm/stmds"
+	"github.com/stm-go/stm/stmobs"
 )
 
 const (
@@ -35,6 +39,18 @@ func Sanity() Scenario { return sanityScenario{} }
 
 func (sanityScenario) Name() string { return "sanity" }
 
+// describeFlight renders the sanity kinds; the engine's fall through to
+// the stmobs default.
+func (sanityScenario) describeFlight(e stmobs.FlightEvent) string {
+	switch e.Kind {
+	case sanityDebit:
+		return fmt.Sprintf("t=%v debit worker=%d account=%d amount=%d", e.At, e.Conn, e.A, e.B)
+	case sanityCredit:
+		return fmt.Sprintf("t=%v credit worker=%d account=%d amount=%d", e.At, e.Conn, e.A, e.B)
+	}
+	return e.String()
+}
+
 func (sanityScenario) Run(env *Env) error {
 	m, err := env.NewMemory(1 << 14)
 	if err != nil {
@@ -51,6 +67,11 @@ func (sanityScenario) Run(env *Env) error {
 	}
 	const total = sanityAccounts * sanityInitial
 
+	// debits counts the debits recorded in the flight ring. A debit breaks
+	// the sum the moment it commits, before its worker records it, so an
+	// auditor that sees the break waits for a record before it reports:
+	// the violation's dump then shows the money leaving.
+	var debits atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < env.Workers(); w++ {
 		wg.Add(1)
@@ -81,6 +102,7 @@ func (sanityScenario) Run(env *Env) error {
 				})
 				if err == nil && amt > 0 {
 					env.Flight().Record(sanityDebit, uint64(w), uint64(from), uint64(amt))
+					debits.Add(1)
 					time.Sleep(200 * time.Microsecond) // widen the window
 					err = m.Atomically(func(tx *stm.DTx) error {
 						vb, _ := mp.GetTx(tx, to)
@@ -118,6 +140,9 @@ func (sanityScenario) Run(env *Env) error {
 				}
 				if sum != total {
 					// Expected! This is the violation the suite demands.
+					for deadline := time.Now().Add(time.Second); debits.Load() == 0 && time.Now().Before(deadline); {
+						runtime.Gosched()
+					}
 					env.Violatef("sanity: conservation broken as designed: sum %d, want %d", sum, total)
 					return
 				}

@@ -10,7 +10,6 @@ package stm_test
 // do meanwhile.
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -194,14 +193,14 @@ func TestSplitStaleReadThenWrittenFails(t *testing.T) {
 	const a, b = 2, 3
 	for _, eng := range stm.Engines() {
 		t.Run(eng.String(), func(t *testing.T) {
-			pol := &protocolPolicy{}
-			m, err := stm.New(4, stm.WithEngine(eng), stm.WithPolicy(pol),
-				stm.WithObs(stm.ObsConfig{Level: stm.ObsCounters}))
-			if err != nil {
-				t.Fatal(err)
-			}
 			var atConflict [2]uint64
-			pol.onConflict = func(int) { atConflict = [2]uint64{m.Peek(a), m.Peek(b)} }
+			failedAt := -1
+			obs := &abortCounter{}
+			m := newObserved(t, 4, eng, obs)
+			obs.onAbort = func(e *stm.Event) {
+				failedAt = e.Addr
+				atConflict = [2]uint64{m.Peek(a), m.Peek(b)}
+			}
 			before := m.Stats()
 			calls := 0
 			if err := m.Atomically(func(tx *stm.DTx) error {
@@ -230,12 +229,8 @@ func TestSplitStaleReadThenWrittenFails(t *testing.T) {
 			if atConflict != [2]uint64{10, 0} {
 				t.Errorf("A, B = %v after the failed attempt, want [10 0]: it must install nothing", atConflict)
 			}
-			var hooks []string
-			for _, c := range pol.calls {
-				hooks = append(hooks, c.hook)
-			}
-			if !slices.Equal(hooks, []string{"conflict", "commit"}) || pol.calls[0].c.Addr != a {
-				t.Errorf("policy heard %v (first at %+v), want a conflict at word %d, then the commit", hooks, pol.calls, a)
+			if n := obs.n.Load(); n != 1 || failedAt != a {
+				t.Errorf("the observer saw %d failed attempts (the last at word %d), want 1 at word %d", n, failedAt, a)
 			}
 			if calls != 2 || m.Peek(a) != 11 || m.Peek(b) != 11 {
 				t.Errorf("executions=%d A=%d B=%d, want 2, 11, 11 (the re-execution over the new A)", calls, m.Peek(a), m.Peek(b))

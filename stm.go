@@ -3,8 +3,6 @@ package stm
 import (
 	"sync"
 
-	"github.com/stm-go/stm/contention"
-	"github.com/stm-go/stm/internal/backoff"
 	"github.com/stm-go/stm/internal/core"
 )
 
@@ -41,30 +39,16 @@ type Memory struct {
 	// first with AllocWords.
 	alloc *core.Allocator
 
-	// pol decides how retry loops react to contention; see the contention
-	// package.
-	pol contention.Policy
-
-	confPool sync.Pool // of *contention.Conflict; see hotpath.go
-	bufPool  sync.Pool // of *[]uint64 word staging buffers; see hotpath.go
-	dtxPool  sync.Pool // of *DTx dynamic-transaction handles; see dtx.go
+	bufPool sync.Pool // of *[]uint64 word staging buffers; see hotpath.go
+	dtxPool sync.Pool // of *DTx dynamic-transaction handles; see dtx.go
 }
 
 // Option configures a Memory at construction.
 type Option func(*config)
 
 type config struct {
-	policy contention.Policy
 	engine Engine
 	obs    *core.ObsConfig
-}
-
-// WithPolicy selects the contention-management policy for the Memory. The
-// policy instance is shared by every transaction on the Memory and must be
-// safe for concurrent use; passing nil selects the default
-// (contention.Default, capped exponential backoff).
-func WithPolicy(p contention.Policy) Option {
-	return func(c *config) { c.policy = p }
 }
 
 // New returns a Memory of size words, all zero, configured by opts.
@@ -77,16 +61,12 @@ func New(size int, opts ...Option) (*Memory, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.policy == nil {
-		cfg.policy = contention.Default()
-	}
 	if cfg.obs != nil {
 		eng.Observe(*cfg.obs)
 	}
 	return &Memory{
 		eng:   eng,
 		alloc: core.NewAllocator(size),
-		pol:   cfg.policy,
 	}, nil
 }
 
@@ -134,16 +114,5 @@ func (m *Memory) ResetStats() { m.eng.ResetStats() }
 // one whose count grows fastest.
 func (m *Memory) ConflictCount(loc int) uint64 { return m.eng.ConflictCount(loc) }
 
-// Policy returns the Memory's contention-management policy.
-func (m *Memory) Policy() contention.Policy { return m.pol }
-
 // Engine returns the commit protocol this Memory was built with.
 func (m *Memory) Engine() Engine { return m.eng.EngineKind() }
-
-// newCondBackoff returns the backoff a DTx.Retry waits on between checks of
-// its read set. Condition waits are not contention — nothing conflicted;
-// the world just isn't ready — so they stay on a plain backoff rather than
-// going through the contention policy.
-func (m *Memory) newCondBackoff() *backoff.Exp {
-	return backoff.NewSeeded()
-}

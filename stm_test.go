@@ -449,3 +449,23 @@ func TestStatsExposed(t *testing.T) {
 		t.Errorf("stats not accumulating: %+v", st)
 	}
 }
+
+func TestMemoryResetStatsWindows(t *testing.T) {
+	m := mustNew(t, 8)
+	for i := 0; i < 10; i++ {
+		addWord(m, 1, 1)
+	}
+	if st := m.Stats(); st.Attempts < 10 || st.Commits < 10 {
+		t.Fatalf("pre-reset stats = %+v, want >= 10 attempts/commits", st)
+	}
+	m.ResetStats()
+	if st := m.Stats(); st.Attempts != 0 || st.Commits != 0 || st.Failures != 0 {
+		t.Errorf("post-reset stats = %+v, want zero", st)
+	}
+	for i := 0; i < 3; i++ {
+		addWord(m, 1, 1)
+	}
+	if st := m.Stats(); st.Attempts != 3 || st.Commits != 3 {
+		t.Errorf("windowed stats = %+v, want exactly 3 attempts / 3 commits", st)
+	}
+}

@@ -123,7 +123,7 @@ func testMapLinearizable(t *testing.T, eng stm.Engine, getPct uint64, opsPer int
 		}
 		wg.Wait()
 		h := rec.History()
-		if !lin.CheckG(h, lin.MapModel()) {
+		if !lin.Check(h, lin.MapModel()) {
 			t.Fatalf("round %d: map history not linearizable as a register:\n%+v", round, h)
 		}
 	}
@@ -179,7 +179,7 @@ func testQueueLinearizable(t *testing.T, eng stm.Engine) {
 			}(w)
 		}
 		wg.Wait()
-		if !lin.CheckG(rec.History(), lin.QueueModel(qcap)) {
+		if !lin.Check(rec.History(), lin.QueueModel(qcap)) {
 			t.Fatalf("round %d: queue history not linearizable as a FIFO queue", round)
 		}
 	}

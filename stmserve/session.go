@@ -527,7 +527,7 @@ func (s *Session) flush() {
 
 // execCmd executes one command against the transaction and appends its
 // reply. It must stay a pure function of (command, transactional state):
-// the batch body re-executes on contention. The only session state it
+// the batch body re-executes when it conflicts. The only session state it
 // touches is the reply scratch (rewound by the body) and monotone flags.
 func (s *Session) execCmd(tx *stm.DTx, c *command) {
 	switch c.op {

@@ -3,8 +3,6 @@ package stm
 import (
 	"fmt"
 	"slices"
-
-	"github.com/stm-go/stm/internal/core"
 )
 
 // Tx is a prepared static transaction: a validated data set bound to a
@@ -38,17 +36,11 @@ func (m *Memory) Prepare(addrs []int) (*Tx, error) {
 func (tx *Tx) TryInto(f UpdateInto, old []uint64) bool {
 	tx.check(f, old)
 	st := staged{op: opUpdate, addrs: tx.addrs, u: &f}
-	var info core.ConflictInfo
-	if !tx.m.attempt(&st, old, &info) {
-		tx.m.abortFailed(nil, &info)
-		return false
-	}
-	return true
+	return tx.m.attempt(&st, old, nil)
 }
 
-// RunInto retries (deferring between failed attempts as the Memory's
-// contention policy directs) until the transaction commits, writing the old
-// values into old unless old is nil. It performs zero heap allocations
+// RunInto retries, backing off between failed attempts, until the
+// transaction commits, writing the old values into old unless old is nil. It performs zero heap allocations
 // (amortized).
 func (tx *Tx) RunInto(f UpdateInto, old []uint64) {
 	tx.check(f, old)

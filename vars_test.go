@@ -225,7 +225,7 @@ func TestVarCompareAndSwap(t *testing.T) {
 }
 
 func TestVarCompareAndSwapConcurrentCounter(t *testing.T) {
-	// A typed CAS loop is a correct counter under contention.
+	// A typed CAS loop is a correct counter when goroutines contend.
 	const (
 		workers = 4
 		perW    = 500
