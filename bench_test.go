@@ -331,6 +331,40 @@ func BenchmarkDynReadMostlyCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkOrElseFallThrough measures an OrElse whose first branch reads k
+// words and retries and whose second branch returns nil: the fall-through,
+// committed read-only. The second branch continues the first branch's log
+// under its epoch sample (DESIGN.md §9), so an undisturbed fall-through
+// re-checks no read; beyond the k reads it costs compacting the log to its
+// reads and reindexing it.
+func BenchmarkOrElseFallThrough(b *testing.B) {
+	for _, eng := range stm.Engines() {
+		for _, k := range []int{1, 64} {
+			b.Run(fmt.Sprintf("%v/reads=%d", eng, k), func(b *testing.B) {
+				m, err := stm.New(k, stm.WithEngine(eng))
+				if err != nil {
+					b.Fatal(err)
+				}
+				first := func(tx *stm.DTx) error {
+					for a := 0; a < k; a++ {
+						tx.Read(a)
+					}
+					tx.Retry()
+					return nil
+				}
+				second := func(*stm.DTx) error { return nil }
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := m.OrElse(first, second); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkAllocReadAllInto measures the zero-allocation consistent read.
 func BenchmarkAllocReadAllInto(b *testing.B) {
 	const k = 8

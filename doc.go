@@ -146,8 +146,8 @@
 // the default — and zero allocations at every level when on. ObsCounters
 // adds a per-engine abort taxonomy to Stats (ST: ownership conflicts vs
 // helping-induced aborts; TL2: read vs lock vs validate failures, plus
-// read-only commits and clock-race telemetry) and delivers attempt
-// events to a registered Observer. ObsHistograms adds set-size histograms
+// read-only commits and clock-race telemetry) and delivers each engine
+// attempt's outcome, one event per attempt, to a registered Observer. ObsHistograms adds set-size histograms
 // of every attempt and commit/abort latency histograms in nanoseconds: 1
 // attempt in ObsConfig.SampleEvery (per stats shard) reads the monotonic
 // clock at its begin and end, the rest never read it. A sampled attempt's

@@ -68,7 +68,8 @@ type DTx struct {
 
 	// epoch is the commit-epoch sample the logged reads are validated
 	// against: taken before the execution's first read, replaced by each
-	// successful extend.
+	// successful extend, and kept when an OrElse's second branch continues
+	// the log of a first branch that retried.
 	epoch uint64
 
 	// idx indexes the log by address from its first entry: open addressing
@@ -92,15 +93,10 @@ type DTx struct {
 	// Deferred actions (OnCommit/OnAbort): run exactly once, outside the
 	// speculative body, after the transaction's outcome is decided. Only
 	// the registrations of the final execution survive — resetLog drops
-	// the lists at the start of every re-execution.
+	// the lists at the start of every round, keepReads when an OrElse falls
+	// through to its second branch.
 	onCommit []func()
 	onAbort  []func()
-
-	// Read set of an OrElse first branch that retried, saved so the
-	// combined wait covers both branches. altHW is logHW for altBoxes.
-	altAddrs []int
-	altBoxes []*uint64
-	altHW    int
 
 	// Snapshot extensions this operation made, the logged reads they
 	// re-checked, how many found a read stale, and whether the operation
@@ -182,11 +178,14 @@ func (m *Memory) AtomicallyContext(ctx context.Context, f func(tx *DTx) error) e
 }
 
 // OrElse composes two alternatives: it runs first, and if first blocks
-// (calls Retry) runs second in its place. If both block, the operation
-// waits until a word either branch read changes, then starts over from
-// first — so first always has priority when both could proceed. An error
-// from either branch aborts the whole operation (errors do not fall
-// through to the other branch).
+// (calls Retry) runs second in its place, in the same transaction:
+// first's writes and deferred actions are discarded, but its reads stay
+// part of the transaction, at the values first saw. So second reads the
+// same snapshot, and the operation commits second only where first still
+// blocks. If both block, the operation waits until a word either branch
+// read changes, then starts over from first — so first always has
+// priority when both could proceed. An error from either branch aborts the
+// whole operation (errors do not fall through to the other branch).
 func (m *Memory) OrElse(first, second func(tx *DTx) error) error {
 	if second == nil {
 		return ErrNilUpdate
@@ -255,11 +254,6 @@ func (d *DTx) Read(addr int) uint64 {
 // lands, and no later fast-path read can notice, since the epoch that
 // commit moved is the one just adopted. A stale read reports false and Read
 // unwinds the execution with sigStale.
-//
-// atomically makes the same pass over an OrElse's merged log before a
-// read-only commit: the retried first branch's reads were admitted under an
-// earlier sample than the second branch's, and a pass leaves every read of
-// both current at the instant of its re-sample.
 func (d *DTx) extend() bool {
 	d.epoch = d.m.eng.CommitEpoch()
 	d.exts++
@@ -356,7 +350,9 @@ func (d *DTx) OnAbort(f func()) {
 func (d *DTx) Memory() *Memory { return d.m }
 
 // Footprint returns how many distinct words the transaction has touched so
-// far (reads and buffered writes).
+// far (reads and buffered writes). In an OrElse's second branch it counts
+// the reads of the first branch that retried as well: the second branch
+// continues that branch's log, its writes discarded.
 func (d *DTx) Footprint() int { return len(d.log) }
 
 // check guards against a DTx escaping its transaction function.
@@ -411,19 +407,25 @@ func (d *DTx) push(addr, slot int) *dEntry {
 	d.log[n].addr = addr
 	if 2*(n+1) > 1<<d.idxBits {
 		d.idxBits++
-		if len(d.idx) < 1<<d.idxBits {
-			d.idx = make([]dtxSlot, 1<<d.idxBits)
-		}
-		d.idxBase = d.idxTop
-		for i := range n {
-			_, s := d.find(d.log[i].addr)
-			d.idx[s] = dtxSlot{addr: d.log[i].addr, ticket: d.idxBase + uint64(i) + 1}
-		}
+		d.reindex(n)
 		_, slot = d.find(addr)
 	}
 	d.idxTop = d.idxBase + uint64(n) + 1
 	d.idx[slot] = dtxSlot{addr: addr, ticket: d.idxTop}
 	return &d.log[n]
+}
+
+// reindex retires the table in use and indexes log[:n] afresh in it.
+func (d *DTx) reindex(n int) {
+	if len(d.idx) < 1<<d.idxBits {
+		d.idx = make([]dtxSlot, 1<<d.idxBits)
+	}
+	d.idxBase = d.idxTop
+	for i := range n {
+		_, s := d.find(d.log[i].addr)
+		d.idx[s] = dtxSlot{addr: d.log[i].addr, ticket: d.idxBase + uint64(i) + 1}
+	}
+	d.idxTop = d.idxBase + uint64(n)
 }
 
 // varBuf returns the DTx's codec staging buffer, sized to k words.
@@ -441,6 +443,31 @@ func (d *DTx) resetLog() {
 	d.logHW = max(d.logHW, len(d.log))
 	d.log = d.log[:0]
 	d.idxBits, d.idxBase = dtxIdxMinBits, d.idxTop
+	d.wrote = false
+	d.clearHooks()
+}
+
+// keepReads turns the log of an OrElse first branch that retried into the
+// start of the second branch's: every read stays, at the box and value it
+// read, and every write dies — a read-then-written entry reverts to what it
+// read, a blind write leaves the log. The epoch sample stays too, so the
+// second branch admits its reads beside the first branch's under one chain
+// of samples, exactly as if one function had made them all (DESIGN.md §9):
+// its commit validates that the first branch still retries, and a Retry in
+// it waits on the words both branches read. The registrations of the first
+// branch are dropped with its writes.
+func (d *DTx) keepReads() {
+	d.logHW = max(d.logHW, len(d.log))
+	n := 0
+	for _, e := range d.log {
+		if e.read {
+			e.val, e.written = e.rval, false
+			d.log[n] = e
+			n++
+		}
+	}
+	d.log = d.log[:n]
+	d.reindex(n)
 	d.wrote = false
 	d.clearHooks()
 }
@@ -479,15 +506,11 @@ func (d *DTx) runAbortHooks() {
 	d.onAbort = d.onAbort[:0]
 }
 
-// speculate runs the user function once against the current state of
-// memory, translating its outcome — and the sentinel panics raised by
+// speculate runs the user function once on the log as it stands,
+// translating its outcome — and the sentinel panics raised by
 // Read/Retry/abort mid-flight — into a dtxSignal. Panics that are not ours
 // propagate to the caller of Atomically.
 func (d *DTx) speculate(f func(tx *DTx) error) (sig dtxSignal) {
-	d.resetLog()
-	// Sampled before the first read, so every read the execution logs has
-	// its stable instant after the sample.
-	d.epoch = d.m.eng.CommitEpoch()
 	d.active = true
 	defer func() {
 		d.active = false
@@ -510,66 +533,15 @@ func (d *DTx) speculate(f func(tx *DTx) error) (sig dtxSignal) {
 	return specDone
 }
 
-// mergeAlt folds a retried OrElse first branch's read set into the log
-// as read-only entries before the second branch commits, so the commit
-// validates that the first branch still retries at the linearization
-// point — otherwise a concurrent write could make the first branch
-// viable while the second one commits, and observers would see a state
-// no atomic left-priority OrElse execution produces. A word both
-// branches read must have shown them the same box; if not, the first
-// branch's retry decision is already stale and the whole operation
-// re-executes (mergeAlt reports false).
-func (d *DTx) mergeAlt() bool {
-	for i, a := range d.altAddrs {
-		box := d.altBoxes[i]
-		pos, slot := d.find(a)
-		if pos >= 0 {
-			ent := &d.log[pos]
-			if ent.read {
-				if ent.box != box {
-					return false
-				}
-				continue
-			}
-			// The second branch blind-writes a word the first branch
-			// read: keep the write, but validate the first branch's view.
-			ent.box = box
-			ent.rval = core.BoxVal(box)
-			ent.read = true
-			continue
-		}
-		e := d.push(a, slot)
-		v := core.BoxVal(box)
-		e.box, e.rval, e.val, e.read, e.written = box, v, v, true, false
-	}
-	return true
-}
-
-// saveAlt stashes the current read set (an OrElse first branch that
-// retried) so waitReadSet covers both branches and mergeAlt can fold it
-// into the second branch's commit validation.
-func (d *DTx) saveAlt() {
-	d.altAddrs = d.altAddrs[:0]
-	d.altBoxes = d.altBoxes[:0]
+// readsAnything reports whether the log holds a read: whether a Retry has a
+// word whose change can wake it.
+func (d *DTx) readsAnything() bool {
 	for i := range d.log {
 		if d.log[i].read {
-			d.altAddrs = append(d.altAddrs, d.log[i].addr)
-			d.altBoxes = append(d.altBoxes, d.log[i].box)
+			return true
 		}
 	}
-	d.altHW = max(d.altHW, len(d.altBoxes))
-}
-
-// readCount returns the size of the wait set: the current log's reads plus
-// any saved alternative-branch reads.
-func (d *DTx) readCount() int {
-	n := len(d.altAddrs)
-	for i := range d.log {
-		if d.log[i].read {
-			n++
-		}
-	}
-	return n
+	return false
 }
 
 // readSetChanged reports whether any read word's box moved since the
@@ -578,11 +550,6 @@ func (d *DTx) readSetChanged() bool {
 	for i := range d.log {
 		e := &d.log[i]
 		if e.read && d.m.eng.LoadBox(e.addr) != e.box {
-			return true
-		}
-	}
-	for i, a := range d.altAddrs {
-		if d.m.eng.LoadBox(a) != d.altBoxes[i] {
 			return true
 		}
 	}
@@ -652,9 +619,9 @@ func (m *Memory) getDTx() *DTx {
 // operation logged so an idle pooled DTx retains nothing of it; the value
 // buffers, the index and the compiled-footprint buffers stay — they are the
 // amortization. What it costs depends on the operation that ends here, not on the
-// largest one the handle ever ran: the log and the saved branch are cleared
-// up to this operation's high-water marks, beyond which they are clear
-// already, and the index (addresses and tickets, no pointers) needs nothing.
+// largest one the handle ever ran: the log is cleared up to this operation's
+// high-water mark, beyond which it is clear already, and the index
+// (addresses and tickets, no pointers) needs nothing.
 func (m *Memory) putDTx(d *DTx) {
 	// resetLog folds the last execution into logHW and drops the deferred
 	// actions: normally the run/clear helpers have consumed those, but a
@@ -664,9 +631,6 @@ func (m *Memory) putDTx(d *DTx) {
 	d.resetLog()
 	clear(d.log[:d.logHW])
 	d.logHW = 0
-	clear(d.altBoxes[:d.altHW])
-	d.altBoxes, d.altHW = d.altBoxes[:0], 0
-	d.altAddrs = d.altAddrs[:0]
 	d.err = nil
 	if d.exts|d.roCommits != 0 {
 		m.eng.NoteSnapshotExtensions(d.shard, d.exts, d.rechecked, d.stales, d.roCommits)
@@ -684,16 +648,17 @@ func (d *DTx) fail(err error) error {
 
 // atomically is the speculation loop shared by Atomically, OrElse, and
 // their Context forms (second is nil outside OrElse). Each round speculates
-// to discover a footprint. A round that wrote nothing is the commit: its
-// reads were all current at one instant inside the call (DESIGN.md §9), so
-// the operation returns without the engine. Any other round commits its
-// write set through the one static driver — acquire the written words in
-// ascending order, validate every word read, and install the buffered
-// values — and a stale read sends the round back to re-execute. One backoff
-// spans the whole operation: every failure — an ownership conflict at
-// commit, a stale speculative read, a validation miss — waits on it, as a
-// static operation's failures do, until a Retry parks the operation; the
-// wake-up starts a fresh one.
+// to discover a footprint; when first retries, second continues its log
+// (keepReads), so a round is one log under one snapshot however it ends. A
+// round that wrote nothing is the commit: its reads were all current at one
+// instant inside the call (DESIGN.md §9), so the operation returns without
+// the engine. Any other round commits its write set through the one static
+// driver — acquire the written words in ascending order, validate every
+// word read, and install the buffered values — and a stale read sends the
+// round back to re-execute. One backoff spans the whole operation: every
+// failure — an ownership conflict at commit, a stale speculative read, a
+// validation miss — waits on it, as a static operation's failures do, until
+// a Retry parks the operation; the wake-up starts a fresh one.
 func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) error) error {
 	d := m.getDTx()
 	defer m.putDTx(d)
@@ -708,11 +673,13 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 				return d.fail(err)
 			}
 		}
-		d.altAddrs = d.altAddrs[:0]
-		d.altBoxes = d.altBoxes[:0]
+		d.resetLog()
+		// Sampled before the first read, so every read the round logs has
+		// its stable instant after the sample.
+		d.epoch = m.eng.CommitEpoch()
 		sig := d.speculate(first)
 		if sig == sigRetry && second != nil {
-			d.saveAlt()
+			d.keepReads()
 			sig = d.speculate(second)
 		}
 		switch sig {
@@ -724,7 +691,7 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 			bo.Wait()
 			continue
 		case sigRetry:
-			if d.readCount() == 0 {
+			if !d.readsAnything() {
 				return d.fail(ErrRetryNoReads)
 			}
 			// The park is a condition wait, not contention: the conflicts
@@ -735,18 +702,10 @@ func (m *Memory) atomically(ctx context.Context, first, second func(tx *DTx) err
 			}
 			continue
 		}
-		// specDone: commit the discovered footprint. A second branch that
-		// ran because the first retried also revalidates the first
-		// branch's reads — left priority must hold at the linearization
-		// point, not just at speculation time. The merged log holds reads
-		// taken under two epoch samples; a final extension brings them
-		// under one, which both commits below build on: a read-only one
-		// returns on it, a writing one hands it to the engine as the sample
-		// its read-only words were taken under.
-		if len(d.altAddrs) > 0 && (!d.mergeAlt() || !d.extend()) {
-			bo.Wait()
-			continue
-		}
+		// specDone: commit the discovered footprint. After a fall-through the
+		// log holds the retried first branch's reads too, so either commit
+		// below also shows that branch still retries at its linearization
+		// point: left priority holds there, not just at speculation time.
 		if !d.wrote {
 			// Nothing written: the transaction is already committed, at the
 			// instant its last read was admitted, and no engine attempt

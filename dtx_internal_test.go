@@ -30,7 +30,7 @@ func TestPooledDTxIsHistoryFree(t *testing.T) {
 	const big, small = 2000, 20
 	for _, eng := range Engines() {
 		t.Run(eng.String(), func(t *testing.T) {
-			m, err := New(big, WithEngine(eng))
+			m, err := New(big+1, WithEngine(eng))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,11 +40,12 @@ func TestPooledDTxIsHistoryFree(t *testing.T) {
 				if try == 50 {
 					t.Fatal("the pool never handed the grown handle back")
 				}
-				// The big operation ends small: its first round logs (and, the
-				// first branch retrying, saves) big reads, a foreign commit
-				// invalidates that round at commit, and the round that commits
-				// touches small words — so what is left behind beyond the final
-				// lengths is for the high-water marks to find.
+				// The big operation ends small: its first round logs big reads
+				// in a first branch that retries, a foreign commit lands and
+				// the second branch's next new read finds the log stale, and
+				// the round that commits touches small words — so what is left
+				// behind beyond the final lengths is for the high-water mark
+				// to find.
 				round := 0
 				if err := m.OrElse(
 					func(tx *DTx) error {
@@ -62,6 +63,7 @@ func TestPooledDTxIsHistoryFree(t *testing.T) {
 								return err
 							}
 							bump.RunInto(func(o, n []uint64) { n[0] = o[0] + 1 }, nil)
+							tx.Read(big)
 						}
 						return readRange(small, false, nil)(tx)
 					}); err != nil {
@@ -83,9 +85,6 @@ func TestPooledDTxIsHistoryFree(t *testing.T) {
 					if hw := max(tx.logHW, len(tx.log)); hw != small {
 						t.Errorf("log high-water mark = %d in a %d-word transaction", hw, small)
 					}
-					if tx.altHW != small {
-						t.Errorf("saved-branch high-water mark = %d in a %d-word transaction", tx.altHW, small)
-					}
 				})); err != nil {
 					t.Fatal(err)
 				}
@@ -100,11 +99,6 @@ func TestPooledDTxIsHistoryFree(t *testing.T) {
 						t.Fatalf("pooled DTx retains a box pointer at log[%d] (cap %d)", i, cap(d.log))
 					}
 				}
-				for i, box := range d.altBoxes[:cap(d.altBoxes)] {
-					if box != nil {
-						t.Fatalf("pooled DTx retains a box pointer at altBoxes[%d] (cap %d)", i, cap(d.altBoxes))
-					}
-				}
 				for _, hooks := range [][]func(){d.onCommit[:cap(d.onCommit)], d.onAbort[:cap(d.onAbort)]} {
 					for i, f := range hooks {
 						if f != nil {
@@ -112,9 +106,9 @@ func TestPooledDTxIsHistoryFree(t *testing.T) {
 						}
 					}
 				}
-				if len(d.log)+len(d.altAddrs)+len(d.altBoxes)+len(d.onCommit)+len(d.onAbort) != 0 || d.err != nil {
-					t.Errorf("pooled DTx is not reset: %d log, %d+%d saved, %d+%d hooks, err %v",
-						len(d.log), len(d.altAddrs), len(d.altBoxes), len(d.onCommit), len(d.onAbort), d.err)
+				if len(d.log)+len(d.onCommit)+len(d.onAbort) != 0 || d.err != nil {
+					t.Errorf("pooled DTx is not reset: %d log, %d+%d hooks, err %v",
+						len(d.log), len(d.onCommit), len(d.onAbort), d.err)
 				}
 				return
 			}
@@ -124,13 +118,14 @@ func TestPooledDTxIsHistoryFree(t *testing.T) {
 
 func TestDTxIndexMatchesLinearScan(t *testing.T) {
 	// The index against the obvious implementation, driven through every
-	// path that logs a word — a read, a blind write, a read then a write, a
-	// merged OrElse branch — across every table doubling, with addresses that
-	// collide (multiples of a large power of two) as well as runs of
-	// neighbours, and across a reset onto a table an earlier, larger
-	// execution left full of dead slots. Each round lays a different kind of
-	// entry at a given log position, so an entry built over a stale one
-	// must set every field to pass.
+	// path that logs a word — a read, a blind write, a read then a write —
+	// across every table doubling, with addresses that collide (multiples of
+	// a large power of two) as well as runs of neighbours, across a reset
+	// onto a table an earlier, larger execution left full of dead slots, and
+	// across keepReads (an OrElse falling through), which compacts the mixed
+	// log to its reads and reindexes it before more words are logged. Each
+	// round lays a different kind of entry at a given log position, so an
+	// entry built over a stale one must set every field to pass.
 	m, err := New(1 << 20)
 	if err != nil {
 		t.Fatal(err)
@@ -155,66 +150,85 @@ func TestDTxIndexMatchesLinearScan(t *testing.T) {
 		d.epoch = m.eng.CommitEpoch()
 		d.active = true
 		var want []dEntry
-		for i := 0; i < n; i++ {
-			a := addr(i)
-			if got := d.lookup(a); got != -1 {
-				t.Fatalf("n=%d: lookup(%d) = %d before it was logged", n, a, got)
-			}
-			box := m.eng.StableLoadBox(a)
-			v := uint64(i + 1)
-			switch (i + round) % 4 {
-			case 0:
-				d.Read(a)
-				want = append(want, dEntry{addr: a, box: box, read: true})
-			case 1:
-				d.Write(a, v)
-				want = append(want, dEntry{addr: a, val: v, written: true})
-			case 2:
-				d.Read(a)
-				d.Write(a, v)
-				want = append(want, dEntry{addr: a, box: box, val: v, read: true, written: true})
-			case 3:
-				// The saved branch read a new word and every word logged
-				// so far that i/2 names: a blind write there turns into a
-				// validated one.
-				b := addr(i / 2)
-				d.altAddrs = append(d.altAddrs[:0], a, b)
-				d.altBoxes = append(d.altBoxes[:0], box, m.eng.StableLoadBox(b))
-				if !d.mergeAlt() {
-					t.Fatalf("n=%d: mergeAlt found a stale read in a quiet memory", n)
+		// logWords logs addr(i) for i in [from, to) and checks the index
+		// against the scan as it goes.
+		logWords := func(from, to int) {
+			for i := from; i < to; i++ {
+				a := addr(i)
+				if got := d.lookup(a); got != -1 {
+					t.Fatalf("n=%d: lookup(%d) = %d before it was logged", n, a, got)
 				}
-				want = append(want, dEntry{addr: a, box: box, read: true})
-				if j := i / 2; j < i && !want[j].read {
-					want[j].box, want[j].read = d.altBoxes[1], true
+				box := m.eng.StableLoadBox(a)
+				v := uint64(i + 1)
+				switch (i + round) % 3 {
+				case 0:
+					d.Read(a)
+					want = append(want, dEntry{addr: a, box: box, read: true})
+				case 1:
+					d.Write(a, v)
+					want = append(want, dEntry{addr: a, val: v, written: true})
+				case 2:
+					d.Read(a)
+					d.Write(a, v)
+					want = append(want, dEntry{addr: a, box: box, val: v, read: true, written: true})
 				}
-			}
-			for _, j := range []int{0, i / 2, i} {
-				if got, oracle := d.lookup(addr(j)), linearScan(addr(j)); got != oracle || got != j {
-					t.Fatalf("n=%d: after %d entries lookup(%d) = %d, linear scan %d, want %d", n, i+1, addr(j), got, oracle, j)
+				for _, a := range []int{want[0].addr, want[len(want)/2].addr, a} {
+					if got, oracle := d.lookup(a), linearScan(a); got != oracle || got < 0 {
+						t.Fatalf("n=%d: after %d entries lookup(%d) = %d, linear scan %d", n, len(want), a, got, oracle)
+					}
 				}
 			}
 		}
+		checkLog := func(stage string) {
+			if len(d.log) != len(want) {
+				t.Fatalf("n=%d %s: %d entries logged, want %d", n, stage, len(d.log), len(want))
+			}
+			for i := range want {
+				if got := d.log[i]; got != want[i] {
+					t.Fatalf("n=%d %s: log[%d] = %+v, want %+v", n, stage, i, got, want[i])
+				}
+				if got := d.lookup(want[i].addr); got != i {
+					t.Fatalf("n=%d %s: lookup(%d) = %d, want %d", n, stage, want[i].addr, got, i)
+				}
+			}
+			if got := d.lookup(1<<20 - 1); got != -1 {
+				t.Fatalf("n=%d %s: lookup of an unlogged address = %d", n, stage, got)
+			}
+			// The table in use is the smallest that holds the log at most
+			// half full.
+			if bits := max(dtxIdxMinBits, uint(bitsFor(2*len(d.log)))); stage != "kept" && d.idxBits != bits {
+				t.Errorf("n=%d %s: the index is 1<<%d slots, want 1<<%d", n, stage, d.idxBits, bits)
+			}
+		}
+		logWords(0, n)
+		checkLog("logged")
+
+		// The reads stay, at what they read; the writes die, blind ones
+		// leaving the log.
+		kept := want[:0]
+		var dropped []int
+		for _, e := range want {
+			if !e.read {
+				dropped = append(dropped, e.addr)
+				continue
+			}
+			e.val, e.written = e.rval, false
+			kept = append(kept, e)
+		}
+		want = kept
+		d.keepReads()
+		if d.wrote {
+			t.Fatalf("n=%d: keepReads left the log marked written", n)
+		}
+		checkLog("kept")
+		for _, a := range dropped {
+			if got, oracle := d.lookup(a), linearScan(a); got != -1 || oracle != -1 {
+				t.Fatalf("n=%d: a dropped blind write is still found: lookup(%d) = %d, linear scan %d", n, a, got, oracle)
+			}
+		}
+		logWords(n, n+n/4)
+		checkLog("continued")
 		d.active = false
-		d.altAddrs, d.altBoxes = d.altAddrs[:0], d.altBoxes[:0]
-		if len(d.log) != n {
-			t.Fatalf("n=%d: %d entries logged", n, len(d.log))
-		}
-		for i := range want {
-			if got := d.log[i]; got != want[i] {
-				t.Fatalf("n=%d: log[%d] = %+v, want %+v", n, i, got, want[i])
-			}
-			if got := d.lookup(addr(i)); got != i {
-				t.Fatalf("n=%d: lookup(%d) = %d, want %d", n, addr(i), got, i)
-			}
-		}
-		if got := d.lookup(1<<20 - 1); got != -1 {
-			t.Fatalf("n=%d: lookup of an unlogged address = %d", n, got)
-		}
-		// The table in use is the smallest that holds the log at most half
-		// full.
-		if bits := max(dtxIdxMinBits, uint(bitsFor(2*n))); d.idxBits != bits {
-			t.Errorf("n=%d: the index is 1<<%d slots, want 1<<%d", n, d.idxBits, bits)
-		}
 	}
 }
 

@@ -414,6 +414,75 @@ func TestOrElseRevalidatesFirstBranchAtCommit(t *testing.T) {
 	}
 }
 
+func TestOrElseFirstBranchWritesDie(t *testing.T) {
+	// The second branch continues the retried first branch's log, and none
+	// of the first branch's writes with it: a blind write leaves the log and
+	// a read-then-written word reverts to what was read. The second branch
+	// sees memory, and only its own writes commit.
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		const a, b, c = 0, 1, 2
+		m := mustNewEngine(t, 4, eng)
+		var gotA, gotC uint64
+		if err := m.OrElse(
+			func(tx *stm.DTx) error {
+				tx.Write(a, 7)
+				tx.Write(c, tx.Read(c)+5)
+				tx.Retry()
+				return nil
+			},
+			func(tx *stm.DTx) error {
+				gotA, gotC = tx.Read(a), tx.Read(c)
+				tx.Write(b, 1)
+				return nil
+			}); err != nil {
+			t.Fatal(err)
+		}
+		if gotA != 0 || gotC != 0 {
+			t.Errorf("second branch read A=%d C=%d, want 0 0 (the first branch's writes died)", gotA, gotC)
+		}
+		if a, b, c := m.Peek(a), m.Peek(b), m.Peek(c); a != 0 || b != 1 || c != 0 {
+			t.Errorf("after the commit A=%d B=%d C=%d, want 0 1 0", a, b, c)
+		}
+	})
+}
+
+func TestOrElseSecondBranchKeepsFirstSnapshot(t *testing.T) {
+	// The first branch reads FLAG == 0; in its first execution a foreign
+	// commit then sets FLAG, and the branch retries. The read-only second
+	// branch reads X. Under the first branch's epoch sample that read finds
+	// the epoch moved and FLAG stale: the operation re-executes and takes
+	// the first branch. (A second branch under a fresh sample would admit X
+	// on the fast path and commit beside a FLAG that no longer holds.)
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		const flag, x = 0, 1
+		m := mustNewEngine(t, 4, eng)
+		var took string
+		firstRuns := 0
+		if err := m.OrElse(
+			func(tx *stm.DTx) error {
+				firstRuns++
+				if tx.Read(flag) == 0 {
+					if firstRuns == 1 {
+						swapWord(m, flag, 1)
+					}
+					tx.Retry()
+				}
+				took = "first"
+				return nil
+			},
+			func(tx *stm.DTx) error {
+				tx.Read(x)
+				took = "second"
+				return nil
+			}); err != nil {
+			t.Fatal(err)
+		}
+		if took != "first" || firstRuns != 2 {
+			t.Errorf("took the %s branch after %d runs of the first; want first after 2", took, firstRuns)
+		}
+	})
+}
+
 func TestAtomicallyContextCancel(t *testing.T) {
 	m := mustNew(t, 4)
 
@@ -779,11 +848,11 @@ func TestSnapshotParkedCommitter(t *testing.T) {
 }
 
 func TestSnapshotOrElseValidatesRetriedBranch(t *testing.T) {
-	// The retried first branch's reads are not in the second branch's log,
-	// so no extension the second branch makes re-checks them — the commit
-	// does. A foreign write makes the first branch viable while the second
-	// is running (and reading, past a moved epoch): the second's commit must
-	// be invalidated and the operation re-run from the first.
+	// The second branch continues the retried first branch's log, so the
+	// extension that admits its read of X past a moved epoch re-checks FLAG.
+	// A foreign write makes the first branch viable while the second is
+	// running: the second branch must be unwound before it commits and the
+	// operation re-run from the first.
 	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
 		const flag, a, b, x = 0, 1, 2, 3
 		m := mustNewEngine(t, 4, eng)

@@ -154,7 +154,6 @@ func (e *stEngine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool {
 		m.stats.shards[rec.shard].c[cOwnedWords].Add(uint64(owned))
 		if lvl != ObsOff {
 			rec.obsWrites = owned
-			m.obsEmit(rec, EvLock, -1, owned)
 		}
 		if oldOut != nil {
 			rec.snapshotInto(oldOut)
@@ -194,11 +193,6 @@ func (e *stEngine) StableLoadBox(loc int) *uint64 { return e.m.stStableLoadBox(l
 func (m *Memory) failAttempt(rec *Rec, info *ConflictInfo, at ConflictInfo, reason AbortReason) bool {
 	m.words[at.Addr].conflicts.Add(1)
 	rec.obsFail(reason, at.Addr)
-	if m.obsLevel() != ObsOff && reason != ReasonTL2Lock {
-		// Admission and validation failures are validation events; a lost
-		// lock CAS is reported by EvAbort alone.
-		m.obsEmit(rec, EvValidationFail, at.Addr, -1)
-	}
 	if info != nil {
 		*info = at
 	}

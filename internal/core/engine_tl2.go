@@ -104,9 +104,6 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 		}
 		old[i] = val
 	}
-	if lvl != ObsOff {
-		m.obsEmit(rec, EvReadSet, -1, -1)
-	}
 
 	rec.calc(rec.env, old, nv, true)
 
@@ -153,7 +150,6 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 	}
 	if lvl != ObsOff {
 		rec.obsWrites = writes
-		m.obsEmit(rec, EvLock, -1, writes)
 	}
 	// Chaos injection: stall with the commit locks held, clock untouched.
 	// Conflicting writers fail at their lock CAS and back off;

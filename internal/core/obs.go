@@ -126,29 +126,14 @@ func (r AbortReason) String() string {
 	return fmt.Sprintf("AbortReason(%d)", uint8(r))
 }
 
-// EventKind identifies one hook site on the engine attempt path.
+// EventKind is an engine attempt's outcome: an Observer sees one event per
+// attempt, when the engine has decided it.
 type EventKind uint8
 
 const (
-	// EvBegin fires when an armed attempt starts executing.
-	EvBegin EventKind = iota
-	// EvReadSet fires when the attempt's read phase completes: the whole
-	// data set has been read consistently. The TL2 engine emits it after
-	// the invisible-read phase; the ST engine's reads are its ownership
-	// acquisition, so it emits EvLock instead.
-	EvReadSet
-	// EvLock fires when the attempt's write locks are held: the TL2 lock
-	// phase (Writes = write-set size) or the ST ownership acquisition
-	// (Writes = data-set size; ST acquires its whole set).
-	EvLock
-	// EvValidationFail fires when a validation or admission check fails:
-	// the TL2 read-phase rejection or revalidation failure, or a stale read
-	// list on either engine, at the failing word (Addr). It is always
-	// followed by EvAbort.
-	EvValidationFail
 	// EvCommit fires when the attempt commits, with the attempt's Elapsed
 	// time if it was sampled.
-	EvCommit
+	EvCommit EventKind = iota
 	// EvAbort fires when the attempt fails, with the taxonomy Reason, the
 	// word it died at (Addr), and the attempt's Elapsed time if sampled.
 	EvAbort
@@ -156,7 +141,7 @@ const (
 
 // eventNames is index-aligned with the EventKind constants.
 var eventNames = [...]string{
-	"begin", "readset", "lock", "validation-fail", "commit", "abort",
+	"commit", "abort",
 }
 
 // String returns the kind's name.
@@ -175,15 +160,15 @@ func (k EventKind) String() string {
 // data set, so an observer that keeps it copies the slice, not just the
 // struct.
 type Event struct {
-	// Kind is the hook site that fired.
+	// Kind is the attempt's outcome.
 	Kind EventKind
 	// Engine is the Memory's commit protocol.
 	Engine EngineKind
 	// Seq is the record's attempt identity (Rec.Version), monotone per
 	// reuse of the record.
 	Seq uint64
-	// Addr is the word the event concerns (the failing word for
-	// EvValidationFail/EvAbort), or -1 when no single word is.
+	// Addr is the word the attempt failed at (EvAbort), or -1 when no
+	// single word is.
 	Addr int
 	// Size is the attempt's footprint in words: the data set plus the
 	// validated reads of its read list (Rec.SetReadSet), so a dynamic
@@ -209,7 +194,7 @@ type Event struct {
 	Addrs []int
 }
 
-// Observer receives events from the engine attempt path. Implementations
+// Observer receives the outcome of every engine attempt. Implementations
 // are called synchronously from the attempt's goroutine, concurrently from
 // every goroutine running transactions, and must be fast, non-blocking, and
 // safe for concurrent use. The *Event is record-owned scratch — copy, don't
@@ -247,9 +232,9 @@ type obsState struct {
 // Observe installs cfg as the Memory's observability configuration,
 // replacing any previous one. It is safe to call while transactions run:
 // attempts racing the swap observe either configuration (an attempt may
-// even begin under one and end under the other — observers must tolerate
-// unpaired begin/end events across a reconfiguration). Histogram and
-// taxonomy state accumulated so far is kept; use ResetStats to clear it.
+// even begin under one and end under the other: sampled under the old
+// period, reported to the new observer). Histogram and taxonomy state
+// accumulated so far is kept; use ResetStats to clear it.
 func (m *Memory) Observe(cfg ObsConfig) {
 	st := &obsState{observer: cfg.Observer, sampleEvery: uint64(cfg.SampleEvery)}
 	if st.sampleEvery == 0 {
@@ -266,9 +251,9 @@ func (m *Memory) ObsLevel() ObsLevel { return ObsLevel(m.obsLvl.Load()) }
 // ObsOff and branch around everything else.
 func (m *Memory) obsLevel() ObsLevel { return ObsLevel(m.obsLvl.Load()) }
 
-// obsBegin opens an attempt's observation: emits EvBegin to a registered
-// observer and, at ObsHistograms, reads the clock if the shard's sampler
-// picks this attempt. Called only when the level is not ObsOff.
+// obsBegin opens an attempt's observation: at ObsHistograms it reads the
+// clock if the shard's sampler picks this attempt. Called only when the
+// level is not ObsOff.
 func (m *Memory) obsBegin(rec *Rec, lvl ObsLevel) {
 	rec.obsReason = ReasonNone
 	rec.obsWrites = -1
@@ -276,9 +261,6 @@ func (m *Memory) obsBegin(rec *Rec, lvl ObsLevel) {
 	st := m.obsPtr.Load()
 	if st == nil {
 		return
-	}
-	if st.observer != nil {
-		st.observer.ObsEvent(m.event(rec, EvBegin, -1, -1, ReasonNone, 0))
 	}
 	if lvl >= ObsHistograms && m.stats.shards[rec.shard].sampleSeq.Add(1)%st.sampleEvery == 0 {
 		rec.obsT0 = monoNanos()
@@ -328,18 +310,6 @@ func (m *Memory) obsEnd(rec *Rec, lvl ObsLevel, ok bool) {
 		}
 		st.observer.ObsEvent(m.event(rec, kind, addr, rec.obsWrites, reason, dt))
 	}
-}
-
-// obsEmit delivers a mid-attempt event (EvReadSet, EvLock,
-// EvValidationFail) through the record-owned scratch. Engines call it only
-// after checking the level; it re-checks the observer because the
-// configuration may have been swapped mid-attempt.
-func (m *Memory) obsEmit(rec *Rec, kind EventKind, addr, writes int) {
-	st := m.obsPtr.Load()
-	if st == nil || st.observer == nil {
-		return
-	}
-	st.observer.ObsEvent(m.event(rec, kind, addr, writes, ReasonNone, 0))
 }
 
 // event fills the record-owned Event scratch field by field and returns

@@ -42,18 +42,13 @@ type Observer = core.Observer
 // receives is record-owned scratch — copy, don't retain.
 type Event = core.Event
 
-// EventKind identifies one hook site on the engine attempt path.
+// EventKind is an engine attempt's outcome; an Observer sees one per attempt.
 type EventKind = core.EventKind
 
-// The hook sites, in attempt order. Which sites an engine emits is
-// protocol-specific; see DESIGN.md §12's event matrix.
+// The attempt outcomes: every engine attempt ends in exactly one of them.
 const (
-	EvBegin          = core.EvBegin
-	EvReadSet        = core.EvReadSet
-	EvLock           = core.EvLock
-	EvValidationFail = core.EvValidationFail
-	EvCommit         = core.EvCommit
-	EvAbort          = core.EvAbort
+	EvCommit = core.EvCommit
+	EvAbort  = core.EvAbort
 )
 
 // AbortReason classifies why an attempt failed, per engine; every failed

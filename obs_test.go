@@ -18,14 +18,15 @@ import (
 
 // countObserver tallies events, and the sampled ones (those carrying an
 // Elapsed time), without allocating — the shape a production observer has.
+// Every attempt ends in one event, so commits plus aborts is the attempts.
 type countObserver struct {
-	begins, commits, aborts, sampled atomic.Uint64
+	commits, aborts, sampled atomic.Uint64
 }
+
+func (o *countObserver) attempts() uint64 { return o.commits.Load() + o.aborts.Load() }
 
 func (o *countObserver) ObsEvent(e *stm.Event) {
 	switch e.Kind {
-	case stm.EvBegin:
-		o.begins.Add(1)
 	case stm.EvCommit:
 		o.commits.Add(1)
 	case stm.EvAbort:
@@ -79,9 +80,9 @@ func TestObsAllocFreeHooks(t *testing.T) {
 				}
 			})
 			// The zero-allocation runs were measured, not metered off.
-			if obs.begins.Load() == 0 || obs.commits.Load() == 0 || (lvl == stm.ObsHistograms) != (obs.sampled.Load() > 0) {
-				t.Errorf("%s: observer saw %d begins / %d commits / %d sampled",
-					name, obs.begins.Load(), obs.commits.Load(), obs.sampled.Load())
+			if obs.commits.Load() == 0 || (lvl == stm.ObsHistograms) != (obs.sampled.Load() > 0) {
+				t.Errorf("%s: observer saw %d attempts / %d commits / %d sampled",
+					name, obs.attempts(), obs.commits.Load(), obs.sampled.Load())
 			}
 		}
 	}
@@ -97,8 +98,8 @@ func TestObsWithObsOption(t *testing.T) {
 		t.Fatalf("level = %v, want counters", m.ObsLevel())
 	}
 	addWord(m, 0, 1)
-	if obs.begins.Load() != 1 || obs.commits.Load() != 1 {
-		t.Errorf("observer saw %d begins / %d commits, want 1/1", obs.begins.Load(), obs.commits.Load())
+	if obs.attempts() != 1 || obs.commits.Load() != 1 {
+		t.Errorf("observer saw %d attempts / %d commits, want 1/1", obs.attempts(), obs.commits.Load())
 	}
 }
 

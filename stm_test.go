@@ -10,7 +10,9 @@ import (
 	"time"
 
 	stm "github.com/stm-go/stm"
+	"github.com/stm-go/stm/internal/lin"
 	"github.com/stm-go/stm/internal/simrand"
+	"github.com/stm-go/stm/internal/xrand"
 )
 
 func mustNew(t *testing.T, size int) *stm.Memory {
@@ -225,25 +227,69 @@ func TestNilUpdatePanicsBeforeBegin(t *testing.T) {
 }
 
 func TestConcurrentAddExact(t *testing.T) {
-	const (
-		goroutines = 8
-		each       = 1500
-	)
-	m := mustNew(t, 1)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				addWord(m, 0, 1)
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		const (
+			goroutines = 8
+			each       = 1500
+		)
+		m := mustNewEngine(t, 1, eng)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					addWord(m, 0, 1)
+				}
+			}()
+		}
+		wg.Wait()
+		if got, want := m.Peek(0), uint64(goroutines*each); got != want {
+			t.Errorf("counter = %d, want %d", got, want)
+		}
+	})
+}
+
+// TestRegisterSwapsLinearizable records concurrent histories of one-word
+// swaps (Tx.RunInto, each returning the value it replaced) and checks each
+// against the sequential register. The search is exponential in history
+// length, so it runs many short rounds — at most 4 goroutines of 5 swaps —
+// until its time budget is spent: short histories still catch an ordering
+// violation.
+func TestRegisterSwapsLinearizable(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		const (
+			goroutines = 4
+			opsPer     = 5
+			budget     = 300 * time.Millisecond
+		)
+		seed := simrand.SeedForTest(t)
+		deadline := time.Now().Add(budget)
+		for round := uint64(1); time.Now().Before(deadline); round++ {
+			m := mustNewEngine(t, 1, eng)
+			tx := mustPrepare(t, m, []int{0})
+			rec := lin.NewRecorder()
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					rng := xrand.New(seed ^ round*0x9e3779b97f4a7c15 ^ uint64(g+1)*0xbf58476d1ce4e5b9)
+					for i := 0; i < opsPer; i++ {
+						v := rng.Uint64()%100 + 1
+						call := rec.Begin(g, lin.Op{Kind: lin.OpSwap, Arg: v})
+						var old [1]uint64
+						tx.RunInto(func(_, new []uint64) { new[0] = v }, old[:])
+						rec.End(call, old[0])
+					}
+				}(g)
 			}
-		}()
-	}
-	wg.Wait()
-	if got, want := m.Peek(0), uint64(goroutines*each); got != want {
-		t.Errorf("counter = %d, want %d", got, want)
-	}
+			wg.Wait()
+			if !lin.CheckRegister(rec.History(), 0) {
+				t.Fatalf("round %d: the swap history is not linearizable as a register", round)
+			}
+		}
+	})
 }
 
 // casN is a k-word compare-and-swap as one static transaction over the
@@ -395,50 +441,84 @@ func TestAddTwosComplementSubtraction(t *testing.T) {
 }
 
 func TestSnapshotConsistentUnderTransfers(t *testing.T) {
-	const size = 6
-	m := mustNew(t, size)
-	for i := 0; i < size; i++ {
-		swapWord(m, i, 100)
-	}
-	addrs := make([]int, size)
-	var moves [size]*stm.Tx // moves[lo]: the transfer over {lo, lo+1 mod size}
-	for i := range addrs {
-		addrs[i] = i
-		moves[i] = mustPrepare(t, m, []int{min(i, (i+1)%size), max(i, (i+1)%size)})
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		n := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	// Transfer goroutines move random amounts between random pairs of words
+	// (a static transaction over the ascending pair, never overdrawing),
+	// while the test takes whole-memory snapshots: every snapshot, and the
+	// final state, must hold the starting total.
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		const (
+			size      = 6
+			initial   = 100
+			movers    = 3
+			snapshots = 200
+		)
+		m := mustNewEngine(t, size, eng)
+		addrs := make([]int, size)
+		for i := range addrs {
+			addrs[i] = i
+			swapWord(m, i, initial)
+		}
+		var pairs [size][size]*stm.Tx // pairs[lo][hi]: the data set {lo, hi}
+		for lo := 0; lo < size; lo++ {
+			for hi := lo + 1; hi < size; hi++ {
+				pairs[lo][hi] = mustPrepare(t, m, []int{lo, hi})
 			}
-			moves[n%size].RunInto(func(old, new []uint64) {
-				new[0], new[1] = old[0]-1, old[1]+1
-			}, nil)
-			n++
 		}
-	}()
-	snap := make([]uint64, size)
-	for i := 0; i < 200; i++ {
-		if err := m.ReadAllInto(addrs, snap); err != nil {
-			t.Fatal(err)
+		seed := simrand.SeedForTest(t)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < movers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := xrand.New(seed ^ uint64(g+1)*0x9e3779b97f4a7c15)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					a, b := rng.Intn(size), rng.Intn(size)
+					if a == b {
+						continue
+					}
+					amt := rng.Uint64() % 64
+					// from and to index the ascending pair.
+					from, to := 0, 1
+					if a > b {
+						a, b = b, a
+						from, to = 1, 0
+					}
+					pairs[a][b].RunInto(func(old, new []uint64) {
+						x := min(amt, old[from])
+						new[from], new[to] = old[from]-x, old[to]+x
+					}, nil)
+				}
+			}(g)
 		}
+		snap := make([]uint64, size)
+		for i := 0; i < snapshots; i++ {
+			if err := m.ReadAllInto(addrs, snap); err != nil {
+				t.Fatal(err)
+			}
+			var sum uint64
+			for _, v := range snap {
+				sum += v
+			}
+			if sum != size*initial {
+				t.Fatalf("snapshot %d sum = %d, want %d", i, sum, size*initial)
+			}
+		}
+		close(stop)
+		wg.Wait()
 		var sum uint64
-		for _, v := range snap {
-			sum += v
+		for i := 0; i < size; i++ {
+			sum += m.Peek(i)
 		}
-		if sum != size*100 {
-			t.Fatalf("snapshot sum = %d, want %d", sum, size*100)
+		if sum != size*initial {
+			t.Errorf("final sum = %d, want %d", sum, size*initial)
 		}
-	}
-	close(stop)
-	wg.Wait()
+	})
 }
 
 func TestStatsExposed(t *testing.T) {

@@ -28,31 +28,47 @@ func assertAllocs(t *testing.T, name string, want float64, fn func()) {
 }
 
 func TestAllocsQueuePutTake(t *testing.T) {
-	m := mustMem(t, 64)
-	q := mustQueue(t, m, 8)
-	// Warm the op pool and the ring.
-	for i := int64(0); i < 16; i++ {
-		q.Put(i)
-		q.Take()
-	}
-	assertAllocs(t, "Queue.Put+Take", 0, func() {
-		q.Put(7)
-		if got := q.Take(); got != 7 {
-			t.Fatal("wrong element")
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		m := mustMemEngine(t, 64, eng)
+		q := mustQueue(t, m, 8)
+		// Warm the op pool and the ring.
+		for i := int64(0); i < 16; i++ {
+			q.Put(i)
+			q.Take()
+		}
+		assertAllocs(t, "Queue.Put+Take", 0, func() {
+			q.Put(7)
+			if got := q.Take(); got != 7 {
+				t.Fatal("wrong element")
+			}
+		})
+		assertAllocs(t, "Queue.TryPut+TryTake", 0, func() {
+			if !q.TryPut(9) {
+				t.Fatal("TryPut failed with room")
+			}
+			if _, ok := q.TryTake(); !ok {
+				t.Fatal("TryTake failed with element queued")
+			}
+		})
+		// The failing Try forms are OrElse fall-throughs: the blocking
+		// branch retries and the fallback commits read-only.
+		assertAllocs(t, "Queue.TryTake empty", 0, func() {
+			if _, ok := q.TryTake(); ok {
+				t.Fatal("TryTake took from an empty queue")
+			}
+		})
+		for q.TryPut(1) {
+		}
+		assertAllocs(t, "Queue.TryPut full", 0, func() {
+			if q.TryPut(2) {
+				t.Fatal("TryPut put into a full queue")
+			}
+		})
+		assertAllocs(t, "Queue.Len", 0, func() { _ = q.Len() })
+		if m.Stats().Commits == 0 {
+			t.Error("telemetry disabled? no commits counted")
 		}
 	})
-	assertAllocs(t, "Queue.TryPut+TryTake", 0, func() {
-		if !q.TryPut(9) {
-			t.Fatal("TryPut failed with room")
-		}
-		if _, ok := q.TryTake(); !ok {
-			t.Fatal("TryTake failed with element queued")
-		}
-	})
-	assertAllocs(t, "Queue.Len", 0, func() { _ = q.Len() })
-	if m.Stats().Commits == 0 {
-		t.Error("telemetry disabled? no commits counted")
-	}
 }
 
 func TestAllocsMapOps(t *testing.T) {

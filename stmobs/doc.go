@@ -35,14 +35,13 @@
 // Medians of 10 runs on a 2-vCPU Intel Xeon VM, go1.24, in ns/op:
 //
 //	engine   off   counters   hist
-//	ST       449        480    522
-//	TL2      334        382    419
+//	ST       317        333    398
+//	TL2      250        263    291
 //
-// The interquartile range of those runs is 4–15 % of their median (the VM
+// The interquartile range of those runs is 14–24 % of their median (the VM
 // was shared). The clock is read for 1 attempt in 128; what the other 127
-// pay at counters and hist is event delivery (three events per uncontended
-// ST attempt, four per TL2 attempt) and, at hist, the two set-size
-// histograms.
+// pay at counters and hist is event delivery (one event per attempt, its
+// outcome) and, at hist, the two set-size histograms.
 //
 // # The admin endpoint
 //
@@ -89,8 +88,8 @@
 //		for { ... m.Atomically(...) ... }
 //	})
 //
-// See DESIGN.md §12 for the seam's architecture: the per-engine event
-// matrix, the abort taxonomy, histogram binning, and the clock sampling
+// See DESIGN.md §12 for the seam's architecture: the one event per
+// attempt, the abort taxonomy, histogram binning, and the clock sampling
 // behind the latency numbers — and §15 for the admin endpoint's stable
 // metric names and the flight recorder's design trade.
 package stmobs

@@ -50,9 +50,6 @@ const (
 	// FlightStmAbort is a failed transaction attempt: Conn is the attempt
 	// Seq, A the stm.AbortReason, B the failing word as an int64 (or -1).
 	FlightStmAbort uint16 = 0xFF00 + iota
-	// FlightStmValidationFail is a validation/admission failure inside an
-	// attempt: Conn is the attempt Seq, B the failing word as an int64.
-	FlightStmValidationFail
 	// FlightStmCommit is a sampled committed attempt (one whose event
 	// carries an Elapsed time): Conn is the attempt Seq, A its write-set
 	// size in words, B its duration in nanoseconds.
@@ -67,9 +64,6 @@ func (e FlightEvent) String() string {
 	case FlightStmAbort:
 		return fmt.Sprintf("t=%v stm-abort seq=%d reason=%s addr=%d",
 			e.At, e.Conn, stm.AbortReason(e.A), int64(e.B))
-	case FlightStmValidationFail:
-		return fmt.Sprintf("t=%v stm-validation-fail seq=%d addr=%d",
-			e.At, e.Conn, int64(e.B))
 	case FlightStmCommit:
 		return fmt.Sprintf("t=%v stm-commit seq=%d writes=%d took=%v",
 			e.At, e.Conn, e.A, time.Duration(e.B))
@@ -162,8 +156,7 @@ func (f *FlightRecorder) Dump(w io.Writer, describe func(FlightEvent) string) er
 	return nil
 }
 
-// ObsEvent implements stm.Observer: abort and validation-failure events
-// are recorded, and so are the commits the seam sampled (those with an
+// ObsEvent implements stm.Observer: abort events are recorded, and so are the commits the seam sampled (those with an
 // Elapsed time, 1 in ObsConfig.SampleEvery at stm.ObsHistograms; every
 // commit would flood the ring with the common case); everything else is
 // ignored. Register the recorder as the ObsConfig.Observer at
@@ -178,7 +171,5 @@ func (f *FlightRecorder) ObsEvent(e *stm.Event) {
 		}
 	case stm.EvAbort:
 		f.Record(FlightStmAbort, e.Seq, uint64(e.Reason), uint64(int64(e.Addr)))
-	case stm.EvValidationFail:
-		f.Record(FlightStmValidationFail, e.Seq, 0, uint64(int64(e.Addr)))
 	}
 }
