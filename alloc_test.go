@@ -149,6 +149,30 @@ func TestAllocsDefaultPolicyWithTelemetry(t *testing.T) {
 	}
 }
 
+// TestNewAllocatesOnlyTheTable pins a Memory's construction: its words are
+// built a chunk at a time on first write, so stm.New(1<<20), a 64 MiB
+// Memory once every word is written, allocates only its chunk table and
+// bookkeeping (12.8 KB on amd64), not the words.
+func TestNewAllocatesOnlyTheTable(t *testing.T) {
+	for _, eng := range stm.Engines() {
+		least := uint64(1 << 62)
+		for trial := 0; trial < 3; trial++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := stm.New(1<<20, stm.WithEngine(eng))
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(m)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least >= 64<<10 {
+			t.Errorf("%v: stm.New(1<<20) allocated %d B, want < 64 KiB", eng, least)
+		}
+	}
+}
+
 func TestAllocsConflictBackoff(t *testing.T) {
 	// A conflicted operation waits on a backoff its retry loop holds by
 	// value, so the conflict costs no allocation. Here every Atomically

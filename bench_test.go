@@ -168,8 +168,9 @@ func BenchmarkObsLevels(b *testing.B) {
 
 // BenchmarkMemoryNew measures building the server-sized Memory, 1<<20
 // words, on both engines: what every stmserve start and every benchmark
-// segment pays before its first transaction. Every cell starts nil, so this
-// is the allocation and the runtime's clearing of it.
+// segment pays before its first transaction. Words are built a chunk at a
+// time on first write, so this is the chunk table and the engine's
+// bookkeeping, a few KiB, not the 64 MiB the words take once all written.
 func BenchmarkMemoryNew(b *testing.B) {
 	for _, eng := range stm.Engines() {
 		b.Run(eng.String(), func(b *testing.B) {
@@ -254,7 +255,10 @@ func BenchmarkDynAtomically(b *testing.B) {
 // words (a read is admitted by one epoch compare and logged with one index
 // probe, DESIGN.md §9), grown the same as fresh (the handle's reset and
 // recycling cost what the operation wrote, not what the handle can hold).
-// 16, 24 and 32 words bracket a stmds.Map Get, which logs 22 words or more.
+// A stmds.Map Get hit logs fewer than 16 words: the active table's base
+// and capacity, the old table's capacity, the slot's state word, and the
+// key's and value's used words (DESIGN.md §10) — 10 for a 7-byte key and a
+// 24-byte value.
 func BenchmarkDynReadSet(b *testing.B) {
 	const grownTo = 16384
 	for _, eng := range stm.Engines() {

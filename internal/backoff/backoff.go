@@ -5,6 +5,7 @@
 package backoff
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -19,8 +20,8 @@ const (
 	Max = 100 * time.Microsecond
 )
 
-// spins is how many Waits of an Exp are short busy spins before it starts
-// to sleep.
+// spins is how many Waits of an Exp yield the processor once before it
+// starts to sleep.
 const spins = 8
 
 // Exp is a capped exponential backoff. The zero value is ready to use. An
@@ -37,18 +38,17 @@ type Exp struct {
 var seedSeq atomic.Uint64
 
 // Wait blocks for the current backoff interval and then doubles it. The
-// first eight waits are busy spins, which wins on short conflicts; after
-// them each sleep lasts the interval with ±50% jitter, starting at Min and
-// saturating at Max.
+// first eight waits each yield the processor once (runtime.Gosched), so
+// the goroutine holding the conflicted word can run, which wins on short
+// conflicts; after them each sleep lasts the interval with ±50% jitter,
+// starting at Min and saturating at Max.
 func (b *Exp) Wait() {
 	if b.waits == 0 {
 		b.rng = *xrand.New(seedSeq.Add(1))
 	}
 	b.waits++
 	if b.waits <= spins {
-		for i := 0; i < 64; i++ {
-			_ = i
-		}
+		runtime.Gosched()
 		return
 	}
 	if b.cur == 0 {

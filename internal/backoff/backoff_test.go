@@ -9,7 +9,7 @@ import (
 )
 
 func TestWaitDoublesAndSaturates(t *testing.T) {
-	b := Exp{waits: spins} // skip the spin phase for this test
+	b := Exp{waits: spins} // skip the yield phase for this test
 	want := Min
 	for i := 0; i < 10; i++ {
 		b.Wait()
@@ -28,7 +28,7 @@ func TestFirstWaitsSpin(t *testing.T) {
 	for i := 0; i < spins; i++ {
 		b.Wait()
 		if b.cur != 0 {
-			t.Fatalf("wait %d slept (cur = %v); the first %d waits spin", i+1, b.cur, spins)
+			t.Fatalf("wait %d slept (cur = %v); the first %d waits only yield", i+1, b.cur, spins)
 		}
 	}
 	b.Wait()

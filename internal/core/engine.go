@@ -191,7 +191,7 @@ func (e *stEngine) StableLoadBox(loc int) *uint64 { return e.m.stStableLoadBox(l
 // obs seam's reason come from the same failure site, so the two surfaces
 // can never disagree.
 func (m *Memory) failAttempt(rec *Rec, info *ConflictInfo, at ConflictInfo, reason AbortReason) bool {
-	m.words[at.Addr].conflicts.Add(1)
+	m.word(at.Addr).conflicts.Add(1)
 	rec.obsFail(reason, at.Addr)
 	if info != nil {
 		*info = at

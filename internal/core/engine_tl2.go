@@ -93,7 +93,7 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 	// across the value load — writers stamp before installing, so a new
 	// value can never slip in under an old stamp.
 	for i, loc := range rec.addrs {
-		w := &m.words[loc]
+		w := m.peek(loc)
 		v1 := w.version.Load()
 		if w.owner.Load() != nil {
 			return e.fail(rec, info, i, ReasonTL2Read)
@@ -142,7 +142,7 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 		if !wr[i] {
 			continue
 		}
-		w := &m.words[loc]
+		w := m.word(loc)
 		if !w.owner.CompareAndSwap(nil, rec) {
 			e.release(rec, wr, i)
 			return e.fail(rec, info, i, ReasonTL2Lock)
@@ -189,7 +189,7 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 		// not have been overwritten since our read. A clock step that
 		// moved rv→rv+1 proved no commit intervened and skipped this.
 		for i, loc := range rec.addrs {
-			w := &m.words[loc]
+			w := m.peek(loc)
 			if wr[i] {
 				if w.version.Load() > rv {
 					e.release(rec, wr, k)
@@ -241,7 +241,7 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 		if !wr[i] {
 			continue
 		}
-		w := &m.words[loc]
+		w := m.word(loc)
 		w.version.Store(wv)
 		box := rec.carveBox()
 		*box = nv[i]
@@ -260,7 +260,7 @@ func (e *tl2Engine) Attempt(rec *Rec, oldOut []uint64, info *ConflictInfo) bool 
 func (e *tl2Engine) release(rec *Rec, wr []bool, upto int) {
 	for i := 0; i < upto; i++ {
 		if wr[i] {
-			e.m.words[rec.addrs[i]].owner.CompareAndSwap(rec, nil)
+			e.m.word(rec.addrs[i]).owner.CompareAndSwap(rec, nil)
 		}
 	}
 }
@@ -289,7 +289,7 @@ func (e *tl2Engine) failRead(rec *Rec, info *ConflictInfo, i int) bool {
 // word's index, or -1.
 func (e *tl2Engine) checkReads(rec *Rec) int {
 	for i, loc := range rec.reads {
-		w := &e.m.words[loc]
+		w := e.m.peek(loc)
 		if owner := w.owner.Load(); owner != nil && owner != rec {
 			return i
 		}
@@ -307,7 +307,7 @@ func (e *tl2Engine) checkReads(rec *Rec) int {
 // so cell==box on both sides of an unlocked observation means the box was
 // the word's committed value throughout.
 func (e *tl2Engine) StableLoadBox(loc int) *uint64 {
-	w := &e.m.words[loc]
+	w := e.m.peek(loc)
 	for {
 		box := w.cell.Load()
 		if w.owner.Load() == nil && w.cell.Load() == box {

@@ -58,16 +58,16 @@ func TestTL2WriteStampsAndBumpsClock(t *testing.T) {
 	if got := e.clock.Load(); got != 1 {
 		t.Errorf("clock = %d, want 1", got)
 	}
-	if got := m.words[2].version.Load(); got != 1 {
+	if got := m.word(2).version.Load(); got != 1 {
 		t.Errorf("written word stamp = %d, want 1", got)
 	}
-	if got := m.words[5].version.Load(); got != 0 {
+	if got := m.word(5).version.Load(); got != 0 {
 		t.Errorf("unchanged word stamp = %d, want 0 (equal-value writes must not stamp)", got)
 	}
 	if m.Peek(2) != 7 {
 		t.Errorf("Peek(2) = %d, want 7", m.Peek(2))
 	}
-	if m.words[2].owner.Load() != nil || m.words[5].owner.Load() != nil {
+	if m.word(2).owner.Load() != nil || m.word(5).owner.Load() != nil {
 		t.Error("commit left a lock behind")
 	}
 }
@@ -77,7 +77,7 @@ func TestTL2LockConflictTelemetry(t *testing.T) {
 	// Park a foreign lock on word 3 and watch an attempt die on it with a
 	// conflict report naming the word and a per-word conflict bump.
 	blocker := armedRec(m, []int{3}, func(old []uint64) []uint64 { return old })
-	m.words[3].owner.Store(blocker)
+	m.word(3).owner.Store(blocker)
 
 	rec := m.Begin(2)
 	copy(rec.Addrs(), []int{1, 3})
@@ -92,7 +92,7 @@ func TestTL2LockConflictTelemetry(t *testing.T) {
 	if got := m.ConflictCount(3); got != 1 {
 		t.Errorf("ConflictCount(3) = %d, want 1", got)
 	}
-	m.words[3].owner.Store(nil)
+	m.word(3).owner.Store(nil)
 	rec = m.Begin(2)
 	copy(rec.Addrs(), []int{1, 3})
 	if !m.RunAttempt(rec, inc, nil) {
@@ -104,7 +104,7 @@ func TestTL2StaleStampFailsValidation(t *testing.T) {
 	m, e := newTL2(t, 8)
 	// A stamp ahead of the reader's rv sample must abort the read phase:
 	// this is the invisible read's only defense against mixed snapshots.
-	m.words[4].version.Store(5)
+	m.word(4).version.Store(5)
 	var info ConflictInfo
 	rec := m.Begin(1)
 	rec.Addrs()[0] = 4
@@ -135,7 +135,7 @@ func TestTL2StableLoadBoxWaitsOutLock(t *testing.T) {
 	}
 	// Hold the commit lock; StableLoadBox must not return until released.
 	holder := armedRec(m, []int{1}, func(old []uint64) []uint64 { return old })
-	m.words[1].owner.Store(holder)
+	m.word(1).owner.Store(holder)
 	done := make(chan *uint64)
 	go func() { done <- m.StableLoadBox(1) }()
 	select {
@@ -143,7 +143,7 @@ func TestTL2StableLoadBoxWaitsOutLock(t *testing.T) {
 		t.Fatal("StableLoadBox returned through a held lock")
 	default:
 	}
-	m.words[1].owner.Store(nil)
+	m.word(1).owner.Store(nil)
 	if box := <-done; *box != 11 {
 		t.Errorf("StableLoadBox = %d, want 11", *box)
 	}

@@ -72,7 +72,10 @@ type word struct {
 // CompareAndSwap provides LL/SC semantics (see package documentation). A
 // word no commit has changed holds nil, which reads as 0 (BoxVal).
 type Memory struct {
-	words  []word
+	// chunks holds each chunk's first word, nil until a write builds it
+	// (see word and peek); size is the Memory's length in words.
+	chunks []atomic.Pointer[word]
+	size   int
 	engine Engine     // commit protocol; see engine.go
 	kind   EngineKind // engine.Kind(), cached for the obs hot path
 
@@ -114,13 +117,14 @@ func NewMemory(size int) (*Memory, error) {
 // NewMemoryEngine returns a Memory of size words, all initialized to zero,
 // whose transactions execute through the given commit engine. The engine is
 // fixed for the Memory's lifetime: every transaction on one Memory speaks
-// the same protocol. Every cell starts nil — the word's first box, read as
-// 0 — so construction is one allocation and no per-word store.
+// the same protocol. Construction allocates only the chunk table: a word
+// is built, with the rest of its chunk, on its first write, and reads as 0
+// until then (see word and peek).
 func NewMemoryEngine(size int, kind EngineKind) (*Memory, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("core: memory size must be positive, got %d", size)
 	}
-	m := &Memory{words: make([]word, size)}
+	m := &Memory{chunks: make([]atomic.Pointer[word], (size+chunkWords-1)>>chunkShift), size: size}
 	eng, err := newEngine(kind, m)
 	if err != nil {
 		return nil, err
@@ -137,13 +141,89 @@ func (m *Memory) Engine() Engine { return m.engine }
 func (m *Memory) EngineKind() EngineKind { return m.engine.Kind() }
 
 // Size returns the number of words in the memory.
-func (m *Memory) Size() int { return len(m.words) }
+func (m *Memory) Size() int { return m.size }
+
+// A Memory's words live in chunks of chunkWords (256 KiB of padded words),
+// each allocated by the first write to any of its words; the last chunk
+// holds only the words left over. A chunk is published with one CAS on its
+// table slot before any of its words is owned, locked, stamped or
+// installed, so a slot that reads nil stands for chunkWords words that are
+// unowned, unstamped and nil-celled at that load — the state unwritten
+// holds. See DESIGN.md §2.
+const (
+	chunkShift = 12
+	chunkWords = 1 << chunkShift
+	chunkMask  = chunkWords - 1
+)
+
+// unwritten is the word a load finds in a chunk that was never built: nil
+// cell, no owner, version 0, no conflicts. Nothing ever stores to it.
+var unwritten word
+
+// peek returns loc's word for loading: &unwritten if loc's chunk was never
+// built. Every load-only access goes through it; nothing may store through
+// the pointer it returns.
+func (m *Memory) peek(loc int) *word {
+	if uint(loc) >= uint(m.size) {
+		panic(ErrAddrRange)
+	}
+	c := m.chunks[loc>>chunkShift].Load()
+	if c == nil {
+		return &unwritten
+	}
+	return wordAt(c, loc&chunkMask)
+}
+
+// word returns loc's word for a store, CAS or Add. If no write has built
+// loc's chunk yet, it builds it and publishes it with one CAS on the table
+// slot; a goroutine that loses the CAS drops its allocation and uses the
+// winner's chunk.
+func (m *Memory) word(loc int) *word {
+	if w := m.peek(loc); w != &unwritten {
+		return w
+	}
+	ci := loc >> chunkShift
+	c := &make([]word, m.chunkLen(ci))[0]
+	if !m.chunks[ci].CompareAndSwap(nil, c) {
+		c = m.chunks[ci].Load()
+	}
+	return wordAt(c, loc&chunkMask)
+}
+
+// chunkLen is the number of words in chunk ci.
+func (m *Memory) chunkLen(ci int) int { return min(chunkWords, m.size-ci<<chunkShift) }
+
+// builtChunks counts the chunks some write has built.
+func (m *Memory) builtChunks() int {
+	n := 0
+	for ci := range m.chunks {
+		if m.chunks[ci].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// builtChunk returns chunk ci's words, or nil if it was never built.
+func (m *Memory) builtChunk(ci int) []word {
+	c := m.chunks[ci].Load()
+	if c == nil {
+		return nil
+	}
+	return unsafe.Slice(c, m.chunkLen(ci))
+}
+
+// wordAt is the i-th word of the chunk starting at c. The callers' range
+// check on loc keeps i inside the chunk's allocation.
+func wordAt(c *word, i int) *word {
+	return (*word)(unsafe.Add(unsafe.Pointer(c), uintptr(i)*unsafe.Sizeof(word{})))
+}
 
 // Peek reads a single word without transactional protection. The value is
 // an atomic snapshot of one word but carries no consistency guarantee
 // relative to other words; use a transaction for multi-word reads. A word
 // no commit has changed reads 0.
-func (m *Memory) Peek(loc int) uint64 { return BoxVal(m.words[loc].cell.Load()) }
+func (m *Memory) Peek(loc int) uint64 { return BoxVal(m.peek(loc).cell.Load()) }
 
 // BoxVal is the value a loaded box stands for: *box, or 0 for nil, the
 // first box of every word. Every dereference of a cell's box goes through
@@ -174,7 +254,7 @@ func BoxVal(box *uint64) uint64 {
 // change detection alone: a parked Retry polls it, and there a mid-install
 // pointer difference is exactly the signal wanted. See the stm package's
 // Atomically and DESIGN.md §9.
-func (m *Memory) LoadBox(loc int) *uint64 { return m.words[loc].cell.Load() }
+func (m *Memory) LoadBox(loc int) *uint64 { return m.peek(loc).cell.Load() }
 
 // CommitEpoch reads the Memory's commit epoch: one monotone word that
 // changes value at least once per value-changing commit, at an instant —
@@ -217,7 +297,7 @@ func (m *Memory) StableLoadBox(loc int) *uint64 { return m.engine.StableLoadBox(
 // stStableLoadBox is the ST engine's StableLoadBox: an observed stable
 // owner is helped to completion before re-inspecting.
 func (m *Memory) stStableLoadBox(loc int) *uint64 {
-	w := &m.words[loc]
+	w := m.peek(loc)
 	for {
 		box := w.cell.Load()
 		if owner := w.owner.Load(); owner == nil {
@@ -258,7 +338,7 @@ func (m *Memory) Stats() StatsSnapshot { return m.stats.snapshot() }
 // acquisition died at loc since construction or the last ResetStats. It is
 // the engine's per-word conflict telemetry: a hot word is one whose counter
 // grows fastest.
-func (m *Memory) ConflictCount(loc int) uint64 { return m.words[loc].conflicts.Load() }
+func (m *Memory) ConflictCount(loc int) uint64 { return m.peek(loc).conflicts.Load() }
 
 // ResetStats opens a fresh observation window in one sweep: it zeroes the
 // protocol counters, the abort-taxonomy and TL2 telemetry counters, every
@@ -270,8 +350,11 @@ func (m *Memory) ConflictCount(loc int) uint64 { return m.words[loc].conflicts.L
 // abort rates without quiescing the memory.
 func (m *Memory) ResetStats() {
 	m.stats.reset()
-	for i := range m.words {
-		m.words[i].conflicts.Store(0)
+	for ci := range m.chunks {
+		c := m.builtChunk(ci)
+		for i := range c {
+			c[i].conflicts.Store(0)
+		}
 	}
 }
 
@@ -283,8 +366,8 @@ func (m *Memory) ValidateDataSet(addrs []int) error {
 		return ErrEmptyDataSet
 	}
 	for i, a := range addrs {
-		if a < 0 || a >= len(m.words) {
-			return fmt.Errorf("%w: addrs[%d]=%d, size %d", ErrAddrRange, i, a, len(m.words))
+		if a < 0 || a >= m.size {
+			return fmt.Errorf("%w: addrs[%d]=%d, size %d", ErrAddrRange, i, a, m.size)
 		}
 		if i > 0 && addrs[i-1] == a {
 			return DupAddrError(a)
@@ -352,7 +435,7 @@ func (m *Memory) transaction(rec *Rec, initiator bool) {
 	}
 	helped := false
 	idx := failureIndex(st)
-	owner := m.words[rec.addrs[idx]].owner.Load()
+	owner := m.peek(rec.addrs[idx]).owner.Load()
 	if owner != nil && owner != rec && owner.pin() {
 		if owner.stable.Load() {
 			// Chaos injection: stall the failed initiator mid-helping,
@@ -381,7 +464,7 @@ func (m *Memory) transaction(rec *Rec, initiator bool) {
 // observes a decided status (some other helper got further than us).
 func (m *Memory) acquireOwnerships(rec *Rec) {
 	for i, loc := range rec.addrs {
-		w := &m.words[loc]
+		w := m.word(loc)
 		for {
 			if rec.status.Load() != statusNull {
 				return
@@ -474,7 +557,7 @@ func (m *Memory) validateReads(rec *Rec, initiator bool) bool {
 func (m *Memory) readPass(rec *Rec, e uint64) int64 {
 	for {
 		for i, loc := range rec.reads {
-			w := &m.words[loc]
+			w := m.peek(loc)
 			if o := w.owner.Load(); (o != nil && o != rec) || BoxVal(w.cell.Load()) != rec.exp[i] {
 				return failureAt(i)
 			}
@@ -502,7 +585,7 @@ var zeroOld = new(uint64)
 func (m *Memory) agreeOldValues(rec *Rec) {
 	for i, loc := range rec.addrs {
 		if rec.old[i].Load() == nil {
-			box := m.words[loc].cell.Load()
+			box := m.peek(loc).cell.Load()
 			if box == nil {
 				box = zeroOld
 			}
@@ -556,7 +639,7 @@ func (m *Memory) newValuesFor(rec *Rec, initiator bool) []uint64 {
 // individually.
 func (m *Memory) updateMemory(rec *Rec, newv []uint64, initiator bool) {
 	for i, loc := range rec.addrs {
-		w := &m.words[loc]
+		w := m.word(loc)
 		for {
 			cur := w.cell.Load()
 			if rec.allWritten.Load() {
@@ -593,7 +676,7 @@ func (m *Memory) updateMemory(rec *Rec, newv []uint64, initiator bool) {
 // data set is scanned unconditionally.
 func (m *Memory) releaseOwnerships(rec *Rec) {
 	for _, loc := range rec.addrs {
-		w := &m.words[loc]
+		w := m.word(loc)
 		if w.owner.Load() == rec {
 			w.owner.CompareAndSwap(rec, nil)
 		}
@@ -602,4 +685,4 @@ func (m *Memory) releaseOwnerships(rec *Rec) {
 
 // Owner reports the record currently owning loc, or nil. Exported for tests
 // and diagnostics.
-func (m *Memory) Owner(loc int) *Rec { return m.words[loc].owner.Load() }
+func (m *Memory) Owner(loc int) *Rec { return m.peek(loc).owner.Load() }

@@ -84,7 +84,7 @@ func TestNewMemoryCellsNil(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range m.words {
+		for i := range m.Size() {
 			if box := m.LoadBox(i); box != nil {
 				t.Fatalf("%v: word %d starts with box %p (value %d), want nil", kind, i, box, *box)
 			}
@@ -366,7 +366,7 @@ func TestFailureAndHelpCompleteStalledTransaction(t *testing.T) {
 
 	stalled := armedRec(m, []int{2, 5}, addFunc(100))
 	stalled.stable.Store(true)
-	if !m.words[2].owner.CompareAndSwap(nil, stalled) {
+	if !m.word(2).owner.CompareAndSwap(nil, stalled) {
 		t.Fatal("could not install stalled owner")
 	}
 
@@ -410,7 +410,7 @@ func TestHelpingDecidedRecordHealsOwnership(t *testing.T) {
 	done.status.Store(statusSuccess)
 	done.old[0].Store(zeroOld) // word 1 was never written: nil agrees as the sentinel
 	done.allWritten.Store(true)
-	if !m.words[1].owner.CompareAndSwap(nil, done) {
+	if !m.word(1).owner.CompareAndSwap(nil, done) {
 		t.Fatal("could not install decided owner")
 	}
 
@@ -431,7 +431,7 @@ func TestFailedIndexReporting(t *testing.T) {
 	blocker := armedRec(m, []int{4}, addFunc(0))
 	// Deliberately unstable so the conflicting transaction does not help it
 	// and the ownership stays in place for inspection.
-	if !m.words[4].owner.CompareAndSwap(nil, blocker) {
+	if !m.word(4).owner.CompareAndSwap(nil, blocker) {
 		t.Fatal("could not install blocker")
 	}
 	rec := armedRec(m, []int{0, 4}, addFunc(1))
@@ -448,7 +448,7 @@ func TestFailedIndexReporting(t *testing.T) {
 	if m.Owner(0) != nil {
 		t.Error("word 0 not released after failure")
 	}
-	m.words[4].owner.CompareAndSwap(blocker, nil)
+	m.word(4).owner.CompareAndSwap(blocker, nil)
 }
 
 func TestStatusEncoding(t *testing.T) {

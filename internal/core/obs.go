@@ -339,15 +339,16 @@ func (r *Rec) obsFail(reason AbortReason, addr int) {
 }
 
 // DebugString returns a human-readable dump of the Memory's observability
-// state: engine, size, failure rate, the engine's counters under their
+// state: engine, size, how many of its word chunks are built
+// (chunks=built/total), failure rate, the engine's counters under their
 // export keys, histogram summaries (when populated), and the hottest
 // conflict words. It is a diagnostic snapshot with the same torn-window
 // caveats as Stats.
 func (m *Memory) DebugString() string {
 	var sb strings.Builder
 	s := m.Stats()
-	fmt.Fprintf(&sb, "stm.Memory: engine=%s size=%d obs=%s failure-rate=%.4f",
-		m.kind, len(m.words), m.ObsLevel(), s.FailureRate())
+	fmt.Fprintf(&sb, "stm.Memory: engine=%s size=%d chunks=%d/%d obs=%s failure-rate=%.4f",
+		m.kind, m.size, m.builtChunks(), len(m.chunks), m.ObsLevel(), s.FailureRate())
 	for i, c := range Counters(m.kind) {
 		if i%4 == 0 {
 			sb.WriteString("\n ")
@@ -373,9 +374,12 @@ func (m *Memory) DebugString() string {
 		count uint64
 	}
 	var hots []hot
-	for i := range m.words {
-		if c := m.words[i].conflicts.Load(); c != 0 {
-			hots = append(hots, hot{i, c})
+	for ci := range m.chunks {
+		words := m.builtChunk(ci)
+		for i := range words {
+			if c := words[i].conflicts.Load(); c != 0 {
+				hots = append(hots, hot{ci<<chunkShift + i, c})
+			}
 		}
 	}
 	if len(hots) > 0 {

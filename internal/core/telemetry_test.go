@@ -11,8 +11,8 @@ import (
 // run its protocol.
 func blockWord(m *Memory, loc int) (release func()) {
 	rec := armedRec(m, []int{loc}, func(old []uint64) []uint64 { return old })
-	m.words[loc].owner.Store(rec)
-	return func() { m.words[loc].owner.CompareAndSwap(rec, nil) }
+	m.word(loc).owner.Store(rec)
+	return func() { m.word(loc).owner.CompareAndSwap(rec, nil) }
 }
 
 func TestConflictCountPerWord(t *testing.T) {

@@ -120,9 +120,9 @@ func (m *Memory) Observe(cfg ObsConfig) { m.eng.Observe(cfg) }
 func (m *Memory) ObsLevel() ObsLevel { return m.eng.ObsLevel() }
 
 // DebugString returns a human-readable dump of the Memory's observability
-// state: engine, counters, abort taxonomy, histogram summaries, and the
-// hottest conflict words. Diagnostic only, with Stats's torn-window
-// caveats.
+// state: engine, the word chunks built so far, counters, abort taxonomy,
+// histogram summaries, and the hottest conflict words. Diagnostic only,
+// with Stats's torn-window caveats.
 func (m *Memory) DebugString() string { return m.eng.DebugString() }
 
 // WithObs configures the observability seam at construction — equivalent

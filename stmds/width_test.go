@@ -361,3 +361,37 @@ func BenchmarkMapBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMapGetServerSize times one Map.Get in a Map of lib-map's and
+// stmserve's shape: a 1<<20-word Memory, 4096 keys and 9-word codecs, with
+// 7-byte keys and short values. It prices the words' layout where a Get
+// meets it at full size: the Memory's chunk table in front of every word.
+func BenchmarkMapGetServerSize(b *testing.B) {
+	for _, eng := range stm.Engines() {
+		b.Run(eng.String(), func(b *testing.B) {
+			const keys = 4096
+			m, err := stm.New(1<<20, stm.WithEngine(eng))
+			if err != nil {
+				b.Fatal(err)
+			}
+			mp, err := stmds.NewMap[string, string](m, stm.String(64), stm.String(64), keys)
+			if err != nil {
+				b.Fatal(err)
+			}
+			key := make([]string, keys)
+			for i := range key {
+				key[i] = fmt.Sprintf("k%06d", i)
+				if _, _, err := mp.Put(key[i], fmt.Sprintf("%d:0", i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if _, ok := mp.Get(key[n%keys]); !ok {
+					b.Fatal("a stored key is missing")
+				}
+			}
+		})
+	}
+}

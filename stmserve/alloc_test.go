@@ -8,6 +8,9 @@ package stmserve
 // credible STM benchmark harness rather than a GC benchmark.
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	stm "github.com/stm-go/stm"
@@ -97,5 +100,35 @@ func TestAllocsSteadyStateFeed(t *testing.T) {
 		// but taking them must not disturb the command path's zero.
 		srv.Metrics()
 		assertAllocs(t, "Feed/GET-after-snapshot", 0, func() { mustFeed(get) })
+	})
+}
+
+// TestDefaultServerFootprint pins what a default server holds live: its
+// Memory builds words a chunk at a time on first write, so New plus a few
+// SETs holds the chunks those SETs wrote, not the 64 MiB a 1<<20-word
+// Memory spans once every word is written.
+func TestDefaultServerFootprint(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		srv, err := New(Config{Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		var in strings.Builder
+		for i := 0; i < 16; i++ {
+			fmt.Fprintf(&in, "SET key-%d value-%d\r\n", i, i)
+		}
+		if got := feed(t, srv, in.String()); got != strings.Repeat("+OK\r\n", 16) {
+			t.Fatalf("replies %q, want 16 OKs", got)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 8<<20 {
+			t.Errorf("a default server and 16 SETs hold %d B more heap, want < 8 MiB", grew)
+		}
+		runtime.KeepAlive(srv)
 	})
 }

@@ -32,7 +32,8 @@ type Config struct {
 	Engine stm.Engine
 	// MemoryWords is the size of the transactional Memory backing
 	// everything the server stores. Default 1<<20 words; a word is one
-	// padded 64-byte line, so that is 64 MiB.
+	// padded 64-byte line, so that is 64 MiB once every word is written.
+	// Words are built 4096 at a time, on the first write to any of them.
 	MemoryWords int
 	// KeyspaceHint sizes the keyspace map for this many entries before it
 	// must grow. Default 4096.
