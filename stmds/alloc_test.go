@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	stm "github.com/stm-go/stm"
-	"github.com/stm-go/stm/stmds"
 	"github.com/stm-go/stm/stmobs"
 )
 
@@ -240,7 +239,3 @@ func TestAllocsMapGetObserved(t *testing.T) {
 type discardObserver struct{}
 
 func (discardObserver) ObsEvent(*stm.Event) {}
-
-// Compile-time check that Set rides Map's no-value-words mode without its
-// own allocation surface worth pinning separately.
-var _ = stmds.SetWords[int64]

@@ -117,7 +117,8 @@ func mapCapFor(hint int) uint64 {
 
 // MapWords returns the number of Memory words a NewMap with the given
 // codecs and size hint reserves up front: the control block plus the
-// initial table. Each later growth step reserves a further table of twice
+// initial table, in one allocation, so a NewMap in a fresh Memory of
+// exactly MapWords words fits. Each later growth step reserves a further table of twice
 // the current capacity (the outgrown table's words are never reused), so
 // a map expected to grow needs headroom beyond this figure.
 func MapWords[K comparable, V any](kc stm.Codec[K], vc stm.Codec[V], sizeHint int) int {
@@ -149,16 +150,15 @@ func NewMap[K comparable, V any](m *stm.Memory, kc stm.Codec[K], vc stm.Codec[V]
 		kw: kc.Words(), vw: vw,
 		slotWords: 1 + kc.Words() + vw,
 	}
-	ctl, err := m.AllocWords(ctlWords)
+	// The control block and the first table are one allocation, so a
+	// Memory of MapWords words holds them with no alignment padding between.
+	cap0 := mapCapFor(sizeHint)
+	ctl, err := m.AllocWords(ctlWords + int(cap0)*mp.slotWords)
 	if err != nil {
 		return nil, err
 	}
 	mp.ctl = ctl
-	cap0 := mapCapFor(sizeHint)
-	base, err := m.AllocWords(int(cap0) * mp.slotWords)
-	if err != nil {
-		return nil, err
-	}
+	base := ctl + ctlWords
 	if err := m.WriteAll([]int{ctl + ctlAbase, ctl + ctlAcap}, []uint64{uint64(base), cap0}); err != nil {
 		return nil, err
 	}

@@ -176,6 +176,33 @@ func TestMapOutOfWords(t *testing.T) {
 	}
 }
 
+func TestMapWordsIsExact(t *testing.T) {
+	// MapWords and SetWords are what NewMap and NewSet reserve, padding
+	// included: each fits a fresh Memory of exactly that many words and
+	// leaves the allocator's high-water mark there.
+	for _, hint := range []int{0, 1, 8, 100, 4096} {
+		for _, max := range [][2]int{{0, 0}, {7, 64}, {64, 16}} {
+			kc, vc := stm.String(max[0]), stm.String(max[1])
+			want := stmds.MapWords(kc, vc, hint)
+			m := mustMem(t, want)
+			if _, err := stmds.NewMap(m, kc, vc, hint); err != nil {
+				t.Fatalf("hint %d, widths %d+%d: NewMap in MapWords = %d words: %v", hint, kc.Words(), vc.Words(), want, err)
+			}
+			if got := m.WordsAllocated(); got != want {
+				t.Errorf("hint %d, widths %d+%d: NewMap reserved %d words, MapWords says %d", hint, kc.Words(), vc.Words(), got, want)
+			}
+		}
+		want := stmds.SetWords(stm.String(64), hint)
+		m := mustMem(t, want)
+		if _, err := stmds.NewSet(m, stm.String(64), hint); err != nil {
+			t.Fatalf("hint %d: NewSet in SetWords = %d words: %v", hint, want, err)
+		}
+		if got := m.WordsAllocated(); got != want {
+			t.Errorf("hint %d: NewSet reserved %d words, SetWords says %d", hint, got, want)
+		}
+	}
+}
+
 func TestMapTxComposition(t *testing.T) {
 	// Move a value between two maps atomically: no interleaving may ever
 	// observe the value in both or neither map.

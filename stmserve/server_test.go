@@ -581,10 +581,11 @@ func TestPipelinedBatchOwnsOnlyItsWrites(t *testing.T) {
 	// present keys reads their probe chains and the map's control words and
 	// writes each value's used words; on ST the commit owns the written
 	// words and nothing it only read (the words-owned counter's claim,
-	// DESIGN.md §12). "first" encodes to 2 used words (length + 1 data
-	// word) and "second-value" to 3, so each overwrite also rewrites its
-	// slot's state word, which records the value's used width: 4 words a
-	// key, where writing every codec word would take valWords (9).
+	// DESIGN.md §12). The length shares word 0 with the first seven bytes,
+	// so "first" encodes to 1 used word and "second-value" to 2, and each
+	// overwrite also rewrites its slot's state word, which records the
+	// value's used width: 3 words a key, where writing every codec word
+	// would take valWords (9).
 	srv := newTestServer(t, stm.ST)
 	var load, batch strings.Builder
 	for i := 0; i < 64; i++ {
@@ -601,8 +602,8 @@ func TestPipelinedBatchOwnsOnlyItsWrites(t *testing.T) {
 	if commits != 1 {
 		t.Fatalf("the batch made %d engine commits, want 1", commits)
 	}
-	if want := uint64(64 * (1 + 3)); owned != want {
-		t.Errorf("the batch owned %d words, want %d (64 state words + 64 values of 3 used words)", owned, want)
+	if want := uint64(64 * (1 + 2)); owned != want {
+		t.Errorf("the batch owned %d words, want %d (64 state words + 64 values of 2 used words)", owned, want)
 	}
 	for i := 0; i < 64; i += 21 {
 		if out := feed(t, srv, fmt.Sprintf("GET key:%d\r\n", i)); out != "$12\r\nsecond-value\r\n" {

@@ -64,15 +64,48 @@ func valFromInt(n int64) (v wireVal) {
 
 func (v *wireVal) bytes() []byte { return v.b[:v.n] }
 
-// keyWords/valWords are the codec widths: one length word plus the byte
-// array packed eight bytes per word, little-endian. They size the map's
-// slots, but a short key or value costs only its used words: the map
-// stores an encoding without its trailing zero words, so a 7-byte key
-// reads and writes 2 words, not keyWords.
+// keyWords/valWords are the codec widths. The length sits in the low byte
+// of word 0 and the bytes follow it, eight per word, little-endian: word 0
+// carries the length and bytes 0..6, words 1..7 bytes 7..62, and word 8
+// byte 63 alone (65 bytes in 9 words). They size the map's slots, but a
+// short key or value costs only its used words: the map stores an encoding
+// without its trailing zero words, so a 7-byte key reads and writes 1
+// word and a 15-byte value 2.
 const (
-	keyWords = 1 + MaxKeyBytes/8
-	valWords = 1 + MaxValBytes/8
+	keyWords = (1 + MaxKeyBytes + 7) / 8
+	valWords = (1 + MaxValBytes + 7) / 8
 )
+
+// wireBytes is the byte capacity encodeWire and decodeWire lay out; a key
+// or value array of another size does not compile against them.
+const wireBytes = 64
+
+// encodeWire writes the length n (clamped to wireBytes) and the bytes of b
+// into dst[:9] in the layout above, loading eight bytes at a time.
+func encodeWire(n byte, b *[wireBytes]byte, dst []uint64) {
+	if n > wireBytes {
+		n = wireBytes
+	}
+	_ = dst[8]
+	dst[0] = uint64(n) | binary.LittleEndian.Uint64(b[0:])<<8
+	for w := 1; w < 8; w++ {
+		dst[w] = binary.LittleEndian.Uint64(b[8*w-1:])
+	}
+	dst[8] = uint64(b[63])
+}
+
+// decodeWire is encodeWire's inverse: it fills b from src[:9] and returns
+// the length, clamped to wireBytes (a raw write to word 0 can hold any
+// byte there).
+func decodeWire(src []uint64, b *[wireBytes]byte) byte {
+	_ = src[8]
+	binary.LittleEndian.PutUint64(b[0:], src[0]>>8)
+	for w := 1; w < 8; w++ {
+		binary.LittleEndian.PutUint64(b[8*w-1:], src[w])
+	}
+	b[63] = byte(src[8])
+	return min(byte(src[0]), wireBytes)
+}
 
 // keyCodec and valCodec satisfy stm.Codec. Encode is total (the length is
 // clamped, though ingress validation makes an over-long value impossible)
@@ -81,25 +114,10 @@ type keyCodec struct{}
 
 func (keyCodec) Words() int { return keyWords }
 
-func (keyCodec) Encode(v wireKey, dst []uint64) {
-	if v.n > MaxKeyBytes {
-		v.n = MaxKeyBytes
-	}
-	dst[0] = uint64(v.n)
-	for w := 0; w < MaxKeyBytes/8; w++ {
-		dst[1+w] = binary.LittleEndian.Uint64(v.b[8*w:])
-	}
-}
+func (keyCodec) Encode(v wireKey, dst []uint64) { encodeWire(v.n, &v.b, dst) }
 
 func (keyCodec) Decode(src []uint64) (v wireKey) {
-	n := src[0]
-	if n > MaxKeyBytes {
-		n = MaxKeyBytes // defend against raw writes to the length word
-	}
-	v.n = byte(n)
-	for w := 0; w < MaxKeyBytes/8; w++ {
-		binary.LittleEndian.PutUint64(v.b[8*w:], src[1+w])
-	}
+	v.n = decodeWire(src, &v.b)
 	return v
 }
 
@@ -107,25 +125,10 @@ type valCodec struct{}
 
 func (valCodec) Words() int { return valWords }
 
-func (valCodec) Encode(v wireVal, dst []uint64) {
-	if v.n > MaxValBytes {
-		v.n = MaxValBytes
-	}
-	dst[0] = uint64(v.n)
-	for w := 0; w < MaxValBytes/8; w++ {
-		dst[1+w] = binary.LittleEndian.Uint64(v.b[8*w:])
-	}
-}
+func (valCodec) Encode(v wireVal, dst []uint64) { encodeWire(v.n, &v.b, dst) }
 
 func (valCodec) Decode(src []uint64) (v wireVal) {
-	n := src[0]
-	if n > MaxValBytes {
-		n = MaxValBytes
-	}
-	v.n = byte(n)
-	for w := 0; w < MaxValBytes/8; w++ {
-		binary.LittleEndian.PutUint64(v.b[8*w:], src[1+w])
-	}
+	v.n = decodeWire(src, &v.b)
 	return v
 }
 
