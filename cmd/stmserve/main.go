@@ -7,7 +7,7 @@
 //	stmserve                          # serve on :7171, ST engine
 //	stmserve -addr 127.0.0.1:7171     # explicit listen address
 //	stmserve -engine tl2              # TL2 global-version-clock engine
-//	stmserve -words 2097152 -keys 65536
+//	stmserve -words 4194304 -keys 16384 # at most 65,536 keys (see -words)
 //
 // Try it with netcat:
 //
@@ -81,8 +81,8 @@ func run(args []string) error {
 	var (
 		addr   = fs.String("addr", ":7171", "TCP listen address")
 		engine = fs.String("engine", "st", `commit engine ("st", "tl2")`)
-		words  = fs.Int("words", 1<<20, "transactional memory size in 8-byte words")
-		keys   = fs.Int("keys", 4096, "keyspace size hint (entries before first growth)")
+		words  = fs.Int("words", 1<<20, "transactional memory size in words; the keyspace's tables come out of it, so the default holds at most 16,384 keys")
+		keys   = fs.Int("keys", 4096, "keyspace size hint (entries before first growth); scale -words with it")
 		qcap   = fs.Int("qcap", 1024, "capacity of each named queue")
 		zcap   = fs.Int("zcap", 1024, "capacity of each named priority queue")
 		admin  = fs.String("admin", "", "admin HTTP listen address (/metrics, /debug/vars, /debug/pprof); empty disables")

@@ -27,8 +27,10 @@
 //     balance the queued backlog, and teardown drains and balances the
 //     value sums exactly.
 //   - serve: a real stmserve TCP server driven over loopback with MULTI
-//     transfer groups, MULTI snapshot audits, and a queue flow — while a
-//     seeded killer closes client connections mid-pipeline.
+//     transfer groups, MULTI snapshot audits, a queue flow, and a loader
+//     whose pipelined fresh-key SETs resize the keyspace three times —
+//     while a seeded killer closes client connections mid-pipeline. No
+//     loader SET may be refused, and every loaded key must read back.
 //   - sanity: a deliberately broken bank (debit and credit in separate
 //     transactions). The suite REQUIRES the harness to catch it; a run
 //     in which the sanity violation goes unreported fails.

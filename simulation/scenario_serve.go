@@ -1,9 +1,10 @@
 // The serve scenario: a real stmserve TCP server on loopback, driven the
 // way the paper's machinery will actually be hit in anger — pipelined
 // MULTI transfer groups from many connections, whole-keyspace MULTI
-// snapshot audits, and a queue flow — while a seeded killer closes client
-// connections mid-pipeline. The server's Memory is attached to the run,
-// so the engine chaos points park its commits too; the invariants prove
+// snapshot audits, a queue flow, and a loader whose fresh keys resize the
+// keyspace — while a seeded killer closes client connections
+// mid-pipeline. The server's Memory is attached to the run, so the engine
+// chaos points park its commits too; the invariants prove
 // that MULTI atomicity and the reader/feeder connection plumbing survive
 // both kinds of violence.
 
@@ -27,6 +28,15 @@ const (
 	serveAccounts = 8
 	serveInitial  = 1000
 	serveQueue    = "fq"
+
+	// The loader's keys grow the 64-key hint's 128-slot keyspace table to
+	// 256, 512 and 1,024 slots: 36.5k of the 1<<16 words, beside the
+	// queue's 9.2k, where 2,048 slots (38.9k) would not fit. 704 keys and
+	// the accounts stay below 3/4 of 1,024. A request is one batch that
+	// inserts before the server's Maintain runs, so it must fit in the
+	// quarter of 128 slots above the growth trigger: 32 SETs.
+	serveLoadKeys  = 704
+	serveLoadBatch = 32
 )
 
 type serveScenario struct{}
@@ -54,9 +64,14 @@ func dialClient(addr string) (*respClient, error) {
 	return &respClient{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
-func (c *respClient) send(s string) error {
-	_, err := io.WriteString(c.conn, s)
-	return err
+// roundTrip writes a pipelined request and reads its n replies,
+// returning the last (for a burst whose final reply — an EXEC array —
+// carries the data).
+func (c *respClient) roundTrip(req string, n int) ([]string, error) {
+	if _, err := io.WriteString(c.conn, req); err != nil {
+		return nil, err
+	}
+	return c.readN(n)
 }
 
 func (c *respClient) readReply() ([]string, error) {
@@ -107,8 +122,7 @@ func (c *respClient) readReply() ([]string, error) {
 	return nil, fmt.Errorf("bad reply line %q", line)
 }
 
-// readN reads n replies, returning the last (for a pipelined burst whose
-// final reply — the EXEC array — carries the data).
+// readN reads n replies, returning the last.
 func (c *respClient) readN(n int) ([]string, error) {
 	var last []string
 	for i := 0; i < n; i++ {
@@ -192,10 +206,7 @@ func (serveScenario) Run(env *Env) error {
 	for i := 0; i < serveAccounts; i++ {
 		fmt.Fprintf(&req, "SET acct:%d %d\r\n", i, serveInitial)
 	}
-	if err := setup.send(req.String()); err != nil {
-		return err
-	}
-	if _, err := setup.readN(serveAccounts); err != nil {
+	if _, err := setup.roundTrip(req.String(), serveAccounts); err != nil {
 		return err
 	}
 	setup.close()
@@ -230,10 +241,7 @@ func (serveScenario) Run(env *Env) error {
 				if a == b {
 					continue
 				}
-				err := c.send(fmt.Sprintf("MULTI\r\nINCRBY acct:%d -%d\r\nINCRBY acct:%d %d\r\nEXEC\r\n", a, amt, b, amt))
-				if err == nil {
-					_, err = c.readN(4) // +OK, 2×+QUEUED, EXEC array
-				}
+				_, err := c.roundTrip(fmt.Sprintf("MULTI\r\nINCRBY acct:%d -%d\r\nINCRBY acct:%d %d\r\nEXEC\r\n", a, amt, b, amt), 4) // +OK, 2×+QUEUED, EXEC array
 				if err != nil {
 					table.clear(w)
 					c.close()
@@ -272,11 +280,7 @@ func (serveScenario) Run(env *Env) error {
 					c = nc
 					table.set(id, c.conn)
 				}
-				err := c.send(reqStr)
-				var vals []string
-				if err == nil {
-					vals, err = c.readN(2 + serveAccounts) // +OK, QUEUEDs, EXEC array
-				}
+				vals, err := c.roundTrip(reqStr, 2+serveAccounts) // +OK, QUEUEDs, EXEC array
 				if err != nil {
 					table.clear(id)
 					c.close()
@@ -306,6 +310,48 @@ func (serveScenario) Run(env *Env) error {
 		}(a)
 	}
 
+	// Keyspace loader: pipelined fresh-key SETs on a connection the killer
+	// leaves alone, then one MULTI of GETs over every key it stored. A
+	// refused SET (ERR keyspace full) or a key that does not read back is
+	// a violation.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c, err := dialClient(addr)
+		if err != nil {
+			return
+		}
+		defer c.close()
+		var set, get strings.Builder
+		get.WriteString("MULTI\r\n")
+		n := 0
+		for ; n < serveLoadKeys && !env.Stopped(); n += serveLoadBatch {
+			set.Reset()
+			for k := n; k < n+serveLoadBatch; k++ {
+				fmt.Fprintf(&set, "SET load:%d %d\r\n", k, k)
+				fmt.Fprintf(&get, "GET load:%d\r\n", k)
+			}
+			if _, err := c.roundTrip(set.String(), serveLoadBatch); err != nil {
+				if strings.HasPrefix(err.Error(), "server error") {
+					env.Violatef("serve: loader SET among keys %d..%d refused: %v", n, n+serveLoadBatch-1, err)
+				}
+				return
+			}
+		}
+		get.WriteString("EXEC\r\n")
+		vals, err := c.roundTrip(get.String(), 2+n) // +OK, QUEUEDs, EXEC array
+		if err != nil {
+			return
+		}
+		for k := 0; k < n; k++ {
+			if k >= len(vals) || vals[k] != strconv.Itoa(k) {
+				env.Violatef("serve: %d loaded keys read back as %d values; load:%d is not %d", n, len(vals), k, k)
+				return
+			}
+		}
+		env.Checked()
+	}()
+
 	// Queue flow: one producer QPUSHes, one consumer BQPOPs (with a
 	// timeout so shutdown stays responsive). Both count only acknowledged
 	// operations, and any connection error poisons the final balance
@@ -322,10 +368,7 @@ func (serveScenario) Run(env *Env) error {
 		}
 		defer c.close()
 		for !env.Stopped() {
-			if err := c.send("QPUSH " + serveQueue + " tok\r\n"); err == nil {
-				_, err = c.readReply()
-			}
-			if err != nil {
+			if _, err := c.roundTrip("QPUSH "+serveQueue+" tok\r\n", 1); err != nil {
 				flowDirty.Store(true)
 				return
 			}
@@ -342,10 +385,7 @@ func (serveScenario) Run(env *Env) error {
 		}
 		defer c.close()
 		for !env.Stopped() {
-			var vals []string
-			if err := c.send("BQPOP " + serveQueue + " 50\r\n"); err == nil {
-				vals, err = c.readReply()
-			}
+			vals, err := c.roundTrip("BQPOP "+serveQueue+" 50\r\n", 1)
 			if err != nil {
 				flowDirty.Store(true)
 				return
@@ -388,10 +428,7 @@ func (serveScenario) Run(env *Env) error {
 			return err
 		}
 		defer c.close()
-		if err := c.send("QLEN " + serveQueue + "\r\n"); err != nil {
-			return err
-		}
-		vals, err := c.readReply()
+		vals, err := c.roundTrip("QLEN "+serveQueue+"\r\n", 1)
 		if err != nil {
 			return err
 		}

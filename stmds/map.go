@@ -10,7 +10,7 @@ import (
 
 // ErrMapFull reports a Put that found no free slot and could not grow the
 // table: either the Memory's word allocator is exhausted, or the put ran
-// inside a caller's transaction (PutTx), which cannot allocate or migrate.
+// inside a caller's transaction (PutTx), which cannot allocate.
 var ErrMapFull = errors.New("stmds: map table full")
 
 // Map is a transactional hash map from K to V: an open-addressing table
@@ -21,13 +21,15 @@ var ErrMapFull = errors.New("stmds: map table full")
 // across countStripes words for the same reason.
 //
 // The table grows by transactional incremental resize: when occupancy
-// (live entries plus tombstones) crosses 3/4, a new table is installed
-// and subsequent Put/Delete calls each migrate a small chunk of old-table
-// slots in their own short transactions — no single commit ever owns the
-// whole table. While a migration is in flight a live key exists in
-// exactly one of the two tables: lookups probe the active table first,
-// then the old; writes install into the active table and tombstone any
-// old-table copy in the same atomic step. See DESIGN.md §10.
+// (live entries plus tombstones) crosses 3/4, a new table is installed,
+// and until the old one is drained every write — a Put or PutTx, or a
+// Delete or DeleteTx that finds its key — moves a small chunk of old-table
+// slots inside its own transaction. No commit ever owns a whole table, and
+// the active table cannot fill before the drain ends. Reads never migrate,
+// so a Get stays read-only. While a migration is in flight a live key
+// exists in exactly one of the two tables: lookups probe the active table
+// first, then the old; writes install into the active table and tombstone
+// any old-table copy in the same atomic step. See DESIGN.md §10.
 //
 // A Map is safe for concurrent use. Table words (including those of
 // outgrown tables) are reserved from the Memory's allocator and never
@@ -58,9 +60,9 @@ const (
 
 	countStripes = 8 // power of two; stripe = hash & (countStripes-1)
 
-	// migrateChunk old-table slots move per helping operation. With every
-	// standalone Put/Delete helping one chunk, the active table provably
-	// cannot fill before migration completes (DESIGN.md §10).
+	// migrateChunk old-table slots move with every write while a migration
+	// is in flight, so the active table provably cannot fill before the
+	// migration completes (DESIGN.md §10).
 	migrateChunk = 4
 
 	slotEmpty = 0
@@ -201,23 +203,19 @@ func (mp *Map[K, V]) GetTx(tx *stm.DTx, k K) (V, bool) {
 func (mp *Map[K, V]) Put(k K, v V) (prev V, replaced bool, err error) {
 	op := mp.getOp()
 	defer mp.putOp(op)
+	op.k, op.v = k, v
+	op.encodeKey()
 	for tries := 0; ; tries++ {
-		mp.helpMigrate(op)
-		op.k, op.v = k, v
-		op.encodeKey()
 		_ = mp.m.Atomically(op.putFn)
 		if !op.needGrow {
 			break
 		}
-		// No free slot: drive any in-flight migration (helpMigrate above
-		// advances it each lap) and grow once the table is migrated.
-		// wedged=true — this loop's needGrow is the proof the active
-		// table is 100% live-full, which is what licenses the emergency
-		// path when a migration is also in flight.
+		// No free slot, which the §10 bound allows only with no migration
+		// in flight: grow, and retry into the new table.
 		if tries >= growRetryLimit {
 			return prev, false, ErrMapFull
 		}
-		if err := mp.grow(true); err != nil {
+		if err := mp.grow(); err != nil {
 			return prev, false, err
 		}
 	}
@@ -226,25 +224,24 @@ func (mp *Map[K, V]) Put(k K, v V) (prev V, replaced bool, err error) {
 		// Advisory trigger: the put itself succeeded, so an allocation
 		// failure here is not this call's error — later puts surface it
 		// when the table really runs out of slots.
-		_ = mp.grow(false)
+		_ = mp.grow()
 	}
 	return prev, replaced, nil
 }
 
 // growRetryLimit bounds Put's grow-and-retry laps; hitting it means the
-// allocator cannot deliver a bigger table (or a migration cannot finish)
-// and the put fails with ErrMapFull rather than spinning.
+// allocator cannot deliver a bigger table and the put fails with
+// ErrMapFull rather than spinning.
 const growRetryLimit = 64
 
-// PutTx is Put inside the caller's transaction. It cannot allocate or
-// migrate (both need their own transactions), so on a table with no free
-// slot it returns ErrMapFull instead of growing — size the map for
-// PutTx-heavy workloads up front (MapWords). Standalone-driven workloads
-// keep the table below that point, and a later standalone Put repairs
-// even a table that PutTx bursts filled mid-migration (see
-// emergencyGrow), so an ErrMapFull here is a transient of the current
-// transaction, never a permanent state. The put is buffered in tx and
-// takes effect only if the whole transaction commits.
+// PutTx is Put inside the caller's transaction. It cannot allocate (growth
+// needs its own transaction), so on a table with no free slot it returns
+// ErrMapFull instead of growing. That happens only when inserts fill the
+// active table with no migration in flight: a workload that inserts only
+// through PutTx calls Maintain between transactions to start growth, and
+// a standalone Put grows a full table itself. While a migration is in
+// flight, PutTx moves a chunk of it like every write. The put is buffered
+// in tx and takes effect only if the whole transaction commits.
 func (mp *Map[K, V]) PutTx(tx *stm.DTx, k K, v V) (prev V, replaced bool, err error) {
 	op := mp.getOp()
 	defer mp.putOp(op)
@@ -262,7 +259,6 @@ func (mp *Map[K, V]) PutTx(tx *stm.DTx, k K, v V) (prev V, replaced bool, err er
 func (mp *Map[K, V]) Delete(k K) (V, bool) {
 	op := mp.getOp()
 	defer mp.putOp(op)
-	mp.helpMigrate(op)
 	op.k = k
 	op.encodeKey()
 	_ = mp.m.Atomically(op.delFn)
@@ -279,23 +275,18 @@ func (mp *Map[K, V]) DeleteTx(tx *stm.DTx, k K) (V, bool) {
 	return op.prev, op.found
 }
 
-// Maintain performs one increment of the map's background upkeep, outside
-// any caller transaction: it advances an in-flight incremental resize by
-// one chunk and starts a resize when occupancy has crossed the growth
-// threshold. Standalone Put/Delete calls do this automatically; a workload
-// that mutates only through the Tx forms (PutTx/DeleteTx — which can
-// neither allocate nor migrate) must call Maintain periodically from
-// non-transactional code, or the table eventually wedges at ErrMapFull
-// with the allocator full of free words. One call after every batch of Tx
+// Maintain starts a resize, outside any caller transaction, when occupancy
+// has crossed the growth threshold. Put does this itself; a workload that
+// inserts only through PutTx, which cannot allocate, must call Maintain
+// from non-transactional code, or PutTx eventually returns ErrMapFull with
+// the allocator full of free words. The resize it starts needs no further
+// help: every write drains a chunk of it. One call after every batch of Tx
 // mutations is plenty; when there is nothing to do, Maintain costs a few
 // atomic loads and no allocation. The only errors are allocation failures
 // (stm.ErrOutOfWords), and they are advisory here — a later call retries.
 func (mp *Map[K, V]) Maintain() error {
-	op := mp.getOp()
-	defer mp.putOp(op)
-	mp.helpMigrate(op)
 	if mp.shouldGrow() {
-		return mp.grow(false)
+		return mp.grow()
 	}
 	return nil
 }
@@ -391,16 +382,6 @@ func (mp *Map[K, V]) putOp(op *mapOp[K, V]) {
 	mp.ops.Put(op)
 }
 
-// helpMigrate advances an in-flight migration by one chunk (its own short
-// transaction). The Peek is advisory — a stale read at worst skips or
-// wastes one help.
-func (mp *Map[K, V]) helpMigrate(op *mapOp[K, V]) {
-	if mp.m.Peek(mp.ctl+ctlOcap) == 0 {
-		return
-	}
-	_ = mp.m.Atomically(op.migFn)
-}
-
 // shouldGrow estimates (from unvalidated Peeks — the trigger is advisory)
 // whether active-table occupancy has crossed the 3/4 threshold.
 func (mp *Map[K, V]) shouldGrow() bool {
@@ -416,35 +397,24 @@ func (mp *Map[K, V]) shouldGrow() bool {
 }
 
 // grow allocates the next table and installs it as active in one small
-// transaction, leaving the old table to be drained incrementally by
-// helpMigrate. The mutex serializes allocation (so racing triggers cannot
-// both reserve tables); the in-transaction re-check makes the flip itself
-// safe regardless. A doubling is chosen while live load justifies it;
-// otherwise the table is rebuilt at the same capacity, which sheds
-// tombstones.
-//
-// When a migration is already in flight, growth normally just waits for
-// it — except in the wedged state (see emergencyGrow), which only
-// PutTx-heavy workloads can reach: the active table is 100% live-full,
-// so the incremental migration has nowhere to put the old table's
-// remaining entries and can never finish. Put's retry loop lands here
-// with that exact evidence, and grow unwedges instead of refusing.
-func (mp *Map[K, V]) grow(wedged bool) error {
+// transaction, leaving the old table to be drained by the writes that
+// follow (migrate). The mutex serializes allocation (so racing triggers
+// cannot both reserve tables); the in-transaction re-check makes the flip
+// itself safe regardless. A doubling is chosen while live load justifies
+// it; otherwise the table is rebuilt at the same capacity, which sheds
+// tombstones. A migration in flight is already the growth step, so grow
+// then does nothing.
+func (mp *Map[K, V]) grow() error {
 	mp.growMu.Lock()
 	defer mp.growMu.Unlock()
-	if mp.m.Peek(mp.ctl+ctlOcap) != 0 {
-		if !wedged {
-			// An advisory trigger racing a just-started migration: the
-			// drain in flight is already the growth step. Only the
-			// wedged Put path may escalate.
-			return nil
-		}
-		return mp.emergencyGrow()
+	ctl := mp.ctl
+	if mp.m.Peek(ctl+ctlOcap) != 0 {
+		return nil
 	}
-	acap := mp.m.Peek(mp.ctl + ctlAcap)
+	acap := mp.m.Peek(ctl + ctlAcap)
 	var live uint64
 	for i := 0; i < countStripes; i++ {
-		live += mp.m.Peek(mp.ctl + ctlCnt + i)
+		live += mp.m.Peek(ctl + ctlCnt + i)
 	}
 	newCap := acap
 	if 2*live >= acap {
@@ -454,10 +424,20 @@ func (mp *Map[K, V]) grow(wedged bool) error {
 	if err != nil {
 		return err
 	}
-	ctl := mp.ctl
 	return mp.m.Atomically(func(tx *stm.DTx) error {
 		if tx.Read(ctl+ctlOcap) != 0 || tx.Read(ctl+ctlAcap) != acap {
 			return nil // someone else already flipped; the words are wasted
+		}
+		if newCap == acap {
+			// A same-capacity rebuild is safe only while fewer than half
+			// the slots are live (§10): re-check the count the Peeks saw.
+			live = 0
+			for i := 0; i < countStripes; i++ {
+				live += tx.Read(ctl + ctlCnt + i)
+			}
+			if 2*live >= acap {
+				return nil // inserts raced the Peeks; a later trigger doubles
+			}
 		}
 		tx.Write(ctl+ctlObase, tx.Read(ctl+ctlAbase))
 		tx.Write(ctl+ctlOcap, acap)
@@ -466,78 +446,6 @@ func (mp *Map[K, V]) grow(wedged bool) error {
 		tx.Write(ctl+ctlAcap, newCap)
 		for i := 0; i < countStripes; i++ {
 			tx.Write(ctl+ctlTmb+i, 0) // tombstones die with the old table
-		}
-		return nil
-	})
-}
-
-// emergencyGrow unwedges a stuck migration. The §10 occupancy bound
-// guarantees standalone-driven workloads never fill the active table
-// mid-migration, but PutTx/DeleteTx mutate without helping and can
-// defeat it: with the active table 100% live-full and old-table entries
-// still unmigrated, neither the migration (no slot) nor a normal grow
-// (migration in flight) can proceed, and without intervention Put would
-// report ErrMapFull with the allocator full of free words.
-//
-// The repair is one transaction that rehomes the old table's remaining
-// entries into a freshly allocated, larger table — empty and invisible
-// until the same transaction installs it, so those writes conflict with
-// nobody — and flips: the fresh table becomes active, the formerly
-// full active table becomes the old one, and the normal incremental
-// drain resumes with room to work. This is the one commit whose
-// footprint spans a whole (old) table; it is reachable only from the
-// wedged state, never on the standalone-op path.
-func (mp *Map[K, V]) emergencyGrow() error {
-	ctl := mp.ctl
-	acap := mp.m.Peek(ctl + ctlAcap)
-	var live uint64
-	for i := 0; i < countStripes; i++ {
-		live += mp.m.Peek(ctl + ctlCnt + i)
-	}
-	newCap := 2 * acap
-	for 4*(live+1) >= 3*newCap {
-		newCap <<= 1
-	}
-	base, err := mp.m.AllocWords(int(newCap) * mp.slotWords)
-	if err != nil {
-		return err
-	}
-	mask := newCap - 1
-	op := mp.getOp()
-	defer mp.putOp(op)
-	return mp.m.Atomically(func(tx *stm.DTx) error {
-		ocap := tx.Read(ctl + ctlOcap)
-		if ocap == 0 || tx.Read(ctl+ctlAcap) != acap {
-			return nil // drained or flipped meanwhile; the words are wasted
-		}
-		obase := int(tx.Read(ctl + ctlObase))
-		for i := tx.Read(ctl + ctlCursor); i < ocap; i++ {
-			a := obase + int(i)*mp.slotWords
-			st := tx.Read(a)
-			if !isFull(st) {
-				continue
-			}
-			op.loadKey(tx, a, st)
-			// The fresh table is all-empty except for this transaction's
-			// own buffered inserts, which tx.Read observes — a plain walk
-			// to the first empty slot is a correct probe.
-			idx := op.hash & mask
-			steps := uint64(0)
-			for tx.Read(base+int(idx)*mp.slotWords) != slotEmpty {
-				idx = (idx + 1) & mask
-				if steps++; steps > newCap {
-					return ErrMapFull // unreachable: newCap > total live
-				}
-			}
-			op.moveSlot(tx, base+int(idx)*mp.slotWords, a, st)
-		}
-		tx.Write(ctl+ctlObase, tx.Read(ctl+ctlAbase))
-		tx.Write(ctl+ctlOcap, acap)
-		tx.Write(ctl+ctlCursor, 0)
-		tx.Write(ctl+ctlAbase, uint64(base))
-		tx.Write(ctl+ctlAcap, newCap)
-		for i := 0; i < countStripes; i++ {
-			tx.Write(ctl+ctlTmb+i, 0) // the full table carries no tombstones anyway
 		}
 		return nil
 	})
@@ -561,7 +469,9 @@ type mapOp[K comparable, V any] struct {
 	found    bool
 	needGrow bool
 
-	getFn, putFn, delFn, migFn func(*stm.DTx) error
+	mig *mapOp[K, V] // migrate's key staging, built on first use
+
+	getFn, putFn, delFn func(*stm.DTx) error
 }
 
 func newMapOp[K comparable, V any](mp *Map[K, V]) *mapOp[K, V] {
@@ -573,7 +483,6 @@ func newMapOp[K comparable, V any](mp *Map[K, V]) *mapOp[K, V] {
 	op.getFn = op.runGet
 	op.putFn = op.runPut
 	op.delFn = op.runDel
-	op.migFn = op.runMigrate
 	return op
 }
 
@@ -752,15 +661,19 @@ func (op *mapOp[K, V]) runGet(tx *stm.DTx) error {
 	return nil
 }
 
-// runPut: overwrite in the active table if present there; otherwise
-// install into the active table — tombstoning any unmigrated old-table
-// copy in the same atomic step, so a key is never live in both tables.
+// runPut: move a chunk of any in-flight migration, then overwrite in the
+// active table if present there; otherwise install into the active table —
+// tombstoning any unmigrated old-table copy in the same atomic step, so a
+// key is never live in both tables.
 func (op *mapOp[K, V]) runPut(tx *stm.DTx) error {
 	op.found = false
 	op.needGrow = false
 	var zero V
 	op.prev = zero
 	abase, acap, obase, ocap := op.readCtl(tx)
+	if ocap != 0 {
+		ocap = op.migrate(tx, abase, acap, obase, ocap)
+	}
 	fa, st, avail, availSt := op.probe(tx, abase, acap)
 	if fa >= 0 {
 		op.loadVal(tx, fa, st)
@@ -769,7 +682,7 @@ func (op *mapOp[K, V]) runPut(tx *stm.DTx) error {
 		return nil
 	}
 	if avail < 0 {
-		// No insert slot: report before touching anything, so the old
+		// No insert slot: report before touching the key, so the old
 		// table's copy (if any) stays live for the post-growth retry.
 		op.needGrow = true
 		return nil
@@ -791,87 +704,79 @@ func (op *mapOp[K, V]) runPut(tx *stm.DTx) error {
 	return nil
 }
 
-// runDel: tombstone the live copy, wherever it is.
+// runDel: tombstone the live copy, wherever it is; a delete that found its
+// key is a write, so it then moves a chunk of any in-flight migration.
 func (op *mapOp[K, V]) runDel(tx *stm.DTx) error {
 	op.found = false
 	var zero V
 	op.prev = zero
 	abase, acap, obase, ocap := op.readCtl(tx)
-	if fa, st, _, _ := op.probe(tx, abase, acap); fa >= 0 {
-		op.loadVal(tx, fa, st)
-		tx.Write(fa, slotTomb)
-		op.bumpStripe(tx, ctlCnt, ^uint64(0))
+	fa, st, _, _ := op.probe(tx, abase, acap)
+	if fa >= 0 {
 		op.bumpStripe(tx, ctlTmb, 1)
-		op.found = true
+	} else if ocap != 0 {
+		// Old-table tombstones don't feed the active-occupancy trigger.
+		fa, st, _, _ = op.probe(tx, obase, ocap)
+	}
+	if fa < 0 {
 		return nil
 	}
+	op.loadVal(tx, fa, st)
+	tx.Write(fa, slotTomb)
+	op.bumpStripe(tx, ctlCnt, ^uint64(0))
+	op.found = true
 	if ocap != 0 {
-		if fa, st, _, _ := op.probe(tx, obase, ocap); fa >= 0 {
-			op.loadVal(tx, fa, st)
-			tx.Write(fa, slotTomb)
-			op.bumpStripe(tx, ctlCnt, ^uint64(0))
-			// Old-table tombstones don't feed the active-occupancy trigger.
-			op.found = true
-		}
+		op.migrate(tx, abase, acap, obase, ocap)
 	}
 	return nil
 }
 
-// runMigrate moves one chunk of old-table slots into the active table and
-// advances the cursor; the transaction that moves the last chunk also
-// retires the old table. Re-executions are safe: everything is derived
-// from transactional reads. Live entries keep their count (migration
-// moves them, it doesn't create or destroy), so no stripe changes here.
-func (op *mapOp[K, V]) runMigrate(tx *stm.DTx) error {
+// migrate moves one chunk of old-table slots into the active table and
+// advances the cursor, inside the writing operation's transaction; the
+// chunk that ends the old table also retires it. It returns the old
+// capacity as it leaves it: 0 once retired, else ocap. The moving keys
+// are staged in op.mig, so op's own staged key survives for its probe and
+// for a re-execution. Live entries keep their count (migration moves
+// them, it doesn't create or destroy), so no live stripe changes here.
+func (op *mapOp[K, V]) migrate(tx *stm.DTx, abase int, acap uint64, obase int, ocap uint64) uint64 {
 	mp := op.mp
+	if op.mig == nil {
+		op.mig = &mapOp[K, V]{mp: mp, kbuf: make([]uint64, mp.kw)}
+	}
+	mig := op.mig
 	ctl := mp.ctl
-	ocap := tx.Read(ctl + ctlOcap)
-	if ocap == 0 {
-		return nil
-	}
-	obase := int(tx.Read(ctl + ctlObase))
-	abase := int(tx.Read(ctl + ctlAbase))
-	acap := tx.Read(ctl + ctlAcap)
 	cur := tx.Read(ctl + ctlCursor)
-	end := cur + migrateChunk
-	if end > ocap {
-		end = ocap
-	}
+	end := min(cur+migrateChunk, ocap)
 	for i := cur; i < end; i++ {
 		a := obase + int(i)*mp.slotWords
 		st := tx.Read(a)
 		if !isFull(st) {
 			continue
 		}
-		// Stage the moving entry's key in kbuf for the rehoming probe.
-		// runMigrate always runs as its own transaction, before its op
-		// is reused for the caller's main operation, so clobbering the
-		// staged key here is fine.
-		op.loadKey(tx, a, st)
-		fa, _, avail, availSt := op.probe(tx, abase, acap)
+		mig.loadKey(tx, a, st)
+		fa, _, avail, availSt := mig.probe(tx, abase, acap)
 		if fa >= 0 {
 			tx.Write(a, slotTomb)
 			continue
 		}
 		if avail < 0 {
-			// Active table momentarily has no slot for this chain: park
-			// the cursor here; a later help (after puts grow the table)
-			// finishes the job. Unreachable under the §10 occupancy
-			// bound, but never silently drop an entry.
+			// No slot for this chain: park the cursor here. Unreachable
+			// under the §10 occupancy bound, but never silently drop an
+			// entry.
 			tx.Write(ctl+ctlCursor, i)
-			return nil
+			return ocap
 		}
-		op.moveSlot(tx, avail, a, st)
+		mig.moveSlot(tx, avail, a, st)
 		if availSt == slotTomb {
-			op.bumpStripe(tx, ctlTmb, ^uint64(0))
+			mig.bumpStripe(tx, ctlTmb, ^uint64(0))
 		}
 	}
-	if end == ocap {
-		tx.Write(ctl+ctlObase, 0)
-		tx.Write(ctl+ctlOcap, 0)
-		tx.Write(ctl+ctlCursor, 0)
-	} else {
+	if end < ocap {
 		tx.Write(ctl+ctlCursor, end)
+		return ocap
 	}
-	return nil
+	tx.Write(ctl+ctlObase, 0)
+	tx.Write(ctl+ctlOcap, 0)
+	tx.Write(ctl+ctlCursor, 0)
+	return 0
 }

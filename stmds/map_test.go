@@ -277,27 +277,26 @@ func TestMapStringKeys(t *testing.T) {
 }
 
 func TestMapUnwedgesAfterPutTxFillsActiveTable(t *testing.T) {
-	// PutTx mutates without helping migration, so a PutTx-only burst can
-	// fill the active table to 100% while old-table entries are still
-	// unmigrated — the state where the incremental migration has no slot
-	// to move into and a normal grow refuses to start. Standalone Put
-	// must detect the wedge and recover via the emergency flip rather
-	// than reporting ErrMapFull with the allocator full of free words.
+	// PutTx cannot allocate, so a PutTx-only burst with no Maintain fills
+	// the active table to 100% and then reports ErrMapFull. Every write
+	// drains a migration in flight, so by then the old table is retired:
+	// the state is a full table with no migration in flight, and a
+	// standalone Put must grow it rather than report ErrMapFull with the
+	// allocator full of free words.
 	m := mustMem(t, 1<<16)
 	mp := mustMap(t, m, 0) // cap 8
 	// Five standalone puts push occupancy to 5/8: the advisory trigger
 	// fires at the end of the fifth (4*(5+1) >= 3*8) and flips to a
-	// 16-slot active table with all five entries unmigrated. No further
-	// standalone op runs, so the migration stays parked at cursor 0.
+	// 16-slot active table with all five entries in the old table. The
+	// first two PutTx calls below move them over, a chunk of 4 slots each.
 	const seeded = 5
 	for i := int64(0); i < seeded; i++ {
 		if _, _, err := mp.Put(i, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Flood through PutTx only: no helping, no growth. The 16-slot
-	// active table must fill to 100% live and PutTx must then report
-	// ErrMapFull — the wedged state.
+	// Flood through PutTx only: no growth. The 16-slot active table must
+	// fill to 100% live and PutTx must then report ErrMapFull.
 	var inserted int64
 	var txFull bool
 	for i := int64(0); i < 64 && !txFull; i++ {
@@ -317,15 +316,15 @@ func TestMapUnwedgesAfterPutTxFillsActiveTable(t *testing.T) {
 		}
 	}
 	if !txFull {
-		t.Fatal("PutTx flood never filled the active table — the wedge setup no longer works; revisit the trigger arithmetic")
+		t.Fatal("PutTx flood never filled the active table — the setup no longer works; revisit the trigger arithmetic")
 	}
-	// The wedge must self-heal: a standalone Put of a fresh key succeeds
-	// via the emergency flip instead of reporting ErrMapFull forever.
+	// A standalone Put of a fresh key grows the full table and succeeds
+	// instead of reporting ErrMapFull forever.
 	if _, _, err := mp.Put(99_999, 1); err != nil {
-		t.Fatalf("standalone Put in the wedged state: %v", err)
+		t.Fatalf("standalone Put into the full table: %v", err)
 	}
-	// Everything inserted — seeded (stranded in the old table), flooded,
-	// and the unwedging key — must still be retrievable.
+	// Everything inserted — seeded (moved by the flood), flooded, and the
+	// growing key — must still be retrievable.
 	for i := int64(0); i < seeded; i++ {
 		if v, ok := mp.Get(i); !ok || v != i {
 			t.Fatalf("Get(%d) = (%d, %v) after recovery", i, v, ok)

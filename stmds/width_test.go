@@ -272,9 +272,9 @@ func TestMapNeverShowsStaleTails(t *testing.T) {
 
 		t.Run("emergency grow", func(t *testing.T) {
 			// As in TestMapUnwedgesAfterPutTxFillsActiveTable: five Puts
-			// flip an 8-slot table to 16 slots with all five entries
-			// unmigrated, PutTx fills the new table, and a standalone Put
-			// rehomes the stranded entries in one transaction.
+			// flip an 8-slot table to 16 slots, the first PutTx calls move
+			// the five entries over while PutTx fills the new table, and a
+			// standalone Put grows the full table and migrates them again.
 			q := newQuadModel(t, eng, 0)
 			for i := uint64(0); i < 5; i++ {
 				v := fullQuad(i)
@@ -283,15 +283,15 @@ func TestMapNeverShowsStaleTails(t *testing.T) {
 				}
 				q.put(fullQuad(100+i), v)
 			}
-			wedged := false
-			for i := uint64(0); i < 64 && !wedged; i++ {
-				wedged = q.putTx(shortQuad(1000+i), fullQuad(i)) != nil
+			full := false
+			for i := uint64(0); i < 64 && !full; i++ {
+				full = q.putTx(shortQuad(1000+i), fullQuad(i)) != nil
 			}
-			if !wedged {
+			if !full {
 				t.Fatal("the PutTx flood never filled the active table")
 			}
 			q.put(shortQuad(99_999), quad{})
-			q.put(fullQuad(100), shortQuad(5)) // an entry the emergency path moved
+			q.put(fullQuad(100), shortQuad(5)) // an entry the flood moved, overwritten mid-migration
 		})
 
 		t.Run("all-zero string encodings", func(t *testing.T) {

@@ -40,6 +40,19 @@
 // error and runs nothing, after Redis. BQPOP inside MULTI degrades to a
 // non-blocking pop.
 //
+// # Capacity
+//
+// The keyspace starts with a table sized for Config.KeyspaceHint and
+// doubles at 3/4 occupancy while the next table fits in the
+// Config.MemoryWords words left (outgrown tables are never freed; queues
+// share the words); the last table can fill completely. So a default
+// server holds at most 16,384 keys: its 8,192- and 16,384-slot tables take
+// 466,968 words, and a 32,768-slot table would need 622,592 more. Past
+// that, a SET of a new key probes every slot and replies ERR keyspace full
+// (about 170 µs on a 2-vCPU host). A resize never refuses one: every
+// keyspace write moves a chunk of it, so the new table cannot fill before
+// the old one is drained (DESIGN.md §10).
+//
 // # Execution model
 //
 // Each connection's byte stream is parsed and *planned* outside any

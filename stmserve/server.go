@@ -34,9 +34,14 @@ type Config struct {
 	// everything the server stores. Default 1<<20 words; a word is one
 	// padded 64-byte line, so that is 64 MiB once every word is written.
 	// Words are built 4096 at a time, on the first write to any of them.
+	// The keyspace's tables come out of these words, so they bound it: a
+	// default server holds at most 16,384 keys (see Capacity in the
+	// package doc). Scale MemoryWords with KeyspaceHint.
 	MemoryWords int
 	// KeyspaceHint sizes the keyspace map for this many entries before it
-	// must grow. Default 4096.
+	// must grow. Default 4096. The first table's room above its growth
+	// trigger, at least KeyspaceHint/3 slots, must hold the fresh keys of
+	// the batches (up to 128 each) that commit before growth starts.
 	KeyspaceHint int
 	// QueueCapacity is the element capacity of each named queue.
 	// Default 1024.

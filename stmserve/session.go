@@ -59,7 +59,7 @@ type Session struct {
 	inMulti  bool
 	multiErr bool // a queued command was malformed; EXEC will abort
 	closing  bool // QUIT or protocol error: close after the final flush
-	dirtyKV  bool // batch contained a keyspace write: run Map.Maintain after
+	dirtyKV  bool // batch wrote the keyspace: run Map.Maintain after, to start growth
 
 	// Serving-layer telemetry (metrics.go). met is this session's stripe;
 	// depths stages queue lengths observed inside the executing transaction
@@ -394,8 +394,10 @@ func (s *Session) execute() {
 		_ = s.srv.mem.Atomically(s.batchFn) // the body never returns an error
 		s.recordBatch(i, j, monoNow()-t0)
 		if s.dirtyKV {
-			// Keyspace maintenance (incremental resize, growth trigger)
-			// cannot run inside the batch transaction; amortize it here.
+			// Growth cannot start inside the batch transaction (a table
+			// is allocated outside any), so start it here. A resize in
+			// flight needs nothing: each keyspace write in the batch
+			// moved a chunk of it.
 			s.dirtyKV = false
 			_ = s.srv.kv.Maintain()
 		}
