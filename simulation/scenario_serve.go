@@ -64,14 +64,9 @@ func dialClient(addr string) (*respClient, error) {
 	return &respClient{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
-// roundTrip writes a pipelined request and reads its n replies,
-// returning the last (for a burst whose final reply — an EXEC array —
-// carries the data).
-func (c *respClient) roundTrip(req string, n int) ([]string, error) {
-	if _, err := io.WriteString(c.conn, req); err != nil {
-		return nil, err
-	}
-	return c.readN(n)
+func (c *respClient) send(s string) error {
+	_, err := io.WriteString(c.conn, s)
+	return err
 }
 
 func (c *respClient) readReply() ([]string, error) {
@@ -122,7 +117,8 @@ func (c *respClient) readReply() ([]string, error) {
 	return nil, fmt.Errorf("bad reply line %q", line)
 }
 
-// readN reads n replies, returning the last.
+// readN reads n replies, returning the last (for a pipelined burst whose
+// final reply — the EXEC array — carries the data).
 func (c *respClient) readN(n int) ([]string, error) {
 	var last []string
 	for i := 0; i < n; i++ {
@@ -206,7 +202,10 @@ func (serveScenario) Run(env *Env) error {
 	for i := 0; i < serveAccounts; i++ {
 		fmt.Fprintf(&req, "SET acct:%d %d\r\n", i, serveInitial)
 	}
-	if _, err := setup.roundTrip(req.String(), serveAccounts); err != nil {
+	if err := setup.send(req.String()); err != nil {
+		return err
+	}
+	if _, err := setup.readN(serveAccounts); err != nil {
 		return err
 	}
 	setup.close()
@@ -241,7 +240,10 @@ func (serveScenario) Run(env *Env) error {
 				if a == b {
 					continue
 				}
-				_, err := c.roundTrip(fmt.Sprintf("MULTI\r\nINCRBY acct:%d -%d\r\nINCRBY acct:%d %d\r\nEXEC\r\n", a, amt, b, amt), 4) // +OK, 2×+QUEUED, EXEC array
+				err := c.send(fmt.Sprintf("MULTI\r\nINCRBY acct:%d -%d\r\nINCRBY acct:%d %d\r\nEXEC\r\n", a, amt, b, amt))
+				if err == nil {
+					_, err = c.readN(4) // +OK, 2×+QUEUED, EXEC array
+				}
 				if err != nil {
 					table.clear(w)
 					c.close()
@@ -280,7 +282,11 @@ func (serveScenario) Run(env *Env) error {
 					c = nc
 					table.set(id, c.conn)
 				}
-				vals, err := c.roundTrip(reqStr, 2+serveAccounts) // +OK, QUEUEDs, EXEC array
+				err := c.send(reqStr)
+				var vals []string
+				if err == nil {
+					vals, err = c.readN(2 + serveAccounts) // +OK, QUEUEDs, EXEC array
+				}
 				if err != nil {
 					table.clear(id)
 					c.close()
@@ -331,7 +337,11 @@ func (serveScenario) Run(env *Env) error {
 				fmt.Fprintf(&set, "SET load:%d %d\r\n", k, k)
 				fmt.Fprintf(&get, "GET load:%d\r\n", k)
 			}
-			if _, err := c.roundTrip(set.String(), serveLoadBatch); err != nil {
+			err := c.send(set.String())
+			if err == nil {
+				_, err = c.readN(serveLoadBatch)
+			}
+			if err != nil {
 				if strings.HasPrefix(err.Error(), "server error") {
 					env.Violatef("serve: loader SET among keys %d..%d refused: %v", n, n+serveLoadBatch-1, err)
 				}
@@ -339,7 +349,11 @@ func (serveScenario) Run(env *Env) error {
 			}
 		}
 		get.WriteString("EXEC\r\n")
-		vals, err := c.roundTrip(get.String(), 2+n) // +OK, QUEUEDs, EXEC array
+		err = c.send(get.String())
+		var vals []string
+		if err == nil {
+			vals, err = c.readN(2 + n) // +OK, QUEUEDs, EXEC array
+		}
 		if err != nil {
 			return
 		}
@@ -368,7 +382,10 @@ func (serveScenario) Run(env *Env) error {
 		}
 		defer c.close()
 		for !env.Stopped() {
-			if _, err := c.roundTrip("QPUSH "+serveQueue+" tok\r\n", 1); err != nil {
+			if err := c.send("QPUSH " + serveQueue + " tok\r\n"); err == nil {
+				_, err = c.readReply()
+			}
+			if err != nil {
 				flowDirty.Store(true)
 				return
 			}
@@ -385,7 +402,10 @@ func (serveScenario) Run(env *Env) error {
 		}
 		defer c.close()
 		for !env.Stopped() {
-			vals, err := c.roundTrip("BQPOP "+serveQueue+" 50\r\n", 1)
+			var vals []string
+			if err := c.send("BQPOP " + serveQueue + " 50\r\n"); err == nil {
+				vals, err = c.readReply()
+			}
 			if err != nil {
 				flowDirty.Store(true)
 				return
@@ -428,7 +448,10 @@ func (serveScenario) Run(env *Env) error {
 			return err
 		}
 		defer c.close()
-		vals, err := c.roundTrip("QLEN "+serveQueue+"\r\n", 1)
+		if err := c.send("QLEN " + serveQueue + "\r\n"); err != nil {
+			return err
+		}
+		vals, err := c.readReply()
 		if err != nil {
 			return err
 		}

@@ -33,8 +33,8 @@
 //   - Map[K, V]: point lookups and updates by key. Operations touch a
 //     probe chain of a few slots, so disjoint keys run in parallel.
 //     Resize is incremental: while it is in flight every write migrates
-//     a few slots inside its own transaction, never one commit that owns
-//     the whole table.
+//     a few slots inside its own transaction, so a transaction owns as
+//     many old-table slots as it makes writes, up to a whole table.
 //   - Set[K]: Map[K, struct{}] with a thinner API.
 //   - Queue[T]: bounded FIFO. Put/Take conflict on the head/tail words,
 //     so a queue is a serialization point by design; use it where that

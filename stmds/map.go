@@ -23,13 +23,14 @@ var ErrMapFull = errors.New("stmds: map table full")
 // The table grows by transactional incremental resize: when occupancy
 // (live entries plus tombstones) crosses 3/4, a new table is installed,
 // and until the old one is drained every write — a Put or PutTx, or a
-// Delete or DeleteTx that finds its key — moves a small chunk of old-table
-// slots inside its own transaction. No commit ever owns a whole table, and
-// the active table cannot fill before the drain ends. Reads never migrate,
-// so a Get stays read-only. While a migration is in flight a live key
-// exists in exactly one of the two tables: lookups probe the active table
-// first, then the old; writes install into the active table and tombstone
-// any old-table copy in the same atomic step. See DESIGN.md §10.
+// Delete or DeleteTx that finds its key — moves migrateChunk old-table
+// slots inside its own transaction (so a transaction of w writes owns w
+// chunks, up to a whole table), and the active table cannot fill before
+// the drain ends. Reads never migrate, so a Get stays read-only. While a
+// migration is in flight a live key exists in exactly one of the two
+// tables: lookups probe the active table first, then the old; writes
+// install into the active table and tombstone any old-table copy in the
+// same atomic step. See DESIGN.md §10.
 //
 // A Map is safe for concurrent use. Table words (including those of
 // outgrown tables) are reserved from the Memory's allocator and never
@@ -334,8 +335,11 @@ func (mp *Map[K, V]) LenTx(tx *stm.DTx) int {
 // use LenTx. Entries are yielded in table order, which is not insertion or
 // key order. yield must follow the same rules as any code inside
 // Atomically (no side effects — it may run on snapshots that never
-// commit); mutating the map inside yield is allowed through the Tx forms
-// but the iteration does not re-visit slots it has already passed.
+// commit). yield may mutate the map through the Tx forms, but the
+// iteration does not re-visit slots it has passed, and mid-resize each
+// such write moves old-table entries into active slots already passed,
+// so entries not yet visited can be skipped: to write every entry,
+// collect the keys in the range and write after it.
 func (mp *Map[K, V]) RangeTx(tx *stm.DTx, yield func(k K, v V) bool) {
 	op := mp.getOp()
 	defer mp.putOp(op)

@@ -600,3 +600,112 @@ func TestMapRangeTxDuringMigration(t *testing.T) {
 		}
 	}
 }
+
+// TestMapRangeTxWritesDuringMigration pins RangeTx's documented limit on
+// writing inside yield. With no migration in flight, a PutTx of each
+// yielded entry leaves the iteration whole. Mid-resize each such write
+// moves a chunk of old-table entries into the active table, which the
+// scan has already passed, so entries not yet visited are hidden: the
+// range yields fewer keys, each once, and exactly those are updated.
+// Collecting the keys and writing after the range, in the same
+// transaction, yields and updates every entry mid-resize too.
+func TestMapRangeTxWritesDuringMigration(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, eng stm.Engine) {
+		const keys = 48 // crosses 3/4 of the hint's 64-slot table
+		// newMap loads keys => 0 through PutTx, which never migrates with
+		// no migration in flight; flip then has Maintain move to 128
+		// slots with every entry still in the old table.
+		newMap := func(flip bool) (*stm.Memory, *stmds.Map[int64, int64]) {
+			m := mustMemEngine(t, 1<<14, eng)
+			mp, err := stmds.NewMap[int64, int64](m, stm.Int64(), stm.Int64(), 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Atomically(func(tx *stm.DTx) error {
+				for k := int64(0); k < keys; k++ {
+					if _, _, err := mp.PutTx(tx, k, 0); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if flip {
+				if err := mp.Maintain(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return m, mp
+		}
+		// bumpInside puts v+1 under every key RangeTx yields, from inside
+		// yield, and returns the keys yielded; a key yielded twice, or
+		// with a value other than 0, fails the test.
+		bumpInside := func(m *stm.Memory, mp *stmds.Map[int64, int64]) map[int64]bool {
+			var seen map[int64]bool
+			if err := m.Atomically(func(tx *stm.DTx) error {
+				seen = map[int64]bool{}
+				var err error
+				mp.RangeTx(tx, func(k, v int64) bool {
+					if seen[k] || v != 0 {
+						err = fmt.Errorf("RangeTx yielded %d => %d (seen before: %v), want each key once => 0", k, v, seen[k])
+						return false
+					}
+					seen[k] = true
+					_, _, err = mp.PutTx(tx, k, v+1)
+					return err == nil
+				})
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for k := int64(0); k < keys; k++ {
+				want := int64(0)
+				if seen[k] {
+					want = 1
+				}
+				if v, ok := mp.Get(k); !ok || v != want {
+					t.Fatalf("Get(%d) = %d,%v after the range, want %d", k, v, ok, want)
+				}
+			}
+			return seen
+		}
+
+		if seen := bumpInside(newMap(false)); len(seen) != keys {
+			t.Fatalf("no migration in flight: writing inside yield saw %d of %d keys", len(seen), keys)
+		}
+		if seen := bumpInside(newMap(true)); len(seen) == 0 || len(seen) >= keys {
+			t.Fatalf("mid-resize: writing inside yield saw %d of %d keys, want some hidden by the moves", len(seen), keys)
+		}
+
+		m, mp := newMap(true)
+		var n int
+		if err := m.Atomically(func(tx *stm.DTx) error {
+			var ks []int64
+			mp.RangeTx(tx, func(k, _ int64) bool {
+				ks = append(ks, k)
+				return true
+			})
+			n = len(ks)
+			for _, k := range ks {
+				if _, _, err := mp.PutTx(tx, k, 1); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n != keys {
+			t.Fatalf("mid-resize: collecting range saw %d of %d keys", n, keys)
+		}
+		for k := int64(0); k < keys; k++ {
+			if v, ok := mp.Get(k); !ok || v != 1 {
+				t.Fatalf("Get(%d) = %d,%v after collect-then-write, want 1", k, v, ok)
+			}
+		}
+		if got := mp.Len(); got != keys {
+			t.Fatalf("Len = %d, want %d", got, keys)
+		}
+	})
+}

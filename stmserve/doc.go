@@ -48,10 +48,11 @@
 // share the words); the last table can fill completely. So a default
 // server holds at most 16,384 keys: its 8,192- and 16,384-slot tables take
 // 466,968 words, and a 32,768-slot table would need 622,592 more. Past
-// that, a SET of a new key probes every slot and replies ERR keyspace full
-// (about 170 µs on a 2-vCPU host). A resize never refuses one: every
-// keyspace write moves a chunk of it, so the new table cannot fill before
-// the old one is drained (DESIGN.md §10).
+// that, a SET of a new key probes every slot before it replies ERR
+// keyspace full. A resize never refuses one: every keyspace write moves a
+// chunk of it, so the new table cannot fill before the old one is drained
+// (DESIGN.md §10). The batch carries those moves, so while a resize is in
+// flight a batch of writes costs several times as much.
 //
 // # Execution model
 //

@@ -163,6 +163,9 @@ const (
 // maxBatch bounds how many pipelined commands one commit may carry: a
 // larger batch amortizes better but owns a wider footprint for longer, so
 // runaway pipelines are chopped rather than serialized against the world.
+// While a keyspace resize is in flight each keyspace write also moves four
+// old-table slots, so a batch then owns up to 4·maxBatch of those too
+// (DESIGN.md §10).
 const maxBatch = 128
 
 // maxMultiCmds bounds one MULTI group.
